@@ -7,6 +7,7 @@ failure, 2 usage or config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys as _sys
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from .controller import (
     SynthesisError,
     synthesize_gain,
 )
-from .expr import to_string
+from .expr import ExprSyntaxError, UnknownIdentifierError, to_string
 from .geodesic import GeodesicError, solve_geodesic
 from .integrate import IntegrationError
 from .model import ModelError
@@ -179,18 +180,8 @@ def cmd_geodesic(cfg, args, out):
 def cmd_simulate(cfg, args, out):
     grid = _grid_for(cfg, args)
     gain = _resolve_gain(cfg, grid)
-    run_cfg = RunConfig(
-        kind=cfg.sim.controller,
-        T=cfg.sim.T,
-        h=cfg.sim.h,
-        x0=cfg.sim.x0,
-        z0=cfg.sim.z0,
-        ell=cfg.sim.ell,
-        geodesic_segments=cfg.sim.geodesic_segments,
-        custom_u=cfg.sim.custom_u,
-        exactness_grid=grid,
-        err_threshold=cfg.sim.err_threshold,
-    )
+    spec = dataclasses.asdict(cfg.sim)
+    run_cfg = RunConfig(kind=spec.pop("controller"), exactness_grid=grid, **spec)
     trace = run_closed_loop(cfg.system, cfg.metric, gain, cfg.reference, run_cfg)
     trace.write_csv(out)
     summary = _sys.stderr if out is not _sys.stdout else out
@@ -222,7 +213,6 @@ def build_parser():
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--grid", type=int, default=None,
                        help="grid points per axis override")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed for sweeps")
     sub.choices["geodesic"].add_argument("--from", dest="from_point", required=True)
     sub.choices["geodesic"].add_argument("--to", dest="to_point", required=True)
     return parser
@@ -247,7 +237,7 @@ def main(argv=None):
         cfg = load_config(args.config)
         out = _out_stream(args)
         return handlers[args.command](cfg, args, out)
-    except (ConfigError, ModelError) as err:
+    except (ConfigError, ModelError, ExprSyntaxError, UnknownIdentifierError) as err:
         _sys.stderr.write(f"config error: {err}\n")
         return EXIT_USAGE
     except _CliFailure as err:

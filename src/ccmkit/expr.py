@@ -30,19 +30,33 @@ class UnknownIdentifierError(ValueError):
 
 
 class EvalDomainError(ArithmeticError):
-    """Division by zero, sqrt of a negative, or an unbound variable."""
+    """Division by zero, sqrt of a negative, overflow, or an unbound variable."""
 
 
-FUNCTIONS = ("sin", "cos", "exp", "abs", "sqrt", "sign")
+def _too_deep():
+    return ExprSyntaxError("expression nests too deeply", 0)
 
-_UNARY_EVAL = {
-    "neg": lambda v: -v,
+
+def _sign(v):
+    return 0.0 if v == 0.0 else math.copysign(1.0, v)
+
+
+def _sqrt_checked(v):
+    if v < 0.0:
+        raise EvalDomainError(f"sqrt of negative value {v}")
+    return math.sqrt(v)
+
+
+# The one function table, shared by `evaluate` and `compile_fn`.
+_FUNCTION_TABLE = {
     "sin": math.sin,
     "cos": math.cos,
     "exp": math.exp,
     "abs": abs,
-    "sign": lambda v: 0.0 if v == 0.0 else math.copysign(1.0, v),
+    "sqrt": _sqrt_checked,
+    "sign": _sign,
 }
+FUNCTIONS = tuple(_FUNCTION_TABLE)
 
 
 @dataclass(frozen=True)
@@ -297,7 +311,10 @@ def parse(text, variables):
     """Parse expression text over the given iterable of variable names."""
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(text, variables).parse()
+    try:
+        return _Parser(text, variables).parse()
+    except RecursionError:
+        raise _too_deep() from None
 
 
 def evaluate(expr, env):
@@ -327,15 +344,15 @@ def evaluate(expr, env):
         n = int(expr.value)
         if base == 0.0 and n < 0:
             raise EvalDomainError("zero raised to a negative power")
-        return base**n
-    if kind == "sqrt":
-        v = evaluate(expr.args[0], env)
-        if v < 0.0:
-            raise EvalDomainError(f"sqrt of negative value {v}")
-        return math.sqrt(v)
+        try:
+            return base**n
+        except OverflowError:
+            raise EvalDomainError(f"overflow in {base}^{n}")
     a = evaluate(expr.args[0], env)
+    if kind == "neg":
+        return -a
     try:
-        return _UNARY_EVAL[kind](a)
+        return _FUNCTION_TABLE[kind](a)
     except OverflowError:
         raise EvalDomainError(f"overflow in {kind}({a})")
 
@@ -354,30 +371,37 @@ def differentiate(expr, name):
 
     d|u|/dx is sign(u) * du/dx with sign(0) = 0, so the result is total.
     """
+    try:
+        return _differentiate(expr, name)
+    except RecursionError:
+        raise _too_deep() from None
+
+
+def _differentiate(expr, name):
     kind = expr.kind
     if kind == "const":
         return ZERO
     if kind == "var":
         return ONE if expr.name == name else ZERO
     if kind in ("add", "sub"):
-        da = differentiate(expr.args[0], name)
-        db = differentiate(expr.args[1], name)
+        da = _differentiate(expr.args[0], name)
+        db = _differentiate(expr.args[1], name)
         return add(da, db) if kind == "add" else sub(da, db)
     if kind == "mul":
         a, b = expr.args
-        return add(mul(differentiate(a, name), b), mul(a, differentiate(b, name)))
+        return add(mul(_differentiate(a, name), b), mul(a, _differentiate(b, name)))
     if kind == "div":
         a, b = expr.args
-        num = sub(mul(differentiate(a, name), b), mul(a, differentiate(b, name)))
+        num = sub(mul(_differentiate(a, name), b), mul(a, _differentiate(b, name)))
         return div(num, pow_int(b, 2))
     if kind == "pow":
         a = expr.args[0]
         n = int(expr.value)
-        return mul(mul(const(n), pow_int(a, n - 1)), differentiate(a, name))
+        return mul(mul(const(n), pow_int(a, n - 1)), _differentiate(a, name))
     if kind == "neg":
-        return neg(differentiate(expr.args[0], name))
+        return neg(_differentiate(expr.args[0], name))
     a = expr.args[0]
-    da = differentiate(a, name)
+    da = _differentiate(a, name)
     if kind == "sin":
         return mul(func("cos", a), da)
     if kind == "cos":
@@ -393,24 +417,12 @@ def differentiate(expr, name):
     raise ValueError(f"unknown node kind '{kind}'")
 
 
-def _sign(v):
-    return 0.0 if v == 0.0 else math.copysign(1.0, v)
-
-
-def _sqrt_checked(v):
-    if v < 0.0:
-        raise EvalDomainError(f"sqrt of negative value {v}")
-    return math.sqrt(v)
-
-
 _COMPILE_GLOBALS = {
     "__builtins__": {},
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "sqrt": _sqrt_checked,
-    "sign": _sign,
-    "abs": abs,
+    **_FUNCTION_TABLE,
+    "EvalDomainError": EvalDomainError,
+    "ZeroDivisionError": ZeroDivisionError,
+    "OverflowError": OverflowError,
 }
 
 
@@ -433,12 +445,23 @@ def _py_source(expr):
 def compile_fn(expr, variables):
     """Compile an expression to a fast positional-argument callable.
 
-    The result takes one float per name in `variables` (in order) and
-    matches `evaluate` bit-for-bit on the same inputs.
+    The result takes one float per name in `variables` (in order). On
+    Python floats it matches `evaluate` bit-for-bit and raises
+    EvalDomainError wherever `evaluate` does.
     """
-    args = ", ".join(variables)
-    src = f"lambda {args}: {_py_source(expr)}"
-    return eval(src, dict(_COMPILE_GLOBALS))  # noqa: S307 - generated from our own AST
+    try:
+        src = (
+            f"def fn({', '.join(variables)}):\n"
+            f"    try:\n"
+            f"        return {_py_source(expr)}\n"
+            f"    except (ZeroDivisionError, OverflowError) as err:\n"
+            f"        raise EvalDomainError(err) from None\n"
+        )
+        namespace = dict(_COMPILE_GLOBALS)
+        exec(src, namespace)  # noqa: S102 - generated from our own AST
+    except (SyntaxError, RecursionError):
+        raise _too_deep() from None
+    return namespace["fn"]
 
 
 _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}

@@ -1,14 +1,18 @@
 """Fixed-step RK4 integration plus an adaptive RK45 oracle.
 
-The fixed-step classical Runge-Kutta scheme drives all production
-simulations; the adaptive integrator (scipy's Dormand-Prince pair) is
-kept as an independent cross-check and never shares code with RK4.
+Every fixed-step run steps with `rk4_step` on `time_grid`, which ends
+exactly at the final time, and counts as diverged once its state passes
+`DIVERGENCE_LIMIT`. The adaptive integrator (scipy's Dormand-Prince
+pair) is kept as an independent cross-check and never shares code with
+RK4.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+DIVERGENCE_LIMIT = 1e9
 
 
 class IntegrationError(RuntimeError):
@@ -32,22 +36,26 @@ def rk4_step(field, x, t, h):
     return out
 
 
-def rk4_solve(field, x0, t0, t1, h):
-    """Integrate on a uniform grid; returns (times, states) arrays.
+def time_grid(t0, t1, h):
+    """Times t0, t0 + h, ... of a fixed-step run over [t0, t1].
 
     The final step is shortened so the grid ends exactly at t1.
     """
-    x = np.asarray(x0, dtype=float)
-    n_steps = int(round((t1 - t0) / h))
-    if abs(t0 + n_steps * h - t1) > 1e-9 * max(abs(t1), 1.0):
-        n_steps = int(np.ceil((t1 - t0) / h - 1e-12))
+    # a remainder below 1e-6 of a step is rounding error, not a step
+    n_steps = int(np.ceil((t1 - t0) / h - 1e-6))
     times = t0 + h * np.arange(n_steps + 1)
     times[-1] = t1
-    states = np.empty((n_steps + 1, x.size))
+    return times
+
+
+def rk4_solve(field, x0, t0, t1, h):
+    """Integrate on `time_grid(t0, t1, h)`; returns (times, states) arrays."""
+    x = np.asarray(x0, dtype=float)
+    times = time_grid(t0, t1, h)
+    states = np.empty((times.size, x.size))
     states[0] = x
-    for k in range(n_steps):
-        step = times[k + 1] - times[k]
-        x = rk4_step(field, x, times[k], step)
+    for k in range(times.size - 1):
+        x = rk4_step(field, x, times[k], times[k + 1] - times[k])
         states[k + 1] = x
     return times, states
 

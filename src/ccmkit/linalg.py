@@ -1,15 +1,16 @@
-"""Dense linear algebra primitives for small matrices (dims <= ~12).
+"""Dense linear algebra for small matrices (dims <= ~12), on LAPACK.
 
-Eigensolves use the cyclic Jacobi method: at these sizes robustness and
-determinism matter more than speed, and the rotations keep symmetric
-structure exact.
+Thin wrappers over numpy/scipy that add the checks the rest of ccmkit
+relies on: eigensolves refuse non-symmetric input (`NonSymmetricError`),
+and inversion and the generalized eigensolve report singular or
+indefinite blocks as `SingularMatrixError` instead of returning garbage.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+import scipy.linalg
+from scipy.linalg.lapack import dgetrf
 
 SYM_TOL = 1e-9
 
@@ -33,67 +34,31 @@ def require_symmetric(a, tol=SYM_TOL):
 
 
 def sym_eig(a, tol=SYM_TOL):
-    """Eigendecomposition of a symmetric matrix via cyclic Jacobi.
+    """Eigendecomposition of a symmetric matrix.
 
     Returns (eigenvalues ascending, eigenvectors as columns).
     """
-    a = require_symmetric(a, tol)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    a = a.copy()
-    scale = np.max(np.abs(a)) or 1.0
-    for _ in range(100):
-        off = math.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= 1e-15 * scale * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                a[p, q] = a[q, p] = 0.0
-                v = v @ rot
-    w = a.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    w, v = np.linalg.eigh(require_symmetric(a, tol))
+    return w, v
 
 
 def inverse(a, pivot_tol=1e-13):
-    """Matrix inverse by Gauss-Jordan with partial pivoting."""
+    """Matrix inverse by LU with partial pivoting.
+
+    Raises SingularMatrixError when a pivot falls below pivot_tol times
+    the largest entry of a.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected square matrix, got shape {a.shape}")
-    n = a.shape[0]
     scale = np.max(np.abs(a)) or 1.0
-    aug = np.hstack([a.astype(float), np.eye(n)])
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        pivot = aug[pivot_row, col]
-        if abs(pivot) < pivot_tol * scale:
-            raise SingularMatrixError(
-                f"matrix singular to working precision (pivot {pivot:g})"
-            )
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        aug[col] /= aug[col, col]
-        for row in range(n):
-            if row != col and aug[row, col] != 0.0:
-                aug[row] -= aug[row, col] * aug[col]
-    return aug[:, n:]
+    lu, piv, _ = dgetrf(a)
+    pivot = np.min(np.abs(lu.diagonal()))
+    if pivot < pivot_tol * scale:
+        raise SingularMatrixError(
+            f"matrix singular to working precision (pivot {pivot:g})"
+        )
+    return scipy.linalg.lu_solve((lu, piv), np.eye(a.shape[0]), check_finite=False)
 
 
 def null_space_basis(a, tol=1e-10):
@@ -110,29 +75,21 @@ def null_space_basis(a, tol=1e-10):
 
 
 def spectral_norm(a):
-    """Largest singular value, via sym_eig of A^T A."""
+    """Largest singular value."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0.0
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        return 0.0
-    b = a / scale
-    w, _ = sym_eig(b.T @ b)
-    return scale * math.sqrt(max(float(w[-1]), 0.0))
+    return float(np.linalg.norm(a, 2))
 
 
 def generalized_sym_eig(a, b):
     """Eigenvalues/vectors of A v = mu B v with A symmetric, B SPD.
 
-    Solved by Cholesky of B followed by a plain symmetric eigensolve.
+    Eigenvectors are B-orthonormal (V^T B V = I).
     """
     a = require_symmetric(a)
     b = require_symmetric(b)
     try:
-        chol = np.linalg.cholesky(b)
+        return scipy.linalg.eigh(a, b)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("B block not positive definite")
-    inv_l = inverse(chol)
-    w, y = sym_eig(inv_l @ a @ inv_l.T)
-    return w, inv_l.T @ y

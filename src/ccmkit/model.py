@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .integrate import IntegrationError, rk4_step
-
-DIVERGENCE_LIMIT = 1e9
+from .integrate import DIVERGENCE_LIMIT, IntegrationError, rk4_solve
 
 
 class ModelError(ValueError):
@@ -199,18 +197,9 @@ def generate_reference(sys, ref, T, h):
         ud = ref.eval_ud(t, xd)
         return sys.eval_f(xd) + sys.eval_b(xd) @ ud
 
-    n_steps = int(round(T / h))
-    times = h * np.arange(n_steps + 1)
-    xd = np.empty((n_steps + 1, sys.n))
-    ud = np.empty((n_steps + 1, sys.m))
-    xd[0] = ref.xd0
-    violations = []
-    for k in range(n_steps):
-        ud[k] = ref.eval_ud(times[k], xd[k])
-        xd[k + 1] = rk4_step(field_fn, xd[k], times[k], h)
-        if not sys.in_domain(xd[k + 1]):
-            violations.append(times[k + 1])
-    ud[-1] = ref.eval_ud(times[-1], xd[-1])
+    times, xd = rk4_solve(field_fn, ref.xd0, 0.0, T, h)
+    ud = np.array([ref.eval_ud(t, x) for t, x in zip(times, xd)])
+    violations = [t for t, x in zip(times[1:], xd[1:]) if not sys.in_domain(x)]
     if violations:
         warnings.warn(
             f"reference leaves the domain box at t = {violations[0]:g} "

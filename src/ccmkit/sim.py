@@ -1,25 +1,26 @@
 """Closed-loop simulation of plant + reference (+ observer state z).
 
-Plant, reference and z are integrated as one coupled RK4 state vector so
-there is no interpolation skew between them. The feedforward u_d(t, x_d)
-is evaluated at every RK4 stage; the feedback correction is evaluated at
-every stage for cheap controllers (static, custom) and held constant
-over the step (zero-order hold) for the geodesic and dynamic-extension
-kinds, whose per-evaluation cost dominates.
+Plant, reference and z are integrated as one coupled state vector with
+`integrate.rk4_step` on `integrate.time_grid`, so there is no
+interpolation skew between them and every trace ends exactly at T. The
+feedforward u_d(t, x_d) is evaluated at every RK4 stage, and so is the
+feedback of the static and custom kinds. The geodesic and
+dynamic-extension corrections, whose per-evaluation cost dominates, are
+computed once per step and held over it (zero-order hold).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import expr as ex
 from .controller import dynext_beta, exactness_residual, radial_potential
-from .geodesic import GeodesicError, solve_geodesic
+from .geodesic import GeodesicError, path_integral_controller
+from .integrate import DIVERGENCE_LIMIT, IntegrationError, rk4_step, time_grid
 from .model import state_vars
 
-DIVERGENCE_LIMIT = 1e9
 CONTROLLER_KINDS = ("static", "dynext", "geodesic", "custom")
 
 
@@ -65,21 +66,14 @@ class SimTrace:
         return float(self.err[-1])
 
     def columns(self):
-        n = self.x.shape[1]
-        m = self.u.shape[1]
+        groups = [("x", self.x), ("xd", self.xd), ("z", self.z), ("u", self.u),
+                  ("ud", self.ud)]
+        groups = [(name, block) for name, block in groups if block is not None]
         names = ["t"]
-        names += [f"x{i + 1}" for i in range(n)]
-        names += [f"xd{i + 1}" for i in range(n)]
-        if self.z is not None:
-            names += [f"z{i + 1}" for i in range(n)]
-        names += [f"u{i + 1}" for i in range(m)]
-        names += [f"ud{i + 1}" for i in range(m)]
-        names.append("err")
-        blocks = [self.t[:, None], self.x, self.xd]
-        if self.z is not None:
-            blocks.append(self.z)
-        blocks += [self.u, self.ud, self.err[:, None]]
-        return names, np.hstack(blocks)
+        names += [f"{name}{i + 1}" for name, block in groups
+                  for i in range(block.shape[1])]
+        blocks = [self.t[:, None]] + [block for _, block in groups]
+        return names + ["err"], np.hstack(blocks + [self.err[:, None]])
 
     def write_csv(self, stream):
         names, data = self.columns()
@@ -107,149 +101,109 @@ def _custom_controller_fn(sys, exprs):
     return control
 
 
+def _require_exact(gain, grid):
+    if gain.is_constant():
+        return
+    if grid is None:
+        raise SimulationError(
+            "static controller on a non-constant gain needs exactness_grid"
+        )
+    residual, witness = exactness_residual(gain, grid)
+    if residual > 1e-10:
+        raise SimulationError(
+            f"static controller needs an exact gain: residual "
+            f"{residual:g} at x={witness}; use dynext or geodesic"
+        )
+
+
+def _controller(sys, metric, gain, cfg):
+    """Resolve cfg.kind into (law, update).
+
+    law(t, x, xd, z, ud, held) gives u at any RK4 stage. update(x, xd, z),
+    when not None, runs once per step and its result is passed to law as
+    `held` for the whole step.
+    """
+    if cfg.kind == "custom":
+        if not cfg.custom_u:
+            raise SimulationError("custom controller needs expressions")
+        custom_fn = _custom_controller_fn(sys, cfg.custom_u)
+        return (lambda t, x, xd, z, ud, held: custom_fn(t, x, xd, z)), None
+    if cfg.kind == "static":
+        _require_exact(gain, cfg.exactness_grid)
+        return (lambda t, x, xd, z, ud, held:
+                ud + (radial_potential(gain, x) - radial_potential(gain, xd))), None
+    if cfg.kind == "dynext":
+
+        def update(x, xd, z):
+            return dynext_beta(gain, x, z) - dynext_beta(gain, xd, z)
+    else:
+        warm = None
+
+        def update(x, xd, z):
+            nonlocal warm
+            held, warm = path_integral_controller(
+                gain, metric, x, xd, np.zeros(sys.m), cfg.geodesic_segments, path=warm
+            )
+            return held
+
+    return (lambda t, x, xd, z, ud, held: ud + held), update
+
+
 def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
     """Simulate tracking of the reference under the configured controller.
 
     Failures (divergence, NaN, geodesic breakdown) truncate the trace and
     set a flag instead of raising, so sweeps survive bad samples.
     """
-    n, m = sys.n, sys.m
-    x0 = np.asarray(cfg.x0 if cfg.x0 is not None else ref.xd0, dtype=float)
+    n = sys.n
     xd0 = np.asarray(ref.xd0, dtype=float)
+    x0 = np.asarray(cfg.x0 if cfg.x0 is not None else xd0, dtype=float)
     use_z = cfg.kind in ("dynext", "custom")
     z0 = np.asarray(cfg.z0 if cfg.z0 is not None else xd0, dtype=float)
+    law, update = _controller(sys, metric, gain, cfg)
 
-    static_residual = None
-    if cfg.kind == "static":
-        if gain.is_constant():
-            static_residual = 0.0
-        elif cfg.exactness_grid is not None:
-            static_residual, witness = exactness_residual(gain, cfg.exactness_grid)
-            if static_residual > 1e-10:
-                raise SimulationError(
-                    f"static controller needs an exact gain: residual "
-                    f"{static_residual:g} at x={witness}; use dynext or geodesic"
-                )
-        else:
-            raise SimulationError(
-                "static controller on a non-constant gain needs exactness_grid"
-            )
-    custom_fn = None
-    if cfg.kind == "custom":
-        if not cfg.custom_u:
-            raise SimulationError("custom controller needs expressions")
-        custom_fn = _custom_controller_fn(sys, cfg.custom_u)
+    def split(y):
+        return y[:n], y[n : 2 * n], y[2 * n :] if use_z else None
 
-    n_steps = int(round(cfg.T / cfg.h))
-    times = cfg.h * np.arange(n_steps + 1)
-    xs = np.empty((n_steps + 1, n))
-    xds = np.empty((n_steps + 1, n))
-    zs = np.empty((n_steps + 1, n)) if use_z else None
-    us = np.empty((n_steps + 1, m))
-    uds = np.empty((n_steps + 1, m))
-    xs[0], xds[0] = x0, xd0
-    if use_z:
-        zs[0] = z0
+    def rhs(t, y):
+        x, xd, z = split(y)
+        ud = ref.eval_ud(t, xd)
+        fx = sys.eval_f(x) + sys.eval_b(x) @ law(t, x, xd, z, ud, held)
+        fxd = sys.eval_f(xd) + sys.eval_b(xd) @ ud
+        return np.concatenate([fx, fxd, fx - cfg.ell * (z - x)] if use_z else [fx, fxd])
 
-    flags = []
-    completed = True
-    warm_path = None
-    last = n_steps
-
-    def stage_correction(t, x, xd, z, frozen):
-        if cfg.kind == "static":
-            return radial_potential(gain, x) - radial_potential(gain, xd)
-        if cfg.kind == "custom":
-            return None  # custom defines u in full
-        return frozen
-
+    times = time_grid(0.0, cfg.T, cfg.h)
     state = np.concatenate([x0, xd0, z0] if use_z else [x0, xd0])
-
-    for k in range(n_steps + 1):
-        t = times[k]
-        x = state[:n]
-        xd = state[n : 2 * n]
-        z = state[2 * n :] if use_z else None
-        xs[k], xds[k] = x, xd
-        if use_z:
-            zs[k] = z
-        ud_k = ref.eval_ud(t, xd)
-        uds[k] = ud_k
-
-        # per-step feedback correction (ZOH for geodesic / dynext)
-        frozen = None
+    states = np.empty((times.size, state.size))
+    us = np.full((times.size, sys.m), np.nan)  # NaN where the controller failed
+    uds = np.empty((times.size, sys.m))
+    flags = []
+    held = None
+    for k, t in enumerate(times):
+        states[k] = state
+        x, xd, z = split(state)
+        uds[k] = ud = ref.eval_ud(t, xd)
         try:
-            if cfg.kind == "dynext":
-                frozen = dynext_beta(gain, x, z) - dynext_beta(gain, xd, z)
-            elif cfg.kind == "geodesic":
-                path = solve_geodesic(
-                    metric, xd, x, cfg.geodesic_segments, init=None
-                    if warm_path is None else warm_path.nodes,
-                )
-                if not path.converged:
-                    raise GeodesicError("geodesic solve did not converge")
-                warm_path = path
-                if gain.is_constant():
-                    frozen = gain.constant_matrix @ (x - xd)
-                else:
-                    frozen = np.zeros(m)
-                    mids = path.midpoints()
-                    for seg, delta in enumerate(path.tangents()):
-                        frozen += gain(mids[seg]) @ delta
-            if cfg.kind == "custom":
-                us[k] = custom_fn(t, x, xd, z)
-            else:
-                corr = stage_correction(t, x, xd, z, frozen)
-                us[k] = ud_k + corr
+            if update is not None:
+                held = update(x, xd, z)
+            us[k] = law(t, x, xd, z, ud, held)
         except (GeodesicError, ArithmeticError, ValueError) as err:
             flags.append(f"controller failure at t={t:g}: {err}")
-            completed = False
-            last = k
             break
-
-        if k == n_steps:
+        if k + 1 == times.size:
             break
-
-        def rhs(tau, y):
-            xx = y[:n]
-            xxd = y[n : 2 * n]
-            zz = y[2 * n :] if use_z else None
-            ud_s = ref.eval_ud(tau, xxd)
-            if cfg.kind == "custom":
-                uu = custom_fn(tau, xx, xxd, zz)
-            else:
-                corr = stage_correction(tau, xx, xxd, zz, frozen)
-                uu = ud_s + corr
-            fx = sys.eval_f(xx) + sys.eval_b(xx) @ uu
-            fxd = sys.eval_f(xxd) + sys.eval_b(xxd) @ ud_s
-            if not use_z:
-                return np.concatenate([fx, fxd])
-            fz = fx - cfg.ell * (zz - xx)
-            return np.concatenate([fx, fxd, fz])
-
         try:
-            h = cfg.h
-            k1 = rhs(t, state)
-            k2 = rhs(t + 0.5 * h, state + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, state + 0.5 * h * k2)
-            k4 = rhs(t + h, state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        except (ArithmeticError, ValueError) as err:
+            state = rk4_step(rhs, state, t, times[k + 1] - t)
+            if np.max(np.abs(state)) > DIVERGENCE_LIMIT:
+                raise IntegrationError("state divergence", times[k + 1])
+        except (IntegrationError, ArithmeticError, ValueError) as err:
             flags.append(f"numerical failure at t={t:g}: {err}")
-            completed = False
-            last = k
-            break
-        if not np.all(np.isfinite(state)) or np.max(np.abs(state)) > DIVERGENCE_LIMIT:
-            flags.append(f"state divergence at t={times[k + 1]:g}")
-            completed = False
-            last = k
             break
 
-    end = last + 1
-    err = np.linalg.norm(xs[:end] - xds[:end], axis=1)
-    domain_exits = [
-        float(times[k]) for k in range(end) if not sys.in_domain(xs[k])
-    ]
+    completed = not flags
+    end = k + 1
+    xs, xds = states[:end, :n], states[:end, n : 2 * n]
+    domain_exits = [float(t) for t, x in zip(times, xs) if not sys.in_domain(x)]
     if domain_exits:
         flags.append(
             f"plant left the domain box at t={domain_exits[0]:g} "
@@ -257,12 +211,12 @@ def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
         )
     return SimTrace(
         t=times[:end],
-        x=xs[:end],
-        xd=xds[:end],
+        x=xs,
+        xd=xds,
         u=us[:end],
         ud=uds[:end],
-        err=err,
-        z=zs[:end] if use_z else None,
+        err=np.linalg.norm(xs - xds, axis=1),
+        z=states[:end, 2 * n :] if use_z else None,
         flags=flags,
         completed=completed,
     )
@@ -302,13 +256,8 @@ def perturbation_sweep(sys, metric, gain, ref, cfg, radii, samples, seed=0):
                 direction = rng.standard_normal(sys.n)
                 direction /= np.linalg.norm(direction)
                 x0 = xd0 + radius * direction
-            run_cfg = RunConfig(
-                kind=cfg.kind, T=cfg.T, h=cfg.h, x0=x0, z0=cfg.z0, ell=cfg.ell,
-                geodesic_segments=cfg.geodesic_segments, custom_u=cfg.custom_u,
-                exactness_grid=cfg.exactness_grid, err_threshold=cfg.err_threshold,
-            )
             try:
-                trace = run_closed_loop(sys, metric, gain, ref, run_cfg)
+                trace = run_closed_loop(sys, metric, gain, ref, replace(cfg, x0=x0))
             except SimulationError:
                 continue
             if trace.completed and trace.final_err() < cfg.err_threshold:

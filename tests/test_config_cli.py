@@ -161,6 +161,31 @@ class TestCliCertify:
     def test_missing_config_exit(self, tmp_path):
         assert main(["certify", "--config", str(tmp_path / "nope.ini")]) == 2
 
+    def test_seed_flag_removed(self, tmp_path):
+        path = write_config(tmp_path, NUMEX_MIN)
+        assert main(["certify", "--config", path, "--seed", "1"]) == 2
+
+
+class TestCliExpressionErrors:
+    """Bad gain expressions are config errors (exit 2), not tracebacks."""
+
+    def run_user_gain(self, tmp_path, capsys, k_1_1):
+        path = write_config(
+            tmp_path, NUMEX_MIN + f"[gain]\nsource = user\nK_1_1 = {k_1_1}\n")
+        code = main(["synthesize", "--config", path, "--grid", "5"])
+        return code, capsys.readouterr().err
+
+    def test_deeply_nested_sum(self, tmp_path, capsys):
+        code, err = self.run_user_gain(tmp_path, capsys, " + ".join(["x1"] * 250))
+        assert code == 2
+        assert err.startswith("config error:")
+
+    def test_unknown_identifier(self, tmp_path, capsys):
+        code, err = self.run_user_gain(tmp_path, capsys, "-y1")
+        assert code == 2
+        assert err.startswith("config error:")
+        assert "y1" in err
+
 
 class TestCliSynthesize:
     def test_micro_constant_gain_round_trip(self, tmp_path, capsys):

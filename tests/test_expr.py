@@ -254,6 +254,34 @@ def test_compile_fn_propagates_domain_errors():
     fn = ex.compile_fn(ex.parse("sqrt(x1)", XY), XY)
     with pytest.raises(ex.EvalDomainError):
         fn(-1.0, 0.0)
+    for text, x1 in (("1/x1", 0.0), ("x1^-1", 0.0), ("exp(x1)", 1000.0),
+                     ("x1^3", 1e200)):
+        e = ex.parse(text, XY)
+        with pytest.raises(ex.EvalDomainError):
+            ex.evaluate(e, {"x1": x1, "x2": 0.0})
+        with pytest.raises(ex.EvalDomainError):
+            ex.compile_fn(e, XY)(x1, 0.0)
+
+
+class TestDeepNesting:
+    """Trees too deep for the recursive walkers are syntax errors."""
+
+    def test_compile_250_term_sum(self):
+        e = ex.parse(" + ".join(["x1"] * 250), XY)
+        assert ex.evaluate(e, {"x1": 1.0, "x2": 0.0}) == 250.0
+        with pytest.raises(ex.ExprSyntaxError):
+            ex.compile_fn(e, XY)
+
+    def test_differentiate_3000_term_sum(self):
+        e = ex.parse(" + ".join(["x1"] * 3000), XY)
+        with pytest.raises(ex.ExprSyntaxError):
+            ex.differentiate(e, "x1")
+        with pytest.raises(ex.ExprSyntaxError):
+            ex.compile_fn(e, XY)
+
+    def test_parse_deep_parentheses(self):
+        with pytest.raises(ex.ExprSyntaxError):
+            ex.parse("(" * 1000 + "x1" + ")" * 1000, XY)
 
 
 def test_free_variables():

@@ -144,6 +144,17 @@ class TestReference:
         fd = (trace["xd"][1] - trace["xd"][0]) / 1e-4
         assert np.allclose(fd, vel, atol=1e-3)
 
+    def test_covers_horizon_exactly(self, linear_sys):
+        # T = 1 is not a multiple of h = 0.4: steps 0.4, 0.4, then 0.2
+        ref = ReferenceSpec.from_strings(2, [1.0, 0.0], ["0"])
+        trace = generate_reference(linear_sys, ref, 1.0, 0.4)
+        assert trace["t"][-1] == 1.0
+        assert np.allclose(np.diff(trace["t"]), [0.4, 0.4, 0.2], atol=1e-15)
+        assert trace["xd"].shape == (4, 2) and trace["ud"].shape == (4, 1)
+        _, oracle = rk45_integrate(lambda t, x: np.array([x[1], -2 * x[0] - 3 * x[1]]),
+                                   [1.0, 0.0], (0.0, 1.0), t_eval=np.array([1.0]))
+        assert np.max(np.abs(trace["xd"][-1] - oracle[-1])) <= 1e-2
+
     def test_equilibrium_constant_trace(self, linear_sys):
         ref = ReferenceSpec.from_strings(2, [0.0, 0.0], ["0"])
         trace = generate_reference(linear_sys, ref, 1.0, 1e-2)

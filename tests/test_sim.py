@@ -7,6 +7,7 @@ import pytest
 
 from ccmkit.certificates import Grid
 from ccmkit.controller import GainField
+from ccmkit.integrate import rk45_integrate
 from ccmkit.model import ReferenceSpec, SystemModel
 from ccmkit.sim import (
     RunConfig,
@@ -44,6 +45,23 @@ class TestRunConfig:
     def test_step_cap(self):
         with pytest.raises(SimulationError):
             RunConfig(T=1e3, h=1e-6)
+
+
+class TestHorizon:
+    def test_covers_horizon_exactly(self):
+        # T = 1 is not a multiple of h = 0.4: steps 0.4, 0.4, then 0.2
+        sys = SystemModel(2, 1, ["x2", "-2*x1 - 3*x2"], [["0"], ["1"]],
+                          [-5, -5], [5, 5])
+        ref = ReferenceSpec.from_strings(2, [0.0, 0.0], ["0"])
+        cfg = RunConfig(kind="custom", T=1.0, h=0.4,
+                        x0=np.array([1.0, 0.0]), custom_u=["0"])
+        trace = run_closed_loop(sys, None, None, ref, cfg)
+        assert trace.completed
+        assert trace.t[-1] == 1.0
+        assert np.allclose(np.diff(trace.t), [0.4, 0.4, 0.2], atol=1e-15)
+        _, oracle = rk45_integrate(lambda t, x: np.array([x[1], -2 * x[0] - 3 * x[1]]),
+                                   [1.0, 0.0], (0.0, 1.0), t_eval=np.array([1.0]))
+        assert np.max(np.abs(trace.x[-1] - oracle[-1])) <= 1e-2
 
 
 class TestInvariance:
@@ -162,6 +180,16 @@ class TestFailureHandling:
         assert not trace.completed
         assert trace.flags
         assert trace.t[-1] <= 1.0 + 1e-9
+
+    def test_controller_failure_leaves_no_control_value(self, numex):
+        cfg = RunConfig(kind="custom", T=1.0, h=1e-3,
+                        x0=np.array([0.0, 0.0]), custom_u=["sqrt(t - 1)"])
+        trace = run_closed_loop(numex.system, numex.metric, None,
+                                numex.reference, cfg)
+        assert not trace.completed
+        assert list(trace.t) == [0.0]
+        assert "controller failure" in trace.flags[0]
+        assert np.all(np.isnan(trace.u))
 
     def test_static_refuses_inexact_gain(self, numex, numex_gain):
         cfg = RunConfig(kind="static", T=1.0, h=1e-3, x0=np.zeros(2),
