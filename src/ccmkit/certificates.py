@@ -10,13 +10,18 @@ instrument (no pass/fail).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .integrate import rk4_step
-from .linalg import generalized_sym_eig, null_space_basis, sym_eig
+from .linalg import (
+    NonSymmetricError,
+    SingularMatrixError,
+    generalized_sym_eig,
+    null_space_basis,
+    sym_eig,
+)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_POINTS_PER_AXIS = 21
@@ -55,9 +60,13 @@ class Grid:
             for i in range(len(self.counts))
         ]
 
+    def array(self):
+        """All grid points as a (P, n) array, in row-major order."""
+        mesh = np.meshgrid(*self.axes(), indexing="ij")
+        return np.stack([axis.ravel() for axis in mesh], axis=1)
+
     def points(self):
-        for combo in itertools.product(*self.axes()):
-            yield np.array(combo)
+        yield from self.array()
 
     def __len__(self):
         return int(np.prod(self.counts))
@@ -105,30 +114,91 @@ class CertificateReport:
         return lines
 
 
-def _finish(condition, margins, witnesses, passed, tol, **kwargs):
-    margins = np.asarray(margins)
+def _finish(condition, points, margins, directions, passed, tol, **kwargs):
+    """Report over the per-point margins; the witness is the first grid
+    point in row-major order that attains the worst margin."""
     worst = int(np.argmax(margins))
-    state, direction = witnesses[worst]
-    return CertificateReport(
+    report = CertificateReport(
         condition=condition,
         passed=passed,
         worst_margin=float(margins[worst]),
-        witness_state=state,
-        witness_direction=direction,
+        witness_state=points[worst].copy(),
+        witness_direction=None if directions is None else directions[worst],
         tolerance=tol,
         margins_mean=float(margins.mean()),
         margins_max=float(margins.max()),
         margins_min=float(margins.min()),
         **kwargs,
     )
+    report.details["worst_points"] = int(
+        np.count_nonzero(margins >= margins[worst] - tol)
+    )
+    return report
 
 
-def _check_metric_bounds(metric, x, m_x, tol=1e-9):
+def _stack(fn, points):
+    """fn evaluated at every grid point, stacked along a new first axis."""
+    return np.array([fn(x) for x in points])
+
+
+def _primal_stacks(sys, metric, points):
+    """(Q, M, B) at every grid point as stacks, Q as in contraction_quadratic."""
+    m_x = _stack(metric.eval, points)
+    jac = _stack(sys.jac_f, points)
+    dm_f = _stack(lambda x: metric.dir_deriv(x, sys.eval_f(x)), points)
+    q = dm_f + m_x @ jac + np.swapaxes(jac, 1, 2) @ m_x
+    return q, m_x, _stack(sys.eval_b, points)
+
+
+def _column_stacks(sys, metric, points, b):
+    """(dB_j/dx, d_{B_j} M) at every grid point, shape (P, m, n, n) each,
+    from the stack b of B."""
+    db = _stack(lambda x: [sys.jac_b_col(x, j) for j in range(sys.m)], points)
+    dm_b = np.array([[metric.dir_deriv(x, col) for col in b_x.T]
+                     for x, b_x in zip(points, b)])
+    return db, dm_b
+
+
+def _project(basis, a):
+    """basis^T a basis over a stack."""
+    return np.swapaxes(basis, 1, 2) @ a @ basis
+
+
+def _per_rank(points, groups, solve, width):
+    """Largest eigenvalue and its eigenvector per grid point, solved once
+    per group of points whose null-space bases share a dimension.
+
+    `groups` is `null_space_basis` of a stack; `solve(index, basis)`
+    returns (eigenvalues, eigenvectors, lift) for the points `index`,
+    and the witness direction is lift @ (top eigenvector), of length
+    `width`. A linear-algebra error names the first failing grid point
+    in row-major order.
+    """
+    margins = np.empty(len(points))
+    directions = np.empty((len(points), width))
+    failures = []
+    for index, basis in groups:
+        try:
+            w, vecs, lift = solve(index, basis)
+        except (NonSymmetricError, SingularMatrixError) as err:
+            failures.append((index[err.index], err))
+            continue
+        margins[index] = w[:, -1]
+        directions[index] = (lift @ vecs[:, :, -1:])[:, :, 0]
+    if failures:
+        at, err = min(failures, key=lambda item: item[0])
+        raise type(err)(f"{err.reason} at x={points[at]}") from err
+    return margins, directions
+
+
+def _check_metric_bounds(metric, points, m_x, tol=1e-9):
     w, _ = sym_eig(m_x)
-    if w[0] < metric.p_lo - tol or w[-1] > metric.p_hi + tol:
+    bad = np.flatnonzero((w[:, 0] < metric.p_lo - tol) | (w[:, -1] > metric.p_hi + tol))
+    if bad.size:
+        at = bad[0]
         raise CertificateError(
-            f"metric eigenvalue bounds violated at x={x}: "
-            f"eigs in [{w[0]:.6g}, {w[-1]:.6g}], "
+            f"metric eigenvalue bounds violated at x={points[at]}: "
+            f"eigs in [{w[at, 0]:.6g}, {w[at, -1]:.6g}], "
             f"declared [{metric.p_lo:g}, {metric.p_hi:g}]"
         )
 
@@ -145,21 +215,13 @@ def check_killing_pde(sys, metric, grid, tol=DEFAULT_TOL):
     """Residual of d_{B_i} M + (dB_i/dx)^T M + M (dB_i/dx) = 0 per column."""
     if metric.role != "primal":
         raise CertificateError("Killing check needs a primal metric")
-    margins = []
-    witnesses = []
-    for x in grid.points():
-        m_x = metric.eval(x)
-        worst = 0.0
-        for j in range(sys.m):
-            b_col = np.zeros(sys.n)
-            b_col[:] = sys.eval_b(x)[:, j]
-            dbj = sys.jac_b_col(x, j)
-            residual = metric.dir_deriv(x, b_col) + dbj.T @ m_x + m_x @ dbj
-            worst = max(worst, float(np.max(np.abs(residual))))
-        margins.append(worst)
-        witnesses.append((x, None))
-    passed = max(margins) <= tol
-    return _finish("killing_pde", margins, witnesses, passed, tol)
+    points = grid.array()
+    m_x = _stack(metric.eval, points)[:, None]
+    db, dm_b = _column_stacks(sys, metric, points, _stack(sys.eval_b, points))
+    residual = dm_b + np.swapaxes(db, -1, -2) @ m_x + m_x @ db
+    margins = np.abs(residual).max(axis=(1, 2, 3))
+    passed = margins.max() <= tol
+    return _finish("killing_pde", points, margins, None, passed, tol)
 
 
 def check_c1(sys, metric, grid, tol=DEFAULT_TOL, rate=None):
@@ -175,30 +237,28 @@ def check_c1(sys, metric, grid, tol=DEFAULT_TOL, rate=None):
         raise CertificateError("C1 check needs a primal metric")
     if metric.p_lo <= 0:
         raise CertificateError("C1 check needs p_lo > 0")
-    margins = []
-    witnesses = []
-    for x in grid.points():
-        q, m_x = contraction_quadratic(sys, metric, x)
-        _check_metric_bounds(metric, x, m_x)
-        basis = null_space_basis((m_x @ sys.eval_b(x)).T)
-        if basis.shape[1] == 0:
-            margins.append(-np.inf)
-            witnesses.append((x, None))
-            continue
-        nmn = basis.T @ m_x @ basis
-        try:
-            w, vecs = generalized_sym_eig(basis.T @ q @ basis, nmn)
-        except Exception as err:
-            raise CertificateError(f"metric bound violation at x={x}: {err}")
-        margins.append(float(w[-1]))
-        witnesses.append((x, basis @ vecs[:, -1]))
-    worst = max(margins)
-    certified = -worst
+    points = grid.array()
+    q, m_x, b = _primal_stacks(sys, metric, points)
+    _check_metric_bounds(metric, points, m_x)
+
+    def solve(index, basis):
+        w, vecs = generalized_sym_eig(
+            _project(basis, q[index]), _project(basis, m_x[index])
+        )
+        return w, vecs, basis
+
+    groups = null_space_basis(np.swapaxes(m_x @ b, 1, 2))
+    try:
+        margins, directions = _per_rank(points, groups, solve, sys.n)
+    except SingularMatrixError as err:
+        raise CertificateError(f"metric bound violation: {err}") from None
+    worst = margins.max()
     if rate is not None:
         passed = worst <= -rate + tol
     else:
         passed = worst < -tol
-    report = _finish("c1", margins, witnesses, passed, tol, certified_rate=certified)
+    report = _finish("c1", points, margins, directions, passed, tol,
+                     certified_rate=-worst)
     report.details["requested_rate"] = metric.lam if rate is None else rate
     return report
 
@@ -211,31 +271,65 @@ def check_dual_w(sys, w_metric, grid, tol=DEFAULT_TOL):
     """
     if w_metric.role != "dual":
         raise CertificateError("dual-W check needs a metric with role=dual")
-    margins = []
-    witnesses = []
-    killing_worst = 0.0
-    for x in grid.points():
-        w_x = w_metric.eval(x)
-        jac = sys.jac_f(x)
-        b = sys.eval_b(x)
-        flow = w_metric.dir_deriv(x, sys.eval_f(x)) + jac @ w_x + w_x @ jac.T
-        b_perp = null_space_basis(b.T)
-        if b_perp.shape[1] == 0:
-            margins.append(-np.inf)
-            witnesses.append((x, None))
-        else:
-            w_eigs, vecs = sym_eig(b_perp.T @ flow @ b_perp)
-            margins.append(float(w_eigs[-1]))
-            witnesses.append((x, b_perp @ vecs[:, -1]))
-        for j in range(sys.m):
-            dbj = sys.jac_b_col(x, j)
-            residual = (
-                w_metric.dir_deriv(x, b[:, j]) - dbj @ w_x - w_x @ dbj.T
-            )
-            killing_worst = max(killing_worst, float(np.max(np.abs(residual))))
-    passed = max(margins) < -tol and killing_worst <= tol
-    report = _finish("dual_w", margins, witnesses, passed, tol)
+    points = grid.array()
+    w_x = _stack(w_metric.eval, points)
+    jac = _stack(sys.jac_f, points)
+    dw_f = _stack(lambda x: w_metric.dir_deriv(x, sys.eval_f(x)), points)
+    flow = dw_f + jac @ w_x + w_x @ np.swapaxes(jac, 1, 2)
+
+    def solve(index, basis):
+        w, vecs = sym_eig(_project(basis, flow[index]))
+        return w, vecs, basis
+
+    b = _stack(sys.eval_b, points)
+    groups = null_space_basis(np.swapaxes(b, 1, 2))
+    margins, directions = _per_rank(points, groups, solve, sys.n)
+    db, dw_b = _column_stacks(sys, w_metric, points, b)
+    w_x = w_x[:, None]
+    residual = dw_b - db @ w_x - w_x @ np.swapaxes(db, -1, -2)
+    killing_worst = float(np.abs(residual).max())
+    passed = margins.max() < -tol and killing_worst <= tol
+    report = _finish("dual_w", points, margins, directions, passed, tol)
     report.details["killing_residual"] = killing_worst
+    return report
+
+
+def _robust_stacks(sys, metric, grid, lam, gamma0, lambda_form):
+    """Validated inputs and the stacks both robust computations share:
+    grid points, S = Q + lam*I (or Q + lam*M), M, and the null-space
+    groups of (MB)^T."""
+    if metric.role != "primal":
+        raise CertificateError("robust check needs a primal metric")
+    if lam < 0 or gamma0 <= 0:
+        raise CertificateError("need lam >= 0 and gamma0 > 0")
+    if lambda_form not in ("identity", "metric"):
+        raise CertificateError(f"unknown lambda_form {lambda_form!r}")
+    points = grid.array()
+    q, m_x, b = _primal_stacks(sys, metric, points)
+    shift = lam * (np.eye(sys.n) if lambda_form == "identity" else m_x)
+    groups = null_space_basis(np.swapaxes(m_x @ b, 1, 2))
+    return points, q + shift, m_x, groups
+
+
+def _robust_report(points, s, m_x, groups, lam, gamma0, tol, lambda_form):
+    p, n = m_x.shape[:2]
+    corner = np.broadcast_to(-gamma0 * np.eye(n), (p, n, n))
+    big = np.block([[s, m_x], [m_x, corner]])
+
+    def solve(index, basis):
+        k = basis.shape[2]
+        lift = np.zeros((index.size, 2 * n, k + n))
+        lift[:, :n, :k] = basis
+        lift[:, n:, k:] = np.eye(n)
+        w, vecs = sym_eig(_project(lift, big[index]))
+        return w, vecs, lift
+
+    margins, directions = _per_rank(points, groups, solve, 2 * n)
+    passed = margins.max() < -tol
+    report = _finish("robust", points, margins, directions, passed, tol)
+    report.details["lambda"] = lam
+    report.details["gamma0"] = gamma0
+    report.details["lambda_form"] = lambda_form
     return report
 
 
@@ -246,59 +340,47 @@ def check_robust(sys, metric, grid, lam, gamma0, tol=DEFAULT_TOL, lambda_form="i
     lambda_form="metric"; the test direction is restricted to
     blockdiag(N, I_n) with N the null basis of (MB)^T.
     """
-    if metric.role != "primal":
-        raise CertificateError("robust check needs a primal metric")
-    if lam < 0 or gamma0 <= 0:
-        raise CertificateError("need lam >= 0 and gamma0 > 0")
-    if lambda_form not in ("identity", "metric"):
-        raise CertificateError(f"unknown lambda_form {lambda_form!r}")
-    n = sys.n
-    margins = []
-    witnesses = []
-    for x in grid.points():
-        q, m_x = contraction_quadratic(sys, metric, x)
-        shift = lam * np.eye(n) if lambda_form == "identity" else lam * m_x
-        big = np.block([[q + shift, m_x], [m_x, -gamma0 * np.eye(n)]])
-        basis = null_space_basis((m_x @ sys.eval_b(x)).T)
-        k = basis.shape[1]
-        restricted = np.zeros((2 * n, k + n))
-        restricted[:n, :k] = basis
-        restricted[n:, k:] = np.eye(n)
-        w, vecs = sym_eig(restricted.T @ big @ restricted)
-        margins.append(float(w[-1]))
-        witnesses.append((x, restricted @ vecs[:, -1]))
-    passed = max(margins) < -tol
-    report = _finish("robust", margins, witnesses, passed, tol)
-    report.details["lambda"] = lam
-    report.details["gamma0"] = gamma0
-    report.details["lambda_form"] = lambda_form
-    return report
+    stacks = _robust_stacks(sys, metric, grid, lam, gamma0, lambda_form)
+    return _robust_report(*stacks, lam, gamma0, tol, lambda_form)
 
 
 def min_feasible_gamma0(sys, metric, grid, lam, tol=DEFAULT_TOL,
-                        lambda_form="identity", hi=1e6, iters=60):
-    """Bisect the smallest gamma0 for which check_robust passes.
+                        lambda_form="identity", hi=1e6):
+    """Smallest gamma0 for which check_robust passes, in closed form.
 
-    Returns (gamma0_min, report at gamma0_min) or (None, failing report)
-    when even `hi` fails.
+    With S the (1,1) block of check_robust and N the null basis of
+    (MB)^T, the restricted block [[N^T S N, N^T M], [M N, -gamma0 I]]
+    has every eigenvalue below -tol exactly when C = -(N^T S N + tol I)
+    is positive definite and gamma0 - tol > lambda_max(N^T M^2 N, C)
+    (Schur complement). Hence
+
+        gamma0_min = tol + max_x lambda_max(N^T M^2 N, C),
+
+    returned times (1 + 1e-9) so that it passes the strict test despite
+    rounding. Returns (gamma0_min, report at gamma0_min), or
+    (None, failing report at `hi`) when C is indefinite at some grid
+    point or gamma0_min exceeds `hi`. The model is evaluated once; both
+    results come from the same stacks.
     """
-    report_hi = check_robust(sys, metric, grid, lam, hi, tol, lambda_form)
-    if not report_hi.passed:
-        return None, report_hi
-    lo = 0.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid <= 0.0:
-            break
-        if check_robust(sys, metric, grid, lam, mid, tol, lambda_form).passed:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-9 * max(hi, 1.0):
-            break
-    report = check_robust(sys, metric, grid, lam, hi, tol, lambda_form)
-    report.details["gamma0_min"] = hi
-    return hi, report
+    stacks = _robust_stacks(sys, metric, grid, lam, hi, lambda_form)
+    points, s, m_x, groups = stacks
+
+    def solve(index, basis):
+        m_n = m_x[index] @ basis
+        c = -(_project(basis, s[index]) + tol * np.eye(basis.shape[2]))
+        w, vecs = generalized_sym_eig(np.swapaxes(m_n, 1, 2) @ m_n, c)
+        return w, vecs, basis
+
+    try:
+        bounds, _ = _per_rank(points, groups, solve, sys.n)
+        gamma0 = (tol + float(bounds.max())) * (1.0 + 1e-9)
+    except SingularMatrixError:
+        gamma0 = None
+    if gamma0 is None or gamma0 > hi:
+        return None, _robust_report(*stacks, lam, hi, tol, lambda_form)
+    report = _robust_report(*stacks, lam, gamma0, tol, lambda_form)
+    report.details["gamma0_min"] = gamma0
+    return gamma0, report
 
 
 def dual_flow_diagnostic(sys, metric, times, states, p0):

@@ -17,7 +17,7 @@ import numpy as np
 from . import expr as ex
 from .integrate import rk4_step
 from .linalg import SingularMatrixError, inverse, spectral_norm
-from .model import state_vars
+from .model import float_args, state_vars
 
 EXACTNESS_TOL = 1e-10
 QUAD_NODES = 32
@@ -99,6 +99,7 @@ class GainField:
         fns = [[ex.compile_fn(e, variables) for e in row] for row in exprs]
 
         def evaluator(x):
+            x = float_args(x)
             return np.array([[fn(*x) for fn in row] for row in fns])
 
         constant = None
@@ -139,6 +140,7 @@ class GainField:
                     ]
                     for row in self.exprs
                 ]
+            x = float_args(x)
             return np.array(
                 [
                     [self._dk_fn[i][j][axis](*x) for j in range(self.n)]
@@ -265,7 +267,8 @@ def dynext_beta(gain, x, z, nodes=QUAD_NODES):
     points, weights = gauss_legendre_01(nodes)
     if gain.entry_fns is not None:
         # scalar fast path: stay in Python floats inside the hot loop
-        args = [float(v) for v in z]
+        args = z.tolist()
+        quadrature = list(zip(points.tolist(), weights.tolist()))
         out = [0.0] * gain.m
         for i in range(gain.n):
             xi = float(x[i])
@@ -273,7 +276,7 @@ def dynext_beta(gain, x, z, nodes=QUAD_NODES):
                 continue
             column = [gain.entry_fns[r][i] for r in range(gain.m)]
             acc = [0.0] * gain.m
-            for s, w in zip(points, weights):
+            for s, w in quadrature:
                 args[i] = s * xi
                 for r, fn in enumerate(column):
                     acc[r] += w * fn(*args)

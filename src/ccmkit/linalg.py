@@ -4,6 +4,12 @@ Thin wrappers over numpy/scipy that add the checks the rest of ccmkit
 relies on: eigensolves refuse non-symmetric input (`NonSymmetricError`),
 and inversion and the generalized eigensolve report singular or
 indefinite blocks as `SingularMatrixError` instead of returning garbage.
+
+`require_symmetric`, `sym_eig`, `generalized_sym_eig` and
+`null_space_basis` also take a stack of matrices, shape `(..., m, n)`,
+and solve all of its members with one batched LAPACK call; a 2-D input
+is one matrix, as before. An error on a stack names its first failing
+member in C order and keeps that flat position in `err.index`.
 """
 
 from __future__ import annotations
@@ -15,26 +21,48 @@ from scipy.linalg.lapack import dgetrf
 SYM_TOL = 1e-9
 
 
-class NonSymmetricError(ValueError):
+class _MatrixError(ValueError):
+    """A failure on one matrix, or on member `index` of a stack."""
+
+    def __init__(self, reason, index=None):
+        self.reason = reason
+        self.index = index
+        super().__init__(reason if index is None else f"{reason} (stack member {index})")
+
+
+class NonSymmetricError(_MatrixError):
     pass
 
 
-class SingularMatrixError(ValueError):
+class SingularMatrixError(_MatrixError):
     pass
+
+
+def _member(a, flat_index):
+    """`flat_index` for a stack, None for a single matrix."""
+    return int(flat_index) if a.ndim > 2 else None
 
 
 def require_symmetric(a, tol=SYM_TOL):
+    """Symmetric part of a (or of each member of a stack), after checking
+    that no entry of A - A^T exceeds tol."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NonSymmetricError(f"expected square matrix, got shape {a.shape}")
-    skew = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if skew > tol:
-        raise NonSymmetricError(f"matrix not symmetric: max |A - A^T| = {skew:g}")
-    return 0.5 * (a + a.T)
+    a_t = np.swapaxes(a, -1, -2)
+    if a.size:
+        skew = np.abs(a - a_t).max(axis=(-2, -1)).ravel()
+        bad = np.flatnonzero(skew > tol)
+        if bad.size:
+            raise NonSymmetricError(
+                f"matrix not symmetric: max |A - A^T| = {skew[bad[0]]:g}",
+                _member(a, bad[0]),
+            )
+    return 0.5 * (a + a_t)
 
 
 def sym_eig(a, tol=SYM_TOL):
-    """Eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of a symmetric matrix or stack of them.
 
     Returns (eigenvalues ascending, eigenvectors as columns).
     """
@@ -65,13 +93,29 @@ def null_space_basis(a, tol=1e-10):
     """Orthonormal basis of the null space of a (m x n, m <= n).
 
     Right singular vectors with singular value below tol * scale span
-    the numerical null space; rank is decided entirely by tol.
+    the numerical null space; rank is decided entirely by tol. On a 2-D
+    input returns the n x k basis. On a stack `(..., m, n)` the rank is
+    decided per member and the result is a list of `(index, basis)`
+    pairs, one per rank present: `index` holds the flat positions (C
+    order, ascending) of the members with that rank and `basis` their
+    bases, shape `(len(index), n, k)`.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    _, sv, vt = np.linalg.svd(a)
-    scale = max(float(sv[0]) if sv.size else 0.0, 1.0)
-    rank = int(np.sum(sv > tol * scale))
-    return vt[rank:].T.copy()
+    a = np.asarray(a, dtype=float)
+    if a.ndim > 2:
+        return _null_space_groups(a.reshape(-1, *a.shape[-2:]), tol)
+    ((_, basis),) = _null_space_groups(np.atleast_2d(a)[None], tol)
+    return basis[0]
+
+
+def _null_space_groups(stack, tol):
+    _, sv, vt = np.linalg.svd(stack)
+    scale = sv.max(axis=1, initial=1.0)
+    ranks = np.count_nonzero(sv > tol * scale[:, None], axis=1)
+    groups = []
+    for rank in np.unique(ranks):
+        index = np.flatnonzero(ranks == rank)
+        groups.append((index, np.swapaxes(vt[index, rank:], 1, 2).copy()))
+    return groups
 
 
 def spectral_norm(a):
@@ -85,11 +129,31 @@ def spectral_norm(a):
 def generalized_sym_eig(a, b):
     """Eigenvalues/vectors of A v = mu B v with A symmetric, B SPD.
 
-    Eigenvectors are B-orthonormal (V^T B V = I).
+    Works on single matrices and on stacks. With B = L L^T (Cholesky),
+    the problem reduces to the standard one for L^-1 A L^-T, solved for
+    every member at once. Eigenvectors are B-orthonormal (V^T B V = I).
     """
     a = require_symmetric(a)
     b = require_symmetric(b)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("array must not contain infs or NaNs")
     try:
-        return scipy.linalg.eigh(a, b)
+        chol = np.linalg.cholesky(b)
     except np.linalg.LinAlgError:
-        raise SingularMatrixError("B block not positive definite")
+        raise _first_indefinite(b) from None
+    inv_l = np.linalg.inv(chol)
+    inv_l_t = np.swapaxes(inv_l, -1, -2)
+    w, y = np.linalg.eigh(inv_l @ a @ inv_l_t)
+    return w, inv_l_t @ y
+
+
+def _first_indefinite(b):
+    """SingularMatrixError naming the first member of b with no Cholesky
+    factor; the batched factorization does not say which one failed."""
+    stack = b.reshape(-1, *b.shape[-2:])
+    for flat_index, member in enumerate(stack):
+        try:
+            np.linalg.cholesky(member)
+        except np.linalg.LinAlgError:
+            break
+    return SingularMatrixError("B block not positive definite", _member(b, flat_index))

@@ -24,6 +24,15 @@ def state_vars(n):
     return [f"x{i + 1}" for i in range(n)]
 
 
+def float_args(values):
+    """Arguments for a compiled expression: the values as Python floats.
+
+    On numpy scalars a compiled `1/x1` at 0 returns inf with a
+    RuntimeWarning instead of raising EvalDomainError.
+    """
+    return np.asarray(values, dtype=float).tolist()
+
+
 def _parse_entry(text, variables):
     if isinstance(text, ex.Expr):
         return text
@@ -75,17 +84,21 @@ class SystemModel:
         return bool(np.all(x >= self.domain_lo - 1e-12) and np.all(x <= self.domain_hi + 1e-12))
 
     def eval_f(self, x):
+        x = float_args(x)
         return np.array([fn(*x) for fn in self._f_fn])
 
     def eval_b(self, x):
+        x = float_args(x)
         return np.array([[fn(*x) for fn in row] for row in self._b_fn])
 
     def jac_f(self, x):
         """Jacobian of the drift, (i, j) entry = d f_i / d x_j."""
+        x = float_args(x)
         return np.array([[fn(*x) for fn in row] for row in self._df_fn])
 
     def jac_b_col(self, x, j):
         """Jacobian of the j-th column of B, (i, k) entry = d B_ij / d x_k."""
+        x = float_args(x)
         return np.array([[fn(*x) for fn in self._db_fn[i][j]] for i in range(self.n)])
 
     def a_matrix(self, x, u):
@@ -139,10 +152,12 @@ class MetricField:
         self.constant = all(not ex.free_variables(e) for row in self.m_exprs for e in row)
 
     def eval(self, x):
+        x = float_args(x)
         return np.array([[fn(*x) for fn in row] for row in self._m_fn])
 
     def partial(self, x, k):
         """d M / d x_k, entrywise."""
+        x = float_args(x)
         return np.array(
             [[self._dm_fn[i][j][k](*x) for j in range(self.n)] for i in range(self.n)]
         )
@@ -180,7 +195,8 @@ class ReferenceSpec:
         return self._ud_fn
 
     def eval_ud(self, t, xd):
-        return np.array([fn(t, *xd) for fn in self.ud_fns(len(xd))])
+        args = [float(t)] + float_args(xd)
+        return np.array([fn(*args) for fn in self.ud_fns(len(xd))])
 
 
 def generate_reference(sys, ref, T, h):

@@ -19,7 +19,7 @@ from . import expr as ex
 from .controller import dynext_beta, exactness_residual, radial_potential
 from .geodesic import GeodesicError, path_integral_controller
 from .integrate import DIVERGENCE_LIMIT, IntegrationError, rk4_step, time_grid
-from .model import state_vars
+from .model import float_args, state_vars
 
 CONTROLLER_KINDS = ("static", "dynext", "geodesic", "custom")
 
@@ -95,7 +95,7 @@ def _custom_controller_fn(sys, exprs):
     fns = [ex.compile_fn(e, variables) for e in parsed]
 
     def control(t, x, xd, z):
-        args = (t, *x, *xd, *z)
+        args = float_args((t, *x, *xd, *z))
         return np.array([fn(*args) for fn in fns])
 
     return control

@@ -1,12 +1,14 @@
 """Grid-based certificate checks, with closed-form and dense-eig oracles."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from ccmkit.certificates import (
+    DEFAULT_TOL,
     CertificateError,
     Grid,
     check_c1,
@@ -17,14 +19,98 @@ from ccmkit.certificates import (
     dual_flow_diagnostic,
     min_feasible_gamma0,
 )
-from ccmkit.linalg import generalized_sym_eig, null_space_basis
-from ccmkit.model import MetricField, SystemModel, generate_reference
+from ccmkit.config import load_config
+from ccmkit.linalg import generalized_sym_eig, null_space_basis, sym_eig
+from ccmkit.model import MetricField, SystemModel, builtin, generate_reference
 
 SQRT2 = math.sqrt(2.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_grid(sys, points=9):
     return Grid.for_system(sys, points)
+
+
+def bisect_gamma0(sys, metric, grid, lam, tol=DEFAULT_TOL,
+                  lambda_form="identity", hi=1e6, iters=60):
+    """Smallest gamma0 passing check_robust by bisection: the oracle for
+    the closed form of min_feasible_gamma0. None when even `hi` fails."""
+    if not check_robust(sys, metric, grid, lam, hi, tol, lambda_form).passed:
+        return None
+    lo = 0.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if mid <= 0.0:
+            break
+        if check_robust(sys, metric, grid, lam, mid, tol, lambda_form).passed:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-9 * max(hi, 1.0):
+            break
+    return hi
+
+
+# Per-point recomputations of the grid checks from contraction_quadratic
+# and one 2-D linalg call per point: (margins, [(state, direction)]).
+
+def c1_per_point(sys, metric, grid):
+    margins, witnesses = [], []
+    for x in grid.points():
+        q, m_x = contraction_quadratic(sys, metric, x)
+        basis = null_space_basis((m_x @ sys.eval_b(x)).T)
+        w, vecs = generalized_sym_eig(basis.T @ q @ basis, basis.T @ m_x @ basis)
+        margins.append(w[-1])
+        witnesses.append((x, basis @ vecs[:, -1]))
+    return margins, witnesses
+
+
+def killing_per_point(sys, metric, grid):
+    margins, witnesses = [], []
+    for x in grid.points():
+        m_x = metric.eval(x)
+        b = sys.eval_b(x)
+        worst = 0.0
+        for j in range(sys.m):
+            dbj = sys.jac_b_col(x, j)
+            residual = metric.dir_deriv(x, b[:, j]) + dbj.T @ m_x + m_x @ dbj
+            worst = max(worst, float(np.max(np.abs(residual))))
+        margins.append(worst)
+        witnesses.append((x, None))
+    return margins, witnesses
+
+
+def robust_per_point(sys, metric, grid, lam, gamma0, lambda_form):
+    n = sys.n
+    margins, witnesses = [], []
+    for x in grid.points():
+        q, m_x = contraction_quadratic(sys, metric, x)
+        shift = lam * np.eye(n) if lambda_form == "identity" else lam * m_x
+        big = np.block([[q + shift, m_x], [m_x, -gamma0 * np.eye(n)]])
+        basis = null_space_basis((m_x @ sys.eval_b(x)).T)
+        k = basis.shape[1]
+        restricted = np.zeros((2 * n, k + n))
+        restricted[:n, :k] = basis
+        restricted[n:, k:] = np.eye(n)
+        w, vecs = sym_eig(restricted.T @ big @ restricted)
+        margins.append(w[-1])
+        witnesses.append((x, restricted @ vecs[:, -1]))
+    return margins, witnesses
+
+
+def assert_matches_per_point(report, margins, witnesses, atol=1e-12):
+    margins = np.array(margins)
+    worst = int(np.argmax(margins))
+    assert abs(report.worst_margin - margins[worst]) <= atol
+    assert abs(report.margins_min - margins.min()) <= atol
+    assert abs(report.margins_mean - margins.mean()) <= atol
+    state, direction = witnesses[worst]
+    assert np.max(np.abs(report.witness_state - state)) <= atol
+    if direction is None:
+        assert report.witness_direction is None
+    else:
+        sign = 1.0 if report.witness_direction @ direction >= 0 else -1.0
+        assert np.max(np.abs(sign * report.witness_direction - direction)) <= atol
 
 
 class TestGrid:
@@ -259,12 +345,124 @@ class TestRobust:
             check_robust(numex.system, numex.metric, grid, 0.1, 0.0)
 
 
+class TestClosedFormGamma0:
+    @pytest.mark.parametrize("name, points, lambda_form, lam, feasible", [
+        ("numex", 9, "identity", 0.1, True),
+        ("numex", 9, "identity", 0.5, False),
+        ("numex", 9, "metric", 0.1, True),
+        ("numex", 9, "metric", 0.5, True),
+        ("microactuator", 5, "identity", 0.1, True),
+        ("microactuator", 5, "identity", 0.5, False),
+        ("microactuator", 5, "metric", 0.1, True),
+        ("microactuator", 5, "metric", 0.5, True),
+    ])
+    def test_matches_bisection(self, name, points, lambda_form, lam, feasible):
+        bundle = builtin(name)
+        sys, metric = bundle.system, bundle.metric
+        grid = small_grid(sys, points)
+        gamma0, report = min_feasible_gamma0(sys, metric, grid, lam,
+                                             lambda_form=lambda_form)
+        oracle = bisect_gamma0(sys, metric, grid, lam, lambda_form=lambda_form)
+        if not feasible:
+            assert gamma0 is None and oracle is None
+            assert not report.passed and report.details["gamma0"] == 1e6
+            return
+        assert gamma0 == pytest.approx(oracle, rel=1e-8)
+        assert report.passed and report.details["gamma0_min"] == gamma0
+        assert check_robust(sys, metric, grid, lam, gamma0,
+                            lambda_form=lambda_form).passed
+        assert not check_robust(sys, metric, grid, lam, gamma0 * (1 - 1e-6),
+                                lambda_form=lambda_form).passed
+
+    def test_report_matches_check_robust(self, numex):
+        grid = small_grid(numex.system, 7)
+        gamma0, report = min_feasible_gamma0(numex.system, numex.metric, grid, 0.1)
+        direct = check_robust(numex.system, numex.metric, grid, 0.1, gamma0)
+        assert report.worst_margin == direct.worst_margin
+        assert np.array_equal(report.witness_direction, direct.witness_direction)
+
+    def test_gamma0_above_hi_is_infeasible(self, numex):
+        grid = small_grid(numex.system, 5)
+        gamma0, report = min_feasible_gamma0(numex.system, numex.metric, grid,
+                                             0.1, hi=0.5)
+        assert gamma0 is None
+        assert not report.passed and report.details["gamma0"] == 0.5
+
+
+def geodesic_demo():
+    cfg = load_config(str(CONFIGS / "geodesic_demo.ini"))
+    return cfg.system, cfg.metric
+
+
+def rank_changing():
+    # (MB)^T = x1 (1, 1/5) vanishes at x1 = 0, where the null space is
+    # the whole plane instead of a line
+    sys = SystemModel(2, 1, ["x2 - x1", "-x1 - x2^3"], [["x1"], ["0"]],
+                      [-2, -2], [2, 2])
+    metric = MetricField(2, [["1 + x2^2/4", "1/5"], ["1/5", "1"]], 0.5, 2.5, 0.0)
+    return sys, metric
+
+
+class TestStackedMatchesPerPoint:
+    """The stacked checks against a loop of 2-D calls, one per point."""
+
+    SYSTEMS = [geodesic_demo, rank_changing]
+
+    @pytest.mark.parametrize("make", SYSTEMS)
+    def test_c1(self, make):
+        sys, metric = make()
+        grid = small_grid(sys, 9)
+        assert_matches_per_point(check_c1(sys, metric, grid),
+                                 *c1_per_point(sys, metric, grid))
+
+    @pytest.mark.parametrize("make", SYSTEMS)
+    def test_killing(self, make):
+        sys, metric = make()
+        grid = small_grid(sys, 9)
+        assert_matches_per_point(check_killing_pde(sys, metric, grid),
+                                 *killing_per_point(sys, metric, grid))
+
+    @pytest.mark.parametrize("make", SYSTEMS)
+    @pytest.mark.parametrize("lambda_form", ["identity", "metric"])
+    def test_robust(self, make, lambda_form):
+        sys, metric = make()
+        grid = small_grid(sys, 9)
+        report = check_robust(sys, metric, grid, 0.3, 2.0, lambda_form=lambda_form)
+        assert_matches_per_point(
+            report, *robust_per_point(sys, metric, grid, 0.3, 2.0, lambda_form))
+
+    def test_rank_change_is_on_the_grid(self):
+        sys, metric = rank_changing()
+        points = small_grid(sys, 9).array()
+        mb_t = np.array([(metric.eval(x) @ sys.eval_b(x)).T for x in points])
+        dims = sorted(basis.shape[2] for _, basis in null_space_basis(mb_t))
+        assert dims == [1, 2]
+
+    def test_singular_metric_names_first_point(self):
+        # N^T M N = x1^2 is singular on the x1 = 0 row; its first point in
+        # row-major order is (0, -1)
+        sys = SystemModel(2, 1, ["-x1", "-x2"], [["0"], ["1"]], [-1, -1], [1, 1])
+        metric = MetricField(2, [["x1^2", "0"], ["0", "1"]], 1e-30, 1.0, 0.0)
+        with pytest.raises(CertificateError, match=r"at x=\[ 0\. -1\.\]"):
+            check_c1(sys, metric, Grid([-1, -1], [1, 1], (3, 3)))
+
+
 class TestReportInvariants:
     def test_witness_attains_worst(self, numex):
         report = check_c1(numex.system, numex.metric, small_grid(numex.system))
         assert report.margins_max == report.worst_margin
         assert report.margins_min <= report.margins_mean <= report.margins_max
         assert report.passed == (report.worst_margin < -report.tolerance)
+
+    def test_worst_points_counts_ties(self, numex, micro):
+        # numex margin -2(x2^2+1)/3 is worst along the whole x2 = 0 row
+        report = check_c1(numex.system, numex.metric, small_grid(numex.system, 11))
+        assert report.details["worst_points"] == 11
+        assert "worst_points: 11" in report.summary_lines()
+        # constant microactuator margins tie at every point
+        report = check_dual_w(micro.system, micro.dual_metric,
+                              small_grid(micro.system, 3))
+        assert report.details["worst_points"] == 27
 
     def test_summary_lines_parse(self, numex):
         report = check_c1(numex.system, numex.metric, small_grid(numex.system))

@@ -171,3 +171,61 @@ class TestGeneralizedEig:
     def test_indefinite_b_rejected(self):
         with pytest.raises(SingularMatrixError):
             generalized_sym_eig(np.eye(2), np.diag([1.0, -1.0]))
+
+
+class TestStacks:
+    """A (P, n, n) stack gives what P separate 2-D calls give."""
+
+    @staticmethod
+    def sym_stack(rng, p, n):
+        a = rng.standard_normal((p, n, n))
+        return a + np.swapaxes(a, 1, 2)
+
+    def test_sym_eig_matches_members(self):
+        a = self.sym_stack(np.random.default_rng(8), 6, 3)
+        w, v = sym_eig(a)
+        for i in range(6):
+            w_i, v_i = sym_eig(a[i])
+            assert np.array_equal(w[i], w_i)
+            assert np.array_equal(v[i], v_i)
+
+    def test_generalized_matches_members(self):
+        rng = np.random.default_rng(9)
+        a = self.sym_stack(rng, 5, 3)
+        b = rng.standard_normal((5, 3, 3))
+        b = b @ np.swapaxes(b, 1, 2) + 3 * np.eye(3)
+        w, v = generalized_sym_eig(a, b)
+        for i in range(5):
+            assert w[i] == pytest.approx(
+                scipy.linalg.eigh(a[i], b[i], eigvals_only=True), rel=1e-9, abs=1e-9
+            )
+            assert np.allclose(v[i].T @ b[i] @ v[i], np.eye(3), atol=1e-10)
+
+    def test_one_non_symmetric_member(self):
+        a = np.tile(np.eye(2), (4, 1, 1))
+        a[2, 0, 1] = 1.0
+        with pytest.raises(NonSymmetricError) as err:
+            sym_eig(a)
+        assert err.value.index == 2
+        with pytest.raises(NonSymmetricError):
+            generalized_sym_eig(a, np.tile(np.eye(2), (4, 1, 1)))
+
+    def test_one_indefinite_member(self):
+        b = np.tile(np.eye(2), (4, 1, 1))
+        b[1] = np.diag([1.0, -1.0])
+        b[3] = np.diag([-1.0, 1.0])
+        with pytest.raises(SingularMatrixError) as err:
+            generalized_sym_eig(np.tile(np.eye(2), (4, 1, 1)), b)
+        assert err.value.index == 1
+
+    def test_null_space_groups_by_rank(self):
+        # rows [x, 0] have rank 1 except at x = 0, where the null space is
+        # the whole plane
+        rows = np.array([[[x, 0.0]] for x in (-1.0, 0.0, 2.0, 0.0)])
+        groups = null_space_basis(rows)
+        assert [list(index) for index, _ in groups] == [[1, 3], [0, 2]]
+        for index, bases in groups:
+            for i, basis in zip(index, bases):
+                assert np.array_equal(basis, null_space_basis(rows[i]))
+        assert groups[0][1].shape == (2, 2, 2)
+        assert groups[1][1].shape == (2, 2, 1)

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+from ccmkit.controller import GainField
+from ccmkit.expr import EvalDomainError
 from ccmkit.integrate import rk45_integrate
 from ccmkit.model import (
     MetricField,
@@ -82,6 +84,30 @@ class TestSystemModel:
             SystemModel(2, 1, ["x1"], [["0"], ["1"]], [-1, -1], [1, 1])
         with pytest.raises(ModelError):
             SystemModel(2, 1, ["x1", "x2"], [["0"], ["1"]], [1, -1], [1, 1])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_division_by_zero_on_arrays_raises(self):
+        # compiled expressions see Python floats, not numpy scalars, so
+        # 1/0 is a domain error rather than inf with a RuntimeWarning
+        sys = SystemModel(2, 1, ["1/x1", "x2"], [["0"], ["1/x1"]], [-1, -1], [1, 1])
+        metric = MetricField(2, [["1 + 1/x1", "0"], ["0", "1"]], 0.5, 2.0, 0.0)
+        ref = ReferenceSpec.from_strings(2, [0.0, 0.0], ["1/t"])
+        gain = GainField.from_exprs(2, 1, [["1/x1", "x2"]])
+        x = np.array([0.0, 1.0])
+        calls = [
+            lambda: sys.eval_f(x),
+            lambda: sys.eval_b(x),
+            lambda: sys.jac_f(x),
+            lambda: sys.jac_b_col(x, 0),
+            lambda: metric.eval(x),
+            lambda: metric.partial(x, 0),
+            lambda: ref.eval_ud(np.float64(0.0), x),
+            lambda: gain(x),
+            lambda: gain.partial(x, 0),
+        ]
+        for call in calls:
+            with pytest.raises(EvalDomainError):
+                call()
 
     def test_b_constant_flag(self, numex):
         assert numex.system.b_constant

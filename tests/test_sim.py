@@ -181,6 +181,17 @@ class TestFailureHandling:
         assert trace.flags
         assert trace.t[-1] <= 1.0 + 1e-9
 
+    def test_custom_reciprocal_time_is_controller_failure(self, numex):
+        # u1 = 1/t at t = 0 is a domain error of the controller, not an
+        # inf control that surfaces later as a non-finite state
+        cfg = RunConfig(kind="custom", T=1.0, h=1e-3,
+                        x0=np.array([0.0, 0.0]), custom_u=["1/t"])
+        trace = run_closed_loop(numex.system, numex.metric, None,
+                                numex.reference, cfg)
+        assert not trace.completed
+        assert list(trace.t) == [0.0]
+        assert trace.flags[0].startswith("controller failure at t=0")
+
     def test_controller_failure_leaves_no_control_value(self, numex):
         cfg = RunConfig(kind="custom", T=1.0, h=1e-3,
                         x0=np.array([0.0, 0.0]), custom_u=["sqrt(t - 1)"])
