@@ -25,7 +25,7 @@ from .expr import ExprSyntaxError, UnknownIdentifierError, to_string
 from .geodesic import GeodesicError, solve_geodesic
 from .integrate import IntegrationError
 from .model import ModelError
-from .sim import RunConfig, SimulationError, decay_rate, run_closed_loop
+from .sim import SimulationError, decay_rate, run_closed_loop
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -180,8 +180,7 @@ def cmd_geodesic(cfg, args, out):
 def cmd_simulate(cfg, args, out):
     grid = _grid_for(cfg, args)
     gain = _resolve_gain(cfg, grid)
-    spec = dataclasses.asdict(cfg.sim)
-    run_cfg = RunConfig(kind=spec.pop("controller"), exactness_grid=grid, **spec)
+    run_cfg = dataclasses.replace(cfg.sim, exactness_grid=grid)
     trace = run_closed_loop(cfg.system, cfg.metric, gain, cfg.reference, run_cfg)
     trace.write_csv(out)
     summary = _sys.stderr if out is not _sys.stdout else out

@@ -23,6 +23,7 @@ from .model import (
     builtin,
     builtin_names,
 )
+from .sim import RunConfig, SimulationError
 
 
 class ConfigError(ValueError):
@@ -36,19 +37,6 @@ class GainSpec:
     r: float = None
     gamma0: float = 1.0
     gamma_const: float = None
-
-
-@dataclass
-class SimSpec:
-    controller: str = "dynext"
-    T: float = 20.0
-    h: float = 1e-3
-    x0: np.ndarray = None
-    z0: np.ndarray = None
-    ell: float = 5.0
-    geodesic_segments: int = 32
-    custom_u: list = None
-    err_threshold: float = 1e-2
 
 
 @dataclass
@@ -68,7 +56,7 @@ class LoadedConfig:
     dual_metric: MetricField
     reference: ReferenceSpec
     gain: GainSpec
-    sim: SimSpec
+    sim: RunConfig
     cert: CertSpec
     bundle: BuiltinBundle = None
 
@@ -224,24 +212,26 @@ def _load_sim(section, sys, bundle):
         ["controller", "T", "h", "x0", "z0", "ell", "geodesic_N",
          "err_threshold", r"u\d+"],
     )
-    spec = SimSpec()
-    spec.controller = section.get("controller", "dynext")
-    spec.T = _float(section, "T", 20.0)
-    spec.h = _float(section, "h", 1e-3)
-    if "x0" in section:
-        spec.x0 = _vector(section["x0"], sys.n, "x0")
-    if "z0" in section:
-        spec.z0 = _vector(section["z0"], sys.n, "z0")
-    spec.ell = _float(section, "ell", 5.0)
-    spec.geodesic_segments = int(_float(section, "geodesic_N", 32))
-    spec.err_threshold = _float(section, "err_threshold", 1e-2)
-    if spec.controller == "custom":
-        spec.custom_u = [
-            section.get(f"u{j + 1}", "0") for j in range(sys.m)
-        ]
+    kind = section.get("controller", "dynext")
+    custom_u = None
+    if kind == "custom":
+        custom_u = [section.get(f"u{j + 1}", "0") for j in range(sys.m)]
         if all(f"u{j + 1}" not in section for j in range(sys.m)):
             raise ConfigError("[simulation] controller=custom needs u1..um")
-    return spec
+    try:
+        return RunConfig(
+            kind=kind,
+            T=_float(section, "T", 20.0),
+            h=_float(section, "h", 1e-3),
+            x0=_vector(section["x0"], sys.n, "x0") if "x0" in section else None,
+            z0=_vector(section["z0"], sys.n, "z0") if "z0" in section else None,
+            ell=_float(section, "ell", 5.0),
+            geodesic_segments=int(_float(section, "geodesic_N", 32)),
+            custom_u=custom_u,
+            err_threshold=_float(section, "err_threshold", 1e-2),
+        )
+    except SimulationError as err:
+        raise ConfigError(f"[simulation]: {err}")
 
 
 def _load_cert(section):

@@ -82,9 +82,9 @@ class GainField:
         self.m = m
         self._evaluator = evaluator
         self.exprs = exprs  # m x n expression ASTs when symbolic
-        self.entry_fns = None  # m x n compiled scalar callables when symbolic
         self.constant_matrix = constant_matrix
         self.meta = meta or {}
+        self._column_fns = None  # per column, compiled m-tuple when symbolic
         self._dk_fn = None
 
     @classmethod
@@ -96,17 +96,18 @@ class GainField:
         ]
         if len(exprs) != m or any(len(row) != n for row in exprs):
             raise SynthesisError(f"gain must be {m} x {n}")
-        fns = [[ex.compile_fn(e, variables) for e in row] for row in exprs]
+        fn = ex.compile_fn(exprs, variables)
 
         def evaluator(x):
-            x = float_args(x)
-            return np.array([[fn(*x) for fn in row] for row in fns])
+            return np.array(fn(*float_args(x)))
 
         constant = None
         if all(not ex.free_variables(e) for row in exprs for e in row):
             constant = evaluator(np.zeros(n))
         gain = cls(n, m, evaluator, exprs=exprs, constant_matrix=constant)
-        gain.entry_fns = fns
+        gain._column_fns = [
+            ex.compile_fn([row[i] for row in exprs], variables) for i in range(n)
+        ]
         return gain
 
     @classmethod
@@ -123,6 +124,12 @@ class GainField:
     def is_constant(self):
         return self.constant_matrix is not None
 
+    def column(self, i):
+        """Column i of K as a function of the n state floats."""
+        if self._column_fns is not None:
+            return self._column_fns[i]
+        return lambda *x: self(np.array(x))[:, i]
+
     def partial(self, x, axis, fd_step=1e-6):
         """dK/dx_axis; symbolic when expressions exist, else central FD."""
         if self.constant_matrix is not None:
@@ -131,22 +138,13 @@ class GainField:
             if self._dk_fn is None:
                 variables = state_vars(self.n)
                 self._dk_fn = [
-                    [
-                        [
-                            ex.compile_fn(ex.differentiate(e, v), variables)
-                            for v in variables
-                        ]
-                        for e in row
-                    ]
-                    for row in self.exprs
+                    ex.compile_fn(
+                        [[ex.differentiate(e, v) for e in row] for row in self.exprs],
+                        variables,
+                    )
+                    for v in variables
                 ]
-            x = float_args(x)
-            return np.array(
-                [
-                    [self._dk_fn[i][j][axis](*x) for j in range(self.n)]
-                    for i in range(self.m)
-                ]
-            )
+            return np.array(self._dk_fn[axis](*float_args(x)))
         x = np.asarray(x, dtype=float)
         step = np.zeros_like(x)
         step[axis] = fd_step
@@ -265,37 +263,22 @@ def dynext_beta(gain, x, z, nodes=QUAD_NODES):
     if gain.is_constant():
         return gain.constant_matrix @ x
     points, weights = gauss_legendre_01(nodes)
-    if gain.entry_fns is not None:
-        # scalar fast path: stay in Python floats inside the hot loop
-        args = z.tolist()
-        quadrature = list(zip(points.tolist(), weights.tolist()))
-        out = [0.0] * gain.m
-        for i in range(gain.n):
-            xi = float(x[i])
-            if xi == 0.0:
-                continue
-            column = [gain.entry_fns[r][i] for r in range(gain.m)]
-            acc = [0.0] * gain.m
-            for s, w in quadrature:
-                args[i] = s * xi
-                for r, fn in enumerate(column):
-                    acc[r] += w * fn(*args)
-            for r in range(gain.m):
-                out[r] += xi * acc[r]
-            args[i] = float(z[i])
-        return np.array(out)
-    out = np.zeros(gain.m)
-    arg = z.copy()
-    for i in range(gain.n):
-        if x[i] == 0.0:
+    quadrature = list(zip(points.tolist(), weights.tolist()))
+    args = z.tolist()
+    out = [0.0] * gain.m
+    for i, xi in enumerate(x.tolist()):
+        if xi == 0.0:
             continue
-        acc = np.zeros(gain.m)
-        for s, w in zip(points, weights):
-            arg[i] = s * x[i]
-            acc += w * gain(arg)[:, i]
-        out += x[i] * acc
-        arg[i] = z[i]
-    return out
+        column = gain.column(i)
+        acc = [0.0] * gain.m
+        for s, w in quadrature:
+            args[i] = s * xi
+            for r, k in enumerate(column(*args)):
+                acc[r] += w * k
+        for r in range(gain.m):
+            out[r] += xi * acc[r]
+        args[i] = float(z[i])
+    return np.array(out)
 
 
 def khat(gain, x, z):
@@ -304,11 +287,11 @@ def khat(gain, x, z):
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     out = np.empty((gain.m, gain.n))
-    arg = z.copy()
-    for i in range(gain.n):
-        arg[i] = x[i]
-        out[:, i] = gain(arg)[:, i]
-        arg[i] = z[i]
+    args = z.tolist()
+    for i, xi in enumerate(x.tolist()):
+        args[i] = xi
+        out[:, i] = gain.column(i)(*args)
+        args[i] = float(z[i])
     return out
 
 

@@ -358,11 +358,13 @@ def evaluate(expr, env):
 
 
 def free_variables(expr):
-    if expr.kind == "var":
-        return {expr.name}
     out = set()
-    for a in expr.args:
-        out |= free_variables(a)
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if node.kind == "var":
+            out.add(node.name)
+        stack.extend(node.args)
     return out
 
 
@@ -420,55 +422,87 @@ def _differentiate(expr, name):
 _COMPILE_GLOBALS = {
     "__builtins__": {},
     **_FUNCTION_TABLE,
+    "inf": math.inf,
+    "nan": math.nan,
     "EvalDomainError": EvalDomainError,
     "ZeroDivisionError": ZeroDivisionError,
     "OverflowError": OverflowError,
 }
 
+_TEMPLATES = {"add": "{0} + {1}", "sub": "{0} - {1}", "mul": "{0} * {1}",
+              "div": "{0} / {1}", "pow": "{0} ** {n}", "neg": "-{0}"}
 
-def _py_source(expr):
-    kind = expr.kind
-    if kind == "const":
-        return repr(expr.value)
-    if kind == "var":
-        return expr.name
-    if kind in ("add", "sub", "mul", "div"):
-        op = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[kind]
-        return f"({_py_source(expr.args[0])} {op} {_py_source(expr.args[1])})"
-    if kind == "pow":
-        return f"({_py_source(expr.args[0])} ** {int(expr.value)})"
-    if kind == "neg":
-        return f"(-{_py_source(expr.args[0])})"
-    return f"{kind}({_py_source(expr.args[0])})"
+
+def _leaves(item):
+    if isinstance(item, Expr):
+        return [item]
+    return [e for sub in item for e in _leaves(sub)]
+
+
+def _shaped(item, operands):
+    if isinstance(item, Expr):
+        return operands[id(item)]
+    return "(" + "".join(f"{_shaped(sub, operands)}, " for sub in item) + ")"
 
 
 def compile_fn(expr, variables):
-    """Compile an expression to a fast positional-argument callable.
+    """Compile an expression, or a nested list of them, to one function.
 
-    The result takes one float per name in `variables` (in order). On
-    Python floats it matches `evaluate` bit-for-bit and raises
-    EvalDomainError wherever `evaluate` does.
+    The result takes one float per name in `variables` (in order) and
+    returns a float for a single expression, or nested tuples of the
+    list's shape. Its body is straight-line code with one assignment per
+    distinct subtree, so a subtree shared between entries (or repeated
+    within one) is computed once, and depth is not limited. On Python
+    floats every entry matches `evaluate` bit-for-bit; an EvalDomainError
+    in any entry raises for the whole result.
     """
-    try:
-        src = (
-            f"def fn({', '.join(variables)}):\n"
-            f"    try:\n"
-            f"        return {_py_source(expr)}\n"
-            f"    except (ZeroDivisionError, OverflowError) as err:\n"
-            f"        raise EvalDomainError(err) from None\n"
-        )
-        namespace = dict(_COMPILE_GLOBALS)
-        exec(src, namespace)  # noqa: S102 - generated from our own AST
-    except (SyntaxError, RecursionError):
-        raise _too_deep() from None
+    operands = {}  # id(node) -> its variable, literal or local
+    locals_ = {}   # right-hand side -> local; insertion order is children first
+    stack = _leaves(expr)[::-1]
+    while stack:
+        node = stack.pop()
+        if id(node) in operands:
+            continue
+        pending = [a for a in node.args if id(a) not in operands]
+        if pending:
+            stack += [node] + pending[::-1]
+            continue
+        if node.kind == "var":
+            text = node.name
+        elif node.kind == "const":
+            text = repr(node.value)  # keeps -0.0 apart from 0.0
+            text = f"({text})" if text.startswith("-") else text
+        else:
+            template = _TEMPLATES.get(node.kind, node.kind + "({0})")
+            args = [operands[id(a)] for a in node.args]
+            text = locals_.setdefault(template.format(*args, n=int(node.value)),
+                                      f"_{len(locals_)}")
+        operands[id(node)] = text
+    src = (
+        f"def fn({', '.join(variables)}):\n"
+        f"    try:\n"
+        + "".join(f"        {name} = {rhs}\n" for rhs, name in locals_.items())
+        + f"        return {_shaped(expr, operands)}\n"
+        f"    except (ZeroDivisionError, OverflowError) as err:\n"
+        f"        raise EvalDomainError(err) from None\n"
+    )
+    namespace = dict(_COMPILE_GLOBALS)
+    exec(src, namespace)  # noqa: S102 - generated from our own AST
     return namespace["fn"]
 
 
 _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
 
 
-def to_string(expr, parent_prec=0):
+def to_string(expr):
     """Pretty-print; output reparses to a structurally equal tree."""
+    try:
+        return _to_string(expr, 0)
+    except RecursionError:
+        raise _too_deep() from None
+
+
+def _to_string(expr, parent_prec):
     kind = expr.kind
     if kind == "const":
         v = expr.value
@@ -479,18 +513,18 @@ def to_string(expr, parent_prec=0):
     if kind in ("add", "sub", "mul", "div"):
         op = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[kind]
         prec = _PREC[kind]
-        left = to_string(expr.args[0], prec - 1)
+        left = _to_string(expr.args[0], prec - 1)
         # right operand needs full precedence to keep left associativity
-        right = to_string(expr.args[1], prec)
+        right = _to_string(expr.args[1], prec)
         s = f"{left}{op}{right}"
         return f"({s})" if prec <= parent_prec else s
     if kind == "neg":
-        s = "-" + to_string(expr.args[0], _PREC["neg"] - 1)
+        s = "-" + _to_string(expr.args[0], _PREC["neg"] - 1)
         return f"({s})" if _PREC["neg"] <= parent_prec else s
     if kind == "pow":
         n = int(expr.value)
-        base = to_string(expr.args[0], _PREC["pow"])
+        base = _to_string(expr.args[0], _PREC["pow"])
         exp = str(n) if n >= 0 else f"-{-n}"
         s = f"{base}^{exp}"
         return f"({s})" if _PREC["pow"] <= parent_prec else s
-    return f"{kind}({to_string(expr.args[0])})"
+    return f"{kind}({_to_string(expr.args[0], 0)})"

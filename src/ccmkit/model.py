@@ -69,12 +69,12 @@ class SystemModel:
             [[ex.differentiate(bij, v) for v in self.vars] for bij in row]
             for row in self.b_exprs
         ]
-        self._f_fn = [ex.compile_fn(e, self.vars) for e in self.f_exprs]
-        self._b_fn = [[ex.compile_fn(e, self.vars) for e in row] for row in self.b_exprs]
-        self._df_fn = [[ex.compile_fn(e, self.vars) for e in row] for row in self.df_exprs]
+        self._f_fn = ex.compile_fn(self.f_exprs, self.vars)
+        self._b_fn = ex.compile_fn(self.b_exprs, self.vars)
+        self._df_fn = ex.compile_fn(self.df_exprs, self.vars)
         self._db_fn = [
-            [[ex.compile_fn(e, self.vars) for e in col] for col in row]
-            for row in self.db_exprs
+            ex.compile_fn([row[j] for row in self.db_exprs], self.vars)
+            for j in range(self.m)
         ]
         self.b_constant = all(
             not ex.free_variables(e) for row in self.b_exprs for e in row
@@ -84,22 +84,18 @@ class SystemModel:
         return bool(np.all(x >= self.domain_lo - 1e-12) and np.all(x <= self.domain_hi + 1e-12))
 
     def eval_f(self, x):
-        x = float_args(x)
-        return np.array([fn(*x) for fn in self._f_fn])
+        return np.array(self._f_fn(*float_args(x)))
 
     def eval_b(self, x):
-        x = float_args(x)
-        return np.array([[fn(*x) for fn in row] for row in self._b_fn])
+        return np.array(self._b_fn(*float_args(x)))
 
     def jac_f(self, x):
         """Jacobian of the drift, (i, j) entry = d f_i / d x_j."""
-        x = float_args(x)
-        return np.array([[fn(*x) for fn in row] for row in self._df_fn])
+        return np.array(self._df_fn(*float_args(x)))
 
     def jac_b_col(self, x, j):
         """Jacobian of the j-th column of B, (i, k) entry = d B_ij / d x_k."""
-        x = float_args(x)
-        return np.array([[fn(*x) for fn in self._db_fn[i][j]] for i in range(self.n)])
+        return np.array(self._db_fn[j](*float_args(x)))
 
     def a_matrix(self, x, u):
         """Differential-dynamics matrix: jac_f + sum_j u_j * d(B col j)/dx."""
@@ -144,23 +140,19 @@ class MetricField:
             [[ex.differentiate(mij, v) for v in self.vars] for mij in row]
             for row in self.m_exprs
         ]
-        self._m_fn = [[ex.compile_fn(e, self.vars) for e in row] for row in self.m_exprs]
+        self._m_fn = ex.compile_fn(self.m_exprs, self.vars)
         self._dm_fn = [
-            [[ex.compile_fn(e, self.vars) for e in col] for col in row]
-            for row in self.dm_exprs
+            ex.compile_fn([[mij[k] for mij in row] for row in self.dm_exprs], self.vars)
+            for k in range(n)
         ]
         self.constant = all(not ex.free_variables(e) for row in self.m_exprs for e in row)
 
     def eval(self, x):
-        x = float_args(x)
-        return np.array([[fn(*x) for fn in row] for row in self._m_fn])
+        return np.array(self._m_fn(*float_args(x)))
 
     def partial(self, x, k):
         """d M / d x_k, entrywise."""
-        x = float_args(x)
-        return np.array(
-            [[self._dm_fn[i][j][k](*x) for j in range(self.n)] for i in range(self.n)]
-        )
+        return np.array(self._dm_fn[k](*float_args(x)))
 
     def dir_deriv(self, x, v):
         """Directional derivative sum_k v_k dM/dx_k."""
@@ -174,29 +166,28 @@ class MetricField:
         return out
 
 
+def _reference_vars(n):
+    return ["t"] + [f"xd{i + 1}" for i in range(n)]
+
+
 @dataclass
 class ReferenceSpec:
     """Target initial state plus feedforward expressions over {t, xd1..xdn}."""
 
     xd0: np.ndarray
     ud_exprs: list
-    _ud_fn: list = field(default=None, repr=False)
+    _ud_fn: object = field(default=None, repr=False)
 
     @classmethod
     def from_strings(cls, n, xd0, ud_texts):
-        variables = ["t"] + [f"xd{i + 1}" for i in range(n)]
+        variables = _reference_vars(n)
         exprs = [_parse_entry(s, variables) for s in ud_texts]
         return cls(np.asarray(xd0, dtype=float), exprs)
 
-    def ud_fns(self, n):
-        if self._ud_fn is None:
-            variables = ["t"] + [f"xd{i + 1}" for i in range(n)]
-            self._ud_fn = [ex.compile_fn(e, variables) for e in self.ud_exprs]
-        return self._ud_fn
-
     def eval_ud(self, t, xd):
-        args = [float(t)] + float_args(xd)
-        return np.array([fn(*args) for fn in self.ud_fns(len(xd))])
+        if self._ud_fn is None:
+            self._ud_fn = ex.compile_fn(self.ud_exprs, _reference_vars(len(xd)))
+        return np.array(self._ud_fn(float(t), *float_args(xd)))
 
 
 def generate_reference(sys, ref, T, h):

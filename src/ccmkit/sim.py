@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import expr as ex
-from .controller import dynext_beta, exactness_residual, radial_potential
+from .controller import EXACTNESS_TOL, dynext_beta, exactness_residual, radial_potential
 from .geodesic import GeodesicError, path_integral_controller
 from .integrate import DIVERGENCE_LIMIT, IntegrationError, rk4_step, time_grid
 from .model import float_args, state_vars
@@ -92,11 +92,10 @@ def _custom_controller_fn(sys, exprs):
     parsed = [e if isinstance(e, ex.Expr) else ex.parse(e, variables) for e in exprs]
     if len(parsed) != sys.m:
         raise SimulationError(f"custom controller needs {sys.m} expressions")
-    fns = [ex.compile_fn(e, variables) for e in parsed]
+    fn = ex.compile_fn(parsed, variables)
 
     def control(t, x, xd, z):
-        args = float_args((t, *x, *xd, *z))
-        return np.array([fn(*args) for fn in fns])
+        return np.array(fn(*float_args((t, *x, *xd, *z))))
 
     return control
 
@@ -109,7 +108,7 @@ def _require_exact(gain, grid):
             "static controller on a non-constant gain needs exactness_grid"
         )
     residual, witness = exactness_residual(gain, grid)
-    if residual > 1e-10:
+    if residual > EXACTNESS_TOL:
         raise SimulationError(
             f"static controller needs an exact gain: residual "
             f"{residual:g} at x={witness}; use dynext or geodesic"

@@ -176,7 +176,8 @@ class TestCliExpressionErrors:
         return code, capsys.readouterr().err
 
     def test_deeply_nested_sum(self, tmp_path, capsys):
-        code, err = self.run_user_gain(tmp_path, capsys, " + ".join(["x1"] * 250))
+        # compiles, but is too deep to print back as config text
+        code, err = self.run_user_gain(tmp_path, capsys, " + ".join(["x1"] * 3000))
         assert code == 2
         assert err.startswith("config error:")
 
@@ -280,3 +281,25 @@ class TestCliSimulate:
         assert main(["simulate", "--config", path, "--grid", "5",
                      "--out", str(tmp_path / "t.csv")]) == 3
         assert "# completed: False" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_literal_gain(self, tmp_path, capsys):
+        # 1e400 parses to inf; the compiled gain must evaluate it, not
+        # fail to look it up
+        path = write_config(
+            tmp_path,
+            NUMEX_MIN + "[gain]\nsource = user\nK_1_1 = 1e400*x1\n"
+            "[simulation]\nT = 1\nh = 0.01\n",
+        )
+        assert main(["simulate", "--config", path, "--grid", "5",
+                     "--out", str(tmp_path / "t.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "# flag: numerical failure at t=0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("setting", ["controller = magic", "T = -1"])
+    def test_bad_simulation_section_is_config_error(self, tmp_path, capsys, setting):
+        path = write_config(tmp_path, NUMEX_MIN + f"[simulation]\n{setting}\n")
+        assert main(["simulate", "--config", path, "--grid", "5",
+                     "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config error: [simulation]")

@@ -236,6 +236,18 @@ class TestDynExt:
                 base[0], abs=1e-12
             )
 
+    def test_opaque_gain_matches_symbolic(self, numex_gain):
+        # a gain known only as a callable (as a synthesized one is) takes
+        # the same quadrature through GainField.column
+        opaque = GainField(2, 1, numex_gain)
+        rng = np.random.default_rng(37)
+        for _ in range(5):
+            x = rng.uniform(-3, 3, size=2)
+            z = rng.uniform(-3, 3, size=2)
+            assert np.array_equal(dynext_beta(opaque, x, z),
+                                  dynext_beta(numex_gain, x, z))
+            assert np.array_equal(khat(opaque, x, z), khat(numex_gain, x, z))
+
     def test_khat_diagonal_property(self, numex_gain, micro_gain):
         rng = np.random.default_rng(32)
         for gain in (numex_gain, micro_gain):

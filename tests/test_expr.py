@@ -248,6 +248,19 @@ def test_compile_fn_matches_evaluate(a, b):
     e = ex.parse("x1^3 - 2*x2 + sin(x1*x2) + abs(x2)", XY)
     fn = ex.compile_fn(e, XY)
     assert fn(a, b) == ex.evaluate(e, {"x1": a, "x2": b})
+    # a 2x2 field: sin(x1*x2) repeats inside an entry and across entries,
+    # the derivative shares nodes with its source, and -0.0 stays apart
+    # from 0.0
+    shared = ex.parse("x1^3 - 2*x2 + sin(x1*x2) + abs(x2)*sin(x1*x2)", XY)
+    field = [
+        [shared, ex.differentiate(shared, "x1")],
+        [ex.parse("(-0.0)*x1", XY), ex.parse("0.0*x1", XY)],
+    ]
+    values = ex.compile_fn(field, XY)(a, b)
+    assert len(values) == 2 and all(len(row) == 2 for row in values)
+    for row, entries in zip(values, field):
+        for value, entry in zip(row, entries):
+            assert value.hex() == ex.evaluate(entry, {"x1": a, "x2": b}).hex()
 
 
 def test_compile_fn_propagates_domain_errors():
@@ -264,24 +277,39 @@ def test_compile_fn_propagates_domain_errors():
 
 
 class TestDeepNesting:
-    """Trees too deep for the recursive walkers are syntax errors."""
+    """Trees too deep for the recursive walkers (parse, differentiate,
+    to_string) are syntax errors; compile_fn has no depth limit."""
 
     def test_compile_250_term_sum(self):
         e = ex.parse(" + ".join(["x1"] * 250), XY)
         assert ex.evaluate(e, {"x1": 1.0, "x2": 0.0}) == 250.0
-        with pytest.raises(ex.ExprSyntaxError):
-            ex.compile_fn(e, XY)
+        assert ex.compile_fn(e, XY)(1.0, 0.0) == 250.0
 
     def test_differentiate_3000_term_sum(self):
         e = ex.parse(" + ".join(["x1"] * 3000), XY)
         with pytest.raises(ex.ExprSyntaxError):
             ex.differentiate(e, "x1")
         with pytest.raises(ex.ExprSyntaxError):
-            ex.compile_fn(e, XY)
+            ex.to_string(e)
+        assert ex.compile_fn(e, XY)(1.0, 0.0) == 3000.0
+
+    def test_compile_10000_term_sum(self):
+        e = ex.parse(" + ".join(["x1"] * 10000), XY)
+        assert ex.free_variables(e) == {"x1"}
+        assert ex.compile_fn(e, XY)(1.0, 0.0) == 10000.0
 
     def test_parse_deep_parentheses(self):
         with pytest.raises(ex.ExprSyntaxError):
             ex.parse("(" * 1000 + "x1" + ")" * 1000, XY)
+
+
+def test_compile_fn_overflowing_literals():
+    e = ex.parse("1e400*x1", XY)
+    assert ex.compile_fn(e, XY)(2.0, 0.0) == ex.evaluate(e, {"x1": 2.0}) == math.inf
+    # constant folding turns inf - inf into a nan literal
+    d = ex.differentiate(ex.parse("1e400*x1 - 1e400*x1", XY), "x1")
+    assert d.kind == "const" and math.isnan(d.value)
+    assert math.isnan(ex.compile_fn(d, XY)(1.0, 0.0))
 
 
 def test_free_variables():
