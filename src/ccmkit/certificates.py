@@ -136,26 +136,22 @@ def _finish(condition, points, margins, directions, passed, tol, **kwargs):
     return report
 
 
-def _stack(fn, points):
-    """fn evaluated at every grid point, stacked along a new first axis."""
-    return np.array([fn(x) for x in points])
-
-
 def _primal_stacks(sys, metric, points):
     """(Q, M, B) at every grid point as stacks, Q as in contraction_quadratic."""
-    m_x = _stack(metric.eval, points)
-    jac = _stack(sys.jac_f, points)
-    dm_f = _stack(lambda x: metric.dir_deriv(x, sys.eval_f(x)), points)
+    m_x = metric.eval(points, stacked=True)
+    jac = sys.jac_f(points, stacked=True)
+    dm_f = metric.dir_deriv(points, sys.eval_f(points, stacked=True), stacked=True)
     q = dm_f + m_x @ jac + np.swapaxes(jac, 1, 2) @ m_x
-    return q, m_x, _stack(sys.eval_b, points)
+    return q, m_x, sys.eval_b(points, stacked=True)
 
 
 def _column_stacks(sys, metric, points, b):
     """(dB_j/dx, d_{B_j} M) at every grid point, shape (P, m, n, n) each,
     from the stack b of B."""
-    db = _stack(lambda x: [sys.jac_b_col(x, j) for j in range(sys.m)], points)
-    dm_b = np.array([[metric.dir_deriv(x, col) for col in b_x.T]
-                     for x, b_x in zip(points, b)])
+    columns = range(sys.m)
+    db = np.stack([sys.jac_b_col(points, j, stacked=True) for j in columns], axis=1)
+    dm_b = np.stack([metric.dir_deriv(points, b[:, :, j], stacked=True)
+                     for j in columns], axis=1)
     return db, dm_b
 
 
@@ -216,8 +212,8 @@ def check_killing_pde(sys, metric, grid, tol=DEFAULT_TOL):
     if metric.role != "primal":
         raise CertificateError("Killing check needs a primal metric")
     points = grid.array()
-    m_x = _stack(metric.eval, points)[:, None]
-    db, dm_b = _column_stacks(sys, metric, points, _stack(sys.eval_b, points))
+    m_x = metric.eval(points, stacked=True)[:, None]
+    db, dm_b = _column_stacks(sys, metric, points, sys.eval_b(points, stacked=True))
     residual = dm_b + np.swapaxes(db, -1, -2) @ m_x + m_x @ db
     margins = np.abs(residual).max(axis=(1, 2, 3))
     passed = margins.max() <= tol
@@ -272,16 +268,16 @@ def check_dual_w(sys, w_metric, grid, tol=DEFAULT_TOL):
     if w_metric.role != "dual":
         raise CertificateError("dual-W check needs a metric with role=dual")
     points = grid.array()
-    w_x = _stack(w_metric.eval, points)
-    jac = _stack(sys.jac_f, points)
-    dw_f = _stack(lambda x: w_metric.dir_deriv(x, sys.eval_f(x)), points)
+    w_x = w_metric.eval(points, stacked=True)
+    jac = sys.jac_f(points, stacked=True)
+    dw_f = w_metric.dir_deriv(points, sys.eval_f(points, stacked=True), stacked=True)
     flow = dw_f + jac @ w_x + w_x @ np.swapaxes(jac, 1, 2)
 
     def solve(index, basis):
         w, vecs = sym_eig(_project(basis, flow[index]))
         return w, vecs, basis
 
-    b = _stack(sys.eval_b, points)
+    b = sys.eval_b(points, stacked=True)
     groups = null_space_basis(np.swapaxes(b, 1, 2))
     margins, directions = _per_rank(points, groups, solve, sys.n)
     db, dw_b = _column_stacks(sys, w_metric, points, b)

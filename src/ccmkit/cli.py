@@ -134,25 +134,21 @@ def cmd_certify(cfg, args, out):
 def cmd_synthesize(cfg, args, out):
     grid = _grid_for(cfg, args)
     gain = _resolve_gain(cfg, grid)
-    out.write("[gain]\n")
-    out.write("source = user\n")
+    lines = ["[gain]", "source = user"]
     if gain.exprs is not None:
-        for i, row in enumerate(gain.exprs):
-            for j, entry in enumerate(row):
-                out.write(f"K_{i + 1}_{j + 1} = {to_string(entry)}\n")
+        lines += [f"K_{i + 1}_{j + 1} = {to_string(entry)}"
+                  for i, row in enumerate(gain.exprs) for j, entry in enumerate(row)]
     elif gain.is_constant():
-        for i in range(gain.m):
-            for j in range(gain.n):
-                out.write(f"K_{i + 1}_{j + 1} = {float(gain.constant_matrix[i, j])!r}\n")
+        lines += [f"K_{i + 1}_{j + 1} = {float(gain.constant_matrix[i, j])!r}"
+                  for i in range(gain.m) for j in range(gain.n)]
     else:
-        out.write("# gain is not symbolic; sampled table follows\n")
-        out.write("# columns: x1..xn, K_1_1..K_m_n (row-major)\n")
-        for x in certs.Grid.for_system(cfg.system, 5).points():
-            k_x = gain(x)
-            values = " ".join(f"{v:.17g}" for v in np.r_[x, k_x.ravel()])
-            out.write(f"# sample {values}\n")
-    for key, value in gain.meta.items():
-        out.write(f"# {key} = {value}\n")
+        lines += ["# gain is not symbolic; sampled table follows",
+                  "# columns: x1..xn, K_1_1..K_m_n (row-major)"]
+        points = certs.Grid.for_system(cfg.system, 5).array()
+        table = np.hstack([points, gain(points).reshape(len(points), -1)])
+        lines += ["# sample " + " ".join(f"{v:.17g}" for v in row) for row in table]
+    lines += [f"# {key} = {value}" for key, value in gain.meta.items()]
+    out.write("".join(line + "\n" for line in lines))
     return EXIT_OK
 
 

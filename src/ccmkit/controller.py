@@ -17,7 +17,7 @@ import numpy as np
 from . import expr as ex
 from .integrate import rk4_step
 from .linalg import SingularMatrixError, inverse, spectral_norm
-from .model import float_args, state_vars
+from .model import state_vars
 
 EXACTNESS_TOL = 1e-10
 QUAD_NODES = 32
@@ -66,16 +66,23 @@ class DampingParams:
         return min(self.lam - 1.0 / (2.0 * self.r), 2.0 / p_lo)
 
 
-def upsilon(metric, sys, x):
+def upsilon(metric, sys, x, stacked=False):
     """Norm bound used for the damping magnitude:
-    || d_f M + (df/dx)^T M + M (df/dx) || (spectral norm)."""
-    m_x = metric.eval(x)
-    jac = sys.jac_f(x)
-    return spectral_norm(metric.dir_deriv(x, sys.eval_f(x)) + jac.T @ m_x + m_x @ jac)
+    || d_f M + (df/dx)^T M + M (df/dx) || (spectral norm), at one point
+    or, stacked, at each point of a (P, n) stack."""
+    m_x = metric.eval(x, stacked)
+    jac = sys.jac_f(x, stacked)
+    flow = metric.dir_deriv(x, sys.eval_f(x, stacked), stacked)
+    return spectral_norm(flow + np.swapaxes(jac, -1, -2) @ m_x + m_x @ jac)
 
 
 class GainField:
-    """Differential gain K(x) in R^{m x n}; user-defined or synthesized."""
+    """Differential gain K(x) in R^{m x n}; user-defined or synthesized.
+
+    The evaluator, and so the gain itself and its partials, takes one
+    point, shape (n,), giving (m, n), or a stack of points, shape
+    (P, n), giving (P, m, n) in one call.
+    """
 
     def __init__(self, n, m, evaluator, exprs=None, constant_matrix=None, meta=None):
         self.n = n
@@ -84,8 +91,7 @@ class GainField:
         self.exprs = exprs  # m x n expression ASTs when symbolic
         self.constant_matrix = constant_matrix
         self.meta = meta or {}
-        self._column_fns = None  # per column, compiled m-tuple when symbolic
-        self._dk_fn = None
+        self._dk_fns = None
 
     @classmethod
     def from_exprs(cls, n, m, entries):
@@ -96,57 +102,45 @@ class GainField:
         ]
         if len(exprs) != m or any(len(row) != n for row in exprs):
             raise SynthesisError(f"gain must be {m} x {n}")
-        fn = ex.compile_fn(exprs, variables)
-
-        def evaluator(x):
-            return np.array(fn(*float_args(x)))
-
+        evaluator = ex.compile_array_fn(exprs, variables)
         constant = None
         if all(not ex.free_variables(e) for row in exprs for e in row):
             constant = evaluator(np.zeros(n))
-        gain = cls(n, m, evaluator, exprs=exprs, constant_matrix=constant)
-        gain._column_fns = [
-            ex.compile_fn([row[i] for row in exprs], variables) for i in range(n)
-        ]
-        return gain
+        return cls(n, m, evaluator, exprs=exprs, constant_matrix=constant)
 
     @classmethod
     def constant(cls, matrix):
         matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
         m, n = matrix.shape
-        return cls(n, m, lambda x: matrix, constant_matrix=matrix)
+        return cls(n, m, None, constant_matrix=matrix)
 
     def __call__(self, x):
+        x = np.asarray(x, dtype=float)
         if self.constant_matrix is not None:
-            return self.constant_matrix
-        return self._evaluator(np.asarray(x, dtype=float))
+            return np.broadcast_to(self.constant_matrix,
+                                   x.shape[:-1] + self.constant_matrix.shape)
+        return self._evaluator(x)
 
     def is_constant(self):
         return self.constant_matrix is not None
 
-    def column(self, i):
-        """Column i of K as a function of the n state floats."""
-        if self._column_fns is not None:
-            return self._column_fns[i]
-        return lambda *x: self(np.array(x))[:, i]
-
     def partial(self, x, axis, fd_step=1e-6):
         """dK/dx_axis; symbolic when expressions exist, else central FD."""
+        x = np.asarray(x, dtype=float)
         if self.constant_matrix is not None:
-            return np.zeros((self.m, self.n))
+            return np.zeros(x.shape[:-1] + (self.m, self.n))
         if self.exprs is not None:
-            if self._dk_fn is None:
+            if self._dk_fns is None:
                 variables = state_vars(self.n)
-                self._dk_fn = [
-                    ex.compile_fn(
+                self._dk_fns = [
+                    ex.compile_array_fn(
                         [[ex.differentiate(e, v) for e in row] for row in self.exprs],
                         variables,
                     )
                     for v in variables
                 ]
-            return np.array(self._dk_fn[axis](*float_args(x)))
-        x = np.asarray(x, dtype=float)
-        step = np.zeros_like(x)
+            return self._dk_fns[axis](x)
+        step = np.zeros(self.n)
         step[axis] = fd_step
         return (self(x + step) - self(x - step)) / (2.0 * fd_step)
 
@@ -161,32 +155,37 @@ def synthesize_gain(sys, metric, params: DampingParams, gamma_const=None):
     if metric.role != "primal":
         raise SynthesisError("gain synthesis needs a primal metric")
 
-    def direction(x):
-        mb = metric.eval(x) @ sys.eval_b(x)
+    def direction(points):
+        mb = metric.eval(points, stacked=True) @ sys.eval_b(points, stacked=True)
+        mb_t = np.swapaxes(mb, 1, 2)
         try:
-            damping = inverse(mb.T @ mb)
-        except SingularMatrixError:
+            damping = inverse(mb_t @ mb)
+        except SingularMatrixError as err:
             raise SynthesisError(
-                f"(MB)^T MB singular at x={x}: input matrix loses rank"
-            )
-        return damping @ mb.T
+                f"(MB)^T MB singular at x={points[err.index]}: input matrix loses rank"
+            ) from None
+        return damping @ mb_t
 
     if gamma_const is not None:
 
-        def evaluator(x):
-            return -gamma_const * direction(x)
+        def magnitude(points):
+            return np.full(len(points), gamma_const)
 
         meta = {"gamma": f"const {gamma_const:g}", "gamma0": 0.0,
                 "proviso": "constant gamma relies on a bounded operating domain"}
     else:
         scale = params.r / metric.p_lo
 
-        def evaluator(x):
-            gamma = scale * upsilon(metric, sys, x) ** 2
-            return -(gamma + params.gamma0) * direction(x)
+        def magnitude(points):
+            return scale * upsilon(metric, sys, points, stacked=True) ** 2 + params.gamma0
 
         meta = {"gamma": f"(r/p_lo)*upsilon(x)^2 with r={params.r:g}",
                 "gamma0": params.gamma0}
+
+    def evaluator(x):
+        points = x.reshape(-1, sys.n)
+        k = -magnitude(points)[:, None, None] * direction(points)
+        return k.reshape(x.shape[:-1] + k.shape[1:])
 
     meta["lambda0"] = params.lambda0(metric.p_lo)
     gain = GainField(sys.n, sys.m, evaluator, meta=meta)
@@ -204,19 +203,17 @@ def exactness_residual(gain, grid, fd_step=1e-6):
     if gain.is_constant():
         lo = np.asarray(grid.lo)
         return 0.0, 0.5 * (lo + np.asarray(grid.hi))
-    worst = 0.0
-    witness = None
-    partials = [None] * gain.n
-    for x in grid.points():
-        for j in range(gain.n):
-            partials[j] = gain.partial(x, j, fd_step)
-        for i in range(gain.n):
-            for j in range(i + 1, gain.n):
-                residual = float(np.max(np.abs(partials[j][:, i] - partials[i][:, j])))
-                if residual > worst:
-                    worst = residual
-                    witness = x
-    return worst, witness
+    points = grid.array()
+    partials = [gain.partial(points, j, fd_step) for j in range(gain.n)]
+    residuals = np.zeros(len(points))
+    for i in range(gain.n):
+        for j in range(i + 1, gain.n):
+            defect = np.abs(partials[j][:, :, i] - partials[i][:, :, j]).max(axis=1)
+            residuals = np.maximum(residuals, defect)
+    worst = int(np.argmax(residuals))
+    if residuals[worst] == 0.0:
+        return 0.0, None
+    return float(residuals[worst]), points[worst]
 
 
 def radial_potential(gain, x, nodes=QUAD_NODES):
@@ -225,10 +222,7 @@ def radial_potential(gain, x, nodes=QUAD_NODES):
     if gain.is_constant():
         return gain.constant_matrix @ x
     points, weights = gauss_legendre_01(nodes)
-    out = np.zeros(gain.m)
-    for s, w in zip(points, weights):
-        out += w * (gain(s * x) @ x)
-    return out
+    return weights @ (gain(points[:, None] * x) @ x)
 
 
 def static_exact_controller(gain, x, x_d, u_d, residual=None, grid=None,
@@ -256,29 +250,26 @@ def dynext_beta(gain, x, z, nodes=QUAD_NODES):
     """Mixed-coordinate potential of the dynamic extension.
 
     beta(x, z) = sum_i integral_0^{x_i} K_col_i(z_1,..,mu,..,z_n) dmu
-    with mu in the i-th slot; each 1-D integral by Gauss-Legendre.
+    with mu in the i-th slot; each 1-D integral by Gauss-Legendre. x is
+    one point, giving (m,), or a (B, n) stack sharing z, giving (B, m);
+    the nodes of every row and axis are evaluated in one gain call.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     if gain.is_constant():
-        return gain.constant_matrix @ x
+        return x @ gain.constant_matrix.T
     points, weights = gauss_legendre_01(nodes)
-    quadrature = list(zip(points.tolist(), weights.tolist()))
-    args = z.tolist()
-    out = [0.0] * gain.m
-    for i, xi in enumerate(x.tolist()):
-        if xi == 0.0:
-            continue
-        column = gain.column(i)
-        acc = [0.0] * gain.m
-        for s, w in quadrature:
-            args[i] = s * xi
-            for r, k in enumerate(column(*args)):
-                acc[r] += w * k
-        for r in range(gain.m):
-            out[r] += xi * acc[r]
-        args[i] = float(z[i])
-    return np.array(out)
+    rows = x.reshape(-1, gain.n)
+    row, axis = rows.nonzero()  # an axis with x_i = 0 adds nothing
+    reach = rows[row, axis]
+    slot = np.arange(row.size)
+    node = np.empty((row.size, points.size, gain.n))
+    node[:] = z
+    node[slot, :, axis] = reach[:, None] * points
+    k = gain(node.reshape(-1, gain.n)).reshape(node.shape[:2] + (gain.m, gain.n))
+    out = np.zeros((len(rows), gain.m))
+    np.add.at(out, row, reach[:, None] * (weights @ k[slot, :, :, axis]))
+    return out.reshape(x.shape[:-1] + (gain.m,))
 
 
 def khat(gain, x, z):
@@ -286,13 +277,10 @@ def khat(gain, x, z):
     elsewhere. khat(x, x) = K(x)."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    out = np.empty((gain.m, gain.n))
-    args = z.tolist()
-    for i, xi in enumerate(x.tolist()):
-        args[i] = xi
-        out[:, i] = gain.column(i)(*args)
-        args[i] = float(z[i])
-    return out
+    diag = np.arange(gain.n)
+    points = np.tile(z, (gain.n, 1))
+    points[diag, diag] = x
+    return gain(points)[diag, :, diag].T
 
 
 @dataclass
@@ -310,11 +298,8 @@ class DynExtState:
 
 def dynext_control(gain, z, x, x_d, u_d, nodes=QUAD_NODES):
     """u = u_d + beta(x, z) - beta(x_d, z) with the current z."""
-    return (
-        np.asarray(u_d, dtype=float)
-        + dynext_beta(gain, x, z, nodes)
-        - dynext_beta(gain, x_d, z, nodes)
-    )
+    beta = dynext_beta(gain, np.stack([x, x_d]), z, nodes)
+    return np.asarray(u_d, dtype=float) + beta[0] - beta[1]
 
 
 def dynext_controller_step(gain, state: DynExtState, sys, x, x_d, u_d, t, h):

@@ -6,12 +6,18 @@ configuration files.  Grammar (precedence high to low): ^ with integer
 exponent, unary minus, * /, + -.  Functions: sin, cos, exp, abs, sqrt
 (plus sign, which only appears in derivatives of abs but is accepted by
 the parser so printed derivatives round-trip).
+
+Expressions compile to straight-line code with two back ends: on Python
+floats for one point (`compile_fn`, bit-for-bit `evaluate`) and on numpy
+arrays for a stack of points in one call (`compile_array_fn`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class ExprSyntaxError(ValueError):
@@ -421,22 +427,43 @@ def _differentiate(expr, name):
 
 _COMPILE_GLOBALS = {
     "__builtins__": {},
-    **_FUNCTION_TABLE,
     "inf": math.inf,
     "nan": math.nan,
     "EvalDomainError": EvalDomainError,
     "ZeroDivisionError": ZeroDivisionError,
     "OverflowError": OverflowError,
+    "FloatingPointError": FloatingPointError,
 }
+
+# The array back end's table: numpy ufuncs plus what its code calls.
+_ARRAY_TABLE = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "abs": np.abs,
+    "sqrt": np.sqrt,
+    "sign": np.sign,
+    "asarray": np.asarray,
+    "float64": np.float64,
+    "empty": np.empty,
+}
+# As a decorator, errstate sets and resets the state per call (and per
+# thread); as a `with` block in the generated code it costs more.
+_RAISE_ON_FP_ERRORS = np.errstate(divide="raise", over="raise", invalid="raise")
 
 _TEMPLATES = {"add": "{0} + {1}", "sub": "{0} - {1}", "mul": "{0} * {1}",
               "div": "{0} / {1}", "pow": "{0} ** {n}", "neg": "-{0}"}
 
 
-def _leaves(item):
+def _entries(item, index=()):
+    """(index, Expr) of every expression in a nested list, row-major."""
     if isinstance(item, Expr):
-        return [item]
-    return [e for sub in item for e in _leaves(sub)]
+        return [(index, item)]
+    return [e for i, sub in enumerate(item) for e in _entries(sub, index + (i,))]
+
+
+def _shape(item):
+    return () if isinstance(item, Expr) else (len(item),) + _shape(item[0])
 
 
 def _shaped(item, operands):
@@ -445,20 +472,17 @@ def _shaped(item, operands):
     return "(" + "".join(f"{_shaped(sub, operands)}, " for sub in item) + ")"
 
 
-def compile_fn(expr, variables):
-    """Compile an expression, or a nested list of them, to one function.
+def _straight_line(expr):
+    """Assignments and operands of the straight-line code for `expr`.
 
-    The result takes one float per name in `variables` (in order) and
-    returns a float for a single expression, or nested tuples of the
-    list's shape. Its body is straight-line code with one assignment per
-    distinct subtree, so a subtree shared between entries (or repeated
-    within one) is computed once, and depth is not limited. On Python
-    floats every entry matches `evaluate` bit-for-bit; an EvalDomainError
-    in any entry raises for the whole result.
+    Returns (lines, operands): one `_k = ...` line per distinct subtree,
+    children first, and the variable, literal or local that holds each
+    node, keyed by id(node). Subtrees are shared by their right-hand-side
+    text and by node identity.
     """
     operands = {}  # id(node) -> its variable, literal or local
     locals_ = {}   # right-hand side -> local; insertion order is children first
-    stack = _leaves(expr)[::-1]
+    stack = [e for _, e in _entries(expr)][::-1]
     while stack:
         node = stack.pop()
         if id(node) in operands:
@@ -478,17 +502,65 @@ def compile_fn(expr, variables):
             text = locals_.setdefault(template.format(*args, n=int(node.value)),
                                       f"_{len(locals_)}")
         operands[id(node)] = text
+    return [f"{name} = {rhs}" for rhs, name in locals_.items()], operands
+
+
+def _exec(src, table):
+    namespace = {**_COMPILE_GLOBALS, **table}
+    exec(src, namespace)  # noqa: S102 - generated from our own AST
+    return namespace["fn"]
+
+
+def compile_fn(expr, variables):
+    """Compile an expression, or a nested list of them, to one function.
+
+    The result takes one float per name in `variables` (in order) and
+    returns a float for a single expression, or nested tuples of the
+    list's shape. Its body is straight-line code with one assignment per
+    distinct subtree, so a subtree shared between entries (or repeated
+    within one) is computed once, and depth is not limited. On Python
+    floats every entry matches `evaluate` bit-for-bit; an EvalDomainError
+    in any entry raises for the whole result.
+    """
+    lines, operands = _straight_line(expr)
     src = (
         f"def fn({', '.join(variables)}):\n"
         f"    try:\n"
-        + "".join(f"        {name} = {rhs}\n" for rhs, name in locals_.items())
+        + "".join(f"        {line}\n" for line in lines)
         + f"        return {_shaped(expr, operands)}\n"
         f"    except (ZeroDivisionError, OverflowError) as err:\n"
         f"        raise EvalDomainError(err) from None\n"
     )
-    namespace = dict(_COMPILE_GLOBALS)
-    exec(src, namespace)  # noqa: S102 - generated from our own AST
-    return namespace["fn"]
+    return _exec(src, _FUNCTION_TABLE)
+
+
+def compile_array_fn(expr, variables):
+    """The array back end: the straight-line code of `compile_fn` on numpy.
+
+    The result takes one array of points, shape `(..., len(variables))`
+    (a single point or a `(P, n)` stack), and returns one array of shape
+    `(..., *shape)` for an expression or a nested list of that shape;
+    constant entries are broadcast. It runs under an errstate that
+    raises on division by zero, overflow and invalid operations, so an
+    EvalDomainError in any entry at any point raises for the whole
+    result. Entries agree with `compile_fn` to the last bits: numpy's
+    power and exp are not libm's.
+    """
+    lines, operands = _straight_line(expr)
+    src = (
+        "def fn(_points):\n"
+        "    _points = asarray(_points, dtype=float64)\n"
+        + "".join(f"    {name} = _points[..., {i}]\n" for i, name in enumerate(variables))
+        + "    try:\n"
+        + "".join(f"        {line}\n" for line in lines)
+        + f"        _out = empty(_points.shape[:-1] + {_shape(expr)!r})\n"
+        + "".join(f"        _out[...{''.join(f', {i}' for i in index)}] = "
+                  f"{operands[id(e)]}\n" for index, e in _entries(expr))
+        + "        return _out\n"
+        "    except (FloatingPointError, ZeroDivisionError, OverflowError) as err:\n"
+        "        raise EvalDomainError(err) from None\n"
+    )
+    return _RAISE_ON_FP_ERRORS(_exec(src, _ARRAY_TABLE))
 
 
 _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}

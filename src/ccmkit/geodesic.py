@@ -56,30 +56,30 @@ def riemann_energy(metric, nodes):
     n_seg = nodes.shape[0] - 1
     deltas = np.diff(nodes, axis=0)
     mids = 0.5 * (nodes[1:] + nodes[:-1])
-    total = 0.0
-    for k in range(n_seg):
-        total += float(deltas[k] @ metric.eval(mids[k]) @ deltas[k])
-    return n_seg * total
+    m_mid = metric.eval(mids, stacked=True)
+    return n_seg * float(np.einsum("ki,kij,kj->", deltas, m_mid, deltas))
 
 
 def _energy_gradient(metric, nodes):
-    """Gradient of the discrete energy w.r.t. interior nodes."""
+    """Gradient of the discrete energy w.r.t. interior nodes.
+
+    Node j sits between segments j-1 and j, so it gets
+    2 M(mid_{j-1}) dx_{j-1} - 2 M(mid_j) dx_j plus, per axis i, half of
+    dx^T dM/dx_i dx from both segments, all times N.
+    """
     n_seg = nodes.shape[0] - 1
-    dim = nodes.shape[1]
-    grad = np.zeros((n_seg - 1, dim))
     deltas = np.diff(nodes, axis=0)
     mids = 0.5 * (nodes[1:] + nodes[:-1])
-    m_mid = [metric.eval(mids[k]) for k in range(n_seg)]
-    for j in range(1, n_seg):
-        g = 2.0 * (m_mid[j - 1] @ deltas[j - 1]) - 2.0 * (m_mid[j] @ deltas[j])
-        if not metric.constant:
-            for i in range(dim):
-                dm_prev = metric.partial(mids[j - 1], i)
-                dm_next = metric.partial(mids[j], i)
-                g[i] += 0.5 * float(deltas[j - 1] @ dm_prev @ deltas[j - 1])
-                g[i] += 0.5 * float(deltas[j] @ dm_next @ deltas[j])
-        grad[j - 1] = n_seg * g
-    return grad
+    pulls = 2.0 * np.einsum("kij,kj->ki", metric.eval(mids, stacked=True), deltas)
+    grad = pulls[:-1] - pulls[1:]
+    if not metric.constant:
+        bends = 0.5 * np.stack(
+            [np.einsum("ki,kij,kj->k", deltas, metric.partial(mids, i, stacked=True), deltas)
+             for i in range(nodes.shape[1])],
+            axis=1,
+        )
+        grad += bends[:-1] + bends[1:]
+    return n_seg * grad
 
 
 def _chain_preconditioner(n_segments):
@@ -216,10 +216,7 @@ def path_integral_controller(gain, metric, x, x_d, u_d, n_segments=DEFAULT_NODES
             f"geodesic solve did not converge in {path.iterations} iterations "
             f"(energy {path.energy:g})"
         )
-    u = np.asarray(u_d, dtype=float).copy()
+    u = np.asarray(u_d, dtype=float)
     if gain.is_constant():
         return u + gain.constant_matrix @ (x - x_d), path
-    mids = path.midpoints()
-    for k, delta in enumerate(path.tangents()):
-        u += gain(mids[k]) @ delta
-    return u, path
+    return u + np.einsum("kij,kj->i", gain(path.midpoints()), path.tangents()), path

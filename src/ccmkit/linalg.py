@@ -5,10 +5,9 @@ relies on: eigensolves refuse non-symmetric input (`NonSymmetricError`),
 and inversion and the generalized eigensolve report singular or
 indefinite blocks as `SingularMatrixError` instead of returning garbage.
 
-`require_symmetric`, `sym_eig`, `generalized_sym_eig` and
-`null_space_basis` also take a stack of matrices, shape `(..., m, n)`,
-and solve all of its members with one batched LAPACK call; a 2-D input
-is one matrix, as before. An error on a stack names its first failing
+Every function also takes a stack of matrices, shape `(..., m, n)`, and
+solves all of its members with one batched LAPACK call; a 2-D input is
+one matrix, as before. An error on a stack names its first failing
 member in C order and keeps that flat position in `err.index`.
 """
 
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgetrf
 
 SYM_TOL = 1e-9
 
@@ -71,22 +69,26 @@ def sym_eig(a, tol=SYM_TOL):
 
 
 def inverse(a, pivot_tol=1e-13):
-    """Matrix inverse by LU with partial pivoting.
+    """Inverse of a matrix, or of each member of a stack, after an LU
+    factorization with partial pivoting.
 
     Raises SingularMatrixError when a pivot falls below pivot_tol times
-    the largest entry of a.
+    the largest entry of its matrix.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrix, got shape {a.shape}")
-    scale = np.max(np.abs(a)) or 1.0
-    lu, piv, _ = dgetrf(a)
-    pivot = np.min(np.abs(lu.diagonal()))
-    if pivot < pivot_tol * scale:
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    scale = np.where(scale > 0.0, scale, 1.0)
+    _, _, upper = scipy.linalg.lu(a)
+    pivots = np.abs(np.diagonal(upper, axis1=-2, axis2=-1)).min(axis=-1, initial=np.inf)
+    bad = np.flatnonzero(pivots < pivot_tol * scale)
+    if bad.size:
         raise SingularMatrixError(
-            f"matrix singular to working precision (pivot {pivot:g})"
+            f"matrix singular to working precision (pivot {pivots.flat[bad[0]]:g})",
+            _member(a, bad[0]),
         )
-    return scipy.linalg.lu_solve((lu, piv), np.eye(a.shape[0]), check_finite=False)
+    return np.linalg.inv(a)
 
 
 def null_space_basis(a, tol=1e-10):
@@ -119,11 +121,11 @@ def _null_space_groups(stack, tol):
 
 
 def spectral_norm(a):
-    """Largest singular value."""
+    """Largest singular value of a matrix, or of each member of a stack."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+        return np.zeros(a.shape[:-2])[()]
+    return np.linalg.norm(a, 2, axis=(-2, -1))
 
 
 def generalized_sym_eig(a, b):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,21 @@ def float_args(values):
     return np.asarray(values, dtype=float).tolist()
 
 
+class _Field:
+    """One expression field, compiled for two back ends: `point` takes
+    one float per state (`expr.compile_fn`), `stack` takes a `(P, n)`
+    array of points (`expr.compile_array_fn`, compiled on first use)."""
+
+    def __init__(self, exprs, variables):
+        self.exprs = exprs
+        self.variables = variables
+        self.point = ex.compile_fn(exprs, variables)
+
+    @cached_property
+    def stack(self):
+        return ex.compile_array_fn(self.exprs, self.variables)
+
+
 def _parse_entry(text, variables):
     if isinstance(text, ex.Expr):
         return text
@@ -40,7 +56,11 @@ def _parse_entry(text, variables):
 
 
 class SystemModel:
-    """x' = f(x) + B(x) u on an axis-aligned domain box."""
+    """x' = f(x) + B(x) u on an axis-aligned domain box.
+
+    The evaluation methods take one point, or with `stacked=True` a
+    `(P, n)` stack of points, evaluated in one call, giving `(P, ...)`.
+    """
 
     def __init__(self, n, m, f_exprs, b_exprs, domain_lo, domain_hi, name=""):
         if m >= n:
@@ -69,33 +89,43 @@ class SystemModel:
             [[ex.differentiate(bij, v) for v in self.vars] for bij in row]
             for row in self.b_exprs
         ]
-        self._f_fn = ex.compile_fn(self.f_exprs, self.vars)
-        self._b_fn = ex.compile_fn(self.b_exprs, self.vars)
-        self._df_fn = ex.compile_fn(self.df_exprs, self.vars)
-        self._db_fn = [
-            ex.compile_fn([row[j] for row in self.db_exprs], self.vars)
-            for j in range(self.m)
+        self._f = _Field(self.f_exprs, self.vars)
+        self._b = _Field(self.b_exprs, self.vars)
+        self._df = _Field(self.df_exprs, self.vars)
+        self._db = [
+            _Field([row[j] for row in self.db_exprs], self.vars) for j in range(self.m)
         ]
         self.b_constant = all(
             not ex.free_variables(e) for row in self.b_exprs for e in row
         )
 
     def in_domain(self, x):
-        return bool(np.all(x >= self.domain_lo - 1e-12) and np.all(x <= self.domain_hi + 1e-12))
+        """Whether x lies in the domain box; per point for a (P, n) stack."""
+        x = np.asarray(x, dtype=float)
+        inside = np.all((x >= self.domain_lo - 1e-12) & (x <= self.domain_hi + 1e-12), axis=-1)
+        return inside if inside.ndim else bool(inside)
 
-    def eval_f(self, x):
-        return np.array(self._f_fn(*float_args(x)))
+    def eval_f(self, x, stacked=False):
+        if stacked:
+            return self._f.stack(x)
+        return np.array(self._f.point(*float_args(x)))
 
-    def eval_b(self, x):
-        return np.array(self._b_fn(*float_args(x)))
+    def eval_b(self, x, stacked=False):
+        if stacked:
+            return self._b.stack(x)
+        return np.array(self._b.point(*float_args(x)))
 
-    def jac_f(self, x):
+    def jac_f(self, x, stacked=False):
         """Jacobian of the drift, (i, j) entry = d f_i / d x_j."""
-        return np.array(self._df_fn(*float_args(x)))
+        if stacked:
+            return self._df.stack(x)
+        return np.array(self._df.point(*float_args(x)))
 
-    def jac_b_col(self, x, j):
+    def jac_b_col(self, x, j, stacked=False):
         """Jacobian of the j-th column of B, (i, k) entry = d B_ij / d x_k."""
-        return np.array(self._db_fn[j](*float_args(x)))
+        if stacked:
+            return self._db[j].stack(x)
+        return np.array(self._db[j].point(*float_args(x)))
 
     def a_matrix(self, x, u):
         """Differential-dynamics matrix: jac_f + sum_j u_j * d(B col j)/dx."""
@@ -112,7 +142,8 @@ class MetricField:
     """Symmetric state-dependent metric with eigenvalue bounds and rate.
 
     role is "primal" (M itself) or "dual" (W = M^-1). The upper triangle
-    of the given entries is mirrored so symmetry is exact.
+    of the given entries is mirrored so symmetry is exact. As on
+    SystemModel, `stacked=True` evaluates a `(P, n)` stack in one call.
     """
 
     def __init__(self, n, m_exprs, p_lo, p_hi, lam, role="primal"):
@@ -140,29 +171,34 @@ class MetricField:
             [[ex.differentiate(mij, v) for v in self.vars] for mij in row]
             for row in self.m_exprs
         ]
-        self._m_fn = ex.compile_fn(self.m_exprs, self.vars)
-        self._dm_fn = [
-            ex.compile_fn([[mij[k] for mij in row] for row in self.dm_exprs], self.vars)
+        self._m = _Field(self.m_exprs, self.vars)
+        self._dm = [
+            _Field([[mij[k] for mij in row] for row in self.dm_exprs], self.vars)
             for k in range(n)
         ]
         self.constant = all(not ex.free_variables(e) for row in self.m_exprs for e in row)
 
-    def eval(self, x):
-        return np.array(self._m_fn(*float_args(x)))
+    def eval(self, x, stacked=False):
+        if stacked:
+            return self._m.stack(x)
+        return np.array(self._m.point(*float_args(x)))
 
-    def partial(self, x, k):
+    def partial(self, x, k, stacked=False):
         """d M / d x_k, entrywise."""
-        return np.array(self._dm_fn[k](*float_args(x)))
+        if stacked:
+            return self._dm[k].stack(x)
+        return np.array(self._dm[k].point(*float_args(x)))
 
-    def dir_deriv(self, x, v):
-        """Directional derivative sum_k v_k dM/dx_k."""
+    def dir_deriv(self, x, v, stacked=False):
+        """Directional derivative sum_k v_k dM/dx_k (per point of a stack
+        x when stacked, with v of the same shape)."""
         v = np.asarray(v, dtype=float)
-        out = np.zeros((self.n, self.n))
+        out = np.zeros(v.shape[:-1] + (self.n, self.n))
         if self.constant:
             return out
         for k in range(self.n):
-            if v[k] != 0.0:
-                out += v[k] * self.partial(x, k)
+            if np.any(v[..., k]):
+                out += v[..., k, None, None] * self.partial(x, k, stacked)
         return out
 
 
@@ -206,7 +242,7 @@ def generate_reference(sys, ref, T, h):
 
     times, xd = rk4_solve(field_fn, ref.xd0, 0.0, T, h)
     ud = np.array([ref.eval_ud(t, x) for t, x in zip(times, xd)])
-    violations = [t for t, x in zip(times[1:], xd[1:]) if not sys.in_domain(x)]
+    violations = times[1:][~sys.in_domain(xd[1:])].tolist()
     if violations:
         warnings.warn(
             f"reference leaves the domain box at t = {violations[0]:g} "

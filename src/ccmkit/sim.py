@@ -11,12 +11,13 @@ computed once per step and held over it (zero-order hold).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import expr as ex
-from .controller import EXACTNESS_TOL, dynext_beta, exactness_residual, radial_potential
+from .controller import EXACTNESS_TOL, dynext_control, exactness_residual, radial_potential
 from .geodesic import GeodesicError, path_integral_controller
 from .integrate import DIVERGENCE_LIMIT, IntegrationError, rk4_step, time_grid
 from .model import float_args, state_vars
@@ -133,8 +134,10 @@ def _controller(sys, metric, gain, cfg):
                 ud + (radial_potential(gain, x) - radial_potential(gain, xd))), None
     if cfg.kind == "dynext":
 
+        # beta(x) - beta(xd) may be inf - inf; the loop flags a non-finite u
+        @np.errstate(invalid="ignore", over="ignore")
         def update(x, xd, z):
-            return dynext_beta(gain, x, z) - dynext_beta(gain, xd, z)
+            return dynext_control(gain, z, x, xd, 0.0)
     else:
         warm = None
 
@@ -151,8 +154,9 @@ def _controller(sys, metric, gain, cfg):
 def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
     """Simulate tracking of the reference under the configured controller.
 
-    Failures (divergence, NaN, geodesic breakdown) truncate the trace and
-    set a flag instead of raising, so sweeps survive bad samples.
+    Failures (divergence, NaN, a non-finite control, geodesic breakdown)
+    truncate the trace and set a flag instead of raising, so sweeps
+    survive bad samples.
     """
     n = sys.n
     xd0 = np.asarray(ref.xd0, dtype=float)
@@ -185,7 +189,10 @@ def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
         try:
             if update is not None:
                 held = update(x, xd, z)
-            us[k] = law(t, x, xd, z, ud, held)
+            u = law(t, x, xd, z, ud, held)
+            if not all(map(math.isfinite, u.tolist())):
+                raise ArithmeticError("non-finite control")
+            us[k] = u
         except (GeodesicError, ArithmeticError, ValueError) as err:
             flags.append(f"controller failure at t={t:g}: {err}")
             break
@@ -202,7 +209,7 @@ def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
     completed = not flags
     end = k + 1
     xs, xds = states[:end, :n], states[:end, n : 2 * n]
-    domain_exits = [float(t) for t, x in zip(times, xs) if not sys.in_domain(x)]
+    domain_exits = times[:end][~sys.in_domain(xs)].tolist()
     if domain_exits:
         flags.append(
             f"plant left the domain box at t={domain_exits[0]:g} "

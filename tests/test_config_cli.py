@@ -5,7 +5,7 @@ import pytest
 
 from ccmkit.cli import main
 from ccmkit.config import ConfigError, load_config
-from ccmkit.controller import GainField
+from ccmkit.controller import DampingParams, GainField, synthesize_gain
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -181,6 +181,18 @@ class TestCliExpressionErrors:
         assert code == 2
         assert err.startswith("config error:")
 
+    def test_deep_gain_writes_nothing(self, tmp_path, capsys):
+        # every line is built before any is written, so a gain too deep
+        # to print leaves no partial [gain] section behind
+        path = write_config(tmp_path, NUMEX_MIN + "[gain]\nsource = user\nK_1_1 = "
+                            + " + ".join(["x1"] * 3000) + "\n")
+        out_path = tmp_path / "gain.ini"
+        assert main(["synthesize", "--config", path, "--grid", "5"]) == 2
+        assert "[gain]" not in capsys.readouterr().out
+        assert main(["synthesize", "--config", path, "--grid", "5",
+                     "--out", str(out_path)]) == 2
+        assert "[gain]" not in out_path.read_text()
+
     def test_unknown_identifier(self, tmp_path, capsys):
         code, err = self.run_user_gain(tmp_path, capsys, "-y1")
         assert code == 2
@@ -218,6 +230,24 @@ class TestCliSynthesize:
             x1, x2, k1, k2 = (float(v) for v in row.split()[2:])
             assert k1 < 0.0
             assert k2 / k1 == pytest.approx(3.0, rel=1e-9)
+
+    def test_sampled_table_matches_per_point_gain(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            NUMEX_MIN + "[gain]\nsource = synthesized\nr = 2\ngamma0 = 0.5\n",
+        )
+        assert main(["synthesize", "--config", path, "--grid", "5"]) == 0
+        rows = [[float(v) for v in line.split()[2:]]
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("# sample ")]
+        cfg = load_config(path)
+        lam = cfg.metric.lam
+        gain = synthesize_gain(cfg.system, cfg.metric,
+                               DampingParams(r=2.0, gamma0=0.5, lam=lam))
+        assert len(rows) == 25
+        for row in rows:
+            np.testing.assert_allclose(row[2:], gain(np.array(row[:2])).ravel(),
+                                       rtol=1e-12)
 
     def test_uncertified_metric_blocks_synthesis(self, tmp_path):
         text = NUMEX_MIN + (
@@ -282,7 +312,6 @@ class TestCliSimulate:
                      "--out", str(tmp_path / "t.csv")]) == 3
         assert "# completed: False" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_literal_gain(self, tmp_path, capsys):
         # 1e400 parses to inf; the compiled gain must evaluate it, not
         # fail to look it up
@@ -294,7 +323,7 @@ class TestCliSimulate:
         assert main(["simulate", "--config", path, "--grid", "5",
                      "--out", str(tmp_path / "t.csv")]) == 3
         err = capsys.readouterr().err
-        assert "# flag: numerical failure at t=0" in err
+        assert "# flag: controller failure at t=0" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("setting", ["controller = magic", "T = -1"])

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from ccmkit import expr as ex
 from ccmkit.certificates import Grid
 from ccmkit.controller import (
     DampingParams,
@@ -350,3 +351,108 @@ class TestClosedLoopAlgebra:
             scale = 2.0 * (x2 ** 2 + 1.0) / 5.0
             expected = -scale * np.array([[1.0, 1.0], [1.0, 2.0]])
             assert np.allclose(sym, expected, atol=1e-12)
+
+
+def scalar_dynext_beta(gain, x, z, nodes=32):
+    """Oracle: the per-node quadrature, one tree-walking `evaluate` of
+    each column entry per Gauss-Legendre node, summed in Python floats."""
+    points, weights = gauss_legendre_01(nodes)
+    variables = [f"x{i + 1}" for i in range(gain.n)]
+    out = [0.0] * gain.m
+    for i, xi in enumerate(x):
+        if xi == 0.0:
+            continue
+        acc = [0.0] * gain.m
+        for s, w in zip(points, weights):
+            env = dict(zip(variables, map(float, z)))
+            env[variables[i]] = float(s * xi)
+            for r in range(gain.m):
+                acc[r] += w * ex.evaluate(gain.exprs[r][i], env)
+        for r in range(gain.m):
+            out[r] += xi * acc[r]
+    return np.array(out)
+
+
+class TestStackedGain:
+    """A gain evaluates a (P, n) stack in one call; every member matches
+    the call at that point, and the quadratures match per-node oracles."""
+
+    POINTS = np.random.default_rng(51).uniform(-2, 2, size=(7, 2))
+
+    def gains(self, numex):
+        params = DampingParams(r=1.5, gamma0=0.1, lam=2.0 / 3.0)
+        return [
+            GainField.from_exprs(2, 1, [["-(x2^2 + 1)*exp(x1/5)", "-x2^2 + sin(x1)"]]),
+            synthesize_gain(numex.system, numex.metric, params),
+            GainField(2, 1, lambda x: np.stack([x[..., 0] * x[..., 1], -x[..., 1] ** 3], -1)[..., None, :]),
+        ]
+
+    def test_gain_and_partials_match_per_point(self, numex):
+        for gain in self.gains(numex):
+            stacked = gain(self.POINTS)
+            assert stacked.shape == (7, 1, 2)
+            per_point = np.array([gain(x) for x in self.POINTS])
+            np.testing.assert_allclose(stacked, per_point, rtol=1e-12, atol=1e-12)
+            for axis in range(2):
+                stacked = gain.partial(self.POINTS, axis)
+                per_point = np.array([gain.partial(x, axis) for x in self.POINTS])
+                np.testing.assert_allclose(stacked, per_point, rtol=1e-12, atol=1e-12)
+
+    def test_constant_gain_broadcasts(self):
+        gain = GainField.constant([[4.0, -1.0]])
+        assert np.array_equal(gain(self.POINTS), np.tile([[4.0, -1.0]], (7, 1, 1)))
+        assert np.array_equal(gain.partial(self.POINTS, 1), np.zeros((7, 1, 2)))
+
+    def test_synthesized_singular_direction_names_the_point(self):
+        sys = SystemModel(2, 1, ["0", "0"], [["0"], ["x1"]], [-1, -1], [1, 1])
+        metric = MetricField(2, [["1", "0"], ["0", "1"]], 1.0, 1.0, 1.0)
+        gain = synthesize_gain(sys, metric, DampingParams(r=1.0, gamma0=1.0, lam=1.0))
+        points = np.array([[0.5, 0.5], [0.0, 0.25]])
+        with pytest.raises(SynthesisError, match=r"x=\[0\.\s+0\.25\]"):
+            gain(points)
+
+    def test_dynext_beta_matches_per_node_quadrature(self, numex_gain):
+        gain = GainField.from_exprs(2, 1, [["-(x2^2 + 1)*exp(x1/5)", "-x2^2 + sin(x1)"]])
+        rng = np.random.default_rng(52)
+        for g in (gain, numex_gain):
+            for x in ([1.5, -0.5], [0.0, 2.0], [-1.0, 0.0], [0.0, 0.0]):
+                x = np.array(x)
+                z = rng.uniform(-2, 2, size=2)
+                np.testing.assert_allclose(dynext_beta(g, x, z), scalar_dynext_beta(g, x, z),
+                                           rtol=1e-12, atol=1e-12)
+
+    def test_dynext_beta_rows_share_z(self, numex_gain):
+        z = np.array([0.7, -1.1])
+        rows = np.array([[1.5, -0.5], [0.0, 2.0], [0.0, 0.0]])
+        stacked = dynext_beta(numex_gain, rows, z)
+        assert stacked.shape == (3, 1)
+        np.testing.assert_allclose(stacked, [dynext_beta(numex_gain, x, z) for x in rows],
+                                   rtol=1e-12, atol=1e-15)
+        assert dynext_beta(GainField.constant([[2.0, 1.0]]), rows, z).shape == (3, 1)
+
+    def test_khat_and_radial_potential_match_per_point(self, numex):
+        for gain in self.gains(numex):
+            x, z = self.POINTS[0], self.POINTS[1]
+            expected = np.empty((1, 2))
+            for i in range(2):
+                point = z.copy()
+                point[i] = x[i]
+                expected[:, i] = gain(point)[:, i]
+            np.testing.assert_allclose(khat(gain, x, z), expected, rtol=1e-12, atol=1e-12)
+            points, weights = gauss_legendre_01()
+            expected = sum(w * (gain(s * x) @ x) for s, w in zip(points, weights))
+            np.testing.assert_allclose(radial_potential(gain, x), expected,
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_exactness_residual_matches_per_point_loop(self, numex):
+        grid = Grid([-2.0, -2.0], [2.0, 2.0], (5, 5))
+        for gain in self.gains(numex):
+            worst, witness = 0.0, None
+            for x in grid.points():
+                d0, d1 = gain.partial(x, 0), gain.partial(x, 1)
+                residual = float(np.max(np.abs(d1[:, 0] - d0[:, 1])))
+                if residual > worst:
+                    worst, witness = residual, x
+            got, got_witness = exactness_residual(gain, grid)
+            assert got == pytest.approx(worst, rel=1e-9, abs=1e-12)
+            assert np.array_equal(got_witness, witness)

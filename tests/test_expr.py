@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -315,3 +316,68 @@ def test_compile_fn_overflowing_literals():
 def test_free_variables():
     assert ex.free_variables(ex.parse("x1*x2 + 1", XY)) == {"x1", "x2"}
     assert ex.free_variables(ex.parse("2/5", XY)) == set()
+
+
+# -- array back end ----------------------------------------------------------
+
+# Denominators stay >= 1 and exponents small on [-10, 10], so no entry
+# overflows there; x1^-2 raises at 0 on both back ends.
+_ARRAY_FIELD_TEXTS = [
+    ["x1^3 - 2*x2 + sin(x1*x2) + abs(x2)*sin(x1*x2)", "exp(x1/2)*cos(x2) - 2/5"],
+    ["sqrt(x1^2 + 1)/(x2^2 + 1) + sign(x1 - x2)", "x1^-2 + (-0.0)*x2"],
+    ["3", "-x1^2 + x1*x2^4"],
+]
+
+
+def _array_field():
+    field = [[ex.parse(text, XY) for text in row] for row in _ARRAY_FIELD_TEXTS]
+    field.append([ex.differentiate(field[0][0], "x1"), ex.differentiate(field[1][0], "x2")])
+    return field
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
+                       min_size=1, max_size=12))
+def test_array_back_end_matches_float_back_end(points):
+    # not bit-for-bit: numpy's power and exp may differ from libm in the
+    # last bit
+    field = _array_field()
+    point_fn = ex.compile_fn(field, XY)
+    stack_fn = ex.compile_array_fn(field, XY)
+    try:
+        expected = np.array([point_fn(*p) for p in points])
+    except ex.EvalDomainError:
+        with pytest.raises(ex.EvalDomainError):
+            stack_fn(np.array(points))
+        return
+    got = stack_fn(np.array(points))
+    assert got.shape == (len(points), 4, 2)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(stack_fn(np.array(points[0])), expected[0],
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("member", [0, 2, 4])
+@pytest.mark.parametrize("text, x1", [("1/x1", 0.0), ("x1^-1", 0.0), ("sqrt(x1)", -1.0),
+                                      ("exp(x1)", 1000.0), ("x1^3", 1e200)])
+def test_array_back_end_domain_errors(text, x1, member):
+    fn = ex.compile_array_fn(ex.parse(text, XY), XY)
+    points = np.ones((5, 2))
+    assert np.all(np.isfinite(fn(points)))
+    points[member, 0] = x1
+    with pytest.raises(ex.EvalDomainError):
+        fn(points)
+    with pytest.raises(ex.EvalDomainError):
+        fn(points[member])
+
+
+def test_array_back_end_broadcasts_constants():
+    points = np.arange(14.0).reshape(7, 2)
+    assert np.array_equal(ex.compile_array_fn(ex.parse("2/5", XY), XY)(points),
+                          np.full(7, 0.4))
+    field = [[ex.parse("x1", XY), ex.parse("3", XY)]]
+    got = ex.compile_array_fn(field, XY)(points)
+    assert got.shape == (7, 1, 2)
+    assert np.array_equal(got[:, 0, 0], points[:, 0])
+    assert np.array_equal(got[:, 0, 1], np.full(7, 3.0))
+    assert ex.compile_array_fn(field, XY)(points[3]).shape == (1, 2)

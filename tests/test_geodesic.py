@@ -8,6 +8,7 @@ import pytest
 
 from ccmkit.controller import GainField, radial_potential
 from ccmkit.geodesic import (
+    _energy_gradient,
     geodesic_distance,
     path_integral_controller,
     riemann_energy,
@@ -230,3 +231,66 @@ class TestPathIntegralController:
         u2, _ = path_integral_controller(numex_gain, numex.metric,
                                          x, x_d, np.zeros(1), path=path)
         assert u1[0] == pytest.approx(u2[0], abs=1e-12)
+
+
+def looped_energy(metric, nodes):
+    """Oracle: the discrete energy summed one segment at a time."""
+    n_seg = nodes.shape[0] - 1
+    total = 0.0
+    for k in range(n_seg):
+        delta = nodes[k + 1] - nodes[k]
+        total += float(delta @ metric.eval(0.5 * (nodes[k + 1] + nodes[k])) @ delta)
+    return n_seg * total
+
+
+def looped_gradient(metric, nodes):
+    """Oracle: the energy gradient built one interior node at a time."""
+    n_seg = nodes.shape[0] - 1
+    deltas = np.diff(nodes, axis=0)
+    mids = 0.5 * (nodes[1:] + nodes[:-1])
+    grad = np.zeros((n_seg - 1, nodes.shape[1]))
+    for j in range(1, n_seg):
+        g = 2.0 * (metric.eval(mids[j - 1]) @ deltas[j - 1]) - 2.0 * (metric.eval(mids[j]) @ deltas[j])
+        for i in range(nodes.shape[1]):
+            g[i] += 0.5 * float(deltas[j - 1] @ metric.partial(mids[j - 1], i) @ deltas[j - 1])
+            g[i] += 0.5 * float(deltas[j] @ metric.partial(mids[j], i) @ deltas[j])
+        grad[j - 1] = n_seg * g
+    return grad
+
+
+class TestStackedEnergy:
+    """The energy and its gradient evaluate the metric on the whole
+    midpoint stack at once; they match the per-segment loops."""
+
+    @staticmethod
+    def bent_path(seed, n_seg=16):
+        rng = np.random.default_rng(seed)
+        nodes = chord([-1.0, 0.5], [1.0, -0.3], n_seg)
+        nodes[1:-1] += rng.uniform(-0.2, 0.2, size=(n_seg - 1, 2))
+        return nodes
+
+    def test_energy_matches_loop(self):
+        for metric in (valley_x1_metric(), valley_x2_metric(), identity_metric()):
+            nodes = self.bent_path(61)
+            assert riemann_energy(metric, nodes) == pytest.approx(
+                looped_energy(metric, nodes), rel=1e-13)
+
+    def test_gradient_matches_loop(self):
+        for metric in (valley_x1_metric(), valley_x2_metric(), identity_metric()):
+            nodes = self.bent_path(62)
+            np.testing.assert_allclose(_energy_gradient(metric, nodes),
+                                       looped_gradient(metric, nodes),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_gradient_matches_finite_difference(self):
+        metric = valley_x2_metric()
+        nodes = self.bent_path(63, n_seg=8)
+        grad = _energy_gradient(metric, nodes)
+        h = 1e-6
+        for j in range(1, nodes.shape[0] - 1):
+            for i in range(2):
+                up, down = nodes.copy(), nodes.copy()
+                up[j, i] += h
+                down[j, i] -= h
+                fd = (riemann_energy(metric, up) - riemann_energy(metric, down)) / (2 * h)
+                assert grad[j - 1, i] == pytest.approx(fd, rel=1e-6, abs=1e-6)

@@ -256,3 +256,66 @@ class TestBuiltins:
         lo = (1.0 - 1.0 / math.sqrt(5.0)) / 2.0
         hi = (1.0 + 1.0 / math.sqrt(5.0)) / 2.0
         assert eigs == pytest.approx([lo, hi], abs=1e-12)
+
+
+class TestStackedEvaluation:
+    """`stacked=True` evaluates a (P, n) stack in one call on the array
+    back end; each member matches the per-point (float back end) call."""
+
+    @staticmethod
+    def curved():
+        sys = SystemModel(
+            3, 1,
+            ["x2*x3", "-sin(x1) + x3^2/3", "exp(x1/4)*x2"],
+            [["x1^2 + 1"], ["0"], ["cos(x2)"]],
+            [-2, -2, -2], [2, 2, 2],
+        )
+        metric = MetricField(
+            3,
+            [["2 + x1^2", "x1*x2", "0"], ["0", "3 + sin(x3)", "x2/5"], ["0", "0", "1 + x3^2"]],
+            0.1, 20.0, 0.0,
+        )
+        return sys, metric
+
+    def test_matches_per_point(self, micro):
+        points = np.random.default_rng(41).uniform(-2, 2, size=(9, 3))
+        for sys, metric in (self.curved(), (micro.system, micro.metric)):
+            v = np.random.default_rng(42).normal(size=(9, 3))
+            pairs = [
+                (sys.eval_f, ()), (sys.eval_b, ()), (sys.jac_f, ()),
+                (sys.jac_b_col, (0,)), (metric.eval, ()),
+                (metric.partial, (0,)), (metric.partial, (2,)),
+            ]
+            for method, extra in pairs:
+                stacked = method(points, *extra, stacked=True)
+                per_point = np.array([method(x, *extra) for x in points])
+                assert stacked.shape == per_point.shape
+                np.testing.assert_allclose(stacked, per_point, rtol=1e-12, atol=1e-12)
+            stacked = metric.dir_deriv(points, v, stacked=True)
+            per_point = np.array([metric.dir_deriv(x, vx) for x, vx in zip(points, v)])
+            np.testing.assert_allclose(stacked, per_point, rtol=1e-12, atol=1e-12)
+
+    def test_constant_entries_fill_the_stack(self, numex):
+        points = np.zeros((4, 2))
+        assert np.array_equal(numex.metric.eval(points, stacked=True),
+                              np.broadcast_to(numex.metric.eval(points[0]), (4, 2, 2)))
+        assert numex.system.eval_b(points, stacked=True).shape == (4, 2, 1)
+        assert np.array_equal(numex.metric.dir_deriv(points, points, stacked=True),
+                              np.zeros((4, 2, 2)))
+
+    def test_domain_error_in_one_member_raises(self):
+        sys = SystemModel(2, 1, ["1/x1", "x2"], [["0"], ["1/x1"]], [-1, -1], [1, 1])
+        metric = MetricField(2, [["1 + 1/x1", "0"], ["0", "1"]], 0.5, 2.0, 0.0)
+        points = np.ones((5, 2))
+        points[3, 0] = 0.0
+        for call in (sys.eval_f, sys.eval_b, sys.jac_f, metric.eval):
+            with pytest.raises(EvalDomainError):
+                call(points, stacked=True)
+        with pytest.raises(EvalDomainError):
+            metric.partial(points, 0, stacked=True)
+
+    def test_in_domain_per_point(self, micro):
+        sys = micro.system
+        points = np.array([[1.0, 0.0, 0.0], [2.5, 0.0, 0.0], [1.0, 0.0, 3.0]])
+        assert sys.in_domain(points).tolist() == [sys.in_domain(x) for x in points]
+        assert sys.in_domain(points).tolist() == [True, False, True]

@@ -202,6 +202,26 @@ class TestFailureHandling:
         assert "controller failure" in trace.flags[0]
         assert np.all(np.isnan(trace.u))
 
+    def test_non_finite_control_is_controller_failure(self, numex):
+        # inf - inf is nan on Python floats, with no domain error; the nan
+        # control must end the run as a controller failure at once
+        for custom_u in (["1e400*(t + 1) - 1e400*(t + 1)"], ["1e400*(t + 1)"]):
+            cfg = RunConfig(kind="custom", T=1.0, h=1e-3,
+                            x0=np.array([0.0, 0.0]), custom_u=custom_u)
+            trace = run_closed_loop(numex.system, numex.metric, None,
+                                    numex.reference, cfg)
+            assert not trace.completed
+            assert list(trace.t) == [0.0]
+            assert trace.flags == ["controller failure at t=0: non-finite control"]
+            assert np.all(np.isnan(trace.u))
+
+    def test_infinite_dynext_gain_is_controller_failure(self, numex):
+        gain = GainField.from_exprs(2, 1, [["1e400*x1", "0"]])
+        cfg = RunConfig(kind="dynext", T=1.0, h=1e-2, x0=np.array([-5.0, 2.0]))
+        trace = run_closed_loop(numex.system, numex.metric, gain,
+                                numex.reference, cfg)
+        assert trace.flags == ["controller failure at t=0: non-finite control"]
+
     def test_static_refuses_inexact_gain(self, numex, numex_gain):
         cfg = RunConfig(kind="static", T=1.0, h=1e-3, x0=np.zeros(2),
                         exactness_grid=Grid([-2, -2], [2, 2], (5, 5)))
