@@ -374,6 +374,31 @@ def free_variables(expr):
     return out
 
 
+def substitute(expr, mapping):
+    """`expr` with every variable named in `mapping` replaced by its Expr.
+
+    Walks post-order with an explicit stack, so depth is not limited;
+    each node is rebuilt once, so a shared subtree stays shared, and a
+    subtree without substituted variables is returned as is.
+    """
+    done = {}  # id(node) -> its substitute
+    stack = [expr]
+    while stack:
+        node = stack[-1]
+        pending = [a for a in node.args if id(a) not in done]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        if node.kind == "var":
+            done[id(node)] = mapping.get(node.name, node)
+        elif id(node) not in done:
+            args = tuple(done[id(a)] for a in node.args)
+            same = all(new is old for new, old in zip(args, node.args))
+            done[id(node)] = node if same else Expr(node.kind, node.value, node.name, args)
+    return done[id(expr)]
+
+
 def differentiate(expr, name):
     """Symbolic partial derivative d expr / d name.
 

@@ -9,6 +9,8 @@ RK4.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import solve_ivp
 
@@ -22,16 +24,21 @@ class IntegrationError(RuntimeError):
 
 
 def rk4_step(field, x, t, h):
-    """One classical 4th-order Runge-Kutta step of x' = field(t, x)."""
+    """One classical 4th-order Runge-Kutta step of x' = field(t, x) on
+    Python floats: x and the values of field (called with a list) may be
+    any float sequences; the new state is returned as a list."""
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    x = np.asarray(x, dtype=float)
-    k1 = np.asarray(field(t, x), dtype=float)
-    k2 = np.asarray(field(t + 0.5 * h, x + 0.5 * h * k1), dtype=float)
-    k3 = np.asarray(field(t + 0.5 * h, x + 0.5 * h * k2), dtype=float)
-    k4 = np.asarray(field(t + h, x + h * k3), dtype=float)
-    out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    x = [float(v) for v in x]
+    half = 0.5 * h
+    k1 = field(t, x)
+    k2 = field(t + half, [a + half * b for a, b in zip(x, k1, strict=True)])
+    k3 = field(t + half, [a + half * b for a, b in zip(x, k2, strict=True)])
+    k4 = field(t + h, [a + h * b for a, b in zip(x, k3, strict=True)])
+    sixth = h / 6.0
+    out = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+           for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4, strict=True)]
+    if not all(map(math.isfinite, out)):
         raise IntegrationError("non-finite state in RK4 step", t)
     return out
 

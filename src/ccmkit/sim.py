@@ -1,18 +1,20 @@
 """Closed-loop simulation of plant + reference (+ observer state z).
 
-Plant, reference and z are integrated as one coupled state vector with
-`integrate.rk4_step` on `integrate.time_grid`, so there is no
-interpolation skew between them and every trace ends exactly at T. The
-feedforward u_d(t, x_d) is evaluated at every RK4 stage, and so is the
-feedback of the static and custom kinds. The geodesic and
-dynamic-extension corrections, whose per-evaluation cost dominates, are
-computed once per step and held over it (zero-order hold).
+Each run generates its closed loop, one ODE in x, x_d and z, as one
+compiled field with u = u_d(t, x_d) + v, stepped by `integrate.rk4_step`
+on `integrate.time_grid` (so every trace ends exactly at T). u_d and the
+static (constant gain) or custom feedback are folded into the field. The
+dynamic-extension and geodesic corrections, whose per-evaluation cost
+dominates, are computed once per step and passed as v over it
+(zero-order hold); a non-constant exact static gain passes its potential
+difference as v at every stage.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from . import expr as ex
 from .controller import EXACTNESS_TOL, dynext_control, exactness_residual, radial_potential
 from .geodesic import GeodesicError, path_integral_controller
 from .integrate import DIVERGENCE_LIMIT, IntegrationError, rk4_step, time_grid
-from .model import float_args, state_vars
+from .model import state_vars
 
 CONTROLLER_KINDS = ("static", "dynext", "geodesic", "custom")
 
@@ -79,26 +81,9 @@ class SimTrace:
     def write_csv(self, stream):
         names, data = self.columns()
         stream.write(",".join(names) + "\n")
+        row_format = ",".join(["%.17g"] * len(names)) + "\n"
         for row in data:
-            stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def _custom_controller_fn(sys, exprs):
-    variables = (
-        ["t"]
-        + state_vars(sys.n)
-        + [f"xd{i + 1}" for i in range(sys.n)]
-        + [f"z{i + 1}" for i in range(sys.n)]
-    )
-    parsed = [e if isinstance(e, ex.Expr) else ex.parse(e, variables) for e in exprs]
-    if len(parsed) != sys.m:
-        raise SimulationError(f"custom controller needs {sys.m} expressions")
-    fn = ex.compile_fn(parsed, variables)
-
-    def control(t, x, xd, z):
-        return np.array(fn(*float_args((t, *x, *xd, *z))))
-
-    return control
+            stream.write(row_format % tuple(row.tolist()))
 
 
 def _require_exact(gain, grid):
@@ -116,39 +101,57 @@ def _require_exact(gain, grid):
         )
 
 
-def _controller(sys, metric, gain, cfg):
-    """Resolve cfg.kind into (law, update).
+def _linear(rows, point):
+    """The products rows @ point as expressions, summed left to right."""
+    return [reduce(ex.add, [ex.mul(entry, p) for entry, p in zip(row, point)])
+            for row in rows]
 
-    law(t, x, xd, z, ud, held) gives u at any RK4 stage. update(x, xd, z),
-    when not None, runs once per step and its result is passed to law as
-    `held` for the whole step.
-    """
+
+def _plant(sys, u, rename):
+    """f + B u with the state variables renamed by the `rename` mapping."""
+    b = [[ex.substitute(entry, rename) for entry in row] for row in sys.b_exprs]
+    return [ex.add(ex.substitute(f, rename), bu) for f, bu in zip(sys.f_exprs, _linear(b, u))]
+
+
+def _controller(sys, metric, gain, cfg, variables, x, xd, ud, v):
+    """Resolve cfg.kind into (u, correction, per_stage): u holds m control
+    expressions over `variables` (t, x, xd, z) and v; correction(y), when
+    not None, gives v at state y, held over the step unless per_stage."""
+    n = sys.n
     if cfg.kind == "custom":
         if not cfg.custom_u:
             raise SimulationError("custom controller needs expressions")
-        custom_fn = _custom_controller_fn(sys, cfg.custom_u)
-        return (lambda t, x, xd, z, ud, held: custom_fn(t, x, xd, z)), None
+        u = [e if isinstance(e, ex.Expr) else ex.parse(e, variables) for e in cfg.custom_u]
+        if len(u) != sys.m:
+            raise SimulationError(f"custom controller needs {sys.m} expressions")
+        return u, None, False
     if cfg.kind == "static":
         _require_exact(gain, cfg.exactness_grid)
-        return (lambda t, x, xd, z, ud, held:
-                ud + (radial_potential(gain, x) - radial_potential(gain, xd))), None
-    if cfg.kind == "dynext":
+        if gain.is_constant():
+            k = [[ex.const(entry) for entry in row] for row in gain.constant_matrix.tolist()]
+            return ([ex.add(a, ex.sub(b, c)) for a, b, c in zip(ud, _linear(k, x), _linear(k, xd))],
+                    None, False)
+    u = [ex.add(a, b) for a, b in zip(ud, v)]
+    if cfg.kind in ("static", "dynext"):
 
         # beta(x) - beta(xd) may be inf - inf; the loop flags a non-finite u
         @np.errstate(invalid="ignore", over="ignore")
-        def update(x, xd, z):
-            return dynext_control(gain, z, x, xd, 0.0)
-    else:
-        warm = None
+        def correction(y):
+            if cfg.kind == "dynext":
+                return dynext_control(gain, y[2 * n :], y[:n], y[n : 2 * n], 0.0).tolist()
+            return (radial_potential(gain, y[:n]) - radial_potential(gain, y[n : 2 * n])).tolist()
 
-        def update(x, xd, z):
-            nonlocal warm
-            held, warm = path_integral_controller(
-                gain, metric, x, xd, np.zeros(sys.m), cfg.geodesic_segments, path=warm
-            )
-            return held
+        return u, correction, cfg.kind == "static"
+    warm = None
 
-    return (lambda t, x, xd, z, ud, held: ud + held), update
+    def correction(y):
+        nonlocal warm
+        held, warm = path_integral_controller(
+            gain, metric, y[:n], y[n : 2 * n], np.zeros(sys.m), cfg.geodesic_segments, path=warm
+        )
+        return held.tolist()
+
+    return u, correction, False
 
 
 def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
@@ -163,44 +166,50 @@ def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
     x0 = np.asarray(cfg.x0 if cfg.x0 is not None else xd0, dtype=float)
     use_z = cfg.kind in ("dynext", "custom")
     z0 = np.asarray(cfg.z0 if cfg.z0 is not None else xd0, dtype=float)
-    law, update = _controller(sys, metric, gain, cfg)
+    names = ["t"] + state_vars(n) + [f"xd{i + 1}" for i in range(n)]
+    names += [f"z{i + 1}" for i in range(n)] if use_z else []
+    x, xd, z = ([ex.var(name) for name in names[1 + i * n : 1 + (i + 1) * n]] for i in range(3))
+    v = [ex.var(f"v{j + 1}") for j in range(sys.m)]
+    u, correction, per_stage = _controller(sys, metric, gain, cfg, names, x, xd, ref.ud_exprs, v)
 
-    def split(y):
-        return y[:n], y[n : 2 * n], y[2 * n :] if use_z else None
+    # x' = f(x) + B(x) u, xd' = f(xd) + B(xd) ud and z' = x' - ell (z - x)
+    fx = _plant(sys, u, {})
+    rates = fx + _plant(sys, ref.ud_exprs, dict(zip(state_vars(n), xd)))
+    if use_z:
+        rates += [ex.sub(a, ex.mul(ex.const(cfg.ell), ex.sub(c, b))) for a, b, c in zip(fx, x, z)]
+    names += [e.name for e in v] if correction else []
+    closed_loop = ex.compile_fn(rates, names)
+    law = ex.compile_fn([u, ref.ud_exprs], names)
+    held = []
 
-    def rhs(t, y):
-        x, xd, z = split(y)
-        ud = ref.eval_ud(t, xd)
-        fx = sys.eval_f(x) + sys.eval_b(x) @ law(t, x, xd, z, ud, held)
-        fxd = sys.eval_f(xd) + sys.eval_b(xd) @ ud
-        return np.concatenate([fx, fxd, fx - cfg.ell * (z - x)] if use_z else [fx, fxd])
+    def stage(t, y):
+        return closed_loop(t, *y, *(correction(y) if per_stage else held))
 
     times = time_grid(0.0, cfg.T, cfg.h)
-    state = np.concatenate([x0, xd0, z0] if use_z else [x0, xd0])
-    states = np.empty((times.size, state.size))
-    us = np.full((times.size, sys.m), np.nan)  # NaN where the controller failed
-    uds = np.empty((times.size, sys.m))
+    state = np.concatenate([x0, xd0, z0] if use_z else [x0, xd0]).tolist()
+    states = np.empty((times.size, len(state)))
+    # NaN where the controller failed; u and ud come from one call
+    us = np.full((times.size, sys.m), np.nan)
+    uds = np.full((times.size, sys.m), np.nan)
     flags = []
-    held = None
-    for k, t in enumerate(times):
+    for k in range(times.size):
+        t = float(times[k])  # Python floats: 1/0 raises instead of giving inf
         states[k] = state
-        x, xd, z = split(state)
-        uds[k] = ud = ref.eval_ud(t, xd)
         try:
-            if update is not None:
-                held = update(x, xd, z)
-            u = law(t, x, xd, z, ud, held)
-            if not all(map(math.isfinite, u.tolist())):
+            if correction is not None:
+                held = correction(state)
+            u_k, uds[k] = law(t, *state, *held)
+            if not all(map(math.isfinite, u_k)):
                 raise ArithmeticError("non-finite control")
-            us[k] = u
+            us[k] = u_k
         except (GeodesicError, ArithmeticError, ValueError) as err:
             flags.append(f"controller failure at t={t:g}: {err}")
             break
         if k + 1 == times.size:
             break
         try:
-            state = rk4_step(rhs, state, t, times[k + 1] - t)
-            if np.max(np.abs(state)) > DIVERGENCE_LIMIT:
+            state = rk4_step(stage, state, t, float(times[k + 1]) - t)
+            if max(map(abs, state)) > DIVERGENCE_LIMIT:
                 raise IntegrationError("state divergence", times[k + 1])
         except (IntegrationError, ArithmeticError, ValueError) as err:
             flags.append(f"numerical failure at t={t:g}: {err}")

@@ -254,7 +254,7 @@ def test_10_property_suites(numex):
 
     # fixed-step integrator shows fourth-order convergence
     def error_at(step):
-        _, states = rk4_solve(lambda t, x: -x, np.array([1.0]), 0.0, 2.0, step)
+        _, states = rk4_solve(lambda t, x: [-v for v in x], np.array([1.0]), 0.0, 2.0, step)
         return abs(states[-1, 0] - math.exp(-2.0))
 
     factor = error_at(0.1) / error_at(0.05)

@@ -301,7 +301,6 @@ class TestCliSimulate:
         assert main(["simulate", "--config", path, "--grid", "5",
                      "--out", str(tmp_path / "t.csv")]) == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_failure_exit_three(self, tmp_path, capsys):
         path = write_config(
             tmp_path,

@@ -239,7 +239,7 @@ class TestDynExt:
 
     def test_opaque_gain_matches_symbolic(self, numex_gain):
         # a gain known only as a callable (as a synthesized one is) takes
-        # the same quadrature through GainField.column
+        # the same stacked quadrature as the symbolic gain
         opaque = GainField(2, 1, numex_gain)
         rng = np.random.default_rng(37)
         for _ in range(5):

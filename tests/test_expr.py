@@ -304,6 +304,41 @@ class TestDeepNesting:
             ex.parse("(" * 1000 + "x1" + ")" * 1000, XY)
 
 
+class TestSubstitute:
+    def test_10000_term_sum(self):
+        # deeper than the recursion limit: the walk must be iterative
+        e = ex.parse(" + ".join(["x1"] * 10000), XY)
+        out = ex.substitute(e, {"x1": ex.parse("2*x2", XY)})
+        assert ex.free_variables(out) == {"x2"}
+        assert ex.compile_fn(out, XY)(0.0, 1.5) == 30000.0
+
+    def test_unmapped_variables_left_alone(self):
+        e = ex.parse("x1*x2 + sin(x2)", XY)
+        out = ex.substitute(e, {"x1": ex.var("y1")})
+        assert out == ex.parse("y1*x2 + sin(x2)", ["y1", "x2"])
+        assert out.args[1] is e.args[1]  # sin(x2) has nothing to replace
+        assert ex.substitute(e, {}) is e
+        assert ex.substitute(e, {"z9": ex.ONE}) is e
+
+    def test_matches_evaluate_under_renamed_env(self):
+        rng = random.Random(61)
+        rename = {"x1": ex.var("xd1"), "x2": ex.var("xd2")}
+        for _ in range(50):
+            e = _random_ast(rng, 4)
+            env = {"x1": rng.uniform(-2, 2), "x2": rng.uniform(-2, 2)}
+            renamed = {"xd1": env["x1"], "xd2": env["x2"]}
+            out = ex.substitute(e, rename)
+            assert not ex.free_variables(out) & set(XY)
+            assert ex.evaluate(out, renamed) == ex.evaluate(e, env)
+
+    def test_shared_subtree_stays_shared(self):
+        shared = ex.parse("x1*x2", XY)
+        e = ex.Expr("add", args=(ex.func("sin", shared), ex.func("cos", shared)))
+        out = ex.substitute(e, {"x1": ex.var("y")})
+        assert out.args[0].args[0] is out.args[1].args[0]
+        assert out.args[0].args[0] == ex.parse("y*x2", ["y", "x2"])
+
+
 def test_compile_fn_overflowing_literals():
     e = ex.parse("1e400*x1", XY)
     assert ex.compile_fn(e, XY)(2.0, 0.0) == ex.evaluate(e, {"x1": 2.0}) == math.inf

@@ -9,7 +9,7 @@ from ccmkit.integrate import IntegrationError, rk4_solve, rk4_step, rk45_integra
 
 
 def decay(t, x):
-    return -x
+    return [-v for v in x]
 
 
 class TestRk4Step:

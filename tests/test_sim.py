@@ -1,14 +1,22 @@
 """Closed-loop simulation, diagnostics, and the perturbation sweep."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 
+from ccmkit import expr as ex
 from ccmkit.certificates import Grid
-from ccmkit.controller import GainField
-from ccmkit.integrate import rk45_integrate
-from ccmkit.model import ReferenceSpec, SystemModel
+from ccmkit.controller import GainField, dynext_control, radial_potential
+from ccmkit.geodesic import GeodesicError, path_integral_controller
+from ccmkit.integrate import (
+    DIVERGENCE_LIMIT,
+    IntegrationError,
+    rk45_integrate,
+    time_grid,
+)
+from ccmkit.model import ReferenceSpec, SystemModel, float_args
 from ccmkit.sim import (
     RunConfig,
     SimTrace,
@@ -17,6 +25,106 @@ from ccmkit.sim import (
     perturbation_sweep,
     run_closed_loop,
 )
+
+
+def numpy_rk4_step(field, x, t, h):
+    k1 = field(t, x)
+    k2 = field(t + 0.5 * h, x + 0.5 * h * k1)
+    k3 = field(t + 0.5 * h, x + 0.5 * h * k2)
+    k4 = field(t + h, x + h * k3)
+    out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(out)):
+        raise IntegrationError("non-finite state in RK4 step", t)
+    return out
+
+
+def reference_loop(sys, metric, gain, ref, cfg):
+    """Oracle for run_closed_loop: the closed loop assembled at every RK4
+    stage from eval_f, eval_b, eval_ud and the controller functions on
+    numpy arrays, with the same time grid, hold and failure flags."""
+    n = sys.n
+    xd0 = np.asarray(ref.xd0, dtype=float)
+    x0 = np.asarray(cfg.x0 if cfg.x0 is not None else xd0, dtype=float)
+    use_z = cfg.kind in ("dynext", "custom")
+    z0 = np.asarray(cfg.z0 if cfg.z0 is not None else xd0, dtype=float)
+    update = None
+    if cfg.kind == "custom":
+        names = (["t"] + [f"{p}{i + 1}" for p in ("x", "xd", "z") for i in range(n)])
+        custom = ex.compile_fn([ex.parse(e, names) for e in cfg.custom_u], names)
+
+        def law(t, x, xd, z, ud, held):
+            return np.array(custom(*float_args((t, *x, *xd, *z))))
+    elif cfg.kind == "static":
+        def law(t, x, xd, z, ud, held):
+            return ud + (radial_potential(gain, x) - radial_potential(gain, xd))
+    else:
+        def law(t, x, xd, z, ud, held):
+            return ud + held
+
+        if cfg.kind == "dynext":
+            def update(x, xd, z):
+                return dynext_control(gain, z, x, xd, 0.0)
+        else:
+            warm = None
+
+            def update(x, xd, z):
+                nonlocal warm
+                held, warm = path_integral_controller(
+                    gain, metric, x, xd, np.zeros(sys.m), cfg.geodesic_segments,
+                    path=warm)
+                return held
+
+    def split(y):
+        return y[:n], y[n : 2 * n], y[2 * n :] if use_z else None
+
+    def rhs(t, y):
+        x, xd, z = split(y)
+        ud = ref.eval_ud(t, xd)
+        fx = sys.eval_f(x) + sys.eval_b(x) @ law(t, x, xd, z, ud, held)
+        fxd = sys.eval_f(xd) + sys.eval_b(xd) @ ud
+        return np.concatenate([fx, fxd, fx - cfg.ell * (z - x)] if use_z else [fx, fxd])
+
+    times = time_grid(0.0, cfg.T, cfg.h)
+    state = np.concatenate([x0, xd0, z0] if use_z else [x0, xd0])
+    states = np.empty((times.size, state.size))
+    us = np.full((times.size, sys.m), np.nan)
+    uds = np.empty((times.size, sys.m))
+    flags = []
+    held = None
+    for k in range(times.size):
+        t = float(times[k])
+        states[k] = state
+        x, xd, z = split(state)
+        uds[k] = ud = ref.eval_ud(t, xd)
+        try:
+            if update is not None:
+                held = update(x, xd, z)
+            u = law(t, x, xd, z, ud, held)
+            if not all(map(math.isfinite, u.tolist())):
+                raise ArithmeticError("non-finite control")
+            us[k] = u
+        except (GeodesicError, ArithmeticError, ValueError) as err:
+            flags.append(f"controller failure at t={t:g}: {err}")
+            break
+        if k + 1 == times.size:
+            break
+        try:
+            state = numpy_rk4_step(rhs, state, t, float(times[k + 1]) - t)
+            if np.max(np.abs(state)) > DIVERGENCE_LIMIT:
+                raise IntegrationError("state divergence", times[k + 1])
+        except (IntegrationError, ArithmeticError, ValueError) as err:
+            flags.append(f"numerical failure at t={t:g}: {err}")
+            break
+    completed = not flags
+    end = k + 1
+    xs, xds = states[:end, :n], states[:end, n : 2 * n]
+    exits = times[:end][~sys.in_domain(xs)].tolist()
+    if exits:
+        flags.append(f"plant left the domain box at t={exits[0]:g} ({len(exits)} samples)")
+    return SimTrace(t=times[:end], x=xs, xd=xds, u=us[:end], ud=uds[:end],
+                    err=np.linalg.norm(xs - xds, axis=1),
+                    z=states[:end, 2 * n :] if use_z else None, flags=flags,
+                    completed=completed)
 
 
 def synthetic_trace(t, err):
@@ -158,6 +266,51 @@ class TestAccuracy:
         assert trace.final_err() < 1e-4
 
 
+ORACLE_CASES = {
+    "numex-static-constant": ("numex", "static", "constant", {"x0": [-1.0, 1.0]}),
+    "numex-static-exact": ("numex", "static", "exact", {"x0": [-1.0, 1.0]}),
+    "numex-dynext": ("numex", "dynext", "builtin", {"x0": [-5.0, 2.0], "z0": [0.0, 0.0]}),
+    "numex-geodesic": ("numex", "geodesic", "builtin", {"x0": [-1.0, 1.0]}),
+    "numex-custom": ("numex", "custom", None,
+                     {"x0": [1.0, -0.5], "custom_u": ["-x1 - 2*x2 + sin(t)*z1 - xd2"]}),
+    "numex-custom-divergence": ("numex", "custom", None,
+                                {"x0": [0.0, 2.0], "custom_u": ["x2^4"]}),
+    "micro-static-constant": ("micro", "static", "builtin", {"x0": [1.5, 1.0, 2.0]}),
+    "micro-dynext": ("micro", "dynext", "builtin", {"x0": [1.5, 1.0, 2.0]}),
+    "micro-geodesic": ("micro", "geodesic", "builtin", {"x0": [1.5, 1.0, 2.0]}),
+    "micro-custom": ("micro", "custom", None,
+                     {"x0": [1.5, 1.0, 2.0], "custom_u": ["xd3 - 2*(x3 - xd3) + z1 - x1"]}),
+}
+
+
+class TestReferenceLoopOracle:
+    """The generated closed loop against the per-stage reference loop."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_reference_loop(self, case, request):
+        name, kind, gain_key, kwargs = ORACLE_CASES[case]
+        bundle = request.getfixturevalue(name)
+        gains = {"constant": GainField.constant([[-1.0, -1.0]]),
+                 "exact": GainField.from_exprs(2, 1, [["-x1", "-x2^3"]])}
+        gain = (request.getfixturevalue(f"{name}_gain") if gain_key == "builtin"
+                else gains.get(gain_key))
+        kwargs = {k: v if k == "custom_u" else np.array(v) for k, v in kwargs.items()}
+        cfg = RunConfig(kind=kind, T=1.0, h=2e-3, ell=5.0,
+                        exactness_grid=Grid([-6, -6], [6, 6], (9, 9)), **kwargs)
+        got = run_closed_loop(bundle.system, bundle.metric, gain, bundle.reference, cfg)
+        want = reference_loop(bundle.system, bundle.metric, gain, bundle.reference, cfg)
+        assert got.flags == want.flags
+        assert got.completed == want.completed
+        assert got.completed != case.endswith("divergence")
+        names, data = got.columns()
+        want_names, want_data = want.columns()
+        assert names == want_names
+        for j, column in enumerate(names):
+            scale = np.max(np.abs(want_data[:, j]))
+            assert np.allclose(data[:, j], want_data[:, j], rtol=1e-9,
+                               atol=1e-9 * scale), column
+
+
 class TestFailureHandling:
     def test_divergence_truncates_and_flags(self):
         sys = SystemModel(2, 1, ["x1^2", "0"], [["0"], ["1"]],
@@ -171,7 +324,6 @@ class TestFailureHandling:
         assert trace.t[-1] < 5.0
         assert len(trace.t) == len(trace.x) == len(trace.err)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_custom_domain_error_flags(self, numex):
         cfg = RunConfig(kind="custom", T=3.0, h=1e-3,
                         x0=np.array([0.0, 0.0]), custom_u=["1/(t-1)"])
@@ -221,6 +373,26 @@ class TestFailureHandling:
         trace = run_closed_loop(numex.system, numex.metric, gain,
                                 numex.reference, cfg)
         assert trace.flags == ["controller failure at t=0: non-finite control"]
+
+    def test_infinite_static_gain_is_controller_failure(self, numex):
+        # both cross partials of [1e400*x1, 0] fold to 0, so the gain
+        # passes the exactness test; beta(x) - beta(xd) is inf - inf
+        gain = GainField.from_exprs(2, 1, [["1e400*x1", "0"]])
+        cfg = RunConfig(kind="static", T=1.0, h=1e-2,
+                        exactness_grid=Grid([-2, -2], [2, 2], (5, 5)))
+        trace = run_closed_loop(numex.system, numex.metric, gain,
+                                numex.reference, cfg)
+        assert trace.flags == ["controller failure at t=0: non-finite control"]
+
+    def test_feedforward_domain_error_at_start_is_flagged(self, numex):
+        # u and u_d come from one generated call, so 1/t in u_d at t = 0
+        # ends the run with a flag instead of raising out of it
+        ref = ReferenceSpec.from_strings(2, [3.0, -1.0], ["1/t"])
+        cfg = RunConfig(kind="static", T=1.0, h=0.25, x0=np.array([1.0, 0.0]))
+        trace = run_closed_loop(numex.system, numex.metric,
+                                GainField.constant([[-1.0, -1.0]]), ref, cfg)
+        assert trace.flags == ["controller failure at t=0: float division by zero"]
+        assert np.isnan(trace.u[0, 0]) and np.isnan(trace.ud[0, 0])
 
     def test_static_refuses_inexact_gain(self, numex, numex_gain):
         cfg = RunConfig(kind="static", T=1.0, h=1e-3, x0=np.zeros(2),
@@ -296,6 +468,23 @@ class TestCsv:
         parsed = np.array([[float(v) for v in line.split(",")]
                            for line in lines[1:]])
         assert np.array_equal(parsed, data)  # 17-digit exact round trip
+
+    def test_matches_per_value_formatting(self):
+        specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308,
+                    0.1, -1.0 / 3.0, 1e300, 123456789.0]
+        k = len(specials)
+        values = np.array(specials)
+        trace = SimTrace(t=np.arange(k, dtype=float), x=np.stack([values, values[::-1]], 1),
+                         xd=np.stack([-values, values], 1), u=values[:, None],
+                         ud=values[::-1, None], err=values, z=np.full((k, 2), -0.0))
+        buf = io.StringIO()
+        trace.write_csv(buf)
+        names, data = trace.columns()
+        expected = ",".join(names) + "\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in data)
+        assert buf.getvalue() == expected
+        assert "nan" in expected and "-inf" in expected and ",-0," in expected
+        assert "4.9406564584124654e-324" in expected
 
     def test_no_z_columns_for_static(self, micro, micro_gain):
         cfg = RunConfig(kind="static", T=0.02, h=1e-2,
