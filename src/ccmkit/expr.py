@@ -39,10 +39,6 @@ class EvalDomainError(ArithmeticError):
     """Division by zero, sqrt of a negative, overflow, or an unbound variable."""
 
 
-def _too_deep():
-    return ExprSyntaxError("expression nests too deeply", 0)
-
-
 def _sign(v):
     return 0.0 if v == 0.0 else math.copysign(1.0, v)
 
@@ -163,7 +159,6 @@ def func(name, a):
 class _Tokenizer:
     def __init__(self, text):
         self.text = text
-        self.pos = 0
         self.tokens = []
         self._scan()
         self.idx = 0
@@ -320,7 +315,7 @@ def parse(text, variables):
     try:
         return _Parser(text, variables).parse()
     except RecursionError:
-        raise _too_deep() from None
+        raise ExprSyntaxError("expression nests too deeply", 0) from None
 
 
 def evaluate(expr, env):
@@ -374,14 +369,13 @@ def free_variables(expr):
     return out
 
 
-def substitute(expr, mapping):
-    """`expr` with every variable named in `mapping` replaced by its Expr.
+def _fold(expr, combine):
+    """`combine(node, results for its operands)`, applied bottom-up.
 
-    Walks post-order with an explicit stack, so depth is not limited;
-    each node is rebuilt once, so a shared subtree stays shared, and a
-    subtree without substituted variables is returned as is.
+    Walks post-order with an explicit stack, so depth is not limited,
+    and combines each node once, so a shared subtree's result is shared.
     """
-    done = {}  # id(node) -> its substitute
+    done = {}  # id(node) -> its result
     stack = [expr]
     while stack:
         node = stack[-1]
@@ -390,13 +384,24 @@ def substitute(expr, mapping):
             stack += pending
             continue
         stack.pop()
-        if node.kind == "var":
-            done[id(node)] = mapping.get(node.name, node)
-        elif id(node) not in done:
-            args = tuple(done[id(a)] for a in node.args)
-            same = all(new is old for new, old in zip(args, node.args))
-            done[id(node)] = node if same else Expr(node.kind, node.value, node.name, args)
+        if id(node) not in done:
+            done[id(node)] = combine(node, [done[id(a)] for a in node.args])
     return done[id(expr)]
+
+
+def substitute(expr, mapping):
+    """`expr` with every variable named in `mapping` replaced by its Expr.
+
+    A subtree without substituted variables is returned as is.
+    """
+
+    def rebuild(node, args):
+        if node.kind == "var":
+            return mapping.get(node.name, node)
+        same = all(new is old for new, old in zip(args, node.args))
+        return node if same else Expr(node.kind, node.value, node.name, tuple(args))
+
+    return _fold(expr, rebuild)
 
 
 def differentiate(expr, name):
@@ -404,37 +409,30 @@ def differentiate(expr, name):
 
     d|u|/dx is sign(u) * du/dx with sign(0) = 0, so the result is total.
     """
-    try:
-        return _differentiate(expr, name)
-    except RecursionError:
-        raise _too_deep() from None
+    return _fold(expr, lambda node, d_args: _derivative(node, d_args, name))
 
 
-def _differentiate(expr, name):
+def _derivative(expr, d_args, name):
+    """d expr / d name, given the derivatives `d_args` of its operands."""
     kind = expr.kind
-    if kind == "const":
+    if kind in ("const", "sign"):
         return ZERO
     if kind == "var":
         return ONE if expr.name == name else ZERO
     if kind in ("add", "sub"):
-        da = _differentiate(expr.args[0], name)
-        db = _differentiate(expr.args[1], name)
-        return add(da, db) if kind == "add" else sub(da, db)
+        return add(*d_args) if kind == "add" else sub(*d_args)
     if kind == "mul":
-        a, b = expr.args
-        return add(mul(_differentiate(a, name), b), mul(a, _differentiate(b, name)))
+        (a, b), (da, db) = expr.args, d_args
+        return add(mul(da, b), mul(a, db))
     if kind == "div":
-        a, b = expr.args
-        num = sub(mul(_differentiate(a, name), b), mul(a, _differentiate(b, name)))
-        return div(num, pow_int(b, 2))
+        (a, b), (da, db) = expr.args, d_args
+        return div(sub(mul(da, b), mul(a, db)), pow_int(b, 2))
+    (a,), (da,) = expr.args, d_args
     if kind == "pow":
-        a = expr.args[0]
         n = int(expr.value)
-        return mul(mul(const(n), pow_int(a, n - 1)), _differentiate(a, name))
+        return mul(mul(const(n), pow_int(a, n - 1)), da)
     if kind == "neg":
-        return neg(_differentiate(expr.args[0], name))
-    a = expr.args[0]
-    da = _differentiate(a, name)
+        return neg(da)
     if kind == "sin":
         return mul(func("cos", a), da)
     if kind == "cos":
@@ -445,8 +443,6 @@ def _differentiate(expr, name):
         return mul(func("sign", a), da)
     if kind == "sqrt":
         return div(da, mul(const(2.0), func("sqrt", a)))
-    if kind == "sign":
-        return ZERO
     raise ValueError(f"unknown node kind '{kind}'")
 
 
@@ -589,39 +585,40 @@ def compile_array_fn(expr, variables):
 
 
 _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
+_OPS = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}
 
 
 def to_string(expr):
-    """Pretty-print; output reparses to a structurally equal tree."""
-    try:
-        return _to_string(expr, 0)
-    except RecursionError:
-        raise _too_deep() from None
+    """Pretty-print; output reparses to a structurally equal tree.
 
-
-def _to_string(expr, parent_prec):
-    kind = expr.kind
-    if kind == "const":
-        v = expr.value
-        s = repr(v) if v >= 0 else f"({v!r})"
-        return s
-    if kind == "var":
-        return expr.name
-    if kind in ("add", "sub", "mul", "div"):
-        op = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[kind]
-        prec = _PREC[kind]
-        left = _to_string(expr.args[0], prec - 1)
-        # right operand needs full precedence to keep left associativity
-        right = _to_string(expr.args[1], prec)
-        s = f"{left}{op}{right}"
-        return f"({s})" if prec <= parent_prec else s
-    if kind == "neg":
-        s = "-" + _to_string(expr.args[0], _PREC["neg"] - 1)
-        return f"({s})" if _PREC["neg"] <= parent_prec else s
-    if kind == "pow":
-        n = int(expr.value)
-        base = _to_string(expr.args[0], _PREC["pow"])
-        exp = str(n) if n >= 0 else f"-{-n}"
-        s = f"{base}^{exp}"
-        return f"({s})" if _PREC["pow"] <= parent_prec else s
-    return f"{kind}({_to_string(expr.args[0], 0)})"
+    Emits text left to right from an explicit stack of text pieces and
+    (node, parent precedence) pairs, so depth is not limited.
+    """
+    out = []
+    stack = [(expr, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, parent_prec = item
+        kind = node.kind
+        if kind == "const":
+            out.append(repr(node.value) if node.value >= 0 else f"({node.value!r})")
+        elif kind == "var":
+            out.append(node.name)
+        elif kind not in _PREC:  # function call
+            stack += [")", (node.args[0], 0), kind + "("]
+        else:
+            prec = _PREC[kind]
+            if kind == "neg":
+                pieces = ["-", (node.args[0], prec - 1)]
+            elif kind == "pow":
+                pieces = [(node.args[0], prec), f"^{int(node.value)}"]
+            else:
+                # right operand needs full precedence to keep left associativity
+                pieces = [(node.args[0], prec - 1), _OPS[kind], (node.args[1], prec)]
+            if prec <= parent_prec:
+                pieces = ["(", *pieces, ")"]
+            stack += pieces[::-1]
+    return "".join(out)

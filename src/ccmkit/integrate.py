@@ -4,7 +4,7 @@ Every fixed-step run steps with `rk4_step` on `time_grid`, which ends
 exactly at the final time, and counts as diverged once its state passes
 `DIVERGENCE_LIMIT`. The adaptive integrator (scipy's Dormand-Prince
 pair) is kept as an independent cross-check and never shares code with
-RK4.
+RK4; no command calls it, so scipy is imported only when it runs.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 DIVERGENCE_LIMIT = 1e9
 
@@ -69,6 +68,8 @@ def rk4_solve(field, x0, t0, t1, h):
 
 def rk45_integrate(field, x0, t_span, rel_tol=1e-10, abs_tol=1e-12, t_eval=None):
     """Adaptive 4(5) integration; oracle for cross-checking RK4 runs."""
+    from scipy.integrate import solve_ivp
+
     if rel_tol < 1e-12:
         raise ValueError("rel_tol must be >= 1e-12")
     sol = solve_ivp(
@@ -79,7 +80,6 @@ def rk45_integrate(field, x0, t_span, rel_tol=1e-10, abs_tol=1e-12, t_eval=None)
         rtol=rel_tol,
         atol=abs_tol,
         t_eval=t_eval,
-        dense_output=t_eval is None,
     )
     if not sol.success:
         raise IntegrationError(f"adaptive integration failed: {sol.message}", sol.t[-1])

@@ -1,9 +1,10 @@
 """Dense linear algebra for small matrices (dims <= ~12), on LAPACK.
 
-Thin wrappers over numpy/scipy that add the checks the rest of ccmkit
-relies on: eigensolves refuse non-symmetric input (`NonSymmetricError`),
-and inversion and the generalized eigensolve report singular or
-indefinite blocks as `SingularMatrixError` instead of returning garbage.
+Thin wrappers over numpy (and scipy's LU in `inverse`, imported on its
+first call) that add the checks the rest of ccmkit relies on:
+eigensolves refuse non-symmetric input (`NonSymmetricError`), and
+inversion and the generalized eigensolve report singular or indefinite
+blocks as `SingularMatrixError` instead of returning garbage.
 
 Every function also takes a stack of matrices, shape `(..., m, n)`, and
 solves all of its members with one batched LAPACK call; a 2-D input is
@@ -14,7 +15,6 @@ member in C order and keeps that flat position in `err.index`.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 SYM_TOL = 1e-9
 
@@ -75,6 +75,8 @@ def inverse(a, pivot_tol=1e-13):
     Raises SingularMatrixError when a pivot falls below pivot_tol times
     the largest entry of its matrix.
     """
+    import scipy.linalg
+
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrix, got shape {a.shape}")

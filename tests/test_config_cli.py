@@ -1,8 +1,15 @@
 """Config loading and the command-line front end (exit codes, outputs)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ccmkit
 from ccmkit.cli import main
 from ccmkit.config import ConfigError, load_config
 from ccmkit.controller import DampingParams, GainField, synthesize_gain
@@ -176,19 +183,28 @@ class TestCliExpressionErrors:
         return code, capsys.readouterr().err
 
     def test_deeply_nested_sum(self, tmp_path, capsys):
-        # compiles, but is too deep to print back as config text
-        code, err = self.run_user_gain(tmp_path, capsys, " + ".join(["x1"] * 3000))
-        assert code == 2
-        assert err.startswith("config error:")
+        # deeper than the recursion limit, yet prints back as config text
+        # that reparses to the same tree
+        k_1_1 = " + ".join(["x1"] * 3000)
+        path = write_config(
+            tmp_path, NUMEX_MIN + f"[gain]\nsource = user\nK_1_1 = {k_1_1}\n")
+        assert main(["synthesize", "--config", path, "--grid", "5"]) == 0
+        out = capsys.readouterr().out
+        printed = next(line.split(" = ", 1)[1] for line in out.splitlines()
+                       if line.startswith("K_1_1 = "))
+        assert printed == k_1_1  # so it reparses to the tree of the input
+        assert GainField.from_exprs(2, 1, [[printed, "0"]])([1.0, 0.0])[0, 0] == 3000.0
 
     def test_deep_gain_writes_nothing(self, tmp_path, capsys):
-        # every line is built before any is written, so a gain too deep
-        # to print leaves no partial [gain] section behind
+        # a gain too deeply parenthesised to parse fails after the output
+        # is opened, and leaves no partial [gain] section behind
         path = write_config(tmp_path, NUMEX_MIN + "[gain]\nsource = user\nK_1_1 = "
-                            + " + ".join(["x1"] * 3000) + "\n")
+                            + "(" * 1000 + "x1" + ")" * 1000 + "\n")
         out_path = tmp_path / "gain.ini"
         assert main(["synthesize", "--config", path, "--grid", "5"]) == 2
-        assert "[gain]" not in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "[gain]" not in captured.out
+        assert captured.err.startswith("config error:")
         assert main(["synthesize", "--config", path, "--grid", "5",
                      "--out", str(out_path)]) == 2
         assert "[gain]" not in out_path.read_text()
@@ -331,3 +347,49 @@ class TestCliSimulate:
         assert main(["simulate", "--config", path, "--grid", "5",
                      "--out", str(tmp_path / "t.csv")]) == 2
         assert capsys.readouterr().err.startswith("config error: [simulation]")
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Runs in a fresh interpreter: imports ccmkit, runs each argv through
+# cli.main in-process and prints the exit codes and the scipy modules
+# loaded so far.
+_IMPORT_PROBE = """
+import json, sys
+import ccmkit
+from ccmkit import cli
+
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    name for name in sys.modules if name == "scipy" or name.startswith("scipy."))}))
+"""
+
+
+def _probe(argvs):
+    env = dict(os.environ, PYTHONPATH=str(Path(ccmkit.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportsNumpyOnly:
+    """scipy is loaded only by gain synthesis, on first use."""
+
+    def test_certify_simulate_geodesic_load_no_scipy(self, tmp_path):
+        result = _probe([
+            ["certify", "--config", str(CONFIGS / "numex_certify.ini"),
+             "--out", str(tmp_path / "certify.txt")],
+            ["simulate", "--config", str(CONFIGS / "numex_dynext.ini"),
+             "--out", str(tmp_path / "trace.csv")],
+            ["geodesic", "--config", str(CONFIGS / "geodesic_demo.ini"),
+             "--from=-1,0.5", "--to=1,0.5", "--out", str(tmp_path / "path.txt")],
+        ])
+        assert result == {"codes": [0, 0, 0], "scipy": []}
+
+    def test_synthesize_loads_scipy_linalg(self, tmp_path):
+        path = write_config(tmp_path, NUMEX_MIN + "[gain]\nsource = synthesized\n")
+        result = _probe([["synthesize", "--config", path, "--grid", "9",
+                          "--out", str(tmp_path / "gain.ini")]])
+        assert result["codes"] == [0]
+        assert "scipy.linalg" in result["scipy"]
+        assert "# sample " in (tmp_path / "gain.ini").read_text()

@@ -161,6 +161,147 @@ def _random_ast(rng, depth):
     return ex.Expr(op, args=(_random_ast(rng, depth - 1),))
 
 
+def _random_tree(rng, depth, shared=()):
+    """Any-kind expression tree for structural checks (not evaluated);
+    leaves may be drawn from `shared`, so subtrees repeat by identity."""
+    if depth == 0 or rng.random() < 0.25:
+        if shared and rng.random() < 0.3:
+            return rng.choice(shared)
+        if rng.random() < 0.4:
+            return ex.const(rng.choice([0.0, 1.0, -0.0, round(rng.uniform(-3, 3), 3)]))
+        return ex.var(rng.choice(XY))
+    op = rng.choice(["add", "sub", "mul", "div", "neg", "pow", *ex.FUNCTIONS])
+    if op in ("add", "sub", "mul", "div"):
+        return ex.Expr(op, args=(_random_tree(rng, depth - 1, shared),
+                                 _random_tree(rng, depth - 1, shared)))
+    arg = _random_tree(rng, depth - 1, shared)
+    if op == "pow":
+        # a constant base could be 0 to a negative power, which pow_int
+        # refuses to fold
+        base = ex.var("x1") if arg.kind == "const" else arg
+        return ex.Expr("pow", value=float(rng.choice([-3, -1, 2, 3])), args=(base,))
+    return ex.Expr(op, args=(arg,))
+
+
+def _same_tree(a, b):
+    """Structural equality without recursion (Expr.__eq__ recurses)."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if (a.kind, a.value, a.name, len(a.args)) != (b.kind, b.value, b.name, len(b.args)):
+            return False
+        stack += zip(a.args, b.args)
+    return True
+
+
+# Oracles: the recursive walkers that differentiate and to_string replaced.
+def _recursive_differentiate(expr, name):
+    kind = expr.kind
+    if kind == "const":
+        return ex.ZERO
+    if kind == "var":
+        return ex.ONE if expr.name == name else ex.ZERO
+    if kind in ("add", "sub"):
+        da = _recursive_differentiate(expr.args[0], name)
+        db = _recursive_differentiate(expr.args[1], name)
+        return ex.add(da, db) if kind == "add" else ex.sub(da, db)
+    if kind == "mul":
+        a, b = expr.args
+        return ex.add(ex.mul(_recursive_differentiate(a, name), b),
+                      ex.mul(a, _recursive_differentiate(b, name)))
+    if kind == "div":
+        a, b = expr.args
+        num = ex.sub(ex.mul(_recursive_differentiate(a, name), b),
+                     ex.mul(a, _recursive_differentiate(b, name)))
+        return ex.div(num, ex.pow_int(b, 2))
+    if kind == "pow":
+        a = expr.args[0]
+        n = int(expr.value)
+        return ex.mul(ex.mul(ex.const(n), ex.pow_int(a, n - 1)),
+                      _recursive_differentiate(a, name))
+    if kind == "neg":
+        return ex.neg(_recursive_differentiate(expr.args[0], name))
+    a = expr.args[0]
+    da = _recursive_differentiate(a, name)
+    if kind == "sin":
+        return ex.mul(ex.func("cos", a), da)
+    if kind == "cos":
+        return ex.neg(ex.mul(ex.func("sin", a), da))
+    if kind == "exp":
+        return ex.mul(ex.func("exp", a), da)
+    if kind == "abs":
+        return ex.mul(ex.func("sign", a), da)
+    if kind == "sqrt":
+        return ex.div(da, ex.mul(ex.const(2.0), ex.func("sqrt", a)))
+    if kind == "sign":
+        return ex.ZERO
+    raise ValueError(f"unknown node kind '{kind}'")
+
+
+_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
+
+
+def _recursive_to_string(expr, parent_prec=0):
+    kind = expr.kind
+    if kind == "const":
+        v = expr.value
+        return repr(v) if v >= 0 else f"({v!r})"
+    if kind == "var":
+        return expr.name
+    if kind in ("add", "sub", "mul", "div"):
+        op = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[kind]
+        prec = _PREC[kind]
+        left = _recursive_to_string(expr.args[0], prec - 1)
+        right = _recursive_to_string(expr.args[1], prec)
+        s = f"{left}{op}{right}"
+        return f"({s})" if prec <= parent_prec else s
+    if kind == "neg":
+        s = "-" + _recursive_to_string(expr.args[0], _PREC["neg"] - 1)
+        return f"({s})" if _PREC["neg"] <= parent_prec else s
+    if kind == "pow":
+        n = int(expr.value)
+        base = _recursive_to_string(expr.args[0], _PREC["pow"])
+        exp = str(n) if n >= 0 else f"-{-n}"
+        s = f"{base}^{exp}"
+        return f"({s})" if _PREC["pow"] <= parent_prec else s
+    return f"{kind}({_recursive_to_string(expr.args[0], 0)})"
+
+
+_GAIN_TERMS = ["x1*x2", "sin(x1)", "x2^2", "-x1", "exp(x1)/x2",
+               "sqrt(x1^2+1)", "abs(x1-x2)", "x1^-2"]
+
+
+class TestRecursiveOracle:
+    """The iterative walkers agree with the recursive ones they replaced."""
+
+    def test_random_trees(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            shared = tuple(_random_tree(rng, 2) for _ in range(2))
+            e = _random_tree(rng, 6, shared)
+            assert ex.to_string(e) == _recursive_to_string(e)
+            for name in XY:
+                d = ex.differentiate(e, name)
+                assert d == _recursive_differentiate(e, name)
+                assert ex.to_string(d) == _recursive_to_string(d)
+
+    def test_derivative_of_shared_subtree_is_shared(self):
+        s = ex.parse("sin(x1)*x2", XY)
+        d = ex.differentiate(ex.Expr("add", args=(s, s)), "x1")
+        assert d.kind == "add" and d.args[0] is d.args[1]
+        assert d == _recursive_differentiate(ex.Expr("add", args=(s, s)), "x1")
+
+    def test_compiled_derivatives_match(self):
+        rng = random.Random(23)
+        for _ in range(50):
+            e = _random_ast(rng, 4)
+            point = (rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+            for name in XY:
+                got = ex.compile_fn(ex.differentiate(e, name), XY)(*point)
+                want = ex.compile_fn(_recursive_differentiate(e, name), XY)(*point)
+                assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 def test_random_derivatives_match_finite_difference():
     rng = random.Random(42)
     h = 1e-5
@@ -278,8 +419,9 @@ def test_compile_fn_propagates_domain_errors():
 
 
 class TestDeepNesting:
-    """Trees too deep for the recursive walkers (parse, differentiate,
-    to_string) are syntax errors; compile_fn has no depth limit."""
+    """Only the parser recurses (nested parentheses, unary minus and
+    function calls) and reports too-deep input as a syntax error;
+    differentiate, to_string and compile_fn have no depth limit."""
 
     def test_compile_250_term_sum(self):
         e = ex.parse(" + ".join(["x1"] * 250), XY)
@@ -288,11 +430,24 @@ class TestDeepNesting:
 
     def test_differentiate_3000_term_sum(self):
         e = ex.parse(" + ".join(["x1"] * 3000), XY)
-        with pytest.raises(ex.ExprSyntaxError):
-            ex.differentiate(e, "x1")
-        with pytest.raises(ex.ExprSyntaxError):
-            ex.to_string(e)
+        assert ex.differentiate(e, "x1") == ex.const(3000.0)
+        assert ex.differentiate(e, "x2") == ex.ZERO
+        assert _same_tree(ex.parse(ex.to_string(e), XY), e)
         assert ex.compile_fn(e, XY)(1.0, 0.0) == 3000.0
+
+    def test_10000_term_gain_round_trips(self):
+        # a K_1_1 far deeper than the recursion limit differentiates,
+        # prints and reparses to an equal tree
+        e = ex.parse(" + ".join(_GAIN_TERMS[i % len(_GAIN_TERMS)]
+                                for i in range(10000)), XY)
+        assert _same_tree(ex.parse(ex.to_string(e), XY), e)
+        for name in XY:
+            d = ex.differentiate(e, name)
+            assert _same_tree(ex.parse(ex.to_string(d), XY), d)
+            assert ex.compile_fn(d, XY)(0.7, 1.3) == pytest.approx(
+                10000 / len(_GAIN_TERMS) * sum(
+                    ex.evaluate(ex.differentiate(ex.parse(t, XY), name),
+                                {"x1": 0.7, "x2": 1.3}) for t in _GAIN_TERMS))
 
     def test_compile_10000_term_sum(self):
         e = ex.parse(" + ".join(["x1"] * 10000), XY)
