@@ -26,6 +26,7 @@ from .linalg import (
 DEFAULT_TOL = 1e-8
 DEFAULT_POINTS_PER_AXIS = 21
 MAX_GRID_POINTS = 10**6
+BOUND_TOL = 1e-9   # slack on the declared metric eigenvalue bounds
 
 
 class CertificateError(RuntimeError):
@@ -138,19 +139,19 @@ def _finish(condition, points, margins, directions, passed, tol, **kwargs):
 
 def _primal_stacks(sys, metric, points):
     """(Q, M, B) at every grid point as stacks, Q as in contraction_quadratic."""
-    m_x = metric.eval(points, stacked=True)
-    jac = sys.jac_f(points, stacked=True)
-    dm_f = metric.dir_deriv(points, sys.eval_f(points, stacked=True), stacked=True)
+    m_x = metric.eval(points)
+    jac = sys.jac_f(points)
+    dm_f = metric.dir_deriv(points, sys.eval_f(points))
     q = dm_f + m_x @ jac + np.swapaxes(jac, 1, 2) @ m_x
-    return q, m_x, sys.eval_b(points, stacked=True)
+    return q, m_x, sys.eval_b(points)
 
 
 def _column_stacks(sys, metric, points, b):
     """(dB_j/dx, d_{B_j} M) at every grid point, shape (P, m, n, n) each,
     from the stack b of B."""
     columns = range(sys.m)
-    db = np.stack([sys.jac_b_col(points, j, stacked=True) for j in columns], axis=1)
-    dm_b = np.stack([metric.dir_deriv(points, b[:, :, j], stacked=True)
+    db = np.stack([sys.jac_b_col(points, j) for j in columns], axis=1)
+    dm_b = np.stack([metric.dir_deriv(points, b[:, :, j])
                      for j in columns], axis=1)
     return db, dm_b
 
@@ -187,9 +188,9 @@ def _per_rank(points, groups, solve, width):
     return margins, directions
 
 
-def _check_metric_bounds(metric, points, m_x, tol=1e-9):
+def _check_metric_bounds(metric, points, m_x):
     w, _ = sym_eig(m_x)
-    bad = np.flatnonzero((w[:, 0] < metric.p_lo - tol) | (w[:, -1] > metric.p_hi + tol))
+    bad = np.flatnonzero((w[:, 0] < metric.p_lo - BOUND_TOL) | (w[:, -1] > metric.p_hi + BOUND_TOL))
     if bad.size:
         at = bad[0]
         raise CertificateError(
@@ -212,8 +213,8 @@ def check_killing_pde(sys, metric, grid, tol=DEFAULT_TOL):
     if metric.role != "primal":
         raise CertificateError("Killing check needs a primal metric")
     points = grid.array()
-    m_x = metric.eval(points, stacked=True)[:, None]
-    db, dm_b = _column_stacks(sys, metric, points, sys.eval_b(points, stacked=True))
+    m_x = metric.eval(points)[:, None]
+    db, dm_b = _column_stacks(sys, metric, points, sys.eval_b(points))
     residual = dm_b + np.swapaxes(db, -1, -2) @ m_x + m_x @ db
     margins = np.abs(residual).max(axis=(1, 2, 3))
     passed = margins.max() <= tol
@@ -268,16 +269,16 @@ def check_dual_w(sys, w_metric, grid, tol=DEFAULT_TOL):
     if w_metric.role != "dual":
         raise CertificateError("dual-W check needs a metric with role=dual")
     points = grid.array()
-    w_x = w_metric.eval(points, stacked=True)
-    jac = sys.jac_f(points, stacked=True)
-    dw_f = w_metric.dir_deriv(points, sys.eval_f(points, stacked=True), stacked=True)
+    w_x = w_metric.eval(points)
+    jac = sys.jac_f(points)
+    dw_f = w_metric.dir_deriv(points, sys.eval_f(points))
     flow = dw_f + jac @ w_x + w_x @ np.swapaxes(jac, 1, 2)
 
     def solve(index, basis):
         w, vecs = sym_eig(_project(basis, flow[index]))
         return w, vecs, basis
 
-    b = sys.eval_b(points, stacked=True)
+    b = sys.eval_b(points)
     groups = null_space_basis(np.swapaxes(b, 1, 2))
     margins, directions = _per_rank(points, groups, solve, sys.n)
     db, dw_b = _column_stacks(sys, w_metric, points, b)

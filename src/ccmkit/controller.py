@@ -11,16 +11,18 @@ dynamic extension with an observer-like state z.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import expr as ex
 from .integrate import rk4_step
 from .linalg import SingularMatrixError, inverse, spectral_norm
-from .model import state_vars
+from .model import _Field, state_vars
 
 EXACTNESS_TOL = 1e-10
-QUAD_NODES = 32
+QUAD_NODES = 32   # Gauss-Legendre nodes of every potential quadrature
+FD_STEP = 1e-6    # central-difference step of a gain without expressions
 
 
 class SynthesisError(RuntimeError):
@@ -31,15 +33,11 @@ class ExactnessError(RuntimeError):
     pass
 
 
-_GL_CACHE = {}
-
-
-def gauss_legendre_01(n=QUAD_NODES):
-    """Nodes/weights on [0, 1] (cached)."""
-    if n not in _GL_CACHE:
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = (0.5 * (nodes + 1.0), 0.5 * weights)
-    return _GL_CACHE[n]
+@cache
+def gauss_legendre_01():
+    """The QUAD_NODES-point Gauss-Legendre nodes/weights on [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 @dataclass
@@ -66,13 +64,13 @@ class DampingParams:
         return min(self.lam - 1.0 / (2.0 * self.r), 2.0 / p_lo)
 
 
-def upsilon(metric, sys, x, stacked=False):
+def upsilon(metric, sys, x):
     """Norm bound used for the damping magnitude:
     || d_f M + (df/dx)^T M + M (df/dx) || (spectral norm), at one point
-    or, stacked, at each point of a (P, n) stack."""
-    m_x = metric.eval(x, stacked)
-    jac = sys.jac_f(x, stacked)
-    flow = metric.dir_deriv(x, sys.eval_f(x, stacked), stacked)
+    or at each point of a (P, n) stack."""
+    m_x = metric.eval(x)
+    jac = sys.jac_f(x)
+    flow = metric.dir_deriv(x, sys.eval_f(x))
     return spectral_norm(flow + np.swapaxes(jac, -1, -2) @ m_x + m_x @ jac)
 
 
@@ -80,8 +78,8 @@ class GainField:
     """Differential gain K(x) in R^{m x n}; user-defined or synthesized.
 
     The evaluator, and so the gain itself and its partials, takes one
-    point, shape (n,), giving (m, n), or a stack of points, shape
-    (P, n), giving (P, m, n) in one call.
+    point, shape (n,), giving (m, n), or a stack of points, shape (P, n),
+    giving (P, m, n) in one call; a gain from expressions is a `model._Field`.
     """
 
     def __init__(self, n, m, evaluator, exprs=None, constant_matrix=None, meta=None):
@@ -91,7 +89,6 @@ class GainField:
         self.exprs = exprs  # m x n expression ASTs when symbolic
         self.constant_matrix = constant_matrix
         self.meta = meta or {}
-        self._dk_fns = None
 
     @classmethod
     def from_exprs(cls, n, m, entries):
@@ -102,11 +99,9 @@ class GainField:
         ]
         if len(exprs) != m or any(len(row) != n for row in exprs):
             raise SynthesisError(f"gain must be {m} x {n}")
-        evaluator = ex.compile_array_fn(exprs, variables)
-        constant = None
-        if all(not ex.free_variables(e) for row in exprs for e in row):
-            constant = evaluator(np.zeros(n))
-        return cls(n, m, evaluator, exprs=exprs, constant_matrix=constant)
+        k = _Field(exprs, variables)
+        constant = k(np.zeros(n)) if k.constant else None
+        return cls(n, m, k, exprs=exprs, constant_matrix=constant)
 
     @classmethod
     def constant(cls, matrix):
@@ -124,25 +119,22 @@ class GainField:
     def is_constant(self):
         return self.constant_matrix is not None
 
-    def partial(self, x, axis, fd_step=1e-6):
+    @cached_property
+    def _partials(self):
+        xs = state_vars(self.n)
+        return [_Field([[ex.differentiate(e, v) for e in row] for row in self.exprs], xs)
+                for v in xs]
+
+    def partial(self, x, axis):
         """dK/dx_axis; symbolic when expressions exist, else central FD."""
         x = np.asarray(x, dtype=float)
         if self.constant_matrix is not None:
             return np.zeros(x.shape[:-1] + (self.m, self.n))
         if self.exprs is not None:
-            if self._dk_fns is None:
-                variables = state_vars(self.n)
-                self._dk_fns = [
-                    ex.compile_array_fn(
-                        [[ex.differentiate(e, v) for e in row] for row in self.exprs],
-                        variables,
-                    )
-                    for v in variables
-                ]
-            return self._dk_fns[axis](x)
+            return self._partials[axis](x)
         step = np.zeros(self.n)
-        step[axis] = fd_step
-        return (self(x + step) - self(x - step)) / (2.0 * fd_step)
+        step[axis] = FD_STEP
+        return (self(x + step) - self(x - step)) / (2.0 * FD_STEP)
 
 
 def synthesize_gain(sys, metric, params: DampingParams, gamma_const=None):
@@ -156,7 +148,7 @@ def synthesize_gain(sys, metric, params: DampingParams, gamma_const=None):
         raise SynthesisError("gain synthesis needs a primal metric")
 
     def direction(points):
-        mb = metric.eval(points, stacked=True) @ sys.eval_b(points, stacked=True)
+        mb = metric.eval(points) @ sys.eval_b(points)
         mb_t = np.swapaxes(mb, 1, 2)
         try:
             damping = inverse(mb_t @ mb)
@@ -177,7 +169,7 @@ def synthesize_gain(sys, metric, params: DampingParams, gamma_const=None):
         scale = params.r / metric.p_lo
 
         def magnitude(points):
-            return scale * upsilon(metric, sys, points, stacked=True) ** 2 + params.gamma0
+            return scale * upsilon(metric, sys, points) ** 2 + params.gamma0
 
         meta = {"gamma": f"(r/p_lo)*upsilon(x)^2 with r={params.r:g}",
                 "gamma0": params.gamma0}
@@ -194,7 +186,7 @@ def synthesize_gain(sys, metric, params: DampingParams, gamma_const=None):
     return gain
 
 
-def exactness_residual(gain, grid, fd_step=1e-6):
+def exactness_residual(gain, grid):
     """Mixed-partials integrability defect of the gain field.
 
     Returns (max residual, witness state); zero means dK is symmetric in
@@ -204,7 +196,7 @@ def exactness_residual(gain, grid, fd_step=1e-6):
         lo = np.asarray(grid.lo)
         return 0.0, 0.5 * (lo + np.asarray(grid.hi))
     points = grid.array()
-    partials = [gain.partial(points, j, fd_step) for j in range(gain.n)]
+    partials = [gain.partial(points, j) for j in range(gain.n)]
     residuals = np.zeros(len(points))
     for i in range(gain.n):
         for j in range(i + 1, gain.n):
@@ -216,17 +208,16 @@ def exactness_residual(gain, grid, fd_step=1e-6):
     return float(residuals[worst]), points[worst]
 
 
-def radial_potential(gain, x, nodes=QUAD_NODES):
+def radial_potential(gain, x):
     """beta(x) = integral_0^1 K(s x) x ds via Gauss-Legendre."""
     x = np.asarray(x, dtype=float)
     if gain.is_constant():
         return gain.constant_matrix @ x
-    points, weights = gauss_legendre_01(nodes)
+    points, weights = gauss_legendre_01()
     return weights @ (gain(points[:, None] * x) @ x)
 
 
-def static_exact_controller(gain, x, x_d, u_d, residual=None, grid=None,
-                            tol=EXACTNESS_TOL):
+def static_exact_controller(gain, x, x_d, u_d, residual=None, grid=None):
     """u = u_d + beta(x) - beta(x_d); requires a curl-free gain field.
 
     Pass either a precomputed exactness residual or a grid to measure it.
@@ -238,15 +229,15 @@ def static_exact_controller(gain, x, x_d, u_d, residual=None, grid=None,
             residual, _ = exactness_residual(gain, grid)
         else:
             raise ExactnessError("provide an exactness residual or a grid")
-    if residual > tol:
+    if residual > EXACTNESS_TOL:
         raise ExactnessError(
-            f"gain field is not exact (residual {residual:g} > {tol:g}); "
+            f"gain field is not exact (residual {residual:g} > {EXACTNESS_TOL:g}); "
             "use the dynamic-extension or geodesic controller"
         )
     return np.asarray(u_d, dtype=float) + radial_potential(gain, x) - radial_potential(gain, x_d)
 
 
-def dynext_beta(gain, x, z, nodes=QUAD_NODES):
+def dynext_beta(gain, x, z):
     """Mixed-coordinate potential of the dynamic extension.
 
     beta(x, z) = sum_i integral_0^{x_i} K_col_i(z_1,..,mu,..,z_n) dmu
@@ -258,7 +249,7 @@ def dynext_beta(gain, x, z, nodes=QUAD_NODES):
     z = np.asarray(z, dtype=float)
     if gain.is_constant():
         return x @ gain.constant_matrix.T
-    points, weights = gauss_legendre_01(nodes)
+    points, weights = gauss_legendre_01()
     rows = x.reshape(-1, gain.n)
     row, axis = rows.nonzero()  # an axis with x_i = 0 adds nothing
     reach = rows[row, axis]
@@ -296,9 +287,9 @@ class DynExtState:
             raise SynthesisError("ell must be positive")
 
 
-def dynext_control(gain, z, x, x_d, u_d, nodes=QUAD_NODES):
+def dynext_control(gain, z, x, x_d, u_d):
     """u = u_d + beta(x, z) - beta(x_d, z) with the current z."""
-    beta = dynext_beta(gain, np.stack([x, x_d]), z, nodes)
+    beta = dynext_beta(gain, np.stack([x, x_d]), z)
     return np.asarray(u_d, dtype=float) + beta[0] - beta[1]
 
 

@@ -359,10 +359,14 @@ def evaluate(expr, env):
 
 
 def free_variables(expr):
+    """Names of the variables in an expression or a nested list of them."""
     out = set()
     stack = [expr]
     while stack:
         node = stack.pop()
+        if isinstance(node, list):
+            stack += node
+            continue
         if node.kind == "var":
             out.add(node.name)
         stack.extend(node.args)

@@ -56,7 +56,7 @@ def riemann_energy(metric, nodes):
     n_seg = nodes.shape[0] - 1
     deltas = np.diff(nodes, axis=0)
     mids = 0.5 * (nodes[1:] + nodes[:-1])
-    m_mid = metric.eval(mids, stacked=True)
+    m_mid = metric.eval(mids)
     return n_seg * float(np.einsum("ki,kij,kj->", deltas, m_mid, deltas))
 
 
@@ -70,11 +70,11 @@ def _energy_gradient(metric, nodes):
     n_seg = nodes.shape[0] - 1
     deltas = np.diff(nodes, axis=0)
     mids = 0.5 * (nodes[1:] + nodes[:-1])
-    pulls = 2.0 * np.einsum("kij,kj->ki", metric.eval(mids, stacked=True), deltas)
+    pulls = 2.0 * np.einsum("kij,kj->ki", metric.eval(mids), deltas)
     grad = pulls[:-1] - pulls[1:]
     if not metric.constant:
         bends = 0.5 * np.stack(
-            [np.einsum("ki,kij,kj->k", deltas, metric.partial(mids, i, stacked=True), deltas)
+            [np.einsum("ki,kij,kj->k", deltas, metric.partial(mids, i), deltas)
              for i in range(nodes.shape[1])],
             axis=1,
         )
@@ -95,7 +95,7 @@ def _chain_preconditioner(n_segments):
     return np.linalg.inv(lap)
 
 
-def _descend(metric, nodes, energy, max_iters, grad_tol, on_iteration, precond):
+def _descend(metric, nodes, energy, max_iters, on_iteration, precond):
     """Preconditioned gradient descent with Armijo backtracking."""
     converged = False
     iterations = 0
@@ -103,7 +103,7 @@ def _descend(metric, nodes, energy, max_iters, grad_tol, on_iteration, precond):
     for iterations in range(1, max_iters + 1):
         grad = _energy_gradient(metric, nodes)
         grad_norm = float(np.max(np.linalg.norm(grad, axis=1))) if grad.size else 0.0
-        if grad_norm <= grad_tol:
+        if grad_norm <= GRAD_TOL:
             converged = True
             iterations -= 1
             break
@@ -134,7 +134,7 @@ def _descend(metric, nodes, energy, max_iters, grad_tol, on_iteration, precond):
 
 
 def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, max_iters=MAX_ITERS,
-                   grad_tol=GRAD_TOL, init=None, on_iteration=None):
+                   init=None, on_iteration=None):
     """Minimize discrete energy between x_a and x_b at fixed node count.
 
     init optionally warm-starts from a previous node array (endpoints are
@@ -170,7 +170,7 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, max_iters=MAX_ITE
     precond = _chain_preconditioner(n_segments)
     energy = riemann_energy(metric, nodes)
     nodes, energy, iterations, converged = _descend(
-        metric, nodes, energy, max_iters, grad_tol, on_iteration, precond
+        metric, nodes, energy, max_iters, on_iteration, precond
     )
     if converged and energy > ENERGY_TOL and max_iters > iterations:
         # saddle escape: bow the interior by a half-sine bump along each
@@ -185,8 +185,7 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, max_iters=MAX_ITE
                 bumped[1:-1, axis] += sign * bump[:, 0]
                 bumped_energy = riemann_energy(metric, bumped)
                 new_nodes, new_energy, extra, reconverged = _descend(
-                    metric, bumped, bumped_energy, max_iters - iterations,
-                    grad_tol, None, precond,
+                    metric, bumped, bumped_energy, max_iters - iterations, None, precond,
                 )
                 if new_energy < energy - ENERGY_TOL:
                     nodes, energy = new_nodes, new_energy

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-SYM_TOL = 1e-9
+SYM_TOL = 1e-9      # largest entry of A - A^T accepted as symmetric
+PIVOT_TOL = 1e-13   # smallest LU pivot, relative to the largest entry
+NULL_TOL = 1e-10    # singular values below NULL_TOL * largest span the null space
 
 
 class _MatrixError(ValueError):
@@ -41,16 +43,16 @@ def _member(a, flat_index):
     return int(flat_index) if a.ndim > 2 else None
 
 
-def require_symmetric(a, tol=SYM_TOL):
+def require_symmetric(a):
     """Symmetric part of a (or of each member of a stack), after checking
-    that no entry of A - A^T exceeds tol."""
+    that no entry of A - A^T exceeds SYM_TOL."""
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NonSymmetricError(f"expected square matrix, got shape {a.shape}")
     a_t = np.swapaxes(a, -1, -2)
     if a.size:
         skew = np.abs(a - a_t).max(axis=(-2, -1)).ravel()
-        bad = np.flatnonzero(skew > tol)
+        bad = np.flatnonzero(skew > SYM_TOL)
         if bad.size:
             raise NonSymmetricError(
                 f"matrix not symmetric: max |A - A^T| = {skew[bad[0]]:g}",
@@ -59,20 +61,20 @@ def require_symmetric(a, tol=SYM_TOL):
     return 0.5 * (a + a_t)
 
 
-def sym_eig(a, tol=SYM_TOL):
+def sym_eig(a):
     """Eigendecomposition of a symmetric matrix or stack of them.
 
     Returns (eigenvalues ascending, eigenvectors as columns).
     """
-    w, v = np.linalg.eigh(require_symmetric(a, tol))
+    w, v = np.linalg.eigh(require_symmetric(a))
     return w, v
 
 
-def inverse(a, pivot_tol=1e-13):
+def inverse(a):
     """Inverse of a matrix, or of each member of a stack, after an LU
     factorization with partial pivoting.
 
-    Raises SingularMatrixError when a pivot falls below pivot_tol times
+    Raises SingularMatrixError when a pivot falls below PIVOT_TOL times
     the largest entry of its matrix.
     """
     import scipy.linalg
@@ -84,7 +86,7 @@ def inverse(a, pivot_tol=1e-13):
     scale = np.where(scale > 0.0, scale, 1.0)
     _, _, upper = scipy.linalg.lu(a)
     pivots = np.abs(np.diagonal(upper, axis1=-2, axis2=-1)).min(axis=-1, initial=np.inf)
-    bad = np.flatnonzero(pivots < pivot_tol * scale)
+    bad = np.flatnonzero(pivots < PIVOT_TOL * scale)
     if bad.size:
         raise SingularMatrixError(
             f"matrix singular to working precision (pivot {pivots.flat[bad[0]]:g})",
@@ -93,12 +95,12 @@ def inverse(a, pivot_tol=1e-13):
     return np.linalg.inv(a)
 
 
-def null_space_basis(a, tol=1e-10):
+def null_space_basis(a):
     """Orthonormal basis of the null space of a (m x n, m <= n).
 
-    Right singular vectors with singular value below tol * scale span
-    the numerical null space; rank is decided entirely by tol. On a 2-D
-    input returns the n x k basis. On a stack `(..., m, n)` the rank is
+    Right singular vectors with singular value below NULL_TOL * scale
+    span the numerical null space; rank is decided entirely by NULL_TOL.
+    On a 2-D input returns the n x k basis. On a stack `(..., m, n)` the rank is
     decided per member and the result is a list of `(index, basis)`
     pairs, one per rank present: `index` holds the flat positions (C
     order, ascending) of the members with that rank and `basis` their
@@ -106,15 +108,15 @@ def null_space_basis(a, tol=1e-10):
     """
     a = np.asarray(a, dtype=float)
     if a.ndim > 2:
-        return _null_space_groups(a.reshape(-1, *a.shape[-2:]), tol)
-    ((_, basis),) = _null_space_groups(np.atleast_2d(a)[None], tol)
+        return _null_space_groups(a.reshape(-1, *a.shape[-2:]))
+    ((_, basis),) = _null_space_groups(np.atleast_2d(a)[None])
     return basis[0]
 
 
-def _null_space_groups(stack, tol):
+def _null_space_groups(stack):
     _, sv, vt = np.linalg.svd(stack)
     scale = sv.max(axis=1, initial=1.0)
-    ranks = np.count_nonzero(sv > tol * scale[:, None], axis=1)
+    ranks = np.count_nonzero(sv > NULL_TOL * scale[:, None], axis=1)
     groups = []
     for rank in np.unique(ranks):
         index = np.flatnonzero(ranks == rank)

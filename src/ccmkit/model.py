@@ -2,13 +2,15 @@
 
 Everything is defined through scalar expression ASTs so that all the
 Jacobians and metric derivatives consumed by the certificate checks and
-the controller synthesis come from exact symbolic differentiation.
+the controller synthesis come from exact symbolic differentiation. Each
+expression-defined array (f, B, M, their derivatives, u_d, symbolic gains)
+is one `_Field`: one point runs on Python floats, a stack on numpy.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,18 +37,32 @@ def float_args(values):
 
 
 class _Field:
-    """One expression field, compiled for two back ends: `point` takes
-    one float per state (`expr.compile_fn`), `stack` takes a `(P, n)`
-    array of points (`expr.compile_array_fn`, compiled on first use)."""
+    """An expression or nested list of them over `variables`; the shape of
+    the argument picks the back end, each compiled on its first use: one
+    point `(n,)` on Python floats (`expr.compile_fn`, bit-for-bit
+    `evaluate`), a stack `(..., n)` in one numpy call (`compile_array_fn`)."""
 
     def __init__(self, exprs, variables):
         self.exprs = exprs
         self.variables = variables
-        self.point = ex.compile_fn(exprs, variables)
 
     @cached_property
-    def stack(self):
+    def constant(self):  # no entry depends on a variable
+        return not ex.free_variables(self.exprs)
+
+    @cached_property
+    def _point(self):
+        return ex.compile_fn(self.exprs, self.variables)
+
+    @cached_property
+    def _stack(self):
         return ex.compile_array_fn(self.exprs, self.variables)
+
+    def __call__(self, x):
+        x = np.asarray(x)
+        if x.ndim >= 2:
+            return self._stack(x)
+        return np.array(self._point(*float_args(x)))
 
 
 def _parse_entry(text, variables):
@@ -58,8 +74,8 @@ def _parse_entry(text, variables):
 class SystemModel:
     """x' = f(x) + B(x) u on an axis-aligned domain box.
 
-    The evaluation methods take one point, or with `stacked=True` a
-    `(P, n)` stack of points, evaluated in one call, giving `(P, ...)`.
+    The evaluation methods take one point, shape `(n,)`, or a stack of
+    points, shape `(P, n)`, evaluated in one call, giving `(P, ...)`.
     """
 
     def __init__(self, n, m, f_exprs, b_exprs, domain_lo, domain_hi, name=""):
@@ -95,9 +111,7 @@ class SystemModel:
         self._db = [
             _Field([row[j] for row in self.db_exprs], self.vars) for j in range(self.m)
         ]
-        self.b_constant = all(
-            not ex.free_variables(e) for row in self.b_exprs for e in row
-        )
+        self.b_constant = self._b.constant
 
     def in_domain(self, x):
         """Whether x lies in the domain box; per point for a (P, n) stack."""
@@ -105,27 +119,19 @@ class SystemModel:
         inside = np.all((x >= self.domain_lo - 1e-12) & (x <= self.domain_hi + 1e-12), axis=-1)
         return inside if inside.ndim else bool(inside)
 
-    def eval_f(self, x, stacked=False):
-        if stacked:
-            return self._f.stack(x)
-        return np.array(self._f.point(*float_args(x)))
+    def eval_f(self, x):
+        return self._f(x)
 
-    def eval_b(self, x, stacked=False):
-        if stacked:
-            return self._b.stack(x)
-        return np.array(self._b.point(*float_args(x)))
+    def eval_b(self, x):
+        return self._b(x)
 
-    def jac_f(self, x, stacked=False):
+    def jac_f(self, x):
         """Jacobian of the drift, (i, j) entry = d f_i / d x_j."""
-        if stacked:
-            return self._df.stack(x)
-        return np.array(self._df.point(*float_args(x)))
+        return self._df(x)
 
-    def jac_b_col(self, x, j, stacked=False):
+    def jac_b_col(self, x, j):
         """Jacobian of the j-th column of B, (i, k) entry = d B_ij / d x_k."""
-        if stacked:
-            return self._db[j].stack(x)
-        return np.array(self._db[j].point(*float_args(x)))
+        return self._db[j](x)
 
     def a_matrix(self, x, u):
         """Differential-dynamics matrix: jac_f + sum_j u_j * d(B col j)/dx."""
@@ -143,7 +149,7 @@ class MetricField:
 
     role is "primal" (M itself) or "dual" (W = M^-1). The upper triangle
     of the given entries is mirrored so symmetry is exact. As on
-    SystemModel, `stacked=True` evaluates a `(P, n)` stack in one call.
+    SystemModel, a `(P, n)` stack of points is evaluated in one call.
     """
 
     def __init__(self, n, m_exprs, p_lo, p_hi, lam, role="primal"):
@@ -176,29 +182,25 @@ class MetricField:
             _Field([[mij[k] for mij in row] for row in self.dm_exprs], self.vars)
             for k in range(n)
         ]
-        self.constant = all(not ex.free_variables(e) for row in self.m_exprs for e in row)
+        self.constant = self._m.constant
 
-    def eval(self, x, stacked=False):
-        if stacked:
-            return self._m.stack(x)
-        return np.array(self._m.point(*float_args(x)))
+    def eval(self, x):
+        return self._m(x)
 
-    def partial(self, x, k, stacked=False):
+    def partial(self, x, k):
         """d M / d x_k, entrywise."""
-        if stacked:
-            return self._dm[k].stack(x)
-        return np.array(self._dm[k].point(*float_args(x)))
+        return self._dm[k](x)
 
-    def dir_deriv(self, x, v, stacked=False):
+    def dir_deriv(self, x, v):
         """Directional derivative sum_k v_k dM/dx_k (per point of a stack
-        x when stacked, with v of the same shape)."""
+        x, with v of the same shape)."""
         v = np.asarray(v, dtype=float)
         out = np.zeros(v.shape[:-1] + (self.n, self.n))
         if self.constant:
             return out
         for k in range(self.n):
             if np.any(v[..., k]):
-                out += v[..., k, None, None] * self.partial(x, k, stacked)
+                out += v[..., k, None, None] * self.partial(x, k)
         return out
 
 
@@ -212,7 +214,6 @@ class ReferenceSpec:
 
     xd0: np.ndarray
     ud_exprs: list
-    _ud_fn: object = field(default=None, repr=False)
 
     @classmethod
     def from_strings(cls, n, xd0, ud_texts):
@@ -220,10 +221,13 @@ class ReferenceSpec:
         exprs = [_parse_entry(s, variables) for s in ud_texts]
         return cls(np.asarray(xd0, dtype=float), exprs)
 
+    @cached_property
+    def _ud(self):
+        return _Field(self.ud_exprs, _reference_vars(len(self.xd0)))
+
     def eval_ud(self, t, xd):
-        if self._ud_fn is None:
-            self._ud_fn = ex.compile_fn(self.ud_exprs, _reference_vars(len(xd)))
-        return np.array(self._ud_fn(float(t), *float_args(xd)))
+        """u_d at time t and one target state xd."""
+        return self._ud((t, *xd))
 
 
 def generate_reference(sys, ref, T, h):

@@ -355,8 +355,10 @@ class TestClosedLoopAlgebra:
 
 def scalar_dynext_beta(gain, x, z, nodes=32):
     """Oracle: the per-node quadrature, one tree-walking `evaluate` of
-    each column entry per Gauss-Legendre node, summed in Python floats."""
-    points, weights = gauss_legendre_01(nodes)
+    each column entry per Gauss-Legendre node, summed in Python floats.
+    The rule is mapped to [0, 1] here from numpy's own Legendre nodes."""
+    legendre, weights = np.polynomial.legendre.leggauss(nodes)
+    points, weights = 0.5 * (legendre + 1.0), 0.5 * weights
     variables = [f"x{i + 1}" for i in range(gain.n)]
     out = [0.0] * gain.m
     for i, xi in enumerate(x):

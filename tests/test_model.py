@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ccmkit import expr as ex
 from ccmkit.controller import GainField
 from ccmkit.expr import EvalDomainError
 from ccmkit.integrate import rk45_integrate
@@ -258,9 +259,18 @@ class TestBuiltins:
         assert eigs == pytest.approx([lo, hi], abs=1e-12)
 
 
+def tree_walked(exprs, env):
+    """Each entry of an expression or nested list of them by `evaluate`."""
+    if isinstance(exprs, ex.Expr):
+        return ex.evaluate(exprs, env)
+    return [tree_walked(e, env) for e in exprs]
+
+
 class TestStackedEvaluation:
-    """`stacked=True` evaluates a (P, n) stack in one call on the array
-    back end; each member matches the per-point (float back end) call."""
+    """The argument's shape picks the back end: a (P, n) stack is evaluated
+    in one call on the array back end, and each member matches the
+    one-point call, which runs on the float back end and equals the tree
+    walker bit for bit. Each back end is compiled on its first use."""
 
     @staticmethod
     def curved():
@@ -277,6 +287,72 @@ class TestStackedEvaluation:
         )
         return sys, metric
 
+    @staticmethod
+    def fields(sys, metric, gain):
+        """(call, exprs) of every expression field over the state: `call(x)`
+        evaluates `exprs` at x."""
+        xs = sys.vars
+        out = [(sys.eval_f, sys.f_exprs), (sys.eval_b, sys.b_exprs),
+               (sys.jac_f, sys.df_exprs), (metric.eval, metric.m_exprs), (gain, gain.exprs)]
+        for j in range(sys.m):
+            out.append((lambda x, j=j: sys.jac_b_col(x, j), [row[j] for row in sys.db_exprs]))
+        for k in range(sys.n):
+            out.append((lambda x, k=k: metric.partial(x, k),
+                        [[d[k] for d in row] for row in metric.dm_exprs]))
+            out.append((lambda x, k=k: gain.partial(x, k),
+                        [[ex.differentiate(e, xs[k]) for e in row] for row in gain.exprs]))
+        return out
+
+    def cases(self, numex):
+        sys, metric = self.curved()
+        gain = GainField.from_exprs(3, 1, [["x1*x2", "sin(x3) - x1^2", "exp(x2/3)"]])
+        ref = ReferenceSpec.from_strings(3, [0.0, 0.5, 1.0], ["cos(t)*xd2 - xd3^3"])
+        yield sys, metric, gain, ref
+        yield (numex.system, numex.metric, GainField.from_exprs(2, 1, numex.builtin_gain),
+               numex.reference)
+
+    def test_one_point_equals_tree_walker_bit_for_bit(self, numex):
+        rng = np.random.default_rng(43)
+        for sys, metric, gain, ref in self.cases(numex):
+            for call, exprs in self.fields(sys, metric, gain):
+                for x in rng.uniform(-2, 2, size=(5, sys.n)):
+                    got = call(x)
+                    want = np.array(tree_walked(exprs, dict(zip(sys.vars, x.tolist()))))
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                    one = call(x[None])
+                    assert one.shape == (1,) + got.shape
+                    np.testing.assert_allclose(one[0], got, rtol=1e-12, atol=1e-12)
+            ts = ["t"] + [f"xd{i + 1}" for i in range(sys.n)]
+            for y in rng.uniform(-2, 2, size=(5, sys.n + 1)):
+                want = np.array(tree_walked(ref.ud_exprs, dict(zip(ts, y.tolist()))))
+                assert ref.eval_ud(y[0], y[1:]).tobytes() == want.tobytes()
+
+    def test_building_compiles_nothing(self, monkeypatch):
+        compiled = {"compile_fn": 0, "compile_array_fn": 0}
+        for name in compiled:
+            def counted(*args, name=name, original=getattr(ex, name)):
+                compiled[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(ex, name, counted)
+        bundle = builtin("numex")
+        gain = GainField.from_exprs(2, 1, bundle.builtin_gain)
+        ref = ReferenceSpec.from_strings(2, [3.0, -1.0], ["sin(t) - cos(t)^2 * xd1"])
+        assert compiled == {"compile_fn": 0, "compile_array_fn": 0}
+        point = np.array([0.5, 1.5])
+        for call, _ in self.fields(bundle.system, bundle.metric, gain):
+            call(point)
+            call(point)
+            assert compiled == {"compile_fn": 1, "compile_array_fn": 0}
+            call(np.stack([point, -point]))
+            call(point[None])
+            assert compiled == {"compile_fn": 1, "compile_array_fn": 1}
+            compiled.update(compile_fn=0, compile_array_fn=0)
+        ref.eval_ud(0.5, point)
+        ref.eval_ud(1.0, point)
+        assert compiled == {"compile_fn": 1, "compile_array_fn": 0}
+
     def test_matches_per_point(self, micro):
         points = np.random.default_rng(41).uniform(-2, 2, size=(9, 3))
         for sys, metric in (self.curved(), (micro.system, micro.metric)):
@@ -287,20 +363,20 @@ class TestStackedEvaluation:
                 (metric.partial, (0,)), (metric.partial, (2,)),
             ]
             for method, extra in pairs:
-                stacked = method(points, *extra, stacked=True)
+                stacked = method(points, *extra)
                 per_point = np.array([method(x, *extra) for x in points])
                 assert stacked.shape == per_point.shape
                 np.testing.assert_allclose(stacked, per_point, rtol=1e-12, atol=1e-12)
-            stacked = metric.dir_deriv(points, v, stacked=True)
+            stacked = metric.dir_deriv(points, v)
             per_point = np.array([metric.dir_deriv(x, vx) for x, vx in zip(points, v)])
             np.testing.assert_allclose(stacked, per_point, rtol=1e-12, atol=1e-12)
 
     def test_constant_entries_fill_the_stack(self, numex):
         points = np.zeros((4, 2))
-        assert np.array_equal(numex.metric.eval(points, stacked=True),
+        assert np.array_equal(numex.metric.eval(points),
                               np.broadcast_to(numex.metric.eval(points[0]), (4, 2, 2)))
-        assert numex.system.eval_b(points, stacked=True).shape == (4, 2, 1)
-        assert np.array_equal(numex.metric.dir_deriv(points, points, stacked=True),
+        assert numex.system.eval_b(points).shape == (4, 2, 1)
+        assert np.array_equal(numex.metric.dir_deriv(points, points),
                               np.zeros((4, 2, 2)))
 
     def test_domain_error_in_one_member_raises(self):
@@ -310,9 +386,9 @@ class TestStackedEvaluation:
         points[3, 0] = 0.0
         for call in (sys.eval_f, sys.eval_b, sys.jac_f, metric.eval):
             with pytest.raises(EvalDomainError):
-                call(points, stacked=True)
+                call(points)
         with pytest.raises(EvalDomainError):
-            metric.partial(points, 0, stacked=True)
+            metric.partial(points, 0)
 
     def test_in_domain_per_point(self, micro):
         sys = micro.system

@@ -1,0 +1,44 @@
+"""The traced benchmark run can find every ccmkit name it wraps.
+
+`perfbench/tracer.py` lists in `TRACED` each function and method that a
+traced run (`perfbench/run.py --trace 1`, `perfbench/check_repeat.py`)
+wraps, and `Tracer.install` looks each one up without a default: a
+module attribute with `getattr`, a method in its class's own `__dict__`.
+A rename in ccmkit that misses that list would only break the traced
+run; this test makes it break Tier-1 instead. It reads perfbench and
+changes nothing there.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def traced_entries():
+    """The `TRACED` list of the tracer module, read without importing it."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TRACED list")
+
+
+def test_every_traced_name_resolves_as_install_does():
+    entries = traced_entries()
+    assert entries
+    missing = []
+    for module, path, span in entries:
+        home = importlib.import_module(f"ccmkit.{module}")
+        if "." in path:
+            cls_name, attr = path.split(".")
+            cls = getattr(home, cls_name, None)
+            found = cls is not None and attr in cls.__dict__
+        else:
+            found = callable(getattr(home, path, None))
+        if not found:
+            missing.append(f"{span}: ccmkit.{module}.{path}")
+    assert not missing, missing
+
