@@ -263,6 +263,26 @@ def dynext_beta(gain, x, z):
     return out.reshape(x.shape[:-1] + (gain.m,))
 
 
+def dynext_beta_exprs(gain, x, z):
+    """`dynext_beta` as m expressions in the Exprs x and z, for a gain
+    with expressions or a constant one: the same rule, each node one
+    substitution into `gain.exprs` (an axis with x_i = 0 is multiplied
+    by 0, not skipped)."""
+    if gain.is_constant():
+        return ex.matvec([[ex.const(k) for k in row] for row in gain.constant_matrix.tolist()], x)
+    names = state_vars(gain.n)
+    points, weights = gauss_legendre_01()
+    beta = [ex.ZERO] * gain.m
+    for i, x_i in enumerate(x):
+        quad = [ex.ZERO] * gain.m
+        for s, w in zip(points.tolist(), weights.tolist()):
+            slots = {**dict(zip(names, z)), names[i]: ex.mul(ex.const(s), x_i)}
+            quad = [ex.add(q, ex.mul(ex.const(w), ex.substitute(row[i], slots)))
+                    for q, row in zip(quad, gain.exprs)]
+        beta = [ex.add(b, ex.mul(x_i, q)) for b, q in zip(beta, quad)]
+    return beta
+
+
 def khat(gain, x, z):
     """dbeta/dx(x, z): column i of K evaluated with x_i in slot i and z
     elsewhere. khat(x, x) = K(x)."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -154,6 +155,11 @@ def func(name, a):
     if name == "neg":
         return neg(a)
     return Expr(name, args=(a,))
+
+
+def matvec(rows, point):
+    """The products rows @ point as expressions, summed left to right."""
+    return [reduce(add, [mul(entry, p) for entry, p in zip(row, point)]) for row in rows]
 
 
 class _Tokenizer:

@@ -226,8 +226,8 @@ class ReferenceSpec:
         return _Field(self.ud_exprs, _reference_vars(len(self.xd0)))
 
     def eval_ud(self, t, xd):
-        """u_d at time t and one target state xd."""
-        return self._ud((t, *xd))
+        """u_d at time t and one target state xd, on the float back end."""
+        return np.array(self._ud._point(float(t), *float_args(xd)))
 
 
 def generate_reference(sys, ref, T, h):

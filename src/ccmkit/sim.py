@@ -7,24 +7,28 @@ static (constant gain) or custom feedback are folded into the field. The
 dynamic-extension and geodesic corrections, whose per-evaluation cost
 dominates, are computed once per step and passed as v over it
 (zero-order hold); a non-constant exact static gain passes its potential
-difference as v at every stage.
+difference as v at every stage. The dynamic-extension correction of a
+gain with expressions (or a constant one) is generated too, one more
+compiled function from `controller.dynext_beta_exprs`; a gain without
+expressions (`synthesize_gain` output) uses `controller.dynext_control`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import reduce
 
 import numpy as np
 
 from . import expr as ex
-from .controller import EXACTNESS_TOL, dynext_control, exactness_residual, radial_potential
+from .controller import (EXACTNESS_TOL, dynext_beta_exprs, dynext_control,
+                         exactness_residual, radial_potential)
 from .geodesic import GeodesicError, path_integral_controller
 from .integrate import DIVERGENCE_LIMIT, IntegrationError, rk4_step, time_grid
 from .model import state_vars
 
 CONTROLLER_KINDS = ("static", "dynext", "geodesic", "custom")
+CSV_BLOCK = 1024  # rows formatted per % in SimTrace.write_csv
 
 
 class SimulationError(RuntimeError):
@@ -82,8 +86,9 @@ class SimTrace:
         names, data = self.columns()
         stream.write(",".join(names) + "\n")
         row_format = ",".join(["%.17g"] * len(names)) + "\n"
-        for row in data:
-            stream.write(row_format % tuple(row.tolist()))
+        for start in range(0, len(data), CSV_BLOCK):  # one % per block of rows
+            block = data[start : start + CSV_BLOCK]
+            stream.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _require_exact(gain, grid):
@@ -101,22 +106,16 @@ def _require_exact(gain, grid):
         )
 
 
-def _linear(rows, point):
-    """The products rows @ point as expressions, summed left to right."""
-    return [reduce(ex.add, [ex.mul(entry, p) for entry, p in zip(row, point)])
-            for row in rows]
-
-
 def _plant(sys, u, rename):
     """f + B u with the state variables renamed by the `rename` mapping."""
     b = [[ex.substitute(entry, rename) for entry in row] for row in sys.b_exprs]
-    return [ex.add(ex.substitute(f, rename), bu) for f, bu in zip(sys.f_exprs, _linear(b, u))]
+    return [ex.add(ex.substitute(f, rename), bu) for f, bu in zip(sys.f_exprs, ex.matvec(b, u))]
 
 
-def _controller(sys, metric, gain, cfg, variables, x, xd, ud, v):
+def _controller(sys, metric, gain, cfg, variables, x, xd, z, ud, v):
     """Resolve cfg.kind into (u, correction, per_stage): u holds m control
-    expressions over `variables` (t, x, xd, z) and v; correction(y), when
-    not None, gives v at state y, held over the step unless per_stage."""
+    expressions over `variables` (t, x, xd, z) and v; correction(t, *y),
+    when not None, gives v at state y, held over the step unless per_stage."""
     n = sys.n
     if cfg.kind == "custom":
         if not cfg.custom_u:
@@ -129,14 +128,17 @@ def _controller(sys, metric, gain, cfg, variables, x, xd, ud, v):
         _require_exact(gain, cfg.exactness_grid)
         if gain.is_constant():
             k = [[ex.const(entry) for entry in row] for row in gain.constant_matrix.tolist()]
-            return ([ex.add(a, ex.sub(b, c)) for a, b, c in zip(ud, _linear(k, x), _linear(k, xd))],
-                    None, False)
+            return ([ex.add(a, ex.sub(b, c))
+                     for a, b, c in zip(ud, ex.matvec(k, x), ex.matvec(k, xd))], None, False)
     u = [ex.add(a, b) for a, b in zip(ud, v)]
+    if cfg.kind == "dynext" and (gain.exprs is not None or gain.is_constant()):
+        beta = zip(dynext_beta_exprs(gain, x, z), dynext_beta_exprs(gain, xd, z))
+        return u, ex.compile_fn([ex.sub(a, b) for a, b in beta], variables), False
     if cfg.kind in ("static", "dynext"):
 
         # beta(x) - beta(xd) may be inf - inf; the loop flags a non-finite u
         @np.errstate(invalid="ignore", over="ignore")
-        def correction(y):
+        def correction(t, *y):
             if cfg.kind == "dynext":
                 return dynext_control(gain, y[2 * n :], y[:n], y[n : 2 * n], 0.0).tolist()
             return (radial_potential(gain, y[:n]) - radial_potential(gain, y[n : 2 * n])).tolist()
@@ -144,7 +146,7 @@ def _controller(sys, metric, gain, cfg, variables, x, xd, ud, v):
         return u, correction, cfg.kind == "static"
     warm = None
 
-    def correction(y):
+    def correction(t, *y):
         nonlocal warm
         held, warm = path_integral_controller(
             gain, metric, y[:n], y[n : 2 * n], np.zeros(sys.m), cfg.geodesic_segments, path=warm
@@ -170,7 +172,8 @@ def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
     names += [f"z{i + 1}" for i in range(n)] if use_z else []
     x, xd, z = ([ex.var(name) for name in names[1 + i * n : 1 + (i + 1) * n]] for i in range(3))
     v = [ex.var(f"v{j + 1}") for j in range(sys.m)]
-    u, correction, per_stage = _controller(sys, metric, gain, cfg, names, x, xd, ref.ud_exprs, v)
+    u, correction, per_stage = _controller(sys, metric, gain, cfg, names, x, xd, z,
+                                           ref.ud_exprs, v)
 
     # x' = f(x) + B(x) u, xd' = f(xd) + B(xd) ud and z' = x' - ell (z - x)
     fx = _plant(sys, u, {})
@@ -183,7 +186,7 @@ def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
     held = []
 
     def stage(t, y):
-        return closed_loop(t, *y, *(correction(y) if per_stage else held))
+        return closed_loop(t, *y, *(correction(t, *y) if per_stage else held))
 
     times = time_grid(0.0, cfg.T, cfg.h)
     state = np.concatenate([x0, xd0, z0] if use_z else [x0, xd0]).tolist()
@@ -197,7 +200,7 @@ def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
         states[k] = state
         try:
             if correction is not None:
-                held = correction(state)
+                held = correction(t, *state)
             u_k, uds[k] = law(t, *state, *held)
             if not all(map(math.isfinite, u_k)):
                 raise ArithmeticError("non-finite control")

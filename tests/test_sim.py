@@ -6,9 +6,17 @@ import math
 import numpy as np
 import pytest
 
+from ccmkit import controller, sim
 from ccmkit import expr as ex
 from ccmkit.certificates import Grid
-from ccmkit.controller import GainField, dynext_control, radial_potential
+from ccmkit.controller import (
+    DampingParams,
+    GainField,
+    dynext_beta_exprs,
+    dynext_control,
+    radial_potential,
+    synthesize_gain,
+)
 from ccmkit.geodesic import GeodesicError, path_integral_controller
 from ccmkit.integrate import (
     DIVERGENCE_LIMIT,
@@ -16,7 +24,7 @@ from ccmkit.integrate import (
     rk45_integrate,
     time_grid,
 )
-from ccmkit.model import ReferenceSpec, SystemModel, float_args
+from ccmkit.model import ReferenceSpec, SystemModel, float_args, state_vars
 from ccmkit.sim import (
     RunConfig,
     SimTrace,
@@ -270,6 +278,8 @@ ORACLE_CASES = {
     "numex-static-constant": ("numex", "static", "constant", {"x0": [-1.0, 1.0]}),
     "numex-static-exact": ("numex", "static", "exact", {"x0": [-1.0, 1.0]}),
     "numex-dynext": ("numex", "dynext", "builtin", {"x0": [-5.0, 2.0], "z0": [0.0, 0.0]}),
+    "numex-dynext-synthesized": ("numex", "dynext", "synthesized",
+                                 {"x0": [-5.0, 2.0], "z0": [0.0, 0.0]}),
     "numex-geodesic": ("numex", "geodesic", "builtin", {"x0": [-1.0, 1.0]}),
     "numex-custom": ("numex", "custom", None,
                      {"x0": [1.0, -0.5], "custom_u": ["-x1 - 2*x2 + sin(t)*z1 - xd2"]}),
@@ -290,10 +300,12 @@ class TestReferenceLoopOracle:
     def test_matches_reference_loop(self, case, request):
         name, kind, gain_key, kwargs = ORACLE_CASES[case]
         bundle = request.getfixturevalue(name)
-        gains = {"constant": GainField.constant([[-1.0, -1.0]]),
-                 "exact": GainField.from_exprs(2, 1, [["-x1", "-x2^3"]])}
+        gains = {"constant": lambda: GainField.constant([[-1.0, -1.0]]),
+                 "exact": lambda: GainField.from_exprs(2, 1, [["-x1", "-x2^3"]]),
+                 "synthesized": lambda: synthesize_gain(  # no expressions: dynext_control
+                     bundle.system, bundle.metric, DampingParams(r=1.5, gamma0=0.1, lam=2.0 / 3.0))}
         gain = (request.getfixturevalue(f"{name}_gain") if gain_key == "builtin"
-                else gains.get(gain_key))
+                else gains[gain_key]() if gain_key else None)
         kwargs = {k: v if k == "custom_u" else np.array(v) for k, v in kwargs.items()}
         cfg = RunConfig(kind=kind, T=1.0, h=2e-3, ell=5.0,
                         exactness_grid=Grid([-6, -6], [6, 6], (9, 9)), **kwargs)
@@ -309,6 +321,76 @@ class TestReferenceLoopOracle:
             scale = np.max(np.abs(want_data[:, j]))
             assert np.allclose(data[:, j], want_data[:, j], rtol=1e-9,
                                atol=1e-9 * scale), column
+
+
+class TestGeneratedDynext:
+    """The dynext correction of a gain with expressions is one generated
+    function per run, against `dynext_control` as its oracle."""
+
+    SIN_EXP = [["-(x2^2 + 1)*exp(x1/5)", "-x2^2 + sin(x1)"]]
+
+    def correction(self, gain):
+        n = gain.n
+        names = ["t"] + state_vars(n) + [f"{p}{i + 1}" for p in ("xd", "z") for i in range(n)]
+        x, xd, z = ([ex.var(name) for name in names[1 + i * n : 1 + (i + 1) * n]]
+                    for i in range(3))
+        beta = zip(dynext_beta_exprs(gain, x, z), dynext_beta_exprs(gain, xd, z))
+        return ex.compile_fn([ex.sub(a, b) for a, b in beta], names)
+
+    def test_matches_dynext_control(self, numex_gain, micro_gain):
+        rng = np.random.default_rng(61)
+        gains = [numex_gain, micro_gain, GainField.from_exprs(2, 1, self.SIN_EXP)]
+        assert micro_gain.is_constant() and numex_gain.exprs is not None
+        for gain in gains:
+            n = gain.n
+            generated = self.correction(gain)
+            states = rng.uniform(-2, 2, size=(40, 3 * n))
+            # one exact zero per even row: the numpy kernel skips that axis
+            states[np.arange(0, 40, 2), rng.integers(3 * n, size=20)] = 0.0
+            states[-1, :] = 0.0
+            for y in states:
+                x, xd, z = y[:n], y[n : 2 * n], y[2 * n :]
+                got = np.array(generated(0.0, *y.tolist()))
+                want = dynext_control(gain, z, x, xd, 0.0)
+                scale = np.max(np.abs(controller.dynext_beta(gain, np.stack([x, xd]), z)))
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_symbolic_gain_compiles_once_and_skips_numpy_beta(self, numex, numex_gain,
+                                                               monkeypatch):
+        compiled, beta_calls = [], []
+
+        def compile_fn(exprs, variables, original=ex.compile_fn):
+            compiled.append(exprs)
+            return original(exprs, variables)
+
+        def dynext_beta(*args, original=controller.dynext_beta):
+            beta_calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ex, "compile_fn", compile_fn)
+        monkeypatch.setattr(controller, "dynext_beta", dynext_beta)
+        cfg = RunConfig(kind="dynext", T=0.2, h=1e-2, x0=np.array([-5.0, 2.0]), ell=5.0)
+        trace = run_closed_loop(numex.system, numex.metric, numex_gain, numex.reference, cfg)
+        assert trace.completed and len(trace.t) == 21
+        # the field and (u, u_d) read v; the correction is the one that does not
+        free = [ex.free_variables(exprs) for exprs in compiled]
+        assert len(compiled) == 3
+        assert [any(name.startswith("v") for name in names) for names in free].count(False) == 1
+        assert beta_calls == []
+
+    def test_gain_without_expressions_uses_dynext_control(self, numex, monkeypatch):
+        calls = []
+
+        def dynext_control_counted(*args, original=controller.dynext_control):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sim, "dynext_control", dynext_control_counted)
+        gain = synthesize_gain(numex.system, numex.metric,
+                               DampingParams(r=1.5, gamma0=0.1, lam=2.0 / 3.0))
+        cfg = RunConfig(kind="dynext", T=0.05, h=1e-2, x0=np.array([-5.0, 2.0]), ell=5.0)
+        trace = run_closed_loop(numex.system, numex.metric, gain, numex.reference, cfg)
+        assert trace.completed and len(calls) == len(trace.t)
 
 
 class TestFailureHandling:
@@ -485,6 +567,29 @@ class TestCsv:
         assert buf.getvalue() == expected
         assert "nan" in expected and "-inf" in expected and ",-0," in expected
         assert "4.9406564584124654e-324" in expected
+
+    def test_blocks_match_per_row_format(self, numex):
+        # 1/(t - 1) fails in the step to t = 1: 2,000 rows over two blocks
+        cfg = RunConfig(kind="custom", T=3.0, h=5e-4, x0=np.array([0.0, 0.0]),
+                        custom_u=["1/(t-1)"])
+        truncated = run_closed_loop(numex.system, numex.metric, None, numex.reference, cfg)
+        # 1/t fails at t = 0: one row with NaN u and u_d
+        ref = ReferenceSpec.from_strings(2, [3.0, -1.0], ["1/t"])
+        cfg = RunConfig(kind="static", T=1.0, h=0.25, x0=np.array([1.0, 0.0]))
+        failed = run_closed_loop(numex.system, numex.metric,
+                                 GainField.constant([[-1.0, -1.0]]), ref, cfg)
+        assert len(truncated.t) == 2000 and np.isnan(failed.u).all()
+        k = 3 * sim.CSV_BLOCK + 5
+        nans = np.where(np.arange(k) % 7 == 0, math.nan, np.linspace(-1.0, 1.0, k))
+        synthetic = synthetic_trace(np.arange(k, dtype=float), nans)
+        for trace in (truncated, failed, synthetic):
+            buf = io.StringIO()
+            trace.write_csv(buf)
+            names, data = trace.columns()
+            row_format = ",".join(["%.17g"] * len(names)) + "\n"
+            expected = ",".join(names) + "\n" + "".join(
+                row_format % tuple(row.tolist()) for row in data)
+            assert buf.getvalue() == expected
 
     def test_no_z_columns_for_static(self, micro, micro_gain):
         cfg = RunConfig(kind="static", T=0.02, h=1e-2,
