@@ -125,6 +125,13 @@ class GainField:
         return [_Field([[ex.differentiate(e, v) for e in row] for row in self.exprs], xs)
                 for v in xs]
 
+    @cached_property
+    def dynext_correction(self):
+        """beta(x, z) - beta(xd, z) over (x1..xn, xd1..xdn, z1..zn), compiled once."""
+        x, xd, z = ([ex.var(f"{p}{i + 1}") for i in range(self.n)] for p in ("x", "xd", "z"))
+        beta = zip(dynext_beta_exprs(self, x, z), dynext_beta_exprs(self, xd, z))
+        return ex.compile_fn([ex.sub(a, b) for a, b in beta], [e.name for e in x + xd + z])
+
     def partial(self, x, axis):
         """dK/dx_axis; symbolic when expressions exist, else central FD."""
         x = np.asarray(x, dtype=float)
@@ -264,10 +271,8 @@ def dynext_beta(gain, x, z):
 
 
 def dynext_beta_exprs(gain, x, z):
-    """`dynext_beta` as m expressions in the Exprs x and z, for a gain
-    with expressions or a constant one: the same rule, each node one
-    substitution into `gain.exprs` (an axis with x_i = 0 is multiplied
-    by 0, not skipped)."""
+    """`dynext_beta` as m Exprs in x and z (gain with expressions or constant),
+    one `gain.exprs` substitution per node; an axis with x_i = 0 is multiplied by 0."""
     if gain.is_constant():
         return ex.matvec([[ex.const(k) for k in row] for row in gain.constant_matrix.tolist()], x)
     names = state_vars(gain.n)

@@ -7,10 +7,9 @@ static (constant gain) or custom feedback are folded into the field. The
 dynamic-extension and geodesic corrections, whose per-evaluation cost
 dominates, are computed once per step and passed as v over it
 (zero-order hold); a non-constant exact static gain passes its potential
-difference as v at every stage. The dynamic-extension correction of a
-gain with expressions (or a constant one) is generated too, one more
-compiled function from `controller.dynext_beta_exprs`; a gain without
-expressions (`synthesize_gain` output) uses `controller.dynext_control`.
+difference as v at every stage. A gain with expressions or a constant one
+has its dynext correction compiled once (`GainField.dynext_correction`);
+others (`synthesize_gain` output) use `controller.dynext_control`.
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ def _plant(sys, u, rename):
 
 def _controller(sys, metric, gain, cfg, variables, x, xd, z, ud, v):
     """Resolve cfg.kind into (u, correction, per_stage): u holds m control
-    expressions over `variables` (t, x, xd, z) and v; correction(t, *y),
+    expressions over `variables` (t, x, xd, z) and v; correction(*y),
     when not None, gives v at state y, held over the step unless per_stage."""
     n = sys.n
     if cfg.kind == "custom":
@@ -126,19 +125,17 @@ def _controller(sys, metric, gain, cfg, variables, x, xd, z, ud, v):
         return u, None, False
     if cfg.kind == "static":
         _require_exact(gain, cfg.exactness_grid)
-        if gain.is_constant():
-            k = [[ex.const(entry) for entry in row] for row in gain.constant_matrix.tolist()]
-            return ([ex.add(a, ex.sub(b, c))
-                     for a, b, c in zip(ud, ex.matvec(k, x), ex.matvec(k, xd))], None, False)
+        if gain.is_constant():  # beta = K x for a constant gain
+            kx, kxd = dynext_beta_exprs(gain, x, z), dynext_beta_exprs(gain, xd, z)
+            return [ex.add(a, ex.sub(b, c)) for a, b, c in zip(ud, kx, kxd)], None, False
     u = [ex.add(a, b) for a, b in zip(ud, v)]
     if cfg.kind == "dynext" and (gain.exprs is not None or gain.is_constant()):
-        beta = zip(dynext_beta_exprs(gain, x, z), dynext_beta_exprs(gain, xd, z))
-        return u, ex.compile_fn([ex.sub(a, b) for a, b in beta], variables), False
+        return u, gain.dynext_correction, False
     if cfg.kind in ("static", "dynext"):
 
         # beta(x) - beta(xd) may be inf - inf; the loop flags a non-finite u
         @np.errstate(invalid="ignore", over="ignore")
-        def correction(t, *y):
+        def correction(*y):
             if cfg.kind == "dynext":
                 return dynext_control(gain, y[2 * n :], y[:n], y[n : 2 * n], 0.0).tolist()
             return (radial_potential(gain, y[:n]) - radial_potential(gain, y[n : 2 * n])).tolist()
@@ -146,7 +143,7 @@ def _controller(sys, metric, gain, cfg, variables, x, xd, z, ud, v):
         return u, correction, cfg.kind == "static"
     warm = None
 
-    def correction(t, *y):
+    def correction(*y):
         nonlocal warm
         held, warm = path_integral_controller(
             gain, metric, y[:n], y[n : 2 * n], np.zeros(sys.m), cfg.geodesic_segments, path=warm
@@ -172,8 +169,7 @@ def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
     names += [f"z{i + 1}" for i in range(n)] if use_z else []
     x, xd, z = ([ex.var(name) for name in names[1 + i * n : 1 + (i + 1) * n]] for i in range(3))
     v = [ex.var(f"v{j + 1}") for j in range(sys.m)]
-    u, correction, per_stage = _controller(sys, metric, gain, cfg, names, x, xd, z,
-                                           ref.ud_exprs, v)
+    u, correction, per_stage = _controller(sys, metric, gain, cfg, names, x, xd, z, ref.ud_exprs, v)
 
     # x' = f(x) + B(x) u, xd' = f(xd) + B(xd) ud and z' = x' - ell (z - x)
     fx = _plant(sys, u, {})
@@ -186,7 +182,7 @@ def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
     held = []
 
     def stage(t, y):
-        return closed_loop(t, *y, *(correction(t, *y) if per_stage else held))
+        return closed_loop(t, *y, *(correction(*y) if per_stage else held))
 
     times = time_grid(0.0, cfg.T, cfg.h)
     state = np.concatenate([x0, xd0, z0] if use_z else [x0, xd0]).tolist()
@@ -200,7 +196,7 @@ def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
         states[k] = state
         try:
             if correction is not None:
-                held = correction(t, *state)
+                held = correction(*state)
             u_k, uds[k] = law(t, *state, *held)
             if not all(map(math.isfinite, u_k)):
                 raise ArithmeticError("non-finite control")

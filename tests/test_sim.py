@@ -12,7 +12,6 @@ from ccmkit.certificates import Grid
 from ccmkit.controller import (
     DampingParams,
     GainField,
-    dynext_beta_exprs,
     dynext_control,
     radial_potential,
     synthesize_gain,
@@ -24,7 +23,7 @@ from ccmkit.integrate import (
     rk45_integrate,
     time_grid,
 )
-from ccmkit.model import ReferenceSpec, SystemModel, float_args, state_vars
+from ccmkit.model import ReferenceSpec, SystemModel, float_args
 from ccmkit.sim import (
     RunConfig,
     SimTrace,
@@ -286,7 +285,8 @@ ORACLE_CASES = {
     "numex-custom-divergence": ("numex", "custom", None,
                                 {"x0": [0.0, 2.0], "custom_u": ["x2^4"]}),
     "micro-static-constant": ("micro", "static", "builtin", {"x0": [1.5, 1.0, 2.0]}),
-    "micro-dynext": ("micro", "dynext", "builtin", {"x0": [1.5, 1.0, 2.0]}),
+    "micro-dynext": ("micro", "dynext", "builtin", {"x0": [1.5, 1.0, 2.0]}),  # constant K
+    "micro-dynext-symbolic": ("micro", "dynext", "symbolic", {"x0": [1.5, 1.0, 2.0]}),
     "micro-geodesic": ("micro", "geodesic", "builtin", {"x0": [1.5, 1.0, 2.0]}),
     "micro-custom": ("micro", "custom", None,
                      {"x0": [1.5, 1.0, 2.0], "custom_u": ["xd3 - 2*(x3 - xd3) + z1 - x1"]}),
@@ -302,6 +302,8 @@ class TestReferenceLoopOracle:
         bundle = request.getfixturevalue(name)
         gains = {"constant": lambda: GainField.constant([[-1.0, -1.0]]),
                  "exact": lambda: GainField.from_exprs(2, 1, [["-x1", "-x2^3"]]),
+                 "symbolic": lambda: GainField.from_exprs(
+                     3, 1, [["-x1^2/10", "-sin(x2)/5", "-2 - cos(x1*x3)/5"]]),
                  "synthesized": lambda: synthesize_gain(  # no expressions: dynext_control
                      bundle.system, bundle.metric, DampingParams(r=1.5, gamma0=0.1, lam=2.0 / 3.0))}
         gain = (request.getfixturevalue(f"{name}_gain") if gain_key == "builtin"
@@ -325,38 +327,32 @@ class TestReferenceLoopOracle:
 
 class TestGeneratedDynext:
     """The dynext correction of a gain with expressions is one generated
-    function per run, against `dynext_control` as its oracle."""
+    function per gain, against `dynext_control` as its oracle."""
 
     SIN_EXP = [["-(x2^2 + 1)*exp(x1/5)", "-x2^2 + sin(x1)"]]
-
-    def correction(self, gain):
-        n = gain.n
-        names = ["t"] + state_vars(n) + [f"{p}{i + 1}" for p in ("xd", "z") for i in range(n)]
-        x, xd, z = ([ex.var(name) for name in names[1 + i * n : 1 + (i + 1) * n]]
-                    for i in range(3))
-        beta = zip(dynext_beta_exprs(gain, x, z), dynext_beta_exprs(gain, xd, z))
-        return ex.compile_fn([ex.sub(a, b) for a, b in beta], names)
+    SIN_EXP_3x2 = [["-(x2^2 + 1)*exp(x1/5)", "-x2^2 + sin(x3)", "-2 - cos(x1*x2)"],
+                   ["sin(x1)*x3", "-1 - exp(x2/3)*x3^2", "x1*x2*x3"]]
 
     def test_matches_dynext_control(self, numex_gain, micro_gain):
         rng = np.random.default_rng(61)
-        gains = [numex_gain, micro_gain, GainField.from_exprs(2, 1, self.SIN_EXP)]
+        gains = [numex_gain, micro_gain, GainField.from_exprs(2, 1, self.SIN_EXP),
+                 GainField.from_exprs(3, 2, self.SIN_EXP_3x2)]
         assert micro_gain.is_constant() and numex_gain.exprs is not None
         for gain in gains:
             n = gain.n
-            generated = self.correction(gain)
+            generated = gain.dynext_correction  # what run_closed_loop calls
             states = rng.uniform(-2, 2, size=(40, 3 * n))
             # one exact zero per even row: the numpy kernel skips that axis
             states[np.arange(0, 40, 2), rng.integers(3 * n, size=20)] = 0.0
             states[-1, :] = 0.0
             for y in states:
                 x, xd, z = y[:n], y[n : 2 * n], y[2 * n :]
-                got = np.array(generated(0.0, *y.tolist()))
+                got = np.array(generated(*y.tolist()))
                 want = dynext_control(gain, z, x, xd, 0.0)
                 scale = np.max(np.abs(controller.dynext_beta(gain, np.stack([x, xd]), z)))
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
-    def test_symbolic_gain_compiles_once_and_skips_numpy_beta(self, numex, numex_gain,
-                                                               monkeypatch):
+    def test_symbolic_gain_compiles_once_and_skips_numpy_beta(self, numex, monkeypatch):
         compiled, beta_calls = [], []
 
         def compile_fn(exprs, variables, original=ex.compile_fn):
@@ -369,12 +365,14 @@ class TestGeneratedDynext:
 
         monkeypatch.setattr(ex, "compile_fn", compile_fn)
         monkeypatch.setattr(controller, "dynext_beta", dynext_beta)
+        gain = GainField.from_exprs(2, 1, numex.builtin_gain)  # nothing compiled yet
         cfg = RunConfig(kind="dynext", T=0.2, h=1e-2, x0=np.array([-5.0, 2.0]), ell=5.0)
-        trace = run_closed_loop(numex.system, numex.metric, numex_gain, numex.reference, cfg)
-        assert trace.completed and len(trace.t) == 21
-        # the field and (u, u_d) read v; the correction is the one that does not
+        for _ in range(2):  # a second run (a sweep sample) reuses the gain's correction
+            trace = run_closed_loop(numex.system, numex.metric, gain, numex.reference, cfg)
+            assert trace.completed and len(trace.t) == 21
+        # the field and (u, u_d) read v, per run; the correction is the one that does not
         free = [ex.free_variables(exprs) for exprs in compiled]
-        assert len(compiled) == 3
+        assert len(compiled) == 5
         assert [any(name.startswith("v") for name in names) for names in free].count(False) == 1
         assert beta_calls == []
 
