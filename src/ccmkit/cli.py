@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import certificates as certs
-from .config import ConfigError, load_config
+from .config import ConfigError, _vector, load_config
 from .controller import (
     DampingParams,
     GainField,
@@ -40,14 +40,20 @@ class _CliFailure(Exception):
 
 
 def _out_stream(args):
-    if args.out:
+    if not args.out:
+        return _sys.stdout
+    try:
         return open(args.out, "w")
-    return _sys.stdout
+    except OSError as err:
+        raise _CliFailure(EXIT_USAGE, f"cannot write --out: {err}") from None
 
 
 def _grid_for(cfg, args):
-    points = args.grid if args.grid else cfg.cert.grid_points
-    return certs.Grid.for_system(cfg.system, points)
+    points = args.grid if args.grid is not None else cfg.cert.grid_points
+    try:
+        return certs.Grid.for_system(cfg.system, points)
+    except ValueError as err:
+        raise _CliFailure(EXIT_USAGE, f"bad grid: {err}") from None
 
 
 def _resolve_gain(cfg, grid):
@@ -115,7 +121,7 @@ def cmd_certify(cfg, args, out):
             else:
                 reports.append(
                     certs.check_robust(cfg.system, cfg.metric, grid, lam,
-                                       float(cfg.cert.gamma0), cfg.cert.tol,
+                                       cfg.cert.gamma0, cfg.cert.tol,
                                        cfg.cert.robust_lambda_form)
                 )
     all_pass = all(r.passed for r in reports)
@@ -154,10 +160,8 @@ def cmd_geodesic(cfg, args, out):
     if cfg.metric is None:
         raise ConfigError("geodesic command needs a [metric]")
     n = cfg.system.n
-    x_a = np.array([float(v) for v in args.from_point.replace(",", " ").split()])
-    x_b = np.array([float(v) for v in args.to_point.replace(",", " ").split()])
-    if x_a.size != n or x_b.size != n:
-        raise _CliFailure(EXIT_USAGE, f"--from/--to need {n} coordinates")
+    x_a = _vector(args.from_point, n, "--from")
+    x_b = _vector(args.to_point, n, "--to")
     path = solve_geodesic(cfg.metric, x_a, x_b, cfg.sim.geodesic_segments)
     header = "mu," + ",".join(f"x{i + 1}" for i in range(n))
     out.write(header + "\n")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificates import DEFAULT_POINTS_PER_AXIS, DEFAULT_TOL
 from .model import (
     BuiltinBundle,
     MetricField,
@@ -42,10 +43,10 @@ class GainSpec:
 @dataclass
 class CertSpec:
     checks: tuple = ("c1", "killing")
-    grid_points: int = 21
-    tol: float = 1e-8
+    grid_points: int = DEFAULT_POINTS_PER_AXIS
+    tol: float = DEFAULT_TOL
     lam: float = None
-    gamma0: str = "auto"
+    gamma0: str | float = "auto"
     robust_lambda_form: str = "identity"
 
 
@@ -66,9 +67,12 @@ def _vector(text, n, what):
     if len(parts) != n:
         raise ConfigError(f"{what} needs {n} entries, got {len(parts)}")
     try:
-        return np.array([float(p) for p in parts])
+        values = np.array([float(p) for p in parts])
     except ValueError as err:
         raise ConfigError(f"bad number in {what}: {err}")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{what} entries must be finite")
+    return values
 
 
 def _float(section, key, default=None):
@@ -76,10 +80,21 @@ def _float(section, key, default=None):
         if default is None:
             raise ConfigError(f"missing key '{key}'")
         return default
+    return _number(section[key], f"key '{key}'")
+
+
+def _number(text, what):
     try:
-        return float(section[key])
+        return float(text)
     except ValueError:
-        raise ConfigError(f"key '{key}' is not a number: {section[key]!r}")
+        raise ConfigError(f"{what} is not a number: {text!r}")
+
+
+def _int(section, key):
+    value = _float(section, key)
+    if not value.is_integer():
+        raise ConfigError(f"key '{key}' is not an integer: {section[key]!r}")
+    return int(value)
 
 
 def _check_keys(section, name, allowed_patterns):
@@ -173,14 +188,13 @@ def _load_reference(section, sys, bundle):
 
 
 def _load_gain(section, sys, bundle):
-    if len(section) == 0:
-        return GainSpec(source="builtin" if bundle is not None else "synthesized",
-                        gamma_const=bundle.gamma_const if bundle else None)
+    if len(section) == 0 and bundle is not None:
+        return GainSpec(source="builtin", gamma_const=bundle.gamma_const)
     _check_keys(section, "gain", ["source", r"K_\d+_\d+", "r", "gamma0", "gamma"])
-    source = section.get("source", "synthesized")
+    spec = GainSpec()
+    source = spec.source = section.get("source", spec.source)
     if source not in ("synthesized", "user", "builtin"):
         raise ConfigError(f"[gain] unknown source {source!r}")
-    spec = GainSpec(source=source)
     if source == "user":
         spec.entries = [
             [section.get(f"K_{i + 1}_{j + 1}", "0") for j in range(sys.n)]
@@ -195,12 +209,12 @@ def _load_gain(section, sys, bundle):
             raise ConfigError("[gain] source=user needs K_i_j entries")
     if "r" in section:
         spec.r = _float(section, "r")
-    spec.gamma0 = _float(section, "gamma0", 1.0)
+    spec.gamma0 = _float(section, "gamma0", spec.gamma0)
     if "gamma" in section:
         text = section["gamma"].split()
         if len(text) != 2 or text[0] != "const":
             raise ConfigError("[gain] gamma must be 'const <value>'")
-        spec.gamma_const = float(text[1])
+        spec.gamma_const = _number(text[1], "[gain] gamma")
     elif source == "builtin" and bundle is not None:
         spec.gamma_const = bundle.gamma_const
     return spec
@@ -212,24 +226,22 @@ def _load_sim(section, sys, bundle):
         ["controller", "T", "h", "x0", "z0", "ell", "geodesic_N",
          "err_threshold", r"u\d+"],
     )
-    kind = section.get("controller", "dynext")
-    custom_u = None
-    if kind == "custom":
-        custom_u = [section.get(f"u{j + 1}", "0") for j in range(sys.m)]
+    # only the keys the file sets; RunConfig holds the defaults
+    kwargs = {key: _float(section, key)
+              for key in ("T", "h", "ell", "err_threshold") if key in section}
+    if "controller" in section:
+        kwargs["kind"] = section["controller"]
+    if "geodesic_N" in section:
+        kwargs["geodesic_segments"] = _int(section, "geodesic_N")
+    for key in ("x0", "z0"):
+        if key in section:
+            kwargs[key] = _vector(section[key], sys.n, key)
+    if kwargs.get("kind") == "custom":
+        kwargs["custom_u"] = [section.get(f"u{j + 1}", "0") for j in range(sys.m)]
         if all(f"u{j + 1}" not in section for j in range(sys.m)):
             raise ConfigError("[simulation] controller=custom needs u1..um")
     try:
-        return RunConfig(
-            kind=kind,
-            T=_float(section, "T", 20.0),
-            h=_float(section, "h", 1e-3),
-            x0=_vector(section["x0"], sys.n, "x0") if "x0" in section else None,
-            z0=_vector(section["z0"], sys.n, "z0") if "z0" in section else None,
-            ell=_float(section, "ell", 5.0),
-            geodesic_segments=int(_float(section, "geodesic_N", 32)),
-            custom_u=custom_u,
-            err_threshold=_float(section, "err_threshold", 1e-2),
-        )
+        return RunConfig(**kwargs)
     except SimulationError as err:
         raise ConfigError(f"[simulation]: {err}")
 
@@ -248,12 +260,13 @@ def _load_cert(section):
             raise ConfigError(f"[certificate] unknown checks: {sorted(bad)}")
         spec.checks = checks
     if "grid" in section:
-        spec.grid_points = int(_float(section, "grid"))
-    spec.tol = _float(section, "tol", 1e-8)
+        spec.grid_points = _int(section, "grid")
+    spec.tol = _float(section, "tol", spec.tol)
     if "lambda" in section:
         spec.lam = _float(section, "lambda")
-    spec.gamma0 = section.get("gamma0", "auto")
-    spec.robust_lambda_form = section.get("robust_lambda_form", "identity")
+    if "gamma0" in section and section["gamma0"] != "auto":
+        spec.gamma0 = _number(section["gamma0"], "[certificate] gamma0")
+    spec.robust_lambda_form = section.get("robust_lambda_form", spec.robust_lambda_form)
     if spec.robust_lambda_form not in ("identity", "metric"):
         raise ConfigError("[certificate] robust_lambda_form must be identity|metric")
     return spec

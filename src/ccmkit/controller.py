@@ -18,7 +18,7 @@ import numpy as np
 from . import expr as ex
 from .integrate import rk4_step
 from .linalg import SingularMatrixError, inverse, spectral_norm
-from .model import _Field, state_vars
+from .model import _Field, _parse_entry, state_vars
 
 EXACTNESS_TOL = 1e-10
 QUAD_NODES = 32   # Gauss-Legendre nodes of every potential quadrature
@@ -66,12 +66,9 @@ class DampingParams:
 
 def upsilon(metric, sys, x):
     """Norm bound used for the damping magnitude:
-    || d_f M + (df/dx)^T M + M (df/dx) || (spectral norm), at one point
+    || d_f M + M (df/dx) + (df/dx)^T M || (spectral norm), at one point
     or at each point of a (P, n) stack."""
-    m_x = metric.eval(x)
-    jac = sys.jac_f(x)
-    flow = metric.dir_deriv(x, sys.eval_f(x))
-    return spectral_norm(flow + np.swapaxes(jac, -1, -2) @ m_x + m_x @ jac)
+    return spectral_norm(metric.form(x, sys.eval_f(x), sys.jac_f(x))[0])
 
 
 class GainField:
@@ -93,10 +90,7 @@ class GainField:
     @classmethod
     def from_exprs(cls, n, m, entries):
         variables = state_vars(n)
-        exprs = [
-            [e if isinstance(e, ex.Expr) else ex.parse(e, variables) for e in row]
-            for row in entries
-        ]
+        exprs = [[_parse_entry(e, variables) for e in row] for row in entries]
         if len(exprs) != m or any(len(row) != n for row in exprs):
             raise SynthesisError(f"gain must be {m} x {n}")
         k = _Field(exprs, variables)

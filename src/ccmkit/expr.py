@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import count
 
 import numpy as np
 
@@ -536,9 +537,14 @@ def _straight_line(expr):
     return [f"{name} = {rhs}" for rhs, name in locals_.items()], operands
 
 
+_FN_IDS = count(1)
+
+
 def _exec(src, table):
+    # a file name of its own per function keeps profiler entries apart
+    code = compile(src, f"<ccmkit fn {next(_FN_IDS)}>", "exec")
     namespace = {**_COMPILE_GLOBALS, **table}
-    exec(src, namespace)  # noqa: S102 - generated from our own AST
+    exec(code, namespace)  # noqa: S102 - generated from our own AST
     return namespace["fn"]
 
 

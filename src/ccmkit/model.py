@@ -203,6 +203,17 @@ class MetricField:
                 out += v[..., k, None, None] * self.partial(x, k)
         return out
 
+    def form(self, x, v, a):
+        """The metric's form along a vector field v with Jacobian a, and M(x):
+        d_v M + M a + a^T M for role primal, -d_v W + a W + W a^T for role
+        dual (the primal expression at -v and a^T). Per point of a stack x;
+        a `(P, 1, n)` x with v `(P, m, n)` and a `(P, m, n, n)` gives one
+        form per column."""
+        if self.role == "dual":
+            v, a = -np.asarray(v, dtype=float), np.swapaxes(a, -1, -2)
+        m_x = self.eval(x)
+        return self.dir_deriv(x, v) + m_x @ a + np.swapaxes(a, -1, -2) @ m_x, m_x
+
 
 def _reference_vars(n):
     return ["t"] + [f"xd{i + 1}" for i in range(n)]

@@ -22,9 +22,9 @@ import numpy as np
 from . import expr as ex
 from .controller import (EXACTNESS_TOL, dynext_beta_exprs, dynext_control,
                          exactness_residual, radial_potential)
-from .geodesic import GeodesicError, path_integral_controller
+from .geodesic import DEFAULT_NODES, GeodesicError, path_integral_controller
 from .integrate import DIVERGENCE_LIMIT, IntegrationError, rk4_step, time_grid
-from .model import state_vars
+from .model import _parse_entry, state_vars
 
 CONTROLLER_KINDS = ("static", "dynext", "geodesic", "custom")
 CSV_BLOCK = 1024  # rows formatted per % in SimTrace.write_csv
@@ -42,7 +42,7 @@ class RunConfig:
     x0: np.ndarray = None
     z0: np.ndarray = None
     ell: float = 5.0
-    geodesic_segments: int = 32
+    geodesic_segments: int = DEFAULT_NODES
     custom_u: list = None      # m expressions over {t, x*, xd*, z*}
     exactness_grid: object = None
     err_threshold: float = 1e-2
@@ -50,10 +50,12 @@ class RunConfig:
     def __post_init__(self):
         if self.kind not in CONTROLLER_KINDS:
             raise SimulationError(f"unknown controller kind {self.kind!r}")
-        if self.T <= 0 or self.h <= 0:
+        if not (self.T > 0 and self.h > 0):  # also rejects nan
             raise SimulationError("need T > 0 and h > 0")
         if self.T / self.h > 1e7:
             raise SimulationError("T/h exceeds the 1e7 step cap")
+        if self.geodesic_segments < 2:
+            raise SimulationError("need geodesic_N >= 2 segments")
 
 
 @dataclass
@@ -119,7 +121,7 @@ def _controller(sys, metric, gain, cfg, variables, x, xd, z, ud, v):
     if cfg.kind == "custom":
         if not cfg.custom_u:
             raise SimulationError("custom controller needs expressions")
-        u = [e if isinstance(e, ex.Expr) else ex.parse(e, variables) for e in cfg.custom_u]
+        u = [_parse_entry(e, variables) for e in cfg.custom_u]
         if len(u) != sys.m:
             raise SimulationError(f"custom controller needs {sys.m} expressions")
         return u, None, False

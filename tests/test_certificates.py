@@ -267,7 +267,8 @@ class TestDualW:
             check_dual_w(numex.system, numex.metric, small_grid(numex.system))
 
     def test_duality_consistency_constant_metrics(self):
-        # for constant metrics, primal and dual verdicts must agree
+        # for constant metrics, and for the state-dependent pair at the
+        # end, primal and dual verdicts must agree
         rng = np.random.default_rng(21)
         agreements = 0
         for _ in range(10):
@@ -299,6 +300,18 @@ class TestDualW:
             assert r1.passed == r2.passed
             agreements += 1
         assert agreements == 10
+        # an exactly dual pair with W = M^-1 = diag(exp(x1), 1), so d_f W != 0
+        sys = SystemModel(2, 1, ["-x1", "-x2"], [["0"], ["1"]], [-3, -1], [1, 1])
+        primal = MetricField(2, [["exp(-x1)", "0"], ["0", "1"]],
+                             math.exp(-1) - 1e-9, math.exp(3) + 1e-9, 0.0)
+        dual = MetricField(2, [["exp(x1)", "0"], ["0", "1"]],
+                           math.exp(-3) - 1e-9, math.exp(1) + 1e-9, 0.0, role="dual")
+        grid = Grid([-3, -1], [1, 1], (21, 21))
+        r1, r2 = check_c1(sys, primal, grid), check_dual_w(sys, dual, grid)
+        assert r1.passed and r2.passed
+        # e1^T (-d_f W + J W + W J^T) e1 = (x1 - 2) exp(x1), worst at x1 = -3
+        assert r2.worst_margin == pytest.approx(-5.0 * math.exp(-3.0), rel=1e-12)
+        assert r2.details["killing_residual"] == 0.0
 
 
 class TestRobust:

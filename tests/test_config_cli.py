@@ -172,6 +172,29 @@ class TestCliCertify:
         path = write_config(tmp_path, NUMEX_MIN)
         assert main(["certify", "--config", path, "--seed", "1"]) == 2
 
+    @pytest.mark.parametrize("section, argv", [
+        pytest.param("", ["certify", "--grid", "1"], id="grid-1"),
+        pytest.param("", ["certify", "--grid", "5000"], id="grid-5000"),
+        pytest.param("[certificate]\ngrid = 1\n", ["certify"], id="config-grid-1"),
+        pytest.param("[certificate]\ngrid = nan\n", ["certify"], id="config-grid-nan"),
+        pytest.param("[gain]\ngamma = const abc\n", ["synthesize"], id="gamma-const-abc"),
+        pytest.param("[certificate]\ngamma0 = abc\n", ["certify"], id="gamma0-abc"),
+        pytest.param("", ["certify", "--out", "{tmp}/missing/dir/x.csv"], id="out-missing-dir"),
+        pytest.param("", ["geodesic", "--from", "a,b", "--to", "1,0.5"], id="from-not-numbers"),
+        pytest.param("", ["geodesic", "--from", "nan,0", "--to", "1,0.5"], id="from-nan"),
+        pytest.param("", ["geodesic", "--from", "0,0", "--to", "inf,0.5"], id="to-inf"),
+        pytest.param("[simulation]\ngeodesic_N = 1\n",
+                     ["geodesic", "--from", "0,0", "--to", "1,0.5"], id="geodesic_N-1"),
+        pytest.param("[simulation]\ngeodesic_N = inf\n", ["simulate"], id="geodesic_N-inf"),
+    ])
+    def test_malformed_input_exits_two(self, tmp_path, capsys, section, argv):
+        path = write_config(tmp_path, NUMEX_MIN + section)
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(argv[:1] + ["--config", path] + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.strip()
+        assert "Traceback" not in err
+
 
 class TestCliExpressionErrors:
     """Bad gain expressions are config errors (exit 2), not tracebacks."""
@@ -341,7 +364,8 @@ class TestCliSimulate:
         assert "# flag: controller failure at t=0" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("setting", ["controller = magic", "T = -1"])
+    @pytest.mark.parametrize(
+        "setting", ["controller = magic", "T = -1", "T = nan", "geodesic_N = 1"])
     def test_bad_simulation_section_is_config_error(self, tmp_path, capsys, setting):
         path = write_config(tmp_path, NUMEX_MIN + f"[simulation]\n{setting}\n")
         assert main(["simulate", "--config", path, "--grid", "5",

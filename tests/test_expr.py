@@ -405,6 +405,26 @@ def test_compile_fn_matches_evaluate(a, b):
             assert value.hex() == ex.evaluate(entry, {"x1": a, "x2": b}).hex()
 
 
+def test_compiled_functions_profile_apart():
+    import cProfile
+    import pstats
+
+    first = ex.compile_fn(ex.parse("x1 + x2", XY), XY)
+    second = ex.compile_fn(ex.parse("x1 * x2", XY), XY)
+    assert first.__code__.co_filename != second.__code__.co_filename
+    profile = cProfile.Profile()
+    profile.enable()
+    for _ in range(1000):
+        first(1.0, 2.0)
+    for _ in range(3000):
+        second(1.0, 2.0)
+    profile.disable()
+    calls = {key[0]: value[1] for key, value in pstats.Stats(profile).stats.items()
+             if key[2] == "fn"}
+    assert calls[first.__code__.co_filename] == 1000
+    assert calls[second.__code__.co_filename] == 3000
+
+
 def test_compile_fn_propagates_domain_errors():
     fn = ex.compile_fn(ex.parse("sqrt(x1)", XY), XY)
     with pytest.raises(ex.EvalDomainError):

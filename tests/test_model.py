@@ -148,6 +148,24 @@ class TestMetricField:
             fd = (m.eval(x + h * v) - m.eval(x - h * v)) / (2 * h)
             assert np.max(np.abs(m.dir_deriv(x, v) - fd)) <= 1e-5
 
+    def test_form_primal_dual_and_columns(self):
+        entries = [["x1^2 + 2", "x1*x2"], ["0", "x2^4 + 1"]]
+        rng = np.random.default_rng(13)
+        x = rng.uniform(-1, 1, size=(5, 2))
+        v = rng.normal(size=(5, 3, 2))
+        a = rng.normal(size=(5, 3, 2, 2))
+        for role in ("primal", "dual"):
+            m = MetricField(2, entries, 0.1, 1e3, 0.0, role=role)
+            got, m_x = m.form(x[:, None], v, a)
+            assert got.shape == (5, 3, 2, 2)
+            for p in range(5):
+                assert np.array_equal(m_x[p, 0], m.eval(x[p]))
+                for j in range(3):
+                    d, aj, mp = m.dir_deriv(x[p], v[p, j]), a[p, j], m_x[p, 0]
+                    want = (d + mp @ aj + aj.T @ mp if role == "primal"
+                            else -d + aj @ mp + mp @ aj.T)
+                    np.testing.assert_allclose(got[p, j], want, rtol=1e-12, atol=1e-12)
+
     def test_validation(self):
         with pytest.raises(ModelError):
             MetricField(2, [["1", "0"], ["0", "1"]], -1.0, 1.0, 0.0)
