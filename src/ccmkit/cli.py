@@ -58,13 +58,11 @@ def _grid_for(cfg, args):
 
 def _resolve_gain(cfg, grid):
     spec = cfg.gain
-    if spec.source == "user":
-        return GainField.from_exprs(cfg.system.n, cfg.system.m, spec.entries)
-    if spec.source == "builtin":
-        if cfg.bundle is None or cfg.bundle.builtin_gain is None:
-            raise ConfigError("gain source=builtin needs a builtin system")
-        return GainField.from_exprs(cfg.system.n, cfg.system.m,
-                                    cfg.bundle.builtin_gain)
+    if spec.source == "builtin" and (cfg.bundle is None or cfg.bundle.builtin_gain is None):
+        raise ConfigError("gain source=builtin needs a builtin system")
+    if spec.source != "synthesized":
+        entries = spec.entries if spec.source == "user" else cfg.bundle.builtin_gain
+        return GainField.from_exprs(cfg.system.n, cfg.system.m, entries)
     if cfg.metric is None:
         raise ConfigError("gain synthesis needs a primal [metric]")
     report = certs.check_c1(cfg.system, cfg.metric, grid, rate=cfg.metric.lam)
@@ -78,7 +76,7 @@ def _resolve_gain(cfg, grid):
     r = spec.r if spec.r is not None else 1.0 / lam
     params = DampingParams(r=r, gamma0=spec.gamma0, lam=lam)
     return synthesize_gain(cfg.system, cfg.metric, params,
-                           gamma_const=spec.gamma_const)
+                           gamma_const=spec.gamma_const, grid=grid)
 
 
 def cmd_certify(cfg, args, out):
@@ -138,19 +136,13 @@ def cmd_certify(cfg, args, out):
 def cmd_synthesize(cfg, args, out):
     grid = _grid_for(cfg, args)
     gain = _resolve_gain(cfg, grid)
-    lines = ["[gain]", "source = user"]
-    if gain.exprs is not None:
-        lines += [f"K_{i + 1}_{j + 1} = {to_string(entry)}"
-                  for i, row in enumerate(gain.exprs) for j, entry in enumerate(row)]
-    elif gain.is_constant():
+    lines = ["[gain]", "source = user"]  # floats or formulas; both reload as a user gain
+    if gain.is_constant():
         lines += [f"K_{i + 1}_{j + 1} = {float(gain.constant_matrix[i, j])!r}"
                   for i in range(gain.m) for j in range(gain.n)]
     else:
-        lines += ["# gain is not symbolic; sampled table follows",
-                  "# columns: x1..xn, K_1_1..K_m_n (row-major)"]
-        points = certs.Grid.for_system(cfg.system, 5).array()
-        table = np.hstack([points, gain(points).reshape(len(points), -1)])
-        lines += ["# sample " + " ".join(f"{v:.17g}" for v in row) for row in table]
+        lines += [f"K_{i + 1}_{j + 1} = {to_string(entry)}"
+                  for i, row in enumerate(gain.exprs) for j, entry in enumerate(row)]
     lines += [f"# {key} = {value}" for key, value in gain.meta.items()]
     out.write("".join(line + "\n" for line in lines))
     return EXIT_OK

@@ -9,6 +9,7 @@ Unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass
 
@@ -266,6 +267,10 @@ def _load_cert(section):
         spec.lam = _float(section, "lambda")
     if "gamma0" in section and section["gamma0"] != "auto":
         spec.gamma0 = _number(section["gamma0"], "[certificate] gamma0")
+    if not (0 <= spec.tol < math.inf and 0 <= (spec.lam or 0) < math.inf):  # also rejects nan
+        raise ConfigError("[certificate] tol and lambda must be finite and >= 0")
+    if spec.gamma0 != "auto" and not 0 < spec.gamma0 < math.inf:
+        raise ConfigError("[certificate] gamma0 must be finite and > 0")
     spec.robust_lambda_form = section.get("robust_lambda_form", spec.robust_lambda_form)
     if spec.robust_lambda_form not in ("identity", "metric"):
         raise ConfigError("[certificate] robust_lambda_form must be identity|metric")

@@ -2,27 +2,27 @@
 
 The differential gain is damping injection along the detectable output
 (MB)^T dx: K(x) = -[gamma(x) + gamma0] R(x) (M(x)B(x))^T with damping
-matrix R = [(MB)^T MB]^-1. Three realizations turn the differential
-gain into an actual feedback: an exact potential when the gain field is
-curl-free, a geodesic path integral (see the geodesic module), and a
-dynamic extension with an observer-like state z.
+matrix R = [(MB)^T MB]^-1, built as expressions like every GainField.
+Three realizations turn it into an actual feedback: an exact potential
+when the gain field is curl-free, a geodesic path integral (see the
+geodesic module), and a dynamic extension with an observer-like state z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
 from . import expr as ex
+from .certificates import Grid
 from .integrate import rk4_step
 from .linalg import SingularMatrixError, inverse, spectral_norm
 from .model import _Field, _parse_entry, state_vars
 
 EXACTNESS_TOL = 1e-10
 QUAD_NODES = 32   # Gauss-Legendre nodes of every potential quadrature
-FD_STEP = 1e-6    # central-difference step of a gain without expressions
 
 
 class SynthesisError(RuntimeError):
@@ -67,48 +67,35 @@ class DampingParams:
 def upsilon(metric, sys, x):
     """Norm bound used for the damping magnitude:
     || d_f M + M (df/dx) + (df/dx)^T M || (spectral norm), at one point
-    or at each point of a (P, n) stack."""
+    or at each point of a (P, n) stack. `synthesize_gain` builds the same
+    norm as an expression for n = 2 and the Frobenius norm, which bounds
+    it from above, for n >= 3."""
     return spectral_norm(metric.form(x, sys.eval_f(x), sys.jac_f(x))[0])
 
 
 class GainField:
-    """Differential gain K(x) in R^{m x n}; user-defined or synthesized.
+    """Differential gain K(x) in R^{m x n}: m x n expressions over x1..xn.
+    It and its partials are `model._Field`s: one point (n,) gives (m, n), a
+    (P, n) stack (P, m, n) in one call. `constant_matrix` is K when no entry
+    has a variable, else None."""
 
-    The evaluator, and so the gain itself and its partials, takes one
-    point, shape (n,), giving (m, n), or a stack of points, shape (P, n),
-    giving (P, m, n) in one call; a gain from expressions is a `model._Field`.
-    """
-
-    def __init__(self, n, m, evaluator, exprs=None, constant_matrix=None, meta=None):
+    def __init__(self, n, m, exprs, meta=None):
+        if len(exprs) != m or any(len(row) != n for row in exprs):
+            raise SynthesisError(f"gain must be {m} x {n}")
         self.n = n
         self.m = m
-        self._evaluator = evaluator
-        self.exprs = exprs  # m x n expression ASTs when symbolic
-        self.constant_matrix = constant_matrix
+        self.exprs = exprs
         self.meta = meta or {}
+        self._k = _Field(exprs, state_vars(n))
+        self.constant_matrix = self._k(np.zeros(n)) if self._k.constant else None
 
     @classmethod
     def from_exprs(cls, n, m, entries):
         variables = state_vars(n)
-        exprs = [[_parse_entry(e, variables) for e in row] for row in entries]
-        if len(exprs) != m or any(len(row) != n for row in exprs):
-            raise SynthesisError(f"gain must be {m} x {n}")
-        k = _Field(exprs, variables)
-        constant = k(np.zeros(n)) if k.constant else None
-        return cls(n, m, k, exprs=exprs, constant_matrix=constant)
-
-    @classmethod
-    def constant(cls, matrix):
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        m, n = matrix.shape
-        return cls(n, m, None, constant_matrix=matrix)
+        return cls(n, m, [[_parse_entry(e, variables) for e in row] for row in entries])
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.constant_matrix is not None:
-            return np.broadcast_to(self.constant_matrix,
-                                   x.shape[:-1] + self.constant_matrix.shape)
-        return self._evaluator(x)
+        return self._k(np.asarray(x, dtype=float))
 
     def is_constant(self):
         return self.constant_matrix is not None
@@ -120,6 +107,13 @@ class GainField:
                 for v in xs]
 
     @cached_property
+    def _curl(self):  # dK_ri/dx_j - dK_rj/dx_i for each row r and i < j; no diagonal partial
+        d = [field.exprs for field in self._partials]  # d[j][r][i] = dK_ri/dx_j
+        pairs = [(i, j) for i in range(self.n) for j in range(i + 1, self.n)]
+        return _Field([ex.sub(d[j][r][i], d[i][r][j]) for r in range(self.m) for i, j in pairs],
+                      state_vars(self.n))
+
+    @cached_property
     def dynext_correction(self):
         """beta(x, z) - beta(xd, z) over (x1..xn, xd1..xdn, z1..zn), compiled once."""
         x, xd, z = ([ex.var(f"{p}{i + 1}") for i in range(self.n)] for p in ("x", "xd", "z"))
@@ -127,64 +121,73 @@ class GainField:
         return ex.compile_fn([ex.sub(a, b) for a, b in beta], [e.name for e in x + xd + z])
 
     def partial(self, x, axis):
-        """dK/dx_axis; symbolic when expressions exist, else central FD."""
-        x = np.asarray(x, dtype=float)
-        if self.constant_matrix is not None:
-            return np.zeros(x.shape[:-1] + (self.m, self.n))
-        if self.exprs is not None:
-            return self._partials[axis](x)
-        step = np.zeros(self.n)
-        step[axis] = FD_STEP
-        return (self(x + step) - self(x - step)) / (2.0 * FD_STEP)
+        """dK/dx_axis, from the symbolic derivatives of the entries."""
+        return self._partials[axis](np.asarray(x, dtype=float))
 
 
-def synthesize_gain(sys, metric, params: DampingParams, gamma_const=None):
-    """Damping-injection gain K(x) = -[gamma(x)+gamma0] R(x) (MB)^T.
+def _solve_spd(g, rhs):
+    """g^-1 rhs as expressions, for a symmetric positive definite m x m g
+    and m rows of rhs: Gauss-Jordan elimination without pivoting (one
+    division per entry for m = 1)."""
+    rows = [g_r + r_r for g_r, r_r in zip(g, rhs)]
+    for i in range(len(g)):
+        rows[i] = [ex.div(a, rows[i][i]) for a in rows[i]]
+        for r in [r for r in range(len(g)) if r != i]:
+            rows[r] = [ex.sub(a, ex.mul(rows[r][i], b)) for a, b in zip(rows[r], rows[i])]
+    return [row[len(g):] for row in rows]
 
-    gamma(x) defaults to its minimal admissible value (r/p_lo) * Up(x)^2;
+
+def _upsilon_sq(sys, metric):
+    """Upsilon(x)^2 as one expression: the squared spectral norm of the
+    metric's form F = d_f M + M A + A^T M (A = df/dx) for n = 2, where
+    ||F|| = |tr F|/2 + sqrt(((F11 - F22)/2)^2 + F12^2); for n >= 3 the
+    squared Frobenius norm, an upper bound of it."""
+    d_f = [ex.matvec(rows, sys.f_exprs) for rows in metric.dm_exprs]
+    m_a = [ex.matvec(metric.m_exprs, col) for col in zip(*sys.df_exprs)]  # (M A)^T
+    form = [[ex.add(ex.add(d_f[i][j], m_a[j][i]), m_a[i][j]) for j in range(sys.n)]
+            for i in range(sys.n)]
+    if sys.n == 2:
+        (a, b), (_, c) = form
+        half = ex.const(0.5)
+        root = ex.func("sqrt", ex.add(ex.pow_int(ex.mul(half, ex.sub(a, c)), 2), ex.pow_int(b, 2)))
+        return ex.pow_int(ex.add(ex.mul(half, ex.func("abs", ex.add(a, c))), root), 2)
+    return reduce(ex.add, [ex.pow_int(e, 2) for row in form for e in row])
+
+
+def synthesize_gain(sys, metric, params: DampingParams, gamma_const=None, grid=None):
+    """Damping-injection gain K(x) = -[gamma(x)+gamma0] R(x) (MB)^T, as
+    expressions built from those of the system and the metric.
+
+    gamma(x) defaults to (r/p_lo) * Up(x)^2 (`_upsilon_sq`): its
+    minimal admissible value for n = 2, an admissible bound for n >= 3;
     gamma_const replaces it with a fixed constant (bounded-domain mode,
-    gamma0 is then folded to zero).
+    gamma0 is then folded to zero). (MB)^T MB must be invertible at each
+    point of `grid` (default: `Grid.for_system(sys)`).
     """
     if metric.role != "primal":
         raise SynthesisError("gain synthesis needs a primal metric")
-
-    def direction(points):
-        mb = metric.eval(points) @ sys.eval_b(points)
-        mb_t = np.swapaxes(mb, 1, 2)
-        try:
-            damping = inverse(mb_t @ mb)
-        except SingularMatrixError as err:
-            raise SynthesisError(
-                f"(MB)^T MB singular at x={points[err.index]}: input matrix loses rank"
-            ) from None
-        return damping @ mb_t
+    mb_t = [ex.matvec(metric.m_exprs, col) for col in zip(*sys.b_exprs)]
+    gram = [ex.matvec(mb_t, row) for row in mb_t]
+    points = (grid if grid is not None else Grid.for_system(sys)).array()
+    try:
+        inverse(_Field(gram, sys.vars)(points))
+    except SingularMatrixError as err:
+        raise SynthesisError(
+            f"(MB)^T MB singular at x={points[err.index]}: input matrix loses rank"
+        ) from None
 
     if gamma_const is not None:
-
-        def magnitude(points):
-            return np.full(len(points), gamma_const)
-
+        magnitude = ex.const(gamma_const)
         meta = {"gamma": f"const {gamma_const:g}", "gamma0": 0.0,
                 "proviso": "constant gamma relies on a bounded operating domain"}
     else:
-        scale = params.r / metric.p_lo
-
-        def magnitude(points):
-            return scale * upsilon(metric, sys, points) ** 2 + params.gamma0
-
+        magnitude = ex.add(ex.mul(ex.const(params.r / metric.p_lo), _upsilon_sq(sys, metric)),
+                           ex.const(params.gamma0))
         meta = {"gamma": f"(r/p_lo)*upsilon(x)^2 with r={params.r:g}",
                 "gamma0": params.gamma0}
-
-    def evaluator(x):
-        points = x.reshape(-1, sys.n)
-        k = -magnitude(points)[:, None, None] * direction(points)
-        return k.reshape(x.shape[:-1] + k.shape[1:])
-
     meta["lambda0"] = params.lambda0(metric.p_lo)
-    gain = GainField(sys.n, sys.m, evaluator, meta=meta)
-    if metric.constant and sys.b_constant and gamma_const is not None:
-        gain.constant_matrix = evaluator(np.zeros(sys.n))
-    return gain
+    k = [[ex.neg(ex.mul(magnitude, d)) for d in row] for row in _solve_spd(gram, mb_t)]
+    return GainField(sys.n, sys.m, k, meta=meta)
 
 
 def exactness_residual(gain, grid):
@@ -197,12 +200,7 @@ def exactness_residual(gain, grid):
         lo = np.asarray(grid.lo)
         return 0.0, 0.5 * (lo + np.asarray(grid.hi))
     points = grid.array()
-    partials = [gain.partial(points, j) for j in range(gain.n)]
-    residuals = np.zeros(len(points))
-    for i in range(gain.n):
-        for j in range(i + 1, gain.n):
-            defect = np.abs(partials[j][:, :, i] - partials[i][:, :, j]).max(axis=1)
-            residuals = np.maximum(residuals, defect)
+    residuals = np.abs(gain._curl(points)).max(axis=1)
     worst = int(np.argmax(residuals))
     if residuals[worst] == 0.0:
         return 0.0, None
@@ -216,6 +214,22 @@ def radial_potential(gain, x):
         return gain.constant_matrix @ x
     points, weights = gauss_legendre_01()
     return weights @ (gain(points[:, None] * x) @ x)
+
+
+def radial_potential_exprs(gain, x):
+    """`radial_potential` as m Exprs in x, on the same Gauss-Legendre rule:
+    sum_q w_q K(s_q x) x, one `gain.exprs` substitution per node; K x for
+    a constant gain."""
+    if gain.is_constant():
+        return ex.matvec(gain.exprs, x)
+    names = state_vars(gain.n)
+    points, weights = gauss_legendre_01()
+    beta = [ex.ZERO] * gain.m
+    for s, w in zip(points.tolist(), weights.tolist()):
+        slots = {name: ex.mul(ex.const(s), x_i) for name, x_i in zip(names, x)}
+        k_x = ex.matvec([[ex.substitute(e, slots) for e in row] for row in gain.exprs], x)
+        beta = [ex.add(b, ex.mul(ex.const(w), v)) for b, v in zip(beta, k_x)]
+    return beta
 
 
 def static_exact_controller(gain, x, x_d, u_d, residual=None, grid=None):
@@ -268,7 +282,7 @@ def dynext_beta_exprs(gain, x, z):
     """`dynext_beta` as m Exprs in x and z (gain with expressions or constant),
     one `gain.exprs` substitution per node; an axis with x_i = 0 is multiplied by 0."""
     if gain.is_constant():
-        return ex.matvec([[ex.const(k) for k in row] for row in gain.constant_matrix.tolist()], x)
+        return ex.matvec(gain.exprs, x)
     names = state_vars(gain.n)
     points, weights = gauss_legendre_01()
     beta = [ex.ZERO] * gain.m

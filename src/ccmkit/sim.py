@@ -3,13 +3,12 @@
 Each run generates its closed loop, one ODE in x, x_d and z, as one
 compiled field with u = u_d(t, x_d) + v, stepped by `integrate.rk4_step`
 on `integrate.time_grid` (so every trace ends exactly at T). u_d and the
-static (constant gain) or custom feedback are folded into the field. The
-dynamic-extension and geodesic corrections, whose per-evaluation cost
-dominates, are computed once per step and passed as v over it
-(zero-order hold); a non-constant exact static gain passes its potential
-difference as v at every stage. A gain with expressions or a constant one
-has its dynext correction compiled once (`GainField.dynext_correction`);
-others (`synthesize_gain` output) use `controller.dynext_control`.
+custom or static feedback are folded into the field; the static law
+u_d + beta(x) - beta(x_d) is the radial potential generated on the gain's
+expressions (`controller.radial_potential_exprs`). The dynamic-extension
+and geodesic corrections are computed once per step and passed as v over
+it (zero-order hold); the dynext one is compiled once per gain
+(`GainField.dynext_correction`).
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import expr as ex
-from .controller import (EXACTNESS_TOL, dynext_beta_exprs, dynext_control,
-                         exactness_residual, radial_potential)
+from .controller import EXACTNESS_TOL, exactness_residual, radial_potential_exprs
 from .geodesic import DEFAULT_NODES, GeodesicError, path_integral_controller
 from .integrate import DIVERGENCE_LIMIT, IntegrationError, rk4_step, time_grid
 from .model import _parse_entry, state_vars
@@ -56,6 +54,8 @@ class RunConfig:
             raise SimulationError("T/h exceeds the 1e7 step cap")
         if self.geodesic_segments < 2:
             raise SimulationError("need geodesic_N >= 2 segments")
+        if not self.ell > 0:  # also rejects nan
+            raise SimulationError("need ell > 0")
 
 
 @dataclass
@@ -113,10 +113,10 @@ def _plant(sys, u, rename):
     return [ex.add(ex.substitute(f, rename), bu) for f, bu in zip(sys.f_exprs, ex.matvec(b, u))]
 
 
-def _controller(sys, metric, gain, cfg, variables, x, xd, z, ud, v):
-    """Resolve cfg.kind into (u, correction, per_stage): u holds m control
-    expressions over `variables` (t, x, xd, z) and v; correction(*y),
-    when not None, gives v at state y, held over the step unless per_stage."""
+def _controller(sys, metric, gain, cfg, variables, x, xd, ud, v):
+    """Resolve cfg.kind into (u, correction): u holds m control expressions
+    over `variables` (t, x, xd, z) and v; correction(*y), when not None,
+    gives v at state y, held over the step."""
     n = sys.n
     if cfg.kind == "custom":
         if not cfg.custom_u:
@@ -124,25 +124,14 @@ def _controller(sys, metric, gain, cfg, variables, x, xd, z, ud, v):
         u = [_parse_entry(e, variables) for e in cfg.custom_u]
         if len(u) != sys.m:
             raise SimulationError(f"custom controller needs {sys.m} expressions")
-        return u, None, False
+        return u, None
     if cfg.kind == "static":
         _require_exact(gain, cfg.exactness_grid)
-        if gain.is_constant():  # beta = K x for a constant gain
-            kx, kxd = dynext_beta_exprs(gain, x, z), dynext_beta_exprs(gain, xd, z)
-            return [ex.add(a, ex.sub(b, c)) for a, b, c in zip(ud, kx, kxd)], None, False
+        beta_x, beta_xd = radial_potential_exprs(gain, x), radial_potential_exprs(gain, xd)
+        return [ex.add(a, ex.sub(b, c)) for a, b, c in zip(ud, beta_x, beta_xd)], None
     u = [ex.add(a, b) for a, b in zip(ud, v)]
-    if cfg.kind == "dynext" and (gain.exprs is not None or gain.is_constant()):
-        return u, gain.dynext_correction, False
-    if cfg.kind in ("static", "dynext"):
-
-        # beta(x) - beta(xd) may be inf - inf; the loop flags a non-finite u
-        @np.errstate(invalid="ignore", over="ignore")
-        def correction(*y):
-            if cfg.kind == "dynext":
-                return dynext_control(gain, y[2 * n :], y[:n], y[n : 2 * n], 0.0).tolist()
-            return (radial_potential(gain, y[:n]) - radial_potential(gain, y[n : 2 * n])).tolist()
-
-        return u, correction, cfg.kind == "static"
+    if cfg.kind == "dynext":
+        return u, gain.dynext_correction
     warm = None
 
     def correction(*y):
@@ -152,7 +141,7 @@ def _controller(sys, metric, gain, cfg, variables, x, xd, z, ud, v):
         )
         return held.tolist()
 
-    return u, correction, False
+    return u, correction
 
 
 def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
@@ -171,7 +160,7 @@ def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
     names += [f"z{i + 1}" for i in range(n)] if use_z else []
     x, xd, z = ([ex.var(name) for name in names[1 + i * n : 1 + (i + 1) * n]] for i in range(3))
     v = [ex.var(f"v{j + 1}") for j in range(sys.m)]
-    u, correction, per_stage = _controller(sys, metric, gain, cfg, names, x, xd, z, ref.ud_exprs, v)
+    u, correction = _controller(sys, metric, gain, cfg, names, x, xd, ref.ud_exprs, v)
 
     # x' = f(x) + B(x) u, xd' = f(xd) + B(xd) ud and z' = x' - ell (z - x)
     fx = _plant(sys, u, {})
@@ -184,7 +173,7 @@ def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
     held = []
 
     def stage(t, y):
-        return closed_loop(t, *y, *(correction(*y) if per_stage else held))
+        return closed_loop(t, *y, *held)
 
     times = time_grid(0.0, cfg.T, cfg.h)
     state = np.concatenate([x0, xd0, z0] if use_z else [x0, xd0]).tolist()

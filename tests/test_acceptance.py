@@ -97,8 +97,8 @@ def test_04_exactness_residuals(numex_gain):
     half = Grid([-2.0, -1.0], [2.0, 1.0], (5, 5))
     inner, _ = exactness_residual(numex_gain, half)
     assert inner == pytest.approx(2.0, abs=1e-6)
-    for constant in ([[1.0, 2.0]], [[0.0, 0.0]], [[-3.5, 7.25]]):
-        residual, _ = exactness_residual(GainField.constant(constant), grid)
+    for constant in ([["1", "2"]], [["0", "0"]], [["-3.5", "7.25"]]):
+        residual, _ = exactness_residual(GainField.from_exprs(2, 1, constant), grid)
         assert residual <= 1e-12
 
 
@@ -107,7 +107,7 @@ def test_05_invariance_all_controllers(numex, micro, numex_gain,
     cases = [
         (numex, "dynext", numex_gain),
         (numex, "geodesic", numex_gain),
-        (numex, "static", GainField.constant([[-1.0, -1.0]])),
+        (numex, "static", GainField.from_exprs(2, 1, [["-1", "-1"]])),
         (micro, "dynext", micro_gain),
         (micro, "geodesic", micro_gain),
         (micro, "static", micro_gain),

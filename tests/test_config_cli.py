@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ccmkit
+from ccmkit.certificates import Grid
 from ccmkit.cli import main
 from ccmkit.config import ConfigError, load_config
 from ccmkit.controller import DampingParams, GainField, synthesize_gain
@@ -126,6 +127,9 @@ class TestLoadConfig:
             load_config(write_config(
                 tmp_path,
                 NUMEX_MIN + "[certificate]\nrobust_lambda_form = diag\n"))
+        for setting in ("tol = nan", "tol = -1e-3", "lambda = inf", "gamma0 = 0", "gamma0 = nan"):
+            with pytest.raises(ConfigError, match=r"\[certificate\]"):
+                load_config(write_config(tmp_path, NUMEX_MIN + f"[certificate]\n{setting}\n"))
 
     def test_metric_override_keeps_builtin_dual(self, tmp_path):
         text = NUMEX_MIN + (
@@ -186,6 +190,11 @@ class TestCliCertify:
         pytest.param("[simulation]\ngeodesic_N = 1\n",
                      ["geodesic", "--from", "0,0", "--to", "1,0.5"], id="geodesic_N-1"),
         pytest.param("[simulation]\ngeodesic_N = inf\n", ["simulate"], id="geodesic_N-inf"),
+        pytest.param("[certificate]\nchecks = robust c1\ntol = nan\n", ["certify"], id="tol-nan"),
+        pytest.param("[certificate]\nchecks = robust c1\ngamma0 = -1\n", ["certify"],
+                     id="gamma0-negative"),
+        pytest.param("[certificate]\nchecks = robust c1\nlambda = -1\n", ["certify"],
+                     id="lambda-negative"),
     ])
     def test_malformed_input_exits_two(self, tmp_path, capsys, section, argv):
         path = write_config(tmp_path, NUMEX_MIN + section)
@@ -256,37 +265,47 @@ class TestCliSynthesize:
         gain = GainField.from_exprs(3, 1, cfg.gain.entries)
         assert np.allclose(gain(np.zeros(3)), [[0.0, 0.0, -2.0]], atol=1e-12)
 
-    def test_numex_sampled_table_direction(self, tmp_path, capsys):
-        path = write_config(
-            tmp_path,
-            NUMEX_MIN + "[gain]\nsource = synthesized\nr = 2\ngamma0 = 0.5\n",
-        )
+    SYNTHESIZED = NUMEX_MIN + "[gain]\nsource = synthesized\nr = 2\ngamma0 = 0.5\n"
+
+    def emitted_gain(self, tmp_path, capsys):
+        """The gain `synthesize` prints, reloaded as a user gain, and the table
+        of the 5 x 5 grid points of the numex box to sample it on."""
+        path = write_config(tmp_path, self.SYNTHESIZED)
         assert main(["synthesize", "--config", path, "--grid", "5"]) == 0
-        rows = [line for line in capsys.readouterr().out.splitlines()
-                if line.startswith("# sample ")]
-        assert rows
-        for row in rows:
-            x1, x2, k1, k2 = (float(v) for v in row.split()[2:])
+        emitted = capsys.readouterr().out
+        assert "source = user" in emitted and "# sample" not in emitted
+        cfg = load_config(write_config(tmp_path, NUMEX_MIN + emitted, "rt.ini"))
+        assert cfg.gain.source == "user"
+        points = Grid.for_system(cfg.system, 5).array()
+        return GainField.from_exprs(2, 1, cfg.gain.entries), points, cfg
+
+    def test_numex_sampled_table_direction(self, tmp_path, capsys):
+        gain, points, _ = self.emitted_gain(tmp_path, capsys)
+        for k1, k2 in gain(points)[:, 0]:
             assert k1 < 0.0
             assert k2 / k1 == pytest.approx(3.0, rel=1e-9)
 
     def test_sampled_table_matches_per_point_gain(self, tmp_path, capsys):
-        path = write_config(
-            tmp_path,
-            NUMEX_MIN + "[gain]\nsource = synthesized\nr = 2\ngamma0 = 0.5\n",
-        )
-        assert main(["synthesize", "--config", path, "--grid", "5"]) == 0
-        rows = [[float(v) for v in line.split()[2:]]
-                for line in capsys.readouterr().out.splitlines()
-                if line.startswith("# sample ")]
-        cfg = load_config(path)
-        lam = cfg.metric.lam
-        gain = synthesize_gain(cfg.system, cfg.metric,
-                               DampingParams(r=2.0, gamma0=0.5, lam=lam))
-        assert len(rows) == 25
-        for row in rows:
-            np.testing.assert_allclose(row[2:], gain(np.array(row[:2])).ravel(),
-                                       rtol=1e-12)
+        gain, points, cfg = self.emitted_gain(tmp_path, capsys)
+        synthesized = synthesize_gain(cfg.system, cfg.metric,
+                                      DampingParams(r=2.0, gamma0=0.5, lam=cfg.metric.lam))
+        assert len(points) == 25
+        for x in points:  # the printed formulas reparse to the same trees
+            np.testing.assert_array_equal(gain(x), synthesized(x))
+
+    def test_formulas_simulate_as_the_synthesized_gain(self, tmp_path, capsys):
+        run = "[simulation]\ncontroller = dynext\nT = 0.5\nh = 1e-3\nx0 = -5 2\n"
+        path = write_config(tmp_path, self.SYNTHESIZED + run)
+        gain_path = tmp_path / "gain.ini"
+        assert main(["synthesize", "--config", path, "--out", str(gain_path)]) == 0
+        user = write_config(tmp_path, NUMEX_MIN + gain_path.read_text() + run, "user.ini")
+        traces = []
+        for config in (path, user):
+            out = tmp_path / "trace.csv"
+            assert main(["simulate", "--config", config, "--out", str(out)]) in (0, 1)
+            traces.append(out.read_text())
+        assert traces[0].count("\n") == 502
+        assert traces[0] == traces[1]
 
     def test_uncertified_metric_blocks_synthesis(self, tmp_path):
         text = NUMEX_MIN + (
@@ -365,7 +384,8 @@ class TestCliSimulate:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "setting", ["controller = magic", "T = -1", "T = nan", "geodesic_N = 1"])
+        "setting", ["controller = magic", "T = -1", "T = nan", "geodesic_N = 1",
+                    "ell = -1", "ell = nan", "ell = 0"])
     def test_bad_simulation_section_is_config_error(self, tmp_path, capsys, setting):
         path = write_config(tmp_path, NUMEX_MIN + f"[simulation]\n{setting}\n")
         assert main(["simulate", "--config", path, "--grid", "5",
@@ -416,4 +436,4 @@ class TestImportsNumpyOnly:
                           "--out", str(tmp_path / "gain.ini")]])
         assert result["codes"] == [0]
         assert "scipy.linalg" in result["scipy"]
-        assert "# sample " in (tmp_path / "gain.ini").read_text()
+        assert "K_1_1 = " in (tmp_path / "gain.ini").read_text()

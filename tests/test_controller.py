@@ -97,13 +97,21 @@ class TestGainField:
         assert np.allclose(numex_gain.partial(x, 0), 0.0, atol=1e-12)
 
     def test_constant_partial_zero(self):
-        g = GainField.constant([[4.0, -1.0]])
+        g = GainField.from_exprs(2, 1, [["4", "-1"]])
         assert np.array_equal(g.partial(np.ones(2), 0), np.zeros((1, 2)))
 
-    def test_fd_fallback_partial(self):
-        g = GainField(2, 1, lambda x: np.array([[x[0] ** 2, x[1]]]))
-        d1 = g.partial(np.array([3.0, 0.0]), 0)
-        assert np.allclose(d1, [[6.0, 0.0]], atol=1e-8)
+    def test_synthesized_partial_matches_central_difference(self, numex):
+        # a synthesized gain has expressions, so its partials are symbolic
+        gain = synthesize_gain(numex.system, numex.metric,
+                               DampingParams(r=2.0, gamma0=0.5, lam=1.0))
+        h = 1e-6
+        for x in ([0.4, -2.0], [1.0, 0.3], [-3.0, 1.7]):
+            x = np.array(x)
+            for axis in range(2):
+                step = np.zeros(2)
+                step[axis] = h
+                fd = (gain(x + step) - gain(x - step)) / (2 * h)
+                np.testing.assert_allclose(gain.partial(x, axis), fd, rtol=1e-6, atol=1e-6)
 
 
 class TestSynthesizeGain:
@@ -139,9 +147,54 @@ class TestSynthesizeGain:
         sys = SystemModel(2, 1, ["x2", "0"], [["x1"], ["0"]], [-1, -1], [1, 1])
         metric = MetricField(2, [["1", "0"], ["0", "1"]], 1.0, 1.0, 0.0)
         params = DampingParams(r=2.0, gamma0=0.5, lam=1.0)
+        with pytest.raises(SynthesisError):  # checked once, on the default grid
+            synthesize_gain(sys, metric, params)  # (MB)^T MB = x1^2 is 0 at x1 = 0
+
+    @pytest.mark.parametrize("case", ["numex", "n3-m1", "n3-m2"])
+    def test_matches_numpy_oracle(self, case, numex):
+        # K = -(gamma + gamma0) inv((MB)^T MB) (MB)^T with gamma = (r/p_lo) ||F||^2,
+        # F = d_f M + M A + A^T M: spectral norm for n = 2, Frobenius for n >= 3
+        sys, metric = self.SYSTEMS[case](numex)
+        params = DampingParams(r=1.5, gamma0=0.3, lam=1.0)
         gain = synthesize_gain(sys, metric, params)
-        with pytest.raises(SynthesisError):
-            gain(np.zeros(2))  # (MB)^T MB = x1^2 loses rank at the origin
+        norm = 2 if sys.n == 2 else "fro"
+        rng = np.random.default_rng(71)
+        for x in rng.uniform(sys.domain_lo, sys.domain_hi, size=(50, sys.n)):
+            k, _ = numpy_gain(sys, metric, params, x, norm)
+            got = gain(x)
+            assert got.shape == (sys.m, sys.n)
+            np.testing.assert_allclose(got, k, rtol=1e-12, atol=1e-12 * np.max(np.abs(k)))
+            np.testing.assert_allclose(gain(x[None])[0], k, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(k)))
+
+    def test_frobenius_bound_dominates_spectral_gamma(self, numex):
+        # for n >= 3, gamma = (r/p_lo) ||F||_F^2 >= (r/p_lo) ||F||_2^2
+        for case in ("n3-m1", "n3-m2"):
+            sys, metric = self.SYSTEMS[case](numex)
+            params = DampingParams(r=1.5, gamma0=0.3, lam=1.0)
+            gain = synthesize_gain(sys, metric, params)
+            rng = np.random.default_rng(72)
+            for x in rng.uniform(sys.domain_lo, sys.domain_hi, size=(50, sys.n)):
+                _, direction = numpy_gain(sys, metric, params, x, "fro")
+                largest = np.unravel_index(np.argmax(np.abs(direction)), direction.shape)
+                gamma = -gain(x)[largest] / direction[largest] - params.gamma0
+                spectral = (params.r / metric.p_lo) * upsilon(metric, sys, x) ** 2
+                assert gamma >= spectral * (1.0 - 1e-12)
+
+    SYSTEMS = {
+        "numex": lambda numex: (numex.system, numex.metric),
+        "n3-m1": lambda _: (
+            SystemModel(3, 1, ["x2", "-x1 - x2 + x3^2/4", "-x3 + sin(x1)"],
+                        [["0"], ["x1^2/10"], ["1 + x2^2/5"]], [-1, -1, -1], [1, 1, 1]),
+            MetricField(3, [["2", "1/2", "0"], ["1/2", "1 + x1^2/10", "x2/10"],
+                            ["0", "x2/10", "3/2"]], 0.5, 3.0, 1.0)),
+        "n3-m2": lambda _: (
+            SystemModel(3, 2, ["x2 - x1^3/3", "-x1 + x3", "-2*x3 + x1*x2"],
+                        [["1", "0"], ["x3/5", "1"], ["0", "1 + x1^2/10"]],
+                        [-1, -1, -1], [1, 1, 1]),
+            MetricField(3, [["1 + x3^2/8", "1/4", "0"], ["1/4", "2", "-x1/10"],
+                            ["0", "-x1/10", "1"]], 0.5, 3.0, 1.0)),
+    }
 
 
 class TestExactness:
@@ -153,7 +206,7 @@ class TestExactness:
         assert abs(witness[1]) == pytest.approx(2.0)
 
     def test_constant_gain_exact(self):
-        g = GainField.constant([[1.0, 2.0]])
+        g = GainField.from_exprs(2, 1, [["1", "2"]])
         worst, witness = exactness_residual(g, Grid([0, 0], [4, 2], (3, 3)))
         assert worst == 0.0
         assert np.allclose(witness, [2.0, 1.0])
@@ -166,7 +219,7 @@ class TestExactness:
 
 class TestRadialPotentialAndStatic:
     def test_constant_gain_potential(self):
-        g = GainField.constant([[0.0, 0.0, -2.0]])
+        g = GainField.from_exprs(3, 1, [["0", "0", "-2"]])
         x = np.array([1.0, 2.0, 3.0])
         assert np.allclose(radial_potential(g, x), [-6.0])
 
@@ -237,17 +290,19 @@ class TestDynExt:
                 base[0], abs=1e-12
             )
 
-    def test_opaque_gain_matches_symbolic(self, numex_gain):
-        # a gain known only as a callable (as a synthesized one is) takes
-        # the same stacked quadrature as the symbolic gain
-        opaque = GainField(2, 1, numex_gain)
+    def test_synthesized_beta_matches_per_node_quadrature(self, numex):
+        # a synthesized gain has expressions, so the tree-walking per-node
+        # oracle and the generated correction both apply to it
+        gain = synthesize_gain(numex.system, numex.metric,
+                               DampingParams(r=1.5, gamma0=0.1, lam=2.0 / 3.0))
         rng = np.random.default_rng(37)
         for _ in range(5):
-            x = rng.uniform(-3, 3, size=2)
-            z = rng.uniform(-3, 3, size=2)
-            assert np.array_equal(dynext_beta(opaque, x, z),
-                                  dynext_beta(numex_gain, x, z))
-            assert np.array_equal(khat(opaque, x, z), khat(numex_gain, x, z))
+            x, xd, z = rng.uniform(-3, 3, size=(3, 2))
+            want = scalar_dynext_beta(gain, x, z)
+            np.testing.assert_allclose(dynext_beta(gain, x, z), want, rtol=1e-12)
+            generated = gain.dynext_correction(*x, *xd, *z)
+            np.testing.assert_allclose(generated, want - scalar_dynext_beta(gain, xd, z),
+                                       rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
     def test_khat_diagonal_property(self, numex_gain, micro_gain):
         rng = np.random.default_rng(32)
@@ -375,6 +430,18 @@ def scalar_dynext_beta(gain, x, z, nodes=32):
     return np.array(out)
 
 
+def numpy_gain(sys, metric, params, x, norm):
+    """Oracle: (K, R (MB)^T) at one point, from numpy evaluations:
+    gamma = (r/p_lo) ||d_f M + M A + A^T M||^2 in the given matrix norm."""
+    m_x, a = metric.eval(x), sys.jac_f(x)
+    f = sys.eval_f(x)
+    form = sum(f[k] * metric.partial(x, k) for k in range(sys.n)) + m_x @ a + a.T @ m_x
+    gamma = (params.r / metric.p_lo) * np.linalg.norm(form, norm) ** 2
+    mb = m_x @ sys.eval_b(x)
+    direction = np.linalg.inv(mb.T @ mb) @ mb.T
+    return -(gamma + params.gamma0) * direction, direction
+
+
 class TestStackedGain:
     """A gain evaluates a (P, n) stack in one call; every member matches
     the call at that point, and the quadratures match per-node oracles."""
@@ -386,7 +453,7 @@ class TestStackedGain:
         return [
             GainField.from_exprs(2, 1, [["-(x2^2 + 1)*exp(x1/5)", "-x2^2 + sin(x1)"]]),
             synthesize_gain(numex.system, numex.metric, params),
-            GainField(2, 1, lambda x: np.stack([x[..., 0] * x[..., 1], -x[..., 1] ** 3], -1)[..., None, :]),
+            GainField.from_exprs(2, 1, [["x1*x2", "-x2^3"]]),
         ]
 
     def test_gain_and_partials_match_per_point(self, numex):
@@ -401,17 +468,20 @@ class TestStackedGain:
                 np.testing.assert_allclose(stacked, per_point, rtol=1e-12, atol=1e-12)
 
     def test_constant_gain_broadcasts(self):
-        gain = GainField.constant([[4.0, -1.0]])
+        gain = GainField.from_exprs(2, 1, [["4", "-1"]])
         assert np.array_equal(gain(self.POINTS), np.tile([[4.0, -1.0]], (7, 1, 1)))
         assert np.array_equal(gain.partial(self.POINTS, 1), np.zeros((7, 1, 2)))
 
     def test_synthesized_singular_direction_names_the_point(self):
+        # the first default-grid point (row-major) where (MB)^T MB = x1^2 is singular
         sys = SystemModel(2, 1, ["0", "0"], [["0"], ["x1"]], [-1, -1], [1, 1])
         metric = MetricField(2, [["1", "0"], ["0", "1"]], 1.0, 1.0, 1.0)
-        gain = synthesize_gain(sys, metric, DampingParams(r=1.0, gamma0=1.0, lam=1.0))
-        points = np.array([[0.5, 0.5], [0.0, 0.25]])
-        with pytest.raises(SynthesisError, match=r"x=\[0\.\s+0\.25\]"):
-            gain(points)
+        params = DampingParams(r=1.0, gamma0=1.0, lam=1.0)
+        with pytest.raises(SynthesisError, match=r"x=\[ 0\. -1\.\]"):
+            synthesize_gain(sys, metric, params)
+        # a grid that misses x1 = 0 passes the check (the CLI passes its own grid)
+        gain = synthesize_gain(sys, metric, params, grid=Grid([-1, -1], [1, 1], (4, 4)))
+        assert gain(np.array([0.5, 0.0])).shape == (1, 2)
 
     def test_dynext_beta_matches_per_node_quadrature(self, numex_gain):
         gain = GainField.from_exprs(2, 1, [["-(x2^2 + 1)*exp(x1/5)", "-x2^2 + sin(x1)"]])
@@ -430,7 +500,7 @@ class TestStackedGain:
         assert stacked.shape == (3, 1)
         np.testing.assert_allclose(stacked, [dynext_beta(numex_gain, x, z) for x in rows],
                                    rtol=1e-12, atol=1e-15)
-        assert dynext_beta(GainField.constant([[2.0, 1.0]]), rows, z).shape == (3, 1)
+        assert dynext_beta(GainField.from_exprs(2, 1, [["2", "1"]]), rows, z).shape == (3, 1)
 
     def test_khat_and_radial_potential_match_per_point(self, numex):
         for gain in self.gains(numex):

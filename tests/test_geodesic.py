@@ -39,7 +39,9 @@ def chord(x_a, x_b, n_segments):
 def lattice_shortest_path(metric, xs, ys, x_a, x_b, reach=3):
     """Dijkstra on a lattice graph with edge lengths from the midpoint
     metric. Both endpoints must lie exactly on the lattice: snapping
-    them shortens/stretches the problem and corrupts the reference."""
+    them shortens/stretches the problem and corrupts the reference.
+    The lengths of all edges along one offset come from one stacked
+    `metric.eval` before the search."""
     ia, ja = np.argmin(np.abs(xs - x_a[0])), np.argmin(np.abs(ys - x_a[1]))
     ib, jb = np.argmin(np.abs(xs - x_b[0])), np.argmin(np.abs(ys - x_b[1]))
     assert abs(xs[ia] - x_a[0]) < 1e-12 and abs(ys[ja] - x_a[1]) < 1e-12
@@ -51,12 +53,17 @@ def lattice_shortest_path(metric, xs, ys, x_a, x_b, reach=3):
         if (di, dj) != (0, 0) and math.gcd(abs(di), abs(dj)) == 1
     ]
     nx, ny = len(xs), len(ys)
-
-    def edge(i, j, di, dj):
-        p = np.array([xs[i], ys[j]])
-        q = np.array([xs[i + di], ys[j + dj]])
+    lattice = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+    lengths = {}  # offset -> [i][j] length of the edge from (i, j), inf off the lattice
+    for di, dj in offsets:
+        start = (slice(max(0, -di), nx - max(0, di)), slice(max(0, -dj), ny - max(0, dj)))
+        end = (slice(max(0, di), nx + min(0, di)), slice(max(0, dj), ny + min(0, dj)))
+        p, q = lattice[start], lattice[end]
         delta = q - p
-        return math.sqrt(delta @ metric.eval(0.5 * (p + q)) @ delta)
+        m_mid = metric.eval((0.5 * (p + q)).reshape(-1, 2)).reshape(p.shape + (2,))
+        length = np.full((nx, ny), math.inf)
+        length[start] = np.sqrt(np.einsum("...i,...ij,...j->...", delta, m_mid, delta))
+        lengths[di, dj] = length.tolist()
 
     dist = {(ia, ja): 0.0}
     queue = [(0.0, (ia, ja))]
@@ -69,7 +76,7 @@ def lattice_shortest_path(metric, xs, ys, x_a, x_b, reach=3):
         for di, dj in offsets:
             ni, nj = i + di, j + dj
             if 0 <= ni < nx and 0 <= nj < ny:
-                nd = d + edge(i, j, di, dj)
+                nd = d + lengths[di, dj][i][j]
                 if nd < dist.get((ni, nj), math.inf):
                     dist[(ni, nj)] = nd
                     heapq.heappush(queue, (nd, (ni, nj)))

@@ -23,7 +23,7 @@ from ccmkit.integrate import (
     rk45_integrate,
     time_grid,
 )
-from ccmkit.model import ReferenceSpec, SystemModel, float_args
+from ccmkit.model import MetricField, ReferenceSpec, SystemModel, float_args
 from ccmkit.sim import (
     RunConfig,
     SimTrace,
@@ -187,7 +187,7 @@ class TestInvariance:
         for kind, gain in (
             ("dynext", numex_gain),
             ("geodesic", numex_gain),
-            ("static", GainField.constant([[-1.0, -1.0]])),
+            ("static", GainField.from_exprs(2, 1, [["-1", "-1"]])),
         ):
             cfg = RunConfig(kind=kind, T=0.5, h=1e-3, x0=xd0.copy(), ell=5.0)
             trace = run_closed_loop(numex.system, numex.metric, gain,
@@ -300,11 +300,11 @@ class TestReferenceLoopOracle:
     def test_matches_reference_loop(self, case, request):
         name, kind, gain_key, kwargs = ORACLE_CASES[case]
         bundle = request.getfixturevalue(name)
-        gains = {"constant": lambda: GainField.constant([[-1.0, -1.0]]),
+        gains = {"constant": lambda: GainField.from_exprs(2, 1, [["-1", "-1"]]),
                  "exact": lambda: GainField.from_exprs(2, 1, [["-x1", "-x2^3"]]),
                  "symbolic": lambda: GainField.from_exprs(
                      3, 1, [["-x1^2/10", "-sin(x2)/5", "-2 - cos(x1*x3)/5"]]),
-                 "synthesized": lambda: synthesize_gain(  # no expressions: dynext_control
+                 "synthesized": lambda: synthesize_gain(
                      bundle.system, bundle.metric, DampingParams(r=1.5, gamma0=0.1, lam=2.0 / 3.0))}
         gain = (request.getfixturevalue(f"{name}_gain") if gain_key == "builtin"
                 else gains[gain_key]() if gain_key else None)
@@ -376,19 +376,75 @@ class TestGeneratedDynext:
         assert [any(name.startswith("v") for name in names) for names in free].count(False) == 1
         assert beta_calls == []
 
-    def test_gain_without_expressions_uses_dynext_control(self, numex, monkeypatch):
+    def test_synthesized_gain_uses_generated_correction(self, numex, monkeypatch):
         calls = []
 
-        def dynext_control_counted(*args, original=controller.dynext_control):
-            calls.append(args)
-            return original(*args)
+        def counted(name):
+            def call(*args, original=getattr(controller, name)):
+                calls.append(name)
+                return original(*args)
+            return call
 
-        monkeypatch.setattr(sim, "dynext_control", dynext_control_counted)
+        for name in ("dynext_beta", "dynext_control", "radial_potential"):
+            monkeypatch.setattr(controller, name, counted(name))
         gain = synthesize_gain(numex.system, numex.metric,
                                DampingParams(r=1.5, gamma0=0.1, lam=2.0 / 3.0))
         cfg = RunConfig(kind="dynext", T=0.05, h=1e-2, x0=np.array([-5.0, 2.0]), ell=5.0)
         trace = run_closed_loop(numex.system, numex.metric, gain, numex.reference, cfg)
-        assert trace.completed and len(calls) == len(trace.t)
+        assert trace.completed and len(trace.t) == 6
+        assert calls == []
+        assert "dynext_correction" in vars(gain)  # compiled once, cached on the gain
+
+
+class TestGeneratedStatic:
+    """An exact static gain is folded into the generated field."""
+
+    def test_exact_gain_reads_no_held_correction(self, numex, monkeypatch):
+        compiled, potential_calls = [], []
+
+        def compile_fn(exprs, variables, original=ex.compile_fn):
+            compiled.append(variables)
+            return original(exprs, variables)
+
+        def radial_potential(*args, original=controller.radial_potential):
+            potential_calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ex, "compile_fn", compile_fn)
+        monkeypatch.setattr(controller, "radial_potential", radial_potential)
+        gain = GainField.from_exprs(2, 1, [["-x1", "-x2^3"]])
+        cfg = RunConfig(kind="static", T=0.2, h=1e-2, x0=np.array([-1.0, 1.0]),
+                        exactness_grid=Grid([-2, -2], [2, 2], (5, 5)))
+        trace = run_closed_loop(numex.system, numex.metric, gain, numex.reference, cfg)
+        assert trace.completed and len(trace.t) == 21
+        assert len(compiled) == 2  # the closed-loop field and (u, u_d)
+        assert not any(name.startswith("v") for names in compiled for name in names)
+        assert potential_calls == []
+
+    def test_synthesized_gain_with_a_kink_is_exact(self):
+        # F = [[-2, 2 x2], [2 x2, -2]] has equal eigenvalues at x2 = 0, where
+        # sqrt(((F11 - F22)/2)^2 + F12^2) = 2|x2| has no derivative; the
+        # exactness check reads only the mixed partials, which exist
+        sys = SystemModel(2, 1, ["-x1 + x2^2", "-x2"], [["0"], ["1"]], [-2, -2], [2, 2])
+        metric = MetricField(2, [["1", "0"], ["0", "1"]], 1.0, 1.0, 0.5)
+        gain = synthesize_gain(sys, metric, DampingParams(r=2.0, gamma0=1.0, lam=0.5))
+        grid = Grid([-2, -2], [2, 2], (5, 5))
+        assert controller.exactness_residual(gain, grid) == (0.0, None)
+        ref = ReferenceSpec.from_strings(2, [0.0, 0.0], ["0"])
+        cfg = RunConfig(kind="static", T=0.2, h=1e-2, x0=np.array([0.5, 0.5]),
+                        exactness_grid=grid)
+        assert run_closed_loop(sys, metric, gain, ref, cfg).completed
+
+    def test_radial_potential_exprs_match_numpy(self):
+        gain = GainField.from_exprs(2, 1, [["-x1*exp(x2/5)", "-x2^3 - x1^2*exp(x2/5)/5"]])
+        x = [ex.var("x1"), ex.var("x2")]
+        beta = ex.compile_fn(controller.radial_potential_exprs(gain, x), ["x1", "x2"])
+        for point in ([1.5, -0.5], [0.0, 2.0], [-1.0, 0.0], [0.0, 0.0]):
+            np.testing.assert_allclose(beta(*point), radial_potential(gain, np.array(point)),
+                                       rtol=1e-13, atol=1e-13)
+        constant = GainField.from_exprs(2, 1, [["-1", "-2"]])
+        assert ex.to_string(controller.radial_potential_exprs(constant, x)[0]) == \
+            "(-1.0)*x1 + (-2.0)*x2"  # K x, no quadrature
 
 
 class TestFailureHandling:
@@ -470,7 +526,7 @@ class TestFailureHandling:
         ref = ReferenceSpec.from_strings(2, [3.0, -1.0], ["1/t"])
         cfg = RunConfig(kind="static", T=1.0, h=0.25, x0=np.array([1.0, 0.0]))
         trace = run_closed_loop(numex.system, numex.metric,
-                                GainField.constant([[-1.0, -1.0]]), ref, cfg)
+                                GainField.from_exprs(2, 1, [["-1", "-1"]]), ref, cfg)
         assert trace.flags == ["controller failure at t=0: float division by zero"]
         assert np.isnan(trace.u[0, 0]) and np.isnan(trace.ud[0, 0])
 
@@ -518,7 +574,7 @@ class TestPerturbationSweep:
         sys = SystemModel(2, 1, ["x2", "-2*x1 - 3*x2"], [["0"], ["1"]],
                           [-50, -50], [50, 50])
         ref = ReferenceSpec.from_strings(2, [0.0, 0.0], ["0"])
-        gain = GainField.constant([[-1.0, -1.0]])
+        gain = GainField.from_exprs(2, 1, [["-1", "-1"]])
         cfg = RunConfig(kind="static", T=10.0, h=5e-3)
         results = perturbation_sweep(sys, None, gain, ref, cfg,
                                      [1.0, 4.0], samples=3, seed=1)
@@ -575,7 +631,7 @@ class TestCsv:
         ref = ReferenceSpec.from_strings(2, [3.0, -1.0], ["1/t"])
         cfg = RunConfig(kind="static", T=1.0, h=0.25, x0=np.array([1.0, 0.0]))
         failed = run_closed_loop(numex.system, numex.metric,
-                                 GainField.constant([[-1.0, -1.0]]), ref, cfg)
+                                 GainField.from_exprs(2, 1, [["-1", "-1"]]), ref, cfg)
         assert len(truncated.t) == 2000 and np.isnan(failed.u).all()
         k = 3 * sim.CSV_BLOCK + 5
         nans = np.where(np.arange(k) % 7 == 0, math.nan, np.linspace(-1.0, 1.0, k))
