@@ -194,13 +194,22 @@ def exactness_residual(gain, grid):
     """Mixed-partials integrability defect of the gain field.
 
     Returns (max residual, witness state); zero means dK is symmetric in
-    every input row, so a potential exists.
+    every input row, so a potential exists. An undefined partial raises
+    EvalDomainError naming the first grid point where it is undefined.
     """
     if gain.is_constant():
         lo = np.asarray(grid.lo)
         return 0.0, 0.5 * (lo + np.asarray(grid.hi))
     points = grid.array()
-    residuals = np.abs(gain._curl(points)).max(axis=1)
+    try:
+        residuals = np.abs(gain._curl(points)).max(axis=1)
+    except ex.EvalDomainError:  # the stacked call names no point
+        for point in points:
+            try:
+                gain._curl(point)
+            except ex.EvalDomainError as err:
+                raise ex.EvalDomainError(f"{err} at x={point}") from None
+        raise
     worst = int(np.argmax(residuals))
     if residuals[worst] == 0.0:
         return 0.0, None

@@ -381,13 +381,14 @@ def free_variables(expr):
 
 
 def _fold(expr, combine):
-    """`combine(node, results for its operands)`, applied bottom-up.
-
-    Walks post-order with an explicit stack, so depth is not limited,
-    and combines each node once, so a shared subtree's result is shared.
+    """`combine(node, results for its operands)`, applied bottom-up to an
+    Expr or to each entry of a list (giving a list). Walks post-order with
+    an explicit stack, so depth is not limited, and combines each node
+    once, so a shared subtree's result is shared, also between entries.
     """
+    roots = expr if isinstance(expr, list) else [expr]
     done = {}  # id(node) -> its result
-    stack = [expr]
+    stack = list(roots)
     while stack:
         node = stack[-1]
         pending = [a for a in node.args if id(a) not in done]
@@ -397,11 +398,12 @@ def _fold(expr, combine):
         stack.pop()
         if id(node) not in done:
             done[id(node)] = combine(node, [done[id(a)] for a in node.args])
-    return done[id(expr)]
+    results = [done[id(root)] for root in roots]
+    return results if isinstance(expr, list) else results[0]
 
 
 def substitute(expr, mapping):
-    """`expr` with every variable named in `mapping` replaced by its Expr.
+    """`expr` (or a list) with every variable named in `mapping` replaced by its Expr.
 
     A subtree without substituted variables is returned as is.
     """

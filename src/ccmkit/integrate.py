@@ -1,10 +1,10 @@
 """Fixed-step RK4 integration plus an adaptive RK45 oracle.
 
-Every fixed-step run steps with `rk4_step` on `time_grid`, which ends
-exactly at the final time, and counts as diverged once its state passes
-`DIVERGENCE_LIMIT`. The adaptive integrator (scipy's Dormand-Prince
-pair) is kept as an independent cross-check and never shares code with
-RK4; no command calls it, so scipy is imported only when it runs.
+Every fixed-step run steps on `time_grid`, which ends exactly at the
+final time, with `rk4_step` or its generated twin `rk4_exprs`, and
+counts as diverged past `DIVERGENCE_LIMIT`. The adaptive integrator
+(scipy's Dormand-Prince pair) is an independent cross-check sharing no
+code with RK4; no command calls it, so scipy is imported only when it runs.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from . import expr as ex
 
 DIVERGENCE_LIMIT = 1e9
 
@@ -40,6 +42,24 @@ def rk4_step(field, x, t, h):
     if not all(map(math.isfinite, out)):
         raise IntegrationError("non-finite state in RK4 step", t)
     return out
+
+
+def rk4_exprs(rates, state_names):
+    """`rk4_step` of y' = rates, operation for operation, as expressions over t,
+    h, `state_names` and what else the rates read; each inner stage is one
+    substitution into the rates. Raw nodes: on floats y + h/2*0 is not y at y = -0.0."""
+    def op(kind, a, b):
+        return ex.Expr(kind, args=(a, b))
+
+    t, h, ys = ex.var("t"), ex.var("h"), [ex.var(name) for name in state_names]
+    half, two, ks = op("mul", ex.const(0.5), h), ex.const(2.0), [rates]
+    for time, step in [(op("add", t, half), half)] * 2 + [(op("add", t, h), h)]:
+        moved = {y.name: op("add", y, op("mul", step, k)) for y, k in zip(ys, ks[-1], strict=True)}
+        ks.append(ex.substitute(rates, {"t": time, **moved}))
+    sixth = op("div", h, ex.const(6.0))
+    return [op("add", y, op("mul", sixth, op("add", op("add", op("add", k1, op("mul", two, k2)),
+                                                         op("mul", two, k3)), k4)))
+            for y, k1, k2, k3, k4 in zip(ys, *ks, strict=True)]
 
 
 def time_grid(t0, t1, h):

@@ -1,14 +1,16 @@
 """Closed-loop simulation of plant + reference (+ observer state z).
 
-Each run generates its closed loop, one ODE in x, x_d and z, as one
-compiled field with u = u_d(t, x_d) + v, stepped by `integrate.rk4_step`
-on `integrate.time_grid` (so every trace ends exactly at T). u_d and the
-custom or static feedback are folded into the field; the static law
-u_d + beta(x) - beta(x_d) is the radial potential generated on the gain's
-expressions (`controller.radial_potential_exprs`). The dynamic-extension
-and geodesic corrections are computed once per step and passed as v over
-it (zero-order hold); the dynext one is compiled once per gain
-(`GainField.dynext_correction`).
+The closed loop, one ODE in x, x_d and z with u = u_d(t, x_d) + v, is
+generated as one compiled RK4 step (`integrate.rk4_exprs`) that takes t
+and h, so the shortened last step of `integrate.time_grid` is the same
+function and every trace ends exactly at T. u_d and the custom or static
+feedback are folded into it; the static law u_d + beta(x) - beta(x_d) is
+the radial potential generated on the gain's expressions
+(`controller.radial_potential_exprs`). The dynamic-extension and
+geodesic corrections are computed once per step and passed as v over it
+(zero-order hold); the dynext one is compiled once per gain
+(`GainField.dynext_correction`). The step is built once for runs that
+differ only in x0, z0, T, h or the geodesic settings, as in a sweep.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from . import expr as ex
 from .controller import EXACTNESS_TOL, exactness_residual, radial_potential_exprs
 from .geodesic import DEFAULT_NODES, GeodesicError, path_integral_controller
-from .integrate import DIVERGENCE_LIMIT, IntegrationError, rk4_step, time_grid
+from .integrate import DIVERGENCE_LIMIT, IntegrationError, rk4_exprs, time_grid
 from .model import _parse_entry, state_vars
 
 CONTROLLER_KINDS = ("static", "dynext", "geodesic", "custom")
@@ -74,12 +76,9 @@ class SimTrace:
         return float(self.err[-1])
 
     def columns(self):
-        groups = [("x", self.x), ("xd", self.xd), ("z", self.z), ("u", self.u),
-                  ("ud", self.ud)]
+        groups = [("x", self.x), ("xd", self.xd), ("z", self.z), ("u", self.u), ("ud", self.ud)]
         groups = [(name, block) for name, block in groups if block is not None]
-        names = ["t"]
-        names += [f"{name}{i + 1}" for name, block in groups
-                  for i in range(block.shape[1])]
+        names = ["t"] + [f"{name}{i + 1}" for name, block in groups for i in range(block.shape[1])]
         blocks = [self.t[:, None]] + [block for _, block in groups]
         return names + ["err"], np.hstack(blocks + [self.err[:, None]])
 
@@ -96,15 +95,14 @@ def _require_exact(gain, grid):
     if gain.is_constant():
         return
     if grid is None:
-        raise SimulationError(
-            "static controller on a non-constant gain needs exactness_grid"
-        )
-    residual, witness = exactness_residual(gain, grid)
+        raise SimulationError("static controller on a non-constant gain needs exactness_grid")
+    try:
+        residual, witness = exactness_residual(gain, grid)
+    except ArithmeticError as err:
+        raise SimulationError(f"exactness check failed: {err}") from None
     if residual > EXACTNESS_TOL:
-        raise SimulationError(
-            f"static controller needs an exact gain: residual "
-            f"{residual:g} at x={witness}; use dynext or geodesic"
-        )
+        raise SimulationError(f"static controller needs an exact gain: residual {residual:g} "
+                              f"at x={witness}; use dynext or geodesic")
 
 
 def _plant(sys, u, rename):
@@ -113,35 +111,54 @@ def _plant(sys, u, rename):
     return [ex.add(ex.substitute(f, rename), bu) for f, bu in zip(sys.f_exprs, ex.matvec(b, u))]
 
 
-def _controller(sys, metric, gain, cfg, variables, x, xd, ud, v):
-    """Resolve cfg.kind into (u, correction): u holds m control expressions
-    over `variables` (t, x, xd, z) and v; correction(*y), when not None,
-    gives v at state y, held over the step."""
-    n = sys.n
-    if cfg.kind == "custom":
-        if not cfg.custom_u:
-            raise SimulationError("custom controller needs expressions")
-        u = [_parse_entry(e, variables) for e in cfg.custom_u]
-        if len(u) != sys.m:
-            raise SimulationError(f"custom controller needs {sys.m} expressions")
-        return u, None
-    if cfg.kind == "static":
-        _require_exact(gain, cfg.exactness_grid)
-        beta_x, beta_xd = radial_potential_exprs(gain, x), radial_potential_exprs(gain, xd)
-        return [ex.add(a, ex.sub(b, c)) for a, b, c in zip(ud, beta_x, beta_xd)], None
-    u = [ex.add(a, b) for a, b in zip(ud, v)]
-    if cfg.kind == "dynext":
-        return u, gain.dynext_correction
-    warm = None
+def _correction(sys, metric, gain, cfg):
+    """correction(*y) gives v at state y, held over the step; None for a
+    kind without v. Made per run: a geodesic warm start stays in its run."""
+    if cfg.kind != "geodesic":
+        return gain.dynext_correction if cfg.kind == "dynext" else None
+    n, warm = sys.n, [None]
 
     def correction(*y):
-        nonlocal warm
-        held, warm = path_integral_controller(
-            gain, metric, y[:n], y[n : 2 * n], np.zeros(sys.m), cfg.geodesic_segments, path=warm
-        )
+        held, warm[0] = path_integral_controller(gain, metric, y[:n], y[n : 2 * n], np.zeros(sys.m),
+                                                 cfg.geodesic_segments, path=warm[0])
         return held.tolist()
+    return correction
 
-    return u, correction
+
+_BUILT = [((), None)]  # (key, (step, law)) of the last closed loop built, read and set at once
+
+
+def _closed_loop(sys, metric, gain, ref, cfg):
+    """(step, law): the RK4 step y(t + h) = step(t, h, *y, *v) and (u, u_d) = law(t, *y, *v),
+    compiled unless the last call had the same objects (held, so `is` cannot alias) and settings."""
+    key = (sys, metric, gain, ref, cfg.exactness_grid, cfg.kind, cfg.ell, tuple(cfg.custom_u or ()))
+    last, built = _BUILT[0]
+    if key[5:] == last[5:] and all(a is b for a, b in zip(key[:5], last)):
+        return built
+    n, ud, use_z = sys.n, ref.ud_exprs, cfg.kind in ("dynext", "custom")
+    names = ["t"] + [f"{p}{i + 1}" for p in ("x", "xd", "z")[: 3 if use_z else 2] for i in range(n)]
+    x, xd, z = ([ex.var(name) for name in names[1 + i * n : 1 + (i + 1) * n]] for i in range(3))
+    held = [f"v{j + 1}" for j in range(sys.m)] if cfg.kind in ("dynext", "geodesic") else []
+    if cfg.kind == "custom":  # m expressions over t, x, xd and z
+        if len(cfg.custom_u or ()) != sys.m:
+            raise SimulationError(f"custom controller needs {sys.m} expressions")
+        u = [_parse_entry(e, names) for e in cfg.custom_u]
+    elif cfg.kind == "static":
+        _require_exact(gain, cfg.exactness_grid)
+        beta_x, beta_xd = radial_potential_exprs(gain, x), radial_potential_exprs(gain, xd)
+        u = [ex.add(a, ex.sub(b, c)) for a, b, c in zip(ud, beta_x, beta_xd)]
+    else:  # u_d plus the held correction v
+        u = [ex.add(a, ex.var(b)) for a, b in zip(ud, held)]
+
+    # x' = f(x) + B(x) u, xd' = f(xd) + B(xd) ud and z' = x' - ell (z - x)
+    fx = _plant(sys, u, {})
+    rates = fx + _plant(sys, ud, dict(zip(state_vars(n), xd)))
+    if use_z:
+        rates += [ex.sub(a, ex.mul(ex.const(cfg.ell), ex.sub(c, b))) for a, b, c in zip(fx, x, z)]
+    built = (ex.compile_fn(rk4_exprs(rates, names[1:]), ["t", "h"] + names[1:] + held),
+             ex.compile_fn([u, ud], names + held))
+    _BUILT[0] = key, built
+    return built
 
 
 def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
@@ -151,30 +168,12 @@ def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
     truncate the trace and set a flag instead of raising, so sweeps
     survive bad samples.
     """
-    n = sys.n
+    n, use_z = sys.n, cfg.kind in ("dynext", "custom")
     xd0 = np.asarray(ref.xd0, dtype=float)
     x0 = np.asarray(cfg.x0 if cfg.x0 is not None else xd0, dtype=float)
-    use_z = cfg.kind in ("dynext", "custom")
     z0 = np.asarray(cfg.z0 if cfg.z0 is not None else xd0, dtype=float)
-    names = ["t"] + state_vars(n) + [f"xd{i + 1}" for i in range(n)]
-    names += [f"z{i + 1}" for i in range(n)] if use_z else []
-    x, xd, z = ([ex.var(name) for name in names[1 + i * n : 1 + (i + 1) * n]] for i in range(3))
-    v = [ex.var(f"v{j + 1}") for j in range(sys.m)]
-    u, correction = _controller(sys, metric, gain, cfg, names, x, xd, ref.ud_exprs, v)
-
-    # x' = f(x) + B(x) u, xd' = f(xd) + B(xd) ud and z' = x' - ell (z - x)
-    fx = _plant(sys, u, {})
-    rates = fx + _plant(sys, ref.ud_exprs, dict(zip(state_vars(n), xd)))
-    if use_z:
-        rates += [ex.sub(a, ex.mul(ex.const(cfg.ell), ex.sub(c, b))) for a, b, c in zip(fx, x, z)]
-    names += [e.name for e in v] if correction else []
-    closed_loop = ex.compile_fn(rates, names)
-    law = ex.compile_fn([u, ref.ud_exprs], names)
-    held = []
-
-    def stage(t, y):
-        return closed_loop(t, *y, *held)
-
+    step, law = _closed_loop(sys, metric, gain, ref, cfg)
+    correction, held = _correction(sys, metric, gain, cfg), []
     times = time_grid(0.0, cfg.T, cfg.h)
     state = np.concatenate([x0, xd0, z0] if use_z else [x0, xd0]).tolist()
     states = np.empty((times.size, len(state)))
@@ -198,33 +197,23 @@ def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
         if k + 1 == times.size:
             break
         try:
-            state = rk4_step(stage, state, t, float(times[k + 1]) - t)
+            state = step(t, float(times[k + 1]) - t, *state, *held)
+            if not all(map(math.isfinite, state)):
+                raise IntegrationError("non-finite state in RK4 step", t)
             if max(map(abs, state)) > DIVERGENCE_LIMIT:
                 raise IntegrationError("state divergence", times[k + 1])
         except (IntegrationError, ArithmeticError, ValueError) as err:
             flags.append(f"numerical failure at t={t:g}: {err}")
             break
 
-    completed = not flags
-    end = k + 1
+    completed, end = not flags, k + 1
     xs, xds = states[:end, :n], states[:end, n : 2 * n]
-    domain_exits = times[:end][~sys.in_domain(xs)].tolist()
-    if domain_exits:
-        flags.append(
-            f"plant left the domain box at t={domain_exits[0]:g} "
-            f"({len(domain_exits)} samples)"
-        )
-    return SimTrace(
-        t=times[:end],
-        x=xs,
-        xd=xds,
-        u=us[:end],
-        ud=uds[:end],
-        err=np.linalg.norm(xs - xds, axis=1),
-        z=states[:end, 2 * n :] if use_z else None,
-        flags=flags,
-        completed=completed,
-    )
+    exits = times[:end][~sys.in_domain(xs)].tolist()
+    if exits:
+        flags.append(f"plant left the domain box at t={exits[0]:g} ({len(exits)} samples)")
+    return SimTrace(t=times[:end], x=xs, xd=xds, u=us[:end], ud=uds[:end],
+                    err=np.linalg.norm(xs - xds, axis=1),
+                    z=states[:end, 2 * n :] if use_z else None, flags=flags, completed=completed)
 
 
 def decay_rate(trace, window):

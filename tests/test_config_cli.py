@@ -383,6 +383,19 @@ class TestCliSimulate:
         assert "# flag: controller failure at t=0" in err
         assert "Traceback" not in err
 
+    def test_undefined_gain_partial_exit_three(self, tmp_path, capsys):
+        # the mixed partials of -sqrt(x1^2 + x2^2) are undefined at the
+        # origin, a point of the 5 x 5 exactness grid
+        path = write_config(
+            tmp_path,
+            NUMEX_MIN + "[gain]\nsource = user\nK_1_1 = -sqrt(x1^2 + x2^2)\nK_1_2 = -1\n"
+            "[simulation]\ncontroller = static\nT = 1\nh = 0.01\n",
+        )
+        assert main(["simulate", "--config", path, "--grid", "5",
+                     "--out", str(tmp_path / "t.csv")]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: exactness check failed: float division by zero at x=[0. 0.]\n")
+
     @pytest.mark.parametrize(
         "setting", ["controller = magic", "T = -1", "T = nan", "geodesic_N = 1",
                     "ell = -1", "ell = nan", "ell = 0"])

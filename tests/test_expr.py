@@ -512,6 +512,10 @@ class TestSubstitute:
         out = ex.substitute(e, {"x1": ex.var("y")})
         assert out.args[0].args[0] is out.args[1].args[0]
         assert out.args[0].args[0] == ex.parse("y*x2", ["y", "x2"])
+        # and between the entries of a list, which gives a list
+        entries = ex.substitute([ex.func("sin", shared), ex.func("cos", shared)],
+                                {"x1": ex.var("y")})
+        assert isinstance(entries, list) and entries[0].args[0] is entries[1].args[0]
 
 
 def test_compile_fn_overflowing_literals():

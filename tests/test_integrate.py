@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ccmkit.integrate import IntegrationError, rk4_solve, rk4_step, rk45_integrate
+from ccmkit import expr as ex
+from ccmkit.integrate import IntegrationError, rk4_exprs, rk4_solve, rk4_step, rk45_integrate
 
 
 def decay(t, x):
@@ -39,6 +40,41 @@ class TestRk4Step:
         # x' = t integrates exactly (RK4 is exact for cubic-in-t rhs)
         out = rk4_step(lambda t, x: np.array([t]), np.array([0.0]), 0.0, 1.0)
         assert out[0] == pytest.approx(0.5, abs=1e-15)
+
+
+class TestRk4Exprs:
+    """The generated step against `rk4_step` on the compiled field, bit for bit."""
+
+    NAMES = ["y1", "y2", "y3"]
+    # y3' = 0 from y3 = -0.0: a float step gives -0.0 + h/2*0.0 = +0.0 at
+    # each stage and at the end, which a folded y + h/2*0 -> y would not
+    RATES = ["y2*sin(t) - y1^3/(1 + y3^2)", "v1 - 2*y1 + exp(-t)*y2*y3", "0"]
+
+    def test_matches_rk4_step_bit_for_bit(self):
+        variables = ["t"] + self.NAMES + ["v1"]
+        rates = [ex.parse(text, variables) for text in self.RATES]
+        field = ex.compile_fn(rates, variables)
+        step = ex.compile_fn(rk4_exprs(rates, self.NAMES), ["t", "h"] + variables[1:])
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            y = rng.uniform(-2.0, 2.0, 3).tolist()
+            y[2] = -0.0
+            t, v = rng.uniform(0.0, 5.0), rng.uniform(-1.0, 1.0)
+            for h in (1e-2, 0.37e-2):  # a full and a shortened last step
+                want = rk4_step(lambda s, x: field(s, *x, v), y, t, h)
+                got = step(t, h, *y, v)
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+                assert want[2] == 0.0 and math.copysign(1.0, want[2]) == 1.0
+
+    def test_stages_share_subtrees(self):
+        # sin(y1) is one node read by both rates; a stage substitutes into
+        # all rates at once, so its copy at the stage state is one node too
+        y1, y2 = ex.var("y1"), ex.var("y2")
+        shared = ex.func("sin", y1)
+        new = rk4_exprs([ex.mul(shared, y2), ex.add(shared, y1)], ["y1", "y2"])
+        # y + h/6*(((k1 + 2*k2) + 2*k3) + k4) -> k2
+        k2 = [e.args[1].args[1].args[0].args[0].args[1].args[1] for e in new]
+        assert k2[0].args[0].kind == "sin" and k2[0].args[0] is k2[1].args[0]
 
 
 class TestRk4Solve:

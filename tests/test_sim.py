@@ -2,6 +2,8 @@
 
 import io
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from ccmkit import controller, sim
 from ccmkit import expr as ex
 from ccmkit.certificates import Grid
+from ccmkit.config import load_config
 from ccmkit.controller import (
     DampingParams,
     GainField,
@@ -20,10 +23,11 @@ from ccmkit.geodesic import GeodesicError, path_integral_controller
 from ccmkit.integrate import (
     DIVERGENCE_LIMIT,
     IntegrationError,
+    rk4_step,
     rk45_integrate,
     time_grid,
 )
-from ccmkit.model import MetricField, ReferenceSpec, SystemModel, float_args
+from ccmkit.model import MetricField, ReferenceSpec, SystemModel, builtin, float_args
 from ccmkit.sim import (
     RunConfig,
     SimTrace,
@@ -32,6 +36,9 @@ from ccmkit.sim import (
     perturbation_sweep,
     run_closed_loop,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def numpy_rk4_step(field, x, t, h):
@@ -293,24 +300,30 @@ ORACLE_CASES = {
 }
 
 
+def oracle_inputs(case, request):
+    """(bundle, gain, cfg) of an ORACLE_CASES entry; a fresh grid each call."""
+    name, kind, gain_key, kwargs = ORACLE_CASES[case]
+    bundle = request.getfixturevalue(name)
+    gains = {"constant": lambda: GainField.from_exprs(2, 1, [["-1", "-1"]]),
+             "exact": lambda: GainField.from_exprs(2, 1, [["-x1", "-x2^3"]]),
+             "symbolic": lambda: GainField.from_exprs(
+                 3, 1, [["-x1^2/10", "-sin(x2)/5", "-2 - cos(x1*x3)/5"]]),
+             "synthesized": lambda: synthesize_gain(
+                 bundle.system, bundle.metric, DampingParams(r=1.5, gamma0=0.1, lam=2.0 / 3.0))}
+    gain = (request.getfixturevalue(f"{name}_gain") if gain_key == "builtin"
+            else gains[gain_key]() if gain_key else None)
+    kwargs = {k: v if k == "custom_u" else np.array(v) for k, v in kwargs.items()}
+    cfg = RunConfig(kind=kind, T=1.0, h=2e-3, ell=5.0,
+                    exactness_grid=Grid([-6, -6], [6, 6], (9, 9)), **kwargs)
+    return bundle, gain, cfg
+
+
 class TestReferenceLoopOracle:
     """The generated closed loop against the per-stage reference loop."""
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_matches_reference_loop(self, case, request):
-        name, kind, gain_key, kwargs = ORACLE_CASES[case]
-        bundle = request.getfixturevalue(name)
-        gains = {"constant": lambda: GainField.from_exprs(2, 1, [["-1", "-1"]]),
-                 "exact": lambda: GainField.from_exprs(2, 1, [["-x1", "-x2^3"]]),
-                 "symbolic": lambda: GainField.from_exprs(
-                     3, 1, [["-x1^2/10", "-sin(x2)/5", "-2 - cos(x1*x3)/5"]]),
-                 "synthesized": lambda: synthesize_gain(
-                     bundle.system, bundle.metric, DampingParams(r=1.5, gamma0=0.1, lam=2.0 / 3.0))}
-        gain = (request.getfixturevalue(f"{name}_gain") if gain_key == "builtin"
-                else gains[gain_key]() if gain_key else None)
-        kwargs = {k: v if k == "custom_u" else np.array(v) for k, v in kwargs.items()}
-        cfg = RunConfig(kind=kind, T=1.0, h=2e-3, ell=5.0,
-                        exactness_grid=Grid([-6, -6], [6, 6], (9, 9)), **kwargs)
+        bundle, gain, cfg = oracle_inputs(case, request)
         got = run_closed_loop(bundle.system, bundle.metric, gain, bundle.reference, cfg)
         want = reference_loop(bundle.system, bundle.metric, gain, bundle.reference, cfg)
         assert got.flags == want.flags
@@ -323,6 +336,36 @@ class TestReferenceLoopOracle:
             scale = np.max(np.abs(want_data[:, j]))
             assert np.allclose(data[:, j], want_data[:, j], rtol=1e-9,
                                atol=1e-9 * scale), column
+
+
+class TestGeneratedStep:
+    """The compiled RK4 step of each closed loop against `rk4_step` on the
+    compiled closed-loop field, float for float."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_rk4_step_bit_for_bit(self, case, request, monkeypatch):
+        bundle, gain, cfg = oracle_inputs(case, request)
+        seen = []
+
+        def rk4_exprs(rates, state_names, original=sim.rk4_exprs):
+            seen.append((rates, state_names))
+            return original(rates, state_names)
+
+        monkeypatch.setattr(sim, "rk4_exprs", rk4_exprs)
+        step, _ = sim._closed_loop(bundle.system, bundle.metric, gain, bundle.reference, cfg)
+        [(rates, state_names)] = seen  # the fresh grid makes this a new build
+        held = [f"v{j + 1}" for j in range(bundle.system.m)] if cfg.kind in (
+            "dynext", "geodesic") else []
+        field = ex.compile_fn(rates, ["t"] + state_names + held)
+        rng = np.random.default_rng(len(case))
+        for _ in range(20):
+            y = rng.uniform(-1.5, 1.5, len(state_names)).tolist()
+            v = rng.uniform(-1.0, 1.0, len(held)).tolist()
+            t = rng.uniform(0.0, cfg.T)
+            for h in (cfg.h, 0.37 * cfg.h):  # a full and a shortened last step
+                want = rk4_step(lambda s, x: field(s, *x, *v), y, t, h)
+                got = step(t, h, *y, *v)
+                assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 class TestGeneratedDynext:
@@ -367,12 +410,12 @@ class TestGeneratedDynext:
         monkeypatch.setattr(controller, "dynext_beta", dynext_beta)
         gain = GainField.from_exprs(2, 1, numex.builtin_gain)  # nothing compiled yet
         cfg = RunConfig(kind="dynext", T=0.2, h=1e-2, x0=np.array([-5.0, 2.0]), ell=5.0)
-        for _ in range(2):  # a second run (a sweep sample) reuses the gain's correction
+        for _ in range(2):  # a second run (a sweep sample) reuses all three functions
             trace = run_closed_loop(numex.system, numex.metric, gain, numex.reference, cfg)
             assert trace.completed and len(trace.t) == 21
-        # the field and (u, u_d) read v, per run; the correction is the one that does not
+        # the step and (u, u_d) read v; the correction is the one that does not
         free = [ex.free_variables(exprs) for exprs in compiled]
-        assert len(compiled) == 5
+        assert len(compiled) == 3
         assert [any(name.startswith("v") for name in names) for names in free].count(False) == 1
         assert beta_calls == []
 
@@ -553,6 +596,104 @@ class TestFailureHandling:
             run_closed_loop(numex.system, numex.metric, None, numex.reference,
                             RunConfig(kind="custom", T=1.0, h=1e-3,
                                       x0=np.zeros(2)))
+
+
+class TestUndefinedGainPartial:
+    """K = [-sqrt(x1^2 + x2^2), -1] has no partials at the origin, a grid point."""
+
+    KINK = [["-sqrt(x1^2 + x2^2)", "-1"]]
+
+    def cfg(self, **kwargs):
+        return RunConfig(kind="static", T=0.1, h=1e-2,
+                         exactness_grid=Grid([-2, -2], [2, 2], (5, 5)), **kwargs)
+
+    def test_static_run_names_the_check_and_the_point(self, numex):
+        gain = GainField.from_exprs(2, 1, self.KINK)
+        for _ in range(2):  # the failed build is not cached: the second run fails the same way
+            with pytest.raises(SimulationError,
+                               match=r"exactness check failed: .* at x=\[0\. 0\.\]"):
+                run_closed_loop(numex.system, numex.metric, gain, numex.reference,
+                                self.cfg(x0=np.array([1.0, 1.0])))
+        assert all(entry is not gain for entry in sim._BUILT[0][0])
+
+    def test_sweep_counts_every_sample_as_not_converged(self, numex):
+        gain = GainField.from_exprs(2, 1, self.KINK)
+        result = perturbation_sweep(numex.system, numex.metric, gain, numex.reference,
+                                    self.cfg(), [0.0, 0.5], 2)
+        assert result == [(0.0, 0.0), (0.5, 0.0)]
+
+
+class TestBuildOnce:
+    """Runs that differ only in x0 (a sweep) share one compiled closed loop."""
+
+    @staticmethod
+    def count_compiles(monkeypatch):
+        compiled = []
+
+        def compile_fn(exprs, variables, original=ex.compile_fn):
+            compiled.append(variables)
+            return original(exprs, variables)
+
+        monkeypatch.setattr(ex, "compile_fn", compile_fn)
+        return compiled
+
+    def test_static_sweep_compiles_twice(self, micro, monkeypatch):
+        gain = GainField.from_exprs(3, 1, micro.builtin_gain)  # a new key
+        compiled = self.count_compiles(monkeypatch)
+        runs = []
+        monkeypatch.setattr(sim, "run_closed_loop",
+                            lambda *args: runs.append(args) or run_closed_loop(*args))
+        cfg = RunConfig(kind="static", T=0.2, h=1e-2)
+        perturbation_sweep(micro.system, micro.metric, gain, micro.reference, cfg,
+                           [0.25, 0.5, 0.75, 1.0], 4, seed=3)
+        assert len(runs) == 16
+        assert len(compiled) == 2  # the RK4 step and (u, u_d)
+
+    def test_geodesic_warm_start_stays_in_its_run(self, monkeypatch):
+        def inputs():
+            demo = load_config(str(CONFIGS / "geodesic_demo.ini"))
+            gain = GainField.from_exprs(2, 1, [["-1", "-(1 + x2^2)"]])
+            ref = ReferenceSpec.from_strings(2, [0.0, 0.0], ["sin(t)"])
+            return demo.system, demo.metric, gain, ref
+
+        traces, cold = [], []  # cold: per geodesic solve, whether it had no warm start
+
+        def recording(*args):
+            cold.append("run")
+            traces.append(run_closed_loop(*args))
+            return traces[-1]
+
+        def path_integral(*args, path=None, original=sim.path_integral_controller):
+            cold.append(path is None)
+            return original(*args, path=path)
+
+        monkeypatch.setattr(sim, "run_closed_loop", recording)
+        monkeypatch.setattr(sim, "path_integral_controller", path_integral)
+        cfg = RunConfig(kind="geodesic", T=0.2, h=0.05, geodesic_segments=16)
+        perturbation_sweep(*inputs(), cfg, [1.0], 2, seed=5)
+        assert len(traces) == 2 and traces[0].x[0, 0] != traces[1].x[0, 0]
+        # the solver drops a warm path above the chord's energy, so traces
+        # alone may not show a leak: each run's first solve must start cold
+        assert cold == ["run", True] + [False] * 4 + ["run", True] + [False] * 4
+        for trace in traces:  # each sample again, on objects built for it alone
+            fresh = run_closed_loop(*inputs(), replace(cfg, x0=trace.x[0]))
+            assert trace.completed and fresh.flags == trace.flags
+            assert np.array_equal(fresh.columns()[1], trace.columns()[1])
+
+    def test_changed_ell_or_custom_u_recompiles(self, monkeypatch):
+        bundle = builtin("numex")  # a new key
+        compiled = self.count_compiles(monkeypatch)
+        cfg = RunConfig(kind="custom", T=0.1, h=1e-2, x0=np.array([1.0, -0.5]),
+                        custom_u=["-x1 - 2*x2 + z1 - xd2"], ell=5.0)
+        counts, z_ends = [], []
+        for changed in ({}, {"x0": np.array([0.5, 0.5])}, {"ell": 3.0},
+                        {"custom_u": ["-x1 - x2 + z1 - xd2"]}, {}):
+            cfg = replace(cfg, **changed)
+            trace = run_closed_loop(bundle.system, bundle.metric, None, bundle.reference, cfg)
+            counts.append(len(compiled))
+            z_ends.append(trace.z[-1].tolist())
+        assert counts == [2, 2, 4, 6, 6]
+        assert z_ends[2] != z_ends[1]  # the new ell is the one simulated
 
 
 class TestPerturbationSweep:
