@@ -140,8 +140,7 @@ def _finish(condition, points, margins, directions, passed, tol, **kwargs):
 def _killing_margins(sys, metric, points, b):
     """Largest |entry| of the metric's form along the input columns per
     grid point, from the stack b of B."""
-    db = np.stack([sys.jac_b_col(points, j) for j in range(sys.m)], axis=1)
-    residual, _ = metric.form(points[:, None], np.swapaxes(b, 1, 2), db)
+    residual, _ = metric.form(points[:, None], np.swapaxes(b, 1, 2), sys.jac_b(points))
     return np.abs(residual).max(axis=(1, 2, 3))
 
 

@@ -5,7 +5,8 @@ The differential gain is damping injection along the detectable output
 matrix R = [(MB)^T MB]^-1, built as expressions like every GainField.
 Three realizations turn it into an actual feedback: an exact potential
 when the gain field is curl-free, a geodesic path integral (see the
-geodesic module), and a dynamic extension with an observer-like state z.
+geodesic module), and a dynamic extension with an observer-like state z;
+`sim` compiles the potentials' expressions into its closed loop.
 """
 
 from __future__ import annotations
@@ -75,9 +76,9 @@ def upsilon(metric, sys, x):
 
 class GainField:
     """Differential gain K(x) in R^{m x n}: m x n expressions over x1..xn.
-    It and its partials are `model._Field`s: one point (n,) gives (m, n), a
-    (P, n) stack (P, m, n) in one call. `constant_matrix` is K when no entry
-    has a variable, else None."""
+    It is a `model._Field`: one point (n,) gives (m, n), a (P, n) stack
+    (P, m, n) in one call; its partials are one more, of shape (n, m, n).
+    `constant_matrix` is K when no entry has a variable, else None."""
 
     def __init__(self, n, m, exprs, meta=None):
         if len(exprs) != m or any(len(row) != n for row in exprs):
@@ -101,28 +102,21 @@ class GainField:
         return self.constant_matrix is not None
 
     @cached_property
-    def _partials(self):
+    def _partials(self):  # (k, r, i) entry = dK_ri/dx_k
         xs = state_vars(self.n)
-        return [_Field([[ex.differentiate(e, v) for e in row] for row in self.exprs], xs)
-                for v in xs]
+        return _Field([[[ex.differentiate(e, v) for e in row] for row in self.exprs] for v in xs],
+                      xs)
 
     @cached_property
     def _curl(self):  # dK_ri/dx_j - dK_rj/dx_i for each row r and i < j; no diagonal partial
-        d = [field.exprs for field in self._partials]  # d[j][r][i] = dK_ri/dx_j
+        d = self._partials.exprs
         pairs = [(i, j) for i in range(self.n) for j in range(i + 1, self.n)]
         return _Field([ex.sub(d[j][r][i], d[i][r][j]) for r in range(self.m) for i, j in pairs],
                       state_vars(self.n))
 
-    @cached_property
-    def dynext_correction(self):
-        """beta(x, z) - beta(xd, z) over (x1..xn, xd1..xdn, z1..zn), compiled once."""
-        x, xd, z = ([ex.var(f"{p}{i + 1}") for i in range(self.n)] for p in ("x", "xd", "z"))
-        beta = zip(dynext_beta_exprs(self, x, z), dynext_beta_exprs(self, xd, z))
-        return ex.compile_fn([ex.sub(a, b) for a, b in beta], [e.name for e in x + xd + z])
-
     def partial(self, x, axis):
         """dK/dx_axis, from the symbolic derivatives of the entries."""
-        return self._partials[axis](np.asarray(x, dtype=float))
+        return self._partials(np.asarray(x, dtype=float))[..., axis, :, :]
 
 
 def _solve_spd(g, rhs):

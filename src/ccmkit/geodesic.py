@@ -20,6 +20,7 @@ GRAD_TOL = 1e-8
 ENERGY_TOL = 1e-12
 MAX_ITERS = 500
 DEFAULT_NODES = 32
+MAX_SEGMENTS = 4096  # the preconditioner is a dense (N-1) x (N-1) inverse
 
 
 class GeodesicError(RuntimeError):
@@ -32,10 +33,6 @@ class GeodesicPath:
     energy: float
     iterations: int
     converged: bool
-
-    @property
-    def segments(self):
-        return self.nodes.shape[0] - 1
 
     def tangents(self):
         """Per-segment dx; sums telescope to end - start."""
@@ -73,11 +70,7 @@ def _energy_gradient(metric, nodes):
     pulls = 2.0 * np.einsum("kij,kj->ki", metric.eval(mids), deltas)
     grad = pulls[:-1] - pulls[1:]
     if not metric.constant:
-        bends = 0.5 * np.stack(
-            [np.einsum("ki,kij,kj->k", deltas, metric.partial(mids, i), deltas)
-             for i in range(nodes.shape[1])],
-            axis=1,
-        )
+        bends = 0.5 * np.einsum("ki,kija,kj->ka", deltas, metric.partials(mids), deltas)
         grad += bends[:-1] + bends[1:]
     return n_seg * grad
 
@@ -143,13 +136,13 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, max_iters=MAX_ITE
     perturbation so symmetric saddles (straight chords can be exactly
     stationary) do not masquerade as minima.
     """
-    if n_segments < 2:
-        raise ValueError("need at least 2 segments")
+    if not 2 <= n_segments <= MAX_SEGMENTS:
+        raise ValueError(f"need 2 to {MAX_SEGMENTS} segments")
     x_a = np.asarray(x_a, dtype=float)
     x_b = np.asarray(x_b, dtype=float)
     fractions = np.linspace(0.0, 1.0, n_segments + 1)[:, None]
     straight = (1.0 - fractions) * x_a + fractions * x_b
-    if getattr(metric, "constant", False):
+    if metric.constant:
         # uniform chord is the exact minimizer under a constant metric;
         # its energy telescopes to the endpoint quadratic form
         delta = x_b - x_a

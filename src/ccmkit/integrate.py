@@ -65,13 +65,12 @@ def rk4_exprs(rates, state_names):
 def time_grid(t0, t1, h):
     """Times t0, t0 + h, ... of a fixed-step run over [t0, t1].
 
-    The final step is shortened so the grid ends exactly at t1.
+    The final step is shortened so the grid ends exactly at t1; there is
+    at least one step, so the grid starts at t0 even when h exceeds t1 - t0.
     """
     # a remainder below 1e-6 of a step is rounding error, not a step
-    n_steps = int(np.ceil((t1 - t0) / h - 1e-6))
-    times = t0 + h * np.arange(n_steps + 1)
-    times[-1] = t1
-    return times
+    n_steps = max(1, int(np.ceil((t1 - t0) / h - 1e-6)))
+    return np.concatenate([[t0], t0 + h * np.arange(1, n_steps), [t1]])
 
 
 def rk4_solve(field, x0, t0, t1, h):

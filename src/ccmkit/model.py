@@ -4,7 +4,8 @@ Everything is defined through scalar expression ASTs so that all the
 Jacobians and metric derivatives consumed by the certificate checks and
 the controller synthesis come from exact symbolic differentiation. Each
 expression-defined array (f, B, M, their derivatives, u_d, symbolic gains)
-is one `_Field`: one point runs on Python floats, a stack on numpy.
+is one `_Field` (a column of dB/dx or an axis of dM/dx is a slice): one
+point runs on Python floats, a stack on numpy.
 """
 
 from __future__ import annotations
@@ -108,9 +109,7 @@ class SystemModel:
         self._f = _Field(self.f_exprs, self.vars)
         self._b = _Field(self.b_exprs, self.vars)
         self._df = _Field(self.df_exprs, self.vars)
-        self._db = [
-            _Field([row[j] for row in self.db_exprs], self.vars) for j in range(self.m)
-        ]
+        self._db = _Field([[row[j] for row in self.db_exprs] for j in range(m)], self.vars)
         self.b_constant = self._b.constant
 
     def in_domain(self, x):
@@ -129,19 +128,17 @@ class SystemModel:
         """Jacobian of the drift, (i, j) entry = d f_i / d x_j."""
         return self._df(x)
 
+    def jac_b(self, x):
+        """Jacobians of the columns of B, (j, i, k) entry = d B_ij / d x_k."""
+        return self._db(x)
+
     def jac_b_col(self, x, j):
         """Jacobian of the j-th column of B, (i, k) entry = d B_ij / d x_k."""
-        return self._db[j](x)
+        return self.jac_b(x)[..., j, :, :]
 
     def a_matrix(self, x, u):
         """Differential-dynamics matrix: jac_f + sum_j u_j * d(B col j)/dx."""
-        u = np.asarray(u, dtype=float)
-        a = self.jac_f(x)
-        if not self.b_constant:
-            for j in range(self.m):
-                if u[j] != 0.0:
-                    a = a + u[j] * self.jac_b_col(x, j)
-        return a
+        return self.jac_f(x) + np.tensordot(np.asarray(u, dtype=float), self.jac_b(x), axes=1)
 
 
 class MetricField:
@@ -178,30 +175,27 @@ class MetricField:
             for row in self.m_exprs
         ]
         self._m = _Field(self.m_exprs, self.vars)
-        self._dm = [
-            _Field([[mij[k] for mij in row] for row in self.dm_exprs], self.vars)
-            for k in range(n)
-        ]
+        self._dm = _Field(self.dm_exprs, self.vars)
         self.constant = self._m.constant
 
     def eval(self, x):
         return self._m(x)
 
+    def partials(self, x):
+        """The derivatives of M, (i, j, k) entry = d M_ij / d x_k."""
+        return self._dm(x)
+
     def partial(self, x, k):
         """d M / d x_k, entrywise."""
-        return self._dm[k](x)
+        return self.partials(x)[..., k]
 
     def dir_deriv(self, x, v):
         """Directional derivative sum_k v_k dM/dx_k (per point of a stack
         x, with v of the same shape)."""
         v = np.asarray(v, dtype=float)
-        out = np.zeros(v.shape[:-1] + (self.n, self.n))
         if self.constant:
-            return out
-        for k in range(self.n):
-            if np.any(v[..., k]):
-                out += v[..., k, None, None] * self.partial(x, k)
-        return out
+            return np.zeros(v.shape[:-1] + (self.n, self.n))
+        return (self.partials(x) * v[..., None, None, :]).sum(axis=-1)
 
     def form(self, x, v, a):
         """The metric's form along a vector field v with Jacobian a, and M(x):

@@ -8,9 +8,10 @@ feedback are folded into it; the static law u_d + beta(x) - beta(x_d) is
 the radial potential generated on the gain's expressions
 (`controller.radial_potential_exprs`). The dynamic-extension and
 geodesic corrections are computed once per step and passed as v over it
-(zero-order hold); the dynext one is compiled once per gain
-(`GainField.dynext_correction`). The step is built once for runs that
-differ only in x0, z0, T, h or the geodesic settings, as in a sweep.
+(zero-order hold) by the compiled law (u, u_d, v), which generates the
+dynext v from `controller.dynext_beta_exprs`; the geodesic v is computed
+in Python. Step and law are built once for runs that differ only in x0,
+z0, T, h or the geodesic settings, as in a sweep.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import expr as ex
-from .controller import EXACTNESS_TOL, exactness_residual, radial_potential_exprs
-from .geodesic import DEFAULT_NODES, GeodesicError, path_integral_controller
+from .controller import (EXACTNESS_TOL, dynext_beta_exprs, exactness_residual,
+                         radial_potential_exprs)
+from .geodesic import DEFAULT_NODES, MAX_SEGMENTS, GeodesicError, path_integral_controller
 from .integrate import DIVERGENCE_LIMIT, IntegrationError, rk4_exprs, time_grid
 from .model import _parse_entry, state_vars
 
@@ -50,14 +52,16 @@ class RunConfig:
     def __post_init__(self):
         if self.kind not in CONTROLLER_KINDS:
             raise SimulationError(f"unknown controller kind {self.kind!r}")
-        if not (self.T > 0 and self.h > 0):  # also rejects nan
-            raise SimulationError("need T > 0 and h > 0")
+        if not (0 < self.T < math.inf and 0 < self.h < math.inf):  # also rejects nan
+            raise SimulationError("need finite T > 0 and h > 0")
         if self.T / self.h > 1e7:
             raise SimulationError("T/h exceeds the 1e7 step cap")
-        if self.geodesic_segments < 2:
-            raise SimulationError("need geodesic_N >= 2 segments")
-        if not self.ell > 0:  # also rejects nan
-            raise SimulationError("need ell > 0")
+        if not 2 <= self.geodesic_segments <= MAX_SEGMENTS:
+            raise SimulationError(f"need 2 <= geodesic_N <= {MAX_SEGMENTS} segments")
+        if not 0 < self.ell < math.inf:
+            raise SimulationError("need finite ell > 0")
+        if not 0 < self.err_threshold < math.inf:
+            raise SimulationError("need finite err_threshold > 0")
 
 
 @dataclass
@@ -112,10 +116,10 @@ def _plant(sys, u, rename):
 
 
 def _correction(sys, metric, gain, cfg):
-    """correction(*y) gives v at state y, held over the step; None for a
-    kind without v. Made per run: a geodesic warm start stays in its run."""
+    """correction(*y) gives the geodesic path integral v at state y; None for
+    the other kinds. Made per run: a geodesic warm start stays in its run."""
     if cfg.kind != "geodesic":
-        return gain.dynext_correction if cfg.kind == "dynext" else None
+        return None
     n, warm = sys.n, [None]
 
     def correction(*y):
@@ -129,8 +133,9 @@ _BUILT = [((), None)]  # (key, (step, law)) of the last closed loop built, read 
 
 
 def _closed_loop(sys, metric, gain, ref, cfg):
-    """(step, law): the RK4 step y(t + h) = step(t, h, *y, *v) and (u, u_d) = law(t, *y, *v),
-    compiled unless the last call had the same objects (held, so `is` cannot alias) and settings."""
+    """(step, law): the RK4 step y(t + h) = step(t, h, *y, *v) with v held over it and
+    (u, u_d, v) = law(t, *y, *held), held being the geodesic v; compiled unless the
+    last call had the same objects (held, so `is` cannot alias) and settings."""
     key = (sys, metric, gain, ref, cfg.exactness_grid, cfg.kind, cfg.ell, tuple(cfg.custom_u or ()))
     last, built = _BUILT[0]
     if key[5:] == last[5:] and all(a is b for a, b in zip(key[:5], last)):
@@ -139,6 +144,7 @@ def _closed_loop(sys, metric, gain, ref, cfg):
     names = ["t"] + [f"{p}{i + 1}" for p in ("x", "xd", "z")[: 3 if use_z else 2] for i in range(n)]
     x, xd, z = ([ex.var(name) for name in names[1 + i * n : 1 + (i + 1) * n]] for i in range(3))
     held = [f"v{j + 1}" for j in range(sys.m)] if cfg.kind in ("dynext", "geodesic") else []
+    v = [ex.var(name) for name in held]
     if cfg.kind == "custom":  # m expressions over t, x, xd and z
         if len(cfg.custom_u or ()) != sys.m:
             raise SimulationError(f"custom controller needs {sys.m} expressions")
@@ -148,15 +154,19 @@ def _closed_loop(sys, metric, gain, ref, cfg):
         beta_x, beta_xd = radial_potential_exprs(gain, x), radial_potential_exprs(gain, xd)
         u = [ex.add(a, ex.sub(b, c)) for a, b, c in zip(ud, beta_x, beta_xd)]
     else:  # u_d plus the held correction v
-        u = [ex.add(a, ex.var(b)) for a, b in zip(ud, held)]
+        u = [ex.add(a, b) for a, b in zip(ud, v)]
 
     # x' = f(x) + B(x) u, xd' = f(xd) + B(xd) ud and z' = x' - ell (z - x)
     fx = _plant(sys, u, {})
     rates = fx + _plant(sys, ud, dict(zip(state_vars(n), xd)))
     if use_z:
         rates += [ex.sub(a, ex.mul(ex.const(cfg.ell), ex.sub(c, b))) for a, b, c in zip(fx, x, z)]
-    built = (ex.compile_fn(rk4_exprs(rates, names[1:]), ["t", "h"] + names[1:] + held),
-             ex.compile_fn([u, ud], names + held))
+    step = ex.compile_fn(rk4_exprs(rates, names[1:]), ["t", "h"] + names[1:] + held)
+    if cfg.kind == "dynext":  # the law computes v = beta(x, z) - beta(xd, z)
+        beta = zip(dynext_beta_exprs(gain, x, z), dynext_beta_exprs(gain, xd, z))
+        v, held = [ex.sub(a, b) for a, b in beta], []
+        u = [ex.add(a, b) for a, b in zip(ud, v)]
+    built = step, ex.compile_fn([u, ud, v], names + held)
     _BUILT[0] = key, built
     return built
 
@@ -187,7 +197,7 @@ def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
         try:
             if correction is not None:
                 held = correction(*state)
-            u_k, uds[k] = law(t, *state, *held)
+            u_k, uds[k], v = law(t, *state, *held)
             if not all(map(math.isfinite, u_k)):
                 raise ArithmeticError("non-finite control")
             us[k] = u_k
@@ -197,7 +207,7 @@ def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
         if k + 1 == times.size:
             break
         try:
-            state = step(t, float(times[k + 1]) - t, *state, *held)
+            state = step(t, float(times[k + 1]) - t, *state, *v)
             if not all(map(math.isfinite, state)):
                 raise IntegrationError("non-finite state in RK4 step", t)
             if max(map(abs, state)) > DIVERGENCE_LIMIT:

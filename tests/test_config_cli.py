@@ -398,7 +398,8 @@ class TestCliSimulate:
 
     @pytest.mark.parametrize(
         "setting", ["controller = magic", "T = -1", "T = nan", "geodesic_N = 1",
-                    "ell = -1", "ell = nan", "ell = 0"])
+                    "ell = -1", "ell = nan", "ell = 0", "h = inf", "err_threshold = nan",
+                    "geodesic_N = 4097"])
     def test_bad_simulation_section_is_config_error(self, tmp_path, capsys, setting):
         path = write_config(tmp_path, NUMEX_MIN + f"[simulation]\n{setting}\n")
         assert main(["simulate", "--config", path, "--grid", "5",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ccmkit import expr as ex
+from ccmkit import sim
 from ccmkit.certificates import Grid
 from ccmkit.controller import (
     DampingParams,
@@ -292,15 +293,17 @@ class TestDynExt:
 
     def test_synthesized_beta_matches_per_node_quadrature(self, numex):
         # a synthesized gain has expressions, so the tree-walking per-node
-        # oracle and the generated correction both apply to it
+        # oracle and the correction v of the generated law both apply to it
         gain = synthesize_gain(numex.system, numex.metric,
                                DampingParams(r=1.5, gamma0=0.1, lam=2.0 / 3.0))
+        _, law = sim._closed_loop(numex.system, numex.metric, gain, numex.reference,
+                                  sim.RunConfig(kind="dynext"))
         rng = np.random.default_rng(37)
         for _ in range(5):
             x, xd, z = rng.uniform(-3, 3, size=(3, 2))
             want = scalar_dynext_beta(gain, x, z)
             np.testing.assert_allclose(dynext_beta(gain, x, z), want, rtol=1e-12)
-            generated = gain.dynext_correction(*x, *xd, *z)
+            _, _, generated = law(0.0, *x, *xd, *z)
             np.testing.assert_allclose(generated, want - scalar_dynext_beta(gain, xd, z),
                                        rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 

@@ -8,6 +8,7 @@ import pytest
 
 from ccmkit.controller import GainField, radial_potential
 from ccmkit.geodesic import (
+    MAX_SEGMENTS,
     _energy_gradient,
     geodesic_distance,
     path_integral_controller,
@@ -115,6 +116,8 @@ class TestSolve:
     def test_segment_count_guard(self):
         with pytest.raises(ValueError):
             solve_geodesic(identity_metric(), np.zeros(2), np.ones(2), 1)
+        with pytest.raises(ValueError):  # rejected before the dense preconditioner
+            solve_geodesic(identity_metric(), np.zeros(2), np.ones(2), MAX_SEGMENTS + 1)
 
     def test_flat_valley_chord_is_minimal(self):
         # x1-cost is identically 1, so any bow only adds x2-cost and the

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ccmkit import expr as ex
-from ccmkit.integrate import IntegrationError, rk4_exprs, rk4_solve, rk4_step, rk45_integrate
+from ccmkit.integrate import (IntegrationError, rk4_exprs, rk4_solve, rk4_step,
+                              rk45_integrate, time_grid)
 
 
 def decay(t, x):
@@ -94,6 +95,13 @@ class TestRk4Solve:
     def test_uniform_grid(self):
         times, _ = rk4_solve(decay, np.array([1.0]), 0.0, 1.0, 0.25)
         assert np.allclose(np.diff(times), 0.25)
+
+
+class TestTimeGrid:
+    def test_span_below_the_rounding_margin_is_one_step(self):
+        # a span under 1e-6 of a step is still one step, so the grid starts at t0
+        assert time_grid(0, 1e-9, 1).tolist() == [0.0, 1e-9]
+        assert time_grid(0.0, 1.0, math.inf).tolist() == [0.0, 1.0]
 
 
 class TestRk45:

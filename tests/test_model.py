@@ -310,15 +310,18 @@ class TestStackedEvaluation:
         """(call, exprs) of every expression field over the state: `call(x)`
         evaluates `exprs` at x."""
         xs = sys.vars
+        d_gain = [[[ex.differentiate(e, v) for e in row] for row in gain.exprs] for v in xs]
         out = [(sys.eval_f, sys.f_exprs), (sys.eval_b, sys.b_exprs),
-               (sys.jac_f, sys.df_exprs), (metric.eval, metric.m_exprs), (gain, gain.exprs)]
+               (sys.jac_f, sys.df_exprs), (metric.eval, metric.m_exprs), (gain, gain.exprs),
+               (sys.jac_b, [[row[j] for row in sys.db_exprs] for j in range(sys.m)]),
+               (metric.partials, metric.dm_exprs), (gain._partials, d_gain)]
+        # the slices below read the last three fields
         for j in range(sys.m):
             out.append((lambda x, j=j: sys.jac_b_col(x, j), [row[j] for row in sys.db_exprs]))
         for k in range(sys.n):
             out.append((lambda x, k=k: metric.partial(x, k),
                         [[d[k] for d in row] for row in metric.dm_exprs]))
-            out.append((lambda x, k=k: gain.partial(x, k),
-                        [[ex.differentiate(e, xs[k]) for e in row] for row in gain.exprs]))
+            out.append((lambda x, k=k: gain.partial(x, k), d_gain[k]))
         return out
 
     def cases(self, numex):
@@ -359,14 +362,17 @@ class TestStackedEvaluation:
         ref = ReferenceSpec.from_strings(2, [3.0, -1.0], ["sin(t) - cos(t)^2 * xd1"])
         assert compiled == {"compile_fn": 0, "compile_array_fn": 0}
         point = np.array([0.5, 1.5])
-        for call, _ in self.fields(bundle.system, bundle.metric, gain):
+        fields = self.fields(bundle.system, bundle.metric, gain)
+        for number, (call, _) in enumerate(fields):
+            once = int(number < 8)  # one compile per back end of a field; a slice adds none
             call(point)
             call(point)
-            assert compiled == {"compile_fn": 1, "compile_array_fn": 0}
+            assert compiled == {"compile_fn": once, "compile_array_fn": 0}
             call(np.stack([point, -point]))
             call(point[None])
-            assert compiled == {"compile_fn": 1, "compile_array_fn": 1}
+            assert compiled == {"compile_fn": once, "compile_array_fn": once}
             compiled.update(compile_fn=0, compile_array_fn=0)
+        assert len(fields) == 8 + 1 + 2 * 2  # the slices: one column of B, two axes each
         ref.eval_ud(0.5, point)
         ref.eval_ud(1.0, point)
         assert compiled == {"compile_fn": 1, "compile_array_fn": 0}
@@ -377,8 +383,8 @@ class TestStackedEvaluation:
             v = np.random.default_rng(42).normal(size=(9, 3))
             pairs = [
                 (sys.eval_f, ()), (sys.eval_b, ()), (sys.jac_f, ()),
-                (sys.jac_b_col, (0,)), (metric.eval, ()),
-                (metric.partial, (0,)), (metric.partial, (2,)),
+                (sys.jac_b_col, (0,)), (sys.jac_b, ()), (metric.eval, ()),
+                (metric.partial, (0,)), (metric.partial, (2,)), (metric.partials, ()),
             ]
             for method, extra in pairs:
                 stacked = method(points, *extra)

@@ -19,7 +19,7 @@ from ccmkit.controller import (
     radial_potential,
     synthesize_gain,
 )
-from ccmkit.geodesic import GeodesicError, path_integral_controller
+from ccmkit.geodesic import MAX_SEGMENTS, GeodesicError, path_integral_controller
 from ccmkit.integrate import (
     DIVERGENCE_LIMIT,
     IntegrationError,
@@ -168,8 +168,24 @@ class TestRunConfig:
         with pytest.raises(SimulationError):
             RunConfig(T=1e3, h=1e-6)
 
+    @pytest.mark.parametrize("key, value", [
+        ("T", math.inf), ("h", math.inf), ("ell", math.inf), ("err_threshold", math.nan),
+        ("err_threshold", math.inf), ("err_threshold", 0.0),
+        ("geodesic_segments", MAX_SEGMENTS + 1)])  # rejected before any allocation
+    def test_finite_settings(self, key, value):
+        with pytest.raises(SimulationError):
+            RunConfig(**{key: value})
+
 
 class TestHorizon:
+    def test_step_longer_than_horizon_starts_at_zero(self):
+        sys = SystemModel(2, 1, ["x2", "-x1"], [["0"], ["1"]], [-5, -5], [5, 5])
+        ref = ReferenceSpec.from_strings(2, [0.0, 0.0], ["0"])
+        cfg = RunConfig(kind="custom", T=1e-9, h=1.0, x0=np.array([1.0, 0.0]), custom_u=["0"])
+        trace = run_closed_loop(sys, None, None, ref, cfg)
+        assert trace.completed and trace.t.tolist() == [0.0, 1e-9]
+        assert trace.x[0].tolist() == [1.0, 0.0]
+
     def test_covers_horizon_exactly(self):
         # T = 1 is not a multiple of h = 0.4: steps 0.4, 0.4, then 0.2
         sys = SystemModel(2, 1, ["x2", "-2*x1 - 3*x2"], [["0"], ["1"]],
@@ -369,12 +385,22 @@ class TestGeneratedStep:
 
 
 class TestGeneratedDynext:
-    """The dynext correction of a gain with expressions is one generated
-    function per gain, against `dynext_control` as its oracle."""
+    """The dynext correction v = beta(x, z) - beta(xd, z) is an output of the
+    generated law, against `dynext_control` as its oracle."""
 
     SIN_EXP = [["-(x2^2 + 1)*exp(x1/5)", "-x2^2 + sin(x1)"]]
     SIN_EXP_3x2 = [["-(x2^2 + 1)*exp(x1/5)", "-x2^2 + sin(x3)", "-2 - cos(x1*x2)"],
                    ["sin(x1)*x3", "-1 - exp(x2/3)*x3^2", "x1*x2*x3"]]
+
+    @staticmethod
+    def dynext_law(gain):
+        """The law run_closed_loop compiles for `gain` on a plant of its size."""
+        n, m = gain.n, gain.m
+        plant = SystemModel(n, m, ["0"] * n, [[str(int(i == j)) for j in range(m)]
+                                              for i in range(n)], [-2] * n, [2] * n)
+        ref = ReferenceSpec.from_strings(n, [0.0] * n, [f"sin(t) + xd{j + 1}" for j in range(m)])
+        _, law = sim._closed_loop(plant, None, gain, ref, RunConfig(kind="dynext"))
+        return law
 
     def test_matches_dynext_control(self, numex_gain, micro_gain):
         rng = np.random.default_rng(61)
@@ -383,17 +409,18 @@ class TestGeneratedDynext:
         assert micro_gain.is_constant() and numex_gain.exprs is not None
         for gain in gains:
             n = gain.n
-            generated = gain.dynext_correction  # what run_closed_loop calls
+            law = self.dynext_law(gain)
             states = rng.uniform(-2, 2, size=(40, 3 * n))
             # one exact zero per even row: the numpy kernel skips that axis
             states[np.arange(0, 40, 2), rng.integers(3 * n, size=20)] = 0.0
             states[-1, :] = 0.0
             for y in states:
                 x, xd, z = y[:n], y[n : 2 * n], y[2 * n :]
-                got = np.array(generated(*y.tolist()))
+                u, ud, v = law(0.5, *y.tolist())
+                assert u == tuple(a + b for a, b in zip(ud, v))  # u = u_d + v
                 want = dynext_control(gain, z, x, xd, 0.0)
                 scale = np.max(np.abs(controller.dynext_beta(gain, np.stack([x, xd]), z)))
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+                np.testing.assert_allclose(np.array(v), want, rtol=1e-12, atol=1e-12 * scale)
 
     def test_symbolic_gain_compiles_once_and_skips_numpy_beta(self, numex, monkeypatch):
         compiled, beta_calls = [], []
@@ -410,13 +437,12 @@ class TestGeneratedDynext:
         monkeypatch.setattr(controller, "dynext_beta", dynext_beta)
         gain = GainField.from_exprs(2, 1, numex.builtin_gain)  # nothing compiled yet
         cfg = RunConfig(kind="dynext", T=0.2, h=1e-2, x0=np.array([-5.0, 2.0]), ell=5.0)
-        for _ in range(2):  # a second run (a sweep sample) reuses all three functions
+        for _ in range(2):  # a second run (a sweep sample) reuses both functions
             trace = run_closed_loop(numex.system, numex.metric, gain, numex.reference, cfg)
             assert trace.completed and len(trace.t) == 21
-        # the step and (u, u_d) read v; the correction is the one that does not
+        # the step holds v over the step; (u, u_d, v) computes it
         free = [ex.free_variables(exprs) for exprs in compiled]
-        assert len(compiled) == 3
-        assert [any(name.startswith("v") for name in names) for names in free].count(False) == 1
+        assert [any(name.startswith("v") for name in names) for names in free] == [True, False]
         assert beta_calls == []
 
     def test_synthesized_gain_uses_generated_correction(self, numex, monkeypatch):
@@ -432,11 +458,12 @@ class TestGeneratedDynext:
             monkeypatch.setattr(controller, name, counted(name))
         gain = synthesize_gain(numex.system, numex.metric,
                                DampingParams(r=1.5, gamma0=0.1, lam=2.0 / 3.0))
+        compiled = TestBuildOnce.count_compiles(monkeypatch)
         cfg = RunConfig(kind="dynext", T=0.05, h=1e-2, x0=np.array([-5.0, 2.0]), ell=5.0)
         trace = run_closed_loop(numex.system, numex.metric, gain, numex.reference, cfg)
         assert trace.completed and len(trace.t) == 6
         assert calls == []
-        assert "dynext_correction" in vars(gain)  # compiled once, cached on the gain
+        assert len(compiled) == 2  # the RK4 step and (u, u_d, v), nothing per gain
 
 
 class TestGeneratedStatic:
