@@ -27,6 +27,7 @@ DEFAULT_TOL = 1e-8
 DEFAULT_POINTS_PER_AXIS = 21
 MAX_GRID_POINTS = 10**6
 BOUND_TOL = 1e-9   # slack on the declared metric eigenvalue bounds
+GAMMA0_CAP = 1e6   # min_feasible_gamma0 reports larger values as infeasible
 
 
 class CertificateError(RuntimeError):
@@ -321,7 +322,7 @@ def check_robust(sys, metric, grid, lam, gamma0, tol=DEFAULT_TOL, lambda_form="i
 
 
 def min_feasible_gamma0(sys, metric, grid, lam, tol=DEFAULT_TOL,
-                        lambda_form="identity", hi=1e6):
+                        lambda_form="identity"):
     """Smallest gamma0 for which check_robust passes, in closed form.
 
     With S the (1,1) block of check_robust and N the null basis of
@@ -334,11 +335,11 @@ def min_feasible_gamma0(sys, metric, grid, lam, tol=DEFAULT_TOL,
 
     returned times (1 + 1e-9) so that it passes the strict test despite
     rounding. Returns (gamma0_min, report at gamma0_min), or
-    (None, failing report at `hi`) when C is indefinite at some grid
-    point or gamma0_min exceeds `hi`. The model is evaluated once; both
-    results come from the same stacks.
+    (None, failing report at GAMMA0_CAP) when C is indefinite at some
+    grid point or gamma0_min exceeds GAMMA0_CAP. The model is evaluated
+    once; both results come from the same stacks.
     """
-    stacks = _robust_stacks(sys, metric, grid, lam, hi, lambda_form)
+    stacks = _robust_stacks(sys, metric, grid, lam, GAMMA0_CAP, lambda_form)
     points, s, m_x, groups = stacks
 
     def solve(index, basis):
@@ -352,8 +353,8 @@ def min_feasible_gamma0(sys, metric, grid, lam, tol=DEFAULT_TOL,
         gamma0 = (tol + float(bounds.max())) * (1.0 + 1e-9)
     except SingularMatrixError:
         gamma0 = None
-    if gamma0 is None or gamma0 > hi:
-        return None, _robust_report(*stacks, lam, hi, tol, lambda_form)
+    if gamma0 is None or gamma0 > GAMMA0_CAP:
+        return None, _robust_report(*stacks, lam, GAMMA0_CAP, tol, lambda_form)
     report = _robust_report(*stacks, lam, gamma0, tol, lambda_form)
     report.details["gamma0_min"] = gamma0
     return gamma0, report

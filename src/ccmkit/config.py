@@ -190,7 +190,7 @@ def _load_reference(section, sys, bundle):
 
 def _load_gain(section, sys, bundle):
     if len(section) == 0 and bundle is not None:
-        return GainSpec(source="builtin", gamma_const=bundle.gamma_const)
+        return GainSpec(source="builtin")
     _check_keys(section, "gain", ["source", r"K_\d+_\d+", "r", "gamma0", "gamma"])
     spec = GainSpec()
     source = spec.source = section.get("source", spec.source)
@@ -216,8 +216,6 @@ def _load_gain(section, sys, bundle):
         if len(text) != 2 or text[0] != "const":
             raise ConfigError("[gain] gamma must be 'const <value>'")
         spec.gamma_const = _number(text[1], "[gain] gamma")
-    elif source == "builtin" and bundle is not None:
-        spec.gamma_const = bundle.gamma_const
     return spec
 
 

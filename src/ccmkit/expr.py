@@ -2,14 +2,18 @@
 
 Expressions over a declared variable table are used to define vector
 fields, input matrices, metrics, feedforward inputs and gain entries in
-configuration files.  Grammar (precedence high to low): ^ with integer
-exponent, unary minus, * /, + -.  Functions: sin, cos, exp, abs, sqrt
-(plus sign, which only appears in derivatives of abs but is accepted by
-the parser so printed derivatives round-trip).
+configuration files.  Grammar (precedence high to low): ^ with a finite
+integer exponent, unary minus, * /, + -.  Functions: sin, cos, exp, abs,
+sqrt (plus sign, which only appears in derivatives of abs but is
+accepted by the parser so printed derivatives round-trip).  The parser
+reads the token list of `_tokens` by recursive descent, one loop per
+level of binary operators.
 
-Expressions compile to straight-line code with two back ends: on Python
-floats for one point (`compile_fn`, bit-for-bit `evaluate`) and on numpy
-arrays for a stack of points in one call (`compile_array_fn`).
+`substitute`, `differentiate` and the code generator are one post-order
+walk, `_fold`, which combines each shared subtree once and has no depth
+limit.  Expressions compile to straight-line code with two back ends: on
+Python floats for one point (`compile_fn`, bit-for-bit `evaluate`) and
+on numpy arrays for a stack of points in one call (`compile_array_fn`).
 """
 
 from __future__ import annotations
@@ -76,9 +80,6 @@ class Expr:
     value: float = 0.0
     name: str = ""
     args: tuple = ()
-
-    def __call__(self, env):
-        return evaluate(self, env)
 
 
 def const(v):
@@ -163,156 +164,108 @@ def matvec(rows, point):
     return [reduce(add, [mul(entry, p) for entry, p in zip(row, point)]) for row in rows]
 
 
-class _Tokenizer:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = []
-        self._scan()
-        self.idx = 0
-
-    def _scan(self):
-        text = self.text
-        i = 0
-        n = len(text)
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c in "+-*/^()":
-                self.tokens.append((c, c, i))
-                i += 1
-                continue
-            if c.isdigit() or c == ".":
-                j = i
-                while j < n and (text[j].isdigit() or text[j] == "."):
-                    j += 1
-                if j < n and text[j] in "eE":
-                    k = j + 1
-                    if k < n and text[k] in "+-":
-                        k += 1
-                    if k < n and text[k].isdigit():
-                        j = k
-                        while j < n and text[j].isdigit():
-                            j += 1
-                try:
-                    value = float(text[i:j])
-                except ValueError:
-                    raise ExprSyntaxError(f"bad number '{text[i:j]}'", i)
-                self.tokens.append(("num", value, i))
-                i = j
-                continue
-            if c.isalpha() or c == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[i:j], i))
-                i = j
-                continue
+def _tokens(text):
+    """The (kind, value, offset) tokens of `text`, then ("end", None, len(text))."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c, j = text[i], i + 1
+        if c in "+-*/^()":
+            tokens.append((c, c, i))
+        elif c.isdigit() or c == ".":
+            while j < n and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    j = k
+                    while j < n and text[j].isdigit():
+                        j += 1
+            try:
+                tokens.append(("num", float(text[i:j]), i))
+            except ValueError:
+                raise ExprSyntaxError(f"bad number '{text[i:j]}'", i) from None
+        elif c.isalpha() or c == "_":
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], i))
+        elif not c.isspace():
             raise ExprSyntaxError(f"unexpected character '{c}'", i)
-        self.tokens.append(("end", None, n))
+        i = j
+    return tokens + [("end", None, n)]
 
-    def peek(self):
-        return self.tokens[self.idx]
 
-    def next(self):
-        tok = self.tokens[self.idx]
-        if tok[0] != "end":
-            self.idx += 1
-        return tok
+# Binary operators, loosest level first; each level associates to the left.
+_BINARY_LEVELS = ({"+": "add", "-": "sub"}, {"*": "mul", "/": "div"})
 
 
 class _Parser:
-    """Recursive descent; ^ binds tighter than unary minus, so -x^2
-    means -(x^2)."""
+    """Recursive descent over the token list, kept as a stack with the next
+    token last. ^ binds tighter than unary minus, so -x^2 means -(x^2), and
+    a unary minus on a literal is folded into it. Taking the end token
+    always ends in an error, so it is never taken twice."""
 
     def __init__(self, text, variables):
-        self.tok = _Tokenizer(text)
+        self.tokens = _tokens(text)[::-1]
         self.variables = set(variables)
 
     def parse(self):
-        e = self._expr()
-        kind, _, off = self.tok.peek()
+        e = self._binary(0)
+        kind, _, off = self.tokens[-1]
         if kind != "end":
             raise ExprSyntaxError("trailing input", off)
         return e
 
-    def _expr(self):
-        e = self._term()
-        while True:
-            kind, _, _ = self.tok.peek()
-            if kind == "+":
-                self.tok.next()
-                e = Expr("add", args=(e, self._term()))
-            elif kind == "-":
-                self.tok.next()
-                e = Expr("sub", args=(e, self._term()))
-            else:
-                return e
-
-    def _term(self):
-        e = self._factor()
-        while True:
-            kind, _, _ = self.tok.peek()
-            if kind == "*":
-                self.tok.next()
-                e = Expr("mul", args=(e, self._factor()))
-            elif kind == "/":
-                self.tok.next()
-                e = Expr("div", args=(e, self._factor()))
-            else:
-                return e
+    def _binary(self, level):
+        if level == len(_BINARY_LEVELS):
+            return self._factor()
+        ops = _BINARY_LEVELS[level]
+        e = self._binary(level + 1)
+        while self.tokens[-1][0] in ops:
+            e = Expr(ops[self.tokens.pop()[0]], args=(e, self._binary(level + 1)))
+        return e
 
     def _factor(self):
-        kind, _, _ = self.tok.peek()
-        if kind == "-":
-            self.tok.next()
+        if self.tokens[-1][0] == "-":
+            self.tokens.pop()
             inner = self._factor()
             if inner.kind == "const":
                 return const(-inner.value)
             return Expr("neg", args=(inner,))
-        return self._power()
-
-    def _power(self):
         base = self._atom()
-        kind, _, _ = self.tok.peek()
-        if kind != "^":
+        if self.tokens[-1][0] != "^":
             return base
-        self.tok.next()
+        self.tokens.pop()
         sign = 1
-        kind, value, off = self.tok.next()
+        kind, value, off = self.tokens.pop()
         if kind == "-":
             sign = -1
-            kind, value, off = self.tok.next()
-        if kind != "num" or value != int(value):
+            kind, value, off = self.tokens.pop()
+        if kind != "num" or not math.isfinite(value) or value != int(value):
             raise ExprSyntaxError("exponent must be an integer constant", off)
         return Expr("pow", value=float(sign * int(value)), args=(base,))
 
     def _atom(self):
-        kind, value, off = self.tok.next()
+        kind, value, off = self.tokens.pop()
         if kind == "num":
             return const(value)
-        if kind == "(":
-            e = self._expr()
-            k, _, o = self.tok.next()
-            if k != ")":
-                raise ExprSyntaxError("expected ')'", o)
-            return e
-        if kind == "ident":
-            nxt_kind, _, _ = self.tok.peek()
-            if nxt_kind == "(":
-                if value not in FUNCTIONS:
-                    raise UnknownIdentifierError(value, off)
-                self.tok.next()
-                arg = self._expr()
-                k, _, o = self.tok.next()
-                if k != ")":
-                    raise ExprSyntaxError("expected ')'", o)
-                return Expr(value, args=(arg,))
+        if kind == "ident" and self.tokens[-1][0] != "(":
             if value not in self.variables:
                 raise UnknownIdentifierError(value, off)
             return var(value)
-        raise ExprSyntaxError("expected expression", off)
+        if kind == "ident":  # a function call
+            if value not in FUNCTIONS:
+                raise UnknownIdentifierError(value, off)
+            self.tokens.pop()
+        elif kind != "(":
+            raise ExprSyntaxError("expected expression", off)
+        inner = self._binary(0)
+        close, _, close_off = self.tokens.pop()
+        if close != ")":
+            raise ExprSyntaxError("expected ')'", close_off)
+        return inner if kind == "(" else Expr(value, args=(inner,))
 
 
 def parse(text, variables):
@@ -383,17 +336,18 @@ def free_variables(expr):
 def _fold(expr, combine):
     """`combine(node, results for its operands)`, applied bottom-up to an
     Expr or to each entry of a list (giving a list). Walks post-order with
-    an explicit stack, so depth is not limited, and combines each node
-    once, so a shared subtree's result is shared, also between entries.
+    an explicit stack, so depth is not limited, first entry and first
+    operand first, and combines each node once, so a shared subtree's
+    result is shared, also between entries.
     """
     roots = expr if isinstance(expr, list) else [expr]
     done = {}  # id(node) -> its result
-    stack = list(roots)
+    stack = roots[::-1]
     while stack:
         node = stack[-1]
         pending = [a for a in node.args if id(a) not in done]
         if pending:
-            stack += pending
+            stack += pending[::-1]
             continue
         stack.pop()
         if id(node) not in done:
@@ -500,43 +454,35 @@ def _shape(item):
     return () if isinstance(item, Expr) else (len(item),) + _shape(item[0])
 
 
-def _shaped(item, operands):
+def _shaped(item, texts):
+    """The tuple display of `item`'s shape, taking entries from `texts` in order."""
     if isinstance(item, Expr):
-        return operands[id(item)]
-    return "(" + "".join(f"{_shaped(sub, operands)}, " for sub in item) + ")"
+        return next(texts)
+    return "(" + "".join(f"{_shaped(sub, texts)}, " for sub in item) + ")"
 
 
 def _straight_line(expr):
     """Assignments and operands of the straight-line code for `expr`.
 
-    Returns (lines, operands): one `_k = ...` line per distinct subtree,
-    children first, and the variable, literal or local that holds each
-    node, keyed by id(node). Subtrees are shared by their right-hand-side
-    text and by node identity.
+    Returns (lines, texts): one `_k = ...` line per distinct right-hand
+    side, children first, and the variable, literal or local that holds
+    each entry of `_entries(expr)`, in that order. Subtrees are shared by
+    node identity (`_fold`) and by right-hand-side text.
     """
-    operands = {}  # id(node) -> its variable, literal or local
-    locals_ = {}   # right-hand side -> local; insertion order is children first
-    stack = [e for _, e in _entries(expr)][::-1]
-    while stack:
-        node = stack.pop()
-        if id(node) in operands:
-            continue
-        pending = [a for a in node.args if id(a) not in operands]
-        if pending:
-            stack += [node] + pending[::-1]
-            continue
+    locals_ = {}  # right-hand side -> local; insertion order is children first
+
+    def operand(node, args):
         if node.kind == "var":
-            text = node.name
-        elif node.kind == "const":
+            return node.name
+        if node.kind == "const":
             text = repr(node.value)  # keeps -0.0 apart from 0.0
-            text = f"({text})" if text.startswith("-") else text
-        else:
-            template = _TEMPLATES.get(node.kind, node.kind + "({0})")
-            args = [operands[id(a)] for a in node.args]
-            text = locals_.setdefault(template.format(*args, n=int(node.value)),
-                                      f"_{len(locals_)}")
-        operands[id(node)] = text
-    return [f"{name} = {rhs}" for rhs, name in locals_.items()], operands
+            return f"({text})" if text.startswith("-") else text
+        template = _TEMPLATES.get(node.kind, node.kind + "({0})")
+        return locals_.setdefault(template.format(*args, n=int(node.value)),
+                                  f"_{len(locals_)}")
+
+    texts = _fold([e for _, e in _entries(expr)], operand)
+    return [f"{name} = {rhs}" for rhs, name in locals_.items()], texts
 
 
 _FN_IDS = count(1)
@@ -561,12 +507,12 @@ def compile_fn(expr, variables):
     floats every entry matches `evaluate` bit-for-bit; an EvalDomainError
     in any entry raises for the whole result.
     """
-    lines, operands = _straight_line(expr)
+    lines, texts = _straight_line(expr)
     src = (
         f"def fn({', '.join(variables)}):\n"
         f"    try:\n"
         + "".join(f"        {line}\n" for line in lines)
-        + f"        return {_shaped(expr, operands)}\n"
+        + f"        return {_shaped(expr, iter(texts))}\n"
         f"    except (ZeroDivisionError, OverflowError) as err:\n"
         f"        raise EvalDomainError(err) from None\n"
     )
@@ -585,7 +531,7 @@ def compile_array_fn(expr, variables):
     result. Entries agree with `compile_fn` to the last bits: numpy's
     power and exp are not libm's.
     """
-    lines, operands = _straight_line(expr)
+    lines, texts = _straight_line(expr)
     src = (
         "def fn(_points):\n"
         "    _points = asarray(_points, dtype=float64)\n"
@@ -593,8 +539,8 @@ def compile_array_fn(expr, variables):
         + "    try:\n"
         + "".join(f"        {line}\n" for line in lines)
         + f"        _out = empty(_points.shape[:-1] + {_shape(expr)!r})\n"
-        + "".join(f"        _out[...{''.join(f', {i}' for i in index)}] = "
-                  f"{operands[id(e)]}\n" for index, e in _entries(expr))
+        + "".join(f"        _out[...{''.join(f', {i}' for i in index)}] = {text}\n"
+                  for (index, _), text in zip(_entries(expr), texts))
         + "        return _out\n"
         "    except (FloatingPointError, ZeroDivisionError, OverflowError) as err:\n"
         "        raise EvalDomainError(err) from None\n"

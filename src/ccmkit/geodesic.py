@@ -126,9 +126,10 @@ def _descend(metric, nodes, energy, max_iters, on_iteration, precond):
     return nodes, energy, iterations, converged
 
 
-def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, max_iters=MAX_ITERS,
-                   init=None, on_iteration=None):
-    """Minimize discrete energy between x_a and x_b at fixed node count.
+def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, init=None,
+                   on_iteration=None):
+    """Minimize discrete energy between x_a and x_b at fixed node count,
+    in at most MAX_ITERS descent iterations in all.
 
     init optionally warm-starts from a previous node array (endpoints are
     re-pinned); it is discarded if it starts above the straight chord.
@@ -163,9 +164,9 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, max_iters=MAX_ITE
     precond = _chain_preconditioner(n_segments)
     energy = riemann_energy(metric, nodes)
     nodes, energy, iterations, converged = _descend(
-        metric, nodes, energy, max_iters, on_iteration, precond
+        metric, nodes, energy, MAX_ITERS, on_iteration, precond
     )
-    if converged and energy > ENERGY_TOL and max_iters > iterations:
+    if converged and energy > ENERGY_TOL and MAX_ITERS > iterations:
         # saddle escape: bow the interior by a half-sine bump along each
         # coordinate axis and keep the lowest-energy result. Straight
         # chords can be exactly stationary without being minimal.
@@ -178,7 +179,7 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, max_iters=MAX_ITE
                 bumped[1:-1, axis] += sign * bump[:, 0]
                 bumped_energy = riemann_energy(metric, bumped)
                 new_nodes, new_energy, extra, reconverged = _descend(
-                    metric, bumped, bumped_energy, max_iters - iterations, None, precond,
+                    metric, bumped, bumped_energy, MAX_ITERS - iterations, None, precond,
                 )
                 if new_energy < energy - ENERGY_TOL:
                     nodes, energy = new_nodes, new_energy

@@ -110,7 +110,6 @@ class SystemModel:
         self._b = _Field(self.b_exprs, self.vars)
         self._df = _Field(self.df_exprs, self.vars)
         self._db = _Field([[row[j] for row in self.db_exprs] for j in range(m)], self.vars)
-        self.b_constant = self._b.constant
 
     def in_domain(self, x):
         """Whether x lies in the domain box; per point for a (P, n) stack."""

@@ -246,12 +246,14 @@ def perturbation_sweep(sys, metric, gain, ref, cfg, radii, samples, seed=0):
     For each radius, x0 is sampled uniformly on the sphere around xd0;
     a run converges when it completes with err(T) < cfg.err_threshold.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    if not all(np.isfinite(radius) and radius >= 0 for radius in radii):
+        raise ValueError("radii must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     xd0 = np.asarray(ref.xd0, dtype=float)
     results = []
     for radius in radii:
-        if radius < 0:
-            raise ValueError("radii must be nonnegative")
         hits = 0
         for _ in range(samples):
             if radius == 0.0:

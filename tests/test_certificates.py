@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from ccmkit import certificates
 from ccmkit.certificates import (
     DEFAULT_TOL,
     CertificateError,
@@ -394,10 +395,10 @@ class TestClosedFormGamma0:
         assert report.worst_margin == direct.worst_margin
         assert np.array_equal(report.witness_direction, direct.witness_direction)
 
-    def test_gamma0_above_hi_is_infeasible(self, numex):
+    def test_gamma0_above_hi_is_infeasible(self, numex, monkeypatch):
+        monkeypatch.setattr(certificates, "GAMMA0_CAP", 0.5)
         grid = small_grid(numex.system, 5)
-        gamma0, report = min_feasible_gamma0(numex.system, numex.metric, grid,
-                                             0.1, hi=0.5)
+        gamma0, report = min_feasible_gamma0(numex.system, numex.metric, grid, 0.1)
         assert gamma0 is None
         assert not report.passed and report.details["gamma0"] == 0.5
 

@@ -247,6 +247,16 @@ class TestCliExpressionErrors:
         assert err.startswith("config error:")
         assert "y1" in err
 
+    @pytest.mark.parametrize("section", [
+        "[gain]\nsource = user\nK_1_1 = x1^1e400\n",
+        "[simulation]\ncontroller = custom\nu1 = x1^1e400\n"])
+    def test_infinite_exponent(self, tmp_path, capsys, section):
+        path = write_config(tmp_path, NUMEX_MIN + section)
+        assert main(["simulate", "--config", path, "--grid", "5",
+                     "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err.endswith(
+            "exponent must be an integer constant (offset 3)\n")
+
 
 class TestCliSynthesize:
     def test_micro_constant_gain_round_trip(self, tmp_path, capsys):

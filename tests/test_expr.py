@@ -67,6 +67,46 @@ class TestParse:
     def test_scientific_notation(self):
         assert ev("1e-3 + 2E2", XY) == pytest.approx(200.001)
 
+    @pytest.mark.parametrize("text, error, message, offset", [
+        ("1.2.3", ex.ExprSyntaxError, "bad number '1.2.3'", 0),
+        ("x1 + .", ex.ExprSyntaxError, "bad number '.'", 5),
+        ("x1 $ 2", ex.ExprSyntaxError, "unexpected character '$'", 3),
+        ("x1 x2", ex.ExprSyntaxError, "trailing input", 3),
+        ("2x1", ex.ExprSyntaxError, "trailing input", 1),
+        ("x1)", ex.ExprSyntaxError, "trailing input", 2),
+        ("(x1 + 1", ex.ExprSyntaxError, "expected ')'", 7),
+        ("sin(x1", ex.ExprSyntaxError, "expected ')'", 6),
+        ("x1^2.5", ex.ExprSyntaxError, "exponent must be an integer constant", 3),
+        ("x1^x2", ex.ExprSyntaxError, "exponent must be an integer constant", 3),
+        ("x1^-x2", ex.ExprSyntaxError, "exponent must be an integer constant", 4),
+        ("x1^", ex.ExprSyntaxError, "exponent must be an integer constant", 3),
+        ("x1 + ", ex.ExprSyntaxError, "expected expression", 5),
+        ("*x1", ex.ExprSyntaxError, "expected expression", 0),
+        ("x1 * ()", ex.ExprSyntaxError, "expected expression", 6),
+        ("", ex.ExprSyntaxError, "empty expression", 0),
+        ("   ", ex.ExprSyntaxError, "empty expression", 0),
+        pytest.param("(" * 5000 + "x1" + ")" * 5000, ex.ExprSyntaxError,
+                     "expression nests too deeply", 0, id="deep-parentheses"),
+        pytest.param("-" * 5000 + "x1", ex.ExprSyntaxError,
+                     "expression nests too deeply", 0, id="deep-unary-minus"),
+        ("x1 + bogus", ex.UnknownIdentifierError, "unknown identifier 'bogus'", 5),
+        ("x1²", ex.UnknownIdentifierError, "unknown identifier 'x1²'", 0),
+        ("2 * tan(x1)", ex.UnknownIdentifierError, "unknown identifier 'tan'", 4),
+        ("sin x1", ex.UnknownIdentifierError, "unknown identifier 'sin'", 0),
+    ])
+    def test_error_table(self, text, error, message, offset):
+        with pytest.raises(error) as err:
+            ex.parse(text, XY)
+        assert type(err.value) is error
+        assert str(err.value) == f"{message} (offset {offset})"
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("text", ["x1^1e400", "x1^-1e400", "x1^1e999 + 1"])
+    def test_infinite_exponent_rejected(self, text):
+        with pytest.raises(ex.ExprSyntaxError) as err:
+            ex.parse(text, XY)
+        assert str(err.value) == f"exponent must be an integer constant (offset {text.index('1e')})"
+
 
 class TestEvaluate:
     def test_cubic(self):
@@ -398,11 +438,25 @@ def test_compile_fn_matches_evaluate(a, b):
         [shared, ex.differentiate(shared, "x1")],
         [ex.parse("(-0.0)*x1", XY), ex.parse("0.0*x1", XY)],
     ]
+    lines, _ = ex._straight_line(field)
+    rhs = dict(line.split(" = ") for line in lines)  # local -> right-hand side
+    assert len(set(rhs.values())) == len(rhs)  # no right-hand side repeats
+    product = [name for name, text in rhs.items() if text == "x1 * x2"]
+    assert len(product) == 1
+    assert list(rhs.values()).count(f"sin({product[0]})") == 1
     values = ex.compile_fn(field, XY)(a, b)
     assert len(values) == 2 and all(len(row) == 2 for row in values)
     for row, entries in zip(values, field):
         for value, entry in zip(row, entries):
             assert value.hex() == ex.evaluate(entry, {"x1": a, "x2": b}).hex()
+
+
+def test_straight_line_order():
+    # children first, first operand first, first entry first
+    lines, texts = ex._straight_line([ex.parse("sin(x1) * cos(x2)", XY),
+                                      ex.parse("-x2 + sin(x1)", XY), ex.parse("x1", XY)])
+    assert lines == ["_0 = sin(x1)", "_1 = cos(x2)", "_2 = _0 * _1", "_3 = -x2", "_4 = _3 + _0"]
+    assert texts == ["_2", "_4", "x1"]
 
 
 def test_compiled_functions_profile_apart():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ccmkit import geodesic
 from ccmkit.controller import GainField, radial_potential
 from ccmkit.geodesic import (
     MAX_SEGMENTS,
@@ -184,10 +185,11 @@ class TestSolve:
         warm = solve_geodesic(metric, a, b, 32, init=garbage)
         assert warm.energy == pytest.approx(cold.energy, rel=1e-8)
 
-    def test_iteration_cap_flags_nonconvergence(self):
+    def test_iteration_cap_flags_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(geodesic, "MAX_ITERS", 1)
         metric = valley_x2_metric()
         path = solve_geodesic(metric, np.array([-1.0, 0.5]),
-                              np.array([1.0, 0.5]), 32, max_iters=1)
+                              np.array([1.0, 0.5]), 32)
         assert not path.converged
 
     def test_tangents_telescope(self):

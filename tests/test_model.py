@@ -110,11 +110,6 @@ class TestSystemModel:
             with pytest.raises(EvalDomainError):
                 call()
 
-    def test_b_constant_flag(self, numex):
-        assert numex.system.b_constant
-        sys = SystemModel(2, 1, ["0", "0"], [["0"], ["x1"]], [-1, -1], [1, 1])
-        assert not sys.b_constant
-
 
 class TestMetricField:
     def test_upper_triangle_mirrored(self):

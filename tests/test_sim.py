@@ -738,6 +738,20 @@ class TestPerturbationSweep:
             perturbation_sweep(numex.system, numex.metric, numex_gain,
                                numex.reference, cfg, [-1.0], samples=1)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, numex, numex_gain, radius):
+        cfg = RunConfig(kind="dynext", T=1.0, h=5e-3)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            perturbation_sweep(numex.system, numex.metric, numex_gain,
+                               numex.reference, cfg, [0.0, radius], samples=1)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sample_count_below_one_rejected(self, numex, numex_gain, samples):
+        cfg = RunConfig(kind="dynext", T=1.0, h=5e-3)
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            perturbation_sweep(numex.system, numex.metric, numex_gain,
+                               numex.reference, cfg, [0.0], samples=samples)
+
     def test_linear_system_full_basin(self):
         sys = SystemModel(2, 1, ["x2", "-2*x1 - 3*x2"], [["0"], ["1"]],
                           [-50, -50], [50, 50])
