@@ -2,10 +2,11 @@
 
 Expressions over a declared variable table are used to define vector
 fields, input matrices, metrics, feedforward inputs and gain entries in
-configuration files.  Grammar (precedence high to low): ^ with a finite
-integer exponent, unary minus, * /, + -.  Functions: sin, cos, exp, abs,
-sqrt (plus sign, which only appears in derivatives of abs but is
-accepted by the parser so printed derivatives round-trip).  The parser
+configuration files.  Grammar (precedence high to low): ^ with an
+integer exponent of magnitude at most 2^53, unary minus, * /, + -, over
+ASCII digits and names.  Functions: sin, cos, exp, abs, sqrt (plus sign,
+which only appears in derivatives of abs but is accepted by the parser
+so printed derivatives round-trip).  The parser
 reads the token list of `_tokens` by recursive descent, one loop per
 level of binary operators.
 
@@ -14,6 +15,8 @@ walk, `_fold`, which combines each shared subtree once and has no depth
 limit.  Expressions compile to straight-line code with two back ends: on
 Python floats for one point (`compile_fn`, bit-for-bit `evaluate`) and
 on numpy arrays for a stack of points in one call (`compile_array_fn`).
+`compile_source` compiles generated code that holds several float blocks,
+each with its own local-name prefix (the closed-loop run of `sim`).
 """
 
 from __future__ import annotations
@@ -164,37 +167,57 @@ def matvec(rows, point):
     return [reduce(add, [mul(entry, p) for entry, p in zip(row, point)]) for row in rows]
 
 
+_DIGITS, _NAME_START = "0123456789", "_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+_NUMBER_CHARS, _NAME_CHARS = _DIGITS + ".", _NAME_START + _DIGITS
+_MAX_EXPONENT = 2**53  # beyond it a float exponent loses its parity
+
+
 def _tokens(text):
-    """The (kind, value, offset) tokens of `text`, then ("end", None, len(text))."""
+    """The (kind, value, offset) tokens of `text`, then ("end", None, len(text));
+    a number's value is its text. Digits and names are ASCII, so text means
+    what it shows."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
         c, j = text[i], i + 1
         if c in "+-*/^()":
             tokens.append((c, c, i))
-        elif c.isdigit() or c == ".":
-            while j < n and (text[j].isdigit() or text[j] == "."):
+        elif c in _NUMBER_CHARS:
+            while j < n and text[j] in _NUMBER_CHARS:
                 j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k] in _DIGITS:
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j] in _DIGITS:
                         j += 1
             try:
-                tokens.append(("num", float(text[i:j]), i))
+                float(text[i:j])
             except ValueError:
                 raise ExprSyntaxError(f"bad number '{text[i:j]}'", i) from None
-        elif c.isalpha() or c == "_":
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            tokens.append(("num", text[i:j], i))
+        elif c in _NAME_START:
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
             tokens.append(("ident", text[i:j], i))
         elif not c.isspace():
             raise ExprSyntaxError(f"unexpected character '{c}'", i)
         i = j
     return tokens + [("end", None, n)]
+
+
+def _integer(literal):
+    """The integer that a number literal with a finite float denotes exactly
+    (not its float), or None if it denotes none."""
+    mantissa, _, exponent = literal.lower().partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = (whole + fraction).rstrip("0")
+    if not digits:
+        return 0
+    shift = int(exponent or 0) - len(fraction) + len(whole + fraction) - len(digits)
+    return int(digits) * 10**shift if shift >= 0 else None  # a finite float bounds shift
 
 
 # Binary operators, loosest level first; each level associates to the left.
@@ -243,14 +266,17 @@ class _Parser:
         if kind == "-":
             sign = -1
             kind, value, off = self.tokens.pop()
-        if kind != "num" or not math.isfinite(value) or value != int(value):
+        exact = _integer(value) if kind == "num" and math.isfinite(float(value)) else None
+        if exact is None:
             raise ExprSyntaxError("exponent must be an integer constant", off)
-        return Expr("pow", value=float(sign * int(value)), args=(base,))
+        if abs(exact) > _MAX_EXPONENT:
+            raise ExprSyntaxError("exponent exceeds 2^53 in magnitude", off)
+        return Expr("pow", value=float(sign * exact), args=(base,))
 
     def _atom(self):
         kind, value, off = self.tokens.pop()
         if kind == "num":
-            return const(value)
+            return const(float(value))
         if kind == "ident" and self.tokens[-1][0] != "(":
             if value not in self.variables:
                 raise UnknownIdentifierError(value, off)
@@ -461,13 +487,14 @@ def _shaped(item, texts):
     return "(" + "".join(f"{_shaped(sub, texts)}, " for sub in item) + ")"
 
 
-def _straight_line(expr):
+def _straight_line(expr, prefix="_"):
     """Assignments and operands of the straight-line code for `expr`.
 
-    Returns (lines, texts): one `_k = ...` line per distinct right-hand
-    side, children first, and the variable, literal or local that holds
-    each entry of `_entries(expr)`, in that order. Subtrees are shared by
-    node identity (`_fold`) and by right-hand-side text.
+    Returns (lines, texts): one `{prefix}k = ...` line per distinct
+    right-hand side, children first, and the variable, literal or local
+    that holds each entry of `_entries(expr)`, in that order. Subtrees are
+    shared by node identity (`_fold`) and by right-hand-side text. Blocks
+    with distinct prefixes can share one function (`compile_source`).
     """
     locals_ = {}  # right-hand side -> local; insertion order is children first
 
@@ -479,7 +506,7 @@ def _straight_line(expr):
             return f"({text})" if text.startswith("-") else text
         template = _TEMPLATES.get(node.kind, node.kind + "({0})")
         return locals_.setdefault(template.format(*args, n=int(node.value)),
-                                  f"_{len(locals_)}")
+                                  f"{prefix}{len(locals_)}")
 
     texts = _fold([e for _, e in _entries(expr)], operand)
     return [f"{name} = {rhs}" for rhs, name in locals_.items()], texts
@@ -494,6 +521,12 @@ def _exec(src, table):
     namespace = {**_COMPILE_GLOBALS, **table}
     exec(code, namespace)  # noqa: S102 - generated from our own AST
     return namespace["fn"]
+
+
+def compile_source(src, names):
+    """The function `fn` that the generated source `src` defines, with the
+    functions of `compile_fn` and the mapping `names` in scope."""
+    return _exec(src, {**_FUNCTION_TABLE, **names})
 
 
 def compile_fn(expr, variables):

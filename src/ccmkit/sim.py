@@ -1,22 +1,18 @@
 """Closed-loop simulation of plant + reference (+ observer state z).
 
-The closed loop, one ODE in x, x_d and z with u = u_d(t, x_d) + v, is
-generated as one compiled RK4 step (`integrate.rk4_exprs`) that takes t
-and h, so the shortened last step of `integrate.time_grid` is the same
-function and every trace ends exactly at T. u_d and the custom or static
-feedback are folded into it; the static law u_d + beta(x) - beta(x_d) is
-the radial potential generated on the gain's expressions
-(`controller.radial_potential_exprs`). The dynamic-extension and
-geodesic corrections are computed once per step and passed as v over it
-(zero-order hold) by the compiled law (u, u_d, v), which generates the
-dynext v from `controller.dynext_beta_exprs`; the geodesic v is computed
-in Python. Step and law are built once for runs that differ only in x0,
-z0, T, h or the geodesic settings, as in a sweep.
+The closed loop, one ODE in x, x_d and z with u = u_d(t, x_d) + v, runs as one
+generated function (`_RUN`) over the whole `integrate.time_grid`, which ends at
+T: per grid point the law (u, u_d, v), then one RK4 step (`integrate.rk4_exprs`)
+with v held, each with its own failure checks. The static law is the gain's
+radial potential (`controller.radial_potential_exprs`), the dynext v comes from
+`controller.dynext_beta_exprs` and the geodesic v from a Python callback. It is
+built once for runs that differ only in x0, z0, T, h or the geodesic settings.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -115,39 +111,57 @@ def _plant(sys, u, rename):
     return [ex.add(ex.substitute(f, rename), bu) for f, bu in zip(sys.f_exprs, ex.matvec(b, u))]
 
 
-def _correction(sys, metric, gain, cfg):
-    """correction(*y) gives the geodesic path integral v at state y; None for
-    the other kinds. Made per run: a geodesic warm start stays in its run."""
-    if cfg.kind != "geodesic":
-        return None
-    n, warm = sys.n, [None]
-
-    def correction(*y):
-        held, warm[0] = path_integral_controller(gain, metric, y[:n], y[n : 2 * n], np.zeros(sys.m),
-                                                 cfg.geodesic_segments, path=warm[0])
-        return held.tolist()
-    return correction
-
-
-_BUILT = [((), None)]  # (key, (step, law)) of the last closed loop built, read and set at once
+_BUILT = [((), None)]  # (key, run) of the last closed loop built, read and set at once
+# A closed loop's run over the time grid `_times`: per grid point the law block,
+# then the RK4 block with v held. It passes each state, u and u_d row to its _put_*
+# callables and returns (k, stage, error) at the first failure, else (k, None, None)
+# at the last grid index k.
+_RUN = """def fn(_times, _put_y, _put_u, _put_ud, {y}, _correction):
+    for _k in range(len(_times)):
+        t = _times[_k]
+        _put_y(({y},))
+        try:
+            {law}
+            _put_ud(({ud},))
+            if not ({u_finite}):
+                raise ArithmeticError("non-finite control")
+        except (GeodesicError, ArithmeticError, ValueError) as _err:
+            return _k, "controller", _err
+        _put_u(({u},))
+        if _k + 1 == len(_times):
+            return _k, None, None
+        h = _times[_k + 1] - t
+        try:
+            {step}
+            {y} = {y_next}
+            if not ({y_finite}):
+                raise IntegrationError("non-finite state in RK4 step", t)
+            if {y_diverged}:
+                raise IntegrationError("state divergence", _times[_k + 1])
+        except (IntegrationError, ArithmeticError, ValueError) as _err:
+            return _k, "numerical", _err
+"""
+_RUN_NAMES = {"len": len, "range": range, "isfinite": math.isfinite, "ValueError": ValueError,
+              "ArithmeticError": ArithmeticError, "GeodesicError": GeodesicError,
+              "IntegrationError": IntegrationError, "DIVERGENCE_LIMIT": DIVERGENCE_LIMIT}
+_NEXT_LINE = "\n" + " " * 12  # of a block in _RUN
 
 
 def _closed_loop(sys, metric, gain, ref, cfg):
-    """(step, law): the RK4 step y(t + h) = step(t, h, *y, *v) with v held over it and
-    (u, u_d, v) = law(t, *y, *held), held being the geodesic v; compiled unless the
-    last call had the same objects (held, so `is` cannot alias) and settings."""
+    """The closed loop's `_RUN`, compiled unless the last call had the same objects
+    (held, so `is` cannot alias) and settings."""
     key = (sys, metric, gain, ref, cfg.exactness_grid, cfg.kind, cfg.ell, tuple(cfg.custom_u or ()))
     last, built = _BUILT[0]
     if key[5:] == last[5:] and all(a is b for a, b in zip(key[:5], last)):
         return built
-    n, ud, use_z = sys.n, ref.ud_exprs, cfg.kind in ("dynext", "custom")
+    n, m, ud, use_z = sys.n, sys.m, ref.ud_exprs, cfg.kind in ("dynext", "custom")
     names = ["t"] + [f"{p}{i + 1}" for p in ("x", "xd", "z")[: 3 if use_z else 2] for i in range(n)]
     x, xd, z = ([ex.var(name) for name in names[1 + i * n : 1 + (i + 1) * n]] for i in range(3))
-    held = [f"v{j + 1}" for j in range(sys.m)] if cfg.kind in ("dynext", "geodesic") else []
+    held = [f"v{j + 1}" for j in range(m)] if cfg.kind in ("dynext", "geodesic") else []
     v = [ex.var(name) for name in held]
     if cfg.kind == "custom":  # m expressions over t, x, xd and z
-        if len(cfg.custom_u or ()) != sys.m:
-            raise SimulationError(f"custom controller needs {sys.m} expressions")
+        if len(cfg.custom_u or ()) != m:
+            raise SimulationError(f"custom controller needs {m} expressions")
         u = [_parse_entry(e, names) for e in cfg.custom_u]
     elif cfg.kind == "static":
         _require_exact(gain, cfg.exactness_grid)
@@ -155,83 +169,72 @@ def _closed_loop(sys, metric, gain, ref, cfg):
         u = [ex.add(a, ex.sub(b, c)) for a, b, c in zip(ud, beta_x, beta_xd)]
     else:  # u_d plus the held correction v
         u = [ex.add(a, b) for a, b in zip(ud, v)]
-
     # x' = f(x) + B(x) u, xd' = f(xd) + B(xd) ud and z' = x' - ell (z - x)
     fx = _plant(sys, u, {})
     rates = fx + _plant(sys, ud, dict(zip(state_vars(n), xd)))
     if use_z:
         rates += [ex.sub(a, ex.mul(ex.const(cfg.ell), ex.sub(c, b))) for a, b, c in zip(fx, x, z)]
-    step = ex.compile_fn(rk4_exprs(rates, names[1:]), ["t", "h"] + names[1:] + held)
+    step, y_next = ex._straight_line(rk4_exprs(rates, names[1:]), "_b")
     if cfg.kind == "dynext":  # the law computes v = beta(x, z) - beta(xd, z)
         beta = zip(dynext_beta_exprs(gain, x, z), dynext_beta_exprs(gain, xd, z))
-        v, held = [ex.sub(a, b) for a, b in beta], []
+        v = [ex.sub(a, b) for a, b in beta]
         u = [ex.add(a, b) for a, b in zip(ud, v)]
-    built = step, ex.compile_fn([u, ud, v], names + held)
+    (law, texts), y = ex._straight_line([u, ud, v], "_a"), ", ".join(names[1:])
+    if cfg.kind == "geodesic":  # the law reads v from the run's callback
+        law.insert(0, f"{', '.join(held)}, = _correction({y})")
+    law += [f"{a} = {b}" for a, b in zip(held, texts[2 * m :]) if a != b]  # v, held over the step
+    built = ex.compile_source(_RUN.format(
+        y=y, y_next=", ".join(y_next), u=", ".join(texts[:m]), ud=", ".join(texts[m : 2 * m]),
+        law=_NEXT_LINE.join(law), step=_NEXT_LINE.join(step),
+        u_finite=" and ".join(f"isfinite({a})" for a in texts[:m]),
+        y_finite=" and ".join(f"isfinite({a})" for a in names[1:]),
+        y_diverged=" or ".join(f"abs({a}) > DIVERGENCE_LIMIT" for a in names[1:])), _RUN_NAMES)
     _BUILT[0] = key, built
     return built
 
 
 def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
-    """Simulate tracking of the reference under the configured controller.
-
-    Failures (divergence, NaN, a non-finite control, geodesic breakdown)
-    truncate the trace and set a flag instead of raising, so sweeps
-    survive bad samples.
-    """
+    """Simulate tracking of the reference under the configured controller. Failures
+    (divergence, NaN, a non-finite control, geodesic breakdown) truncate the trace
+    and set a flag instead of raising, so sweeps survive bad samples."""
     n, use_z = sys.n, cfg.kind in ("dynext", "custom")
     xd0 = np.asarray(ref.xd0, dtype=float)
     x0 = np.asarray(cfg.x0 if cfg.x0 is not None else xd0, dtype=float)
     z0 = np.asarray(cfg.z0 if cfg.z0 is not None else xd0, dtype=float)
-    step, law = _closed_loop(sys, metric, gain, ref, cfg)
-    correction, held = _correction(sys, metric, gain, cfg), []
+    if x0.shape != (n,) or z0.shape != (n,):
+        raise SimulationError(f"x0 and z0 need {n} entries, got shapes {x0.shape} and {z0.shape}")
+    run = _closed_loop(sys, metric, gain, ref, cfg)
     times = time_grid(0.0, cfg.T, cfg.h)
     state = np.concatenate([x0, xd0, z0] if use_z else [x0, xd0]).tolist()
-    states = np.empty((times.size, len(state)))
-    # NaN where the controller failed; u and ud come from one call
-    us = np.full((times.size, sys.m), np.nan)
-    uds = np.full((times.size, sys.m), np.nan)
-    flags = []
-    for k in range(times.size):
-        t = float(times[k])  # Python floats: 1/0 raises instead of giving inf
-        states[k] = state
-        try:
-            if correction is not None:
-                held = correction(*state)
-            u_k, uds[k], v = law(t, *state, *held)
-            if not all(map(math.isfinite, u_k)):
-                raise ArithmeticError("non-finite control")
-            us[k] = u_k
-        except (GeodesicError, ArithmeticError, ValueError) as err:
-            flags.append(f"controller failure at t={t:g}: {err}")
-            break
-        if k + 1 == times.size:
-            break
-        try:
-            state = step(t, float(times[k + 1]) - t, *state, *v)
-            if not all(map(math.isfinite, state)):
-                raise IntegrationError("non-finite state in RK4 step", t)
-            if max(map(abs, state)) > DIVERGENCE_LIMIT:
-                raise IntegrationError("state divergence", times[k + 1])
-        except (IntegrationError, ArithmeticError, ValueError) as err:
-            flags.append(f"numerical failure at t={t:g}: {err}")
-            break
+    bufs, warm = (array("d"), array("d"), array("d")), [None]  # states, u and u_d, row by row
 
+    def correction(*y):  # the geodesic v at state y; the warm start stays in this run
+        v, warm[0] = path_integral_controller(gain, metric, y[:n], y[n:], np.zeros(sys.m),
+                                              cfg.geodesic_segments, path=warm[0])
+        return v.tolist()
+    # the run reads and writes Python floats: 1/0 raises instead of giving inf
+    k, stage, err = run(array("d", times.tobytes()), *(b.extend for b in bufs), *state, correction)
+    flags = [f"{stage} failure at t={times[k]:g}: {err}"] if stage else []
     completed, end = not flags, k + 1
-    xs, xds = states[:end, :n], states[:end, n : 2 * n]
+    for buf in bufs[1:]:  # NaN u and u_d where the law failed
+        buf.extend([math.nan] * (end * sys.m - len(buf)))
+    states, us, uds = (np.frombuffer(buf).reshape(end, -1) for buf in bufs)
+    xs, xds = states[:, :n], states[:, n : 2 * n]
     exits = times[:end][~sys.in_domain(xs)].tolist()
     if exits:
         flags.append(f"plant left the domain box at t={exits[0]:g} ({len(exits)} samples)")
-    return SimTrace(t=times[:end], x=xs, xd=xds, u=us[:end], ud=uds[:end],
+    return SimTrace(t=times[:end], x=xs, xd=xds, u=us, ud=uds,
                     err=np.linalg.norm(xs - xds, axis=1),
-                    z=states[:end, 2 * n :] if use_z else None, flags=flags, completed=completed)
+                    z=states[:, 2 * n :] if use_z else None, flags=flags, completed=completed)
 
 
 def decay_rate(trace, window):
     """Least-squares slope of -log err(t) over [t_a, t_b]."""
     t_a, t_b = window
     mask = (trace.t >= t_a) & (trace.t <= t_b)
-    if not np.any(mask):
-        raise ValueError(f"window [{t_a}, {t_b}] not covered by the trace")
+    if np.count_nonzero(mask) < 2:
+        raise ValueError(f"window [{t_a}, {t_b}] holds {np.count_nonzero(mask)} samples; "
+                         "a rate needs two")
     errs = trace.err[mask]
     if np.any(errs <= 1e-12):
         raise ValueError("err underflows 1e-12 on the window; rate fit unreliable")

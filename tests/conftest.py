@@ -11,6 +11,8 @@ import time
 import numpy as np
 import pytest
 
+from ccmkit import expr as ex
+from ccmkit import sim
 from ccmkit.controller import GainField
 from ccmkit.model import builtin
 from ccmkit.sim import RunConfig, run_closed_loop
@@ -34,6 +36,36 @@ def numex_gain(numex):
 @pytest.fixture(scope="session")
 def micro_gain(micro):
     return GainField.from_exprs(3, 1, micro.builtin_gain)
+
+
+@pytest.fixture(scope="session")
+def closed_loop_parts():
+    """parts(sys, metric, gain, ref, cfg): what `sim._closed_loop` generates its
+    run from, captured in a fresh build, as a dict: "names", the state names;
+    "held", the names the step reads v from; "rates"; "step", the RK4 step
+    over them; "law", [u, u_d, v] over t, the states and, for geodesic, held."""
+
+    def parts(sys, metric, gain, ref, cfg):
+        seen = {}
+
+        def straight_line(expr, prefix="_", original=ex._straight_line):
+            seen[prefix] = expr
+            return original(expr, prefix)
+
+        def rk4_exprs(rates, state_names, original=sim.rk4_exprs):
+            seen.update(rates=rates, names=list(state_names))
+            return original(rates, state_names)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ex, "_straight_line", straight_line)
+            patch.setattr(sim, "rk4_exprs", rk4_exprs)
+            patch.setattr(sim, "_BUILT", [((), None)])
+            sim._closed_loop(sys, metric, gain, ref, cfg)
+        held = [f"v{j + 1}" for j in range(sys.m)] if cfg.kind in ("dynext", "geodesic") else []
+        return {"names": seen["names"], "held": held, "rates": seen["rates"],
+                "step": seen["_b"], "law": seen["_a"]}
+
+    return parts
 
 
 @pytest.fixture(scope="session")

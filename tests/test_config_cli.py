@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +369,15 @@ class TestCliSimulate:
         )
         assert main(["simulate", "--config", path, "--grid", "5",
                      "--out", str(tmp_path / "t.csv")]) == 1
+
+    def test_one_sample_decay_window_is_not_a_rate(self, tmp_path, capsys):
+        # T = 1, h = 0.6: the grid 0, 0.6, 1 has one sample in the window [T/4, 3T/4]
+        path = write_config(tmp_path, NUMEX_MIN + "[simulation]\nT = 1\nh = 0.6\nx0 = -1 1\n")
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            main(["simulate", "--config", path, "--grid", "5", "--out", str(tmp_path / "t.csv")])
+        assert [str(w.message) for w in seen] == []
+        assert "# decay_rate: n/a\n" in capsys.readouterr().err
 
     def test_numerical_failure_exit_three(self, tmp_path, capsys):
         path = write_config(

@@ -291,13 +291,14 @@ class TestDynExt:
                 base[0], abs=1e-12
             )
 
-    def test_synthesized_beta_matches_per_node_quadrature(self, numex):
+    def test_synthesized_beta_matches_per_node_quadrature(self, numex, closed_loop_parts):
         # a synthesized gain has expressions, so the tree-walking per-node
         # oracle and the correction v of the generated law both apply to it
         gain = synthesize_gain(numex.system, numex.metric,
                                DampingParams(r=1.5, gamma0=0.1, lam=2.0 / 3.0))
-        _, law = sim._closed_loop(numex.system, numex.metric, gain, numex.reference,
+        parts = closed_loop_parts(numex.system, numex.metric, gain, numex.reference,
                                   sim.RunConfig(kind="dynext"))
+        law = ex.compile_fn(parts["law"], ["t"] + parts["names"])
         rng = np.random.default_rng(37)
         for _ in range(5):
             x, xd, z = rng.uniform(-3, 3, size=(3, 2))

@@ -89,8 +89,17 @@ class TestParse:
                      "expression nests too deeply", 0, id="deep-parentheses"),
         pytest.param("-" * 5000 + "x1", ex.ExprSyntaxError,
                      "expression nests too deeply", 0, id="deep-unary-minus"),
+        ("x1^1e20", ex.ExprSyntaxError, "exponent exceeds 2^53 in magnitude", 3),
+        ("x1^-9007199254740993", ex.ExprSyntaxError, "exponent exceeds 2^53 in magnitude", 4),
+        ("x1^9007199254740994 + 1", ex.ExprSyntaxError, "exponent exceeds 2^53 in magnitude", 3),
+        ("x1^4503599627370495.5", ex.ExprSyntaxError, "exponent must be an integer constant", 3),
+        ("x1^1e-999999999", ex.ExprSyntaxError, "exponent must be an integer constant", 3),
+        ("x1 + ٣", ex.ExprSyntaxError, "unexpected character '٣'", 5),
+        ("x1 * 2٣", ex.ExprSyntaxError, "unexpected character '٣'", 6),
+        ("2 * 1e٣", ex.ExprSyntaxError, "unexpected character '٣'", 6),
+        ("x1²", ex.ExprSyntaxError, "unexpected character '²'", 2),
+        ("ξ + x1", ex.ExprSyntaxError, "unexpected character 'ξ'", 0),
         ("x1 + bogus", ex.UnknownIdentifierError, "unknown identifier 'bogus'", 5),
-        ("x1²", ex.UnknownIdentifierError, "unknown identifier 'x1²'", 0),
         ("2 * tan(x1)", ex.UnknownIdentifierError, "unknown identifier 'tan'", 4),
         ("sin x1", ex.UnknownIdentifierError, "unknown identifier 'sin'", 0),
     ])
@@ -100,6 +109,18 @@ class TestParse:
         assert type(err.value) is error
         assert str(err.value) == f"{message} (offset {offset})"
         assert err.value.offset == offset
+
+    def test_largest_exponent_keeps_its_parity(self):
+        # 2^53 - 1, the derivative's exponent, is odd and exact as a float
+        e = ex.parse("x1^9007199254740992", XY)
+        assert ex.evaluate(ex.differentiate(e, "x1"), {"x1": -1.0}) == -(2.0**53)
+        assert ex.evaluate(ex.parse("x1^-9007199254740992", XY), {"x1": -1.0}) == 1.0
+
+    @pytest.mark.parametrize("text, n", [("x1^2.0", 2), ("x1^1e1", 10), ("x1^250e-1", 25),
+                                         ("x1^-0.3e1", -3), ("x1^0e99999999999", 0)])
+    def test_exponent_literal_read_exactly(self, text, n):
+        e = ex.parse(text, XY)
+        assert e.kind == "pow" and e.value == n
 
     @pytest.mark.parametrize("text", ["x1^1e400", "x1^-1e400", "x1^1e999 + 1"])
     def test_infinite_exponent_rejected(self, text):

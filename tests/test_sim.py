@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -141,6 +142,67 @@ def reference_loop(sys, metric, gain, ref, cfg):
                     completed=completed)
 
 
+def stepwise_loop(parts, sys, metric, gain, ref, cfg):
+    """Oracle for the generated run of run_closed_loop: the law and the RK4
+    step it is generated from (`parts`, the `closed_loop_parts` fixture),
+    each compiled alone with `ex.compile_fn` and called once per step from a
+    Python loop with the same failure checks and flag texts."""
+    n, use_z, built = sys.n, cfg.kind in ("dynext", "custom"), parts(sys, metric, gain, ref, cfg)
+    names, held = built["names"], built["held"]
+    step = ex.compile_fn(built["step"], ["t", "h"] + names + held)
+    law = ex.compile_fn(built["law"], ["t"] + names + (held if cfg.kind == "geodesic" else []))
+    xd0 = np.asarray(ref.xd0, dtype=float)
+    x0 = np.asarray(cfg.x0 if cfg.x0 is not None else xd0, dtype=float)
+    z0 = np.asarray(cfg.z0 if cfg.z0 is not None else xd0, dtype=float)
+    warm, v = None, []
+    times = time_grid(0.0, cfg.T, cfg.h)
+    state = np.concatenate([x0, xd0, z0] if use_z else [x0, xd0]).tolist()
+    states = np.empty((times.size, len(state)))
+    us = np.full((times.size, sys.m), np.nan)
+    uds = np.full((times.size, sys.m), np.nan)
+    flags = []
+    for k in range(times.size):
+        t = float(times[k])
+        states[k] = state
+        try:
+            if cfg.kind == "geodesic":
+                v, warm = path_integral_controller(gain, metric, state[:n], state[n:],
+                                                   np.zeros(sys.m), cfg.geodesic_segments,
+                                                   path=warm)
+                v = v.tolist()
+            u_k, uds[k], v_k = law(t, *state, *v)
+            if not all(map(math.isfinite, u_k)):
+                raise ArithmeticError("non-finite control")
+            us[k] = u_k
+        except (GeodesicError, ArithmeticError, ValueError) as err:
+            flags.append(f"controller failure at t={t:g}: {err}")
+            break
+        if k + 1 == times.size:
+            break
+        try:
+            state = step(t, float(times[k + 1]) - t, *state, *v_k)
+            if not all(map(math.isfinite, state)):
+                raise IntegrationError("non-finite state in RK4 step", t)
+            if max(map(abs, state)) > DIVERGENCE_LIMIT:
+                raise IntegrationError("state divergence", times[k + 1])
+        except (IntegrationError, ArithmeticError, ValueError) as err:
+            flags.append(f"numerical failure at t={t:g}: {err}")
+            break
+    completed, end = not flags, k + 1
+    xs, xds = states[:end, :n], states[:end, n : 2 * n]
+    exits = times[:end][~sys.in_domain(xs)].tolist()
+    if exits:
+        flags.append(f"plant left the domain box at t={exits[0]:g} ({len(exits)} samples)")
+    return SimTrace(t=times[:end], x=xs, xd=xds, u=us[:end], ud=uds[:end],
+                    err=np.linalg.norm(xs - xds, axis=1),
+                    z=states[:end, 2 * n :] if use_z else None, flags=flags, completed=completed)
+
+
+def hex_columns(trace):
+    names, data = trace.columns()
+    return names, [[x.hex() for x in row] for row in data.tolist()]
+
+
 def synthetic_trace(t, err):
     k = len(t)
     return SimTrace(
@@ -265,6 +327,12 @@ class TestDecayRate:
         with pytest.raises(ValueError):
             decay_rate(synthetic_trace(t, np.ones(11)), (2.0, 3.0))
 
+    @pytest.mark.parametrize("window", [(0.25, 0.35), (0.5, 0.5)])
+    def test_window_with_one_sample(self, window):
+        t = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(ValueError, match="holds 1 samples; a rate needs two"):
+            decay_rate(synthetic_trace(t, np.exp(-t)), window)
+
     def test_underflow_guard(self):
         t = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ValueError):
@@ -354,25 +422,81 @@ class TestReferenceLoopOracle:
                                atol=1e-9 * scale), column
 
 
-class TestGeneratedStep:
-    """The compiled RK4 step of each closed loop against `rk4_step` on the
-    compiled closed-loop field, float for float."""
+def _squaring_run(u, x0):
+    """x1' = x1^2 and x2' = u: from x1 = 2 x1 diverges; u = 1e300 (1 + x2) overflows
+    to inf inside the first RK4 step without an exception."""
+    sys = SystemModel(2, 1, ["x1^2", "0"], [["0"], ["1"]], [-5, -5], [5, 5])
+    return lambda bundle: (sys, None, None, ReferenceSpec.from_strings(2, [0.0, 0.0], ["0"]),
+                           RunConfig(kind="custom", T=5.0, h=1e-3, x0=np.array(x0), custom_u=[u]))
+
+
+def _custom_run(u, T):
+    return lambda bundle: (bundle.system, bundle.metric, None, bundle.reference, RunConfig(
+        kind="custom", T=T, h=1e-3, x0=np.zeros(2), custom_u=[u]))
+
+
+def _gain_run(kind, gain, ref=None, **kwargs):
+    return lambda bundle: (bundle.system, bundle.metric, GainField.from_exprs(2, 1, gain),
+                           ref or bundle.reference, RunConfig(kind=kind, T=1.0, **kwargs))
+
+
+# The runs of TestFailureHandling and a non-finite state: name -> (numex bundle ->
+# run_closed_loop arguments)
+FAILURE_CASES = {
+    "divergence": _squaring_run("0", [2.0, 0.0]),
+    "non-finite-state": _squaring_run("1e300*(1 + x2)", [0.0, 0.0]),
+    "custom-domain-error": _custom_run("1/(t-1)", 3.0),
+    "custom-reciprocal-time": _custom_run("1/t", 1.0),
+    "custom-sqrt": _custom_run("sqrt(t - 1)", 1.0),
+    "custom-nan": _custom_run("1e400*(t + 1) - 1e400*(t + 1)", 1.0),
+    "custom-inf": _custom_run("1e400*(t + 1)", 1.0),
+    "infinite-dynext-gain": _gain_run("dynext", [["1e400*x1", "0"]], h=1e-2,
+                                      x0=np.array([-5.0, 2.0])),
+    "infinite-static-gain": _gain_run("static", [["1e400*x1", "0"]], h=1e-2,
+                                      exactness_grid=Grid([-2, -2], [2, 2], (5, 5))),
+    "feedforward-reciprocal-time": _gain_run(
+        "static", [["-1", "-1"]], ReferenceSpec.from_strings(2, [3.0, -1.0], ["1/t"]),
+        h=0.25, x0=np.array([1.0, 0.0])),
+}
+
+
+class TestStepwiseOracle:
+    """The generated run against `stepwise_loop`, float for float, with the
+    same flags and the same NaN u and u_d rows."""
+
+    @staticmethod
+    def check(parts, *args):
+        got, want = run_closed_loop(*args), stepwise_loop(parts, *args)
+        assert (got.flags, got.completed) == (want.flags, want.completed)
+        assert hex_columns(got) == hex_columns(want)
+        return want
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    def test_matches_rk4_step_bit_for_bit(self, case, request, monkeypatch):
+    def test_oracle_cases(self, case, request, closed_loop_parts):
         bundle, gain, cfg = oracle_inputs(case, request)
-        seen = []
+        want = self.check(closed_loop_parts, bundle.system, bundle.metric, gain,
+                          bundle.reference, cfg)
+        assert want.completed != case.endswith("divergence")
 
-        def rk4_exprs(rates, state_names, original=sim.rk4_exprs):
-            seen.append((rates, state_names))
-            return original(rates, state_names)
+    @pytest.mark.parametrize("case", sorted(FAILURE_CASES))
+    def test_failure_cases(self, case, numex, closed_loop_parts):
+        want = self.check(closed_loop_parts, *FAILURE_CASES[case](numex))
+        assert not want.completed and want.flags[0].split(" at ")[0] in (
+            "controller failure", "numerical failure")
+        assert ("non-finite state" in want.flags[0]) == (case == "non-finite-state")
 
-        monkeypatch.setattr(sim, "rk4_exprs", rk4_exprs)
-        step, _ = sim._closed_loop(bundle.system, bundle.metric, gain, bundle.reference, cfg)
-        [(rates, state_names)] = seen  # the fresh grid makes this a new build
-        held = [f"v{j + 1}" for j in range(bundle.system.m)] if cfg.kind in (
-            "dynext", "geodesic") else []
-        field = ex.compile_fn(rates, ["t"] + state_names + held)
+
+class TestGeneratedStep:
+    """The RK4 step generated into each closed loop, compiled alone, against
+    `rk4_step` on the compiled closed-loop field, float for float."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_rk4_step_bit_for_bit(self, case, request, closed_loop_parts):
+        bundle, gain, cfg = oracle_inputs(case, request)
+        parts = closed_loop_parts(bundle.system, bundle.metric, gain, bundle.reference, cfg)
+        state_names, held = parts["names"], parts["held"]
+        step = ex.compile_fn(parts["step"], ["t", "h"] + state_names + held)
+        field = ex.compile_fn(parts["rates"], ["t"] + state_names + held)
         rng = np.random.default_rng(len(case))
         for _ in range(20):
             y = rng.uniform(-1.5, 1.5, len(state_names)).tolist()
@@ -393,23 +517,24 @@ class TestGeneratedDynext:
                    ["sin(x1)*x3", "-1 - exp(x2/3)*x3^2", "x1*x2*x3"]]
 
     @staticmethod
-    def dynext_law(gain):
-        """The law run_closed_loop compiles for `gain` on a plant of its size."""
+    def dynext_law(gain, parts):
+        """The law run_closed_loop generates for `gain` on a plant of its size,
+        compiled alone."""
         n, m = gain.n, gain.m
         plant = SystemModel(n, m, ["0"] * n, [[str(int(i == j)) for j in range(m)]
                                               for i in range(n)], [-2] * n, [2] * n)
         ref = ReferenceSpec.from_strings(n, [0.0] * n, [f"sin(t) + xd{j + 1}" for j in range(m)])
-        _, law = sim._closed_loop(plant, None, gain, ref, RunConfig(kind="dynext"))
-        return law
+        built = parts(plant, None, gain, ref, RunConfig(kind="dynext"))
+        return ex.compile_fn(built["law"], ["t"] + built["names"])
 
-    def test_matches_dynext_control(self, numex_gain, micro_gain):
+    def test_matches_dynext_control(self, numex_gain, micro_gain, closed_loop_parts):
         rng = np.random.default_rng(61)
         gains = [numex_gain, micro_gain, GainField.from_exprs(2, 1, self.SIN_EXP),
                  GainField.from_exprs(3, 2, self.SIN_EXP_3x2)]
         assert micro_gain.is_constant() and numex_gain.exprs is not None
         for gain in gains:
             n = gain.n
-            law = self.dynext_law(gain)
+            law = self.dynext_law(gain, closed_loop_parts)
             states = rng.uniform(-2, 2, size=(40, 3 * n))
             # one exact zero per even row: the numpy kernel skips that axis
             states[np.arange(0, 40, 2), rng.integers(3 * n, size=20)] = 0.0
@@ -423,26 +548,22 @@ class TestGeneratedDynext:
                 np.testing.assert_allclose(np.array(v), want, rtol=1e-12, atol=1e-12 * scale)
 
     def test_symbolic_gain_compiles_once_and_skips_numpy_beta(self, numex, monkeypatch):
-        compiled, beta_calls = [], []
-
-        def compile_fn(exprs, variables, original=ex.compile_fn):
-            compiled.append(exprs)
-            return original(exprs, variables)
+        beta_calls = []
 
         def dynext_beta(*args, original=controller.dynext_beta):
             beta_calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(ex, "compile_fn", compile_fn)
+        compiled = TestBuildOnce.count_compiles(monkeypatch)
         monkeypatch.setattr(controller, "dynext_beta", dynext_beta)
         gain = GainField.from_exprs(2, 1, numex.builtin_gain)  # nothing compiled yet
         cfg = RunConfig(kind="dynext", T=0.2, h=1e-2, x0=np.array([-5.0, 2.0]), ell=5.0)
-        for _ in range(2):  # a second run (a sweep sample) reuses both functions
+        for _ in range(2):  # a second run (a sweep sample) reuses the run
             trace = run_closed_loop(numex.system, numex.metric, gain, numex.reference, cfg)
             assert trace.completed and len(trace.t) == 21
-        # the step holds v over the step; (u, u_d, v) computes it
-        free = [ex.free_variables(exprs) for exprs in compiled]
-        assert [any(name.startswith("v") for name in names) for names in free] == [True, False]
+        # the law computes v = beta(x, z) - beta(xd, z); the step reads it as v1
+        [src] = compiled
+        assert "v1, = _correction" not in src and "            v1 = _a" in src
         assert beta_calls == []
 
     def test_synthesized_gain_uses_generated_correction(self, numex, monkeypatch):
@@ -463,32 +584,28 @@ class TestGeneratedDynext:
         trace = run_closed_loop(numex.system, numex.metric, gain, numex.reference, cfg)
         assert trace.completed and len(trace.t) == 6
         assert calls == []
-        assert len(compiled) == 2  # the RK4 step and (u, u_d, v), nothing per gain
+        assert len(compiled) == 1  # the run, nothing per gain
 
 
 class TestGeneratedStatic:
     """An exact static gain is folded into the generated field."""
 
     def test_exact_gain_reads_no_held_correction(self, numex, monkeypatch):
-        compiled, potential_calls = [], []
-
-        def compile_fn(exprs, variables, original=ex.compile_fn):
-            compiled.append(variables)
-            return original(exprs, variables)
+        potential_calls = []
 
         def radial_potential(*args, original=controller.radial_potential):
             potential_calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(ex, "compile_fn", compile_fn)
+        compiled = TestBuildOnce.count_compiles(monkeypatch)
         monkeypatch.setattr(controller, "radial_potential", radial_potential)
         gain = GainField.from_exprs(2, 1, [["-x1", "-x2^3"]])
         cfg = RunConfig(kind="static", T=0.2, h=1e-2, x0=np.array([-1.0, 1.0]),
                         exactness_grid=Grid([-2, -2], [2, 2], (5, 5)))
         trace = run_closed_loop(numex.system, numex.metric, gain, numex.reference, cfg)
         assert trace.completed and len(trace.t) == 21
-        assert len(compiled) == 2  # the closed-loop field and (u, u_d)
-        assert not any(name.startswith("v") for names in compiled for name in names)
+        [src] = compiled  # the run, with the radial potential in its step
+        assert re.search(r"\bv\d", src) is None
         assert potential_calls == []
 
     def test_synthesized_gain_with_a_kink_is_exact(self):
@@ -613,6 +730,19 @@ class TestFailureHandling:
             run_closed_loop(numex.system, numex.metric, numex_gain,
                             numex.reference, cfg)
 
+    @pytest.mark.parametrize("kind", ["custom", "static", "dynext", "geodesic"])
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("x0", [1.0, 0.0, 0.0], id="x0-three"), pytest.param("z0", [0.0], id="z0-one"),
+        pytest.param("x0", [[1.0], [0.0]], id="x0-column"), pytest.param("z0", 0.0, id="z0-scalar")])
+    def test_wrong_length_initial_state_is_rejected(self, numex, numex_gain, kind, key, value):
+        cfg = RunConfig(kind=kind, T=0.1, h=1e-2, custom_u=["0"], **{key: np.array(value)})
+        gain = GainField.from_exprs(2, 1, [["-1", "-1"]]) if kind == "static" else numex_gain
+        with pytest.raises(SimulationError, match="x0 and z0 need 2 entries"):
+            run_closed_loop(numex.system, numex.metric, gain, numex.reference, cfg)
+        if key == "z0":  # a sweep sets x0 per sample and counts the error as not converged
+            assert perturbation_sweep(numex.system, numex.metric, gain, numex.reference,
+                                      cfg, [0.0], 1) == [(0.0, 0.0)]
+
     def test_custom_needs_right_arity(self, numex):
         cfg = RunConfig(kind="custom", T=1.0, h=1e-3, x0=np.zeros(2),
                         custom_u=["0", "0"])
@@ -655,16 +785,17 @@ class TestBuildOnce:
 
     @staticmethod
     def count_compiles(monkeypatch):
+        """The source of each compiled closed-loop run, in order."""
         compiled = []
 
-        def compile_fn(exprs, variables, original=ex.compile_fn):
-            compiled.append(variables)
-            return original(exprs, variables)
+        def compile_source(src, names, original=ex.compile_source):
+            compiled.append(src)
+            return original(src, names)
 
-        monkeypatch.setattr(ex, "compile_fn", compile_fn)
+        monkeypatch.setattr(ex, "compile_source", compile_source)
         return compiled
 
-    def test_static_sweep_compiles_twice(self, micro, monkeypatch):
+    def test_static_sweep_compiles_once(self, micro, monkeypatch):
         gain = GainField.from_exprs(3, 1, micro.builtin_gain)  # a new key
         compiled = self.count_compiles(monkeypatch)
         runs = []
@@ -674,7 +805,7 @@ class TestBuildOnce:
         perturbation_sweep(micro.system, micro.metric, gain, micro.reference, cfg,
                            [0.25, 0.5, 0.75, 1.0], 4, seed=3)
         assert len(runs) == 16
-        assert len(compiled) == 2  # the RK4 step and (u, u_d)
+        assert len(compiled) == 1  # one run for the whole sweep
 
     def test_geodesic_warm_start_stays_in_its_run(self, monkeypatch):
         def inputs():
@@ -719,7 +850,7 @@ class TestBuildOnce:
             trace = run_closed_loop(bundle.system, bundle.metric, None, bundle.reference, cfg)
             counts.append(len(compiled))
             z_ends.append(trace.z[-1].tolist())
-        assert counts == [2, 2, 4, 6, 6]
+        assert counts == [1, 1, 2, 3, 3]
         assert z_ends[2] != z_ends[1]  # the new ell is the one simulated
 
 
