@@ -6,11 +6,15 @@ matrix R = [(MB)^T MB]^-1, built as expressions like every GainField.
 Three realizations turn it into an actual feedback: an exact potential
 when the gain field is curl-free, a geodesic path integral (see the
 geodesic module), and a dynamic extension with an observer-like state z;
-`sim` compiles the potentials' expressions into its closed loop.
+`sim` compiles the potentials' expressions into its closed loop. Each of
+those expressions integrates on a Gauss-Legendre rule sized per integrand
+from its polynomial degree (`expr.degree`), with QUAD_NODES nodes when the
+degree is unbounded; the numpy oracles keep QUAD_NODES nodes throughout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 
@@ -23,7 +27,7 @@ from .linalg import SingularMatrixError, inverse, spectral_norm
 from .model import _Field, _parse_entry, state_vars
 
 EXACTNESS_TOL = 1e-10
-QUAD_NODES = 32   # Gauss-Legendre nodes of every potential quadrature
+QUAD_NODES = 32   # Gauss-Legendre nodes of an integrand of unbounded degree
 
 
 class SynthesisError(RuntimeError):
@@ -35,10 +39,18 @@ class ExactnessError(RuntimeError):
 
 
 @cache
-def gauss_legendre_01():
-    """The QUAD_NODES-point Gauss-Legendre nodes/weights on [0, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+def gauss_legendre_01(nodes=QUAD_NODES):
+    """The `nodes`-point Gauss-Legendre nodes/weights on [0, 1], exact for
+    polynomials of degree up to 2 nodes - 1."""
+    points, weights = np.polynomial.legendre.leggauss(nodes)
+    return 0.5 * (points + 1.0), 0.5 * weights
+
+
+def _rule_for(degree):
+    """The Gauss-Legendre rule on [0, 1] that is exact for a polynomial
+    integrand of this degree, ceil((degree + 1) / 2) nodes up to
+    QUAD_NODES; QUAD_NODES nodes for an unbounded degree."""
+    return gauss_legendre_01(QUAD_NODES if degree == math.inf else min(degree // 2 + 1, QUAD_NODES))
 
 
 @dataclass
@@ -220,13 +232,13 @@ def radial_potential(gain, x):
 
 
 def radial_potential_exprs(gain, x):
-    """`radial_potential` as m Exprs in x, on the same Gauss-Legendre rule:
-    sum_q w_q K(s_q x) x, one `gain.exprs` substitution per node; K x for
-    a constant gain."""
+    """`radial_potential` as m Exprs in x: sum_q w_q K(s_q x) x, one
+    `gain.exprs` substitution per node, on the rule that is exact for K's
+    total degree in the state (`_rule_for`); K x for a constant gain."""
     if gain.is_constant():
         return ex.matvec(gain.exprs, x)
     names = state_vars(gain.n)
-    points, weights = gauss_legendre_01()
+    points, weights = _rule_for(max(ex.degree([e for row in gain.exprs for e in row], names)))
     beta = [ex.ZERO] * gain.m
     for s, w in zip(points.tolist(), weights.tolist()):
         slots = {name: ex.mul(ex.const(s), x_i) for name, x_i in zip(names, x)}
@@ -283,13 +295,15 @@ def dynext_beta(gain, x, z):
 
 def dynext_beta_exprs(gain, x, z):
     """`dynext_beta` as m Exprs in x and z (gain with expressions or constant),
-    one `gain.exprs` substitution per node; an axis with x_i = 0 is multiplied by 0."""
+    one `gain.exprs` substitution per node; an axis with x_i = 0 is multiplied by 0.
+    Axis i integrates on the rule that is exact for column i's largest degree
+    in x_i (`_rule_for`)."""
     if gain.is_constant():
         return ex.matvec(gain.exprs, x)
     names = state_vars(gain.n)
-    points, weights = gauss_legendre_01()
     beta = [ex.ZERO] * gain.m
     for i, x_i in enumerate(x):
+        points, weights = _rule_for(max(ex.degree([row[i] for row in gain.exprs], [names[i]])))
         quad = [ex.ZERO] * gain.m
         for s, w in zip(points.tolist(), weights.tolist()):
             slots = {**dict(zip(names, z)), names[i]: ex.mul(ex.const(s), x_i)}

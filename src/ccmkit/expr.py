@@ -10,13 +10,14 @@ so printed derivatives round-trip).  The parser
 reads the token list of `_tokens` by recursive descent, one loop per
 level of binary operators.
 
-`substitute`, `differentiate` and the code generator are one post-order
-walk, `_fold`, which combines each shared subtree once and has no depth
-limit.  Expressions compile to straight-line code with two back ends: on
-Python floats for one point (`compile_fn`, bit-for-bit `evaluate`) and
-on numpy arrays for a stack of points in one call (`compile_array_fn`).
-`compile_source` compiles generated code that holds several float blocks,
-each with its own local-name prefix (the closed-loop run of `sim`).
+`substitute`, `differentiate`, `degree` and the code generator are one
+post-order walk, `_fold`, which combines each shared subtree once and has
+no depth limit.  Expressions compile to straight-line code with two back
+ends: on Python floats for one point (`compile_fn`, bit-for-bit
+`evaluate`) and on numpy arrays for a stack of points in one call
+(`compile_array_fn`). `compile_source` compiles generated code that holds
+several float blocks, each with its own local-name prefix (the
+closed-loop run of `sim`).
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ class UnknownIdentifierError(ValueError):
 
 class EvalDomainError(ArithmeticError):
     """Division by zero, sqrt of a negative, overflow, or an unbound variable."""
+
+
+class ExponentRangeError(ArithmeticError):
+    """A power built with an exponent beyond 2^53 in magnitude, where a float
+    exponent loses its parity (the derivative of x^-2^53 needs -2^53 - 1)."""
 
 
 def _sign(v):
@@ -147,6 +153,8 @@ def neg(a):
 
 def pow_int(a, n):
     n = int(n)
+    if abs(n) > _MAX_EXPONENT:
+        raise ExponentRangeError(f"exponent {n} exceeds 2^53 in magnitude")
     if n == 0:
         return ONE
     if n == 1:
@@ -437,6 +445,37 @@ def _derivative(expr, d_args, name):
     if kind == "sqrt":
         return div(da, mul(const(2.0), func("sqrt", a)))
     raise ValueError(f"unknown node kind '{kind}'")
+
+
+def degree(expr, names):
+    """The polynomial degree of `expr` (or of each entry of a list) in the
+    variables `names`, or `math.inf` when it is not a polynomial in them by
+    these rules: a variable in `names` has degree 1 and a subtree of degree
+    0 is constant in them; `add`/`sub`/`neg` take the max, `mul` the sum,
+    `pow` by n >= 0 n times the degree, `div` by a free subtree keeps it.
+    Anything else that depends on `names` (a negative power, a division by
+    a dependent subtree, any function) has degree inf. It bounds the
+    degree from above: x1 - x1 has degree 1."""
+    names = set(names)
+    return _fold(expr, lambda node, d_args: _degree(node, d_args, names))
+
+
+def _degree(expr, d_args, names):
+    """The degree of `expr`, given the degrees `d_args` of its operands."""
+    kind = expr.kind
+    if kind == "var":
+        return int(expr.name in names)
+    if not any(d_args):  # a constant, or a node of free operands
+        return 0
+    if kind in ("add", "sub", "neg"):
+        return max(d_args)
+    if kind == "mul":
+        return sum(d_args)
+    if kind == "div":
+        return d_args[0] if d_args[1] == 0 else math.inf
+    if kind == "pow" and expr.value >= 0:
+        return d_args[0] * int(expr.value) if expr.value else 0
+    return math.inf
 
 
 _COMPILE_GLOBALS = {

@@ -258,6 +258,16 @@ class TestCliExpressionErrors:
         assert capsys.readouterr().err.endswith(
             "exponent must be an integer constant (offset 3)\n")
 
+    def test_derivative_exponent_beyond_2_53(self, tmp_path, capsys):
+        # f1 parses, but its Jacobian entry would need the exponent -2^53 - 1
+        path = write_config(tmp_path, CUSTOM_SYSTEM.replace(
+            "f1 = x2", "f1 = x2 + x1^-9007199254740992"))
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "exponent -9007199254740993 exceeds 2^53 in magnitude" in err
+        assert "Traceback" not in err
+
 
 class TestCliSynthesize:
     def test_micro_constant_gain_round_trip(self, tmp_path, capsys):

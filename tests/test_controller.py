@@ -6,27 +6,30 @@ import random
 import numpy as np
 import pytest
 
+from ccmkit import controller, sim
 from ccmkit import expr as ex
-from ccmkit import sim
 from ccmkit.certificates import Grid
 from ccmkit.controller import (
+    QUAD_NODES,
     DampingParams,
     DynExtState,
     ExactnessError,
     GainField,
     SynthesisError,
     dynext_beta,
+    dynext_beta_exprs,
     dynext_control,
     dynext_controller_step,
     exactness_residual,
     gauss_legendre_01,
     khat,
     radial_potential,
+    radial_potential_exprs,
     static_exact_controller,
     synthesize_gain,
     upsilon,
 )
-from ccmkit.model import MetricField, SystemModel
+from ccmkit.model import MetricField, SystemModel, state_vars
 
 SQRT5 = math.sqrt(5.0)
 
@@ -264,10 +267,17 @@ class TestRadialPotentialAndStatic:
 
     def test_quadrature_weights(self):
         points, weights = gauss_legendre_01()
+        assert points.size == QUAD_NODES == 32
         assert np.sum(weights) == pytest.approx(1.0, abs=1e-14)
         assert np.all((points > 0) & (points < 1))
         # exact for high-degree polynomials on [0, 1]
         assert np.sum(weights * points ** 9) == pytest.approx(0.1, abs=1e-14)
+        # q nodes are exact up to degree 2q - 1, and no further
+        for q in (1, 2, 3, 5):
+            points, weights = gauss_legendre_01(q)
+            assert points.size == q and gauss_legendre_01(q) is gauss_legendre_01(q)
+            assert np.sum(weights * points ** (2 * q - 1)) == pytest.approx(1 / (2 * q), abs=1e-15)
+            assert abs(np.sum(weights * points ** (2 * q)) - 1 / (2 * q + 1)) > 1e-6
 
 
 class TestDynExt:
@@ -532,3 +542,112 @@ class TestStackedGain:
             got, got_witness = exactness_residual(gain, grid)
             assert got == pytest.approx(worst, rel=1e-9, abs=1e-12)
             assert np.array_equal(got_witness, witness)
+
+
+def polynomial_gain(rng, n, m, axis_degrees, terms=3):
+    """A gain whose entries are sums of `terms` monomials c x1^e1 ... xn^en
+    with e_i <= axis_degrees[i] in column i and e_k <= 1 for k != i; the
+    first monomial of row 0 is x_i^axis_degrees[i]. Returns the gain and
+    the largest total degree of its monomials."""
+    entries, total = [[] for _ in range(m)], 0
+    for r, i in np.ndindex(m, n):
+        monomials = []
+        for t in range(terms):
+            if r == t == 0:
+                powers = [axis_degrees[i] * (k == i) for k in range(n)]
+            else:
+                powers = [int(rng.integers(0, 2)) for _ in range(n)]
+                powers[i] = int(rng.integers(axis_degrees[i] + 1))
+            total = max(total, sum(powers))
+            factors = [f"x{k + 1}^{p}" for k, p in enumerate(powers) if p]
+            monomials.append("*".join([f"({rng.uniform(-1, 1):.6f})"] + factors))
+        entries[r].append(" + ".join(monomials))
+    return GainField.from_exprs(n, m, entries), total
+
+
+@pytest.fixture
+def rule_sizes(monkeypatch):
+    """The node count of every rule the potentials ask for, in call order."""
+    sizes = []
+
+    def spy(nodes=QUAD_NODES, original=controller.gauss_legendre_01):
+        sizes.append(nodes)
+        return original(nodes)
+
+    monkeypatch.setattr(controller, "gauss_legendre_01", spy)
+    return sizes
+
+
+def generated_potentials(gain):
+    """The generated dynext beta(x1..xn, z1..zn) and radial potential(x1..xn)
+    of `gain`, compiled."""
+    xs, zs = state_vars(gain.n), [f"z{i + 1}" for i in range(gain.n)]
+    beta = ex.compile_fn(dynext_beta_exprs(gain, list(map(ex.var, xs)),
+                                           list(map(ex.var, zs))), xs + zs)
+    return beta, ex.compile_fn(radial_potential_exprs(gain, list(map(ex.var, xs))), xs)
+
+
+def check_potentials(gain, potentials, rng, lo, hi, samples=5):
+    """The generated potentials against the 32-node numpy oracles at random
+    x and z in [lo, hi], within 1e-12 * max(1, |value|); x1 is exactly 0 in
+    every other sample."""
+    beta, potential = potentials
+    for k in range(samples):
+        x, z = rng.uniform(lo, hi, size=gain.n), rng.uniform(lo, hi, size=gain.n)
+        x[0] *= k % 2
+        got = beta(*x, *z)
+        for want in (dynext_beta(gain, x, z), scalar_dynext_beta(gain, x, z)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(potential(*x), radial_potential(gain, x),
+                                   rtol=1e-12, atol=1e-12)
+
+
+class TestSizedRule:
+    """Each generated potential integrates on the rule sized from its
+    integrand's degree, ceil((d + 1) / 2) nodes for a finite degree d and
+    32 for an unbounded one, and agrees with the 32-node numpy oracles."""
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("d", range(6))
+    def test_polynomial_gains_match_32_node_oracles(self, n, m, d, rule_sizes):
+        rng = np.random.default_rng(100 * d + 10 * n + m)
+        axis_degrees = [d] + rng.integers(0, 6, size=n - 1).tolist()
+        gain, total = polynomial_gain(rng, n, m, axis_degrees)
+        potentials = generated_potentials(gain)
+        assert rule_sizes == [math.ceil((d_i + 1) / 2) for d_i in axis_degrees + [total]]
+        check_potentials(gain, potentials, rng, -2.0, 2.0, samples=10)
+
+    @pytest.mark.parametrize("entries, sizes", [
+        ([["-x1*sin(x2)", "-x2^2"]], [1, 2, 32]),
+        ([["-x1^2", "-sqrt(x2^2 + 1)"]], [2, 32, 32]),
+        ([["-x1/(x2^2 + 1)", "-x2"]], [1, 1, 32]),
+        ([["-1 - abs(x1)", "x1/x2"]], [32, 32, 32]),
+        ([["-1", "exp(x3)", "sin(x3)*x3"], ["x1*x3", "-x2^3", "x1^2/(x3 + 2)"]],
+         [1, 2, 32, 32]),
+    ])
+    def test_unbounded_degree_keeps_32_nodes(self, entries, sizes, rule_sizes):
+        # 32 nodes on each axis whose column reaches its variable through a
+        # function or a division, and for the radial potential of any such gain
+        gain = GainField.from_exprs(len(entries[0]), len(entries), entries)
+        potentials = generated_potentials(gain)
+        assert rule_sizes == sizes
+        check_potentials(gain, potentials, np.random.default_rng(len(sizes)), 0.5, 2.0)
+
+    def test_builtin_and_synthesized_numex_gains(self, numex, numex_gain, rule_sizes):
+        rng = np.random.default_rng(8)
+        potentials = generated_potentials(numex_gain)  # -(x2^2 + 1) and -x2^2
+        assert rule_sizes == [1, 2, 2]
+        check_potentials(numex_gain, potentials, rng, -2.0, 2.0)
+        synthesized = synthesize_gain(numex.system, numex.metric,
+                                      DampingParams(r=1.5, gamma0=0.1, lam=2.0 / 3.0))
+        rule_sizes.clear()
+        potentials = generated_potentials(synthesized)  # free of x1; abs and sqrt of x2
+        assert rule_sizes == [1, QUAD_NODES, QUAD_NODES]
+        check_potentials(synthesized, potentials, rng, -2.0, 2.0)
+
+    def test_synthesized_microactuator_gain(self, micro, rule_sizes):
+        gain = synthesize_gain(micro.system, micro.metric,
+                               DampingParams(r=1.5, gamma0=0.1, lam=2.0 / 3.0))
+        potentials = generated_potentials(gain)
+        assert rule_sizes == [1, 1, 2, 2]  # column 3 is degree 2 in x3 and in x1
+        check_potentials(gain, potentials, np.random.default_rng(7), -2.0, 2.0)

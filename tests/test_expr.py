@@ -116,6 +116,18 @@ class TestParse:
         assert ex.evaluate(ex.differentiate(e, "x1"), {"x1": -1.0}) == -(2.0**53)
         assert ex.evaluate(ex.parse("x1^-9007199254740992", XY), {"x1": -1.0}) == 1.0
 
+    def test_derivative_beyond_largest_exponent_raises(self):
+        # x1^-2^53 parses; its derivative needs -2^53 - 1, which a float
+        # rounds to the even -2^53 (the wrong sign at x1 = -1)
+        e = ex.parse("x1^-9007199254740992", XY)
+        with pytest.raises(ex.ExponentRangeError, match="exponent -9007199254740993 exceeds"):
+            ex.differentiate(e, "x1")
+        assert isinstance(ex.ExponentRangeError("x"), ArithmeticError)
+        for n in (2**53 + 1, -(2**53) - 1):
+            with pytest.raises(ex.ExponentRangeError, match=str(n)):
+                ex.pow_int(ex.var("x1"), n)
+        assert ex.pow_int(ex.var("x1"), -(2**53)).value == -(2.0**53)
+
     @pytest.mark.parametrize("text, n", [("x1^2.0", 2), ("x1^1e1", 10), ("x1^250e-1", 25),
                                          ("x1^-0.3e1", -3), ("x1^0e99999999999", 0)])
     def test_exponent_literal_read_exactly(self, text, n):
@@ -591,6 +603,53 @@ class TestSubstitute:
         entries = ex.substitute([ex.func("sin", shared), ex.func("cos", shared)],
                                 {"x1": ex.var("y")})
         assert isinstance(entries, list) and entries[0].args[0] is entries[1].args[0]
+
+
+class TestDegree:
+    """`degree`: the polynomial degree in a set of variables, inf otherwise."""
+
+    @staticmethod
+    def deg(text, names=("x1",)):
+        return ex.degree(ex.parse(text, XY), names)
+
+    @pytest.mark.parametrize("text, d", [
+        ("3", 0), ("x1", 1), ("x2", 0), ("-x1", 1), ("-(x2 + 1)", 0),
+        ("x1 + x1*x1", 2), ("x1^3 - x1", 3), ("x1 - x1", 1),  # an upper bound
+        ("x1*x2", 1), ("x1^2*x1^3", 5), ("(x1 + x2)*(x1 - 1)", 2),
+        ("x1^0", 0), ("x1^1", 1), ("(x1 + 1)^3", 3), ("(x1*x2^2)^3", 3),
+        ("x1/3", 1), ("x1^2/(x2 + 1)", 2), ("(x1 + 1)/sin(x2)", 1),
+        ("x1^-1", math.inf), ("x2^-1", 0), ("1/x1", math.inf), ("x2/(x1 + 1)", math.inf),
+        ("x1/x1", math.inf), ("sin(x1)^0", 0), ("x1^2 + sqrt(x1)", math.inf),
+    ])
+    def test_node_kinds(self, text, d):
+        assert self.deg(text) == d
+
+    @pytest.mark.parametrize("name", ex.FUNCTIONS)
+    def test_functions(self, name):
+        assert self.deg(f"{name}(x1)") == math.inf
+        assert self.deg(f"{name}(x1^2 + 1)*x2") == math.inf
+        assert self.deg(f"{name}(x2)") == 0
+        assert self.deg(f"x1^2*{name}(x2 + 3)") == 2
+
+    def test_names_set(self):
+        assert self.deg("x1^2*x2^3 + x2", XY) == 5
+        assert self.deg("x1^2*x2^3", ()) == 0
+        assert self.deg("sin(x1*x2)", ["x2"]) == math.inf
+        assert ex.degree([ex.parse("x1^2", XY), ex.parse("x2", XY)], ["x1"]) == [2, 0]
+
+    def test_shared_subtree(self):
+        shared = ex.parse("x1^2 + x2", XY)
+        e = ex.mul(shared, ex.func("cos", ex.var("x2")))
+        assert ex.degree(ex.mul(e, shared), ["x1"]) == 4
+        assert ex.degree([shared, ex.func("exp", shared)], ["x1"]) == [2, math.inf]
+        assert ex.degree([shared, ex.func("exp", shared)], ["x3"]) == [0, 0]
+
+    def test_10000_term_sum(self):
+        # deeper than the recursion limit: the fold is iterative
+        e = ex.parse(" + ".join(f"x1^{k % 7}*x2" for k in range(10000)), XY)
+        assert ex.degree(e, ["x1"]) == 6
+        assert ex.degree(e, XY) == 7
+        assert ex.degree(ex.func("sqrt", e), ["x2"]) == math.inf
 
 
 def test_compile_fn_overflowing_literals():

@@ -515,6 +515,9 @@ class TestGeneratedDynext:
     SIN_EXP = [["-(x2^2 + 1)*exp(x1/5)", "-x2^2 + sin(x1)"]]
     SIN_EXP_3x2 = [["-(x2^2 + 1)*exp(x1/5)", "-x2^2 + sin(x3)", "-2 - cos(x1*x2)"],
                    ["sin(x1)*x3", "-1 - exp(x2/3)*x3^2", "x1*x2*x3"]]
+    # rules of 3, 3 and 1 nodes: degree 4 in x1, 5 in x2 and 0 in x3
+    POLY_3x2 = [["-1 - x1^4*x2 + x2^2", "-x2^5 + x1*x2^3", "x1^2*x2 - 2"],
+                ["x1^3 - x3", "x3*x2^2 - x1", "-3 + x2*x1"]]
 
     @staticmethod
     def dynext_law(gain, parts):
@@ -530,7 +533,8 @@ class TestGeneratedDynext:
     def test_matches_dynext_control(self, numex_gain, micro_gain, closed_loop_parts):
         rng = np.random.default_rng(61)
         gains = [numex_gain, micro_gain, GainField.from_exprs(2, 1, self.SIN_EXP),
-                 GainField.from_exprs(3, 2, self.SIN_EXP_3x2)]
+                 GainField.from_exprs(3, 2, self.SIN_EXP_3x2),
+                 GainField.from_exprs(3, 2, self.POLY_3x2)]
         assert micro_gain.is_constant() and numex_gain.exprs is not None
         for gain in gains:
             n = gain.n
