@@ -216,6 +216,8 @@ def _load_gain(section, sys, bundle):
         if len(text) != 2 or text[0] != "const":
             raise ConfigError("[gain] gamma must be 'const <value>'")
         spec.gamma_const = _number(text[1], "[gain] gamma")
+    if not all(math.isfinite(v) for v in (spec.r or 0, spec.gamma0, spec.gamma_const or 0)):
+        raise ConfigError("[gain] r, gamma0 and gamma must be finite")
     return spec
 
 

@@ -6,15 +6,15 @@ matrix R = [(MB)^T MB]^-1, built as expressions like every GainField.
 Three realizations turn it into an actual feedback: an exact potential
 when the gain field is curl-free, a geodesic path integral (see the
 geodesic module), and a dynamic extension with an observer-like state z;
-`sim` compiles the potentials' expressions into its closed loop. Each of
-those expressions integrates on a Gauss-Legendre rule sized per integrand
-from its polynomial degree (`expr.degree`), with QUAD_NODES nodes when the
-degree is unbounded; the numpy oracles keep QUAD_NODES nodes throughout.
+`sim` compiles the potentials' expressions into its closed loop. Both are
+line integrals of K along straight segments from one builder, each on a
+Gauss-Legendre rule sized from its integrand's polynomial degree
+(`expr.degree`), QUAD_NODES nodes when the degree is unbounded; the numpy
+oracles keep QUAD_NODES nodes throughout.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 
@@ -46,13 +46,6 @@ def gauss_legendre_01(nodes=QUAD_NODES):
     return 0.5 * (points + 1.0), 0.5 * weights
 
 
-def _rule_for(degree):
-    """The Gauss-Legendre rule on [0, 1] that is exact for a polynomial
-    integrand of this degree, ceil((degree + 1) / 2) nodes up to
-    QUAD_NODES; QUAD_NODES nodes for an unbounded degree."""
-    return gauss_legendre_01(QUAD_NODES if degree == math.inf else min(degree // 2 + 1, QUAD_NODES))
-
-
 @dataclass
 class DampingParams:
     """r > 1/(2*lambda) and the extra damping gamma0 > 0.
@@ -66,11 +59,11 @@ class DampingParams:
     lam: float
 
     def __post_init__(self):
-        if self.gamma0 <= 0:
-            raise SynthesisError("gamma0 must be positive")
-        if self.lam <= 0 or 2.0 * self.r * self.lam <= 1.0:
+        if not 0 < self.gamma0 < np.inf:  # also rejects nan
+            raise SynthesisError(f"gamma0 must be finite and positive, got {self.gamma0:g}")
+        if not (0 < self.lam < np.inf and 1.0 < 2.0 * self.r * self.lam < np.inf):
             raise SynthesisError(
-                f"need r > 1/(2*lambda): r={self.r:g}, lambda={self.lam:g}"
+                f"need finite r > 1/(2*lambda): r={self.r:g}, lambda={self.lam:g}"
             )
 
     def lambda0(self, p_lo):
@@ -172,6 +165,8 @@ def synthesize_gain(sys, metric, params: DampingParams, gamma_const=None, grid=N
     """
     if metric.role != "primal":
         raise SynthesisError("gain synthesis needs a primal metric")
+    if gamma_const is not None and not np.isfinite(gamma_const):
+        raise SynthesisError(f"constant gamma must be finite, got {gamma_const:g}")
     mb_t = [ex.matvec(metric.m_exprs, col) for col in zip(*sys.b_exprs)]
     gram = [ex.matvec(mb_t, row) for row in mb_t]
     points = (grid if grid is not None else Grid.for_system(sys)).array()
@@ -231,20 +226,28 @@ def radial_potential(gain, x):
     return weights @ (gain(points[:, None] * x) @ x)
 
 
+def _line_integral_exprs(gain, start, tangent):
+    """integral_0^1 K(start + s tangent) ds tangent as m Exprs: K is
+    substituted along the segment once, with s a variable, summed as
+    w_q K(p(s_q)) on the Gauss-Legendre rule exact for the integrand's
+    degree in s (QUAD_NODES nodes when unbounded), then applied to the
+    tangent. A constant K gets 1 node of weight 1.0, so K tangent."""
+    path = {name: ex.add(a, ex.mul(ex.var("_s"), b))
+            for name, a, b in zip(state_vars(gain.n), start, tangent)}
+    k_s = [ex.substitute(row, path) for row in gain.exprs]
+    d = min(max(ex.degree(ex.matvec(k_s, tangent), ["_s"])), 2 * QUAD_NODES - 1)  # inf included
+    points, weights = gauss_legendre_01(d // 2 + 1)
+    k_sum = [[ex.ZERO] * gain.n for _ in k_s]
+    for s_q, w_q in zip(points.tolist(), weights.tolist()):
+        k_q = [ex.substitute(row, {"_s": ex.const(s_q)}) for row in k_s]
+        k_sum = [[ex.add(a, ex.mul(ex.const(w_q), b)) for a, b in zip(*rows)]
+                 for rows in zip(k_sum, k_q)]
+    return ex.matvec(k_sum, tangent)
+
+
 def radial_potential_exprs(gain, x):
-    """`radial_potential` as m Exprs in x: sum_q w_q K(s_q x) x, one
-    `gain.exprs` substitution per node, on the rule that is exact for K's
-    total degree in the state (`_rule_for`); K x for a constant gain."""
-    if gain.is_constant():
-        return ex.matvec(gain.exprs, x)
-    names = state_vars(gain.n)
-    points, weights = _rule_for(max(ex.degree([e for row in gain.exprs for e in row], names)))
-    beta = [ex.ZERO] * gain.m
-    for s, w in zip(points.tolist(), weights.tolist()):
-        slots = {name: ex.mul(ex.const(s), x_i) for name, x_i in zip(names, x)}
-        k_x = ex.matvec([[ex.substitute(e, slots) for e in row] for row in gain.exprs], x)
-        beta = [ex.add(b, ex.mul(ex.const(w), v)) for b, v in zip(beta, k_x)]
-    return beta
+    """`radial_potential` as m Exprs in x: the line integral of K from 0 to x."""
+    return _line_integral_exprs(gain, [ex.ZERO] * gain.n, x)
 
 
 def static_exact_controller(gain, x, x_d, u_d, residual=None, grid=None):
@@ -294,23 +297,12 @@ def dynext_beta(gain, x, z):
 
 
 def dynext_beta_exprs(gain, x, z):
-    """`dynext_beta` as m Exprs in x and z (gain with expressions or constant),
-    one `gain.exprs` substitution per node; an axis with x_i = 0 is multiplied by 0.
-    Axis i integrates on the rule that is exact for column i's largest degree
-    in x_i (`_rule_for`)."""
-    if gain.is_constant():
-        return ex.matvec(gain.exprs, x)
-    names = state_vars(gain.n)
-    beta = [ex.ZERO] * gain.m
-    for i, x_i in enumerate(x):
-        points, weights = _rule_for(max(ex.degree([row[i] for row in gain.exprs], [names[i]])))
-        quad = [ex.ZERO] * gain.m
-        for s, w in zip(points.tolist(), weights.tolist()):
-            slots = {**dict(zip(names, z)), names[i]: ex.mul(ex.const(s), x_i)}
-            quad = [ex.add(q, ex.mul(ex.const(w), ex.substitute(row[i], slots)))
-                    for q, row in zip(quad, gain.exprs)]
-        beta = [ex.add(b, ex.mul(x_i, q)) for b, q in zip(beta, quad)]
-    return beta
+    """`dynext_beta` as m Exprs in x and z: the sum over the axes i of the
+    line integral of K along x_i e_i from z with slot i at 0."""
+    per_axis = [_line_integral_exprs(gain, [ex.ZERO if k == i else z_k for k, z_k in enumerate(z)],
+                                     [x_i if k == i else ex.ZERO for k in range(gain.n)])
+                for i, x_i in enumerate(x)]
+    return [reduce(ex.add, terms) for terms in zip(*per_axis)]
 
 
 def khat(gain, x, z):

@@ -10,14 +10,15 @@ so printed derivatives round-trip).  The parser
 reads the token list of `_tokens` by recursive descent, one loop per
 level of binary operators.
 
-`substitute`, `differentiate`, `degree` and the code generator are one
-post-order walk, `_fold`, which combines each shared subtree once and has
-no depth limit.  Expressions compile to straight-line code with two back
-ends: on Python floats for one point (`compile_fn`, bit-for-bit
-`evaluate`) and on numpy arrays for a stack of points in one call
-(`compile_array_fn`). `compile_source` compiles generated code that holds
-several float blocks, each with its own local-name prefix (the
-closed-loop run of `sim`).
+`substitute`, `differentiate`, `degree`, `free_variables`, `to_string`
+and the code generator are one post-order walk, `_fold`, which combines
+each shared subtree once and has no depth limit; only the parser and
+`evaluate` (the test reference) walk on their own. Expressions compile to
+straight-line code with two back ends: on Python floats for one point
+(`compile_fn`, bit-for-bit `evaluate`) and on numpy arrays for a stack of
+points in one call (`compile_array_fn`). `compile_source` compiles
+generated code that holds several float blocks, each with its own
+local-name prefix (the closed-loop run of `sim`).
 """
 
 from __future__ import annotations
@@ -165,8 +166,6 @@ def pow_int(a, n):
 
 
 def func(name, a):
-    if name == "neg":
-        return neg(a)
     return Expr(name, args=(a,))
 
 
@@ -261,10 +260,7 @@ class _Parser:
     def _factor(self):
         if self.tokens[-1][0] == "-":
             self.tokens.pop()
-            inner = self._factor()
-            if inner.kind == "const":
-                return const(-inner.value)
-            return Expr("neg", args=(inner,))
+            return neg(self._factor())
         base = self._atom()
         if self.tokens[-1][0] != "^":
             return base
@@ -354,17 +350,9 @@ def evaluate(expr, env):
 
 def free_variables(expr):
     """Names of the variables in an expression or a nested list of them."""
-    out = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, list):
-            stack += node
-            continue
-        if node.kind == "var":
-            out.add(node.name)
-        stack.extend(node.args)
-    return out
+    names = _fold([e for _, e in _entries(expr)],
+                  lambda node, args: {node.name} if node.kind == "var" else set().union(*args))
+    return set().union(*names)
 
 
 def _fold(expr, combine):
@@ -627,34 +615,40 @@ _OPS = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}
 def to_string(expr):
     """Pretty-print; output reparses to a structurally equal tree.
 
-    Emits text left to right from an explicit stack of text pieces and
-    (node, parent precedence) pairs, so depth is not limited.
+    `_fold` gives each node its precedence and a nested tuple of text
+    pieces; one explicit-stack join flattens the root's, so depth is not
+    limited and the output is linear in its length.
     """
-    out = []
-    stack = [(expr, 0)]
+    out, stack = [], [_fold(expr, _text)[1]]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             out.append(item)
-            continue
-        node, parent_prec = item
-        kind = node.kind
-        if kind == "const":
-            out.append(repr(node.value) if node.value >= 0 else f"({node.value!r})")
-        elif kind == "var":
-            out.append(node.name)
-        elif kind not in _PREC:  # function call
-            stack += [")", (node.args[0], 0), kind + "("]
         else:
-            prec = _PREC[kind]
-            if kind == "neg":
-                pieces = ["-", (node.args[0], prec - 1)]
-            elif kind == "pow":
-                pieces = [(node.args[0], prec), f"^{int(node.value)}"]
-            else:
-                # right operand needs full precedence to keep left associativity
-                pieces = [(node.args[0], prec - 1), _OPS[kind], (node.args[1], prec)]
-            if prec <= parent_prec:
-                pieces = ["(", *pieces, ")"]
-            stack += pieces[::-1]
+            stack += item[::-1]
     return "".join(out)
+
+
+def _text(node, args):
+    """(precedence, text pieces) of `node`, given those of its operands;
+    constants, variables and calls bind tightest (inf)."""
+    kind = node.kind
+    if kind == "const":
+        return math.inf, repr(node.value) if node.value >= 0 else f"({node.value!r})"
+    if kind == "var":
+        return math.inf, node.name
+    if kind not in _PREC:  # function call
+        return math.inf, (kind + "(", args[0][1], ")")
+    prec = _PREC[kind]
+    if kind == "neg":
+        return prec, ("-", _operand(args[0], prec - 1))
+    if kind == "pow":
+        return prec, (_operand(args[0], prec), f"^{int(node.value)}")
+    # right operand needs full precedence to keep left associativity
+    return prec, (_operand(args[0], prec - 1), _OPS[kind], _operand(args[1], prec))
+
+
+def _operand(arg, bound):
+    """An operand's pieces, in parentheses unless it binds tighter than `bound`."""
+    prec, pieces = arg
+    return pieces if prec > bound else ("(", pieces, ")")

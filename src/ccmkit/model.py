@@ -80,8 +80,8 @@ class SystemModel:
     """
 
     def __init__(self, n, m, f_exprs, b_exprs, domain_lo, domain_hi, name=""):
-        if m >= n:
-            raise ModelError(f"need m < n, got n={n}, m={m}")
+        if not (all(isinstance(k, (int, np.integer)) for k in (n, m)) and 1 <= m < n):
+            raise ModelError(f"need integers 1 <= m < n, got n={n!r}, m={m!r}")
         self.n = int(n)
         self.m = int(m)
         self.name = name
@@ -151,10 +151,10 @@ class MetricField:
     def __init__(self, n, m_exprs, p_lo, p_hi, lam, role="primal"):
         if role not in ("primal", "dual"):
             raise ModelError(f"metric role must be primal or dual, got {role!r}")
-        if p_lo <= 0 or p_hi < p_lo:
-            raise ModelError("need 0 < p_lo <= p_hi")
-        if lam < 0:
-            raise ModelError("contraction rate must be nonnegative")
+        if not 0 < p_lo <= p_hi < np.inf:  # also rejects nan
+            raise ModelError(f"need finite 0 < p_lo <= p_hi, got p_lo={p_lo}, p_hi={p_hi}")
+        if not 0 <= lam < np.inf:
+            raise ModelError(f"contraction rate must be finite and nonnegative, got {lam}")
         self.n = int(n)
         self.role = role
         self.p_lo = float(p_lo)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -24,6 +25,7 @@ def write_config(tmp_path, text, name="run.ini"):
 
 
 NUMEX_MIN = "[system]\nbuiltin = numex\n"
+METRIC = "[metric]\nM_1_1 = 2/5\nM_1_2 = 1/5\nM_2_2 = 3/5\n"  # the numex metric; bounds follow
 
 CUSTOM_SYSTEM = """
 [system]
@@ -196,6 +198,18 @@ class TestCliCertify:
                      id="gamma0-negative"),
         pytest.param("[certificate]\nchecks = robust c1\nlambda = -1\n", ["certify"],
                      id="lambda-negative"),
+        pytest.param(METRIC + "p_lo = nan\np_hi = nan\n", ["certify"], id="metric-bounds-nan"),
+        pytest.param(METRIC + "p_lo = 0.2\np_hi = nan\n", ["certify"], id="metric-p_hi-nan"),
+        pytest.param(METRIC + "p_lo = 0.2\np_hi = inf\n", ["certify"], id="metric-p_hi-inf"),
+        pytest.param(METRIC + "p_lo = 0.2\np_hi = 1\nlambda = nan\n", ["certify"],
+                     id="metric-lambda-nan"),
+        pytest.param(METRIC + "p_lo = 0.2\np_hi = 1\nlambda = inf\n", ["simulate"],
+                     id="metric-lambda-inf"),
+        pytest.param("[gain]\nr = nan\n", ["synthesize"], id="gain-r-nan"),
+        pytest.param("[gain]\nr = inf\n", ["simulate"], id="gain-r-inf"),
+        pytest.param("[gain]\ngamma0 = nan\n", ["synthesize"], id="gain-gamma0-nan"),
+        pytest.param("[gain]\ngamma = const nan\n", ["synthesize"], id="gain-gamma-const-nan"),
+        pytest.param("[gain]\ngamma = const -inf\n", ["simulate"], id="gain-gamma-const-inf"),
     ])
     def test_malformed_input_exits_two(self, tmp_path, capsys, section, argv):
         path = write_config(tmp_path, NUMEX_MIN + section)
@@ -204,6 +218,20 @@ class TestCliCertify:
         err = capsys.readouterr().err
         assert err.strip()
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("system, point", [
+        pytest.param("n = 0\nm = -1\n\n[metric]\np_lo = 1\np_hi = 1\n\n[reference]\nxd0 =\n",
+                     "", id="n0-m-1"),
+        pytest.param("n = 2\nm = 0\nf1 = x2\nf2 = -x1\n\n[metric]\nM_1_1 = 1\nM_2_2 = 1\n"
+                     "p_lo = 1\np_hi = 1\n\n[reference]\nxd0 = 0 0\n", "0,0", id="n2-m0"),
+    ])
+    @pytest.mark.parametrize("command", ["certify", "simulate", "synthesize", "geodesic"])
+    def test_bad_dimensions_exit_two(self, tmp_path, capsys, system, point, command):
+        path = write_config(tmp_path, "[system]\n" + system)
+        ends = ["--from", point, "--to", point] if command == "geodesic" else []
+        assert main([command, "--config", path, *ends]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [system]: need integers") and "Traceback" not in err
 
 
 class TestCliExpressionErrors:
@@ -481,3 +509,17 @@ class TestImportsNumpyOnly:
         assert result["codes"] == [0]
         assert "scipy.linalg" in result["scipy"]
         assert "K_1_1 = " in (tmp_path / "gain.ini").read_text()
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.ini")), ids=lambda path: path.name)
+def test_documented_run_line_exits_zero(config, tmp_path, monkeypatch, capsys):
+    """The `# Run:` command in each shipped config's header runs as written
+    from the repository root (with --out sent to tmp_path) and exits 0."""
+    runs = [line for line in config.read_text().splitlines() if line.startswith("# Run:")]
+    assert len(runs) == 1
+    program, *argv = shlex.split(runs[0].removeprefix("# Run:"))
+    assert program == "ccmkit"
+    argv = [str(tmp_path / arg) if flag == "--out" else arg
+            for flag, arg in zip([None, *argv], argv)]
+    monkeypatch.chdir(CONFIGS.parent)
+    assert main(argv) == 0

@@ -30,6 +30,7 @@ from ccmkit.controller import (
     upsilon,
 )
 from ccmkit.model import MetricField, SystemModel, state_vars
+from test_expr import _same_tree
 
 SQRT5 = math.sqrt(5.0)
 
@@ -49,6 +50,20 @@ class TestDampingParams:
         with pytest.raises(SynthesisError):
             DampingParams(r=0.5, gamma0=1.0, lam=1.0)  # 2 r lam = 1
         DampingParams(r=0.51, gamma0=1.0, lam=1.0)  # just feasible
+
+    @pytest.mark.parametrize("r, gamma0, lam", [
+        (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0), (2.0, math.nan, 1.0),
+        (2.0, math.inf, 1.0), (2.0, 1.0, math.nan), (2.0, 1.0, math.inf)])
+    def test_non_finite_rejected(self, r, gamma0, lam):
+        # nan passed both `gamma0 <= 0` and `2 r lam <= 1` unnoticed
+        with pytest.raises(SynthesisError, match="finite"):
+            DampingParams(r=r, gamma0=gamma0, lam=lam)
+
+    @pytest.mark.parametrize("gamma_const", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constant_gamma_rejected(self, numex, gamma_const):
+        params = DampingParams(r=2.0, gamma0=1.0, lam=1.0)
+        with pytest.raises(SynthesisError, match="finite"):
+            synthesize_gain(numex.system, numex.metric, params, gamma_const=gamma_const)
 
 
 class TestUpsilon:
@@ -651,3 +666,24 @@ class TestSizedRule:
         potentials = generated_potentials(gain)
         assert rule_sizes == [1, 1, 2, 2]  # column 3 is degree 2 in x3 and in x1
         check_potentials(gain, potentials, np.random.default_rng(7), -2.0, 2.0)
+
+    @pytest.mark.parametrize("entries", [
+        [["-1", "-2"]], [["2/5", "0", "-3"], ["1", "7", "0"]], [["0", "0"]]])
+    def test_constant_gain_is_the_tree_of_k_times_x(self, entries, rule_sizes):
+        # degree 0 on every segment: the 1-node rule of weight 1.0, which
+        # `ex.mul` folds away, so both potentials are the tree of K x
+        gain = GainField.from_exprs(len(entries[0]), len(entries), entries)
+        xs = [ex.var(name) for name in state_vars(gain.n)]
+        zs = [ex.var(f"z{i + 1}") for i in range(gain.n)]
+        want = ex.matvec(gain.exprs, xs)
+        for got in (dynext_beta_exprs(gain, xs, zs), radial_potential_exprs(gain, xs)):
+            assert len(got) == len(want) and all(map(_same_tree, got, want))
+        assert rule_sizes == [1] * (gain.n + 1)
+
+    def test_microactuator_builtin_gain_is_the_tree_of_k_times_x(self, micro_gain):
+        # the static gain of sweep_static and of configs/microactuator_static.ini
+        xs = [ex.var(name) for name in state_vars(3)]
+        want = ex.matvec(micro_gain.exprs, xs)
+        got = radial_potential_exprs(micro_gain, xs)
+        assert all(map(_same_tree, got, want))
+        assert all(map(_same_tree, dynext_beta_exprs(micro_gain, xs, xs), want))

@@ -2,6 +2,7 @@
 
 import math
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -340,6 +341,12 @@ def _recursive_to_string(expr, parent_prec=0):
     return f"{kind}({_recursive_to_string(expr.args[0], 0)})"
 
 
+def _recursive_free_variables(expr):
+    if expr.kind == "var":
+        return {expr.name}
+    return set().union(*(_recursive_free_variables(a) for a in expr.args))
+
+
 _GAIN_TERMS = ["x1*x2", "sin(x1)", "x2^2", "-x1", "exp(x1)/x2",
                "sqrt(x1^2+1)", "abs(x1-x2)", "x1^-2"]
 
@@ -357,6 +364,18 @@ class TestRecursiveOracle:
                 d = ex.differentiate(e, name)
                 assert d == _recursive_differentiate(e, name)
                 assert ex.to_string(d) == _recursive_to_string(d)
+
+    def test_free_variables_random_trees(self):
+        # the trees of test_random_trees, alone and in a nested list
+        rng, trees = random.Random(17), []
+        for _ in range(300):
+            shared = tuple(_random_tree(rng, 2) for _ in range(2))
+            trees.append(_random_tree(rng, 6, shared))
+            assert ex.free_variables(trees[-1]) == _recursive_free_variables(trees[-1])
+        for k in range(0, 300, 3):
+            nested = [trees[k], [[trees[k + 1]], [], trees[k + 2]]]
+            assert ex.free_variables(nested) == set().union(
+                *map(_recursive_free_variables, trees[k : k + 3]))
 
     def test_derivative_of_shared_subtree_is_shared(self):
         s = ex.parse("sin(x1)*x2", XY)
@@ -560,6 +579,13 @@ class TestDeepNesting:
         e = ex.parse(" + ".join(["x1"] * 10000), XY)
         assert ex.free_variables(e) == {"x1"}
         assert ex.compile_fn(e, XY)(1.0, 0.0) == 10000.0
+
+    def test_free_variables_of_10000_term_sum(self):
+        names = [f"v{i}" for i in range(10000)]
+        e = reduce(ex.add, map(ex.var, names))
+        assert ex.free_variables(e) == set(names)
+        assert ex.free_variables([[e, ex.ONE], [[ex.var("x1")]], []]) == {*names, "x1"}
+        assert ex.free_variables([]) == set()
 
     def test_parse_deep_parentheses(self):
         with pytest.raises(ex.ExprSyntaxError):

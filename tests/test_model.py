@@ -86,6 +86,12 @@ class TestSystemModel:
         with pytest.raises(ModelError):
             SystemModel(2, 1, ["x1", "x2"], [["0"], ["1"]], [1, -1], [1, 1])
 
+    @pytest.mark.parametrize("n, m", [(0, -1), (2, 0), (2, -1), (2.0, 1), (2, 1.0)])
+    def test_dimensions_are_integers_with_one_le_m_lt_n(self, n, m):
+        with pytest.raises(ModelError, match="1 <= m < n"):
+            SystemModel(n, m, ["x1", "x2"], [["0"], ["1"]], [-1, -1], [1, 1])
+        SystemModel(np.int64(2), np.int64(1), ["x1", "x2"], [["0"], ["1"]], [-1, -1], [1, 1])
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_division_by_zero_on_arrays_raises(self):
         # compiled expressions see Python floats, not numpy scalars, so
@@ -168,6 +174,14 @@ class TestMetricField:
             MetricField(2, [["1", "0"], ["0", "1"]], 1.0, 1.0, -0.5)
         with pytest.raises(ModelError):
             MetricField(2, [["1", "0"], ["0", "1"]], 1.0, 1.0, 0.0, role="bogus")
+
+    @pytest.mark.parametrize("p_lo, p_hi, lam", [
+        (math.nan, math.nan, 0.0), (math.nan, 1.0, 0.0), (1.0, math.nan, 0.0),
+        (1.0, math.inf, 0.0), (math.inf, math.inf, 0.0), (1.0, 1.0, math.nan),
+        (1.0, 1.0, math.inf)])
+    def test_non_finite_bounds_and_rate_rejected(self, p_lo, p_hi, lam):
+        with pytest.raises(ModelError, match="finite"):
+            MetricField(2, [["1", "0"], ["0", "1"]], p_lo, p_hi, lam)
 
 
 class TestReference:
