@@ -216,8 +216,9 @@ def _load_gain(section, sys, bundle):
         if len(text) != 2 or text[0] != "const":
             raise ConfigError("[gain] gamma must be 'const <value>'")
         spec.gamma_const = _number(text[1], "[gain] gamma")
-    if not all(math.isfinite(v) for v in (spec.r or 0, spec.gamma0, spec.gamma_const or 0)):
-        raise ConfigError("[gain] r, gamma0 and gamma must be finite")
+    given = [v for v in (spec.r, spec.gamma0, spec.gamma_const) if v is not None]
+    if not all(0 < v < math.inf for v in given):  # also rejects nan
+        raise ConfigError("[gain] r, gamma0 and gamma must be finite and > 0")
     return spec
 
 

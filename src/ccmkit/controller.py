@@ -159,14 +159,14 @@ def synthesize_gain(sys, metric, params: DampingParams, gamma_const=None, grid=N
 
     gamma(x) defaults to (r/p_lo) * Up(x)^2 (`_upsilon_sq`): its
     minimal admissible value for n = 2, an admissible bound for n >= 3;
-    gamma_const replaces it with a fixed constant (bounded-domain mode,
-    gamma0 is then folded to zero). (MB)^T MB must be invertible at each
+    gamma_const replaces it with a fixed positive constant (bounded-domain
+    mode, gamma0 is then folded to zero). (MB)^T MB must be invertible at each
     point of `grid` (default: `Grid.for_system(sys)`).
     """
     if metric.role != "primal":
         raise SynthesisError("gain synthesis needs a primal metric")
-    if gamma_const is not None and not np.isfinite(gamma_const):
-        raise SynthesisError(f"constant gamma must be finite, got {gamma_const:g}")
+    if gamma_const is not None and not 0 < gamma_const < np.inf:  # also rejects nan
+        raise SynthesisError(f"constant gamma must be finite and positive, got {gamma_const:g}")
     mb_t = [ex.matvec(metric.m_exprs, col) for col in zip(*sys.b_exprs)]
     gram = [ex.matvec(mb_t, row) for row in mb_t]
     points = (grid if grid is not None else Grid.for_system(sys)).array()

@@ -4,9 +4,12 @@ A path is a polyline with pinned endpoints; its Riemannian energy
 N * sum_k dx_k^T M(mid_k) dx_k is minimized over the interior nodes by
 gradient descent (preconditioned by the inverse chain Laplacian so the
 node count does not dictate the step size) with an Armijo backtracking
-line search. For constant
-metrics the straight chord is already optimal. The path-integral
-controller consumes the optimized tangents directly.
+line search. The energy and its gradient come from one call of the
+metric's segment kernel (`MetricField.segment`) on the whole segment
+stack, one per line-search trial; the accepted trial's gradient starts
+the next iteration. For constant metrics the straight chord is already
+optimal. The path-integral controller consumes the optimized tangents
+directly.
 """
 
 from __future__ import annotations
@@ -50,29 +53,22 @@ def riemann_energy(metric, nodes):
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     if nodes.shape[0] < 2:
         raise ValueError("need at least 2 nodes")
-    n_seg = nodes.shape[0] - 1
-    deltas = np.diff(nodes, axis=0)
-    mids = 0.5 * (nodes[1:] + nodes[:-1])
-    m_mid = metric.eval(mids)
-    return n_seg * float(np.einsum("ki,kij,kj->", deltas, m_mid, deltas))
+    return _energy_and_gradient(metric, nodes)[0]
 
 
-def _energy_gradient(metric, nodes):
-    """Gradient of the discrete energy w.r.t. interior nodes.
+def _energy_and_gradient(metric, nodes):
+    """The discrete energy and its gradient w.r.t. the interior nodes, from
+    one call of the metric's segment kernel.
 
     Node j sits between segments j-1 and j, so it gets
-    2 M(mid_{j-1}) dx_{j-1} - 2 M(mid_j) dx_j plus, per axis i, half of
-    dx^T dM/dx_i dx from both segments, all times N.
+    2 M(mid_{j-1}) dx_{j-1} - 2 M(mid_j) dx_j plus, per axis a, half of
+    dx^T dM/dx_a dx from both segments, all times N.
     """
-    n_seg = nodes.shape[0] - 1
-    deltas = np.diff(nodes, axis=0)
-    mids = 0.5 * (nodes[1:] + nodes[:-1])
-    pulls = 2.0 * np.einsum("kij,kj->ki", metric.eval(mids), deltas)
-    grad = pulls[:-1] - pulls[1:]
-    if not metric.constant:
-        bends = 0.5 * np.einsum("ki,kija,kj->ka", deltas, metric.partials(mids), deltas)
-        grad += bends[:-1] + bends[1:]
-    return n_seg * grad
+    n_seg, dim = nodes.shape[0] - 1, nodes.shape[1]
+    kernel = metric.segment(0.5 * (nodes[1:] + nodes[:-1]), nodes[1:] - nodes[:-1])
+    pulls, bends = kernel[:, 1:dim + 1], kernel[:, dim + 1:]
+    grad = 2.0 * (pulls[:-1] - pulls[1:]) + 0.5 * (bends[:-1] + bends[1:])
+    return n_seg * float(kernel[:, 0].sum()), n_seg * grad
 
 
 def _chain_preconditioner(n_segments):
@@ -88,13 +84,14 @@ def _chain_preconditioner(n_segments):
     return np.linalg.inv(lap)
 
 
-def _descend(metric, nodes, energy, max_iters, on_iteration, precond):
-    """Preconditioned gradient descent with Armijo backtracking."""
+def _descend(metric, nodes, max_iters, on_iteration, precond):
+    """Preconditioned gradient descent with Armijo backtracking; each trial
+    evaluates the energy and the gradient together."""
     converged = False
     iterations = 0
     step = 1.0
+    energy, grad = _energy_and_gradient(metric, nodes)
     for iterations in range(1, max_iters + 1):
-        grad = _energy_gradient(metric, nodes)
         grad_norm = float(np.max(np.linalg.norm(grad, axis=1))) if grad.size else 0.0
         if grad_norm <= GRAD_TOL:
             converged = True
@@ -107,7 +104,7 @@ def _descend(metric, nodes, energy, max_iters, on_iteration, precond):
         while step > 1e-16:
             trial = nodes.copy()
             trial[1:-1] -= step * direction
-            trial_energy = riemann_energy(metric, trial)
+            trial_energy, trial_grad = _energy_and_gradient(metric, trial)
             if trial_energy <= energy - ARMIJO_C * step * slope:
                 accepted = True
                 break
@@ -117,7 +114,7 @@ def _descend(metric, nodes, energy, max_iters, on_iteration, precond):
             converged = True
             break
         decrease = energy - trial_energy
-        nodes, energy = trial, trial_energy
+        nodes, energy, grad = trial, trial_energy, trial_grad
         if on_iteration is not None:
             on_iteration(iterations, energy)
         if decrease < ENERGY_TOL:
@@ -162,9 +159,8 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, init=None,
             nodes = warm
 
     precond = _chain_preconditioner(n_segments)
-    energy = riemann_energy(metric, nodes)
     nodes, energy, iterations, converged = _descend(
-        metric, nodes, energy, MAX_ITERS, on_iteration, precond
+        metric, nodes, MAX_ITERS, on_iteration, precond
     )
     if converged and energy > ENERGY_TOL and MAX_ITERS > iterations:
         # saddle escape: bow the interior by a half-sine bump along each
@@ -177,9 +173,8 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, init=None,
             for sign in (1.0, -1.0):
                 bumped = nodes.copy()
                 bumped[1:-1, axis] += sign * bump[:, 0]
-                bumped_energy = riemann_energy(metric, bumped)
                 new_nodes, new_energy, extra, reconverged = _descend(
-                    metric, bumped, bumped_energy, MAX_ITERS - iterations, None, precond,
+                    metric, bumped, MAX_ITERS - iterations, None, precond,
                 )
                 if new_energy < energy - ENERGY_TOL:
                     nodes, energy = new_nodes, new_energy

@@ -188,6 +188,21 @@ class MetricField:
         """d M / d x_k, entrywise."""
         return self.partials(x)[..., k]
 
+    @cached_property
+    def _segment(self):
+        d = [ex.var(f"d{i + 1}") for i in range(self.n)]
+        m_d = ex.matvec(self.m_exprs, d)
+        dm_d = [ex.matvec([[mij[a] for mij in row] for row in self.dm_exprs], d)
+                for a in range(self.n)]
+        energy, *bends = ex.matvec([m_d, *dm_d], d)
+        return _Field([energy, *m_d, *bends], self.vars + [v.name for v in d])
+
+    def segment(self, x, d):
+        """The segment kernel at `(P, n)` stacks of midpoints x and segments
+        d: `(P, 1 + 2n)` columns d^T M d, then M d, then d^T (dM/dx_a) d
+        per axis a. Built and compiled (array back end only) on first use."""
+        return self._segment(np.concatenate([x, d], axis=-1))
+
     def dir_deriv(self, x, v):
         """Directional derivative sum_k v_k dM/dx_k (per point of a stack
         x, with v of the same shape)."""

@@ -117,6 +117,14 @@ class TestLoadConfig:
             load_config(write_config(
                 tmp_path, NUMEX_MIN + "[gain]\ngamma = linear 2\n"))
 
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_gamma_const_must_be_positive(self, tmp_path, capsys, value):
+        # a constant gamma <= 0 synthesized a gain that pumps energy in (or none)
+        path = write_config(tmp_path, NUMEX_MIN + f"[gain]\ngamma = const {value}\n")
+        assert main(["synthesize", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
     def test_custom_controller_needs_u(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(write_config(
@@ -210,6 +218,8 @@ class TestCliCertify:
         pytest.param("[gain]\ngamma0 = nan\n", ["synthesize"], id="gain-gamma0-nan"),
         pytest.param("[gain]\ngamma = const nan\n", ["synthesize"], id="gain-gamma-const-nan"),
         pytest.param("[gain]\ngamma = const -inf\n", ["simulate"], id="gain-gamma-const-inf"),
+        pytest.param("[gain]\nr = -1\n", ["synthesize"], id="gain-r-negative"),
+        pytest.param("[gain]\ngamma0 = -1\n", ["synthesize"], id="gain-gamma0-negative"),
     ])
     def test_malformed_input_exits_two(self, tmp_path, capsys, section, argv):
         path = write_config(tmp_path, NUMEX_MIN + section)
@@ -377,6 +387,21 @@ class TestCliGeodesic:
         data = [line for line in lines if not line.startswith(("mu", "#"))]
         assert len(data) == 33  # default 32 segments
         assert any(line.startswith("# distance: 5") for line in lines)
+
+    @pytest.mark.parametrize("start, end, energy, iterations", [
+        ("-1 0.5", "1 0.5", 2.2262006988414904, "27"),  # the config's run line
+        ("-2 0", "2 0", 11.666410892338435, "77"),  # only the saddle escape leaves the chord
+    ])
+    def test_demo_descent_pinned(self, capsys, start, end, energy, iterations):
+        # a dropped saddle escape, another Armijo constant or another gradient
+        # moves the energy or the iteration count
+        assert main(["geodesic", "--config", str(CONFIGS / "geodesic_demo.ini"),
+                     "--from", start, "--to", end]) == 0
+        summary = dict(line[2:].split(": ") for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("# "))
+        assert float(summary["energy"]) == pytest.approx(energy, rel=1e-12)
+        assert summary["iterations"] == iterations
+        assert summary["converged"] == "True"
 
     def test_coordinate_count_checked(self, tmp_path):
         path = write_config(tmp_path, CUSTOM_SYSTEM)

@@ -65,6 +65,13 @@ class TestDampingParams:
         with pytest.raises(SynthesisError, match="finite"):
             synthesize_gain(numex.system, numex.metric, params, gamma_const=gamma_const)
 
+    @pytest.mark.parametrize("gamma_const", [-5.0, 0.0])
+    def test_non_positive_constant_gamma_rejected(self, numex, gamma_const):
+        # -5 gave K_1_1 = 2.5, a gain that pumps energy in; 0 gave K = 0
+        params = DampingParams(r=2.0, gamma0=1.0, lam=1.0)
+        with pytest.raises(SynthesisError, match="positive"):
+            synthesize_gain(numex.system, numex.metric, params, gamma_const=gamma_const)
+
 
 class TestUpsilon:
     def test_numex_closed_form(self, numex):

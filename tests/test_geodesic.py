@@ -10,7 +10,9 @@ from ccmkit import geodesic
 from ccmkit.controller import GainField, radial_potential
 from ccmkit.geodesic import (
     MAX_SEGMENTS,
-    _energy_gradient,
+    _chain_preconditioner,
+    _descend,
+    _energy_and_gradient,
     geodesic_distance,
     path_integral_controller,
     riemann_energy,
@@ -31,6 +33,13 @@ def valley_x1_metric():
 def valley_x2_metric():
     # first direction gets cheap as |x2| grows, so paths bow in x2
     return MetricField(2, [["1/(1+x2^2)^2", "0"], ["0", "1"]], 0.05, 1.0, 0.0)
+
+
+def coupled_3d_metric():
+    # state-dependent off-diagonal entries; positive definite near the paths below
+    return MetricField(3, [["2 + x2^2", "x1*x3/4", "sin(x2)/5"],
+                           ["0", "1 + x3^2", "x1/4"],
+                           ["0", "0", "3 + cos(x1)"]], 0.5, 5.0, 0.0)
 
 
 def chord(x_a, x_b, n_segments):
@@ -271,38 +280,75 @@ def looped_gradient(metric, nodes):
 
 
 class TestStackedEnergy:
-    """The energy and its gradient evaluate the metric on the whole
-    midpoint stack at once; they match the per-segment loops."""
+    """The energy and its gradient come from one call of the metric's
+    segment kernel on the whole segment stack; they match the per-segment
+    loops."""
+
+    METRICS = (valley_x1_metric, valley_x2_metric, identity_metric, coupled_3d_metric)
 
     @staticmethod
-    def bent_path(seed, n_seg=16):
+    def bent_path(seed, n_seg=16, dim=2):
         rng = np.random.default_rng(seed)
-        nodes = chord([-1.0, 0.5], [1.0, -0.3], n_seg)
-        nodes[1:-1] += rng.uniform(-0.2, 0.2, size=(n_seg - 1, 2))
+        nodes = chord([-1.0, 0.5, 0.2][:dim], [1.0, -0.3, 0.4][:dim], n_seg)
+        nodes[1:-1] += rng.uniform(-0.2, 0.2, size=(n_seg - 1, dim))
         return nodes
 
     def test_energy_matches_loop(self):
-        for metric in (valley_x1_metric(), valley_x2_metric(), identity_metric()):
-            nodes = self.bent_path(61)
-            assert riemann_energy(metric, nodes) == pytest.approx(
-                looped_energy(metric, nodes), rel=1e-13)
+        for make in self.METRICS:
+            metric = make()
+            nodes = self.bent_path(61, dim=metric.n)
+            energy = _energy_and_gradient(metric, nodes)[0]
+            assert energy == pytest.approx(looped_energy(metric, nodes), rel=1e-13)
+            assert riemann_energy(metric, nodes) == energy
 
     def test_gradient_matches_loop(self):
-        for metric in (valley_x1_metric(), valley_x2_metric(), identity_metric()):
-            nodes = self.bent_path(62)
-            np.testing.assert_allclose(_energy_gradient(metric, nodes),
+        for make in self.METRICS:
+            metric = make()
+            nodes = self.bent_path(62, dim=metric.n)
+            np.testing.assert_allclose(_energy_and_gradient(metric, nodes)[1],
                                        looped_gradient(metric, nodes),
                                        rtol=1e-12, atol=1e-12)
 
     def test_gradient_matches_finite_difference(self):
-        metric = valley_x2_metric()
-        nodes = self.bent_path(63, n_seg=8)
-        grad = _energy_gradient(metric, nodes)
-        h = 1e-6
-        for j in range(1, nodes.shape[0] - 1):
-            for i in range(2):
-                up, down = nodes.copy(), nodes.copy()
-                up[j, i] += h
-                down[j, i] -= h
-                fd = (riemann_energy(metric, up) - riemann_energy(metric, down)) / (2 * h)
-                assert grad[j - 1, i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+        for metric in (valley_x2_metric(), coupled_3d_metric()):
+            nodes = self.bent_path(63, n_seg=8, dim=metric.n)
+            grad = _energy_and_gradient(metric, nodes)[1]
+            h = 1e-6
+            for j in range(1, nodes.shape[0] - 1):
+                for i in range(metric.n):
+                    up, down = nodes.copy(), nodes.copy()
+                    up[j, i] += h
+                    down[j, i] -= h
+                    fd = (looped_energy(metric, up) - looped_energy(metric, down)) / (2 * h)
+                    assert grad[j - 1, i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+    @pytest.mark.parametrize("make", [valley_x2_metric, coupled_3d_metric])
+    def test_descent_calls_the_kernel_once_per_trial(self, monkeypatch, make):
+        metric = make()
+        inputs, trials = [], []
+        kernel = MetricField.segment
+
+        def spy(self, x, d):
+            inputs.append(np.concatenate([x, d], axis=-1).tobytes())
+            return kernel(self, x, d)
+
+        def forbidden(*args):
+            raise AssertionError("the descent evaluates M only through the segment kernel")
+
+        class CountedArmijo(float):  # ARMIJO_C enters each trial's test once
+            def __mul__(self, other):
+                trials.append(other)
+                return float(self) * other
+
+            __rmul__ = __mul__
+
+        monkeypatch.setattr(MetricField, "segment", spy)
+        monkeypatch.setattr(MetricField, "eval", forbidden)
+        monkeypatch.setattr(MetricField, "partials", forbidden)
+        monkeypatch.setattr(geodesic, "ARMIJO_C", CountedArmijo(geodesic.ARMIJO_C))
+        start = self.bent_path(64, n_seg=16, dim=metric.n)
+        _, _, iterations, _ = _descend(metric, start, 12, None, _chain_preconditioner(16))
+        assert iterations > 2
+        assert len(trials) >= iterations
+        assert len(inputs) == 1 + len(trials)  # the start, then one per trial
+        assert len(set(inputs)) == len(inputs)  # no node set is evaluated twice

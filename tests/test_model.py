@@ -386,6 +386,28 @@ class TestStackedEvaluation:
         ref.eval_ud(1.0, point)
         assert compiled == {"compile_fn": 1, "compile_array_fn": 0}
 
+    def test_segment_kernel(self, monkeypatch):
+        """One array-back-end compile on first use; the entries are
+        d^T M d, M d and d^T (dM/dx_a) d of the per-point fields."""
+        compiled = []
+        for name in ("compile_fn", "compile_array_fn"):
+            def counted(*args, name=name, original=getattr(ex, name)):
+                compiled.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(ex, name, counted)
+        _, metric = self.curved()
+        rng = np.random.default_rng(44)
+        x, d = rng.uniform(-2, 2, size=(2, 7, 3))
+        got = metric.segment(x, d)
+        metric.segment(x[:1], d[:1])
+        assert compiled == ["compile_array_fn"]
+        assert got.shape == (7, 7)
+        for row, xk, dk in zip(got, x, d):
+            m_d = metric.eval(xk) @ dk
+            bends = [dk @ metric.partial(xk, a) @ dk for a in range(3)]
+            np.testing.assert_allclose(row, [dk @ m_d, *m_d, *bends], rtol=1e-12, atol=1e-12)
+
     def test_matches_per_point(self, micro):
         points = np.random.default_rng(41).uniform(-2, 2, size=(9, 3))
         for sys, metric in (self.curved(), (micro.system, micro.metric)):
