@@ -9,26 +9,9 @@ from .certificates import (
     check_dual_w,
     check_killing_pde,
     check_robust,
-    dual_flow_diagnostic,
 )
-from .controller import (
-    DampingParams,
-    DynExtState,
-    GainField,
-    dynext_beta,
-    dynext_control,
-    dynext_controller_step,
-    exactness_residual,
-    static_exact_controller,
-    synthesize_gain,
-    upsilon,
-)
-from .geodesic import (
-    GeodesicPath,
-    path_integral_controller,
-    riemann_energy,
-    solve_geodesic,
-)
+from .controller import DampingParams, GainField, exactness_residual, synthesize_gain
+from .geodesic import GeodesicPath, path_integral_controller, solve_geodesic
 from .model import (
     BuiltinBundle,
     MetricField,
@@ -36,7 +19,6 @@ from .model import (
     SystemModel,
     builtin,
     builtin_names,
-    generate_reference,
 )
 from .sim import RunConfig, SimTrace, decay_rate, perturbation_sweep, run_closed_loop
 
@@ -46,7 +28,6 @@ __all__ = [
     "BuiltinBundle",
     "CertificateReport",
     "DampingParams",
-    "DynExtState",
     "GainField",
     "GeodesicPath",
     "Grid",
@@ -62,18 +43,10 @@ __all__ = [
     "check_killing_pde",
     "check_robust",
     "decay_rate",
-    "dual_flow_diagnostic",
-    "dynext_beta",
-    "dynext_control",
-    "dynext_controller_step",
     "exactness_residual",
-    "generate_reference",
     "path_integral_controller",
     "perturbation_sweep",
-    "riemann_energy",
     "run_closed_loop",
     "solve_geodesic",
-    "static_exact_controller",
     "synthesize_gain",
-    "upsilon",
 ]

@@ -36,7 +36,7 @@ class CertificateError(RuntimeError):
 
 @dataclass
 class Grid:
-    """Uniform sample grid over a domain box, iterated row-major."""
+    """Uniform sample grid over a domain box, points in row-major order."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -66,9 +66,6 @@ class Grid:
         """All grid points as a (P, n) array, in row-major order."""
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([axis.ravel() for axis in mesh], axis=1)
-
-    def points(self):
-        yield from self.array()
 
     def __len__(self):
         return int(np.prod(self.counts))
@@ -216,8 +213,6 @@ def check_c1(sys, metric, grid, tol=DEFAULT_TOL, rate=None):
     """
     if metric.role != "primal":
         raise CertificateError("C1 check needs a primal metric")
-    if metric.p_lo <= 0:
-        raise CertificateError("C1 check needs p_lo > 0")
     points = grid.array()
     q, m_x = contraction_quadratic(sys, metric, points)
     b = sys.eval_b(points)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys as _sys
-from pathlib import Path
 
 import numpy as np
 
@@ -58,14 +57,14 @@ def _grid_for(cfg, args):
 
 def _resolve_gain(cfg, grid):
     spec = cfg.gain
-    if spec.source == "builtin" and (cfg.bundle is None or cfg.bundle.builtin_gain is None):
+    if spec.source == "builtin" and cfg.bundle is None:
         raise ConfigError("gain source=builtin needs a builtin system")
     if spec.source != "synthesized":
         entries = spec.entries if spec.source == "user" else cfg.bundle.builtin_gain
         return GainField.from_exprs(cfg.system.n, cfg.system.m, entries)
     if cfg.metric is None:
         raise ConfigError("gain synthesis needs a primal [metric]")
-    report = certs.check_c1(cfg.system, cfg.metric, grid, rate=cfg.metric.lam)
+    report = certs.check_c1(cfg.system, cfg.metric, grid, rate=cfg.metric.lam or None)
     if not report.passed:
         raise _CliFailure(
             EXIT_FAIL,
@@ -221,8 +220,6 @@ def main(argv=None):
     }
     out = None
     try:
-        if not Path(args.config).exists():
-            raise ConfigError(f"config file not found: {args.config}")
         cfg = load_config(args.config)
         out = _out_stream(args)
         return handlers[args.command](cfg, args, out)

@@ -222,7 +222,7 @@ def _load_gain(section, sys, bundle):
     return spec
 
 
-def _load_sim(section, sys, bundle):
+def _load_sim(section, sys):
     _check_keys(
         section, "simulation",
         ["controller", "T", "h", "x0", "z0", "ell", "geodesic_N",
@@ -301,11 +301,8 @@ def load_config(path):
     reference = _load_reference(
         parser["reference"] if "reference" in parser else empty, sys, bundle
     )
-    if reference is None:
-        raise ConfigError("no [reference] section and no builtin default")
     gain = _load_gain(parser["gain"] if "gain" in parser else empty, sys, bundle)
-    sim = _load_sim(parser["simulation"] if "simulation" in parser else empty,
-                    sys, bundle)
+    sim = _load_sim(parser["simulation"] if "simulation" in parser else empty, sys)
     cert = _load_cert(parser["certificate"] if "certificate" in parser else empty)
     return LoadedConfig(
         system=sys, metric=metric, dual_metric=dual, reference=reference,

@@ -350,9 +350,10 @@ def evaluate(expr, env):
 
 def free_variables(expr):
     """Names of the variables in an expression or a nested list of them."""
-    names = _fold([e for _, e in _entries(expr)],
-                  lambda node, args: {node.name} if node.kind == "var" else set().union(*args))
-    return set().union(*names)
+    names = set()
+    _fold([e for _, e in _entries(expr)],
+          lambda node, _: names.add(node.name) if node.kind == "var" else None)
+    return names
 
 
 def _fold(expr, combine):

@@ -6,10 +6,10 @@ gradient descent (preconditioned by the inverse chain Laplacian so the
 node count does not dictate the step size) with an Armijo backtracking
 line search. The energy and its gradient come from one call of the
 metric's segment kernel (`MetricField.segment`) on the whole segment
-stack, one per line-search trial; the accepted trial's gradient starts
-the next iteration. For constant metrics the straight chord is already
-optimal. The path-integral controller consumes the optimized tangents
-directly.
+stack, one per candidate start (a warm start and the straight chord) and
+one per line-search trial; the accepted trial's gradient starts the next
+iteration. For constant metrics the straight chord is already optimal.
+The path-integral controller consumes the optimized tangents directly.
 """
 
 from __future__ import annotations
@@ -84,13 +84,18 @@ def _chain_preconditioner(n_segments):
     return np.linalg.inv(lap)
 
 
-def _descend(metric, nodes, max_iters, on_iteration, precond):
-    """Preconditioned gradient descent with Armijo backtracking; each trial
-    evaluates the energy and the gradient together."""
+def _descend(metric, starts, max_iters, on_iteration, precond):
+    """Preconditioned gradient descent with Armijo backtracking from the
+    lowest-energy node array of `starts` (the first on ties); each start
+    and each trial is one evaluation of the energy and the gradient."""
     converged = False
     iterations = 0
     step = 1.0
-    energy, grad = _energy_and_gradient(metric, nodes)
+    nodes, (energy, grad) = starts[0], _energy_and_gradient(metric, starts[0])
+    for start in starts[1:]:
+        start_energy, start_grad = _energy_and_gradient(metric, start)
+        if not energy <= start_energy:
+            nodes, energy, grad = start, start_energy, start_grad
     for iterations in range(1, max_iters + 1):
         grad_norm = float(np.max(np.linalg.norm(grad, axis=1))) if grad.size else 0.0
         if grad_norm <= GRAD_TOL:
@@ -150,17 +155,16 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, init=None,
             iterations=0,
             converged=True,
         )
-    nodes = straight.copy()
-    if init is not None and np.asarray(init).shape == nodes.shape:
+    starts = [straight]
+    if init is not None and np.asarray(init).shape == straight.shape:
         warm = np.asarray(init, dtype=float).copy()
         warm[0] = x_a
         warm[-1] = x_b
-        if riemann_energy(metric, warm) <= riemann_energy(metric, straight):
-            nodes = warm
+        starts = [warm, straight]
 
     precond = _chain_preconditioner(n_segments)
     nodes, energy, iterations, converged = _descend(
-        metric, nodes, MAX_ITERS, on_iteration, precond
+        metric, starts, MAX_ITERS, on_iteration, precond
     )
     if converged and energy > ENERGY_TOL and MAX_ITERS > iterations:
         # saddle escape: bow the interior by a half-sine bump along each
@@ -174,7 +178,7 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, init=None,
                 bumped = nodes.copy()
                 bumped[1:-1, axis] += sign * bump[:, 0]
                 new_nodes, new_energy, extra, reconverged = _descend(
-                    metric, bumped, MAX_ITERS - iterations, None, precond,
+                    metric, [bumped], MAX_ITERS - iterations, None, precond,
                 )
                 if new_energy < energy - ENERGY_TOL:
                     nodes, energy = new_nodes, new_energy

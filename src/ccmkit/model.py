@@ -281,9 +281,7 @@ class BuiltinBundle:
     metric: MetricField          # primal, role-checked
     dual_metric: MetricField     # W = M^-1 where available
     reference: ReferenceSpec
-    builtin_gain: list             # m x n expression strings, or None
-    gamma_const: float | None = None
-    notes: str = ""
+    builtin_gain: list           # m x n expression strings
 
 
 def _numex():
@@ -325,7 +323,6 @@ def _numex():
         dual_metric=dual,
         reference=reference,
         builtin_gain=[["-(x2^2 + 1)", "-x2^2"]],
-        notes="planar cubic system; x0 = (-5, 2), z0 = (0, 0), ell = 5",
     )
 
 
@@ -372,8 +369,6 @@ def _microactuator():
         dual_metric=dual,
         reference=reference,
         builtin_gain=[["0", "0", "-2"]],
-        gamma_const=2.0,
-        notes="charge-controlled microactuator; x0 = (1.5, 1, 2), gamma fixed at 2",
     )
 
 

@@ -81,7 +81,7 @@ def test_03_microactuator_certificate(micro):
     # the top-left block of the contraction form at every grid point
     expected = np.array([[-2.0, -4.0], [-4.0, -10.0]])
     eigs_expected = np.array([-6.0 - 4.0 * SQRT2, -6.0 + 4.0 * SQRT2])
-    for x in grid.points():
+    for x in grid.array():
         q_x, _ = contraction_quadratic(micro.system, micro.metric, x)
         reduced = q_x[:2, :2]
         assert np.max(np.abs(reduced - expected)) <= 1e-9

@@ -57,7 +57,7 @@ def bisect_gamma0(sys, metric, grid, lam, tol=DEFAULT_TOL,
 
 def c1_per_point(sys, metric, grid):
     margins, witnesses = [], []
-    for x in grid.points():
+    for x in grid.array():
         q, m_x = contraction_quadratic(sys, metric, x)
         basis = null_space_basis((m_x @ sys.eval_b(x)).T)
         w, vecs = generalized_sym_eig(basis.T @ q @ basis, basis.T @ m_x @ basis)
@@ -68,7 +68,7 @@ def c1_per_point(sys, metric, grid):
 
 def killing_per_point(sys, metric, grid):
     margins, witnesses = [], []
-    for x in grid.points():
+    for x in grid.array():
         m_x = metric.eval(x)
         b = sys.eval_b(x)
         worst = 0.0
@@ -84,7 +84,7 @@ def killing_per_point(sys, metric, grid):
 def robust_per_point(sys, metric, grid, lam, gamma0, lambda_form):
     n = sys.n
     margins, witnesses = [], []
-    for x in grid.points():
+    for x in grid.array():
         q, m_x = contraction_quadratic(sys, metric, x)
         shift = lam * np.eye(n) if lambda_form == "identity" else lam * m_x
         big = np.block([[q + shift, m_x], [m_x, -gamma0 * np.eye(n)]])
@@ -117,7 +117,7 @@ def assert_matches_per_point(report, margins, witnesses, atol=1e-12):
 class TestGrid:
     def test_row_major_order(self):
         grid = Grid([0.0, 0.0], [1.0, 1.0], (2, 2))
-        pts = list(grid.points())
+        pts = grid.array()
         assert np.allclose(pts, [[0, 0], [0, 1], [1, 0], [1, 1]])
         assert len(grid) == 4
 
@@ -206,7 +206,7 @@ class TestC1:
         assert report.certified_rate == pytest.approx(2.0 - SQRT2, abs=1e-9)
         # the quadratic form restricted to span{e1, e2} is constant
         fixed = np.eye(3)[:, :2]
-        for x in grid.points():
+        for x in grid.array():
             q, _ = contraction_quadratic(sys, metric, x)
             reduced = fixed.T @ q @ fixed
             assert np.allclose(reduced, [[-2.0, -4.0], [-4.0, -10.0]], atol=1e-9)

@@ -374,6 +374,18 @@ class TestCliSynthesize:
         path = write_config(tmp_path, text)
         assert main(["synthesize", "--config", path, "--grid", "5"]) == 1
 
+    @pytest.mark.parametrize("command", ["synthesize", "simulate"])
+    @pytest.mark.parametrize("f1", ["0", "1e-12*x1"], ids=["margin-0", "margin-2e-12"])
+    def test_metric_without_rate_gates_as_certify(self, tmp_path, capsys, command, f1):
+        # with no lambda in [metric], a worst C1 margin of 0 or above fails
+        # the gate as it fails certify, instead of giving a rate <= 0
+        text = CUSTOM_SYSTEM.replace("f1 = x2\nf2 = -2*x1 - 3*x2", f"f1 = {f1}\nf2 = -x2")
+        path = write_config(tmp_path, text + "[gain]\nsource = synthesized\n")
+        out = str(tmp_path / "out.txt")
+        assert main(["certify", "--config", path, "--grid", "5", "--out", out]) == 1
+        assert main([command, "--config", path, "--grid", "5", "--out", out]) == 1
+        assert "metric failed C1 certification" in capsys.readouterr().err
+
 
 class TestCliGeodesic:
     def test_straight_line_csv(self, tmp_path):
@@ -528,12 +540,29 @@ class TestImportsNumpyOnly:
         assert result == {"codes": [0, 0, 0], "scipy": []}
 
     def test_synthesize_loads_scipy_linalg(self, tmp_path):
-        path = write_config(tmp_path, NUMEX_MIN + "[gain]\nsource = synthesized\n")
+        path = write_config(tmp_path, NUMEX_MIN + "[gain]\nsource = synthesized\n"
+                            "[simulation]\ncontroller = dynext\nT = 0.1\nh = 0.01\n")
         result = _probe([["synthesize", "--config", path, "--grid", "9",
                           "--out", str(tmp_path / "gain.ini")]])
         assert result["codes"] == [0]
         assert "scipy.linalg" in result["scipy"]
         assert "K_1_1 = " in (tmp_path / "gain.ini").read_text()
+        result = _probe([["simulate", "--config", path, "--grid", "9",
+                          "--out", str(tmp_path / "trace.csv")]])
+        assert result["codes"] == [0]
+        assert "scipy.linalg" in result["scipy"]
+
+
+def test_python_m_ccmkit_certifies(tmp_path):
+    """`python -m ccmkit`, run from the repository root with src on the path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ccmkit.__file__).resolve().parent.parent))
+    out = tmp_path / "certify.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccmkit", "certify", "--config", "configs/numex_certify.ini",
+         "--out", str(out)],
+        cwd=CONFIGS.parent, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "all_pass: True" in out.read_text()
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.ini")), ids=lambda path: path.name)

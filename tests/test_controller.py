@@ -144,7 +144,7 @@ class TestSynthesizeGain:
     def test_microactuator_constant_gain(self, micro):
         params = DampingParams(r=1.0, gamma0=1.0, lam=1.0)
         gain = synthesize_gain(micro.system, micro.metric, params,
-                               gamma_const=micro.gamma_const)
+                               gamma_const=2.0)
         assert gain.is_constant()
         assert np.allclose(gain.constant_matrix, [[0.0, 0.0, -2.0]], atol=1e-12)
         assert gain.meta["gamma0"] == 0.0
@@ -556,7 +556,7 @@ class TestStackedGain:
         grid = Grid([-2.0, -2.0], [2.0, 2.0], (5, 5))
         for gain in self.gains(numex):
             worst, witness = 0.0, None
-            for x in grid.points():
+            for x in grid.array():
                 d0, d1 = gain.partial(x, 0), gain.partial(x, 1)
                 residual = float(np.max(np.abs(d1[:, 0] - d0[:, 1])))
                 if residual > worst:

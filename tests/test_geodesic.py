@@ -208,6 +208,40 @@ class TestSolve:
         assert np.allclose(path.tangents().sum(axis=0), b - a, atol=1e-12)
 
 
+class TestSaddleEscape:
+    """diag(m, 1) with m even in x2 and varying in x1: the descent from the
+    chord (-2, 0) -> (2, 0) moves along x1 but stays on the line x2 = 0, a
+    saddle, so the escape has to leave a path that has already moved."""
+
+    A, B = np.array([-2.0, 0.0]), np.array([2.0, 0.0])
+    WEIGHTS = pytest.mark.parametrize("weight", [
+        "(1 + x1^2/4)/(1 + x2^2)^2", "(2 + sin(x1))/(1 + x2^2)^2"], ids=["quadratic", "sine"])
+
+    @staticmethod
+    def metric(weight):
+        return MetricField(2, [[weight, "0"], ["0", "1"]], 0.05, 3.0, 0.0)
+
+    @WEIGHTS
+    def test_descent_alone_stays_on_the_chord_line(self, weight):
+        start = chord(self.A, self.B, 32)
+        nodes, _, iterations, converged = _descend(
+            self.metric(weight), [start], geodesic.MAX_ITERS, None, _chain_preconditioner(32))
+        assert converged and iterations > 0
+        assert not np.array_equal(nodes, start)
+        assert np.max(np.abs(nodes[:, 1])) == 0.0
+
+    @WEIGHTS
+    def test_escape_matches_lattice_oracle(self, weight):
+        metric = self.metric(weight)
+        path = solve_geodesic(metric, self.A, self.B, 32)
+        assert path.converged
+        assert np.max(np.abs(path.nodes[:, 1])) >= 1.0
+        xs = np.linspace(-2.4, 2.4, 121)
+        ys = np.linspace(-1.6, 1.6, 81)
+        oracle = lattice_shortest_path(metric, xs, ys, self.A, self.B)
+        assert abs(path.length() - oracle) / oracle <= 0.02
+
+
 class TestPathIntegralController:
     def test_constant_gain_closed_form(self, micro_gain):
         metric = MetricField(
@@ -347,8 +381,23 @@ class TestStackedEnergy:
         monkeypatch.setattr(MetricField, "partials", forbidden)
         monkeypatch.setattr(geodesic, "ARMIJO_C", CountedArmijo(geodesic.ARMIJO_C))
         start = self.bent_path(64, n_seg=16, dim=metric.n)
-        _, _, iterations, _ = _descend(metric, start, 12, None, _chain_preconditioner(16))
+        _, _, iterations, _ = _descend(metric, [start], 12, None, _chain_preconditioner(16))
         assert iterations > 2
         assert len(trials) >= iterations
         assert len(inputs) == 1 + len(trials)  # the start, then one per trial
         assert len(set(inputs)) == len(inputs)  # no node set is evaluated twice
+
+    def test_warm_started_solve_evaluates_each_start_once(self, monkeypatch):
+        metric = valley_x2_metric()
+        a, b = np.array([-1.0, 0.5]), np.array([1.0, 0.5])
+        warm = solve_geodesic(metric, a, b, 32).nodes
+        inputs = []
+        kernel = MetricField.segment
+
+        def spy(self, x, d):
+            inputs.append(np.concatenate([x, d], axis=-1).tobytes())
+            return kernel(self, x, d)
+
+        monkeypatch.setattr(MetricField, "segment", spy)
+        assert solve_geodesic(metric, a, b, 32, init=warm).converged
+        assert len(set(inputs)) == len(inputs)
