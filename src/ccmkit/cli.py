@@ -167,6 +167,8 @@ def cmd_geodesic(cfg, args, out):
 
 
 def cmd_simulate(cfg, args, out):
+    if cfg.reference is None:
+        raise ConfigError("[reference] missing xd0")
     grid = _grid_for(cfg, args)
     gain = _resolve_gain(cfg, grid)
     run_cfg = dataclasses.replace(cfg.sim, exactness_grid=grid)

@@ -56,7 +56,7 @@ class LoadedConfig:
     system: SystemModel
     metric: MetricField
     dual_metric: MetricField
-    reference: ReferenceSpec
+    reference: ReferenceSpec | None  # only simulate needs one
     gain: GainSpec
     sim: RunConfig
     cert: CertSpec
@@ -173,8 +173,8 @@ def _load_metric(section, n, bundle):
 
 
 def _load_reference(section, sys, bundle):
-    if len(section) == 0 and bundle is not None:
-        return bundle.reference
+    if len(section) == 0:
+        return bundle.reference if bundle is not None else None
     _check_keys(section, "reference", ["xd0", r"ud\d+"])
     if "xd0" not in section:
         raise ConfigError("[reference] missing xd0")

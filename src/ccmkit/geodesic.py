@@ -2,14 +2,16 @@
 
 A path is a polyline with pinned endpoints; its Riemannian energy
 N * sum_k dx_k^T M(mid_k) dx_k is minimized over the interior nodes by
-gradient descent (preconditioned by the inverse chain Laplacian so the
-node count does not dictate the step size) with an Armijo backtracking
-line search. The energy and its gradient come from one call of the
-metric's segment kernel (`MetricField.segment`) on the whole segment
-stack, one per candidate start (a warm start and the straight chord) and
-one per line-search trial; the accepted trial's gradient starts the next
-iteration. For constant metrics the straight chord is already optimal.
-The path-integral controller consumes the optimized tangents directly.
+gradient descent with an Armijo backtracking line search, starting from
+the straight chord. The gradient is preconditioned by the inverse chain
+Laplacian along the nodes, so the node count does not dictate the step
+size, and by M^-1 at the chord midpoint across the axes, so the metric's
+scale does not either. The energy and its gradient come from one call of
+the metric's segment kernel (`MetricField.segment`) on the whole segment
+stack, one for the start and one per line-search trial; the accepted
+trial's gradient starts the next iteration. For constant metrics the
+straight chord is already optimal. The path-integral controller consumes
+the optimized tangents directly.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ GRAD_TOL = 1e-8
 ENERGY_TOL = 1e-12
 MAX_ITERS = 500
 DEFAULT_NODES = 32
-MAX_SEGMENTS = 4096  # the preconditioner is a dense (N-1) x (N-1) inverse
+MAX_SEGMENTS = 4096  # the chain preconditioner is a dense (N-1) x (N-1) matrix
 
 
 class GeodesicError(RuntimeError):
@@ -37,6 +39,11 @@ class GeodesicPath:
     iterations: int
     converged: bool
 
+    def __post_init__(self):  # only an M that is not positive definite gives energy < 0
+        if self.energy < 0.0:
+            raise GeodesicError(f"metric not positive definite along the path "
+                                f"(energy {self.energy:g})")
+
     def tangents(self):
         """Per-segment dx; sums telescope to end - start."""
         return np.diff(self.nodes, axis=0)
@@ -45,7 +52,7 @@ class GeodesicPath:
         return 0.5 * (self.nodes[1:] + self.nodes[:-1])
 
     def length(self):
-        return float(np.sqrt(max(self.energy, 0.0)))
+        return float(np.sqrt(self.energy))
 
 
 def riemann_energy(metric, nodes):
@@ -72,38 +79,35 @@ def _energy_and_gradient(metric, nodes):
 
 
 def _chain_preconditioner(n_segments):
-    """Inverse of the Euclidean discrete-energy Hessian 2N tridiag(-1,2,-1).
+    """Inverse of the Euclidean discrete-energy Hessian 2N tridiag(-1,2,-1),
+    in closed form: entry (i, j), 1-based, is min(i, j) (N - max(i, j)) / (2N^2).
 
     Preconditioning the gradient with it removes the O(N^2) stiffness of
     the node chain, which plain gradient descent cannot cope with.
     """
-    size = n_segments - 1
-    lap = 2.0 * n_segments * (
-        2.0 * np.eye(size) - np.eye(size, k=1) - np.eye(size, k=-1)
-    )
-    return np.linalg.inv(lap)
+    k = np.arange(1.0, n_segments)
+    # i (N - j) is the entry where i <= j, and there it is below j (N - i)
+    upper = np.outer(k, n_segments - k) / (2.0 * n_segments * n_segments)
+    return np.minimum(upper, upper.T)
 
 
-def _descend(metric, starts, max_iters, on_iteration, precond):
-    """Preconditioned gradient descent with Armijo backtracking from the
-    lowest-energy node array of `starts` (the first on ties); each start
-    and each trial is one evaluation of the energy and the gradient."""
+def _descend(metric, nodes, max_iters, on_iteration, precond, m_inv):
+    """Gradient descent with Armijo backtracking from the node array
+    `nodes`, preconditioned by `precond` along the nodes and by `m_inv`
+    across the axes; the start and each trial is one evaluation of the
+    energy and the gradient."""
     converged = False
     iterations = 0
     step = 1.0
-    nodes, (energy, grad) = starts[0], _energy_and_gradient(metric, starts[0])
-    for start in starts[1:]:
-        start_energy, start_grad = _energy_and_gradient(metric, start)
-        if not energy <= start_energy:
-            nodes, energy, grad = start, start_energy, start_grad
+    energy, grad = _energy_and_gradient(metric, nodes)
     for iterations in range(1, max_iters + 1):
         grad_norm = float(np.max(np.linalg.norm(grad, axis=1))) if grad.size else 0.0
         if grad_norm <= GRAD_TOL:
             converged = True
             iterations -= 1
             break
-        direction = precond @ grad
-        slope = float(np.sum(grad * direction))  # > 0, precond is SPD
+        direction = precond @ grad @ m_inv
+        slope = float(np.sum(grad * direction))  # > 0, precond and m_inv are SPD
         accepted = False
         step = min(step * 2.0, 1.0)
         while step > 1e-16:
@@ -128,13 +132,11 @@ def _descend(metric, starts, max_iters, on_iteration, precond):
     return nodes, energy, iterations, converged
 
 
-def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, init=None,
-                   on_iteration=None):
+def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, on_iteration=None):
     """Minimize discrete energy between x_a and x_b at fixed node count,
-    in at most MAX_ITERS descent iterations in all.
+    in at most MAX_ITERS descent iterations in all, starting from the
+    straight chord.
 
-    init optionally warm-starts from a previous node array (endpoints are
-    re-pinned); it is discarded if it starts above the straight chord.
     A converged path is re-tested once from a small deterministic
     perturbation so symmetric saddles (straight chords can be exactly
     stationary) do not masquerade as minima.
@@ -145,26 +147,27 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, init=None,
     x_b = np.asarray(x_b, dtype=float)
     fractions = np.linspace(0.0, 1.0, n_segments + 1)[:, None]
     straight = (1.0 - fractions) * x_a + fractions * x_b
+    mid = 0.5 * (x_a + x_b)
+    m_mid = metric.eval(mid)
+    try:
+        np.linalg.cholesky(m_mid)
+    except np.linalg.LinAlgError:
+        raise GeodesicError(f"metric not positive definite at the chord midpoint "
+                            f"{mid.tolist()}") from None
     if metric.constant:
         # uniform chord is the exact minimizer under a constant metric;
         # its energy telescopes to the endpoint quadratic form
         delta = x_b - x_a
         return GeodesicPath(
             nodes=straight,
-            energy=float(delta @ metric.eval(x_a) @ delta),
+            energy=float(delta @ m_mid @ delta),
             iterations=0,
             converged=True,
         )
-    starts = [straight]
-    if init is not None and np.asarray(init).shape == straight.shape:
-        warm = np.asarray(init, dtype=float).copy()
-        warm[0] = x_a
-        warm[-1] = x_b
-        starts = [warm, straight]
-
+    m_inv = np.linalg.inv(m_mid)
     precond = _chain_preconditioner(n_segments)
     nodes, energy, iterations, converged = _descend(
-        metric, starts, MAX_ITERS, on_iteration, precond
+        metric, straight, MAX_ITERS, on_iteration, precond, m_inv
     )
     if converged and energy > ENERGY_TOL and MAX_ITERS > iterations:
         # saddle escape: bow the interior by a half-sine bump along each
@@ -178,7 +181,7 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, init=None,
                 bumped = nodes.copy()
                 bumped[1:-1, axis] += sign * bump[:, 0]
                 new_nodes, new_energy, extra, reconverged = _descend(
-                    metric, [bumped], MAX_ITERS - iterations, None, precond,
+                    metric, bumped, MAX_ITERS - iterations, None, precond, m_inv,
                 )
                 if new_energy < energy - ENERGY_TOL:
                     nodes, energy = new_nodes, new_energy
@@ -192,17 +195,12 @@ def geodesic_distance(metric, x_a, x_b, n_segments=DEFAULT_NODES):
     return solve_geodesic(metric, x_a, x_b, n_segments).length()
 
 
-def path_integral_controller(gain, metric, x, x_d, u_d, n_segments=DEFAULT_NODES,
-                             path=None):
+def path_integral_controller(gain, metric, x, x_d, u_d, n_segments=DEFAULT_NODES):
     """u = u_d + sum_k K(mid_k) dx_k along the minimal geodesic from x_d
-    to x. Returns (u, path) so callers can warm-start the next solve."""
+    to x."""
     x = np.asarray(x, dtype=float)
     x_d = np.asarray(x_d, dtype=float)
-    if path is None:
-        init = None
-    else:
-        init = path.nodes
-    path = solve_geodesic(metric, x_d, x, n_segments, init=init)
+    path = solve_geodesic(metric, x_d, x, n_segments)
     if not path.converged:
         raise GeodesicError(
             f"geodesic solve did not converge in {path.iterations} iterations "
@@ -210,5 +208,5 @@ def path_integral_controller(gain, metric, x, x_d, u_d, n_segments=DEFAULT_NODES
         )
     u = np.asarray(u_d, dtype=float)
     if gain.is_constant():
-        return u + gain.constant_matrix @ (x - x_d), path
-    return u + np.einsum("kij,kj->i", gain(path.midpoints()), path.tangents()), path
+        return u + gain.constant_matrix @ (x - x_d)
+    return u + np.einsum("kij,kj->i", gain(path.midpoints()), path.tangents())

@@ -206,12 +206,11 @@ def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
     run = _closed_loop(sys, metric, gain, ref, cfg)
     times = time_grid(0.0, cfg.T, cfg.h)
     state = np.concatenate([x0, xd0, z0] if use_z else [x0, xd0]).tolist()
-    bufs, warm = (array("d"), array("d"), array("d")), [None]  # states, u and u_d, row by row
+    bufs = array("d"), array("d"), array("d")  # states, u and u_d, row by row
 
-    def correction(*y):  # the geodesic v at state y; the warm start stays in this run
-        v, warm[0] = path_integral_controller(gain, metric, y[:n], y[n:], np.zeros(sys.m),
-                                              cfg.geodesic_segments, path=warm[0])
-        return v.tolist()
+    def correction(*y):  # the geodesic v at state y
+        return path_integral_controller(gain, metric, y[:n], y[n:], np.zeros(sys.m),
+                                        cfg.geodesic_segments).tolist()
     # the run reads and writes Python floats: 1/0 raises instead of giving inf
     k, stage, err = run(array("d", times.tobytes()), *(b.extend for b in bufs), *state, correction)
     flags = [f"{stage} failure at t={times[k]:g}: {err}"] if stage else []

@@ -202,13 +202,10 @@ def test_09_controller_cross_consistency(numex, micro_gain, scenario_a):
     gain = GainField.from_exprs(2, 1, [["-x1", "-x2^3"]])
     residual, _ = exactness_residual(gain, Grid([-6, -6], [6, 6], (9, 9)))
     assert residual <= 1e-12
-    path = None
     for k in range(0, len(trace.t), 200):
         x, xd, ud = trace.x[k], trace.xd[k], trace.ud[k]
         u_static = static_exact_controller(gain, x, xd, ud, residual=residual)
-        u_geo, path = path_integral_controller(
-            gain, numex.metric, x, xd, ud, n_segments=1024, path=path
-        )
+        u_geo = path_integral_controller(gain, numex.metric, x, xd, ud, n_segments=1024)
         assert abs(u_static[0] - u_geo[0]) <= 1e-4
 
     # constant gain: dynamic-extension law collapses to the static law

@@ -142,6 +142,16 @@ class TestLoadConfig:
             with pytest.raises(ConfigError, match=r"\[certificate\]"):
                 load_config(write_config(tmp_path, NUMEX_MIN + f"[certificate]\n{setting}\n"))
 
+    def test_reference_needed_only_by_simulate(self, tmp_path, capsys):
+        text = CUSTOM_SYSTEM.replace("[reference]\nxd0 = 0 0\n", "") + (
+            "[gain]\nsource = user\nK_1_1 = -1\nK_1_2 = -1\n\n[certificate]\nchecks = killing\n")
+        path, out = write_config(tmp_path, text), str(tmp_path / "out.txt")
+        assert load_config(path).reference is None
+        for argv in (["certify"], ["synthesize"], ["geodesic", "--from", "0 0", "--to", "3 4"]):
+            assert main([argv[0], "--config", path, "--grid", "5", "--out", out, *argv[1:]]) == 0
+        assert main(["simulate", "--config", path, "--grid", "5", "--out", out]) == 2
+        assert capsys.readouterr().err == "config error: [reference] missing xd0\n"
+
     def test_metric_override_keeps_builtin_dual(self, tmp_path):
         text = NUMEX_MIN + (
             "[metric]\nrole = dual\nM_1_1 = 3\nM_1_2 = -1\nM_2_2 = 2\n"
@@ -401,7 +411,7 @@ class TestCliGeodesic:
         assert any(line.startswith("# distance: 5") for line in lines)
 
     @pytest.mark.parametrize("start, end, energy, iterations", [
-        ("-1 0.5", "1 0.5", 2.2262006988414904, "27"),  # the config's run line
+        ("-1 0.5", "1 0.5", 2.2262006988414904, "18"),  # the config's run line
         ("-2 0", "2 0", 11.666410892338435, "77"),  # only the saddle escape leaves the chord
     ])
     def test_demo_descent_pinned(self, capsys, start, end, energy, iterations):
@@ -414,6 +424,18 @@ class TestCliGeodesic:
         assert float(summary["energy"]) == pytest.approx(energy, rel=1e-12)
         assert summary["iterations"] == iterations
         assert summary["converged"] == "True"
+
+    @pytest.mark.parametrize("metric, start, end", [
+        ("M_1_1 = -1\nM_2_2 = 1\n", "0 0", "1 0"),  # constant, energy -1
+        ("M_1_1 = -1\nM_2_2 = 1\n", "0 0", "0 1"),  # constant, energy 1
+        ("M_1_1 = 1/x1\nM_2_2 = 1\n", "0.5 0", "-0.25 0"),  # M > 0 at the midpoint, not at x1 < 0
+        ("M_1_1 = x1^2\nM_2_2 = 1\n", "-1 0", "1 0"),  # singular at the midpoint
+    ], ids=["constant", "constant-positive-energy", "curved", "singular-midpoint"])
+    def test_metric_not_positive_definite_exits_three(self, tmp_path, capsys, metric, start, end):
+        text = CUSTOM_SYSTEM.replace("M_1_1 = 1\nM_2_2 = 1\n", metric)
+        path = write_config(tmp_path, text)
+        assert main(["geodesic", "--config", path, "--from", start, "--to", end]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: metric not positive definite")
 
     def test_coordinate_count_checked(self, tmp_path):
         path = write_config(tmp_path, CUSTOM_SYSTEM)

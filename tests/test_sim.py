@@ -80,14 +80,9 @@ def reference_loop(sys, metric, gain, ref, cfg):
             def update(x, xd, z):
                 return dynext_control(gain, z, x, xd, 0.0)
         else:
-            warm = None
-
             def update(x, xd, z):
-                nonlocal warm
-                held, warm = path_integral_controller(
-                    gain, metric, x, xd, np.zeros(sys.m), cfg.geodesic_segments,
-                    path=warm)
-                return held
+                return path_integral_controller(gain, metric, x, xd, np.zeros(sys.m),
+                                                cfg.geodesic_segments)
 
     def split(y):
         return y[:n], y[n : 2 * n], y[2 * n :] if use_z else None
@@ -154,7 +149,7 @@ def stepwise_loop(parts, sys, metric, gain, ref, cfg):
     xd0 = np.asarray(ref.xd0, dtype=float)
     x0 = np.asarray(cfg.x0 if cfg.x0 is not None else xd0, dtype=float)
     z0 = np.asarray(cfg.z0 if cfg.z0 is not None else xd0, dtype=float)
-    warm, v = None, []
+    v = []
     times = time_grid(0.0, cfg.T, cfg.h)
     state = np.concatenate([x0, xd0, z0] if use_z else [x0, xd0]).tolist()
     states = np.empty((times.size, len(state)))
@@ -166,10 +161,8 @@ def stepwise_loop(parts, sys, metric, gain, ref, cfg):
         states[k] = state
         try:
             if cfg.kind == "geodesic":
-                v, warm = path_integral_controller(gain, metric, state[:n], state[n:],
-                                                   np.zeros(sys.m), cfg.geodesic_segments,
-                                                   path=warm)
-                v = v.tolist()
+                v = path_integral_controller(gain, metric, state[:n], state[n:],
+                                             np.zeros(sys.m), cfg.geodesic_segments).tolist()
             u_k, uds[k], v_k = law(t, *state, *v)
             if not all(map(math.isfinite, u_k)):
                 raise ArithmeticError("non-finite control")
@@ -811,32 +804,19 @@ class TestBuildOnce:
         assert len(runs) == 16
         assert len(compiled) == 1  # one run for the whole sweep
 
-    def test_geodesic_warm_start_stays_in_its_run(self, monkeypatch):
+    def test_geodesic_sweep_matches_fresh_runs(self, monkeypatch):
         def inputs():
             demo = load_config(str(CONFIGS / "geodesic_demo.ini"))
             gain = GainField.from_exprs(2, 1, [["-1", "-(1 + x2^2)"]])
             ref = ReferenceSpec.from_strings(2, [0.0, 0.0], ["sin(t)"])
             return demo.system, demo.metric, gain, ref
 
-        traces, cold = [], []  # cold: per geodesic solve, whether it had no warm start
-
-        def recording(*args):
-            cold.append("run")
-            traces.append(run_closed_loop(*args))
-            return traces[-1]
-
-        def path_integral(*args, path=None, original=sim.path_integral_controller):
-            cold.append(path is None)
-            return original(*args, path=path)
-
-        monkeypatch.setattr(sim, "run_closed_loop", recording)
-        monkeypatch.setattr(sim, "path_integral_controller", path_integral)
+        traces = []
+        monkeypatch.setattr(sim, "run_closed_loop",
+                            lambda *args: traces.append(run_closed_loop(*args)) or traces[-1])
         cfg = RunConfig(kind="geodesic", T=0.2, h=0.05, geodesic_segments=16)
         perturbation_sweep(*inputs(), cfg, [1.0], 2, seed=5)
         assert len(traces) == 2 and traces[0].x[0, 0] != traces[1].x[0, 0]
-        # the solver drops a warm path above the chord's energy, so traces
-        # alone may not show a leak: each run's first solve must start cold
-        assert cold == ["run", True] + [False] * 4 + ["run", True] + [False] * 4
         for trace in traces:  # each sample again, on objects built for it alone
             fresh = run_closed_loop(*inputs(), replace(cfg, x0=trace.x[0]))
             assert trace.completed and fresh.flags == trace.flags
