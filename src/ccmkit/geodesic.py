@@ -9,9 +9,12 @@ size, and by M^-1 at the chord midpoint across the axes, so the metric's
 scale does not either. The energy and its gradient come from one call of
 the metric's segment kernel (`MetricField.segment`) on the whole segment
 stack, one for the start and one per line-search trial; the accepted
-trial's gradient starts the next iteration. For constant metrics the
-straight chord is already optimal. The path-integral controller consumes
-the optimized tangents directly.
+trial's gradient starts the next iteration. A converged path is then
+bumped by a half-sine along each axis, both ways, to leave a saddle: one
+kernel call on the stack of all 2n bumped paths prices them, and only a
+bump that starts below the converged energy is descended from. For
+constant metrics the straight chord is already optimal. The path-integral
+controller consumes the optimized tangents directly.
 """
 
 from __future__ import annotations
@@ -78,6 +81,20 @@ def _energy_and_gradient(metric, nodes):
     return n_seg * float(kernel[:, 0].sum()), n_seg * grad
 
 
+def _escape_starts(metric, nodes, bump):
+    """The 2n saddle-escape starts of `nodes` as one `(2n, N+1, n)` stack
+    (the interior plus `bump` along axis 0, minus it along axis 0, plus it
+    along axis 1, and so on) and their energies, from one call of the
+    segment kernel on all 2n N segments."""
+    n_seg, dim = nodes.shape[0] - 1, nodes.shape[1]
+    starts = np.repeat(nodes[None], 2 * dim, axis=0)
+    rows = np.arange(2 * dim)
+    starts[rows, 1:-1, rows // 2] += np.outer(np.tile([1.0, -1.0], dim), bump)
+    kernel = metric.segment((0.5 * (starts[:, 1:] + starts[:, :-1])).reshape(-1, dim),
+                            (starts[:, 1:] - starts[:, :-1]).reshape(-1, dim))
+    return starts, n_seg * kernel[:, 0].reshape(2 * dim, n_seg).sum(axis=1)
+
+
 def _chain_preconditioner(n_segments):
     """Inverse of the Euclidean discrete-energy Hessian 2N tridiag(-1,2,-1),
     in closed form: entry (i, j), 1-based, is min(i, j) (N - max(i, j)) / (2N^2).
@@ -137,9 +154,13 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, on_iteration=None
     in at most MAX_ITERS descent iterations in all, starting from the
     straight chord.
 
-    A converged path is re-tested once from a small deterministic
-    perturbation so symmetric saddles (straight chords can be exactly
-    stationary) do not masquerade as minima.
+    A converged path is re-tested from small deterministic perturbations
+    so symmetric saddles (straight chords can be exactly stationary) do
+    not masquerade as minima: the 2n half-sine bumps of the path are
+    priced with one stacked kernel call, and a bump is descended from only
+    when it starts below the current energy, so every descent that runs is
+    kept and counted. A bump that starts above the current energy is not
+    explored, even if its descent would reach a lower basin.
     """
     if not 2 <= n_segments <= MAX_SEGMENTS:
         raise ValueError(f"need 2 to {MAX_SEGMENTS} segments")
@@ -170,23 +191,18 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, on_iteration=None
         metric, straight, MAX_ITERS, on_iteration, precond, m_inv
     )
     if converged and energy > ENERGY_TOL and MAX_ITERS > iterations:
-        # saddle escape: bow the interior by a half-sine bump along each
-        # coordinate axis and keep the lowest-energy result. Straight
-        # chords can be exactly stationary without being minimal.
-        scale = 0.05 * float(np.linalg.norm(x_b - x_a))
-        bump = scale * np.sin(np.pi * fractions[1:-1])
-        dim = nodes.shape[1]
-        for axis in range(dim):
-            for sign in (1.0, -1.0):
-                bumped = nodes.copy()
-                bumped[1:-1, axis] += sign * bump[:, 0]
-                new_nodes, new_energy, extra, reconverged = _descend(
-                    metric, bumped, MAX_ITERS - iterations, None, precond, m_inv,
+        # saddle escape, axis by axis, + then -. The descent is monotone,
+        # so a descended bump ends below the current energy and is kept;
+        # the untried bumps are then re-priced on the new path.
+        bump = 0.05 * float(np.linalg.norm(x_b - x_a)) * np.sin(np.pi * fractions[1:-1, 0])
+        starts, prices = _escape_starts(metric, nodes, bump)
+        for k in range(len(starts)):
+            if prices[k] < energy - ENERGY_TOL:
+                nodes, energy, extra, converged = _descend(
+                    metric, starts[k], MAX_ITERS - iterations, None, precond, m_inv,
                 )
-                if new_energy < energy - ENERGY_TOL:
-                    nodes, energy = new_nodes, new_energy
-                    iterations += extra
-                    converged = reconverged
+                iterations += extra
+                starts, prices = _escape_starts(metric, nodes, bump)
     return GeodesicPath(nodes=nodes, energy=energy, iterations=iterations,
                         converged=converged)
 

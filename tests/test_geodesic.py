@@ -2,23 +2,28 @@
 
 import heapq
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ccmkit import geodesic
+from ccmkit.config import load_config
 from ccmkit.controller import GainField, radial_potential
 from ccmkit.geodesic import (
     MAX_SEGMENTS,
     _chain_preconditioner,
     _descend,
     _energy_and_gradient,
+    _escape_starts,
     geodesic_distance,
     path_integral_controller,
     riemann_energy,
     solve_geodesic,
 )
 from ccmkit.model import MetricField
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def identity_metric():
@@ -40,6 +45,18 @@ def coupled_3d_metric():
     return MetricField(3, [["2 + x2^2", "x1*x3/4", "sin(x2)/5"],
                            ["0", "1 + x3^2", "x1/4"],
                            ["0", "0", "3 + cos(x1)"]], 0.5, 5.0, 0.0)
+
+
+def demo_metric():
+    return load_config(str(CONFIGS / "geodesic_demo.ini")).metric
+
+
+def twin_valley_3d_metric():
+    # diag(w, 1, 1), w even in x2 and x3 and cheapest off the x1 axis along
+    # x3: from (-2, 0, 0) to (2, 0, 0) the escape along x2 lands on a path
+    # that the x3 bump of the same pass lowers again
+    return MetricField(3, [["1/(1 + x2^2 + 2*x3^2)^2", "0", "0"], ["0", "1", "0"],
+                           ["0", "0", "1"]], 0.05, 1.0, 0.0)
 
 
 def chord(x_a, x_b, n_segments):
@@ -214,8 +231,8 @@ class TestSaddleEscape:
     saddle, so the escape has to leave a path that has already moved."""
 
     A, B = np.array([-2.0, 0.0]), np.array([2.0, 0.0])
-    WEIGHTS = pytest.mark.parametrize("weight", [
-        "(1 + x1^2/4)/(1 + x2^2)^2", "(2 + sin(x1))/(1 + x2^2)^2"], ids=["quadratic", "sine"])
+    WEIGHTS_ALL = ("(1 + x1^2/4)/(1 + x2^2)^2", "(2 + sin(x1))/(1 + x2^2)^2")
+    WEIGHTS = pytest.mark.parametrize("weight", WEIGHTS_ALL, ids=["quadratic", "sine"])
 
     @staticmethod
     def metric(weight):
@@ -241,6 +258,125 @@ class TestSaddleEscape:
         ys = np.linspace(-1.6, 1.6, 81)
         oracle = lattice_shortest_path(metric, xs, ys, self.A, self.B)
         assert abs(path.length() - oracle) / oracle <= 0.02
+
+
+def saddle_quadratic():
+    return TestSaddleEscape.metric(TestSaddleEscape.WEIGHTS_ALL[0])
+
+
+def saddle_sine():
+    return TestSaddleEscape.metric(TestSaddleEscape.WEIGHTS_ALL[1])
+
+
+def sequential_escape(metric, x_a, x_b, n_segments):
+    """Oracle: the chord descent, then the saddle escape one bump at a time
+    (axis by axis, + then -), each bumped start priced alone by
+    `riemann_energy` and descended from only when it starts below the
+    current energy. Returns (nodes, energy, iterations, converged)."""
+    x_a, x_b = np.asarray(x_a, dtype=float), np.asarray(x_b, dtype=float)
+    precond = _chain_preconditioner(n_segments)
+    m_inv = np.linalg.inv(metric.eval(0.5 * (x_a + x_b)))
+    nodes, energy, iterations, converged = _descend(
+        metric, chord(x_a, x_b, n_segments), geodesic.MAX_ITERS, None, precond, m_inv)
+    if converged and energy > geodesic.ENERGY_TOL and geodesic.MAX_ITERS > iterations:
+        scale = 0.05 * float(np.linalg.norm(x_b - x_a))
+        bump = scale * np.sin(np.pi * np.linspace(0.0, 1.0, n_segments + 1)[1:-1])
+        for axis in range(metric.n):
+            for sign in (1.0, -1.0):
+                bumped = nodes.copy()
+                bumped[1:-1, axis] += sign * bump
+                if riemann_energy(metric, bumped) < energy - geodesic.ENERGY_TOL:
+                    new_nodes, new_energy, extra, reconverged = _descend(
+                        metric, bumped, geodesic.MAX_ITERS - iterations, None, precond, m_inv)
+                    if new_energy < energy - geodesic.ENERGY_TOL:
+                        nodes, energy = new_nodes, new_energy
+                        iterations += extra
+                        converged = reconverged
+    return nodes, energy, iterations, converged
+
+
+def spy_solve(monkeypatch):
+    """Records the segment count of every kernel call, and per `_descend`
+    call its kernel calls and iterations."""
+    rows, descents = [], []
+    kernel, descend = MetricField.segment, geodesic._descend
+
+    def segment(self, x, d):
+        rows.append(len(x))
+        return kernel(self, x, d)
+
+    def spy(*args):
+        before = len(rows)
+        result = descend(*args)
+        descents.append((len(rows) - before, result[2]))
+        return result
+
+    monkeypatch.setattr(MetricField, "segment", segment)
+    monkeypatch.setattr(geodesic, "_descend", spy)
+    return rows, descents
+
+
+class TestScreenedEscape:
+    """The saddle escape prices the 2n bumped starts with one stacked call of
+    the segment kernel and descends only from a start below the current
+    energy, re-pricing the untried bumps after each descent."""
+
+    CASES = pytest.mark.parametrize("make, x_a, x_b", [
+        (demo_metric, (-1.0, 0.5), (1.0, 0.5)),  # the config's run line: a minimum
+        (demo_metric, (-2.0, 0.0), (2.0, 0.0)),  # a stationary chord
+        (saddle_quadratic, (-2.0, 0.0), (2.0, 0.0)),
+        (saddle_sine, (-2.0, 0.0), (2.0, 0.0)),
+        (valley_x1_metric, (-1.0, -0.5), (1.0, 0.5)),
+        (coupled_3d_metric, (-1.0, 0.5, 0.2), (1.0, -0.3, 0.4)),
+        (twin_valley_3d_metric, (-2.0, 0.0, 0.0), (2.0, 0.0, 0.0)),  # two escapes
+    ], ids=["run-line", "stationary-chord", "saddle-quadratic", "saddle-sine",
+            "valley-x1", "coupled-3d", "twin-valley-3d"])
+
+    @pytest.mark.parametrize("make", [valley_x2_metric, coupled_3d_metric])
+    def test_stacked_prices_equal_per_bump_prices(self, make):
+        metric = make()
+        nodes = TestStackedEnergy.bent_path(65, dim=metric.n)
+        bump = 0.1 * np.sin(np.pi * np.linspace(0.0, 1.0, nodes.shape[0])[1:-1])
+        starts, prices = _escape_starts(metric, nodes, bump)
+        assert starts.shape == (2 * metric.n,) + nodes.shape
+        k = 0
+        for axis in range(metric.n):
+            for sign in (1.0, -1.0):
+                bumped = nodes.copy()
+                bumped[1:-1, axis] += sign * bump
+                assert np.array_equal(starts[k], bumped)
+                assert prices[k] == _energy_and_gradient(metric, bumped)[0]
+                k += 1
+
+    @CASES
+    def test_matches_sequential_oracle(self, make, x_a, x_b):
+        metric = make()
+        path = solve_geodesic(metric, np.array(x_a), np.array(x_b), 32)
+        nodes, energy, iterations, converged = sequential_escape(metric, x_a, x_b, 32)
+        assert np.array_equal(path.nodes, nodes)
+        assert path.energy == energy
+        assert path.iterations == iterations
+        assert path.converged == converged
+
+    @CASES
+    def test_iterations_count_every_descent(self, monkeypatch, make, x_a, x_b):
+        descents = spy_solve(monkeypatch)[1]
+        path = solve_geodesic(make(), np.array(x_a), np.array(x_b), 32)
+        assert sum(it for _, it in descents) == path.iterations <= geodesic.MAX_ITERS
+
+    @pytest.mark.parametrize("make, cap", [
+        (demo_metric, 20), (saddle_quadratic, 150), (saddle_sine, 40),
+    ], ids=["demo", "quadratic", "sine"])
+    def test_iteration_budget_holds_in_all(self, monkeypatch, make, cap):
+        # the chord descent converges within the cap (in 0, 137 and 22
+        # iterations) and the escape runs out of it: the solve still runs at
+        # most MAX_ITERS iterations in all, and says it did not converge
+        monkeypatch.setattr(geodesic, "MAX_ITERS", cap)
+        descents = spy_solve(monkeypatch)[1]
+        path = solve_geodesic(make(), TestSaddleEscape.A, TestSaddleEscape.B, 32)
+        assert len(descents) >= 2
+        assert sum(it for _, it in descents) == path.iterations == cap
+        assert not path.converged
 
 
 class TestPathIntegralController:
@@ -376,3 +512,22 @@ class TestStackedEnergy:
         assert len(trials) >= iterations
         assert len(inputs) == 1 + len(trials)  # the start, then one per trial
         assert len(set(inputs)) == len(inputs)  # no node set is evaluated twice
+
+    def test_minimum_is_screened_with_one_kernel_call(self, monkeypatch):
+        # the config's run line descends to a minimum, where no bump lowers
+        # the energy: the 2n = 4 bumps cost one stacked call of 4 N segments
+        rows, descents = spy_solve(monkeypatch)
+        solve_geodesic(demo_metric(), np.array([-1.0, 0.5]), np.array([1.0, 0.5]), 32)
+        assert len(descents) == 1
+        assert len(rows) == descents[0][0] + 1
+        assert rows[-1] == 4 * 32
+
+    def test_stationary_chord_passes_the_screen(self, monkeypatch):
+        # (-2, 0) -> (2, 0) under the config's metric: the chord is stationary,
+        # the + x2 bump starts below it, and the untried - x2 bump is re-priced
+        # on the escaped path
+        rows, descents = spy_solve(monkeypatch)
+        path = solve_geodesic(demo_metric(), np.array([-2.0, 0.0]), np.array([2.0, 0.0]), 32)
+        assert descents == [(1, 0), (114, 77)]
+        assert rows == [32, 4 * 32] + [32] * 114 + [4 * 32]
+        assert path.iterations == 77
