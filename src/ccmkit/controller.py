@@ -71,11 +71,10 @@ class DampingParams:
 
 
 def upsilon(metric, sys, x):
-    """Norm bound used for the damping magnitude:
-    || d_f M + M (df/dx) + (df/dx)^T M || (spectral norm), at one point
-    or at each point of a (P, n) stack. `synthesize_gain` builds the same
-    norm as an expression for n = 2 and the Frobenius norm, which bounds
-    it from above, for n >= 3."""
+    """Upsilon(x) = ||F(x)||_2, the spectral norm of the metric's form
+    F = d_f M + M (df/dx) + (df/dx)^T M, at one point or at each point of a
+    (P, n) stack: the lower bound that the Frobenius norm of
+    `synthesize_gain`'s gamma dominates."""
     return spectral_norm(metric.form(x, sys.eval_f(x), sys.jac_f(x))[0])
 
 
@@ -137,19 +136,13 @@ def _solve_spd(g, rhs):
 
 
 def _upsilon_sq(sys, metric):
-    """Upsilon(x)^2 as one expression: the squared spectral norm of the
-    metric's form F = d_f M + M A + A^T M (A = df/dx) for n = 2, where
-    ||F|| = |tr F|/2 + sqrt(((F11 - F22)/2)^2 + F12^2); for n >= 3 the
-    squared Frobenius norm, an upper bound of it."""
+    """An upper bound of Upsilon(x)^2 as one expression: the squared Frobenius
+    norm of the metric's form F = d_f M + M A + A^T M (A = df/dx), a sum of
+    squares of its entries, at least `upsilon`^2 and at most n times it."""
     d_f = [ex.matvec(rows, sys.f_exprs) for rows in metric.dm_exprs]
     m_a = [ex.matvec(metric.m_exprs, col) for col in zip(*sys.df_exprs)]  # (M A)^T
     form = [[ex.add(ex.add(d_f[i][j], m_a[j][i]), m_a[i][j]) for j in range(sys.n)]
             for i in range(sys.n)]
-    if sys.n == 2:
-        (a, b), (_, c) = form
-        half = ex.const(0.5)
-        root = ex.func("sqrt", ex.add(ex.pow_int(ex.mul(half, ex.sub(a, c)), 2), ex.pow_int(b, 2)))
-        return ex.pow_int(ex.add(ex.mul(half, ex.func("abs", ex.add(a, c))), root), 2)
     return reduce(ex.add, [ex.pow_int(e, 2) for row in form for e in row])
 
 
@@ -157,11 +150,11 @@ def synthesize_gain(sys, metric, params: DampingParams, gamma_const=None, grid=N
     """Damping-injection gain K(x) = -[gamma(x)+gamma0] R(x) (MB)^T, as
     expressions built from those of the system and the metric.
 
-    gamma(x) defaults to (r/p_lo) * Up(x)^2 (`_upsilon_sq`): its
-    minimal admissible value for n = 2, an admissible bound for n >= 3;
-    gamma_const replaces it with a fixed positive constant (bounded-domain
-    mode, gamma0 is then folded to zero). (MB)^T MB must be invertible at each
-    point of `grid` (default: `Grid.for_system(sys)`).
+    gamma(x) defaults to (r/p_lo) ||F(x)||_F^2 (`_upsilon_sq`), an
+    admissible bound of (r/p_lo) Upsilon(x)^2 for every n; gamma_const
+    replaces it with a fixed positive constant (bounded-domain mode, gamma0
+    is then folded to zero). (MB)^T MB must be invertible at each point of
+    `grid` (default: `Grid.for_system(sys)`).
     """
     if metric.role != "primal":
         raise SynthesisError("gain synthesis needs a primal metric")
@@ -184,7 +177,7 @@ def synthesize_gain(sys, metric, params: DampingParams, gamma_const=None, grid=N
     else:
         magnitude = ex.add(ex.mul(ex.const(params.r / metric.p_lo), _upsilon_sq(sys, metric)),
                            ex.const(params.gamma0))
-        meta = {"gamma": f"(r/p_lo)*upsilon(x)^2 with r={params.r:g}",
+        meta = {"gamma": f"(r/p_lo)*||d_f M + M A + A^T M||_F^2 with r={params.r:g}",
                 "gamma0": params.gamma0}
     meta["lambda0"] = params.lambda0(metric.p_lo)
     k = [[ex.neg(ex.mul(magnitude, d)) for d in row] for row in _solve_spd(gram, mb_t)]

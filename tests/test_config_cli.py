@@ -343,6 +343,8 @@ class TestCliSynthesize:
         assert main(["synthesize", "--config", path, "--grid", "5"]) == 0
         emitted = capsys.readouterr().out
         assert "source = user" in emitted and "# sample" not in emitted
+        # gamma is the Frobenius norm of F for every n, not the spectral norm `upsilon`
+        assert "# gamma = (r/p_lo)*||d_f M + M A + A^T M||_F^2 with r=2\n" in emitted
         cfg = load_config(write_config(tmp_path, NUMEX_MIN + emitted, "rt.ini"))
         assert cfg.gain.source == "user"
         points = Grid.for_system(cfg.system, 5).array()

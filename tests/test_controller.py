@@ -158,8 +158,9 @@ class TestSynthesizeGain:
             k = gain(x)[0]
             # damping direction R (MB)^T = [0.5, 1.5] for this metric
             assert k[1] / k[0] == pytest.approx(3.0, rel=1e-10)
-            gamma = (params.r / numex.metric.p_lo) * upsilon(
-                numex.metric, numex.system, x) ** 2
+            m_x, jac = numex.metric.eval(x), numex.system.jac_f(x)
+            form = numex.metric.dir_deriv(x, numex.system.eval_f(x)) + jac.T @ m_x + m_x @ jac
+            gamma = (params.r / numex.metric.p_lo) * np.linalg.norm(form, "fro") ** 2
             assert k[0] == pytest.approx(-(gamma + params.gamma0) * 0.5,
                                          rel=1e-10)
             assert k[0] < 0.0
@@ -178,15 +179,14 @@ class TestSynthesizeGain:
 
     @pytest.mark.parametrize("case", ["numex", "n3-m1", "n3-m2"])
     def test_matches_numpy_oracle(self, case, numex):
-        # K = -(gamma + gamma0) inv((MB)^T MB) (MB)^T with gamma = (r/p_lo) ||F||^2,
-        # F = d_f M + M A + A^T M: spectral norm for n = 2, Frobenius for n >= 3
+        # K = -(gamma + gamma0) inv((MB)^T MB) (MB)^T with gamma = (r/p_lo) ||F||_F^2,
+        # F = d_f M + M A + A^T M
         sys, metric = self.SYSTEMS[case](numex)
         params = DampingParams(r=1.5, gamma0=0.3, lam=1.0)
         gain = synthesize_gain(sys, metric, params)
-        norm = 2 if sys.n == 2 else "fro"
         rng = np.random.default_rng(71)
         for x in rng.uniform(sys.domain_lo, sys.domain_hi, size=(50, sys.n)):
-            k, _ = numpy_gain(sys, metric, params, x, norm)
+            k, _ = numpy_gain(sys, metric, params, x)
             got = gain(x)
             assert got.shape == (sys.m, sys.n)
             np.testing.assert_allclose(got, k, rtol=1e-12, atol=1e-12 * np.max(np.abs(k)))
@@ -194,18 +194,19 @@ class TestSynthesizeGain:
                                        atol=1e-12 * np.max(np.abs(k)))
 
     def test_frobenius_bound_dominates_spectral_gamma(self, numex):
-        # for n >= 3, gamma = (r/p_lo) ||F||_F^2 >= (r/p_lo) ||F||_2^2
-        for case in ("n3-m1", "n3-m2"):
+        # gamma = (r/p_lo) ||F||_F^2 lies between (r/p_lo) ||F||_2^2 and n times it
+        for case in ("numex", "n3-m1", "n3-m2"):
             sys, metric = self.SYSTEMS[case](numex)
             params = DampingParams(r=1.5, gamma0=0.3, lam=1.0)
             gain = synthesize_gain(sys, metric, params)
             rng = np.random.default_rng(72)
             for x in rng.uniform(sys.domain_lo, sys.domain_hi, size=(50, sys.n)):
-                _, direction = numpy_gain(sys, metric, params, x, "fro")
+                _, direction = numpy_gain(sys, metric, params, x)
                 largest = np.unravel_index(np.argmax(np.abs(direction)), direction.shape)
                 gamma = -gain(x)[largest] / direction[largest] - params.gamma0
                 spectral = (params.r / metric.p_lo) * upsilon(metric, sys, x) ** 2
                 assert gamma >= spectral * (1.0 - 1e-12)
+                assert gamma <= sys.n * spectral * (1.0 + 1e-12)
 
     SYSTEMS = {
         "numex": lambda numex: (numex.system, numex.metric),
@@ -466,13 +467,13 @@ def scalar_dynext_beta(gain, x, z, nodes=32):
     return np.array(out)
 
 
-def numpy_gain(sys, metric, params, x, norm):
+def numpy_gain(sys, metric, params, x):
     """Oracle: (K, R (MB)^T) at one point, from numpy evaluations:
-    gamma = (r/p_lo) ||d_f M + M A + A^T M||^2 in the given matrix norm."""
+    gamma = (r/p_lo) ||d_f M + M A + A^T M||_F^2."""
     m_x, a = metric.eval(x), sys.jac_f(x)
     f = sys.eval_f(x)
     form = sum(f[k] * metric.partial(x, k) for k in range(sys.n)) + m_x @ a + a.T @ m_x
-    gamma = (params.r / metric.p_lo) * np.linalg.norm(form, norm) ** 2
+    gamma = (params.r / metric.p_lo) * np.linalg.norm(form, "fro") ** 2
     mb = m_x @ sys.eval_b(x)
     direction = np.linalg.inv(mb.T @ mb) @ mb.T
     return -(gamma + params.gamma0) * direction, direction
@@ -663,8 +664,8 @@ class TestSizedRule:
         synthesized = synthesize_gain(numex.system, numex.metric,
                                       DampingParams(r=1.5, gamma0=0.1, lam=2.0 / 3.0))
         rule_sizes.clear()
-        potentials = generated_potentials(synthesized)  # free of x1; abs and sqrt of x2
-        assert rule_sizes == [1, QUAD_NODES, QUAD_NODES]
+        potentials = generated_potentials(synthesized)  # free of x1; degree 4 in x2
+        assert rule_sizes == [1, 3, 3]
         check_potentials(synthesized, potentials, rng, -2.0, 2.0)
 
     def test_synthesized_microactuator_gain(self, micro, rule_sizes):

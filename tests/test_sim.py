@@ -605,13 +605,12 @@ class TestGeneratedStatic:
         assert re.search(r"\bv\d", src) is None
         assert potential_calls == []
 
-    def test_synthesized_gain_with_a_kink_is_exact(self):
-        # F = [[-2, 2 x2], [2 x2, -2]] has equal eigenvalues at x2 = 0, where
-        # sqrt(((F11 - F22)/2)^2 + F12^2) = 2|x2| has no derivative; the
-        # exactness check reads only the mixed partials, which exist
+    def test_user_gain_with_a_kink_is_exact(self):
+        # 2|x2| has no derivative at x2 = 0, a grid point; the exactness
+        # check reads only the mixed partials, which exist
         sys = SystemModel(2, 1, ["-x1 + x2^2", "-x2"], [["0"], ["1"]], [-2, -2], [2, 2])
         metric = MetricField(2, [["1", "0"], ["0", "1"]], 1.0, 1.0, 0.5)
-        gain = synthesize_gain(sys, metric, DampingParams(r=2.0, gamma0=1.0, lam=0.5))
+        gain = GainField.from_exprs(2, 1, [["-1", "-2 - 2*abs(x2)"]])
         grid = Grid([-2, -2], [2, 2], (5, 5))
         assert controller.exactness_residual(gain, grid) == (0.0, None)
         ref = ReferenceSpec.from_strings(2, [0.0, 0.0], ["0"])
