@@ -85,42 +85,25 @@ def cmd_certify(cfg, args, out):
     grid = _grid_for(cfg, args)
     reports = []
     for check in checks:
+        dual = check == "dual-w"
+        metric = cfg.dual_metric if dual else cfg.metric
+        if metric is None:
+            raise ConfigError(f"{check} check needs "
+                              + ("a metric with role=dual" if dual else "a primal metric"))
+        lam = cfg.cert.lam if cfg.cert.lam is not None else metric.lam
         if check == "c1":
-            if cfg.metric is None:
-                raise ConfigError("c1 check needs a primal metric")
-            rate = cfg.cert.lam if cfg.cert.lam is not None else cfg.metric.lam
-            reports.append(
-                certs.check_c1(cfg.system, cfg.metric, grid, cfg.cert.tol,
-                               rate=rate if rate > 0 else None)
-            )
+            reports.append(certs.check_c1(cfg.system, metric, grid, cfg.cert.tol,
+                                          rate=lam if lam > 0 else None))
         elif check == "killing":
-            if cfg.metric is None:
-                raise ConfigError("killing check needs a primal metric")
-            reports.append(
-                certs.check_killing_pde(cfg.system, cfg.metric, grid, cfg.cert.tol)
-            )
-        elif check == "dual-w":
-            if cfg.dual_metric is None:
-                raise ConfigError("dual-w check needs a metric with role=dual")
-            reports.append(
-                certs.check_dual_w(cfg.system, cfg.dual_metric, grid, cfg.cert.tol)
-            )
-        elif check == "robust":
-            if cfg.metric is None:
-                raise ConfigError("robust check needs a primal metric")
-            lam = cfg.cert.lam if cfg.cert.lam is not None else cfg.metric.lam
-            if cfg.cert.gamma0 == "auto":
-                gamma0, report = certs.min_feasible_gamma0(
-                    cfg.system, cfg.metric, grid, lam, cfg.cert.tol,
-                    cfg.cert.robust_lambda_form,
-                )
-                reports.append(report)
-            else:
-                reports.append(
-                    certs.check_robust(cfg.system, cfg.metric, grid, lam,
-                                       cfg.cert.gamma0, cfg.cert.tol,
-                                       cfg.cert.robust_lambda_form)
-                )
+            reports.append(certs.check_killing_pde(cfg.system, metric, grid, cfg.cert.tol))
+        elif dual:
+            reports.append(certs.check_dual_w(cfg.system, metric, grid, cfg.cert.tol))
+        elif cfg.cert.gamma0 == "auto":  # robust, the one check left
+            reports.append(certs.min_feasible_gamma0(
+                cfg.system, metric, grid, lam, cfg.cert.tol, cfg.cert.robust_lambda_form)[1])
+        else:
+            reports.append(certs.check_robust(cfg.system, metric, grid, lam, cfg.cert.gamma0,
+                                              cfg.cert.tol, cfg.cert.robust_lambda_form))
     all_pass = all(r.passed for r in reports)
     out.write(f"system: {cfg.system.name}\n")
     out.write(f"grid_points_per_axis: {grid.counts[0]}\n")

@@ -3,14 +3,14 @@
 Sections: [system], [metric], [reference], [gain], [simulation],
 [certificate]. A builtin shortcut (system = numex | microactuator)
 pre-populates system, metric and reference; later sections may override.
-Unknown keys are rejected so typos fail loudly.
+Unknown keys, indexed ones beyond what n and m allow included, are
+rejected so typos fail loudly.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,38 +98,37 @@ def _int(section, key):
     return int(value)
 
 
-def _check_keys(section, name, allowed_patterns):
-    for key in section:
-        if not any(re.fullmatch(p, key) for p in allowed_patterns):
-            raise ConfigError(f"unknown key '{key}' in [{name}]")
+def _check_keys(section, name, allowed):
+    unknown = [key for key in section if key not in allowed]
+    if unknown:
+        raise ConfigError(f"unknown key '{unknown[0]}' in [{name}]")
 
 
 def _load_system(section):
     if "builtin" in section or section.get("system", "") in builtin_names():
         name = section.get("builtin", section.get("system"))
-        _check_keys(section, "system", ["builtin", "system"])
+        _check_keys(section, "system", {"builtin", "system"})
         try:
             return builtin(name), None
         except ModelError as err:
             raise ConfigError(str(err))
-    _check_keys(
-        section, "system",
-        ["n", "m", r"f\d+", r"B_\d+_\d+", "domain_lo", "domain_hi", "name"],
-    )
     try:
         n = int(section["n"])
         m = int(section["m"])
     except (KeyError, ValueError):
         raise ConfigError("[system] needs integer keys n and m")
+    if not 1 <= m < n:  # before any n x m work; SystemModel checks the same
+        raise ConfigError(f"[system]: need integers 1 <= m < n, got n={n}, m={m}")
     f_exprs = []
     for i in range(1, n + 1):
         if f"f{i}" not in section:
             raise ConfigError(f"[system] missing f{i}")
         f_exprs.append(section[f"f{i}"])
-    b_exprs = [
-        [section.get(f"B_{i}_{j}", "0") for j in range(1, m + 1)]
-        for i in range(1, n + 1)
-    ]
+    b_keys = [[f"B_{i}_{j}" for j in range(1, m + 1)] for i in range(1, n + 1)]
+    _check_keys(section, "system", {"n", "m", "domain_lo", "domain_hi", "name",
+                                    *(f"f{i}" for i in range(1, n + 1)),
+                                    *(key for row in b_keys for key in row)})
+    b_exprs = [[section.get(key, "0") for key in row] for row in b_keys]
     lo = _vector(section.get("domain_lo", " ".join(["-5"] * n)), n, "domain_lo")
     hi = _vector(section.get("domain_hi", " ".join(["5"] * n)), n, "domain_hi")
     try:
@@ -145,16 +144,15 @@ def _load_metric(section, n, bundle):
         if bundle is not None:
             return bundle.metric, bundle.dual_metric
         return None, None
-    _check_keys(section, "metric", [r"M_\d+_\d+", "p_lo", "p_hi", "lambda", "role"])
+    upper = {(i, j): f"M_{i + 1}_{j + 1}" for i in range(n) for j in range(i, n)}
+    _check_keys(section, "metric", {"p_lo", "p_hi", "lambda", "role", *upper.values()})
     role = section.get("role", "primal")
     entries = [["0"] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            key = f"M_{i + 1}_{j + 1}"
-            if key in section:
-                entries[i][j] = section[key]
-            elif i == j:
-                raise ConfigError(f"[metric] missing diagonal entry {key}")
+    for (i, j), key in upper.items():
+        if key in section:
+            entries[i][j] = section[key]
+        elif i == j:
+            raise ConfigError(f"[metric] missing diagonal entry {key}")
     try:
         metric = MetricField(
             n, entries,
@@ -175,7 +173,7 @@ def _load_metric(section, n, bundle):
 def _load_reference(section, sys, bundle):
     if len(section) == 0:
         return bundle.reference if bundle is not None else None
-    _check_keys(section, "reference", ["xd0", r"ud\d+"])
+    _check_keys(section, "reference", {"xd0", *(f"ud{j}" for j in range(1, sys.m + 1))})
     if "xd0" not in section:
         raise ConfigError("[reference] missing xd0")
     xd0 = _vector(section["xd0"], sys.n, "xd0")
@@ -191,22 +189,16 @@ def _load_reference(section, sys, bundle):
 def _load_gain(section, sys, bundle):
     if len(section) == 0 and bundle is not None:
         return GainSpec(source="builtin")
-    _check_keys(section, "gain", ["source", r"K_\d+_\d+", "r", "gamma0", "gamma"])
+    k_keys = [[f"K_{i}_{j}" for j in range(1, sys.n + 1)] for i in range(1, sys.m + 1)]
+    _check_keys(section, "gain", {"source", "r", "gamma0", "gamma",
+                                *(key for row in k_keys for key in row)})
     spec = GainSpec()
     source = spec.source = section.get("source", spec.source)
     if source not in ("synthesized", "user", "builtin"):
         raise ConfigError(f"[gain] unknown source {source!r}")
     if source == "user":
-        spec.entries = [
-            [section.get(f"K_{i + 1}_{j + 1}", "0") for j in range(sys.n)]
-            for i in range(sys.m)
-        ]
-        missing = all(
-            f"K_{i + 1}_{j + 1}" not in section
-            for i in range(sys.m)
-            for j in range(sys.n)
-        )
-        if missing:
+        spec.entries = [[section.get(key, "0") for key in row] for row in k_keys]
+        if not any(key in section for row in k_keys for key in row):
             raise ConfigError("[gain] source=user needs K_i_j entries")
     if "r" in section:
         spec.r = _float(section, "r")
@@ -225,8 +217,8 @@ def _load_gain(section, sys, bundle):
 def _load_sim(section, sys):
     _check_keys(
         section, "simulation",
-        ["controller", "T", "h", "x0", "z0", "ell", "geodesic_N",
-         "err_threshold", r"u\d+"],
+        {"controller", "T", "h", "x0", "z0", "ell", "geodesic_N", "err_threshold",
+         *(f"u{j}" for j in range(1, sys.m + 1))},
     )
     # only the keys the file sets; RunConfig holds the defaults
     kwargs = {key: _float(section, key)
@@ -251,7 +243,7 @@ def _load_sim(section, sys):
 def _load_cert(section):
     _check_keys(
         section, "certificate",
-        ["checks", "grid", "tol", "lambda", "gamma0", "robust_lambda_form"],
+        {"checks", "grid", "tol", "lambda", "gamma0", "robust_lambda_form"},
     )
     spec = CertSpec()
     if "checks" in section:

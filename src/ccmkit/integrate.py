@@ -4,7 +4,8 @@ Every fixed-step run steps on `time_grid`, which ends exactly at the
 final time, with `rk4_step` or its generated twin `rk4_exprs`, and
 counts as diverged past `DIVERGENCE_LIMIT`. The adaptive integrator
 (scipy's Dormand-Prince pair) is an independent cross-check sharing no
-code with RK4; no command calls it, so scipy is imported only when it runs.
+code with RK4; no command calls it, and scipy, which it imports when it
+runs, comes with the `test` extra only.
 """
 
 from __future__ import annotations

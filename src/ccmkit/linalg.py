@@ -1,18 +1,22 @@
-"""Dense linear algebra for small matrices (dims <= ~12), on LAPACK.
+"""Dense linear algebra for small matrices (dims <= ~12), on numpy.
 
-Thin wrappers over numpy (and scipy's LU in `inverse`, imported on its
-first call) that add the checks the rest of ccmkit relies on:
-eigensolves refuse non-symmetric input (`NonSymmetricError`), and
-inversion and the generalized eigensolve report singular or indefinite
-blocks as `SingularMatrixError` instead of returning garbage.
+Thin wrappers over numpy's LAPACK routines that add the checks the rest
+of ccmkit relies on: eigensolves refuse non-symmetric input
+(`NonSymmetricError`), and inversion and the generalized eigensolve
+report singular or indefinite blocks as `SingularMatrixError` instead of
+returning garbage. `inverse` finds its LU pivots in numpy, by partial
+pivoting over the whole stack.
 
 Every function also takes a stack of matrices, shape `(..., m, n)`, and
-solves all of its members with one batched LAPACK call; a 2-D input is
-one matrix, as before. An error on a stack names its first failing
-member in C order and keeps that flat position in `err.index`.
+solves all of its members at once, with one batched LAPACK call or one
+numpy elimination per column; a 2-D input is one matrix, as before. An
+error on a stack names its first failing member in C order and keeps
+that flat position in `err.index`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -75,17 +79,16 @@ def inverse(a):
     factorization with partial pivoting.
 
     Raises SingularMatrixError when a pivot falls below PIVOT_TOL times
-    the largest entry of its matrix.
+    the largest entry of its matrix, and ValueError on infs or NaNs.
     """
-    import scipy.linalg
-
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("array must not contain infs or NaNs")
     scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
     scale = np.where(scale > 0.0, scale, 1.0)
-    _, _, upper = scipy.linalg.lu(a)
-    pivots = np.abs(np.diagonal(upper, axis1=-2, axis2=-1)).min(axis=-1, initial=np.inf)
+    pivots = _smallest_pivots(a)
     bad = np.flatnonzero(pivots < PIVOT_TOL * scale)
     if bad.size:
         raise SingularMatrixError(
@@ -93,6 +96,26 @@ def inverse(a):
             _member(a, bad[0]),
         )
     return np.linalg.inv(a)
+
+
+def _smallest_pivots(a):
+    """Smallest |pivot| of each member's LU factorization with partial
+    pivoting (Golub & Van Loan, Algorithm 3.4.1), all members at once;
+    inf for a 0 x 0 matrix."""
+    n = a.shape[-1]
+    u = a.reshape(math.prod(a.shape[:-2]), n, n).copy()
+    rows = np.arange(len(u))
+    smallest = np.full(len(u), np.inf)
+    for k in range(n):
+        p = k + np.abs(u[:, k:, k]).argmax(axis=1)
+        pivot_rows = u[rows, p]
+        u[rows, p] = u[:, k]
+        u[:, k] = pivot_rows
+        pivot = u[:, k, k]
+        smallest = np.minimum(smallest, np.abs(pivot))
+        factors = u[:, k + 1:, k] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
+        u[:, k + 1:, k + 1:] -= factors[:, :, None] * u[:, None, k, k + 1:]
+    return smallest.reshape(a.shape[:-2])
 
 
 def null_space_basis(a):

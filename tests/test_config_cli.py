@@ -253,6 +253,39 @@ class TestCliCertify:
         err = capsys.readouterr().err
         assert err.startswith("config error: [system]: need integers") and "Traceback" not in err
 
+    @pytest.mark.parametrize("text, section, key, command", [
+        pytest.param(CUSTOM_SYSTEM, "system", "f3 = 100*x1", "certify", id="custom-f3"),
+        pytest.param(CUSTOM_SYSTEM, "system", "B_3_1 = 7", "certify", id="custom-B_3_1"),
+        pytest.param(CUSTOM_SYSTEM, "metric", "M_2_1 = 5", "certify", id="custom-M_2_1"),
+        pytest.param(NUMEX_MIN + "[reference]\nxd0 = 3 -1\n", "reference", "ud2 = 99",
+                     "simulate", id="numex-ud2"),
+        pytest.param(NUMEX_MIN + "[gain]\nsource = user\nK_1_1 = -1\nK_1_2 = -1\n", "gain",
+                     "K_2_1 = 50", "simulate", id="numex-K_2_1"),
+        pytest.param(NUMEX_MIN + "[gain]\nsource = user\nK_1_1 = -1\nK_1_2 = -1\n", "gain",
+                     "K_1_3 = 50", "simulate", id="numex-K_1_3"),
+    ])
+    def test_indexed_key_out_of_range_exits_two(self, tmp_path, capsys, text, section, key,
+                                                command):
+        """Indexed keys exist only for the indices n and m allow."""
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key}\n")
+        path = write_config(tmp_path, text + "[simulation]\nT = 0.1\nh = 0.01\n")
+        assert main([command, "--config", path, "--grid", "5",
+                     "--out", str(tmp_path / "out.txt")]) == 2
+        name = key.split(" = ")[0]
+        assert capsys.readouterr().err == f"config error: unknown key '{name}' in [{section}]\n"
+
+    @pytest.mark.parametrize("check, role, needs", [
+        ("c1", "dual", "a primal metric"),
+        ("killing", "dual", "a primal metric"),
+        ("robust", "dual", "a primal metric"),
+        ("dual-w", "primal", "a metric with role=dual"),
+    ])
+    def test_check_without_its_metric_exits_two(self, tmp_path, capsys, check, role, needs):
+        text = CUSTOM_SYSTEM.replace("[metric]\n", f"[metric]\nrole = {role}\n")
+        path = write_config(tmp_path, text + f"[certificate]\nchecks = {check}\n")
+        assert main(["certify", "--config", path, "--grid", "5"]) == 2
+        assert capsys.readouterr().err == f"config error: {check} check needs {needs}\n"
+
 
 class TestCliExpressionErrors:
     """Bad gain expressions are config errors (exit 2), not tracebacks."""
@@ -528,11 +561,18 @@ class TestCliSimulate:
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# Runs in a fresh interpreter: imports ccmkit, runs each argv through
-# cli.main in-process and prints the exit codes and the scipy modules
-# loaded so far.
+# Runs in a fresh interpreter with every scipy import blocked: imports
+# ccmkit, runs each argv through cli.main in-process and prints the exit
+# codes and the scipy modules loaded so far.
 _IMPORT_PROBE = """
 import json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
 import ccmkit
 from ccmkit import cli
 
@@ -550,7 +590,8 @@ def _probe(argvs):
 
 
 class TestImportsNumpyOnly:
-    """scipy is loaded only by gain synthesis, on first use."""
+    """No command imports scipy: the probe blocks it and every run still ends
+    with its usual exit code."""
 
     def test_certify_simulate_geodesic_load_no_scipy(self, tmp_path):
         result = _probe([
@@ -563,18 +604,19 @@ class TestImportsNumpyOnly:
         ])
         assert result == {"codes": [0, 0, 0], "scipy": []}
 
-    def test_synthesize_loads_scipy_linalg(self, tmp_path):
-        path = write_config(tmp_path, NUMEX_MIN + "[gain]\nsource = synthesized\n"
+    @pytest.mark.parametrize("source", ["builtin", "synthesized"])
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path, source):
+        path = write_config(tmp_path, NUMEX_MIN + f"[gain]\nsource = {source}\n"
                             "[simulation]\ncontroller = dynext\nT = 0.1\nh = 0.01\n")
-        result = _probe([["synthesize", "--config", path, "--grid", "9",
-                          "--out", str(tmp_path / "gain.ini")]])
-        assert result["codes"] == [0]
-        assert "scipy.linalg" in result["scipy"]
+        result = _probe([
+            ["certify", "--config", path, "--grid", "9", "--out", str(tmp_path / "cert.txt")],
+            ["geodesic", "--config", path, "--from=2,0", "--to=3,-1",
+             "--out", str(tmp_path / "path.txt")],
+            ["synthesize", "--config", path, "--grid", "9", "--out", str(tmp_path / "gain.ini")],
+            ["simulate", "--config", path, "--grid", "9", "--out", str(tmp_path / "trace.csv")],
+        ])
+        assert result == {"codes": [0, 0, 0, 0], "scipy": []}
         assert "K_1_1 = " in (tmp_path / "gain.ini").read_text()
-        result = _probe([["simulate", "--config", path, "--grid", "9",
-                          "--out", str(tmp_path / "trace.csv")]])
-        assert result["codes"] == [0]
-        assert "scipy.linalg" in result["scipy"]
 
 
 def test_python_m_ccmkit_certifies(tmp_path):
