@@ -195,15 +195,7 @@ def exactness_residual(gain, grid):
         lo = np.asarray(grid.lo)
         return 0.0, 0.5 * (lo + np.asarray(grid.hi))
     points = grid.array()
-    try:
-        residuals = np.abs(gain._curl(points)).max(axis=1)
-    except ex.EvalDomainError:  # the stacked call names no point
-        for point in points:
-            try:
-                gain._curl(point)
-            except ex.EvalDomainError as err:
-                raise ex.EvalDomainError(f"{err} at x={point}") from None
-        raise
+    residuals = np.abs(gain._curl(points)).max(axis=1)
     worst = int(np.argmax(residuals))
     if residuals[worst] == 0.0:
         return 0.0, None

@@ -9,9 +9,13 @@ pivoting over the whole stack.
 
 Every function also takes a stack of matrices, shape `(..., m, n)`, and
 solves all of its members at once, with one batched LAPACK call or one
-numpy elimination per column; a 2-D input is one matrix, as before. An
-error on a stack names its first failing member in C order and keeps
-that flat position in `err.index`.
+numpy elimination per column; a 2-D input is one matrix, as before. When
+every member of the stack (of both stacks, for `generalized_sym_eig`) has
+the bits of member 0, as the stacks of a constant M or B do, only member
+0 is solved and its result repeated over the stack: the same bits as the
+batched solve, in writable arrays that share no memory. An error on a
+stack names its first failing member in C order and keeps that flat
+position in `err.index`.
 """
 
 from __future__ import annotations
@@ -47,6 +51,28 @@ def _member(a, flat_index):
     return int(flat_index) if a.ndim > 2 else None
 
 
+def _uniform(a):
+    """Whether `a` is a stack of two or more members that all have the bits
+    of member 0 (so 0.0 and -0.0 differ): then solving member 0 solves
+    them all."""
+    if not a.size or math.prod(a.shape[:-2]) < 2:
+        return False
+    bits = a.view(np.uint64)
+    return bool((bits == bits[(0,) * (a.ndim - 2)]).all())
+
+
+def _first(a):
+    """Member 0 of a stack, as a one-member stack (an error on it names
+    index 0)."""
+    return a[(0,) * (a.ndim - 2)][None]
+
+
+def _repeat(result, a):
+    """The result for `_first(a)` repeated over the stack `a`."""
+    lead = a.shape[:-2]
+    return np.repeat(result, math.prod(lead), axis=0).reshape(lead + result.shape[1:])
+
+
 def require_symmetric(a):
     """Symmetric part of a (or of each member of a stack), after checking
     that no entry of A - A^T exceeds SYM_TOL."""
@@ -70,7 +96,10 @@ def sym_eig(a):
 
     Returns (eigenvalues ascending, eigenvectors as columns).
     """
-    w, v = np.linalg.eigh(require_symmetric(a))
+    a = require_symmetric(a)
+    if _uniform(a):
+        return tuple(_repeat(r, a) for r in np.linalg.eigh(_first(a)))
+    w, v = np.linalg.eigh(a)
     return w, v
 
 
@@ -86,6 +115,12 @@ def inverse(a):
         raise ValueError(f"expected square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("array must not contain infs or NaNs")
+    if _uniform(a):
+        return _repeat(_checked_inverse(_first(a)), a)
+    return _checked_inverse(a)
+
+
+def _checked_inverse(a):
     scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
     scale = np.where(scale > 0.0, scale, 1.0)
     pivots = _smallest_pivots(a)
@@ -137,6 +172,9 @@ def null_space_basis(a):
 
 
 def _null_space_groups(stack):
+    if _uniform(stack):
+        ((_, basis),) = _null_space_groups(_first(stack))
+        return [(np.arange(len(stack)), _repeat(basis, stack))]
     _, sv, vt = np.linalg.svd(stack)
     scale = sv.max(axis=1, initial=1.0)
     ranks = np.count_nonzero(sv > NULL_TOL * scale[:, None], axis=1)
@@ -166,6 +204,12 @@ def generalized_sym_eig(a, b):
     b = require_symmetric(b)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("array must not contain infs or NaNs")
+    if a.shape == b.shape and _uniform(a) and _uniform(b):
+        return tuple(_repeat(r, a) for r in _reduced_eig(_first(a), _first(b)))
+    return _reduced_eig(a, b)
+
+
+def _reduced_eig(a, b):
     try:
         chol = np.linalg.cholesky(b)
     except np.linalg.LinAlgError:

@@ -41,7 +41,9 @@ class _Field:
     """An expression or nested list of them over `variables`; the shape of
     the argument picks the back end, each compiled on its first use: one
     point `(n,)` on Python floats (`expr.compile_fn`, bit-for-bit
-    `evaluate`), a stack `(..., n)` in one numpy call (`compile_array_fn`)."""
+    `evaluate`), a stack `(..., n)` in one numpy call (`compile_array_fn`).
+    An EvalDomainError on a stack names the first point, in C order, where
+    the float back end fails too."""
 
     def __init__(self, exprs, variables):
         self.exprs = exprs
@@ -62,7 +64,15 @@ class _Field:
     def __call__(self, x):
         x = np.asarray(x)
         if x.ndim >= 2:
-            return self._stack(x)
+            try:
+                return self._stack(x)
+            except ex.EvalDomainError:  # the stacked call names no point
+                for point in x.reshape(-1, x.shape[-1]):
+                    try:
+                        self._point(*float_args(point))
+                    except ex.EvalDomainError as err:
+                        raise ex.EvalDomainError(f"{err} at x={point}") from None
+                raise
         return np.array(self._point(*float_args(x)))
 
 

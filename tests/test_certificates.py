@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ccmkit import certificates
+from ccmkit import certificates, cli
 from ccmkit.certificates import (
     DEFAULT_TOL,
     CertificateError,
@@ -459,6 +459,34 @@ class TestStackedMatchesPerPoint:
         metric = MetricField(2, [["x1^2", "0"], ["0", "1"]], 1e-30, 1.0, 0.0)
         with pytest.raises(CertificateError, match=r"at x=\[ 0\. -1\.\]"):
             check_c1(sys, metric, Grid([-1, -1], [1, 1], (3, 3)))
+
+
+class TestConstantStacksSolveOnce:
+    """On both builtins M and B are constant, so every null-space stack is
+    uniform and LAPACK's SVD sees one member, not one per grid point."""
+
+    @pytest.fixture
+    def svd_shapes(self, monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        return shapes
+
+    def test_certify_cli(self, svd_shapes, capsys):
+        assert cli.main(["certify", "--config", str(CONFIGS / "numex_certify.ini")]) == 0
+        assert "all_pass: True" in capsys.readouterr().out
+        assert svd_shapes and all(shape[:-2] == (1,) for shape in svd_shapes)
+
+    def test_microactuator_c1_and_dual_w(self, micro, svd_shapes):
+        grid = Grid.for_system(micro.system, 17)
+        assert check_c1(micro.system, micro.metric, grid).passed
+        assert check_dual_w(micro.system, micro.dual_metric, grid).passed
+        assert len(svd_shapes) == 2 and all(shape[:-2] == (1,) for shape in svd_shapes)
 
 
 class TestReportInvariants:

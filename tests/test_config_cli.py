@@ -197,6 +197,15 @@ class TestCliCertify:
         path = write_config(tmp_path, NUMEX_MIN)
         assert main(["certify", "--config", path, "--seed", "1"]) == 2
 
+    def test_undefined_field_names_the_point(self, tmp_path, capsys):
+        # B_2_1 = 1/x1 is undefined on the x1 = 0 row of the 5 x 5 grid,
+        # whose first point in row-major order is (0, -1)
+        text = CUSTOM_SYSTEM.replace("B_2_1 = 1", "B_2_1 = 1/x1").replace("5 5", "1 1")
+        text = text.replace("-5 -5", "-1 -1") + "[certificate]\ngrid = 5\n"
+        assert main(["certify", "--config", write_config(tmp_path, text)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: float division by zero at x=[ 0. -1.]\n")
+
     @pytest.mark.parametrize("section, argv", [
         pytest.param("", ["certify", "--grid", "1"], id="grid-1"),
         pytest.param("", ["certify", "--grid", "5000"], id="grid-5000"),

@@ -229,3 +229,90 @@ class TestStacks:
                 assert np.array_equal(basis, null_space_basis(rows[i]))
         assert groups[0][1].shape == (2, 2, 2)
         assert groups[1][1].shape == (2, 2, 1)
+
+    # A stack whose members all have the bits of member 0 solves member 0
+    # once. The oracle is the batched call on the same stack with its last
+    # member doubled, which has to solve every member.
+
+    @staticmethod
+    def uniform_and_oracle(member, p=1000):
+        stack = np.repeat(member[None], p, axis=0)
+        oracle = stack.copy()
+        oracle[-1] *= 2.0
+        return stack, oracle
+
+    @staticmethod
+    def assert_same_bytes(got, oracle):
+        assert len(got) == len(oracle)
+        for g, o in zip(got, oracle):
+            assert g.shape == o.shape
+            assert g[:-1].tobytes() == o[:-1].tobytes()
+
+    SOLVES = {
+        "sym_eig": (sym_eig, np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 0.5], [1.0, 0.5, 4.0]])),
+        "generalized_sym_eig": (
+            lambda ab: generalized_sym_eig(ab[..., 0, :, :], ab[..., 1, :, :]),
+            np.array([[[1.0, 0.0, 2.0], [0.0, -3.0, 0.5], [2.0, 0.5, 1.0]],
+                      [[4.0, 0.0, 1.0], [0.0, 3.0, 0.5], [1.0, 0.5, 5.0]]])),
+        "inverse": (lambda a: (inverse(a),), np.array([[2.0, 0.0, 1.0], [1.0, 3.0, 0.0],
+                                                       [0.0, 1.0, 4.0]])),
+        "null_space_basis": (lambda a: tuple(b for _, b in null_space_basis(a)),
+                             np.array([[1.0, 0.0, 2.0, -1.0], [0.0, 1.0, 0.5, 3.0]])),
+    }
+
+    @pytest.mark.parametrize("name", SOLVES)
+    def test_uniform_stack_matches_batched(self, name):
+        solve, member = self.SOLVES[name]
+        stack, oracle = self.uniform_and_oracle(member)
+        self.assert_same_bytes(solve(stack), solve(oracle))
+
+    @pytest.mark.parametrize("name", SOLVES)
+    def test_signed_zero_stack_matches_batched(self, name):
+        # members differ only in the sign of their zero entries: by bits
+        # they are not uniform
+        solve, member = self.SOLVES[name]
+        stack, oracle = self.uniform_and_oracle(member)
+        for s in (stack, oracle):
+            s[1::2][s[1::2] == 0.0] = -0.0
+        assert np.signbit(stack[1]).sum() > np.signbit(stack[0]).sum()
+        self.assert_same_bytes(solve(stack), solve(oracle))
+
+    @pytest.mark.parametrize("name", SOLVES)
+    def test_uniform_results_writable_and_unshared(self, name):
+        solve, member = self.SOLVES[name]
+        results = solve(np.repeat(member[None], 4, axis=0))
+        for r in results:
+            assert r.flags.writeable
+            assert not any(np.shares_memory(r[i], r[j])
+                           for i in range(4) for j in range(i + 1, 4))
+        assert not any(np.shares_memory(r, s)
+                       for i, r in enumerate(results) for s in results[i + 1:])
+
+    def test_uniform_multi_axis_stack(self):
+        member = self.SOLVES["sym_eig"][1]
+        w, v = sym_eig(np.broadcast_to(member, (5, 7, 3, 3)))
+        w_0, v_0 = sym_eig(member)
+        assert w.shape == (5, 7, 3) and v.shape == (5, 7, 3, 3)
+        assert np.array_equal(w[4, 6], w_0) and np.array_equal(v[4, 6], v_0)
+        groups = null_space_basis(np.broadcast_to(np.array([[1.0, 0.0, 2.0]]), (2, 3, 1, 3)))
+        assert [list(index) for index, _ in groups] == [list(range(6))]
+
+    def test_uniform_non_symmetric_names_member_zero(self):
+        a = np.tile(np.array([[1.0, 2.0], [0.0, 1.0]]), (6, 1, 1))
+        for call in (sym_eig, lambda x: generalized_sym_eig(x, np.tile(np.eye(2), (6, 1, 1)))):
+            with pytest.raises(NonSymmetricError) as err:
+                call(a)
+            assert err.value.index == 0
+
+    def test_uniform_indefinite_b_names_member_zero(self):
+        b = np.tile(np.diag([1.0, -1.0]), (6, 1, 1))
+        with pytest.raises(SingularMatrixError) as err:
+            generalized_sym_eig(np.tile(np.eye(2), (6, 1, 1)), b)
+        assert err.value.index == 0
+        assert str(err.value) == "B block not positive definite (stack member 0)"
+
+    def test_uniform_singular_inverse_names_member_zero(self):
+        with pytest.raises(SingularMatrixError) as err:
+            inverse(np.ones((6, 2, 2)))
+        assert err.value.index == 0
+        assert str(err.value).endswith("(stack member 0)")
