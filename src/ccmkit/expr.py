@@ -17,8 +17,7 @@ each shared subtree once and has no depth limit; only the parser and
 straight-line code with two back ends: on Python floats for one point
 (`compile_fn`, bit-for-bit `evaluate`) and on numpy arrays for a stack of
 points in one call (`compile_array_fn`). `compile_source` compiles
-generated code that holds several float blocks, each with its own
-local-name prefix (the closed-loop run of `sim`).
+other generated code around such a program (the closed-loop run of `sim`).
 """
 
 from __future__ import annotations
@@ -515,14 +514,14 @@ def _shaped(item, texts):
     return "(" + "".join(f"{_shaped(sub, texts)}, " for sub in item) + ")"
 
 
-def _straight_line(expr, prefix="_"):
+def _straight_line(expr):
     """Assignments and operands of the straight-line code for `expr`.
 
-    Returns (lines, texts): one `{prefix}k = ...` line per distinct
-    right-hand side, children first, and the variable, literal or local
-    that holds each entry of `_entries(expr)`, in that order. Subtrees are
-    shared by node identity (`_fold`) and by right-hand-side text. Blocks
-    with distinct prefixes can share one function (`compile_source`).
+    Returns (lines, texts): line k is `_k = ...`, one per distinct
+    right-hand side, children first and entry by entry (an entry's lines
+    precede those first needed by a later entry), and the variable,
+    literal or local that holds each entry of `_entries(expr)`, in that
+    order. Subtrees are shared by node identity and by right-hand-side text.
     """
     locals_ = {}  # right-hand side -> local; insertion order is children first
 
@@ -534,7 +533,7 @@ def _straight_line(expr, prefix="_"):
             return f"({text})" if text.startswith("-") else text
         template = _TEMPLATES.get(node.kind, node.kind + "({0})")
         return locals_.setdefault(template.format(*args, n=int(node.value)),
-                                  f"{prefix}{len(locals_)}")
+                                  f"_{len(locals_)}")
 
     texts = _fold([e for _, e in _entries(expr)], operand)
     return [f"{name} = {rhs}" for rhs, name in locals_.items()], texts

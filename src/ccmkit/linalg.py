@@ -10,9 +10,9 @@ pivoting over the whole stack.
 Every function also takes a stack of matrices, shape `(..., m, n)`, and
 solves all of its members at once, with one batched LAPACK call or one
 numpy elimination per column; a 2-D input is one matrix, as before. When
-every member of the stack (of both stacks, for `generalized_sym_eig`) has
-the bits of member 0, as the stacks of a constant M or B do, only member
-0 is solved and its result repeated over the stack: the same bits as the
+every member of the stack (of both, for `generalized_sym_eig`) has the
+bits of member 0, as with a constant M or B, the eigen- and null-space
+solves take member 0 alone and repeat its result: the same bits as the
 batched solve, in writable arrays that share no memory. An error on a
 stack names its first failing member in C order and keeps that flat
 position in `err.index`.
@@ -115,12 +115,6 @@ def inverse(a):
         raise ValueError(f"expected square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("array must not contain infs or NaNs")
-    if _uniform(a):
-        return _repeat(_checked_inverse(_first(a)), a)
-    return _checked_inverse(a)
-
-
-def _checked_inverse(a):
     scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
     scale = np.where(scale > 0.0, scale, 1.0)
     pivots = _smallest_pivots(a)

@@ -43,7 +43,8 @@ class _Field:
     point `(n,)` on Python floats (`expr.compile_fn`, bit-for-bit
     `evaluate`), a stack `(..., n)` in one numpy call (`compile_array_fn`).
     An EvalDomainError on a stack names the first point, in C order, where
-    the float back end fails too."""
+    the float back end fails too or is not finite (one point is unchecked:
+    a float overflow there gives inf)."""
 
     def __init__(self, exprs, variables):
         self.exprs = exprs
@@ -66,10 +67,11 @@ class _Field:
         if x.ndim >= 2:
             try:
                 return self._stack(x)
-            except ex.EvalDomainError:  # the stacked call names no point
+            except ex.EvalDomainError as stacked:  # the stacked call names no point
                 for point in x.reshape(-1, x.shape[-1]):
-                    try:
-                        self._point(*float_args(point))
+                    try:  # a float overflow gives inf instead of raising
+                        if not np.isfinite(self._point(*float_args(point))).all():
+                            raise ex.EvalDomainError(stacked)
                     except ex.EvalDomainError as err:
                         raise ex.EvalDomainError(f"{err} at x={point}") from None
                 raise

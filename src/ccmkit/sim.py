@@ -3,10 +3,11 @@
 The closed loop, one ODE in x, x_d and z with u = u_d(t, x_d) + v, runs as one
 generated function (`_RUN`) over the whole `integrate.time_grid`, which ends at
 T: per grid point the law (u, u_d, v), then one RK4 step (`integrate.rk4_exprs`)
-with v held, each with its own failure checks. The static law is the gain's
-radial potential (`controller.radial_potential_exprs`), the dynext v comes from
-`controller.dynext_beta_exprs` and the geodesic v from a Python callback. It is
-built once for runs that differ only in x0, z0, T, h or the geodesic settings.
+with v held, both one straight-line program, so the step reads the step-start
+values the law computed; each keeps its own failure checks. The static law is the
+gain's radial potential (`controller.radial_potential_exprs`), the dynext v comes
+from `controller.dynext_beta_exprs` and the geodesic v from a Python callback. It
+is built once for runs that differ only in x0, z0, T, h or the geodesic settings.
 """
 
 from __future__ import annotations
@@ -112,10 +113,10 @@ def _plant(sys, u, rename):
 
 
 _BUILT = [((), None)]  # (key, run) of the last closed loop built, read and set at once
-# A closed loop's run over the time grid `_times`: per grid point the law block,
-# then the RK4 block with v held. It passes each state, u and u_d row to its _put_*
-# callables and returns (k, stage, error) at the first failure, else (k, None, None)
-# at the last grid index k.
+# A closed loop's run over the time grid `_times`: per grid point the law's lines,
+# then the RK4 step's lines with v held, each in its own try block. It passes each
+# state, u and u_d row to its _put_* callables and returns (k, stage, error) at the
+# first failure, else (k, None, None) at the last grid index k.
 _RUN = """def fn(_times, _put_y, _put_u, _put_ud, {y}, _correction):
     for _k in range(len(_times)):
         t = _times[_k]
@@ -174,17 +175,20 @@ def _closed_loop(sys, metric, gain, ref, cfg):
     rates = fx + _plant(sys, ud, dict(zip(state_vars(n), xd)))
     if use_z:
         rates += [ex.sub(a, ex.mul(ex.const(cfg.ell), ex.sub(c, b))) for a, b, c in zip(fx, x, z)]
-    step, y_next = ex._straight_line(rk4_exprs(rates, names[1:]), "_b")
     if cfg.kind == "dynext":  # the law computes v = beta(x, z) - beta(xd, z)
         beta = zip(dynext_beta_exprs(gain, x, z), dynext_beta_exprs(gain, xd, z))
         v = [ex.sub(a, b) for a, b in beta]
         u = [ex.add(a, b) for a, b in zip(ud, v)]
-    (law, texts), y = ex._straight_line([u, ud, v], "_a"), ", ".join(names[1:])
+    # one program, law first: the law's lines end at the last local its entries name
+    lines, texts = ex._straight_line([u, ud, v, rk4_exprs(rates, names[1:])])
+    k = 2 * m + len(v)  # the law's entries
+    split = max((int(a[1:]) + 1 for a in texts[:k] if a.startswith("_")), default=0)
+    (law, step), y = (lines[:split], lines[split:]), ", ".join(names[1:])
     if cfg.kind == "geodesic":  # the law reads v from the run's callback
         law.insert(0, f"{', '.join(held)}, = _correction({y})")
     law += [f"{a} = {b}" for a, b in zip(held, texts[2 * m :]) if a != b]  # v, held over the step
     built = ex.compile_source(_RUN.format(
-        y=y, y_next=", ".join(y_next), u=", ".join(texts[:m]), ud=", ".join(texts[m : 2 * m]),
+        y=y, y_next=", ".join(texts[k:]), u=", ".join(texts[:m]), ud=", ".join(texts[m : 2 * m]),
         law=_NEXT_LINE.join(law), step=_NEXT_LINE.join(step),
         u_finite=" and ".join(f"isfinite({a})" for a in texts[:m]),
         y_finite=" and ".join(f"isfinite({a})" for a in names[1:]),

@@ -48,9 +48,9 @@ def closed_loop_parts():
     def parts(sys, metric, gain, ref, cfg):
         seen = {}
 
-        def straight_line(expr, prefix="_", original=ex._straight_line):
-            seen[prefix] = expr
-            return original(expr, prefix)
+        def straight_line(expr, original=ex._straight_line):
+            seen["expr"] = expr
+            return original(expr)
 
         def rk4_exprs(rates, state_names, original=sim.rk4_exprs):
             seen.update(rates=rates, names=list(state_names))
@@ -63,7 +63,7 @@ def closed_loop_parts():
             sim._closed_loop(sys, metric, gain, ref, cfg)
         held = [f"v{j + 1}" for j in range(sys.m)] if cfg.kind in ("dynext", "geodesic") else []
         return {"names": seen["names"], "held": held, "rates": seen["rates"],
-                "step": seen["_b"], "law": seen["_a"]}
+                "step": seen["expr"][3], "law": seen["expr"][:3]}
 
     return parts
 

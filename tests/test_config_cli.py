@@ -206,6 +206,15 @@ class TestCliCertify:
         assert capsys.readouterr().err == (
             "numerical failure: float division by zero at x=[ 0. -1.]\n")
 
+    def test_overflowing_field_names_the_point(self, tmp_path, capsys):
+        # a float multiply overflows to inf without raising; the first point
+        # in row-major order where B_2_1 is not finite is (-1, -1)
+        text = CUSTOM_SYSTEM.replace("B_2_1 = 1", "B_2_1 = 1 + x1*1e300*1e300")
+        text = text.replace("5 5", "1 1").replace("-5 -5", "-1 -1") + "[certificate]\ngrid = 5\n"
+        assert main(["certify", "--config", write_config(tmp_path, text)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: overflow encountered in multiply at x=[-1. -1.]\n")
+
     @pytest.mark.parametrize("section, argv", [
         pytest.param("", ["certify", "--grid", "1"], id="grid-1"),
         pytest.param("", ["certify", "--grid", "5000"], id="grid-5000"),

@@ -560,7 +560,7 @@ class TestGeneratedDynext:
             assert trace.completed and len(trace.t) == 21
         # the law computes v = beta(x, z) - beta(xd, z); the step reads it as v1
         [src] = compiled
-        assert "v1, = _correction" not in src and "            v1 = _a" in src
+        assert "v1, = _correction" not in src and "            v1 = _" in src
         assert beta_calls == []
 
     def test_synthesized_gain_uses_generated_correction(self, numex, monkeypatch):
@@ -835,6 +835,34 @@ class TestBuildOnce:
             z_ends.append(trace.z[-1].tolist())
         assert counts == [1, 1, 2, 3, 3]
         assert z_ends[2] != z_ends[1]  # the new ell is the one simulated
+
+
+class TestSharedStepStart:
+    """The law and the RK4 step are one program: the step reads the values the
+    law computed at the step's start instead of computing them again."""
+
+    @staticmethod
+    def blocks(src):
+        """The right-hand sides assigned in the law's try block and in the step's."""
+        law, step = (block.split("        except")[0] for block in src.split("try:")[1:])
+        return [re.findall(r"^ +[\w, ]+ = (.+)$", block, re.M) for block in (law, step)]
+
+    @pytest.mark.parametrize("bundle, kind, lines", [
+        ("numex", "dynext", ["sin(t)", "cos(t)"]),
+        ("microactuator", "static", ["cos(t)"]),
+    ])
+    def test_step_start_values_computed_once(self, bundle, kind, lines, monkeypatch):
+        bundle = builtin(bundle)  # a new key
+        gain = GainField.from_exprs(bundle.system.n, 1, bundle.builtin_gain)
+        compiled = TestBuildOnce.count_compiles(monkeypatch)
+        cfg = RunConfig(kind=kind, T=0.05, h=1e-2)
+        assert run_closed_loop(bundle.system, bundle.metric, gain, bundle.reference,
+                               cfg).completed
+        [src] = compiled
+        for rhs in lines:
+            assert len(re.findall(rf" = {re.escape(rhs)}$", src, re.M)) == 1
+        law, step = self.blocks(src)
+        assert law and step and not set(law) & set(step)
 
 
 class TestPerturbationSweep:
