@@ -174,8 +174,11 @@ def _per_rank(points, groups, solve, width):
     return margins, directions
 
 
-def _check_metric_bounds(metric, points, m_x):
-    w, _ = sym_eig(m_x)
+def _check_metric_bounds(metric, points):
+    """Raise at the first grid point where M's eigenvalues leave [p_lo, p_hi],
+    before any form of M is computed: an overflowing M would warn there. A
+    constant M is checked at the first point alone."""
+    w, _ = sym_eig(metric.eval(points[:1] if metric.constant else points))
     bad = np.flatnonzero((w[:, 0] < metric.p_lo - BOUND_TOL) | (w[:, -1] > metric.p_hi + BOUND_TOL))
     if bad.size:
         at = bad[0]
@@ -197,6 +200,7 @@ def check_killing_pde(sys, metric, grid, tol=DEFAULT_TOL):
     if metric.role != "primal":
         raise CertificateError("Killing check needs a primal metric")
     points = grid.array()
+    _check_metric_bounds(metric, points)
     margins = _killing_margins(sys, metric, points, sys.eval_b(points))
     passed = margins.max() <= tol
     return _finish("killing_pde", points, margins, None, passed, tol)
@@ -214,9 +218,9 @@ def check_c1(sys, metric, grid, tol=DEFAULT_TOL, rate=None):
     if metric.role != "primal":
         raise CertificateError("C1 check needs a primal metric")
     points = grid.array()
+    _check_metric_bounds(metric, points)
     q, m_x = contraction_quadratic(sys, metric, points)
     b = sys.eval_b(points)
-    _check_metric_bounds(metric, points, m_x)
 
     def solve(index, basis):
         w, vecs = generalized_sym_eig(
@@ -276,6 +280,7 @@ def _robust_stacks(sys, metric, grid, lam, gamma0, lambda_form):
     if lambda_form not in ("identity", "metric"):
         raise CertificateError(f"unknown lambda_form {lambda_form!r}")
     points = grid.array()
+    _check_metric_bounds(metric, points)
     q, m_x = contraction_quadratic(sys, metric, points)
     b = sys.eval_b(points)
     shift = lam * (np.eye(sys.n) if lambda_form == "identity" else m_x)

@@ -517,13 +517,15 @@ def _shaped(item, texts):
 def _straight_line(expr):
     """Assignments and operands of the straight-line code for `expr`.
 
-    Returns (lines, texts): line k is `_k = ...`, one per distinct
+    Returns (lines, texts, operands): line k is `_k = ...`, one per distinct
     right-hand side, children first and entry by entry (an entry's lines
-    precede those first needed by a later entry), and the variable,
-    literal or local that holds each entry of `_entries(expr)`, in that
-    order. Subtrees are shared by node identity and by right-hand-side text.
+    precede those first needed by a later entry); the variable, literal or
+    local that holds each entry of `_entries(expr)`, in that order; and the
+    operand texts that line k's right-hand side reads, as a tuple. Subtrees
+    are shared by node identity and by right-hand-side text.
     """
     locals_ = {}  # right-hand side -> local; insertion order is children first
+    operands = []
 
     def operand(node, args):
         if node.kind == "var":
@@ -531,12 +533,14 @@ def _straight_line(expr):
         if node.kind == "const":
             text = repr(node.value)  # keeps -0.0 apart from 0.0
             return f"({text})" if text.startswith("-") else text
-        template = _TEMPLATES.get(node.kind, node.kind + "({0})")
-        return locals_.setdefault(template.format(*args, n=int(node.value)),
-                                  f"_{len(locals_)}")
+        rhs = _TEMPLATES.get(node.kind, node.kind + "({0})").format(*args, n=int(node.value))
+        if rhs not in locals_:
+            locals_[rhs] = f"_{len(locals_)}"
+            operands.append(tuple(args))
+        return locals_[rhs]
 
     texts = _fold([e for _, e in _entries(expr)], operand)
-    return [f"{name} = {rhs}" for rhs, name in locals_.items()], texts
+    return [f"{name} = {rhs}" for rhs, name in locals_.items()], texts, operands
 
 
 _FN_IDS = count(1)
@@ -567,7 +571,7 @@ def compile_fn(expr, variables):
     floats every entry matches `evaluate` bit-for-bit; an EvalDomainError
     in any entry raises for the whole result.
     """
-    lines, texts = _straight_line(expr)
+    lines, texts, _ = _straight_line(expr)
     src = (
         f"def fn({', '.join(variables)}):\n"
         f"    try:\n"
@@ -591,7 +595,7 @@ def compile_array_fn(expr, variables):
     result. Entries agree with `compile_fn` to the last bits: numpy's
     power and exp are not libm's.
     """
-    lines, texts = _straight_line(expr)
+    lines, texts, _ = _straight_line(expr)
     src = (
         "def fn(_points):\n"
         "    _points = asarray(_points, dtype=float64)\n"

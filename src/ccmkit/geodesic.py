@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import PIVOT_TOL
+
 ARMIJO_C = 1e-4
 GRAD_TOL = 1e-8
 ENERGY_TOL = 1e-12
@@ -171,7 +173,12 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, on_iteration=None
     mid = 0.5 * (x_a + x_b)
     m_mid = metric.eval(mid)
     try:
-        np.linalg.cholesky(m_mid)
+        chol = np.linalg.cholesky(m_mid)
+        # cholesky accepts some singular M, whose inverse a curved solve needs: its
+        # pivots L_kk^2 face the relative tolerance of linalg.inverse's LU pivots,
+        # as calling linalg.inverse would cost about a tenth of a curved solve
+        if not metric.constant and np.diagonal(chol).min() ** 2 < PIVOT_TOL * np.abs(m_mid).max():
+            raise np.linalg.LinAlgError("singular matrix")
     except np.linalg.LinAlgError:
         raise GeodesicError(f"metric not positive definite at the chord midpoint "
                             f"{mid.tolist()}") from None

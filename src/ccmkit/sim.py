@@ -1,20 +1,26 @@
 """Closed-loop simulation of plant + reference (+ observer state z).
 
-The closed loop, one ODE in x, x_d and z with u = u_d(t, x_d) + v, runs as one
-generated function (`_RUN`) over the whole `integrate.time_grid`, which ends at
-T: per grid point the law (u, u_d, v), then one RK4 step (`integrate.rk4_exprs`)
-with v held, both one straight-line program, so the step reads the step-start
-values the law computed; each keeps its own failure checks. The static law is the
-gain's radial potential (`controller.radial_potential_exprs`), the dynext v comes
-from `controller.dynext_beta_exprs` and the geodesic v from a Python callback. It
-is built once for runs that differ only in x0, z0, T, h or the geodesic settings.
+The closed loop, one ODE in x, x_d and z with u = u_d(t, x_d) + v, is one
+straight-line program per grid point of `integrate.time_grid`, which ends at T:
+the law (u, u_d, v), then one RK4 step (`integrate.rk4_exprs`) with v held, which
+reads the step-start values the law computed. It runs as two generated passes:
+the reference pass, over the lines that read only t, h, x_d and literals (u_d,
+the x_d step, beta(x_d) of the static law), stores one row per grid point, and
+the plant pass runs the other lines on those rows. A sweep runs the reference pass
+once and the plant pass per sample; a single run is a sweep of one sample. Each
+block keeps its own failure checks. The static law is the gain's radial potential
+(`controller.radial_potential_exprs`), the dynext v comes from
+`controller.dynext_beta_exprs` and the geodesic v from a Python callback. Both
+passes are built once for runs that differ only in x0, z0, T, h or the geodesic
+settings.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -112,45 +118,90 @@ def _plant(sys, u, rename):
     return [ex.add(ex.substitute(f, rename), bu) for f, bu in zip(sys.f_exprs, ex.matvec(b, u))]
 
 
-_BUILT = [((), None)]  # (key, run) of the last closed loop built, read and set at once
-# A closed loop's run over the time grid `_times`: per grid point the law's lines,
-# then the RK4 step's lines with v held, each in its own try block. It passes each
-# state, u and u_d row to its _put_* callables and returns (k, stage, error) at the
-# first failure, else (k, None, None) at the last grid index k.
-_RUN = """def fn(_times, _put_y, _put_u, _put_ud, {y}, _correction):
-    for _k in range(len(_times)):
+_BUILT = [((), None)]  # (key, passes) of the last closed loop built, read and set at once
+# A closed loop runs as two passes over the time grid `_times`, each with per grid
+# point a law block and, but at the last point, an RK4 step block. The reference
+# pass runs the lines that read only t, h, xd* and literals, and passes one row per
+# point, (t, x_d, u_d, h, the reference values the plant pass reads; NaN where a
+# block did not run), to `_put`. The plant pass runs the other lines on those rows
+# and passes (x, z, u) per point to `_put`, with NaN u where the law failed; it
+# stops after the law block of row `_last`, or, when the rows end before that row,
+# records x there with NaN u. Each returns (k, stage, error) at its first failure,
+# stage "law" (a law line raised), "control" (a non-finite u) or "step", else
+# (k, None, None) at its last grid index k.
+_REFERENCE = """def fn(_times, _put, {xd}):
+    _last = len(_times) - 1
+    for _k in range(_last + 1):
         t = _times[_k]
-        _put_y(({y},))
         try:
             {law}
-            _put_ud(({ud},))
-            if not ({u_finite}):
-                raise ArithmeticError("non-finite control")
-        except (GeodesicError, ArithmeticError, ValueError) as _err:
-            return _k, "controller", _err
-        _put_u(({u},))
-        if _k + 1 == len(_times):
+        except (ArithmeticError, ValueError) as _err:
+            _put((t, {xd}, {no_law}))
+            return _k, "law", _err
+        if _k == _last:
+            h = nan
+            _put(({law_row}{no_step}))
             return _k, None, None
         h = _times[_k + 1] - t
         try:
             {step}
-            {y} = {y_next}
-            if not ({y_finite}):
-                raise IntegrationError("non-finite state in RK4 step", t)
-            if {y_diverged}:
-                raise IntegrationError("state divergence", _times[_k + 1])
-        except (IntegrationError, ArithmeticError, ValueError) as _err:
-            return _k, "numerical", _err
+        except (ArithmeticError, ValueError) as _err:
+            _put(({law_row}{no_step}))
+            return _k, "step", _err
+        _put(({law_row}{step_row}))
+        {xd} = {xd_next}
+        if not ({bounded}):
+            if not ({finite}):
+                return _k, "step", IntegrationError("non-finite state in RK4 step", t)
+            return _k, "step", IntegrationError("state divergence", _times[_k + 1])
 """
-_RUN_NAMES = {"len": len, "range": range, "isfinite": math.isfinite, "ValueError": ValueError,
-              "ArithmeticError": ArithmeticError, "GeodesicError": GeodesicError,
-              "IntegrationError": IntegrationError, "DIVERGENCE_LIMIT": DIVERGENCE_LIMIT}
-_NEXT_LINE = "\n" + " " * 12  # of a block in _RUN
+_PLANT = """def fn(_rows, _last, _times, _put, {y}, _correction):
+    for _k, ({row}) in enumerate(_rows):
+        try:
+            {law}
+        except (GeodesicError, ArithmeticError, ValueError) as _err:
+            _put(({y}, {no_u}))
+            return _k, "law", _err
+        if not ({u_finite}):
+            _put(({y}, {no_u}))
+            return _k, "control", ArithmeticError("non-finite control")
+        _put(({y}, {u}))
+        if _k == _last:
+            return _k, None, None
+        try:
+            {step}
+        except (ArithmeticError, ValueError) as _err:
+            return _k, "step", _err
+        {y} = {y_next}
+        if not ({bounded}):
+            if not ({finite}):
+                return _k, "step", IntegrationError("non-finite state in RK4 step", t)
+            return _k, "step", IntegrationError("state divergence", _times[_k + 1])
+    _put(({y}, {no_u}))
+    return _last, None, None
+"""
+_RUN_NAMES = {"len": len, "range": range, "enumerate": enumerate, "isfinite": math.isfinite,
+              "ValueError": ValueError, "ArithmeticError": ArithmeticError,
+              "GeodesicError": GeodesicError, "IntegrationError": IntegrationError}
+_NEXT_LINE = "\n" + " " * 12  # of a block in _REFERENCE and _PLANT
+_FAILURES = {"law": "controller", "control": "controller", "step": "numerical"}
+
+
+def _block(lines):
+    return _NEXT_LINE.join(lines) or "pass"
+
+
+def _checks(names):
+    """The divergence test of the states `names` ("bounded") and the finiteness
+    test on its failure branch ("finite"): a NaN fails the first as well."""
+    limit = repr(DIVERGENCE_LIMIT)
+    return {"bounded": " and ".join(f"-{limit} <= {a} <= {limit}" for a in names),
+            "finite": " and ".join(f"isfinite({a})" for a in names)}
 
 
 def _closed_loop(sys, metric, gain, ref, cfg):
-    """The closed loop's `_RUN`, compiled unless the last call had the same objects
-    (held, so `is` cannot alias) and settings."""
+    """The closed loop's passes (reference, plant, row width), compiled unless the last
+    call had the same objects (held, so `is` cannot alias) and settings."""
     key = (sys, metric, gain, ref, cfg.exactness_grid, cfg.kind, cfg.ell, tuple(cfg.custom_u or ()))
     last, built = _BUILT[0]
     if key[5:] == last[5:] and all(a is b for a, b in zip(key[:5], last)):
@@ -180,55 +231,111 @@ def _closed_loop(sys, metric, gain, ref, cfg):
         v = [ex.sub(a, b) for a, b in beta]
         u = [ex.add(a, b) for a, b in zip(ud, v)]
     # one program, law first: the law's lines end at the last local its entries name
-    lines, texts = ex._straight_line([u, ud, v, rk4_exprs(rates, names[1:])])
+    lines, texts, operands = ex._straight_line([u, ud, v, rk4_exprs(rates, names[1:])])
     k = 2 * m + len(v)  # the law's entries
     split = max((int(a[1:]) + 1 for a in texts[:k] if a.startswith("_")), default=0)
-    (law, step), y = (lines[:split], lines[split:]), ", ".join(names[1:])
-    if cfg.kind == "geodesic":  # the law reads v from the run's callback
-        law.insert(0, f"{', '.join(held)}, = _correction({y})")
-    law += [f"{a} = {b}" for a, b in zip(held, texts[2 * m :]) if a != b]  # v, held over the step
-    built = ex.compile_source(_RUN.format(
-        y=y, y_next=", ".join(texts[k:]), u=", ".join(texts[:m]), ud=", ".join(texts[m : 2 * m]),
-        law=_NEXT_LINE.join(law), step=_NEXT_LINE.join(step),
+    # line j, `_j = ...`, is the plant's when it reads x, z, v or a plant line
+    xds, ys = names[n + 1 : 2 * n + 1], names[1 : n + 1] + names[2 * n + 1 :]
+    plant, read = set(ys + held), set()  # and what the plant's lines read
+    blocks = [[], [], [], []]  # the reference's law and step, the plant's law and step
+    for j, (line, args) in enumerate(zip(lines, operands)):
+        on_plant = not plant.isdisjoint(args)
+        if on_plant:
+            plant.add(f"_{j}")
+            read.update(args)
+        blocks[2 * on_plant + (j >= split)].append(line)
+    ref_law, ref_step, law, step = blocks
+    if cfg.kind == "geodesic":  # the plant's law reads v from the run's callback
+        law.insert(0, f"{', '.join(held)}, = _correction({', '.join(names[1 : 2 * n + 1])})")
+    law += [f"{a} = {b}" for a, b in zip(held, texts[2 * m : k]) if a != b]  # v, held over the step
+    y_next, xd_next = texts[k : k + n] + texts[k + 2 * n :], texts[k + n : k + 2 * n]
+    read.update(texts[:m], texts[2 * m : k], y_next)
+    # a row: t, x_d, u_d, h and the other reference locals the plant pass reads; in
+    # the plant pass a u_d that is a literal or a variable unpacks to "_"
+    ud_row = [a if a.startswith("_") else "_" for a in texts[m : 2 * m]]
+    shared = read - plant - set(ud_row)
+    law_row = ["t", *xds, *texts[m : 2 * m], "h"]
+    law_row += [f"_{j}" for j in range(split) if f"_{j}" in shared]
+    step_row = [f"_{j}" for j in range(split, len(lines)) if f"_{j}" in shared]
+    reference = ex.compile_source(_REFERENCE.format(
+        xd=", ".join(xds), law=_block(ref_law), step=_block(ref_step),
+        no_law=", ".join(["nan"] * (len(law_row) - n - 1 + len(step_row))),
+        law_row=", ".join(law_row), no_step="".join(", nan" for _ in step_row),
+        step_row="".join(f", {a}" for a in step_row), xd_next=", ".join(xd_next),
+        **_checks(xds)), _RUN_NAMES)
+    row = ["t", *xds, *ud_row, *law_row[1 + n + m :], *step_row]
+    plant_pass = ex.compile_source(_PLANT.format(
+        y=", ".join(ys), row=", ".join(row), law=_block(law), step=_block(step),
+        no_u=", ".join(["nan"] * m), u=", ".join(texts[:m]),
         u_finite=" and ".join(f"isfinite({a})" for a in texts[:m]),
-        y_finite=" and ".join(f"isfinite({a})" for a in names[1:]),
-        y_diverged=" or ".join(f"abs({a}) > DIVERGENCE_LIMIT" for a in names[1:])), _RUN_NAMES)
+        y_next=", ".join(y_next), **_checks(ys)), _RUN_NAMES)
+    built = reference, plant_pass, len(row)
     _BUILT[0] = key, built
     return built
+
+
+def _start(sys, ref, cfg, x0):
+    """The plant pass's initial state, x0 and, for dynext and custom, cfg.z0 (both
+    default to the reference's xd0), as a list of floats."""
+    xd0 = np.asarray(ref.xd0, dtype=float)
+    x0 = np.asarray(x0 if x0 is not None else xd0, dtype=float)
+    z0 = np.asarray(cfg.z0 if cfg.z0 is not None else xd0, dtype=float)
+    if x0.shape != (sys.n,) or z0.shape != (sys.n,):
+        raise SimulationError(f"x0 and z0 need {sys.n} entries, "
+                              f"got shapes {x0.shape} and {z0.shape}")
+    return np.concatenate([x0, z0] if cfg.kind in ("dynext", "custom") else [x0]).tolist()
+
+
+def _reference_pass(sys, metric, gain, ref, cfg):
+    """Build the closed loop and run its reference pass once, for any number of plant
+    passes: (passes, times, the times as floats, rows, its (k, stage, error))."""
+    passes = _closed_loop(sys, metric, gain, ref, cfg)
+    times = time_grid(0.0, cfg.T, cfg.h)
+    grid, rows = array("d", times.tobytes()), array("d")
+    # the passes read and write Python floats: 1/0 raises instead of giving inf
+    result = passes[0](grid, rows.extend, *np.asarray(ref.xd0, dtype=float).tolist())
+    return passes, times, grid, rows, result
+
+
+def _plant_pass(sys, metric, gain, cfg, reference, state):
+    """One plant pass from `state` (see `_start`) on the rows of `_reference_pass`,
+    as a SimTrace. A plant failure at an earlier grid point or block than the
+    reference's wins; in the same block the reference's error is reported."""
+    (_, plant, width), times, grid, rows, (k, stage, err) = reference
+    n, m = sys.n, sys.m
+
+    def correction(*y):  # the geodesic v at (x, xd) = y
+        return path_integral_controller(gain, metric, y[:n], y[n:], np.zeros(m),
+                                        cfg.geodesic_segments).tolist()
+    row_iter = zip(*[iter(rows)] * width)
+    if stage == "law":  # row k holds only t and x_d; the plant records x there
+        row_iter = islice(row_iter, k)
+    out = array("d")  # (x, z, u) per grid point
+    found = plant(row_iter, k, grid, out.extend, *state, correction)
+    if found[1] or not stage:  # a plant failure comes first: the plant stops at the k
+        k, stage, err = found
+    end = k + 1
+    flags = [f"{_FAILURES[stage]} failure at t={times[k]:g}: {err}"] if stage else []
+    states = np.frombuffer(out).reshape(end, -1)
+    xs, us = states[:, :n], states[:, len(state):]
+    ref_rows = np.frombuffer(rows).reshape(-1, width)[:end]
+    xds, uds = ref_rows[:, 1 : n + 1].copy(), ref_rows[:, n + 1 : n + 1 + m].copy()
+    if stage == "law":  # no u_d where the law raised
+        uds[k] = math.nan
+    exits = times[:end][~sys.in_domain(xs)].tolist()
+    if exits:
+        flags.append(f"plant left the domain box at t={exits[0]:g} ({len(exits)} samples)")
+    return SimTrace(t=times[:end], x=xs, xd=xds, u=us, ud=uds, err=np.linalg.norm(xs - xds, axis=1),
+                    z=states[:, n : len(state)] if len(state) > n else None, flags=flags,
+                    completed=not stage)
 
 
 def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
     """Simulate tracking of the reference under the configured controller. Failures
     (divergence, NaN, a non-finite control, geodesic breakdown) truncate the trace
     and set a flag instead of raising, so sweeps survive bad samples."""
-    n, use_z = sys.n, cfg.kind in ("dynext", "custom")
-    xd0 = np.asarray(ref.xd0, dtype=float)
-    x0 = np.asarray(cfg.x0 if cfg.x0 is not None else xd0, dtype=float)
-    z0 = np.asarray(cfg.z0 if cfg.z0 is not None else xd0, dtype=float)
-    if x0.shape != (n,) or z0.shape != (n,):
-        raise SimulationError(f"x0 and z0 need {n} entries, got shapes {x0.shape} and {z0.shape}")
-    run = _closed_loop(sys, metric, gain, ref, cfg)
-    times = time_grid(0.0, cfg.T, cfg.h)
-    state = np.concatenate([x0, xd0, z0] if use_z else [x0, xd0]).tolist()
-    bufs = array("d"), array("d"), array("d")  # states, u and u_d, row by row
-
-    def correction(*y):  # the geodesic v at state y
-        return path_integral_controller(gain, metric, y[:n], y[n:], np.zeros(sys.m),
-                                        cfg.geodesic_segments).tolist()
-    # the run reads and writes Python floats: 1/0 raises instead of giving inf
-    k, stage, err = run(array("d", times.tobytes()), *(b.extend for b in bufs), *state, correction)
-    flags = [f"{stage} failure at t={times[k]:g}: {err}"] if stage else []
-    completed, end = not flags, k + 1
-    for buf in bufs[1:]:  # NaN u and u_d where the law failed
-        buf.extend([math.nan] * (end * sys.m - len(buf)))
-    states, us, uds = (np.frombuffer(buf).reshape(end, -1) for buf in bufs)
-    xs, xds = states[:, :n], states[:, n : 2 * n]
-    exits = times[:end][~sys.in_domain(xs)].tolist()
-    if exits:
-        flags.append(f"plant left the domain box at t={exits[0]:g} ({len(exits)} samples)")
-    return SimTrace(t=times[:end], x=xs, xd=xds, u=us, ud=uds,
-                    err=np.linalg.norm(xs - xds, axis=1),
-                    z=states[:, 2 * n :] if use_z else None, flags=flags, completed=completed)
+    state = _start(sys, ref, cfg, cfg.x0)
+    return _plant_pass(sys, metric, gain, cfg, _reference_pass(sys, metric, gain, ref, cfg), state)
 
 
 def decay_rate(trace, window):
@@ -258,6 +365,11 @@ def perturbation_sweep(sys, metric, gain, ref, cfg, radii, samples, seed=0):
         raise ValueError("radii must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     xd0 = np.asarray(ref.xd0, dtype=float)
+    try:  # the z0 shape, then one build and one reference pass for every sample
+        _start(sys, ref, cfg, xd0)
+        reference = _reference_pass(sys, metric, gain, ref, cfg)
+    except SimulationError:
+        return [(float(radius), 0.0) for radius in radii]
     results = []
     for radius in radii:
         hits = 0
@@ -268,10 +380,7 @@ def perturbation_sweep(sys, metric, gain, ref, cfg, radii, samples, seed=0):
                 direction = rng.standard_normal(sys.n)
                 direction /= np.linalg.norm(direction)
                 x0 = xd0 + radius * direction
-            try:
-                trace = run_closed_loop(sys, metric, gain, ref, replace(cfg, x0=x0))
-            except SimulationError:
-                continue
+            trace = _plant_pass(sys, metric, gain, cfg, reference, _start(sys, ref, cfg, x0))
             if trace.completed and trace.final_err() < cfg.err_threshold:
                 hits += 1
         results.append((float(radius), hits / samples))

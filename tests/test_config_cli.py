@@ -215,6 +215,19 @@ class TestCliCertify:
         assert capsys.readouterr().err == (
             "numerical failure: overflow encountered in multiply at x=[-1. -1.]\n")
 
+    @pytest.mark.parametrize("m_11, checks", [
+        ("1e300", "robust"),  # N^T M^2 N overflows inside the gamma0 solve
+        ("1e300", "killing"),  # the Killing residual never reads the bounds
+        ("1e307", "c1"),  # M df/dx overflows, with a warning, in the metric's form
+    ], ids=["robust", "killing", "c1"])
+    def test_metric_outside_its_bounds_exits_three(self, tmp_path, capsys, m_11, checks):
+        text = (NUMEX_MIN + f"[metric]\nM_1_1 = {m_11}\nM_2_2 = 2\np_lo = 0.1\np_hi = 2\n"
+                f"lambda = 1\n[certificate]\nchecks = {checks}\ngrid = 3\n")
+        assert main(["certify", "--config", write_config(tmp_path, text)]) == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: metric eigenvalue bounds violated at x=[-6. -6.]: "
+            f"eigs in [2, {float(m_11):.6g}], declared [0.1, 2]\n")
+
     @pytest.mark.parametrize("section, argv", [
         pytest.param("", ["certify", "--grid", "1"], id="grid-1"),
         pytest.param("", ["certify", "--grid", "5000"], id="grid-5000"),
@@ -483,7 +496,10 @@ class TestCliGeodesic:
         ("M_1_1 = -1\nM_2_2 = 1\n", "0 0", "0 1"),  # constant, energy 1
         ("M_1_1 = 1/x1\nM_2_2 = 1\n", "0.5 0", "-0.25 0"),  # M > 0 at the midpoint, not at x1 < 0
         ("M_1_1 = x1^2\nM_2_2 = 1\n", "-1 0", "1 0"),  # singular at the midpoint
-    ], ids=["constant", "constant-positive-energy", "curved", "singular-midpoint"])
+        # [[0.5, 0.5], [0.5, 0.5]] at the midpoint: cholesky accepts it, the pivot test does not
+        ("M_1_1 = x1\nM_1_2 = 0.5\nM_2_2 = x2\n", "0 0", "1 1"),
+    ], ids=["constant", "constant-positive-energy", "curved", "singular-midpoint",
+            "singular-midpoint-pivot"])
     def test_metric_not_positive_definite_exits_three(self, tmp_path, capsys, metric, start, end):
         text = CUSTOM_SYSTEM.replace("M_1_1 = 1\nM_2_2 = 1\n", metric)
         path = write_config(tmp_path, text)

@@ -490,7 +490,7 @@ def test_compile_fn_matches_evaluate(a, b):
         [shared, ex.differentiate(shared, "x1")],
         [ex.parse("(-0.0)*x1", XY), ex.parse("0.0*x1", XY)],
     ]
-    lines, _ = ex._straight_line(field)
+    lines, _, _ = ex._straight_line(field)
     rhs = dict(line.split(" = ") for line in lines)  # local -> right-hand side
     assert len(set(rhs.values())) == len(rhs)  # no right-hand side repeats
     product = [name for name, text in rhs.items() if text == "x1 * x2"]
@@ -505,10 +505,11 @@ def test_compile_fn_matches_evaluate(a, b):
 
 def test_straight_line_order():
     # children first, first operand first, first entry first
-    lines, texts = ex._straight_line([ex.parse("sin(x1) * cos(x2)", XY),
-                                      ex.parse("-x2 + sin(x1)", XY), ex.parse("x1", XY)])
+    lines, texts, operands = ex._straight_line([ex.parse("sin(x1) * cos(x2)", XY),
+                                                ex.parse("-x2 + sin(x1)", XY), ex.parse("x1", XY)])
     assert lines == ["_0 = sin(x1)", "_1 = cos(x2)", "_2 = _0 * _1", "_3 = -x2", "_4 = _3 + _0"]
     assert texts == ["_2", "_4", "x1"]
+    assert operands == [("x1",), ("x2",), ("_0", "_1"), ("x2",), ("_3", "_0")]
 
 
 def test_compiled_functions_profile_apart():

@@ -558,9 +558,9 @@ class TestGeneratedDynext:
         for _ in range(2):  # a second run (a sweep sample) reuses the run
             trace = run_closed_loop(numex.system, numex.metric, gain, numex.reference, cfg)
             assert trace.completed and len(trace.t) == 21
-        # the law computes v = beta(x, z) - beta(xd, z); the step reads it as v1
-        [src] = compiled
-        assert "v1, = _correction" not in src and "            v1 = _" in src
+        # the plant's law computes v = beta(x, z) - beta(xd, z); its step reads it as v1
+        [_, plant] = compiled  # the reference pass, then the plant pass
+        assert "v1, = _correction" not in plant and "            v1 = _" in plant
         assert beta_calls == []
 
     def test_synthesized_gain_uses_generated_correction(self, numex, monkeypatch):
@@ -581,7 +581,7 @@ class TestGeneratedDynext:
         trace = run_closed_loop(numex.system, numex.metric, gain, numex.reference, cfg)
         assert trace.completed and len(trace.t) == 6
         assert calls == []
-        assert len(compiled) == 1  # the run, nothing per gain
+        assert len(compiled) == 2  # the reference and plant passes, nothing per gain
 
 
 class TestGeneratedStatic:
@@ -601,8 +601,8 @@ class TestGeneratedStatic:
                         exactness_grid=Grid([-2, -2], [2, 2], (5, 5)))
         trace = run_closed_loop(numex.system, numex.metric, gain, numex.reference, cfg)
         assert trace.completed and len(trace.t) == 21
-        [src] = compiled  # the run, with the radial potential in its step
-        assert re.search(r"\bv\d", src) is None
+        [reference, plant] = compiled  # the radial potential in their steps
+        assert re.search(r"\bv\d", reference + plant) is None
         assert potential_calls == []
 
     def test_user_gain_with_a_kink_is_exact(self):
@@ -791,17 +791,27 @@ class TestBuildOnce:
         monkeypatch.setattr(ex, "compile_source", compile_source)
         return compiled
 
+    @staticmethod
+    def spy(monkeypatch, name):
+        """The results of each call of `sim.<name>`, in order."""
+        results = []
+
+        def call(*args, original=getattr(sim, name)):
+            results.append(original(*args))
+            return results[-1]
+
+        monkeypatch.setattr(sim, name, call)
+        return results
+
     def test_static_sweep_compiles_once(self, micro, monkeypatch):
         gain = GainField.from_exprs(3, 1, micro.builtin_gain)  # a new key
         compiled = self.count_compiles(monkeypatch)
-        runs = []
-        monkeypatch.setattr(sim, "run_closed_loop",
-                            lambda *args: runs.append(args) or run_closed_loop(*args))
+        plant_passes = self.spy(monkeypatch, "_plant_pass")
         cfg = RunConfig(kind="static", T=0.2, h=1e-2)
         perturbation_sweep(micro.system, micro.metric, gain, micro.reference, cfg,
                            [0.25, 0.5, 0.75, 1.0], 4, seed=3)
-        assert len(runs) == 16
-        assert len(compiled) == 1  # one run for the whole sweep
+        assert len(plant_passes) == 16
+        assert len(compiled) == 2  # one build of both passes for the whole sweep
 
     def test_geodesic_sweep_matches_fresh_runs(self, monkeypatch):
         def inputs():
@@ -810,12 +820,11 @@ class TestBuildOnce:
             ref = ReferenceSpec.from_strings(2, [0.0, 0.0], ["sin(t)"])
             return demo.system, demo.metric, gain, ref
 
-        traces = []
-        monkeypatch.setattr(sim, "run_closed_loop",
-                            lambda *args: traces.append(run_closed_loop(*args)) or traces[-1])
+        traces = self.spy(monkeypatch, "_plant_pass")
         cfg = RunConfig(kind="geodesic", T=0.2, h=0.05, geodesic_segments=16)
         perturbation_sweep(*inputs(), cfg, [1.0], 2, seed=5)
         assert len(traces) == 2 and traces[0].x[0, 0] != traces[1].x[0, 0]
+        monkeypatch.undo()  # the spy would record the fresh runs' plant passes too
         for trace in traces:  # each sample again, on objects built for it alone
             fresh = run_closed_loop(*inputs(), replace(cfg, x0=trace.x[0]))
             assert trace.completed and fresh.flags == trace.flags
@@ -831,15 +840,16 @@ class TestBuildOnce:
                         {"custom_u": ["-x1 - x2 + z1 - xd2"]}, {}):
             cfg = replace(cfg, **changed)
             trace = run_closed_loop(bundle.system, bundle.metric, None, bundle.reference, cfg)
-            counts.append(len(compiled))
+            counts.append(len(compiled) / 2)  # builds, of two passes each
             z_ends.append(trace.z[-1].tolist())
         assert counts == [1, 1, 2, 3, 3]
         assert z_ends[2] != z_ends[1]  # the new ell is the one simulated
 
 
 class TestSharedStepStart:
-    """The law and the RK4 step are one program: the step reads the values the
-    law computed at the step's start instead of computing them again."""
+    """The law and the RK4 step are one program split into a reference pass and a
+    plant pass: the step reads the values the law computed at the step's start,
+    and the plant pass those of the reference pass, instead of computing them again."""
 
     @staticmethod
     def blocks(src):
@@ -858,11 +868,86 @@ class TestSharedStepStart:
         cfg = RunConfig(kind=kind, T=0.05, h=1e-2)
         assert run_closed_loop(bundle.system, bundle.metric, gain, bundle.reference,
                                cfg).completed
-        [src] = compiled
-        for rhs in lines:
-            assert len(re.findall(rf" = {re.escape(rhs)}$", src, re.M)) == 1
-        law, step = self.blocks(src)
-        assert law and step and not set(law) & set(step)
+        [reference, plant] = compiled
+        for rhs in lines:  # in the reference pass alone
+            assert len(re.findall(rf" = {re.escape(rhs)}$", reference, re.M)) == 1
+            assert f" = {rhs}\n" not in plant
+        blocks = self.blocks(reference) + self.blocks(plant)
+        assert all(blocks)
+        assigned = [rhs for block in blocks for rhs in block]
+        assert len(set(assigned)) == len(assigned)
+
+
+class TestSweepPasses:
+    """A sweep runs the reference pass once and one plant pass per sample; each
+    sample's trace equals the single run from its x0, float for float."""
+
+    SWEEPS = {
+        "static": lambda b: (b.system, b.metric, GainField.from_exprs(2, 1, [["-1", "-1"]]),
+                             b.reference, RunConfig(kind="static", T=0.5, h=1e-2)),
+        "dynext": lambda b: (b.system, b.metric, GainField.from_exprs(2, 1, b.builtin_gain),
+                             b.reference, RunConfig(kind="dynext", T=0.5, h=1e-2, z0=np.zeros(2))),
+        "geodesic": lambda b: (b.system, b.metric, GainField.from_exprs(2, 1, b.builtin_gain),
+                               b.reference, RunConfig(kind="geodesic", T=0.2, h=2e-2)),
+        "custom": lambda b: (b.system, b.metric, None, b.reference, RunConfig(
+            kind="custom", T=0.5, h=1e-2, custom_u=["-x1 - 2*x2 + sin(t)*z1 - xd2"])),
+    }
+
+    @staticmethod
+    def sweep_traces(monkeypatch, args, radii=(0.0, 0.5, 2.0), samples=2):
+        """The sweep's result and the trace of each of its samples."""
+        traces = TestBuildOnce.spy(monkeypatch, "_plant_pass")
+        result = perturbation_sweep(*args, radii, samples, seed=11)
+        monkeypatch.undo()
+        assert len(traces) == len(radii) * samples
+        return result, traces
+
+    @staticmethod
+    def assert_single_runs(traces, args):
+        sys_, metric, gain, ref, cfg = args
+        for trace in traces:
+            single = run_closed_loop(sys_, metric, gain, ref, replace(cfg, x0=trace.x[0]))
+            assert (trace.flags, trace.completed) == (single.flags, single.completed)
+            assert hex_columns(trace) == hex_columns(single)
+            assert trace.xd.flags.owndata and trace.ud.flags.owndata  # no shared rows
+
+    @pytest.mark.parametrize("kind", sorted(SWEEPS))
+    def test_samples_equal_single_runs(self, numex, monkeypatch, kind):
+        args = self.SWEEPS[kind](numex)
+        result, traces = self.sweep_traces(monkeypatch, args)
+        self.assert_single_runs(traces, args)
+        hits = [trace.completed and trace.final_err() < args[4].err_threshold for trace in traces]
+        assert [fraction for _, fraction in result] == [
+            (hits[i] + hits[i + 1]) / 2 for i in range(0, len(hits), 2)]
+
+    def test_reference_pass_runs_once_per_sweep(self, numex, monkeypatch):
+        sys_, metric, gain, ref, cfg = self.SWEEPS["static"](numex)
+        references = TestBuildOnce.spy(monkeypatch, "_reference_pass")
+        moved = ReferenceSpec(ref.xd0 + 0.25, ref.ud_exprs)
+        for sweep_ref, sweep_cfg in ((ref, cfg), (moved, cfg), (ref, replace(cfg, h=2e-2))):
+            perturbation_sweep(sys_, metric, gain, sweep_ref, sweep_cfg, [0.5, 1.0], 3)
+        assert len(references) == 3  # one per sweep, none per sample
+        rows = [np.frombuffer(buf) for _, _, _, buf, _ in references]
+        assert rows[1][1] == rows[0][1] + 0.25  # xd1 at t = 0 of the moved reference
+        assert len(rows[2]) < len(rows[0])  # half the grid points at twice the step
+
+    @pytest.mark.parametrize("case", ["feedforward-reciprocal-time", "custom-reciprocal-time",
+                                      "custom-sqrt", "custom-inf", "custom-nan",
+                                      "custom-domain-error"])
+    def test_reference_failures_match_single_runs(self, numex, monkeypatch, case):
+        # u_d, or a custom u over t alone, fails in the reference pass
+        args = FAILURE_CASES[case](numex)
+        _, traces = self.sweep_traces(monkeypatch, args)
+        assert not any(trace.completed for trace in traces)
+        self.assert_single_runs(traces, args)
+
+    def test_reference_error_wins_a_tie(self, numex):
+        # at t = 0 from x1 = 0 both 1/x1 (plant) and sqrt(t - 1) (reference)
+        # raise in the law block; the generated program meets 1/x1 first
+        trace = run_closed_loop(numex.system, numex.metric, None, numex.reference, RunConfig(
+            kind="custom", T=1.0, h=1e-2, x0=np.zeros(2), custom_u=["1/x1 + sqrt(t - 1)"]))
+        assert trace.flags == ["controller failure at t=0: sqrt of negative value -1.0"]
+        assert np.isnan(trace.u).all() and np.isnan(trace.ud).all()
 
 
 class TestPerturbationSweep:
