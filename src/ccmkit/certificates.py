@@ -175,11 +175,16 @@ def _per_rank(points, groups, solve, width):
 
 
 def _check_metric_bounds(metric, points):
-    """Raise at the first grid point where M's eigenvalues leave [p_lo, p_hi],
-    before any form of M is computed: an overflowing M would warn there. A
+    """Raise at the first grid point where M is not finite or an eigenvalue is
+    NaN or outside [p_lo, p_hi], before a form of M can warn on an overflow. A
     constant M is checked at the first point alone."""
-    w, _ = sym_eig(metric.eval(points[:1] if metric.constant else points))
-    bad = np.flatnonzero((w[:, 0] < metric.p_lo - BOUND_TOL) | (w[:, -1] > metric.p_hi + BOUND_TOL))
+    m_x = metric.eval(points[:1] if metric.constant else points)
+    finite = np.isfinite(m_x).all(axis=(1, 2))
+    if not finite.all():
+        raise CertificateError(f"metric not finite at x={points[np.argmin(finite)]}")
+    w, _ = sym_eig(m_x)
+    bad = np.flatnonzero(~((w[:, 0] >= metric.p_lo - BOUND_TOL)
+                           & (w[:, -1] <= metric.p_hi + BOUND_TOL)))
     if bad.size:
         at = bad[0]
         raise CertificateError(
@@ -253,6 +258,7 @@ def check_dual_w(sys, w_metric, grid, tol=DEFAULT_TOL):
     if w_metric.role != "dual":
         raise CertificateError("dual-W check needs a metric with role=dual")
     points = grid.array()
+    _check_metric_bounds(w_metric, points)
     flow, _ = contraction_quadratic(sys, w_metric, points)
 
     def solve(index, basis):

@@ -281,12 +281,13 @@ def dynext_beta(gain, x, z):
     return out.reshape(x.shape[:-1] + (gain.m,))
 
 
-def dynext_beta_exprs(gain, x, z):
-    """`dynext_beta` as m Exprs in x and z: the sum over the axes i of the
-    line integral of K along x_i e_i from z with slot i at 0."""
-    per_axis = [_line_integral_exprs(gain, [ex.ZERO if k == i else z_k for k, z_k in enumerate(z)],
-                                     [x_i if k == i else ex.ZERO for k in range(gain.n)])
-                for i, x_i in enumerate(x)]
+def dynext_correction_exprs(gain, x, x_d, z):
+    """beta(x, z) - beta(x_d, z) of `dynext_control` as m Exprs in x, x_d and z:
+    the sum over the axes i of the line integral of K along (x_i - x_d,i) e_i
+    from z with slot i at x_d,i. With x_d = 0 it is `dynext_beta`."""
+    per_axis = [_line_integral_exprs(gain, [a if k == i else z_k for k, z_k in enumerate(z)],
+                                     [ex.sub(b, a) if k == i else ex.ZERO for k in range(gain.n)])
+                for i, (a, b) in enumerate(zip(x_d, x))]
     return [reduce(ex.add, terms) for terms in zip(*per_axis)]
 
 

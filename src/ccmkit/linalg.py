@@ -88,7 +88,7 @@ def require_symmetric(a):
                 f"matrix not symmetric: max |A - A^T| = {skew[bad[0]]:g}",
                 _member(a, bad[0]),
             )
-    return 0.5 * (a + a_t)
+    return 0.5 * a + 0.5 * a_t  # exact halves: no overflow near the largest float
 
 
 def sym_eig(a):

@@ -2,17 +2,18 @@
 
 The closed loop, one ODE in x, x_d and z with u = u_d(t, x_d) + v, is one
 straight-line program per grid point of `integrate.time_grid`, which ends at T:
-the law (u, u_d, v), then one RK4 step (`integrate.rk4_exprs`) with v held, which
-reads the step-start values the law computed. It runs as two generated passes:
-the reference pass, over the lines that read only t, h, x_d and literals (u_d,
-the x_d step, beta(x_d) of the static law), stores one row per grid point, and
-the plant pass runs the other lines on those rows. A sweep runs the reference pass
-once and the plant pass per sample; a single run is a sweep of one sample. Each
-block keeps its own failure checks. The static law is the gain's radial potential
-(`controller.radial_potential_exprs`), the dynext v comes from
-`controller.dynext_beta_exprs` and the geodesic v from a Python callback. Both
-passes are built once for runs that differ only in x0, z0, T, h or the geodesic
-settings.
+the law (u, u_d), then one RK4 step (`integrate.rk4_exprs`), which reads the
+step-start values the law computed. The static v = beta(x) - beta(x_d)
+(`controller.radial_potential_exprs`) and the dynext v = beta(x, z) - beta(x_d, z)
+(`controller.dynext_correction_exprs`) are part of the rates, so every RK4 stage
+evaluates them; the geodesic v comes from a Python callback at the step start and
+is held over the step, a sampled-data law. It runs as two generated passes: the
+reference pass, over the lines that read only t, h, x_d and literals (u_d, the x_d
+step, beta(x_d) of the static law), stores one row per grid point, and the plant
+pass runs the other lines on those rows. A sweep runs the reference pass once and
+the plant pass per sample; a single run is a sweep of one sample. Each block keeps
+its own failure checks. Both passes are built once for runs that differ only in
+x0, z0, T, h or the geodesic settings.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import islice
 import numpy as np
 
 from . import expr as ex
-from .controller import (EXACTNESS_TOL, dynext_beta_exprs, exactness_residual,
+from .controller import (EXACTNESS_TOL, dynext_correction_exprs, exactness_residual,
                          radial_potential_exprs)
 from .geodesic import DEFAULT_NODES, MAX_SEGMENTS, GeodesicError, path_integral_controller
 from .integrate import DIVERGENCE_LIMIT, IntegrationError, rk4_exprs, time_grid
@@ -209,8 +210,7 @@ def _closed_loop(sys, metric, gain, ref, cfg):
     n, m, ud, use_z = sys.n, sys.m, ref.ud_exprs, cfg.kind in ("dynext", "custom")
     names = ["t"] + [f"{p}{i + 1}" for p in ("x", "xd", "z")[: 3 if use_z else 2] for i in range(n)]
     x, xd, z = ([ex.var(name) for name in names[1 + i * n : 1 + (i + 1) * n]] for i in range(3))
-    held = [f"v{j + 1}" for j in range(m)] if cfg.kind in ("dynext", "geodesic") else []
-    v = [ex.var(name) for name in held]
+    held = [f"v{j + 1}" for j in range(m)] if cfg.kind == "geodesic" else []
     if cfg.kind == "custom":  # m expressions over t, x, xd and z
         if len(cfg.custom_u or ()) != m:
             raise SimulationError(f"custom controller needs {m} expressions")
@@ -219,20 +219,18 @@ def _closed_loop(sys, metric, gain, ref, cfg):
         _require_exact(gain, cfg.exactness_grid)
         beta_x, beta_xd = radial_potential_exprs(gain, x), radial_potential_exprs(gain, xd)
         u = [ex.add(a, ex.sub(b, c)) for a, b, c in zip(ud, beta_x, beta_xd)]
-    else:  # u_d plus the held correction v
-        u = [ex.add(a, b) for a, b in zip(ud, v)]
+    elif cfg.kind == "dynext":  # u_d + beta(x, z) - beta(xd, z), at every RK4 stage
+        u = [ex.add(a, b) for a, b in zip(ud, dynext_correction_exprs(gain, x, xd, z))]
+    else:  # u_d plus the geodesic v, held over the step
+        u = [ex.add(a, ex.var(b)) for a, b in zip(ud, held)]
     # x' = f(x) + B(x) u, xd' = f(xd) + B(xd) ud and z' = x' - ell (z - x)
     fx = _plant(sys, u, {})
     rates = fx + _plant(sys, ud, dict(zip(state_vars(n), xd)))
     if use_z:
         rates += [ex.sub(a, ex.mul(ex.const(cfg.ell), ex.sub(c, b))) for a, b, c in zip(fx, x, z)]
-    if cfg.kind == "dynext":  # the law computes v = beta(x, z) - beta(xd, z)
-        beta = zip(dynext_beta_exprs(gain, x, z), dynext_beta_exprs(gain, xd, z))
-        v = [ex.sub(a, b) for a, b in beta]
-        u = [ex.add(a, b) for a, b in zip(ud, v)]
     # one program, law first: the law's lines end at the last local its entries name
-    lines, texts, operands = ex._straight_line([u, ud, v, rk4_exprs(rates, names[1:])])
-    k = 2 * m + len(v)  # the law's entries
+    lines, texts, operands = ex._straight_line([u, ud, rk4_exprs(rates, names[1:])])
+    k = 2 * m  # the law's entries
     split = max((int(a[1:]) + 1 for a in texts[:k] if a.startswith("_")), default=0)
     # line j, `_j = ...`, is the plant's when it reads x, z, v or a plant line
     xds, ys = names[n + 1 : 2 * n + 1], names[1 : n + 1] + names[2 * n + 1 :]
@@ -247,9 +245,8 @@ def _closed_loop(sys, metric, gain, ref, cfg):
     ref_law, ref_step, law, step = blocks
     if cfg.kind == "geodesic":  # the plant's law reads v from the run's callback
         law.insert(0, f"{', '.join(held)}, = _correction({', '.join(names[1 : 2 * n + 1])})")
-    law += [f"{a} = {b}" for a, b in zip(held, texts[2 * m : k]) if a != b]  # v, held over the step
     y_next, xd_next = texts[k : k + n] + texts[k + 2 * n :], texts[k + n : k + 2 * n]
-    read.update(texts[:m], texts[2 * m : k], y_next)
+    read.update(texts[:m], y_next)
     # a row: t, x_d, u_d, h and the other reference locals the plant pass reads; in
     # the plant pass a u_d that is a literal or a variable unpacks to "_"
     ud_row = [a if a.startswith("_") else "_" for a in texts[m : 2 * m]]

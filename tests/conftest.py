@@ -42,8 +42,9 @@ def micro_gain(micro):
 def closed_loop_parts():
     """parts(sys, metric, gain, ref, cfg): what `sim._closed_loop` generates its
     run from, captured in a fresh build, as a dict: "names", the state names;
-    "held", the names the step reads v from; "rates"; "step", the RK4 step
-    over them; "law", [u, u_d, v] over t, the states and, for geodesic, held."""
+    "held", the names the geodesic law and step read v from (none for the other
+    kinds); "rates"; "step", the RK4 step over them; "law", [u, u_d] over t,
+    the states and held."""
 
     def parts(sys, metric, gain, ref, cfg):
         seen = {}
@@ -61,9 +62,9 @@ def closed_loop_parts():
             patch.setattr(sim, "rk4_exprs", rk4_exprs)
             patch.setattr(sim, "_BUILT", [((), None)])
             sim._closed_loop(sys, metric, gain, ref, cfg)
-        held = [f"v{j + 1}" for j in range(sys.m)] if cfg.kind in ("dynext", "geodesic") else []
+        held = [f"v{j + 1}" for j in range(sys.m)] if cfg.kind == "geodesic" else []
         return {"names": seen["names"], "held": held, "rates": seen["rates"],
-                "step": seen["expr"][3], "law": seen["expr"][:3]}
+                "step": seen["expr"][2], "law": seen["expr"][:2]}
 
     return parts
 

@@ -228,6 +228,32 @@ class TestCliCertify:
             f"numerical failure: metric eigenvalue bounds violated at x=[-6. -6.]: "
             f"eigs in [2, {float(m_11):.6g}], declared [0.1, 2]\n")
 
+    @pytest.mark.parametrize("checks", ["c1", "killing", "robust"])
+    @pytest.mark.parametrize("m_11, message", [
+        # (M + M^T) / 2 would overflow to inf; a NaN eigenvalue must fail the bounds
+        ("1e308", "metric eigenvalue bounds violated at x=[-6. -6.]: "
+                  "eigs in [2, 1e+308], declared [0.1, 2]"),
+        ("1e309", "metric not finite at x=[-6. -6.]"),  # M_1_1 = inf
+    ], ids=["1e308", "inf"])
+    def test_overflowing_metric_exits_three(self, tmp_path, capsys, checks, m_11, message):
+        text = (NUMEX_MIN + f"[metric]\nM_1_1 = {m_11}\nM_2_2 = 2\np_lo = 0.1\np_hi = 2\n"
+                f"lambda = 1\n[certificate]\nchecks = {checks}\ngrid = 3\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["certify", "--config", write_config(tmp_path, text)]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+        assert [str(w.message) for w in caught] == []
+
+    def test_dual_metric_outside_its_bounds_exits_three(self, tmp_path, capsys):
+        # W's eigenvalues 1.99 and 100.01 against p_hi = 2; the dual-W
+        # conditions themselves hold, so only the bound check can fail it
+        text = (NUMEX_MIN + "[metric]\nrole = dual\nM_1_1 = 100\nM_1_2 = -1\nM_2_2 = 2\n"
+                "p_lo = 0.1\np_hi = 2\nlambda = 1\n[certificate]\nchecks = dual-w\ngrid = 3\n")
+        assert main(["certify", "--config", write_config(tmp_path, text)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: metric eigenvalue bounds violated at x=[-6. -6.]: "
+            "eigs in [1.9898, 100.01], declared [0.1, 2]\n")
+
     @pytest.mark.parametrize("section, argv", [
         pytest.param("", ["certify", "--grid", "1"], id="grid-1"),
         pytest.param("", ["certify", "--grid", "5000"], id="grid-5000"),

@@ -17,9 +17,9 @@ from ccmkit.controller import (
     GainField,
     SynthesisError,
     dynext_beta,
-    dynext_beta_exprs,
     dynext_control,
     dynext_controller_step,
+    dynext_correction_exprs,
     exactness_residual,
     gauss_legendre_01,
     khat,
@@ -326,7 +326,7 @@ class TestDynExt:
 
     def test_synthesized_beta_matches_per_node_quadrature(self, numex, closed_loop_parts):
         # a synthesized gain has expressions, so the tree-walking per-node
-        # oracle and the correction v of the generated law both apply to it
+        # oracle and the correction u - u_d of the generated law both apply to it
         gain = synthesize_gain(numex.system, numex.metric,
                                DampingParams(r=1.5, gamma0=0.1, lam=2.0 / 3.0))
         parts = closed_loop_parts(numex.system, numex.metric, gain, numex.reference,
@@ -337,7 +337,8 @@ class TestDynExt:
             x, xd, z = rng.uniform(-3, 3, size=(3, 2))
             want = scalar_dynext_beta(gain, x, z)
             np.testing.assert_allclose(dynext_beta(gain, x, z), want, rtol=1e-12)
-            _, _, generated = law(0.0, *x, *xd, *z)
+            u, ud = law(0.0, *x, *xd, *z)
+            generated = [a - b for a, b in zip(u, ud)]
             np.testing.assert_allclose(generated, want - scalar_dynext_beta(gain, xd, z),
                                        rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
@@ -601,12 +602,17 @@ def rule_sizes(monkeypatch):
     return sizes
 
 
+def beta_exprs(gain, x, z):
+    """The generated dynext beta(x, z): the correction beta(x, z) - beta(x_d, z)
+    from x_d = 0."""
+    return dynext_correction_exprs(gain, x, [ex.ZERO] * gain.n, z)
+
+
 def generated_potentials(gain):
     """The generated dynext beta(x1..xn, z1..zn) and radial potential(x1..xn)
     of `gain`, compiled."""
     xs, zs = state_vars(gain.n), [f"z{i + 1}" for i in range(gain.n)]
-    beta = ex.compile_fn(dynext_beta_exprs(gain, list(map(ex.var, xs)),
-                                           list(map(ex.var, zs))), xs + zs)
+    beta = ex.compile_fn(beta_exprs(gain, list(map(ex.var, xs)), list(map(ex.var, zs))), xs + zs)
     return beta, ex.compile_fn(radial_potential_exprs(gain, list(map(ex.var, xs))), xs)
 
 
@@ -684,7 +690,7 @@ class TestSizedRule:
         xs = [ex.var(name) for name in state_vars(gain.n)]
         zs = [ex.var(f"z{i + 1}") for i in range(gain.n)]
         want = ex.matvec(gain.exprs, xs)
-        for got in (dynext_beta_exprs(gain, xs, zs), radial_potential_exprs(gain, xs)):
+        for got in (beta_exprs(gain, xs, zs), radial_potential_exprs(gain, xs)):
             assert len(got) == len(want) and all(map(_same_tree, got, want))
         assert rule_sizes == [1] * (gain.n + 1)
 
@@ -694,4 +700,4 @@ class TestSizedRule:
         want = ex.matvec(micro_gain.exprs, xs)
         got = radial_potential_exprs(micro_gain, xs)
         assert all(map(_same_tree, got, want))
-        assert all(map(_same_tree, dynext_beta_exprs(micro_gain, xs, xs), want))
+        assert all(map(_same_tree, beta_exprs(micro_gain, xs, xs), want))

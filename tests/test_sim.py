@@ -56,7 +56,7 @@ def numpy_rk4_step(field, x, t, h):
 def reference_loop(sys, metric, gain, ref, cfg):
     """Oracle for run_closed_loop: the closed loop assembled at every RK4
     stage from eval_f, eval_b, eval_ud and the controller functions on
-    numpy arrays, with the same time grid, hold and failure flags."""
+    numpy arrays, with the same time grid, geodesic hold and failure flags."""
     n = sys.n
     xd0 = np.asarray(ref.xd0, dtype=float)
     x0 = np.asarray(cfg.x0 if cfg.x0 is not None else xd0, dtype=float)
@@ -72,17 +72,16 @@ def reference_loop(sys, metric, gain, ref, cfg):
     elif cfg.kind == "static":
         def law(t, x, xd, z, ud, held):
             return ud + (radial_potential(gain, x) - radial_potential(gain, xd))
+    elif cfg.kind == "dynext":
+        def law(t, x, xd, z, ud, held):
+            return dynext_control(gain, z, x, xd, ud)
     else:
         def law(t, x, xd, z, ud, held):
             return ud + held
 
-        if cfg.kind == "dynext":
-            def update(x, xd, z):
-                return dynext_control(gain, z, x, xd, 0.0)
-        else:
-            def update(x, xd, z):
-                return path_integral_controller(gain, metric, x, xd, np.zeros(sys.m),
-                                                cfg.geodesic_segments)
+        def update(x, xd, z):
+            return path_integral_controller(gain, metric, x, xd, np.zeros(sys.m),
+                                            cfg.geodesic_segments)
 
     def split(y):
         return y[:n], y[n : 2 * n], y[2 * n :] if use_z else None
@@ -145,7 +144,7 @@ def stepwise_loop(parts, sys, metric, gain, ref, cfg):
     n, use_z, built = sys.n, cfg.kind in ("dynext", "custom"), parts(sys, metric, gain, ref, cfg)
     names, held = built["names"], built["held"]
     step = ex.compile_fn(built["step"], ["t", "h"] + names + held)
-    law = ex.compile_fn(built["law"], ["t"] + names + (held if cfg.kind == "geodesic" else []))
+    law = ex.compile_fn(built["law"], ["t"] + names + held)
     xd0 = np.asarray(ref.xd0, dtype=float)
     x0 = np.asarray(cfg.x0 if cfg.x0 is not None else xd0, dtype=float)
     z0 = np.asarray(cfg.z0 if cfg.z0 is not None else xd0, dtype=float)
@@ -163,7 +162,7 @@ def stepwise_loop(parts, sys, metric, gain, ref, cfg):
             if cfg.kind == "geodesic":
                 v = path_integral_controller(gain, metric, state[:n], state[n:],
                                              np.zeros(sys.m), cfg.geodesic_segments).tolist()
-            u_k, uds[k], v_k = law(t, *state, *v)
+            u_k, uds[k] = law(t, *state, *v)
             if not all(map(math.isfinite, u_k)):
                 raise ArithmeticError("non-finite control")
             us[k] = u_k
@@ -173,7 +172,7 @@ def stepwise_loop(parts, sys, metric, gain, ref, cfg):
         if k + 1 == times.size:
             break
         try:
-            state = step(t, float(times[k + 1]) - t, *state, *v_k)
+            state = step(t, float(times[k + 1]) - t, *state, *v)
             if not all(map(math.isfinite, state)):
                 raise IntegrationError("non-finite state in RK4 step", t)
             if max(map(abs, state)) > DIVERGENCE_LIMIT:
@@ -351,6 +350,35 @@ class TestAccuracy:
         # allow sub-0.1% local wiggle around the exponential envelope
         assert np.all(np.diff(errs) <= 1e-3 * errs[:-1])
 
+    def test_scenario_a_matches_dop853(self, numex, numex_gain, scenario_a):
+        # the continuous ODE in (x, x_d, z), with v = beta(x, z) - beta(x_d, z)
+        # evaluated wherever the solver asks; holding v over each RK4 step
+        # would put the run 4.3e-3 off at t = 5
+        from scipy.integrate import solve_ivp
+
+        trace, _ = scenario_a
+        sys_, ref = numex.system, numex.reference
+
+        def rhs(t, y):
+            x, xd, z = y[:2], y[2:4], y[4:]
+            ud = ref.eval_ud(t, xd)
+            fx = sys_.eval_f(x) + sys_.eval_b(x) @ dynext_control(numex_gain, z, x, xd, ud)
+            fxd = sys_.eval_f(xd) + sys_.eval_b(xd) @ ud
+            return np.concatenate([fx, fxd, fx - 5.0 * (z - x)])  # the fixture's ell
+
+        steps = [round(t / 1e-3) for t in (5.0, 10.0, 20.0)]
+        y0 = np.concatenate([trace.x[0], trace.xd[0], trace.z[0]])
+        want = solve_ivp(rhs, (0.0, 20.0), y0, method="DOP853", rtol=1e-12, atol=1e-14,
+                         t_eval=trace.t[steps]).y.T
+        got = np.hstack([trace.x, trace.xd, trace.z])[steps]
+        errors = np.max(np.abs(got - want), axis=1)
+        assert np.all(errors <= 1e-8), errors
+
+    def test_scenario_a_flags(self, scenario_a):
+        trace, _ = scenario_a
+        assert trace.completed
+        assert trace.flags == ["plant left the domain box at t=0.241 (32 samples)"]
+
     def test_scenario_b_tracks(self, scenario_b):
         trace, _ = scenario_b
         assert trace.completed
@@ -502,7 +530,7 @@ class TestGeneratedStep:
 
 
 class TestGeneratedDynext:
-    """The dynext correction v = beta(x, z) - beta(xd, z) is an output of the
+    """The dynext correction v = beta(x, z) - beta(xd, z) is u - u_d of the
     generated law, against `dynext_control` as its oracle."""
 
     SIN_EXP = [["-(x2^2 + 1)*exp(x1/5)", "-x2^2 + sin(x1)"]]
@@ -538,8 +566,8 @@ class TestGeneratedDynext:
             states[-1, :] = 0.0
             for y in states:
                 x, xd, z = y[:n], y[n : 2 * n], y[2 * n :]
-                u, ud, v = law(0.5, *y.tolist())
-                assert u == tuple(a + b for a, b in zip(ud, v))  # u = u_d + v
+                u, ud = law(0.5, *y.tolist())
+                v = [a - b for a, b in zip(u, ud)]
                 want = dynext_control(gain, z, x, xd, 0.0)
                 scale = np.max(np.abs(controller.dynext_beta(gain, np.stack([x, xd]), z)))
                 np.testing.assert_allclose(np.array(v), want, rtol=1e-12, atol=1e-12 * scale)
@@ -558,9 +586,9 @@ class TestGeneratedDynext:
         for _ in range(2):  # a second run (a sweep sample) reuses the run
             trace = run_closed_loop(numex.system, numex.metric, gain, numex.reference, cfg)
             assert trace.completed and len(trace.t) == 21
-        # the plant's law computes v = beta(x, z) - beta(xd, z); its step reads it as v1
-        [_, plant] = compiled  # the reference pass, then the plant pass
-        assert "v1, = _correction" not in plant and "            v1 = _" in plant
+        # u = u_d + beta(x, z) - beta(xd, z) at every stage, with no held v
+        [reference, plant] = compiled
+        assert re.search(r"\bv\d", reference + plant) is None
         assert beta_calls == []
 
     def test_synthesized_gain_uses_generated_correction(self, numex, monkeypatch):
@@ -869,6 +897,8 @@ class TestSharedStepStart:
         assert run_closed_loop(bundle.system, bundle.metric, gain, bundle.reference,
                                cfg).completed
         [reference, plant] = compiled
+        # no v1..vm: the first RK4 stage reads the law's u, the dynext v included
+        assert re.search(r"\bv\d", reference + plant) is None
         for rhs in lines:  # in the reference pass alone
             assert len(re.findall(rf" = {re.escape(rhs)}$", reference, re.M)) == 1
             assert f" = {rhs}\n" not in plant
