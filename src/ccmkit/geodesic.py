@@ -2,19 +2,19 @@
 
 A path is a polyline with pinned endpoints; its Riemannian energy
 N * sum_k dx_k^T M(mid_k) dx_k is minimized over the interior nodes by
-gradient descent with an Armijo backtracking line search, starting from
-the straight chord. The gradient is preconditioned by the inverse chain
-Laplacian along the nodes, so the node count does not dictate the step
-size, and by M^-1 at the chord midpoint across the axes, so the metric's
-scale does not either. The energy and its gradient come from one call of
-the metric's segment kernel (`MetricField.segment`) on the whole segment
-stack, one for the start and one per line-search trial; the accepted
-trial's gradient starts the next iteration. A converged path is then
-bumped by a half-sine along each axis, both ways, to leave a saddle: one
-kernel call on the stack of all 2n bumped paths prices them, and only a
-bump that starts below the converged energy is descended from. For
-constant metrics the straight chord is already optimal. The path-integral
-controller consumes the optimized tangents directly.
+Newton's method with an Armijo backtracking line search, starting from
+the straight chord. The energy, its gradient and its block-tridiagonal
+Hessian come from one call of the metric's segment kernel
+(`MetricField.segment`) on the whole segment stack, one for the start and
+one per line-search trial; the Hessian is held as a dense matrix. Where
+its Cholesky fails the Hessian is not positive definite, and the step is
+the shifted Newton step plus a step along the eigenvector of its most
+negative eigenvalue, which leaves a saddle such as a stationary chord. A
+path is `converged` only where its largest node gradient is at most
+GRAD_TOL and its Hessian is positive definite, so it is a strict local
+minimum of the discrete energy. For constant metrics the straight chord
+is already optimal. The path-integral controller consumes the optimized
+tangents directly.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from .linalg import PIVOT_TOL
 
 ARMIJO_C = 1e-4
 GRAD_TOL = 1e-8
-ENERGY_TOL = 1e-12
 MAX_ITERS = 500
 DEFAULT_NODES = 32
-MAX_SEGMENTS = 4096  # the chain preconditioner is a dense (N-1) x (N-1) matrix
+MAX_SEGMENTS = 4096  # the Hessian is a dense ((N-1) n)^2 matrix
 
 
 class GeodesicError(RuntimeError):
@@ -65,104 +64,113 @@ def riemann_energy(metric, nodes):
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     if nodes.shape[0] < 2:
         raise ValueError("need at least 2 nodes")
-    return _energy_and_gradient(metric, nodes)[0]
+    return _kernel(metric, nodes)[1]
 
 
-def _energy_and_gradient(metric, nodes):
-    """The discrete energy and its gradient w.r.t. the interior nodes, from
-    one call of the metric's segment kernel.
+def _kernel(metric, nodes):
+    """The segment kernel's rows on the path `nodes`, and its energy."""
+    kernel = metric.segment(0.5 * (nodes[1:] + nodes[:-1]), nodes[1:] - nodes[:-1])
+    return kernel, len(kernel) * float(kernel[:, 0].sum())
+
+
+def _gradient_and_hessian(kernel, dim):
+    """The energy's gradient w.r.t. the interior nodes, `(N-1, n)`, and its
+    dense `((N-1) n)^2` Hessian, from the segment kernel's rows.
 
     Node j sits between segments j-1 and j, so it gets
     2 M(mid_{j-1}) dx_{j-1} - 2 M(mid_j) dx_j plus, per axis a, half of
-    dx^T dM/dx_a dx from both segments, all times N.
+    dx^T dM/dx_a dx from both segments, all times N. With P the matrix
+    whose row a is (dM/dx_a) dx and D = dx^T (d^2 M/dx_a dx_b) dx, a
+    segment adds 2M -+ (P + P^T) + D/4 to its start and end node's
+    diagonal block and -2M + P - P^T + D/4 to their coupling block.
     """
-    n_seg, dim = nodes.shape[0] - 1, nodes.shape[1]
-    kernel = metric.segment(0.5 * (nodes[1:] + nodes[:-1]), nodes[1:] - nodes[:-1])
-    pulls, bends = kernel[:, 1:dim + 1], kernel[:, dim + 1:]
+    n_seg = len(kernel)
+    rows = n_seg * kernel
+    pulls, bends = rows[:, 1:dim + 1], rows[:, dim + 1:2 * dim + 1]
+    m, p, curv = rows[:, 2 * dim + 1:].reshape(n_seg, 3, dim, dim).transpose(1, 0, 2, 3)
     grad = 2.0 * (pulls[:-1] - pulls[1:]) + 0.5 * (bends[:-1] + bends[1:])
-    return n_seg * float(kernel[:, 0].sum()), n_seg * grad
+    m2, c4 = 2.0 * m, 0.25 * curv
+    sym, skew = p + p.transpose(0, 2, 1), p - p.transpose(0, 2, 1)
+    base, coupling = m2 + c4, (c4 - m2 + skew)[1:-1]
+    hess = np.zeros((grad.size, grad.size))
+    blocks = hess.reshape(n_seg - 1, dim, n_seg - 1, dim)
+    # writable views of the diagonal, upper and lower block diagonals
+    np.einsum("kakb->kab", blocks)[...] = (base + sym)[:-1] + (base - sym)[1:]
+    np.einsum("kakb->kab", blocks[:-1, :, 1:])[...] = coupling
+    np.einsum("kakb->kab", blocks[1:, :, :-1])[...] = coupling.transpose(0, 2, 1)
+    return grad, hess
 
 
-def _escape_starts(metric, nodes, bump):
-    """The 2n saddle-escape starts of `nodes` as one `(2n, N+1, n)` stack
-    (the interior plus `bump` along axis 0, minus it along axis 0, plus it
-    along axis 1, and so on) and their energies, from one call of the
-    segment kernel on all 2n N segments."""
-    n_seg, dim = nodes.shape[0] - 1, nodes.shape[1]
-    starts = np.repeat(nodes[None], 2 * dim, axis=0)
-    rows = np.arange(2 * dim)
-    starts[rows, 1:-1, rows // 2] += np.outer(np.tile([1.0, -1.0], dim), bump)
-    kernel = metric.segment((0.5 * (starts[:, 1:] + starts[:, :-1])).reshape(-1, dim),
-                            (starts[:, 1:] - starts[:, :-1]).reshape(-1, dim))
-    return starts, n_seg * kernel[:, 0].reshape(2 * dim, n_seg).sum(axis=1)
+def _newton(metric, nodes, amplitude, on_iteration):
+    """Newton's method with Armijo backtracking from the node array `nodes`:
+    the start and each line-search trial is one call of the segment kernel,
+    and a segment with d^T M d < 0 raises GeodesicError.
 
-
-def _chain_preconditioner(n_segments):
-    """Inverse of the Euclidean discrete-energy Hessian 2N tridiag(-1,2,-1),
-    in closed form: entry (i, j), 1-based, is min(i, j) (N - max(i, j)) / (2N^2).
-
-    Preconditioning the gradient with it removes the O(N^2) stiffness of
-    the node chain, which plain gradient descent cannot cope with.
+    Where the Hessian H is not positive definite (its Cholesky fails) the
+    step is -(H + tau I)^-1 g with tau = delta - lambda_min and
+    delta = |lambda_min|, so the shifted Hessian's smallest eigenvalue is
+    |lambda_min|, plus the unit eigenvector of lambda_min times
+    `amplitude`, pointed downhill (or, where g is orthogonal to it, with
+    its largest entry positive).
     """
-    k = np.arange(1.0, n_segments)
-    # i (N - j) is the entry where i <= j, and there it is below j (N - i)
-    upper = np.outer(k, n_segments - k) / (2.0 * n_segments * n_segments)
-    return np.minimum(upper, upper.T)
+    dim = nodes.shape[1]
 
+    def price(trial):
+        kernel, energy = _kernel(metric, trial)
+        k = int(np.argmin(kernel[:, 0]))
+        if kernel[k, 0] < 0.0:  # d^T M d < 0 at one midpoint
+            raise GeodesicError(f"metric not positive definite at "
+                                f"{(0.5 * (trial[k] + trial[k + 1])).tolist()}")
+        return kernel, energy
 
-def _descend(metric, nodes, max_iters, on_iteration, precond, m_inv):
-    """Gradient descent with Armijo backtracking from the node array
-    `nodes`, preconditioned by `precond` along the nodes and by `m_inv`
-    across the axes; the start and each trial is one evaluation of the
-    energy and the gradient."""
-    converged = False
-    iterations = 0
-    step = 1.0
-    energy, grad = _energy_and_gradient(metric, nodes)
-    for iterations in range(1, max_iters + 1):
-        grad_norm = float(np.max(np.linalg.norm(grad, axis=1))) if grad.size else 0.0
-        if grad_norm <= GRAD_TOL:
-            converged = True
-            iterations -= 1
+    kernel, energy = price(nodes)
+    for iterations in range(MAX_ITERS + 1):
+        grad, hess = _gradient_and_hessian(kernel, dim)
+        try:
+            np.linalg.cholesky(hess)
+            definite = True
+        except np.linalg.LinAlgError:
+            definite = False
+        if definite and np.linalg.norm(grad, axis=1).max() <= GRAD_TOL:
+            return nodes, energy, iterations, True
+        if iterations == MAX_ITERS:
             break
-        direction = precond @ grad @ m_inv
-        slope = float(np.sum(grad * direction))  # > 0, precond and m_inv are SPD
-        accepted = False
-        step = min(step * 2.0, 1.0)
+        grad = grad.ravel()
+        if definite:
+            direction = -np.linalg.solve(hess, grad)
+        else:
+            lam, vecs = np.linalg.eigh(hess)
+            lowest = vecs[:, 0] * np.sign(vecs[np.argmax(np.abs(vecs[:, 0])), 0])
+            if grad @ lowest > 0.0:
+                lowest = -lowest
+            tau = abs(lam[0]) - lam[0]  # -2 lambda_min; 0 for a near-singular H >= 0
+            direction = amplitude * lowest - vecs @ ((vecs.T @ grad) / (lam + tau))
+        slope = float(grad @ direction)  # < 0: a descent direction
+        step = 1.0
         while step > 1e-16:
             trial = nodes.copy()
-            trial[1:-1] -= step * direction
-            trial_energy, trial_grad = _energy_and_gradient(metric, trial)
-            if trial_energy <= energy - ARMIJO_C * step * slope:
-                accepted = True
+            trial[1:-1] += step * direction.reshape(-1, dim)
+            trial_kernel, trial_energy = price(trial)
+            if trial_energy <= energy + ARMIJO_C * step * slope:
                 break
             step *= 0.5
-        if not accepted:
-            # no descent step exists at working precision
-            converged = True
-            break
-        decrease = energy - trial_energy
-        nodes, energy, grad = trial, trial_energy, trial_grad
+        else:
+            break  # no descent step exists at working precision
+        nodes, kernel, energy = trial, trial_kernel, trial_energy
         if on_iteration is not None:
-            on_iteration(iterations, energy)
-        if decrease < ENERGY_TOL:
-            converged = True
-            break
-    return nodes, energy, iterations, converged
+            on_iteration(iterations + 1, energy)
+    return nodes, energy, iterations, False
 
 
 def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, on_iteration=None):
     """Minimize discrete energy between x_a and x_b at fixed node count,
-    in at most MAX_ITERS descent iterations in all, starting from the
-    straight chord.
+    in at most MAX_ITERS Newton steps, starting from the straight chord.
 
-    A converged path is re-tested from small deterministic perturbations
-    so symmetric saddles (straight chords can be exactly stationary) do
-    not masquerade as minima: the 2n half-sine bumps of the path are
-    priced with one stacked kernel call, and a bump is descended from only
-    when it starts below the current energy, so every descent that runs is
-    kept and counted. A bump that starts above the current energy is not
-    explored, even if its descent would reach a lower basin.
+    The path is converged only where its largest node gradient is at most
+    GRAD_TOL and its Hessian is positive definite: a strict local minimum.
+    A saddle (a straight chord can be exactly stationary) has a negative
+    Hessian eigenvalue, and the step along its eigenvector, 0.05 |x_b - x_a|
+    long, leaves it.
     """
     if not 2 <= n_segments <= MAX_SEGMENTS:
         raise ValueError(f"need 2 to {MAX_SEGMENTS} segments")
@@ -174,9 +182,9 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, on_iteration=None
     m_mid = metric.eval(mid)
     try:
         chol = np.linalg.cholesky(m_mid)
-        # cholesky accepts some singular M, whose inverse a curved solve needs: its
-        # pivots L_kk^2 face the relative tolerance of linalg.inverse's LU pivots,
-        # as calling linalg.inverse would cost about a tenth of a curved solve
+        # refuse an M that is not positive definite; cholesky accepts some
+        # singular M, so a curved metric's pivots L_kk^2 also face the relative
+        # tolerance of linalg.inverse's LU pivots
         if not metric.constant and np.diagonal(chol).min() ** 2 < PIVOT_TOL * np.abs(m_mid).max():
             raise np.linalg.LinAlgError("singular matrix")
     except np.linalg.LinAlgError:
@@ -192,24 +200,8 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, on_iteration=None
             iterations=0,
             converged=True,
         )
-    m_inv = np.linalg.inv(m_mid)
-    precond = _chain_preconditioner(n_segments)
-    nodes, energy, iterations, converged = _descend(
-        metric, straight, MAX_ITERS, on_iteration, precond, m_inv
-    )
-    if converged and energy > ENERGY_TOL and MAX_ITERS > iterations:
-        # saddle escape, axis by axis, + then -. The descent is monotone,
-        # so a descended bump ends below the current energy and is kept;
-        # the untried bumps are then re-priced on the new path.
-        bump = 0.05 * float(np.linalg.norm(x_b - x_a)) * np.sin(np.pi * fractions[1:-1, 0])
-        starts, prices = _escape_starts(metric, nodes, bump)
-        for k in range(len(starts)):
-            if prices[k] < energy - ENERGY_TOL:
-                nodes, energy, extra, converged = _descend(
-                    metric, starts[k], MAX_ITERS - iterations, None, precond, m_inv,
-                )
-                iterations += extra
-                starts, prices = _escape_starts(metric, nodes, bump)
+    nodes, energy, iterations, converged = _newton(
+        metric, straight, 0.05 * float(np.linalg.norm(x_b - x_a)), on_iteration)
     return GeodesicPath(nodes=nodes, energy=energy, iterations=iterations,
                         converged=converged)
 

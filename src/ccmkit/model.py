@@ -207,12 +207,19 @@ class MetricField:
         dm_d = [ex.matvec([[mij[a] for mij in row] for row in self.dm_exprs], d)
                 for a in range(self.n)]
         energy, *bends = ex.matvec([m_d, *dm_d], d)
-        return _Field([energy, *m_d, *bends], self.vars + [v.name for v in d])
+        # d^T (d^2 M/dx_a dx_b) d = d bends[a] / dx_b, mirrored so it is symmetric
+        curvature = [[ex.differentiate(bends[min(a, b)], self.vars[max(a, b)])
+                      for b in range(self.n)] for a in range(self.n)]
+        entries = [energy, *m_d, *bends] + [e for rows in (self.m_exprs, dm_d, curvature)
+                                            for row in rows for e in row]
+        return _Field(entries, self.vars + [v.name for v in d])
 
     def segment(self, x, d):
         """The segment kernel at `(P, n)` stacks of midpoints x and segments
-        d: `(P, 1 + 2n)` columns d^T M d, then M d, then d^T (dM/dx_a) d
-        per axis a. Built and compiled (array back end only) on first use."""
+        d: `(P, 1 + 2n + 3n^2)` columns d^T M d, then M d, then d^T (dM/dx_a) d
+        per axis a, then row-major n x n blocks M, (dM/dx_a) d as row a, and
+        d^T (d^2 M/dx_a dx_b) d. Built and compiled (array back end only) on
+        first use."""
         return self._segment(np.concatenate([x, d], axis=-1))
 
     def dir_deriv(self, x, v):

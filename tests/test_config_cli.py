@@ -503,12 +503,12 @@ class TestCliGeodesic:
         assert any(line.startswith("# distance: 5") for line in lines)
 
     @pytest.mark.parametrize("start, end, energy, iterations", [
-        ("-1 0.5", "1 0.5", 2.2262006988414904, "18"),  # the config's run line
-        ("-2 0", "2 0", 11.666410892338435, "77"),  # only the saddle escape leaves the chord
+        ("-1 0.5", "1 0.5", 2.2262006988414904, "4"),  # the config's run line
+        ("-2 0", "2 0", 11.666410892338435, "9"),  # only negative curvature leaves the chord
     ])
     def test_demo_descent_pinned(self, capsys, start, end, energy, iterations):
-        # a dropped saddle escape, another Armijo constant or another gradient
-        # moves the energy or the iteration count
+        # a dropped negative-curvature step, another Armijo constant, another
+        # gradient or Hessian moves the energy or the Newton step count
         assert main(["geodesic", "--config", str(CONFIGS / "geodesic_demo.ini"),
                      "--from", start, "--to", end]) == 0
         summary = dict(line[2:].split(": ") for line in capsys.readouterr().out.splitlines()

@@ -12,10 +12,9 @@ from ccmkit.config import load_config
 from ccmkit.controller import GainField, radial_potential
 from ccmkit.geodesic import (
     MAX_SEGMENTS,
-    _chain_preconditioner,
-    _descend,
-    _energy_and_gradient,
-    _escape_starts,
+    _gradient_and_hessian,
+    _kernel,
+    _newton,
     geodesic_distance,
     path_integral_controller,
     riemann_energy,
@@ -53,10 +52,15 @@ def demo_metric():
 
 def twin_valley_3d_metric():
     # diag(w, 1, 1), w even in x2 and x3 and cheapest off the x1 axis along
-    # x3: from (-2, 0, 0) to (2, 0, 0) the escape along x2 lands on a path
-    # that the x3 bump of the same pass lowers again
+    # x3: from (-2, 0, 0) to (2, 0, 0) the chord is a saddle in both x2 and x3
     return MetricField(3, [["1/(1 + x2^2 + 2*x3^2)^2", "0", "0"], ["0", "1", "0"],
                            ["0", "0", "1"]], 0.05, 1.0, 0.0)
+
+
+def saddle_3d_metric():
+    # diag(w, 1, 1) with w even in x2 and x3 and varying in x1
+    return MetricField(3, [["(1 + x1^2/4)/(1 + x2^2 + 3*x3^2)^2", "0", "0"], ["0", "1", "0"],
+                           ["0", "0", "1"]], 0.05, 3.0, 0.0)
 
 
 def chord(x_a, x_b, n_segments):
@@ -143,7 +147,7 @@ class TestSolve:
     def test_segment_count_guard(self):
         with pytest.raises(ValueError):
             solve_geodesic(identity_metric(), np.zeros(2), np.ones(2), 1)
-        with pytest.raises(ValueError):  # rejected before the dense preconditioner
+        with pytest.raises(ValueError):  # rejected before the dense Hessian
             solve_geodesic(identity_metric(), np.zeros(2), np.ones(2), MAX_SEGMENTS + 1)
 
     def test_flat_valley_chord_is_minimal(self):
@@ -196,7 +200,7 @@ class TestSolve:
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 4.0])
     def test_metric_scale_does_not_stall_the_descent(self, c):
         # largest eigenvalue of M along the path near 2, 4 or 8 for c = 0.5,
-        # 1, 2: without M^-1 in the direction these ran out of iterations
+        # 1, 2: a descent scaled by M^-1 at one point ran out of iterations
         metric = MetricField(3, [[f"{c}*(2 + x2^2)", f"{c}*x1*x3/4", f"{c}*sin(x2)/5"],
                                  ["0", f"{c}*(1 + x3^2)", f"{c}*x1/4"],
                                  ["0", "0", f"{c}*(3 + cos(x1))"]], 0.5 * c, 5.0 * c, 0.0)
@@ -217,18 +221,10 @@ class TestSolve:
         assert np.allclose(path.tangents().sum(axis=0), b - a, atol=1e-12)
 
 
-@pytest.mark.parametrize("n_segments", [2, 3, 4, 7, 32])
-def test_chain_preconditioner_is_the_inverse_laplacian(n_segments):
-    size = n_segments - 1
-    lap = 2.0 * n_segments * (2.0 * np.eye(size) - np.eye(size, k=1) - np.eye(size, k=-1))
-    np.testing.assert_allclose(_chain_preconditioner(n_segments), np.linalg.inv(lap),
-                               rtol=1e-13, atol=0.0)
-
-
 class TestSaddleEscape:
-    """diag(m, 1) with m even in x2 and varying in x1: the descent from the
-    chord (-2, 0) -> (2, 0) moves along x1 but stays on the line x2 = 0, a
-    saddle, so the escape has to leave a path that has already moved."""
+    """diag(m, 1) with m even in x2 and varying in x1: from the chord
+    (-2, 0) -> (2, 0) the gradient has no x2 component, so only the
+    Hessian's negative curvature leaves the line x2 = 0, a saddle."""
 
     A, B = np.array([-2.0, 0.0]), np.array([2.0, 0.0])
     WEIGHTS_ALL = ("(1 + x1^2/4)/(1 + x2^2)^2", "(2 + sin(x1))/(1 + x2^2)^2")
@@ -237,16 +233,6 @@ class TestSaddleEscape:
     @staticmethod
     def metric(weight):
         return MetricField(2, [[weight, "0"], ["0", "1"]], 0.05, 3.0, 0.0)
-
-    @WEIGHTS
-    def test_descent_alone_stays_on_the_chord_line(self, weight):
-        metric, start = self.metric(weight), chord(self.A, self.B, 32)
-        m_inv = np.linalg.inv(metric.eval(0.5 * (self.A + self.B)))
-        nodes, _, iterations, converged = _descend(
-            metric, start, geodesic.MAX_ITERS, None, _chain_preconditioner(32), m_inv)
-        assert converged and iterations > 0
-        assert not np.array_equal(nodes, start)
-        assert np.max(np.abs(nodes[:, 1])) == 0.0
 
     @WEIGHTS
     def test_escape_matches_lattice_oracle(self, weight):
@@ -268,58 +254,32 @@ def saddle_sine():
     return TestSaddleEscape.metric(TestSaddleEscape.WEIGHTS_ALL[1])
 
 
-def sequential_escape(metric, x_a, x_b, n_segments):
-    """Oracle: the chord descent, then the saddle escape one bump at a time
-    (axis by axis, + then -), each bumped start priced alone by
-    `riemann_energy` and descended from only when it starts below the
-    current energy. Returns (nodes, energy, iterations, converged)."""
-    x_a, x_b = np.asarray(x_a, dtype=float), np.asarray(x_b, dtype=float)
-    precond = _chain_preconditioner(n_segments)
-    m_inv = np.linalg.inv(metric.eval(0.5 * (x_a + x_b)))
-    nodes, energy, iterations, converged = _descend(
-        metric, chord(x_a, x_b, n_segments), geodesic.MAX_ITERS, None, precond, m_inv)
-    if converged and energy > geodesic.ENERGY_TOL and geodesic.MAX_ITERS > iterations:
-        scale = 0.05 * float(np.linalg.norm(x_b - x_a))
-        bump = scale * np.sin(np.pi * np.linspace(0.0, 1.0, n_segments + 1)[1:-1])
-        for axis in range(metric.n):
-            for sign in (1.0, -1.0):
-                bumped = nodes.copy()
-                bumped[1:-1, axis] += sign * bump
-                if riemann_energy(metric, bumped) < energy - geodesic.ENERGY_TOL:
-                    new_nodes, new_energy, extra, reconverged = _descend(
-                        metric, bumped, geodesic.MAX_ITERS - iterations, None, precond, m_inv)
-                    if new_energy < energy - geodesic.ENERGY_TOL:
-                        nodes, energy = new_nodes, new_energy
-                        iterations += extra
-                        converged = reconverged
-    return nodes, energy, iterations, converged
+def hessian_by_differences(metric, nodes, h=1e-6):
+    """Oracle: the energy Hessian w.r.t. the interior nodes, by central
+    differences of `looped_gradient`."""
+    size = (nodes.shape[0] - 2) * nodes.shape[1]
+    columns = []
+    for k in range(size):
+        up, down = nodes.copy(), nodes.copy()
+        up[1:-1].reshape(-1)[k] += h
+        down[1:-1].reshape(-1)[k] -= h
+        columns.append((looped_gradient(metric, up) - looped_gradient(metric, down)).ravel() / (2 * h))
+    return np.array(columns).T
 
 
-def spy_solve(monkeypatch):
-    """Records the segment count of every kernel call, and per `_descend`
-    call its kernel calls and iterations."""
-    rows, descents = [], []
-    kernel, descend = MetricField.segment, geodesic._descend
-
-    def segment(self, x, d):
-        rows.append(len(x))
-        return kernel(self, x, d)
-
-    def spy(*args):
-        before = len(rows)
-        result = descend(*args)
-        descents.append((len(rows) - before, result[2]))
-        return result
-
-    monkeypatch.setattr(MetricField, "segment", segment)
-    monkeypatch.setattr(geodesic, "_descend", spy)
-    return rows, descents
+def assert_strict_minimum(metric, path):
+    """The largest node gradient is at most GRAD_TOL and the Hessian, by
+    central differences, is positive definite."""
+    assert np.linalg.norm(looped_gradient(metric, path.nodes), axis=1).max() <= geodesic.GRAD_TOL
+    hess = hessian_by_differences(metric, path.nodes)
+    assert np.linalg.eigvalsh(0.5 * (hess + hess.T)).min() > 0.0
 
 
 class TestScreenedEscape:
-    """The saddle escape prices the 2n bumped starts with one stacked call of
-    the segment kernel and descends only from a start below the current
-    energy, re-pricing the untried bumps after each descent."""
+    """The cases the screened saddle escape (2n half-sine bumps after a
+    gradient descent) was checked on; `PARENT` is the energy at N = 32 that
+    a sequential escape, one bump at a time, converged to. The Newton solve
+    reaches a strict local minimum no higher."""
 
     CASES = pytest.mark.parametrize("make, x_a, x_b", [
         (demo_metric, (-1.0, 0.5), (1.0, 0.5)),  # the config's run line: a minimum
@@ -328,55 +288,88 @@ class TestScreenedEscape:
         (saddle_sine, (-2.0, 0.0), (2.0, 0.0)),
         (valley_x1_metric, (-1.0, -0.5), (1.0, 0.5)),
         (coupled_3d_metric, (-1.0, 0.5, 0.2), (1.0, -0.3, 0.4)),
-        (twin_valley_3d_metric, (-2.0, 0.0, 0.0), (2.0, 0.0, 0.0)),  # two escapes
+        (twin_valley_3d_metric, (-2.0, 0.0, 0.0), (2.0, 0.0, 0.0)),  # a saddle in x2 and x3
     ], ids=["run-line", "stationary-chord", "saddle-quadratic", "saddle-sine",
             "valley-x1", "coupled-3d", "twin-valley-3d"])
-
-    @pytest.mark.parametrize("make", [valley_x2_metric, coupled_3d_metric])
-    def test_stacked_prices_equal_per_bump_prices(self, make):
-        metric = make()
-        nodes = TestStackedEnergy.bent_path(65, dim=metric.n)
-        bump = 0.1 * np.sin(np.pi * np.linspace(0.0, 1.0, nodes.shape[0])[1:-1])
-        starts, prices = _escape_starts(metric, nodes, bump)
-        assert starts.shape == (2 * metric.n,) + nodes.shape
-        k = 0
-        for axis in range(metric.n):
-            for sign in (1.0, -1.0):
-                bumped = nodes.copy()
-                bumped[1:-1, axis] += sign * bump
-                assert np.array_equal(starts[k], bumped)
-                assert prices[k] == _energy_and_gradient(metric, bumped)[0]
-                k += 1
+    PARENT = {"run-line": 2.226200698841085, "stationary-chord": 11.666410892338435,
+              "saddle-quadratic": 13.583440437410523, "saddle-sine": 16.488277869043237,
+              "valley-x1": 4.53233671018376, "coupled-3d": 9.053055613727999,
+              "twin-valley-3d": 8.409030762488541}
+    # lattices for the 2-D cases, each with both ends on it
+    LATTICES = {(-1.0, 0.5): (np.linspace(-1.2, 1.2, 121), np.linspace(-0.3, 1.3, 81)),
+                (-2.0, 0.0): (np.linspace(-2.4, 2.4, 121), np.linspace(-1.6, 1.6, 81)),
+                (-1.0, -0.5): (np.linspace(-1.2, 1.2, 121), np.linspace(-1.3, 1.3, 131))}
 
     @CASES
-    def test_matches_sequential_oracle(self, make, x_a, x_b):
+    def test_matches_sequential_oracle(self, request, make, x_a, x_b):
         metric = make()
         path = solve_geodesic(metric, np.array(x_a), np.array(x_b), 32)
-        nodes, energy, iterations, converged = sequential_escape(metric, x_a, x_b, 32)
-        assert np.array_equal(path.nodes, nodes)
-        assert path.energy == energy
-        assert path.iterations == iterations
-        assert path.converged == converged
+        assert path.converged
+        assert path.energy <= self.PARENT[request.node.callspec.id] * (1.0 + 1e-12)
+        if metric.n == 2:
+            xs, ys = self.LATTICES[x_a]
+            oracle = lattice_shortest_path(metric, xs, ys, np.array(x_a), np.array(x_b))
+            assert abs(path.length() - oracle) / oracle <= 0.02
 
     @CASES
-    def test_iterations_count_every_descent(self, monkeypatch, make, x_a, x_b):
-        descents = spy_solve(monkeypatch)[1]
-        path = solve_geodesic(make(), np.array(x_a), np.array(x_b), 32)
-        assert sum(it for _, it in descents) == path.iterations <= geodesic.MAX_ITERS
+    def test_iterations_count_every_descent(self, make, x_a, x_b):
+        steps = []
+        path = solve_geodesic(make(), np.array(x_a), np.array(x_b), 32,
+                              on_iteration=lambda i, e: steps.append(i))
+        assert steps == list(range(1, path.iterations + 1))
+        assert path.iterations <= geodesic.MAX_ITERS
 
     @pytest.mark.parametrize("make, cap", [
-        (demo_metric, 20), (saddle_quadratic, 150), (saddle_sine, 40),
+        (demo_metric, 5), (saddle_quadratic, 4), (saddle_sine, 5),
     ], ids=["demo", "quadratic", "sine"])
     def test_iteration_budget_holds_in_all(self, monkeypatch, make, cap):
-        # the chord descent converges within the cap (in 0, 137 and 22
-        # iterations) and the escape runs out of it: the solve still runs at
-        # most MAX_ITERS iterations in all, and says it did not converge
+        # the stationary chord converges in 9, 8 and 10 Newton steps: cut at
+        # the cap, the solve runs exactly MAX_ITERS steps and says it did not
+        # converge
         monkeypatch.setattr(geodesic, "MAX_ITERS", cap)
-        descents = spy_solve(monkeypatch)[1]
         path = solve_geodesic(make(), TestSaddleEscape.A, TestSaddleEscape.B, 32)
-        assert len(descents) >= 2
-        assert sum(it for _, it in descents) == path.iterations == cap
+        assert path.iterations == cap
         assert not path.converged
+
+
+class TestSecondOrderStop:
+    """A solve converges only at a largest node gradient of at most GRAD_TOL
+    with a positive-definite Hessian. The two 3-D saddles below once ended
+    unconverged after MAX_ITERS, or converged on a small energy decrease with
+    a largest node gradient of 8e-6."""
+
+    A, B = np.array([-2.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0])
+
+    def test_plain_3d_saddle_converges(self):
+        metric = saddle_3d_metric()
+        path = solve_geodesic(metric, self.A, self.B, 32)
+        assert path.converged and path.iterations <= 20
+        assert path.energy <= 7.689460505857586
+        assert np.max(np.abs(path.nodes[:, 1:])) >= 0.5  # left the chord line
+        assert_strict_minimum(metric, path)
+
+    def test_twin_valley_converges_to_the_gradient_tolerance(self):
+        metric = twin_valley_3d_metric()
+        path = solve_geodesic(metric, self.A, self.B, 32)
+        assert path.converged
+        assert path.energy <= 8.409030762488541
+        assert_strict_minimum(metric, path)
+
+    @pytest.mark.parametrize("n_segments", [16, 32, 64, 128])
+    def test_newton_steps_do_not_grow_with_the_mesh(self, n_segments):
+        path = solve_geodesic(demo_metric(), np.array([-1.0, 0.5]), np.array([1.0, 0.5]),
+                              n_segments)
+        assert path.converged and path.iterations <= 6
+
+    def test_saddle_is_not_converged(self, monkeypatch):
+        # the stationary chord of the config's metric has a zero gradient and
+        # an indefinite Hessian: cut before any step, it is not a minimum
+        monkeypatch.setattr(geodesic, "MAX_ITERS", 0)
+        path = solve_geodesic(demo_metric(), TestSaddleEscape.A, TestSaddleEscape.B, 32)
+        assert path.iterations == 0 and not path.converged
+        grad, hess = _gradient_and_hessian(_kernel(demo_metric(), path.nodes)[0], 2)
+        assert np.abs(grad).max() <= geodesic.GRAD_TOL
+        assert np.linalg.eigvalsh(hess).min() < 0.0
 
 
 class TestPathIntegralController:
@@ -438,10 +431,28 @@ def looped_gradient(metric, nodes):
     return grad
 
 
+def energy_terms(metric, nodes):
+    """The energy, its gradient and its Hessian from one kernel call."""
+    kernel, energy = _kernel(metric, nodes)
+    return (energy, *_gradient_and_hessian(kernel, metric.n))
+
+
+def spy_kernel(monkeypatch):
+    """Records the segment count of every kernel call."""
+    rows, kernel = [], MetricField.segment
+
+    def segment(self, x, d):
+        rows.append(len(x))
+        return kernel(self, x, d)
+
+    monkeypatch.setattr(MetricField, "segment", segment)
+    return rows
+
+
 class TestStackedEnergy:
-    """The energy and its gradient come from one call of the metric's
-    segment kernel on the whole segment stack; they match the per-segment
-    loops."""
+    """The energy, its gradient and its Hessian come from one call of the
+    metric's segment kernel on the whole segment stack; they match the
+    per-segment loops and central differences."""
 
     METRICS = (valley_x1_metric, valley_x2_metric, identity_metric, coupled_3d_metric)
 
@@ -456,7 +467,7 @@ class TestStackedEnergy:
         for make in self.METRICS:
             metric = make()
             nodes = self.bent_path(61, dim=metric.n)
-            energy = _energy_and_gradient(metric, nodes)[0]
+            energy = energy_terms(metric, nodes)[0]
             assert energy == pytest.approx(looped_energy(metric, nodes), rel=1e-13)
             assert riemann_energy(metric, nodes) == energy
 
@@ -464,14 +475,14 @@ class TestStackedEnergy:
         for make in self.METRICS:
             metric = make()
             nodes = self.bent_path(62, dim=metric.n)
-            np.testing.assert_allclose(_energy_and_gradient(metric, nodes)[1],
+            np.testing.assert_allclose(energy_terms(metric, nodes)[1],
                                        looped_gradient(metric, nodes),
                                        rtol=1e-12, atol=1e-12)
 
     def test_gradient_matches_finite_difference(self):
         for metric in (valley_x2_metric(), coupled_3d_metric()):
             nodes = self.bent_path(63, n_seg=8, dim=metric.n)
-            grad = _energy_and_gradient(metric, nodes)[1]
+            grad = energy_terms(metric, nodes)[1]
             h = 1e-6
             for j in range(1, nodes.shape[0] - 1):
                 for i in range(metric.n):
@@ -480,6 +491,38 @@ class TestStackedEnergy:
                     down[j, i] -= h
                     fd = (looped_energy(metric, up) - looped_energy(metric, down)) / (2 * h)
                     assert grad[j - 1, i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+    @pytest.mark.parametrize("make", [valley_x2_metric, coupled_3d_metric])
+    def test_kernel_curvature_columns(self, make):
+        # M, the rows (dM/dx_a) d and d^T (d^2 M/dx_a dx_b) d, the last
+        # against central differences of d^T (dM/dx_a) d
+        metric, h = make(), 1e-6
+        dim = metric.n
+        nodes = self.bent_path(65, n_seg=8, dim=dim)
+        mids, deltas = 0.5 * (nodes[1:] + nodes[:-1]), np.diff(nodes, axis=0)
+        kernel = metric.segment(mids, deltas)
+        assert kernel.shape == (8, 1 + 2 * dim + 3 * dim * dim)
+        m, p, curv = kernel[:, 1 + 2 * dim:].reshape(8, 3, dim, dim).transpose(1, 0, 2, 3)
+        for k, (x, d) in enumerate(zip(mids, deltas)):
+            np.testing.assert_allclose(m[k], metric.eval(x), rtol=1e-13, atol=1e-15)
+            for a in range(dim):
+                np.testing.assert_allclose(p[k, a], metric.partial(x, a) @ d,
+                                           rtol=1e-12, atol=1e-15)
+                for b in range(dim):
+                    step = h * np.eye(dim)[b]
+                    fd = (d @ metric.partial(x + step, a) @ d
+                          - d @ metric.partial(x - step, a) @ d) / (2 * h)
+                    assert curv[k, a, b] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+            assert np.array_equal(curv[k], curv[k].T)
+
+    @pytest.mark.parametrize("make", [valley_x2_metric, coupled_3d_metric])
+    def test_hessian_matches_finite_difference(self, make):
+        metric = make()
+        nodes = self.bent_path(66, n_seg=8, dim=metric.n)
+        hess = energy_terms(metric, nodes)[2]
+        assert np.array_equal(hess, hess.T)
+        np.testing.assert_allclose(hess, hessian_by_differences(metric, nodes),
+                                   rtol=1e-6, atol=1e-6)
 
     @pytest.mark.parametrize("make", [valley_x2_metric, coupled_3d_metric])
     def test_descent_calls_the_kernel_once_per_trial(self, monkeypatch, make):
@@ -492,7 +535,7 @@ class TestStackedEnergy:
             return kernel(self, x, d)
 
         def forbidden(*args):
-            raise AssertionError("the descent evaluates M only through the segment kernel")
+            raise AssertionError("the Newton loop evaluates M only through the segment kernel")
 
         class CountedArmijo(float):  # ARMIJO_C enters each trial's test once
             def __mul__(self, other):
@@ -506,28 +549,27 @@ class TestStackedEnergy:
         monkeypatch.setattr(MetricField, "partials", forbidden)
         monkeypatch.setattr(geodesic, "ARMIJO_C", CountedArmijo(geodesic.ARMIJO_C))
         start = self.bent_path(64, n_seg=16, dim=metric.n)
-        _, _, iterations, _ = _descend(metric, start, 12, None, _chain_preconditioner(16),
-                                       np.eye(metric.n))
-        assert iterations > 2
+        _, _, iterations, converged = _newton(metric, start, 0.1, None)
+        assert converged and iterations > 2
         assert len(trials) >= iterations
         assert len(inputs) == 1 + len(trials)  # the start, then one per trial
         assert len(set(inputs)) == len(inputs)  # no node set is evaluated twice
 
     def test_minimum_is_screened_with_one_kernel_call(self, monkeypatch):
-        # the config's run line descends to a minimum, where no bump lowers
-        # the energy: the 2n = 4 bumps cost one stacked call of 4 N segments
-        rows, descents = spy_solve(monkeypatch)
-        solve_geodesic(demo_metric(), np.array([-1.0, 0.5]), np.array([1.0, 0.5]), 32)
-        assert len(descents) == 1
-        assert len(rows) == descents[0][0] + 1
-        assert rows[-1] == 4 * 32
+        # the config's run line: every Newton step is a full step, and the
+        # minimum's gradient and Hessian come from the last step's kernel
+        # call, so the solve calls the kernel once for the chord and once per step
+        rows = spy_kernel(monkeypatch)
+        path = solve_geodesic(demo_metric(), np.array([-1.0, 0.5]), np.array([1.0, 0.5]), 32)
+        assert path.converged and path.iterations == 4
+        assert rows == [32] * 5
 
     def test_stationary_chord_passes_the_screen(self, monkeypatch):
-        # (-2, 0) -> (2, 0) under the config's metric: the chord is stationary,
-        # the + x2 bump starts below it, and the untried - x2 bump is re-priced
-        # on the escaped path
-        rows, descents = spy_solve(monkeypatch)
+        # (-2, 0) -> (2, 0) under the config's metric: the chord is stationary
+        # with an indefinite Hessian, the negative-curvature step leaves it, and
+        # each of the 9 steps is a full step: one kernel call for each and the chord
+        rows = spy_kernel(monkeypatch)
         path = solve_geodesic(demo_metric(), np.array([-2.0, 0.0]), np.array([2.0, 0.0]), 32)
-        assert descents == [(1, 0), (114, 77)]
-        assert rows == [32, 4 * 32] + [32] * 114 + [4 * 32]
-        assert path.iterations == 77
+        assert path.converged and path.iterations == 9
+        assert rows == [32] * 10
+        assert np.max(np.abs(path.nodes[:, 1])) >= 1.0

@@ -388,7 +388,8 @@ class TestStackedEvaluation:
 
     def test_segment_kernel(self, monkeypatch):
         """One array-back-end compile on first use; the entries are
-        d^T M d, M d and d^T (dM/dx_a) d of the per-point fields."""
+        d^T M d, M d, d^T (dM/dx_a) d, M and the rows (dM/dx_a) d of the
+        per-point fields, then the 3 x 3 curvature block."""
         compiled = []
         for name in ("compile_fn", "compile_array_fn"):
             def counted(*args, name=name, original=getattr(ex, name)):
@@ -402,11 +403,13 @@ class TestStackedEvaluation:
         got = metric.segment(x, d)
         metric.segment(x[:1], d[:1])
         assert compiled == ["compile_array_fn"]
-        assert got.shape == (7, 7)
+        assert got.shape == (7, 1 + 6 + 27)
         for row, xk, dk in zip(got, x, d):
             m_d = metric.eval(xk) @ dk
-            bends = [dk @ metric.partial(xk, a) @ dk for a in range(3)]
-            np.testing.assert_allclose(row, [dk @ m_d, *m_d, *bends], rtol=1e-12, atol=1e-12)
+            pulls = [metric.partial(xk, a) @ dk for a in range(3)]
+            bends = [dk @ pull for pull in pulls]
+            np.testing.assert_allclose(row[:25], [dk @ m_d, *m_d, *bends, *metric.eval(xk).ravel(),
+                                                  *np.ravel(pulls)], rtol=1e-12, atol=1e-12)
 
     def test_matches_per_point(self, micro):
         points = np.random.default_rng(41).uniform(-2, 2, size=(9, 3))
