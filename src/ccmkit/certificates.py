@@ -27,7 +27,7 @@ DEFAULT_TOL = 1e-8
 DEFAULT_POINTS_PER_AXIS = 21
 MAX_GRID_POINTS = 10**6
 BOUND_TOL = 1e-9   # slack on the declared metric eigenvalue bounds
-GAMMA0_CAP = 1e6   # min_feasible_gamma0 reports larger values as infeasible
+GAMMA0_CAP = 1e6   # check_robust at gamma0="auto" reports larger values as infeasible
 
 
 class CertificateError(RuntimeError):
@@ -211,41 +211,35 @@ def check_killing_pde(sys, metric, grid, tol=DEFAULT_TOL):
     return _finish("killing_pde", points, margins, None, passed, tol)
 
 
-def check_c1(sys, metric, grid, tol=DEFAULT_TOL, rate=None):
+def check_c1(sys, metric, grid, tol=DEFAULT_TOL, rate=0.0):
     """Primal contraction condition restricted to the annihilator of (MB)^T.
 
     Margin at x is the largest generalized eigenvalue of
     (N^T Q N, N^T M N) with N the null basis of (M(x)B(x))^T and
     Q = sym(d_f M + 2 M df/dx). The certified rate is -worst_margin.
-    Pass criterion: worst_margin < -tol (asymptotic) or
-    worst_margin <= -rate + tol when a rate is requested.
+    Pass criterion: worst_margin <= -rate + tol for a rate > 0, else
+    worst_margin < -tol (asymptotic).
     """
     if metric.role != "primal":
         raise CertificateError("C1 check needs a primal metric")
     points = grid.array()
     _check_metric_bounds(metric, points)
     q, m_x = contraction_quadratic(sys, metric, points)
-    b = sys.eval_b(points)
 
     def solve(index, basis):
-        w, vecs = generalized_sym_eig(
-            _project(basis, q[index]), _project(basis, m_x[index])
-        )
+        w, vecs = generalized_sym_eig(_project(basis, q[index]), _project(basis, m_x[index]))
         return w, vecs, basis
 
-    groups = null_space_basis(np.swapaxes(m_x @ b, 1, 2))
+    groups = null_space_basis(np.swapaxes(m_x @ sys.eval_b(points), 1, 2))
     try:
         margins, directions = _per_rank(points, groups, solve, sys.n)
     except SingularMatrixError as err:
         raise CertificateError(f"metric bound violation: {err}") from None
     worst = margins.max()
-    if rate is not None:
-        passed = worst <= -rate + tol
-    else:
-        passed = worst < -tol
+    passed = worst <= -rate + tol if rate > 0 else worst < -tol
     report = _finish("c1", points, margins, directions, passed, tol,
                      certified_rate=-worst)
-    report.details["requested_rate"] = metric.lam if rate is None else rate
+    report.details["requested_rate"] = rate
     return report
 
 
@@ -275,28 +269,53 @@ def check_dual_w(sys, w_metric, grid, tol=DEFAULT_TOL):
     return report
 
 
-def _robust_stacks(sys, metric, grid, lam, gamma0, lambda_form):
-    """Validated inputs and the stacks both robust computations share:
-    grid points, S = Q + lam*I (or Q + lam*M), M, and the null-space
-    groups of (MB)^T."""
+def check_robust(sys, metric, grid, lam, gamma0, tol=DEFAULT_TOL, lambda_form="identity"):
+    """Robust block condition on the doubled state space.
+
+    The (1,1) block S is Q + lam*I as displayed, or Q + lam*M when
+    lambda_form="metric"; the test direction is restricted to
+    blockdiag(N, I_n) with N the null basis of (MB)^T. gamma0 is a number
+    > 0 or "auto". The restricted block [[N^T S N, N^T M], [M N, -gamma0 I]]
+    has every eigenvalue below -tol exactly when C = -(N^T S N + tol I) is
+    positive definite and gamma0 - tol > lambda_max(N^T M^2 N, C) (Schur
+    complement), so "auto" checks at the smallest such gamma0,
+
+        gamma0_min = (tol + max_x lambda_max(N^T M^2 N, C)) * (1 + 1e-9),
+
+    whose factor passes the strict test despite rounding, and also reports
+    it as details["gamma0_min"]. Where C is indefinite at some grid point
+    or gamma0_min exceeds GAMMA0_CAP, it checks at GAMMA0_CAP and fails.
+    The model is evaluated once.
+    """
     if metric.role != "primal":
         raise CertificateError("robust check needs a primal metric")
-    if lam < 0 or gamma0 <= 0:
+    if lam < 0 or gamma0 != "auto" and gamma0 <= 0:
         raise CertificateError("need lam >= 0 and gamma0 > 0")
     if lambda_form not in ("identity", "metric"):
         raise CertificateError(f"unknown lambda_form {lambda_form!r}")
     points = grid.array()
     _check_metric_bounds(metric, points)
     q, m_x = contraction_quadratic(sys, metric, points)
-    b = sys.eval_b(points)
-    shift = lam * (np.eye(sys.n) if lambda_form == "identity" else m_x)
-    groups = null_space_basis(np.swapaxes(m_x @ b, 1, 2))
-    return points, q + shift, m_x, groups
+    n = sys.n
+    s = q + lam * (np.eye(n) if lambda_form == "identity" else m_x)
+    groups = null_space_basis(np.swapaxes(m_x @ sys.eval_b(points), 1, 2))
 
+    def bound(index, basis):
+        m_n = m_x[index] @ basis
+        c = -(_project(basis, s[index]) + tol * np.eye(basis.shape[2]))
+        w, vecs = generalized_sym_eig(np.swapaxes(m_n, 1, 2) @ m_n, c)
+        return w, vecs, basis
 
-def _robust_report(points, s, m_x, groups, lam, gamma0, tol, lambda_form):
-    p, n = m_x.shape[:2]
-    corner = np.broadcast_to(-gamma0 * np.eye(n), (p, n, n))
+    minimal = gamma0 == "auto"  # checked at gamma0_min, where it is at most GAMMA0_CAP
+    if minimal:
+        try:
+            bounds, _ = _per_rank(points, groups, bound, n)
+            gamma0 = (tol + float(bounds.max())) * (1.0 + 1e-9)
+        except SingularMatrixError:
+            gamma0 = np.inf
+        minimal = gamma0 <= GAMMA0_CAP
+        gamma0 = gamma0 if minimal else GAMMA0_CAP
+    corner = np.broadcast_to(-gamma0 * np.eye(n), (len(points), n, n))
     big = np.block([[s, m_x], [m_x, corner]])
 
     def solve(index, basis):
@@ -308,62 +327,18 @@ def _robust_report(points, s, m_x, groups, lam, gamma0, tol, lambda_form):
         return w, vecs, lift
 
     margins, directions = _per_rank(points, groups, solve, 2 * n)
-    passed = margins.max() < -tol
-    report = _finish("robust", points, margins, directions, passed, tol)
-    report.details["lambda"] = lam
-    report.details["gamma0"] = gamma0
-    report.details["lambda_form"] = lambda_form
+    report = _finish("robust", points, margins, directions, margins.max() < -tol, tol)
+    report.details.update({"lambda": lam, "gamma0": gamma0, "lambda_form": lambda_form})
+    if minimal:
+        report.details["gamma0_min"] = gamma0
     return report
 
 
-def check_robust(sys, metric, grid, lam, gamma0, tol=DEFAULT_TOL, lambda_form="identity"):
-    """Robust block condition on the doubled state space.
-
-    The (1,1) block is Q + lam*I as displayed, or Q + lam*M when
-    lambda_form="metric"; the test direction is restricted to
-    blockdiag(N, I_n) with N the null basis of (MB)^T.
-    """
-    stacks = _robust_stacks(sys, metric, grid, lam, gamma0, lambda_form)
-    return _robust_report(*stacks, lam, gamma0, tol, lambda_form)
-
-
-def min_feasible_gamma0(sys, metric, grid, lam, tol=DEFAULT_TOL,
-                        lambda_form="identity"):
-    """Smallest gamma0 for which check_robust passes, in closed form.
-
-    With S the (1,1) block of check_robust and N the null basis of
-    (MB)^T, the restricted block [[N^T S N, N^T M], [M N, -gamma0 I]]
-    has every eigenvalue below -tol exactly when C = -(N^T S N + tol I)
-    is positive definite and gamma0 - tol > lambda_max(N^T M^2 N, C)
-    (Schur complement). Hence
-
-        gamma0_min = tol + max_x lambda_max(N^T M^2 N, C),
-
-    returned times (1 + 1e-9) so that it passes the strict test despite
-    rounding. Returns (gamma0_min, report at gamma0_min), or
-    (None, failing report at GAMMA0_CAP) when C is indefinite at some
-    grid point or gamma0_min exceeds GAMMA0_CAP. The model is evaluated
-    once; both results come from the same stacks.
-    """
-    stacks = _robust_stacks(sys, metric, grid, lam, GAMMA0_CAP, lambda_form)
-    points, s, m_x, groups = stacks
-
-    def solve(index, basis):
-        m_n = m_x[index] @ basis
-        c = -(_project(basis, s[index]) + tol * np.eye(basis.shape[2]))
-        w, vecs = generalized_sym_eig(np.swapaxes(m_n, 1, 2) @ m_n, c)
-        return w, vecs, basis
-
-    try:
-        bounds, _ = _per_rank(points, groups, solve, sys.n)
-        gamma0 = (tol + float(bounds.max())) * (1.0 + 1e-9)
-    except SingularMatrixError:
-        gamma0 = None
-    if gamma0 is None or gamma0 > GAMMA0_CAP:
-        return None, _robust_report(*stacks, lam, GAMMA0_CAP, tol, lambda_form)
-    report = _robust_report(*stacks, lam, gamma0, tol, lambda_form)
-    report.details["gamma0_min"] = gamma0
-    return gamma0, report
+def min_feasible_gamma0(sys, metric, grid, lam, tol=DEFAULT_TOL, lambda_form="identity"):
+    """check_robust at gamma0="auto": (gamma0_min, or None where no gamma0
+    up to GAMMA0_CAP passes, and the report)."""
+    report = check_robust(sys, metric, grid, lam, "auto", tol, lambda_form)
+    return report.details.get("gamma0_min"), report
 
 
 def dual_flow_diagnostic(sys, metric, times, states, p0):

@@ -64,7 +64,7 @@ def _resolve_gain(cfg, grid):
         return GainField.from_exprs(cfg.system.n, cfg.system.m, entries)
     if cfg.metric is None:
         raise ConfigError("gain synthesis needs a primal [metric]")
-    report = certs.check_c1(cfg.system, cfg.metric, grid, rate=cfg.metric.lam or None)
+    report = certs.check_c1(cfg.system, cfg.metric, grid, rate=cfg.metric.lam)
     if not report.passed:
         raise _CliFailure(
             EXIT_FAIL,
@@ -92,16 +92,12 @@ def cmd_certify(cfg, args, out):
                               + ("a metric with role=dual" if dual else "a primal metric"))
         lam = cfg.cert.lam if cfg.cert.lam is not None else metric.lam
         if check == "c1":
-            reports.append(certs.check_c1(cfg.system, metric, grid, cfg.cert.tol,
-                                          rate=lam if lam > 0 else None))
+            reports.append(certs.check_c1(cfg.system, metric, grid, cfg.cert.tol, lam))
         elif check == "killing":
             reports.append(certs.check_killing_pde(cfg.system, metric, grid, cfg.cert.tol))
         elif dual:
             reports.append(certs.check_dual_w(cfg.system, metric, grid, cfg.cert.tol))
-        elif cfg.cert.gamma0 == "auto":  # robust, the one check left
-            reports.append(certs.min_feasible_gamma0(
-                cfg.system, metric, grid, lam, cfg.cert.tol, cfg.cert.robust_lambda_form)[1])
-        else:
+        else:  # robust, the one check left
             reports.append(certs.check_robust(cfg.system, metric, grid, lam, cfg.cert.gamma0,
                                               cfg.cert.tol, cfg.cert.robust_lambda_form))
     all_pass = all(r.passed for r in reports)

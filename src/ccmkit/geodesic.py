@@ -9,7 +9,8 @@ Hessian come from one call of the metric's segment kernel
 one per line-search trial; the Hessian is held as a dense matrix. Where
 its Cholesky fails the Hessian is not positive definite, and the step is
 the shifted Newton step plus a step along the eigenvector of its most
-negative eigenvalue, which leaves a saddle such as a stationary chord. A
+negative eigenvalue, found by inverse iteration (no dense eigenvector
+solve), which leaves a saddle such as a stationary chord. A
 path is `converged` only where its largest node gradient is at most
 GRAD_TOL and its Hessian is positive definite, so it is a strict local
 minimum of the discrete energy. For constant metrics the straight chord
@@ -107,11 +108,13 @@ def _newton(metric, nodes, amplitude, on_iteration):
     and a segment with d^T M d < 0 raises GeodesicError.
 
     Where the Hessian H is not positive definite (its Cholesky fails) the
-    step is -(H + tau I)^-1 g with tau = delta - lambda_min and
-    delta = |lambda_min|, so the shifted Hessian's smallest eigenvalue is
-    |lambda_min|, plus the unit eigenvector of lambda_min times
-    `amplitude`, pointed downhill (or, where g is orthogonal to it, with
-    its largest entry positive).
+    step is -(H + tau I)^-1 g with tau = |lambda_min| - lambda_min (0 for a
+    near-singular H >= 0), plus the unit eigenvector of lambda_min (from
+    `eigvalsh`) times `amplitude`, pointed downhill (or, where g is
+    orthogonal to it, with its largest entry positive). The eigenvector
+    comes from three steps of inverse iteration on H - (lambda_min - delta) I,
+    delta = 1e-6 max |H_ij|, from a fixed pseudo-random start (g is zero on
+    a stationary chord); a singular shifted system raises GeodesicError.
     """
     dim = nodes.shape[1]
 
@@ -139,12 +142,18 @@ def _newton(metric, nodes, amplitude, on_iteration):
         if definite:
             direction = -np.linalg.solve(hess, grad)
         else:
-            lam, vecs = np.linalg.eigh(hess)
-            lowest = vecs[:, 0] * np.sign(vecs[np.argmax(np.abs(vecs[:, 0])), 0])
-            if grad @ lowest > 0.0:
-                lowest = -lowest
-            tau = abs(lam[0]) - lam[0]  # -2 lambda_min; 0 for a near-singular H >= 0
-            direction = amplitude * lowest - vecs @ ((vecs.T @ grad) / (lam + tau))
+            try:
+                low, eye = np.linalg.eigvalsh(hess)[0], np.eye(grad.size)
+                direction = -np.linalg.solve(hess + (abs(low) - low) * eye, grad)
+                shifted = hess - (low - 1e-6 * np.abs(hess).max()) * eye
+                lowest = np.random.default_rng(0).standard_normal(grad.size)
+                for _ in range(3):
+                    lowest = np.linalg.solve(shifted, lowest)
+                    lowest /= np.linalg.norm(lowest)
+            except np.linalg.LinAlgError:
+                raise GeodesicError("shifted Hessian is singular") from None
+            lowest *= np.sign(lowest[np.argmax(np.abs(lowest))])
+            direction += amplitude * (-lowest if grad @ lowest > 0.0 else lowest)
         slope = float(grad @ direction)  # < 0: a descent direction
         step = 1.0
         while step > 1e-16:

@@ -357,6 +357,8 @@ class TestRobust:
             check_robust(numex.system, numex.metric, grid, -1.0, 1.0)
         with pytest.raises(CertificateError):
             check_robust(numex.system, numex.metric, grid, 0.1, 0.0)
+        with pytest.raises(CertificateError):
+            check_robust(numex.system, numex.metric, grid, -1.0, "auto")
 
 
 class TestClosedFormGamma0:

@@ -172,6 +172,16 @@ class TestCliCertify:
         assert "all_pass: True" in out
         assert "grid_points_per_axis: 9" in out
 
+    def test_zero_lambda_reports_the_asymptotic_test(self, tmp_path, capsys):
+        # lambda = 0 asks for the asymptotic test (worst margin < -tol), and
+        # the report names the rate it tested, not the metric's own rate
+        path = write_config(
+            tmp_path, NUMEX_MIN + "[certificate]\nchecks = c1\ngrid = 5\nlambda = 0\n")
+        assert main(["certify", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "requested_rate: 0.0\n" in out
+        assert "all_pass: True" in out
+
     def test_grid_override(self, tmp_path, capsys):
         path = write_config(tmp_path, NUMEX_MIN)
         assert main(["certify", "--config", path, "--grid", "5"]) == 0

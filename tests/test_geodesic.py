@@ -361,6 +361,32 @@ class TestSecondOrderStop:
                               n_segments)
         assert path.converged and path.iterations <= 6
 
+    def test_negative_curvature_step_needs_no_eigenvectors(self, monkeypatch):
+        # lambda_min comes from eigvalsh and its eigenvector from inverse
+        # iteration, so with eigh unavailable the stationary chord and the
+        # plain 3-D saddle still reach their minima
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        path = solve_geodesic(demo_metric(), TestSaddleEscape.A, TestSaddleEscape.B, 32)
+        assert path.converged and path.iterations == 9
+        assert path.energy == pytest.approx(11.666410892336033, rel=1e-12)
+        path = solve_geodesic(saddle_3d_metric(), self.A, self.B, 32)
+        assert path.converged and path.iterations == 9
+        assert path.energy == pytest.approx(7.689460505715175, rel=1e-12)
+
+    def test_singular_shifted_hessian_raises(self, monkeypatch):
+        # a zero Hessian fails its Cholesky and makes every shifted system
+        # singular: a GeodesicError, not numpy's LinAlgError
+        def zero_hessian(kernel, dim):
+            size = (len(kernel) - 1) * dim
+            return np.ones((len(kernel) - 1, dim)), np.zeros((size, size))
+
+        monkeypatch.setattr(geodesic, "_gradient_and_hessian", zero_hessian)
+        with pytest.raises(geodesic.GeodesicError, match="singular"):
+            solve_geodesic(demo_metric(), TestSaddleEscape.A, TestSaddleEscape.B, 32)
+
     def test_saddle_is_not_converged(self, monkeypatch):
         # the stationary chord of the config's metric has a zero gradient and
         # an indefinite Hessian: cut before any step, it is not a minimum
