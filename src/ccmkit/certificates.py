@@ -10,6 +10,7 @@ instrument (no pass/fail).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,6 +223,8 @@ def check_c1(sys, metric, grid, tol=DEFAULT_TOL, rate=0.0):
     """
     if metric.role != "primal":
         raise CertificateError("C1 check needs a primal metric")
+    if not 0 <= rate < math.inf:  # also rejects nan
+        raise CertificateError("need a finite rate >= 0")
     points = grid.array()
     _check_metric_bounds(metric, points)
     q, m_x = contraction_quadratic(sys, metric, points)
@@ -289,8 +292,9 @@ def check_robust(sys, metric, grid, lam, gamma0, tol=DEFAULT_TOL, lambda_form="i
     """
     if metric.role != "primal":
         raise CertificateError("robust check needs a primal metric")
-    if lam < 0 or gamma0 != "auto" and gamma0 <= 0:
-        raise CertificateError("need lam >= 0 and gamma0 > 0")
+    if not 0 <= lam < math.inf or gamma0 != "auto" and (
+            isinstance(gamma0, str) or not 0 < gamma0 < math.inf):  # also rejects nan
+        raise CertificateError('need finite lam >= 0 and gamma0 "auto" or finite > 0')
     if lambda_form not in ("identity", "metric"):
         raise CertificateError(f"unknown lambda_form {lambda_form!r}")
     points = grid.array()

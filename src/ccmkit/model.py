@@ -108,8 +108,9 @@ class SystemModel:
         self.domain_hi = np.asarray(domain_hi, dtype=float)
         if self.domain_lo.shape != (n,) or self.domain_hi.shape != (n,):
             raise ModelError("domain bounds must have n entries")
-        if np.any(self.domain_lo >= self.domain_hi):
-            raise ModelError("domain box must have positive extent")
+        if not np.all(np.isfinite(self.domain_lo) & np.isfinite(self.domain_hi)
+                      & (self.domain_lo < self.domain_hi)):  # also rejects nan
+            raise ModelError("domain box needs finite bounds and positive extent")
 
         self.df_exprs = [
             [ex.differentiate(fi, v) for v in self.vars] for fi in self.f_exprs

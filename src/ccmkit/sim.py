@@ -7,13 +7,13 @@ step-start values the law computed. The static v = beta(x) - beta(x_d)
 (`controller.radial_potential_exprs`) and the dynext v = beta(x, z) - beta(x_d, z)
 (`controller.dynext_correction_exprs`) are part of the rates, so every RK4 stage
 evaluates them; the geodesic v comes from a Python callback at the step start and
-is held over the step, a sampled-data law. It runs as two generated passes: the
-reference pass, over the lines that read only t, h, x_d and literals (u_d, the x_d
-step, beta(x_d) of the static law), stores one row per grid point, and the plant
-pass runs the other lines on those rows. A sweep runs the reference pass once and
-the plant pass per sample; a single run is a sweep of one sample. Each block keeps
-its own failure checks. Both passes are built once for runs that differ only in
-x0, z0, T, h or the geodesic settings.
+is held over the step, a sampled-data law. It runs as two passes of one generated
+template: the reference pass, over the lines that read only t, h, x_d and literals
+(u_d, the x_d step, beta(x_d) of the static law), stores one row per grid point,
+and the plant pass runs the other lines on those rows. A sweep runs the reference
+pass once and the plant pass per sample; a single run is a sweep of one sample.
+Each block keeps its own failure checks, the same in both passes. Both passes are
+built once for runs that differ only in x0, z0, T, h or the geodesic settings.
 """
 
 from __future__ import annotations
@@ -120,71 +120,49 @@ def _plant(sys, u, rename):
 
 
 _BUILT = [((), None)]  # (key, passes) of the last closed loop built, read and set at once
-# A closed loop runs as two passes over the time grid `_times`, each with per grid
-# point a law block and, but at the last point, an RK4 step block. The reference
-# pass runs the lines that read only t, h, xd* and literals, and passes one row per
-# point, (t, x_d, u_d, h, the reference values the plant pass reads; NaN where a
-# block did not run), to `_put`. The plant pass runs the other lines on those rows
-# and passes (x, z, u) per point to `_put`, with NaN u where the law failed; it
-# stops after the law block of row `_last`, or, when the rows end before that row,
-# records x there with NaN u. Each returns (k, stage, error) at its first failure,
-# stage "law" (a law line raised), "control" (a non-finite u) or "step", else
-# (k, None, None) at its last grid index k.
-_REFERENCE = """def fn(_times, _put, {xd}):
-    _last = len(_times) - 1
-    for _k in range(_last + 1):
-        t = _times[_k]
-        try:
-            {law}
-        except (ArithmeticError, ValueError) as _err:
-            _put((t, {xd}, {no_law}))
-            return _k, "law", _err
-        if _k == _last:
-            h = nan
-            _put(({law_row}{no_step}))
-            return _k, None, None
-        h = _times[_k + 1] - t
-        try:
-            {step}
-        except (ArithmeticError, ValueError) as _err:
-            _put(({law_row}{no_step}))
-            return _k, "step", _err
-        _put(({law_row}{step_row}))
-        {xd} = {xd_next}
-        if not ({bounded}):
-            if not ({finite}):
-                return _k, "step", IntegrationError("non-finite state in RK4 step", t)
-            return _k, "step", IntegrationError("state divergence", _times[_k + 1])
-"""
-_PLANT = """def fn(_rows, _last, _times, _put, {y}, _correction):
+# A closed loop runs as two passes of one template over the time grid `_times`: per
+# row of `_rows`, read into the names `row`, a law block and, but at row `_last`, an
+# RK4 step block on the state `y`. Each pass hands `_put` the law's values, with NaN
+# for all but the first `kept` where the law failed, then the step's values, if it
+# has any, with NaN where the step did not run. The reference pass, on rows (t, h),
+# runs the lines that read only t, h, xd* and literals and passes one row per point:
+# (t, x_d, u_d, h, the reference values the plant pass reads). The plant pass runs
+# the other lines on those rows and passes (x, z, u) per point; when the rows end
+# before row `_last`, it records x there with NaN u. Each returns (k, stage, error)
+# at its first failure, stage "law" (a law line raised), "control" (a non-finite u)
+# or "step", else (k, None, None) at its last grid index k.
+_PASS = """def fn(_rows, _last, _times, _put, {y}, _correction):
     for _k, ({row}) in enumerate(_rows):
         try:
             {law}
         except (GeodesicError, ArithmeticError, ValueError) as _err:
-            _put(({y}, {no_u}))
+            _put(({no_law},))
             return _k, "law", _err
-        if not ({u_finite}):
-            _put(({y}, {no_u}))
+        if not ({u_test}):
+            _put(({no_law},))
             return _k, "control", ArithmeticError("non-finite control")
-        _put(({y}, {u}))
+        _put(({law_out},))
         if _k == _last:
+            {no_step}
             return _k, None, None
         try:
             {step}
         except (ArithmeticError, ValueError) as _err:
+            {no_step}
             return _k, "step", _err
+        {step_out}
         {y} = {y_next}
         if not ({bounded}):
             if not ({finite}):
                 return _k, "step", IntegrationError("non-finite state in RK4 step", t)
             return _k, "step", IntegrationError("state divergence", _times[_k + 1])
-    _put(({y}, {no_u}))
+    _put(({no_law},))
     return _last, None, None
 """
-_RUN_NAMES = {"len": len, "range": range, "enumerate": enumerate, "isfinite": math.isfinite,
-              "ValueError": ValueError, "ArithmeticError": ArithmeticError,
-              "GeodesicError": GeodesicError, "IntegrationError": IntegrationError}
-_NEXT_LINE = "\n" + " " * 12  # of a block in _REFERENCE and _PLANT
+_RUN_NAMES = {"enumerate": enumerate, "isfinite": math.isfinite, "ValueError": ValueError,
+              "ArithmeticError": ArithmeticError, "GeodesicError": GeodesicError,
+              "IntegrationError": IntegrationError}
+_NEXT_LINE = "\n" + " " * 12  # of a block in _PASS
 _FAILURES = {"law": "controller", "control": "controller", "step": "numerical"}
 
 
@@ -192,12 +170,21 @@ def _block(lines):
     return _NEXT_LINE.join(lines) or "pass"
 
 
-def _checks(names):
-    """The divergence test of the states `names` ("bounded") and the finiteness
-    test on its failure branch ("finite"): a NaN fails the first as well."""
-    limit = repr(DIVERGENCE_LIMIT)
-    return {"bounded": " and ".join(f"-{limit} <= {a} <= {limit}" for a in names),
-            "finite": " and ".join(f"isfinite({a})" for a in names)}
+def _put_line(values):
+    return f"_put(({', '.join(values)},))" if values else "pass"
+
+
+def _pass(y, row, law, step, y_next, law_out, kept, step_out, u_test):
+    """One pass compiled from `_PASS`; its divergence test of y ("bounded") has the
+    finiteness test on its failure branch ("finite"): a NaN fails the first as well."""
+    limit, missing = repr(DIVERGENCE_LIMIT), len(law_out) + len(step_out) - kept
+    return ex.compile_source(_PASS.format(
+        y=", ".join(y), row=", ".join(row), law=_block(law), step=_block(step),
+        y_next=", ".join(y_next), law_out=", ".join(law_out), u_test=u_test,
+        no_law=", ".join(law_out[:kept] + ["nan"] * missing),
+        step_out=_put_line(step_out), no_step=_put_line(["nan"] * len(step_out)),
+        bounded=" and ".join(f"-{limit} <= {a} <= {limit}" for a in y),
+        finite=" and ".join(f"isfinite({a})" for a in y)), _RUN_NAMES)
 
 
 def _closed_loop(sys, metric, gain, ref, cfg):
@@ -254,18 +241,11 @@ def _closed_loop(sys, metric, gain, ref, cfg):
     law_row = ["t", *xds, *texts[m : 2 * m], "h"]
     law_row += [f"_{j}" for j in range(split) if f"_{j}" in shared]
     step_row = [f"_{j}" for j in range(split, len(lines)) if f"_{j}" in shared]
-    reference = ex.compile_source(_REFERENCE.format(
-        xd=", ".join(xds), law=_block(ref_law), step=_block(ref_step),
-        no_law=", ".join(["nan"] * (len(law_row) - n - 1 + len(step_row))),
-        law_row=", ".join(law_row), no_step="".join(", nan" for _ in step_row),
-        step_row="".join(f", {a}" for a in step_row), xd_next=", ".join(xd_next),
-        **_checks(xds)), _RUN_NAMES)
+    reference = _pass(xds, ["t", "h"], ref_law, ref_step, xd_next, law_row, 1 + n, step_row,
+                      "True")  # the reference pass checks no u
     row = ["t", *xds, *ud_row, *law_row[1 + n + m :], *step_row]
-    plant_pass = ex.compile_source(_PLANT.format(
-        y=", ".join(ys), row=", ".join(row), law=_block(law), step=_block(step),
-        no_u=", ".join(["nan"] * m), u=", ".join(texts[:m]),
-        u_finite=" and ".join(f"isfinite({a})" for a in texts[:m]),
-        y_next=", ".join(y_next), **_checks(ys)), _RUN_NAMES)
+    plant_pass = _pass(ys, row, law, step, y_next, ys + texts[:m], len(ys), [],
+                       " and ".join(f"isfinite({a})" for a in texts[:m]))
     built = reference, plant_pass, len(row)
     _BUILT[0] = key, built
     return built
@@ -289,8 +269,10 @@ def _reference_pass(sys, metric, gain, ref, cfg):
     passes = _closed_loop(sys, metric, gain, ref, cfg)
     times = time_grid(0.0, cfg.T, cfg.h)
     grid, rows = array("d", times.tobytes()), array("d")
+    steps = zip(grid, np.diff(times).tolist() + [math.nan])  # rows (t, h)
     # the passes read and write Python floats: 1/0 raises instead of giving inf
-    result = passes[0](grid, rows.extend, *np.asarray(ref.xd0, dtype=float).tolist())
+    result = passes[0](steps, len(grid) - 1, grid, rows.extend,
+                       *np.asarray(ref.xd0, dtype=float).tolist(), None)
     return passes, times, grid, rows, result
 
 

@@ -169,6 +169,12 @@ class TestC1:
         v = report.witness_direction
         assert v[0] * (-1.0) == pytest.approx(v[1] * 3.0, abs=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rate", [-0.5, math.nan, math.inf])
+    def test_rate_validation(self, numex, rate):
+        with pytest.raises(CertificateError, match="finite rate"):
+            check_c1(numex.system, numex.metric, small_grid(numex.system, 5), rate=rate)
+
     def test_numex_margin_closed_form(self, numex):
         # at each grid point the single restricted eigenvalue is
         # -2(x2^2+1)/3; cross-check via a dense generalized eigensolve
@@ -351,14 +357,14 @@ class TestRobust:
             check_robust(numex.system, numex.metric, grid, 0.1, 100.0,
                          lambda_form="bogus")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_parameter_validation(self, numex):
         grid = small_grid(numex.system, 5)
-        with pytest.raises(CertificateError):
-            check_robust(numex.system, numex.metric, grid, -1.0, 1.0)
-        with pytest.raises(CertificateError):
-            check_robust(numex.system, numex.metric, grid, 0.1, 0.0)
-        with pytest.raises(CertificateError):
-            check_robust(numex.system, numex.metric, grid, -1.0, "auto")
+        for lam, gamma0 in [(-1.0, 1.0), (0.1, 0.0), (-1.0, "auto"), (0.1, "Auto"),
+                            (0.1, math.nan), (0.1, math.inf), (math.inf, 1.0),
+                            (math.inf, "auto"), (math.nan, 1.0)]:
+            with pytest.raises(CertificateError, match="need finite lam"):
+                check_robust(numex.system, numex.metric, grid, lam, gamma0)
 
 
 class TestClosedFormGamma0:

@@ -85,6 +85,11 @@ class TestSystemModel:
             SystemModel(2, 1, ["x1"], [["0"], ["1"]], [-1, -1], [1, 1])
         with pytest.raises(ModelError):
             SystemModel(2, 1, ["x1", "x2"], [["0"], ["1"]], [1, -1], [1, 1])
+        # a nan bound passed lo < hi unnoticed, and an infinite one fed inf into the grid
+        for lo, hi in [([math.nan, -1], [1, 1]), ([-1, -1], [1, math.nan]),
+                       ([-math.inf, -1], [1, 1]), ([-1, -1], [math.inf, 1])]:
+            with pytest.raises(ModelError, match="finite bounds"):
+                SystemModel(2, 1, ["x2", "-x2"], [["0"], ["1"]], lo, hi)
 
     @pytest.mark.parametrize("n, m", [(0, -1), (2, 0), (2, -1), (2.0, 1), (2, 1.0)])
     def test_dimensions_are_integers_with_one_le_m_lt_n(self, n, m):

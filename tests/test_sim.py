@@ -443,11 +443,12 @@ class TestReferenceLoopOracle:
                                atol=1e-9 * scale), column
 
 
-def _squaring_run(u, x0):
+def _squaring_run(u, x0, xd0=(0.0, 0.0), ud="0"):
     """x1' = x1^2 and x2' = u: from x1 = 2 x1 diverges; u = 1e300 (1 + x2) overflows
-    to inf inside the first RK4 step without an exception."""
+    to inf inside the first RK4 step without an exception. The reference, with u_d
+    for u, does the same from xd0 = (2, 0) or under u_d = 1e300 (1 + xd2)."""
     sys = SystemModel(2, 1, ["x1^2", "0"], [["0"], ["1"]], [-5, -5], [5, 5])
-    return lambda bundle: (sys, None, None, ReferenceSpec.from_strings(2, [0.0, 0.0], ["0"]),
+    return lambda bundle: (sys, None, None, ReferenceSpec.from_strings(2, xd0, [ud]),
                            RunConfig(kind="custom", T=5.0, h=1e-3, x0=np.array(x0), custom_u=[u]))
 
 
@@ -466,6 +467,8 @@ def _gain_run(kind, gain, ref=None, **kwargs):
 FAILURE_CASES = {
     "divergence": _squaring_run("0", [2.0, 0.0]),
     "non-finite-state": _squaring_run("1e300*(1 + x2)", [0.0, 0.0]),
+    "reference-divergence": _squaring_run("-x2", [0.0, 0.0], xd0=(2.0, 0.0)),
+    "reference-non-finite": _squaring_run("-x2", [0.0, 0.0], ud="1e300*(1 + xd2)"),
     "custom-domain-error": _custom_run("1/(t-1)", 3.0),
     "custom-reciprocal-time": _custom_run("1/t", 1.0),
     "custom-sqrt": _custom_run("sqrt(t - 1)", 1.0),
@@ -504,7 +507,8 @@ class TestStepwiseOracle:
         want = self.check(closed_loop_parts, *FAILURE_CASES[case](numex))
         assert not want.completed and want.flags[0].split(" at ")[0] in (
             "controller failure", "numerical failure")
-        assert ("non-finite state" in want.flags[0]) == (case == "non-finite-state")
+        assert ("non-finite state" in want.flags[0]) == (
+            case in ("non-finite-state", "reference-non-finite"))
 
 
 class TestGeneratedStep:
@@ -950,6 +954,17 @@ class TestSweepPasses:
         assert [fraction for _, fraction in result] == [
             (hits[i] + hits[i + 1]) / 2 for i in range(0, len(hits), 2)]
 
+    @pytest.mark.parametrize("kind", sorted(SWEEPS))
+    def test_passes_share_one_loop(self, numex, monkeypatch, kind):
+        # both passes come from one template: the same control flow, line for line
+        # up to each line's first parenthesis
+        monkeypatch.setattr(sim, "_BUILT", [((), None)])  # a fresh build
+        compiled = TestBuildOnce.count_compiles(monkeypatch)
+        run_closed_loop(*self.SWEEPS[kind](numex))
+        reference, plant = (re.findall(r"^ *(?:for|try|except|if|return)\b[^(\n]*", src, re.M)
+                            for src in compiled)
+        assert len(reference) == 16 and reference == plant
+
     def test_reference_pass_runs_once_per_sweep(self, numex, monkeypatch):
         sys_, metric, gain, ref, cfg = self.SWEEPS["static"](numex)
         references = TestBuildOnce.spy(monkeypatch, "_reference_pass")
@@ -963,9 +978,10 @@ class TestSweepPasses:
 
     @pytest.mark.parametrize("case", ["feedforward-reciprocal-time", "custom-reciprocal-time",
                                       "custom-sqrt", "custom-inf", "custom-nan",
-                                      "custom-domain-error"])
+                                      "custom-domain-error", "reference-divergence",
+                                      "reference-non-finite"])
     def test_reference_failures_match_single_runs(self, numex, monkeypatch, case):
-        # u_d, or a custom u over t alone, fails in the reference pass
+        # u_d, a custom u over t alone, or the x_d step fails in the reference pass
         args = FAILURE_CASES[case](numex)
         _, traces = self.sweep_traces(monkeypatch, args)
         assert not any(trace.completed for trace in traces)
