@@ -24,7 +24,7 @@ from .expr import ExprSyntaxError, UnknownIdentifierError, to_string
 from .geodesic import GeodesicError, solve_geodesic
 from .integrate import IntegrationError
 from .model import ModelError
-from .sim import SimulationError, decay_rate, run_closed_loop
+from .sim import SimulationError, decay_rate, run_closed_loop, write_table
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -133,11 +133,8 @@ def cmd_geodesic(cfg, args, out):
     x_a = _vector(args.from_point, n, "--from")
     x_b = _vector(args.to_point, n, "--to")
     path = solve_geodesic(cfg.metric, x_a, x_b, cfg.sim.geodesic_segments)
-    header = "mu," + ",".join(f"x{i + 1}" for i in range(n))
-    out.write(header + "\n")
     mus = np.linspace(0.0, 1.0, path.nodes.shape[0])
-    for mu, node in zip(mus, path.nodes):
-        out.write(",".join(f"{v:.17g}" for v in np.r_[mu, node]) + "\n")
+    write_table(out, ["mu"] + cfg.system.vars, np.column_stack([mus, path.nodes]))
     out.write(f"# energy: {path.energy:.17g}\n")
     out.write(f"# distance: {path.length():.17g}\n")
     out.write(f"# iterations: {path.iterations}\n")

@@ -14,10 +14,11 @@ level of binary operators.
 and the code generator are one post-order walk, `_fold`, which combines
 each shared subtree once and has no depth limit; only the parser and
 `evaluate` (the test reference) walk on their own. Expressions compile to
-straight-line code with two back ends: on Python floats for one point
-(`compile_fn`, bit-for-bit `evaluate`) and on numpy arrays for a stack of
-points in one call (`compile_array_fn`). `compile_source` compiles
-other generated code around such a program (the closed-loop run of `sim`).
+straight-line code: on numpy for one point or a stack of points in one
+call (`compile_array_fn`, the program of every `model._Field`), and on
+Python floats (`compile_fn`, bit-for-bit `evaluate`, its compiled oracle).
+`compile_source` compiles other generated code around such a program (the
+closed-loop run of `sim`).
 """
 
 from __future__ import annotations

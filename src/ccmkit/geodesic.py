@@ -10,9 +10,9 @@ one per line-search trial; the Hessian is held as a dense matrix. Where
 its Cholesky fails the Hessian is not positive definite, and the step is
 the shifted Newton step plus a step along the eigenvector of its most
 negative eigenvalue, found by inverse iteration (no dense eigenvector
-solve), which leaves a saddle such as a stationary chord. A
-path is `converged` only where its largest node gradient is at most
-GRAD_TOL and its Hessian is positive definite, so it is a strict local
+solve), which leaves a saddle such as a stationary chord. A path is
+`converged` only where its largest node gradient is at most GRAD_TOL max |M_ij|
+(M at the chord midpoint) and its Hessian is positive definite, a strict local
 minimum of the discrete energy. For constant metrics the straight chord
 is already optimal. The path-integral controller consumes the optimized
 tangents directly.
@@ -102,10 +102,10 @@ def _gradient_and_hessian(kernel, dim):
     return grad, hess
 
 
-def _newton(metric, nodes, amplitude, on_iteration):
-    """Newton's method with Armijo backtracking from the node array `nodes`:
-    the start and each line-search trial is one call of the segment kernel,
-    and a segment with d^T M d < 0 raises GeodesicError.
+def _newton(metric, nodes, amplitude, grad_tol, on_iteration):
+    """Newton's method with Armijo backtracking from the node array `nodes` to
+    a node gradient of at most `grad_tol`: the start and each line-search trial
+    is one call of the segment kernel; a segment with d^T M d < 0 raises.
 
     Where the Hessian H is not positive definite (its Cholesky fails) the
     step is -(H + tau I)^-1 g with tau = |lambda_min| - lambda_min (0 for a
@@ -134,7 +134,7 @@ def _newton(metric, nodes, amplitude, on_iteration):
             definite = True
         except np.linalg.LinAlgError:
             definite = False
-        if definite and np.linalg.norm(grad, axis=1).max() <= GRAD_TOL:
+        if definite and np.linalg.norm(grad, axis=1).max() <= grad_tol:
             return nodes, energy, iterations, True
         if iterations == MAX_ITERS:
             break
@@ -176,7 +176,8 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, on_iteration=None
     in at most MAX_ITERS Newton steps, starting from the straight chord.
 
     The path is converged only where its largest node gradient is at most
-    GRAD_TOL and its Hessian is positive definite: a strict local minimum.
+    GRAD_TOL max |M_ij| (M at the chord midpoint, so c M takes the steps of M)
+    and its Hessian is positive definite: a strict local minimum.
     A saddle (a straight chord can be exactly stationary) has a negative
     Hessian eigenvalue, and the step along its eigenvector, 0.05 |x_b - x_a|
     long, leaves it.
@@ -209,8 +210,9 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, on_iteration=None
             iterations=0,
             converged=True,
         )
+    amplitude = 0.05 * float(np.linalg.norm(x_b - x_a))
     nodes, energy, iterations, converged = _newton(
-        metric, straight, 0.05 * float(np.linalg.norm(x_b - x_a)), on_iteration)
+        metric, straight, amplitude, GRAD_TOL * np.abs(m_mid).max(), on_iteration)
     return GeodesicPath(nodes=nodes, energy=energy, iterations=iterations,
                         converged=converged)
 
@@ -219,9 +221,9 @@ def geodesic_distance(metric, x_a, x_b, n_segments=DEFAULT_NODES):
     return solve_geodesic(metric, x_a, x_b, n_segments).length()
 
 
-def path_integral_controller(gain, metric, x, x_d, u_d, n_segments=DEFAULT_NODES):
-    """u = u_d + sum_k K(mid_k) dx_k along the minimal geodesic from x_d
-    to x."""
+def path_integral_controller(gain, metric, x, x_d, n_segments=DEFAULT_NODES):
+    """The correction v = sum_k K(mid_k) dx_k along the minimal geodesic
+    from x_d to x; the control is u = u_d + v."""
     x = np.asarray(x, dtype=float)
     x_d = np.asarray(x_d, dtype=float)
     path = solve_geodesic(metric, x_d, x, n_segments)
@@ -230,7 +232,6 @@ def path_integral_controller(gain, metric, x, x_d, u_d, n_segments=DEFAULT_NODES
             f"geodesic solve did not converge in {path.iterations} iterations "
             f"(energy {path.energy:g})"
         )
-    u = np.asarray(u_d, dtype=float)
     if gain.is_constant():
-        return u + gain.constant_matrix @ (x - x_d)
-    return u + np.einsum("kij,kj->i", gain(path.midpoints()), path.tangents())
+        return gain.constant_matrix @ (x - x_d)
+    return np.einsum("kij,kj->i", gain(path.midpoints()), path.tangents())

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-SYM_TOL = 1e-9      # largest entry of A - A^T accepted as symmetric
+SYM_TOL = 1e-9      # largest entry of A - A^T accepted, times max(1, largest of A)
 PIVOT_TOL = 1e-13   # smallest LU pivot, relative to the largest entry
 NULL_TOL = 1e-10    # singular values below NULL_TOL * largest span the null space
 
@@ -74,15 +74,17 @@ def _repeat(result, a):
 
 
 def require_symmetric(a):
-    """Symmetric part of a (or of each member of a stack), after checking
-    that no entry of A - A^T exceeds SYM_TOL."""
+    """Symmetric part of a (or of each member of a stack), after checking that
+    no entry of A - A^T exceeds SYM_TOL times max(1, the member's largest entry)."""
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NonSymmetricError(f"expected square matrix, got shape {a.shape}")
     a_t = np.swapaxes(a, -1, -2)
     if a.size:
         skew = np.abs(a - a_t).max(axis=(-2, -1)).ravel()
-        bad = np.flatnonzero(skew > SYM_TOL)
+        bad = np.flatnonzero(skew > SYM_TOL)  # rounding in a scaled matrix excuses more
+        scale = np.abs(a.reshape(-1, *a.shape[-2:])[bad]).max(axis=(-2, -1), initial=1.0)
+        bad = bad[skew[bad] > SYM_TOL * scale]
         if bad.size:
             raise NonSymmetricError(
                 f"matrix not symmetric: max |A - A^T| = {skew[bad[0]]:g}",

@@ -4,8 +4,8 @@ Everything is defined through scalar expression ASTs so that all the
 Jacobians and metric derivatives consumed by the certificate checks and
 the controller synthesis come from exact symbolic differentiation. Each
 expression-defined array (f, B, M, their derivatives, u_d, symbolic gains)
-is one `_Field` (a column of dB/dx or an axis of dM/dx is a slice): one
-point runs on Python floats, a stack on numpy.
+is one `_Field` (a column of dB/dx or an axis of dM/dx is a slice), one
+numpy program for one point or a stack of them.
 """
 
 from __future__ import annotations
@@ -28,23 +28,11 @@ def state_vars(n):
     return [f"x{i + 1}" for i in range(n)]
 
 
-def float_args(values):
-    """Arguments for a compiled expression: the values as Python floats.
-
-    On numpy scalars a compiled `1/x1` at 0 returns inf with a
-    RuntimeWarning instead of raising EvalDomainError.
-    """
-    return np.asarray(values, dtype=float).tolist()
-
-
 class _Field:
-    """An expression or nested list of them over `variables`; the shape of
-    the argument picks the back end, each compiled on its first use: one
-    point `(n,)` on Python floats (`expr.compile_fn`, bit-for-bit
-    `evaluate`), a stack `(..., n)` in one numpy call (`compile_array_fn`).
-    An EvalDomainError on a stack names the first point, in C order, where
-    the float back end fails too or is not finite (one point is unchecked:
-    a float overflow there gives inf)."""
+    """An expression or nested list of them over `variables`, compiled on first
+    use to one numpy program (`expr.compile_array_fn`) for one point `(n,)` or a
+    stack `(..., n)`; an EvalDomainError, overflow included, re-runs it point by
+    point to name the first failing point in C order."""
 
     def __init__(self, exprs, variables):
         self.exprs = exprs
@@ -55,27 +43,20 @@ class _Field:
         return not ex.free_variables(self.exprs)
 
     @cached_property
-    def _point(self):
-        return ex.compile_fn(self.exprs, self.variables)
-
-    @cached_property
-    def _stack(self):
+    def _program(self):
         return ex.compile_array_fn(self.exprs, self.variables)
 
     def __call__(self, x):
-        x = np.asarray(x)
-        if x.ndim >= 2:
-            try:
-                return self._stack(x)
-            except ex.EvalDomainError as stacked:  # the stacked call names no point
-                for point in x.reshape(-1, x.shape[-1]):
-                    try:  # a float overflow gives inf instead of raising
-                        if not np.isfinite(self._point(*float_args(point))).all():
-                            raise ex.EvalDomainError(stacked)
-                    except ex.EvalDomainError as err:
-                        raise ex.EvalDomainError(f"{err} at x={point}") from None
-                raise
-        return np.array(self._point(*float_args(x)))
+        try:
+            return self._program(x)
+        except ex.EvalDomainError:  # the stacked call names no point
+            x = np.asarray(x, dtype=float)
+            for point in x.reshape(-1, x.shape[-1]):
+                try:
+                    self._program(point)
+                except ex.EvalDomainError as err:
+                    raise ex.EvalDomainError(f"{err} at x={point}") from None
+            raise
 
 
 def _parse_entry(text, variables):
@@ -219,8 +200,7 @@ class MetricField:
         """The segment kernel at `(P, n)` stacks of midpoints x and segments
         d: `(P, 1 + 2n + 3n^2)` columns d^T M d, then M d, then d^T (dM/dx_a) d
         per axis a, then row-major n x n blocks M, (dM/dx_a) d as row a, and
-        d^T (d^2 M/dx_a dx_b) d. Built and compiled (array back end only) on
-        first use."""
+        d^T (d^2 M/dx_a dx_b) d. Built and compiled on first use."""
         return self._segment(np.concatenate([x, d], axis=-1))
 
     def dir_deriv(self, x, v):
@@ -265,8 +245,8 @@ class ReferenceSpec:
         return _Field(self.ud_exprs, _reference_vars(len(self.xd0)))
 
     def eval_ud(self, t, xd):
-        """u_d at time t and one target state xd, on the float back end."""
-        return np.array(self._ud._point(float(t), *float_args(xd)))
+        """u_d at time t and one target state xd."""
+        return self._ud(np.concatenate(([t], xd)))
 
 
 def generate_reference(sys, ref, T, h):
@@ -284,7 +264,7 @@ def generate_reference(sys, ref, T, h):
         return sys.eval_f(xd) + sys.eval_b(xd) @ ud
 
     times, xd = rk4_solve(field_fn, ref.xd0, 0.0, T, h)
-    ud = np.array([ref.eval_ud(t, x) for t, x in zip(times, xd)])
+    ud = ref._ud(np.column_stack([times, xd]))  # one call for the whole trace
     violations = times[1:][~sys.in_domain(xd[1:])].tolist()
     if violations:
         warnings.warn(

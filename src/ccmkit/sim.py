@@ -33,7 +33,7 @@ from .integrate import DIVERGENCE_LIMIT, IntegrationError, rk4_exprs, time_grid
 from .model import _parse_entry, state_vars
 
 CONTROLLER_KINDS = ("static", "dynext", "geodesic", "custom")
-CSV_BLOCK = 1024  # rows formatted per % in SimTrace.write_csv
+CSV_BLOCK = 1024  # rows formatted per % in write_table
 
 
 class SimulationError(RuntimeError):
@@ -91,12 +91,16 @@ class SimTrace:
         return names + ["err"], np.hstack(blocks + [self.err[:, None]])
 
     def write_csv(self, stream):
-        names, data = self.columns()
-        stream.write(",".join(names) + "\n")
-        row_format = ",".join(["%.17g"] * len(names)) + "\n"
-        for start in range(0, len(data), CSV_BLOCK):  # one % per block of rows
-            block = data[start : start + CSV_BLOCK]
-            stream.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+        write_table(stream, *self.columns())
+
+
+def write_table(stream, names, data):
+    """CSV: the header `names`, then the rows of `data` at %.17g."""
+    stream.write(",".join(names) + "\n")
+    row_format = ",".join(["%.17g"] * len(names)) + "\n"
+    for start in range(0, len(data), CSV_BLOCK):  # one % per block of rows
+        block = data[start : start + CSV_BLOCK]
+        stream.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _require_exact(gain, grid):
@@ -284,8 +288,7 @@ def _plant_pass(sys, metric, gain, cfg, reference, state):
     n, m = sys.n, sys.m
 
     def correction(*y):  # the geodesic v at (x, xd) = y
-        return path_integral_controller(gain, metric, y[:n], y[n:], np.zeros(m),
-                                        cfg.geodesic_segments).tolist()
+        return path_integral_controller(gain, metric, y[:n], y[n:], cfg.geodesic_segments).tolist()
     row_iter = zip(*[iter(rows)] * width)
     if stage == "law":  # row k holds only t and x_d; the plant records x there
         row_iter = islice(row_iter, k)

@@ -205,7 +205,7 @@ def test_09_controller_cross_consistency(numex, micro_gain, scenario_a):
     for k in range(0, len(trace.t), 200):
         x, xd, ud = trace.x[k], trace.xd[k], trace.ud[k]
         u_static = static_exact_controller(gain, x, xd, ud, residual=residual)
-        u_geo = path_integral_controller(gain, numex.metric, x, xd, ud, n_segments=1024)
+        u_geo = ud + path_integral_controller(gain, numex.metric, x, xd, n_segments=1024)
         assert abs(u_static[0] - u_geo[0]) <= 1e-4
 
     # constant gain: dynamic-extension law collapses to the static law

@@ -16,6 +16,7 @@ from ccmkit.certificates import Grid
 from ccmkit.cli import main
 from ccmkit.config import ConfigError, load_config
 from ccmkit.controller import DampingParams, GainField, synthesize_gain
+from ccmkit.geodesic import solve_geodesic
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -207,6 +208,18 @@ class TestCliCertify:
         path = write_config(tmp_path, NUMEX_MIN)
         assert main(["certify", "--config", path, "--seed", "1"]) == 2
 
+    def test_scaled_field_is_certified_without_a_symmetry_error(self, tmp_path, capsys):
+        # entries near 1e8 round N^T Q N off symmetry by ~1e-7, within the
+        # relative bound: both checks run and fail, with no traceback
+        text = ("[system]\nn = 3\nm = 1\nf1 = sin(x2)*1e8\nf2 = x1*x3*1e7\nf3 = -x3\n"
+                "B_3_1 = 1\ndomain_lo = -2 -2 -2\ndomain_hi = 2 2 2\n"
+                "[metric]\nM_1_1 = 3 + x1^2\nM_1_2 = x1*x2/3\nM_1_3 = x2/5\n"
+                "M_2_2 = 2 + sin(x3)\nM_3_3 = 1\np_lo = 1e-3\np_hi = 1e3\n"
+                "[certificate]\nchecks = c1 robust\ngrid = 5\n")
+        assert main(["certify", "--config", write_config(tmp_path, text)]) == 1
+        out = capsys.readouterr()
+        assert out.err == "" and out.out.count("\npass: False") == 2
+
     def test_undefined_field_names_the_point(self, tmp_path, capsys):
         # B_2_1 = 1/x1 is undefined on the x1 = 0 row of the 5 x 5 grid,
         # whose first point in row-major order is (0, -1)
@@ -214,16 +227,16 @@ class TestCliCertify:
         text = text.replace("-5 -5", "-1 -1") + "[certificate]\ngrid = 5\n"
         assert main(["certify", "--config", write_config(tmp_path, text)]) == 3
         assert capsys.readouterr().err == (
-            "numerical failure: float division by zero at x=[ 0. -1.]\n")
+            "numerical failure: divide by zero encountered in divide at x=[ 0. -1.]\n")
 
     def test_overflowing_field_names_the_point(self, tmp_path, capsys):
-        # a float multiply overflows to inf without raising; the first point
-        # in row-major order where B_2_1 is not finite is (-1, -1)
+        # the first point in row-major order where B_2_1 overflows is (-1, -1),
+        # named by the point-by-point re-run of the one numpy program
         text = CUSTOM_SYSTEM.replace("B_2_1 = 1", "B_2_1 = 1 + x1*1e300*1e300")
         text = text.replace("5 5", "1 1").replace("-5 -5", "-1 -1") + "[certificate]\ngrid = 5\n"
         assert main(["certify", "--config", write_config(tmp_path, text)]) == 3
         assert capsys.readouterr().err == (
-            "numerical failure: overflow encountered in multiply at x=[-1. -1.]\n")
+            "numerical failure: overflow encountered in scalar multiply at x=[-1. -1.]\n")
 
     @pytest.mark.parametrize("m_11, checks", [
         ("1e300", "robust"),  # N^T M^2 N overflows inside the gamma0 solve
@@ -527,6 +540,15 @@ class TestCliGeodesic:
         assert summary["iterations"] == iterations
         assert summary["converged"] == "True"
 
+    def test_rows_are_the_nodes_at_17_digits(self, capsys):
+        # the config's run line; the rows are those of a per-value f"{v:.17g}"
+        config = str(CONFIGS / "geodesic_demo.ini")
+        assert main(["geodesic", "--config", config, "--from", "-1 0.5", "--to", "1 0.5"]) == 0
+        path = solve_geodesic(load_config(config).metric, [-1.0, 0.5], [1.0, 0.5], 32)
+        rows = [",".join(f"{v:.17g}" for v in (mu, *node))
+                for mu, node in zip(np.linspace(0.0, 1.0, 33), path.nodes)]
+        assert capsys.readouterr().out.splitlines()[:34] == ["mu,x1,x2"] + rows
+
     @pytest.mark.parametrize("metric, start, end", [
         ("M_1_1 = -1\nM_2_2 = 1\n", "0 0", "1 0"),  # constant, energy -1
         ("M_1_1 = -1\nM_2_2 = 1\n", "0 0", "0 1"),  # constant, energy 1
@@ -616,7 +638,8 @@ class TestCliSimulate:
         assert main(["simulate", "--config", path, "--grid", "5",
                      "--out", str(tmp_path / "t.csv")]) == 3
         assert capsys.readouterr().err == (
-            "numerical failure: exactness check failed: float division by zero at x=[0. 0.]\n")
+            "numerical failure: exactness check failed: invalid value encountered in scalar "
+            "divide at x=[0. 0.]\n")
 
     @pytest.mark.parametrize(
         "setting", ["controller = magic", "T = -1", "T = nan", "geodesic_N = 1",

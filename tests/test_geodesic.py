@@ -268,9 +268,11 @@ def hessian_by_differences(metric, nodes, h=1e-6):
 
 
 def assert_strict_minimum(metric, path):
-    """The largest node gradient is at most GRAD_TOL and the Hessian, by
-    central differences, is positive definite."""
-    assert np.linalg.norm(looped_gradient(metric, path.nodes), axis=1).max() <= geodesic.GRAD_TOL
+    """The largest node gradient is at most GRAD_TOL max |M_ij| (M at the
+    chord midpoint) and the Hessian, by central differences, is positive
+    definite."""
+    tol = geodesic.GRAD_TOL * np.abs(metric.eval(0.5 * (path.nodes[0] + path.nodes[-1]))).max()
+    assert np.linalg.norm(looped_gradient(metric, path.nodes), axis=1).max() <= tol
     hess = hessian_by_differences(metric, path.nodes)
     assert np.linalg.eigvalsh(0.5 * (hess + hess.T)).min() > 0.0
 
@@ -334,9 +336,10 @@ class TestScreenedEscape:
 
 class TestSecondOrderStop:
     """A solve converges only at a largest node gradient of at most GRAD_TOL
-    with a positive-definite Hessian. The two 3-D saddles below once ended
-    unconverged after MAX_ITERS, or converged on a small energy decrease with
-    a largest node gradient of 8e-6."""
+    max |M_ij| (M at the chord midpoint) with a positive-definite Hessian.
+    The two 3-D saddles below once ended unconverged after MAX_ITERS, or
+    converged on a small energy decrease with a largest node gradient of
+    8e-6."""
 
     A, B = np.array([-2.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0])
 
@@ -360,6 +363,25 @@ class TestSecondOrderStop:
         path = solve_geodesic(demo_metric(), np.array([-1.0, 0.5]), np.array([1.0, 0.5]),
                               n_segments)
         assert path.converged and path.iterations <= 6
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6, 1e9])
+    def test_stop_follows_the_metric_scale(self, scale):
+        # c M has the geodesics of M and c times its energy; with an absolute
+        # gradient tolerance these stopped short of the minimum after 2 steps
+        # (c = 1e-6), took 5 (c = 1e6) or ran all MAX_ITERS unconverged (c = 1e9)
+        scaled = MetricField(2, [[f"{scale!r}/(1+x2^2)^2", "0"], ["0", repr(scale)]],
+                             0.01 * scale, scale, 0.0)
+        a, b = np.array([-1.0, 0.5]), np.array([1.0, 0.5])
+        want = solve_geodesic(demo_metric(), a, b, 32)
+        path = solve_geodesic(scaled, a, b, 32)
+        assert path.converged and path.iterations == want.iterations == 4
+        assert path.energy / scale == pytest.approx(want.energy, rel=1e-12)
+        assert_strict_minimum(scaled, path)
+
+    def test_endpoints_1e_9_apart_converge_at_the_chord(self):
+        a = np.array([0.3, 0.5])
+        path = solve_geodesic(demo_metric(), a, a + np.array([1e-9, -1e-9]), 32)
+        assert path.converged and path.iterations == 0
 
     def test_negative_curvature_step_needs_no_eigenvectors(self, monkeypatch):
         # lambda_min comes from eigvalsh and its eigenvector from inverse
@@ -407,12 +429,12 @@ class TestPathIntegralController:
         )
         x = np.array([1.0, 0.5, 2.0])
         x_d = np.array([1.0, 0.5, 0.5])
-        u = path_integral_controller(micro_gain, metric, x, x_d, np.array([0.25]))
+        u = 0.25 + path_integral_controller(micro_gain, metric, x, x_d)
         assert u[0] == pytest.approx(0.25 - 2.0 * 1.5, abs=1e-13)
 
     def test_invariance_on_reference(self, numex, numex_gain):
         x_d = np.array([0.7, -0.4])
-        u = path_integral_controller(numex_gain, numex.metric, x_d, x_d, np.array([1.5]))
+        u = 1.5 + path_integral_controller(numex_gain, numex.metric, x_d, x_d)
         assert u[0] == pytest.approx(1.5, abs=1e-13)
 
     def test_exact_gain_path_independence(self, numex):
@@ -424,8 +446,7 @@ class TestPathIntegralController:
         want = radial_potential(gain, x) - radial_potential(gain, x_d)
 
         def err(n_segments):
-            u = path_integral_controller(gain, numex.metric, x, x_d,
-                                         np.zeros(1), n_segments=n_segments)
+            u = path_integral_controller(gain, numex.metric, x, x_d, n_segments=n_segments)
             return abs(u[0] - want[0])
 
         assert err(1024) <= 1e-6
@@ -575,7 +596,7 @@ class TestStackedEnergy:
         monkeypatch.setattr(MetricField, "partials", forbidden)
         monkeypatch.setattr(geodesic, "ARMIJO_C", CountedArmijo(geodesic.ARMIJO_C))
         start = self.bent_path(64, n_seg=16, dim=metric.n)
-        _, _, iterations, converged = _newton(metric, start, 0.1, None)
+        _, _, iterations, converged = _newton(metric, start, 0.1, geodesic.GRAD_TOL, None)
         assert converged and iterations > 2
         assert len(trials) >= iterations
         assert len(inputs) == 1 + len(trials)  # the start, then one per trial

@@ -72,6 +72,17 @@ class TestSymEig:
         with pytest.raises(NonSymmetricError):
             require_symmetric(np.zeros((2, 3)))
 
+    def test_symmetry_bound_is_relative(self):
+        # rounding of 1e-7 in entries near 1e9 is symmetric, as at scale 1
+        a = 1e9 * np.array([[3.0, 1.0], [1.0, 2.0]])
+        a[0, 1] += 1.2e-7
+        assert np.array_equal(require_symmetric(a), 0.5 * a + 0.5 * a.T)
+        sym_eig(np.stack([a, a / 1e9]))
+        with pytest.raises(NonSymmetricError):
+            sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(NonSymmetricError):
+            sym_eig(np.array([[1e9, 10.0], [0.0, 1e9]]))
+
 
 class TestInverse:
     def test_dual_metric_inverse(self):

@@ -299,10 +299,10 @@ def tree_walked(exprs, env):
 
 
 class TestStackedEvaluation:
-    """The argument's shape picks the back end: a (P, n) stack is evaluated
-    in one call on the array back end, and each member matches the
-    one-point call, which runs on the float back end and equals the tree
-    walker bit for bit. Each back end is compiled on its first use."""
+    """One point and a (P, n) stack run one numpy program, compiled on its
+    first use: a stack is evaluated in one call, each member matches the
+    one-point call, and that matches the tree walker to 1e-12 (the float
+    program `ex.compile_fn` matches it bit for bit, see test_expr)."""
 
     @staticmethod
     def curved():
@@ -346,7 +346,7 @@ class TestStackedEvaluation:
         yield (numex.system, numex.metric, GainField.from_exprs(2, 1, numex.builtin_gain),
                numex.reference)
 
-    def test_one_point_equals_tree_walker_bit_for_bit(self, numex):
+    def test_one_point_matches_tree_walker(self, numex):
         rng = np.random.default_rng(43)
         for sys, metric, gain, ref in self.cases(numex):
             for call, exprs in self.fields(sys, metric, gain):
@@ -354,14 +354,21 @@ class TestStackedEvaluation:
                     got = call(x)
                     want = np.array(tree_walked(exprs, dict(zip(sys.vars, x.tolist()))))
                     assert got.shape == want.shape
-                    assert got.tobytes() == want.tobytes()
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
                     one = call(x[None])
                     assert one.shape == (1,) + got.shape
                     np.testing.assert_allclose(one[0], got, rtol=1e-12, atol=1e-12)
             ts = ["t"] + [f"xd{i + 1}" for i in range(sys.n)]
             for y in rng.uniform(-2, 2, size=(5, sys.n + 1)):
                 want = np.array(tree_walked(ref.ud_exprs, dict(zip(ts, y.tolist()))))
-                assert ref.eval_ud(y[0], y[1:]).tobytes() == want.tobytes()
+                np.testing.assert_allclose(ref.eval_ud(y[0], y[1:]), want, rtol=1e-12, atol=1e-12)
+
+    def test_one_point_overflow_raises(self):
+        # as on a stack: no inf comes back, and the error names the point
+        sys = SystemModel(2, 1, ["1 + x1*1e300*1e300", "-x2"], [["0"], ["1"]],
+                          [-2, -2], [2, 2])
+        with pytest.raises(ex.EvalDomainError, match=r"overflow .* at x=\[1\. 1\.\]$"):
+            sys.eval_f(np.array([1.0, 1.0]))
 
     def test_building_compiles_nothing(self, monkeypatch):
         compiled = {"compile_fn": 0, "compile_array_fn": 0}
@@ -378,18 +385,18 @@ class TestStackedEvaluation:
         point = np.array([0.5, 1.5])
         fields = self.fields(bundle.system, bundle.metric, gain)
         for number, (call, _) in enumerate(fields):
-            once = int(number < 8)  # one compile per back end of a field; a slice adds none
+            once = int(number < 8)  # one compile per field, for every shape; a slice adds none
             call(point)
             call(point)
-            assert compiled == {"compile_fn": once, "compile_array_fn": 0}
+            assert compiled == {"compile_fn": 0, "compile_array_fn": once}
             call(np.stack([point, -point]))
             call(point[None])
-            assert compiled == {"compile_fn": once, "compile_array_fn": once}
-            compiled.update(compile_fn=0, compile_array_fn=0)
+            assert compiled == {"compile_fn": 0, "compile_array_fn": once}
+            compiled.update(compile_array_fn=0)
         assert len(fields) == 8 + 1 + 2 * 2  # the slices: one column of B, two axes each
         ref.eval_ud(0.5, point)
         ref.eval_ud(1.0, point)
-        assert compiled == {"compile_fn": 1, "compile_array_fn": 0}
+        assert compiled == {"compile_fn": 0, "compile_array_fn": 1}
 
     def test_segment_kernel(self, monkeypatch):
         """One array-back-end compile on first use; the entries are

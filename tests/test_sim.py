@@ -28,7 +28,7 @@ from ccmkit.integrate import (
     rk45_integrate,
     time_grid,
 )
-from ccmkit.model import MetricField, ReferenceSpec, SystemModel, builtin, float_args
+from ccmkit.model import MetricField, ReferenceSpec, SystemModel, builtin
 from ccmkit.sim import (
     RunConfig,
     SimTrace,
@@ -40,6 +40,12 @@ from ccmkit.sim import (
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def float_args(values):
+    """Arguments for an `ex.compile_fn` function: the values as Python floats
+    (on numpy scalars a compiled `1/x1` at 0 gives inf, not EvalDomainError)."""
+    return np.asarray(values, dtype=float).tolist()
 
 
 def numpy_rk4_step(field, x, t, h):
@@ -80,8 +86,7 @@ def reference_loop(sys, metric, gain, ref, cfg):
             return ud + held
 
         def update(x, xd, z):
-            return path_integral_controller(gain, metric, x, xd, np.zeros(sys.m),
-                                            cfg.geodesic_segments)
+            return path_integral_controller(gain, metric, x, xd, cfg.geodesic_segments)
 
     def split(y):
         return y[:n], y[n : 2 * n], y[2 * n :] if use_z else None
@@ -161,7 +166,7 @@ def stepwise_loop(parts, sys, metric, gain, ref, cfg):
         try:
             if cfg.kind == "geodesic":
                 v = path_integral_controller(gain, metric, state[:n], state[n:],
-                                             np.zeros(sys.m), cfg.geodesic_segments).tolist()
+                                             cfg.geodesic_segments).tolist()
             u_k, uds[k] = law(t, *state, *v)
             if not all(map(math.isfinite, u_k)):
                 raise ArithmeticError("non-finite control")
