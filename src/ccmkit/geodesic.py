@@ -30,7 +30,7 @@ ARMIJO_C = 1e-4
 GRAD_TOL = 1e-8
 MAX_ITERS = 500
 DEFAULT_NODES = 32
-MAX_SEGMENTS = 4096  # the Hessian is a dense ((N-1) n)^2 matrix
+MAX_SEGMENTS = 1024  # the Hessian is a dense ((N-1) n)^2 matrix
 
 
 class GeodesicError(RuntimeError):

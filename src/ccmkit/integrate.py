@@ -63,15 +63,23 @@ def rk4_exprs(rates, state_names):
             for y, k1, k2, k3, k4 in zip(ys, *ks, strict=True)]
 
 
-def time_grid(t0, t1, h):
-    """Times t0, t0 + h, ... of a fixed-step run over [t0, t1].
+def grid_steps(t0, t1, h):
+    """The number of steps of `time_grid(t0, t1, h)`: at least one."""
+    # a remainder below 1e-6 of a step is rounding error, not a step
+    return max(1, int(np.ceil((t1 - t0) / h - 1e-6)))
+
+
+def time_grid(t0, t1, h, start=0, stop=None):
+    """Times t0, t0 + h, ... of a fixed-step run over [t0, t1], or its points
+    start to stop - 1, which are the same floats.
 
     The final step is shortened so the grid ends exactly at t1; there is
     at least one step, so the grid starts at t0 even when h exceeds t1 - t0.
     """
-    # a remainder below 1e-6 of a step is rounding error, not a step
-    n_steps = max(1, int(np.ceil((t1 - t0) / h - 1e-6)))
-    return np.concatenate([[t0], t0 + h * np.arange(1, n_steps), [t1]])
+    last = grid_steps(t0, t1, h)
+    stop = last + 1 if stop is None else stop
+    inner = t0 + h * np.arange(max(start, 1), min(stop, last), dtype=float)
+    return np.concatenate([[t0] if start == 0 else [], inner, [t1] if stop > last else []])
 
 
 def rk4_solve(field, x0, t0, t1, h):

@@ -31,8 +31,8 @@ def state_vars(n):
 class _Field:
     """An expression or nested list of them over `variables`, compiled on first
     use to one numpy program (`expr.compile_array_fn`) for one point `(n,)` or a
-    stack `(..., n)`; an EvalDomainError, overflow included, re-runs it point by
-    point to name the first failing point in C order."""
+    stack `(..., n)`; an EvalDomainError, overflow included, re-runs it on halved
+    prefixes of the stack to name the first failing point in C order."""
 
     def __init__(self, exprs, variables):
         self.exprs = exprs
@@ -49,13 +49,21 @@ class _Field:
     def __call__(self, x):
         try:
             return self._program(x)
-        except ex.EvalDomainError:  # the stacked call names no point
+        except ex.EvalDomainError:  # the stacked call names no point: bisect the prefixes
             x = np.asarray(x, dtype=float)
-            for point in x.reshape(-1, x.shape[-1]):
+            points = x.reshape(-1, x.shape[-1])
+            good, bad = 0, len(points)  # the first `bad` points fail, the first `good` not
+            while bad - good > 1:
+                middle = (good + bad) // 2
                 try:
-                    self._program(point)
-                except ex.EvalDomainError as err:
-                    raise ex.EvalDomainError(f"{err} at x={point}") from None
+                    self._program(points[:middle])
+                    good = middle
+                except ex.EvalDomainError:
+                    bad = middle
+            try:
+                self._program(points[bad - 1])
+            except ex.EvalDomainError as err:
+                raise ex.EvalDomainError(f"{err} at x={points[bad - 1]}") from None
             raise
 
 

@@ -8,20 +8,22 @@ step-start values the law computed. The static v = beta(x) - beta(x_d)
 (`controller.dynext_correction_exprs`) are part of the rates, so every RK4 stage
 evaluates them; the geodesic v comes from a Python callback at the step start and
 is held over the step, a sampled-data law. It runs as two passes of one generated
-template: the reference pass, over the lines that read only t, h, x_d and literals
-(u_d, the x_d step, beta(x_d) of the static law), stores one row per grid point,
-and the plant pass runs the other lines on those rows. A sweep runs the reference
-pass once and the plant pass per sample; a single run is a sweep of one sample.
-Each block keeps its own failure checks, the same in both passes. Both passes are
-built once for runs that differ only in x0, z0, T, h or the geodesic settings.
+template over blocks of CSV_BLOCK grid points, each pass carrying its state from
+block to block: the reference pass, over the lines that read only t, h, x_d and
+literals (u_d, the x_d step, beta(x_d) of the static law), stores one row per grid
+point of the block, and the plant pass runs the other lines on those rows. A sweep
+runs the reference pass once per block and the plant pass per block and sample; a
+single run is a sweep of one sample, and `simulate` writes each block as it comes.
+The law and the step keep their own failure checks, the same in both passes. Both
+passes are built once for runs that differ only in x0, z0, T, h or the geodesic
+settings.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain
 
 import numpy as np
 
@@ -29,11 +31,11 @@ from . import expr as ex
 from .controller import (EXACTNESS_TOL, dynext_correction_exprs, exactness_residual,
                          radial_potential_exprs)
 from .geodesic import DEFAULT_NODES, MAX_SEGMENTS, GeodesicError, path_integral_controller
-from .integrate import DIVERGENCE_LIMIT, IntegrationError, rk4_exprs, time_grid
+from .integrate import DIVERGENCE_LIMIT, IntegrationError, grid_steps, rk4_exprs, time_grid
 from .model import _parse_entry, state_vars
 
 CONTROLLER_KINDS = ("static", "dynext", "geodesic", "custom")
-CSV_BLOCK = 1024  # rows formatted per % in write_table
+CSV_BLOCK = 1024  # grid points per block of a closed loop, rows per write of write_table
 
 
 class SimulationError(RuntimeError):
@@ -90,17 +92,24 @@ class SimTrace:
         blocks = [self.t[:, None]] + [block for _, block in groups]
         return names + ["err"], np.hstack(blocks + [self.err[:, None]])
 
-    def write_csv(self, stream):
-        write_table(stream, *self.columns())
+    def write_csv(self, stream, header=True):
+        write_table(stream, *self.columns(), header)
 
 
-def write_table(stream, names, data):
-    """CSV: the header `names`, then the rows of `data` at %.17g."""
-    stream.write(",".join(names) + "\n")
-    row_format = ",".join(["%.17g"] * len(names)) + "\n"
-    for start in range(0, len(data), CSV_BLOCK):  # one % per block of rows
-        block = data[start : start + CSV_BLOCK]
-        stream.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+def write_table(stream, names, data, header=True):
+    """CSV: the header `names` (unless `header` is false), then the rows of `data`
+    at %.17g, one write per block of CSV_BLOCK rows. A block's text is joined from
+    one % per 16 rows, so it is sized once: one % over the whole block grows its
+    text by reallocation, which fragments the heap of a long streamed run (about
+    3 kB more resident memory per block), and one % per row costs a tuple per row."""
+    if header:
+        stream.write(",".join(names) + "\n")
+    row_format, step = ",".join(["%.17g"] * len(names)) + "\n", 16 * len(names)
+    for start in range(0, len(data), CSV_BLOCK):
+        values = data[start : start + CSV_BLOCK].ravel().tolist()
+        chunks = [values[at : at + step] for at in range(0, len(values), step)]
+        stream.write("".join([(row_format * (len(chunk) // len(names))) % tuple(chunk)
+                              for chunk in chunks]))
 
 
 def _require_exact(gain, grid):
@@ -124,19 +133,20 @@ def _plant(sys, u, rename):
 
 
 _BUILT = [((), None)]  # (key, passes) of the last closed loop built, read and set at once
-# A closed loop runs as two passes of one template over the time grid `_times`: per
-# row of `_rows`, read into the names `row`, a law block and, but at row `_last`, an
-# RK4 step block on the state `y`. Each pass hands `_put` the law's values, with NaN
-# for all but the first `kept` where the law failed, then the step's values, if it
-# has any, with NaN where the step did not run. The reference pass, on rows (t, h),
-# runs the lines that read only t, h, xd* and literals and passes one row per point:
-# (t, x_d, u_d, h, the reference values the plant pass reads). The plant pass runs
-# the other lines on those rows and passes (x, z, u) per point; when the rows end
-# before row `_last`, it records x there with NaN u. Each returns (k, stage, error)
-# at its first failure, stage "law" (a law line raised), "control" (a non-finite u)
-# or "step", else (k, None, None) at its last grid index k.
-_PASS = """def fn(_rows, _last, _times, _put, {y}, _correction):
-    for _k, ({row}) in enumerate(_rows):
+# A closed loop runs as two passes of one template over a block of the time grid:
+# per row of `_rows`, read into the names `row`, from grid index `_first` on, a law
+# block and, but at grid index `_last`, an RK4 step block on the state `y`. Each
+# pass hands `_put` one row per grid point: the law's values, then the step's, if it
+# has any, with NaN for all but the first `kept` law values where the law failed and
+# for the step's where the step did not run. `_times` holds the block's times and
+# the next one. The reference pass, on rows (t, h), runs the lines that read only t,
+# h, xd* and literals and puts (t, x_d, u_d, h, the reference values the plant pass
+# reads). The plant pass runs the other lines on those rows and puts (x, z, u). Each
+# returns (k, stage, error) at its first failure, stage "law" (a law line raised),
+# "control" (a non-finite u) or "step"; (k, None, None) at grid index `_last`; and
+# (None, None, y), its carried state, when its rows end first.
+_PASS = """def fn(_rows, _first, _last, _times, _put, {y}, _correction):
+    for _k, ({row}) in enumerate(_rows, _first):
         try:
             {law}
         except (GeodesicError, ArithmeticError, ValueError) as _err:
@@ -145,23 +155,21 @@ _PASS = """def fn(_rows, _last, _times, _put, {y}, _correction):
         if not ({u_test}):
             _put(({no_law},))
             return _k, "control", ArithmeticError("non-finite control")
-        _put(({law_out},))
         if _k == _last:
-            {no_step}
+            _put(({no_step},))
             return _k, None, None
         try:
             {step}
         except (ArithmeticError, ValueError) as _err:
-            {no_step}
+            _put(({no_step},))
             return _k, "step", _err
-        {step_out}
+        _put(({out},))
         {y} = {y_next}
         if not ({bounded}):
             if not ({finite}):
                 return _k, "step", IntegrationError("non-finite state in RK4 step", t)
-            return _k, "step", IntegrationError("state divergence", _times[_k + 1])
-    _put(({no_law},))
-    return _last, None, None
+            return _k, "step", IntegrationError("state divergence", _times[_k + 1 - _first])
+    return None, None, ({y},)
 """
 _RUN_NAMES = {"enumerate": enumerate, "isfinite": math.isfinite, "ValueError": ValueError,
               "ArithmeticError": ArithmeticError, "GeodesicError": GeodesicError,
@@ -174,25 +182,21 @@ def _block(lines):
     return _NEXT_LINE.join(lines) or "pass"
 
 
-def _put_line(values):
-    return f"_put(({', '.join(values)},))" if values else "pass"
-
-
 def _pass(y, row, law, step, y_next, law_out, kept, step_out, u_test):
     """One pass compiled from `_PASS`; its divergence test of y ("bounded") has the
     finiteness test on its failure branch ("finite"): a NaN fails the first as well."""
-    limit, missing = repr(DIVERGENCE_LIMIT), len(law_out) + len(step_out) - kept
+    limit, nans = repr(DIVERGENCE_LIMIT), ["nan"] * len(step_out)
     return ex.compile_source(_PASS.format(
         y=", ".join(y), row=", ".join(row), law=_block(law), step=_block(step),
-        y_next=", ".join(y_next), law_out=", ".join(law_out), u_test=u_test,
-        no_law=", ".join(law_out[:kept] + ["nan"] * missing),
-        step_out=_put_line(step_out), no_step=_put_line(["nan"] * len(step_out)),
+        y_next=", ".join(y_next), u_test=u_test, out=", ".join(law_out + step_out),
+        no_law=", ".join(law_out[:kept] + ["nan"] * (len(law_out) - kept) + nans),
+        no_step=", ".join(law_out + nans),
         bounded=" and ".join(f"-{limit} <= {a} <= {limit}" for a in y),
         finite=" and ".join(f"isfinite({a})" for a in y)), _RUN_NAMES)
 
 
 def _closed_loop(sys, metric, gain, ref, cfg):
-    """The closed loop's passes (reference, plant, row width), compiled unless the last
+    """The closed loop's passes (reference, plant), compiled unless the last
     call had the same objects (held, so `is` cannot alias) and settings."""
     key = (sys, metric, gain, ref, cfg.exactness_grid, cfg.kind, cfg.ell, tuple(cfg.custom_u or ()))
     last, built = _BUILT[0]
@@ -250,7 +254,7 @@ def _closed_loop(sys, metric, gain, ref, cfg):
     row = ["t", *xds, *ud_row, *law_row[1 + n + m :], *step_row]
     plant_pass = _pass(ys, row, law, step, y_next, ys + texts[:m], len(ys), [],
                        " and ".join(f"isfinite({a})" for a in texts[:m]))
-    built = reference, plant_pass, len(row)
+    built = reference, plant_pass
     _BUILT[0] = key, built
     return built
 
@@ -267,72 +271,139 @@ def _start(sys, ref, cfg, x0):
     return np.concatenate([x0, z0] if cfg.kind in ("dynext", "custom") else [x0]).tolist()
 
 
-def _reference_pass(sys, metric, gain, ref, cfg):
-    """Build the closed loop and run its reference pass once, for any number of plant
-    passes: (passes, times, the times as floats, rows, its (k, stage, error))."""
-    passes = _closed_loop(sys, metric, gain, ref, cfg)
-    times = time_grid(0.0, cfg.T, cfg.h)
-    grid, rows = array("d", times.tobytes()), array("d")
-    steps = zip(grid, np.diff(times).tolist() + [math.nan])  # rows (t, h)
-    # the passes read and write Python floats: 1/0 raises instead of giving inf
-    result = passes[0](steps, len(grid) - 1, grid, rows.extend,
-                       *np.asarray(ref.xd0, dtype=float).tolist(), None)
-    return passes, times, grid, rows, result
+def closed_loop_blocks(sys, metric, gain, ref, cfg, x0s):
+    """The closed loop from each initial state in `x0s` (None: the reference's xd0),
+    run over the time grid in blocks of CSV_BLOCK grid points: block by block, (index
+    in x0s, the block's SimTrace) for every run not yet ended. The reference pass
+    runs once per block for all runs; a run's last block carries its flags and
+    `completed`, and its blocks concatenate to its `run_closed_loop` trace. The
+    closed loop is built, and the inputs checked, at the call."""
+    states = [_start(sys, ref, cfg, x0) for x0 in x0s]
+    return _walk(sys, metric, gain, ref, cfg, _closed_loop(sys, metric, gain, ref, cfg), states)
 
 
-def _plant_pass(sys, metric, gain, cfg, reference, state):
-    """One plant pass from `state` (see `_start`) on the rows of `_reference_pass`,
-    as a SimTrace. A plant failure at an earlier grid point or block than the
-    reference's wins; in the same block the reference's error is reported."""
-    (_, plant, width), times, grid, rows, (k, stage, err) = reference
-    n, m = sys.n, sys.m
+def _walk(sys, metric, gain, ref, cfg, passes, states):
+    """`closed_loop_blocks`'s blocks. A plant failure at an earlier grid point or
+    block than the reference's wins; in the same block the reference's error is
+    reported."""
+    (reference, plant), n, m = passes, sys.n, sys.m
+    last = grid_steps(0.0, cfg.T, cfg.h)  # the last grid index
 
     def correction(*y):  # the geodesic v at (x, xd) = y
         return path_integral_controller(gain, metric, y[:n], y[n:], cfg.geodesic_segments).tolist()
-    row_iter = zip(*[iter(rows)] * width)
-    if stage == "law":  # row k holds only t and x_d; the plant records x there
-        row_iter = islice(row_iter, k)
-    out = array("d")  # (x, z, u) per grid point
-    found = plant(row_iter, k, grid, out.extend, *state, correction)
-    if found[1] or not stage:  # a plant failure comes first: the plant stops at the k
-        k, stage, err = found
-    end = k + 1
-    flags = [f"{_FAILURES[stage]} failure at t={times[k]:g}: {err}"] if stage else []
-    states = np.frombuffer(out).reshape(end, -1)
-    xs, us = states[:, :n], states[:, len(state):]
-    ref_rows = np.frombuffer(rows).reshape(-1, width)[:end]
-    xds, uds = ref_rows[:, 1 : n + 1].copy(), ref_rows[:, n + 1 : n + 1 + m].copy()
-    if stage == "law":  # no u_d where the law raised
-        uds[k] = math.nan
-    exits = times[:end][~sys.in_domain(xs)].tolist()
-    if exits:
-        flags.append(f"plant left the domain box at t={exits[0]:g} ({len(exits)} samples)")
-    return SimTrace(t=times[:end], x=xs, xd=xds, u=us, ud=uds, err=np.linalg.norm(xs - xds, axis=1),
-                    z=states[:, n : len(state)] if len(state) > n else None, flags=flags,
-                    completed=not stage)
+    xd = np.asarray(ref.xd0, dtype=float).tolist()
+    # per run: its plant state, the time of its first domain exit and the count of exits
+    runs = {i: [state, None, 0] for i, state in enumerate(states)}
+    for first in range(0, last + 1, CSV_BLOCK):
+        stop = min(first + CSV_BLOCK, last + 1)
+        times = time_grid(0.0, cfg.T, cfg.h, first, min(stop, last) + 1)  # and the next time
+        grid, rows = times.tolist(), []
+        steps = zip(grid[: stop - first], np.diff(times).tolist() + [math.nan])  # rows (t, h)
+        # the passes read and write Python floats: 1/0 raises instead of giving inf
+        ref_k, ref_stage, ref_found = reference(steps, first, last, grid, rows.append, *xd, None)
+        table = _matrix(rows)
+        # row ref_k of a law failure holds only t and x_d; the plant records x there
+        plant_rows = rows[: ref_k - first] if ref_stage == "law" else rows
+        for i, run in list(runs.items()):
+            out = []  # (x, z, u) per grid point
+            k, stage, found = plant(plant_rows, first, last if ref_k is None else ref_k, grid,
+                                    out.append, *run[0], correction)
+            if not stage and ref_k is not None:  # the plant reached the reference's end
+                if k is None:  # the reference's law failed there: x, but no u
+                    out.append(found + (math.nan,) * m)
+                k, stage, found = ref_k, ref_stage, ref_found
+            trace = _block_trace(sys, times, table, out, len(run[0]), stage)
+            exits = trace.t[~sys.in_domain(trace.x)].tolist()
+            if exits and run[1] is None:
+                run[1] = exits[0]
+            run[2] += len(exits)
+            if k is None:  # the rows end first: carry the state into the next block
+                run[0] = found
+            else:
+                del runs[i]
+                trace.completed = not stage
+                if stage:
+                    trace.flags.append(f"{_FAILURES[stage]} failure at t={grid[k - first]:g}: "
+                                       f"{found}")
+                if run[2]:
+                    trace.flags.append(f"plant left the domain box at t={run[1]:g} "
+                                       f"({run[2]} samples)")
+            yield i, trace
+        if not runs:
+            return
+        xd = ref_found
+
+
+def _block_trace(sys, times, table, out, size, stage):
+    """A block's SimTrace from the plant's values `out`, (x, z, u) with `size`
+    state entries per grid point, and the reference's rows `table`, copied since the
+    runs of a sweep share them; no u_d where the law raised."""
+    n, m = sys.n, sys.m
+    values = _matrix(out)
+    count, xs = len(values), values[:, :n]
+    xds, uds = table[:count, 1 : n + 1].copy(), table[:count, n + 1 : n + 1 + m].copy()
+    if stage == "law":
+        uds[-1] = math.nan
+    return SimTrace(t=times[:count], x=xs, xd=xds, u=values[:, size:], ud=uds,
+                    err=np.linalg.norm(xs - xds, axis=1), z=values[:, n:size] if size > n else None)
+
+
+def _matrix(rows):
+    """The float matrix of a list of equally long tuples (faster than np.array)."""
+    return np.fromiter(chain.from_iterable(rows), float).reshape(len(rows), -1)
 
 
 def run_closed_loop(sys, metric, gain, ref, cfg: RunConfig):
     """Simulate tracking of the reference under the configured controller. Failures
     (divergence, NaN, a non-finite control, geodesic breakdown) truncate the trace
     and set a flag instead of raising, so sweeps survive bad samples."""
-    state = _start(sys, ref, cfg, cfg.x0)
-    return _plant_pass(sys, metric, gain, cfg, _reference_pass(sys, metric, gain, ref, cfg), state)
+    blocks = [trace for _, trace in closed_loop_blocks(sys, metric, gain, ref, cfg, [cfg.x0])]
+    end = blocks[-1]
+    return SimTrace(**{name: np.concatenate([getattr(block, name) for block in blocks])
+                       for name in ("t", "x", "xd", "u", "ud", "err", "z")
+                       if getattr(end, name) is not None}, flags=end.flags, completed=end.completed)
+
+
+class DecayFit:
+    """Least-squares slope of -log err(t) over the window [t_a, t_b], folded in
+    block by block: the count, the means and the co-moments of (t, -log err) of
+    each block merge into the running ones (Chan, Golub and LeVeque's update)."""
+
+    def __init__(self, window):
+        self.window = window
+        self.count, self.underflow = 0, False
+        self.mean_t = self.mean_y = self.s_tt = self.s_ty = 0.0
+
+    def add(self, t, err):
+        inside = (t >= self.window[0]) & (t <= self.window[1])
+        ts, errs = t[inside], err[inside]
+        before, self.count = self.count, self.count + len(ts)
+        self.underflow = self.underflow or bool(np.any(errs <= 1e-12))
+        if self.underflow or not len(ts):
+            return
+        ys = -np.log(errs)
+        mean_t, mean_y, share = ts.mean(), ys.mean(), len(ts) / self.count
+        d_t, d_y, dev = mean_t - self.mean_t, mean_y - self.mean_y, ts - mean_t
+        self.s_tt += dev @ dev + d_t * d_t * before * share
+        self.s_ty += dev @ (ys - mean_y) + d_t * d_y * before * share
+        self.mean_t += d_t * share
+        self.mean_y += d_y * share
+
+    def rate(self):
+        if self.count < 2:
+            raise ValueError(f"window [{self.window[0]}, {self.window[1]}] holds {self.count} "
+                             "samples; a rate needs two")
+        if self.underflow:
+            raise ValueError("err underflows 1e-12 on the window; rate fit unreliable")
+        return float(self.s_ty / self.s_tt)
 
 
 def decay_rate(trace, window):
-    """Least-squares slope of -log err(t) over [t_a, t_b]."""
-    t_a, t_b = window
-    mask = (trace.t >= t_a) & (trace.t <= t_b)
-    if np.count_nonzero(mask) < 2:
-        raise ValueError(f"window [{t_a}, {t_b}] holds {np.count_nonzero(mask)} samples; "
-                         "a rate needs two")
-    errs = trace.err[mask]
-    if np.any(errs <= 1e-12):
-        raise ValueError("err underflows 1e-12 on the window; rate fit unreliable")
-    ts = trace.t[mask]
-    slope, _ = np.polyfit(ts, -np.log(errs), 1)
-    return float(slope)
+    """Least-squares slope of -log err(t) over [t_a, t_b]: a `DecayFit` of the
+    whole trace as one block."""
+    fit = DecayFit(window)
+    fit.add(trace.t, trace.err)
+    return fit.rate()
 
 
 def perturbation_sweep(sys, metric, gain, ref, cfg, radii, samples, seed=0):
@@ -346,24 +417,20 @@ def perturbation_sweep(sys, metric, gain, ref, cfg, radii, samples, seed=0):
     if not all(np.isfinite(radius) and radius >= 0 for radius in radii):
         raise ValueError("radii must be finite and nonnegative")
     rng = np.random.default_rng(seed)
-    xd0 = np.asarray(ref.xd0, dtype=float)
-    try:  # the z0 shape, then one build and one reference pass for every sample
-        _start(sys, ref, cfg, xd0)
-        reference = _reference_pass(sys, metric, gain, ref, cfg)
-    except SimulationError:
-        return [(float(radius), 0.0) for radius in radii]
-    results = []
+    xd0, x0s = np.asarray(ref.xd0, dtype=float), []
     for radius in radii:
-        hits = 0
         for _ in range(samples):
             if radius == 0.0:
-                x0 = xd0.copy()
+                x0s.append(xd0)
             else:
                 direction = rng.standard_normal(sys.n)
-                direction /= np.linalg.norm(direction)
-                x0 = xd0 + radius * direction
-            trace = _plant_pass(sys, metric, gain, cfg, reference, _start(sys, ref, cfg, x0))
-            if trace.completed and trace.final_err() < cfg.err_threshold:
-                hits += 1
-        results.append((float(radius), hits / samples))
-    return results
+                x0s.append(xd0 + radius * (direction / np.linalg.norm(direction)))
+    try:  # one build and one reference pass per block for every sample
+        blocks = closed_loop_blocks(sys, metric, gain, ref, cfg, x0s)
+    except SimulationError:
+        return [(float(radius), 0.0) for radius in radii]
+    hits = [False] * len(x0s)  # as each run's last block sets it
+    for i, trace in blocks:
+        hits[i] = trace.completed and trace.final_err() < cfg.err_threshold
+    return [(float(radius), sum(hits[j * samples : (j + 1) * samples]) / samples)
+            for j, radius in enumerate(radii)]

@@ -564,6 +564,17 @@ class TestCliGeodesic:
         assert main(["geodesic", "--config", path, "--from", start, "--to", end]) == 3
         assert capsys.readouterr().err.startswith("numerical failure: metric not positive definite")
 
+    @pytest.mark.parametrize("segments, code", [(1024, 0), (1025, 2)])
+    def test_segment_cap(self, tmp_path, capsys, segments, code):
+        # a dense Newton Hessian at N = 4096 would take seconds and gigabytes
+        path = write_config(tmp_path, CUSTOM_SYSTEM + f"\n[simulation]\ngeodesic_N = {segments}\n")
+        assert main(["geodesic", "--config", path, "--from", "0 0", "--to", "3 4"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err.startswith("config error: [simulation]")
+        else:
+            assert len(captured.out.splitlines()) == 1 + (segments + 1) + 4
+
     def test_coordinate_count_checked(self, tmp_path):
         path = write_config(tmp_path, CUSTOM_SYSTEM)
         assert main(["geodesic", "--config", path, "--from", "0",
@@ -710,6 +721,31 @@ class TestImportsNumpyOnly:
         ])
         assert result == {"codes": [0, 0, 0, 0], "scipy": []}
         assert "K_1_1 = " in (tmp_path / "gain.ini").read_text()
+
+
+def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
+    """`ccmkit simulate` holds one block of rows, not the whole trace: numex dynext
+    at 8 and 64 blocks of 1,024 steps, each in its own interpreter with its output
+    discarded, peaks within 1 MB of resident memory (whole traces were about 15 MB
+    apart). The peak is VmHWM, which starts afresh at exec, where ru_maxrss keeps
+    the forking process's peak; under tracemalloc the 65,536-step run takes 40 s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ccmkit.__file__).resolve().parent.parent))
+    child = ("import sys; from ccmkit.cli import main; code = main(sys.argv[1:]); "
+             "peak = [line for line in open('/proc/self/status') if line.startswith('VmHWM:')]; "
+             "print(code, peak[0].split()[1], file=sys.stderr)")
+    text = (CONFIGS / "numex_dynext.ini").read_text()
+    assert "\nT = 20\n" in text
+    runs = []
+    for steps in (8 * 1024, 64 * 1024):
+        path = write_config(tmp_path, text.replace("\nT = 20\n", f"\nT = {steps / 1000}\n"),
+                            f"steps_{steps}.ini")
+        runs.append(subprocess.Popen([sys.executable, "-c", child, "simulate", "--config", path],
+                                     env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                     text=True))
+    (code_8, peak_8), (code_64, peak_64) = (map(int, run.communicate(timeout=60)[1].split())
+                                            for run in runs)
+    assert (code_8, code_64) == (1, 0)  # err(T) is above the threshold at T = 8.192
+    assert abs(peak_64 - peak_8) < 1024  # kB
 
 
 def test_python_m_ccmkit_certifies(tmp_path):

@@ -15,6 +15,7 @@ from ccmkit.model import (
     ModelError,
     ReferenceSpec,
     SystemModel,
+    _Field,
     builtin,
     builtin_names,
     generate_reference,
@@ -369,6 +370,18 @@ class TestStackedEvaluation:
                           [-2, -2], [2, 2])
         with pytest.raises(ex.EvalDomainError, match=r"overflow .* at x=\[1\. 1\.\]$"):
             sys.eval_f(np.array([1.0, 1.0]))
+
+    def test_failing_point_is_found_by_bisection(self):
+        # 1/x1 fails at the last of 200,000 points only: one stacked call, 18 halved
+        # prefixes and the point alone name it, where one call per point took 0.7 s
+        field = _Field([ex.parse("1/x1", ["x1", "x2"])], ["x1", "x2"])
+        points = np.ones((200_000, 2))
+        points[-1] = [0.0, 7.0]
+        program, calls = field._program, []
+        field._program = lambda x: (calls.append(np.shape(x)), program(x))[1]
+        with pytest.raises(EvalDomainError, match=r"divide by zero .* at x=\[0\. 7\.\]$"):
+            field(points)
+        assert len(calls) <= 20 and calls[-1] == (2,)  # the last call: the point alone
 
     def test_building_compiles_nothing(self, monkeypatch):
         compiled = {"compile_fn": 0, "compile_array_fn": 0}

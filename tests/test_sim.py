@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccmkit import controller, sim
+from ccmkit import cli, controller, sim
 from ccmkit import expr as ex
 from ccmkit.certificates import Grid
 from ccmkit.config import load_config
@@ -198,6 +198,14 @@ def stepwise_loop(parts, sys, metric, gain, ref, cfg):
 def hex_columns(trace):
     names, data = trace.columns()
     return names, [[x.hex() for x in row] for row in data.tolist()]
+
+
+def joined(blocks):
+    """One trace of a run's blocks from `sim.closed_loop_blocks`."""
+    end = blocks[-1]
+    arrays = {name: np.concatenate([getattr(block, name) for block in blocks])
+              for name in ("t", "x", "xd", "u", "ud", "err", "z") if getattr(end, name) is not None}
+    return SimTrace(**arrays, flags=end.flags, completed=end.completed)
 
 
 def synthetic_trace(t, err):
@@ -829,25 +837,48 @@ class TestBuildOnce:
         return compiled
 
     @staticmethod
-    def spy(monkeypatch, name):
-        """The results of each call of `sim.<name>`, in order."""
-        results = []
+    def spy_passes(monkeypatch):
+        """The rows each call of a closed-loop pass puts, per pass, in call order:
+        {"reference": [...], "plant": [...]}, each call's rows one flat list."""
+        calls = {"reference": [], "plant": []}
 
-        def call(*args, original=getattr(sim, name)):
-            results.append(original(*args))
-            return results[-1]
+        def spied(name, run):
+            def call(rows, first, last, times, put, *state):
+                calls[name].append([])
+                return run(rows, first, last, times,
+                           lambda row: (calls[name][-1].extend(row), put(row)), *state)
+            return call
 
-        monkeypatch.setattr(sim, name, call)
-        return results
+        def closed_loop(*args, original=sim._closed_loop):
+            reference, plant = original(*args)
+            return spied("reference", reference), spied("plant", plant)
+
+        monkeypatch.setattr(sim, "_closed_loop", closed_loop)
+        return calls
+
+    @staticmethod
+    def spy_runs(monkeypatch):
+        """The blocks of each run of `sim.closed_loop_blocks`, in order."""
+        runs = []
+
+        def walk(*args, original=sim._walk):
+            mine = {}
+            for i, trace in original(*args):
+                mine.setdefault(i, []).append(trace)
+                yield i, trace
+            runs.extend(mine[i] for i in sorted(mine))
+
+        monkeypatch.setattr(sim, "_walk", walk)
+        return runs
 
     def test_static_sweep_compiles_once(self, micro, monkeypatch):
         gain = GainField.from_exprs(3, 1, micro.builtin_gain)  # a new key
         compiled = self.count_compiles(monkeypatch)
-        plant_passes = self.spy(monkeypatch, "_plant_pass")
+        passes = self.spy_passes(monkeypatch)
         cfg = RunConfig(kind="static", T=0.2, h=1e-2)
         perturbation_sweep(micro.system, micro.metric, gain, micro.reference, cfg,
                            [0.25, 0.5, 0.75, 1.0], 4, seed=3)
-        assert len(plant_passes) == 16
+        assert (len(passes["reference"]), len(passes["plant"])) == (1, 16)
         assert len(compiled) == 2  # one build of both passes for the whole sweep
 
     def test_geodesic_sweep_matches_fresh_runs(self, monkeypatch):
@@ -857,11 +888,12 @@ class TestBuildOnce:
             ref = ReferenceSpec.from_strings(2, [0.0, 0.0], ["sin(t)"])
             return demo.system, demo.metric, gain, ref
 
-        traces = self.spy(monkeypatch, "_plant_pass")
+        runs = self.spy_runs(monkeypatch)
         cfg = RunConfig(kind="geodesic", T=0.2, h=0.05, geodesic_segments=16)
         perturbation_sweep(*inputs(), cfg, [1.0], 2, seed=5)
+        traces = [joined(blocks) for blocks in runs]
         assert len(traces) == 2 and traces[0].x[0, 0] != traces[1].x[0, 0]
-        monkeypatch.undo()  # the spy would record the fresh runs' plant passes too
+        monkeypatch.undo()  # the spy would record the fresh runs too
         for trace in traces:  # each sample again, on objects built for it alone
             fresh = run_closed_loop(*inputs(), replace(cfg, x0=trace.x[0]))
             assert trace.completed and fresh.flags == trace.flags
@@ -934,28 +966,31 @@ class TestSweepPasses:
 
     @staticmethod
     def sweep_traces(monkeypatch, args, radii=(0.0, 0.5, 2.0), samples=2):
-        """The sweep's result and the trace of each of its samples."""
-        traces = TestBuildOnce.spy(monkeypatch, "_plant_pass")
+        """The sweep's result and the blocks of each of its samples."""
+        runs = TestBuildOnce.spy_runs(monkeypatch)
         result = perturbation_sweep(*args, radii, samples, seed=11)
         monkeypatch.undo()
-        assert len(traces) == len(radii) * samples
-        return result, traces
+        assert len(runs) == len(radii) * samples
+        return result, runs
 
     @staticmethod
-    def assert_single_runs(traces, args):
+    def assert_single_runs(runs, args):
         sys_, metric, gain, ref, cfg = args
-        for trace in traces:
+        for blocks in runs:
+            trace = joined(blocks)
             single = run_closed_loop(sys_, metric, gain, ref, replace(cfg, x0=trace.x[0]))
             assert (trace.flags, trace.completed) == (single.flags, single.completed)
             assert hex_columns(trace) == hex_columns(single)
-            assert trace.xd.flags.owndata and trace.ud.flags.owndata  # no shared rows
+            # no rows shared between the samples of a block
+            assert all(block.xd.flags.owndata and block.ud.flags.owndata for block in blocks)
 
     @pytest.mark.parametrize("kind", sorted(SWEEPS))
     def test_samples_equal_single_runs(self, numex, monkeypatch, kind):
         args = self.SWEEPS[kind](numex)
-        result, traces = self.sweep_traces(monkeypatch, args)
-        self.assert_single_runs(traces, args)
-        hits = [trace.completed and trace.final_err() < args[4].err_threshold for trace in traces]
+        result, runs = self.sweep_traces(monkeypatch, args)
+        self.assert_single_runs(runs, args)
+        hits = [blocks[-1].completed and blocks[-1].final_err() < args[4].err_threshold
+                for blocks in runs]
         assert [fraction for _, fraction in result] == [
             (hits[i] + hits[i + 1]) / 2 for i in range(0, len(hits), 2)]
 
@@ -972,14 +1007,29 @@ class TestSweepPasses:
 
     def test_reference_pass_runs_once_per_sweep(self, numex, monkeypatch):
         sys_, metric, gain, ref, cfg = self.SWEEPS["static"](numex)
-        references = TestBuildOnce.spy(monkeypatch, "_reference_pass")
+        passes = TestBuildOnce.spy_passes(monkeypatch)
         moved = ReferenceSpec(ref.xd0 + 0.25, ref.ud_exprs)
         for sweep_ref, sweep_cfg in ((ref, cfg), (moved, cfg), (ref, replace(cfg, h=2e-2))):
             perturbation_sweep(sys_, metric, gain, sweep_ref, sweep_cfg, [0.5, 1.0], 3)
-        assert len(references) == 3  # one per sweep, none per sample
-        rows = [np.frombuffer(buf) for _, _, _, buf, _ in references]
+        rows = passes["reference"]
+        assert len(rows) == 3 and len(passes["plant"]) == 18  # one per sweep, none per sample
         assert rows[1][1] == rows[0][1] + 0.25  # xd1 at t = 0 of the moved reference
         assert len(rows[2]) < len(rows[0])  # half the grid points at twice the step
+
+    @pytest.mark.parametrize("kind", sorted(SWEEPS))
+    def test_sweep_over_several_blocks(self, numex, monkeypatch, kind):
+        # blocks of 4 grid points: one reference pass per block for all samples, one
+        # plant pass per block for each sample still running
+        monkeypatch.setattr(sim, "CSV_BLOCK", 4)
+        args = self.SWEEPS[kind](numex)
+        passes, runs = TestBuildOnce.spy_passes(monkeypatch), TestBuildOnce.spy_runs(monkeypatch)
+        result = perturbation_sweep(*args, (0.0, 0.5, 2.0), 2, seed=11)
+        monkeypatch.undo()  # single runs in one block
+        blocks = -(-len(time_grid(0.0, args[4].T, args[4].h)) // 4)
+        assert len(passes["reference"]) == max(map(len, runs)) == blocks
+        assert len(passes["plant"]) == sum(map(len, runs))
+        self.assert_single_runs(runs, args)
+        assert result == perturbation_sweep(*args, (0.0, 0.5, 2.0), 2, seed=11)
 
     @pytest.mark.parametrize("case", ["feedforward-reciprocal-time", "custom-reciprocal-time",
                                       "custom-sqrt", "custom-inf", "custom-nan",
@@ -988,9 +1038,9 @@ class TestSweepPasses:
     def test_reference_failures_match_single_runs(self, numex, monkeypatch, case):
         # u_d, a custom u over t alone, or the x_d step fails in the reference pass
         args = FAILURE_CASES[case](numex)
-        _, traces = self.sweep_traces(monkeypatch, args)
-        assert not any(trace.completed for trace in traces)
-        self.assert_single_runs(traces, args)
+        _, runs = self.sweep_traces(monkeypatch, args)
+        assert not any(blocks[-1].completed for blocks in runs)
+        self.assert_single_runs(runs, args)
 
     def test_reference_error_wins_a_tie(self, numex):
         # at t = 0 from x1 = 0 both 1/x1 (plant) and sqrt(t - 1) (reference)
@@ -1048,6 +1098,98 @@ class TestPerturbationSweep:
                                      cfg, [1.0, 4.0], samples=2, seed=3)
         assert [r for r, _ in results] == [1.0, 4.0]
         assert all(frac == 1.0 for _, frac in results)
+
+
+def whole_run_output(args):
+    """What `ccmkit simulate` printed from one whole trace: the CSV of
+    `run_closed_loop`, then the summary lines, and the exit code."""
+    trace, cfg = run_closed_loop(*args), args[4]
+    out = io.StringIO()
+    trace.write_csv(out)
+    lines = [f"final_err: {trace.final_err():.17g}"]
+    try:
+        lines.append(f"decay_rate: {decay_rate(trace, (cfg.T / 4, 3 * cfg.T / 4)):.6g}")
+    except ValueError:
+        lines.append("decay_rate: n/a")
+    lines += [f"flag: {flag}" for flag in trace.flags] + [f"completed: {trace.completed}"]
+    code = 3
+    if trace.completed:
+        passed = trace.final_err() < cfg.err_threshold
+        lines.append(f"threshold_pass: {passed}")
+        code = 0 if passed else 1
+    return out.getvalue(), "".join(f"# {line}\n" for line in lines), code
+
+
+def streamed_output(args):
+    out, summary = io.StringIO(), io.StringIO()
+    code = cli.write_simulation(*args, out, summary)
+    return out.getvalue(), summary.getvalue(), code
+
+
+def _scenario_a_start(bundle):
+    """Scenario A's first 0.5 s, where x2 leaves the box for 32 samples from t = 0.241."""
+    return (bundle.system, bundle.metric, GainField.from_exprs(2, 1, bundle.builtin_gain),
+            bundle.reference, RunConfig(kind="dynext", T=0.5, h=1e-3, x0=np.array([-5.0, 2.0]),
+                                        z0=np.zeros(2), ell=5.0))
+
+
+class TestBlocks:
+    """The closed loop runs in blocks of `sim.CSV_BLOCK` grid points, which
+    `simulate` streams: its output equals the whole trace's, byte for byte,
+    wherever a failure or a domain exit falls."""
+
+    @staticmethod
+    def check_sizes(args, rows, monkeypatch):
+        """Streamed = whole at the default block size and with row `rows` the
+        first row of a block and the last one."""
+        want = whole_run_output(args)
+        for size in sorted({max(rows, 1), rows + 1}):
+            monkeypatch.setattr(sim, "CSV_BLOCK", size)
+            assert whole_run_output(args) == want
+            assert streamed_output(args) == want
+        return want
+
+    @pytest.mark.parametrize("case", sorted(FAILURE_CASES))
+    def test_failure_on_a_block_edge(self, case, numex, monkeypatch):
+        args = FAILURE_CASES[case](numex)
+        k = len(run_closed_loop(*args).t) - 1  # the failing grid point
+        _, summary, code = self.check_sizes(args, k, monkeypatch)
+        assert code == 3 and "# completed: False\n" in summary
+
+    @pytest.mark.parametrize("edge", ["first", "last"])
+    def test_domain_exit_on_a_block_edge(self, numex, monkeypatch, edge):
+        args = _scenario_a_start(numex)
+        trace = run_closed_loop(*args)
+        outside = np.flatnonzero(~numex.system.in_domain(trace.x))
+        assert len(outside) == 32 and outside[-1] - outside[0] == 31
+        _, summary, _ = self.check_sizes(args, outside[0 if edge == "first" else -1], monkeypatch)
+        assert "# flag: plant left the domain box at t=0.241 (32 samples)\n" in summary
+
+    @pytest.mark.parametrize("steps", [1023, 1024, 1025])
+    def test_horizon_around_one_block(self, numex, steps):
+        args = _scenario_a_start(numex)
+        args = args[:4] + (replace(args[4], T=steps * 1e-3),)
+        want = whole_run_output(args)
+        assert want[0].count("\n") == steps + 2  # the header and every grid point
+        assert streamed_output(args) == want
+
+    def test_blocks_concatenate_to_the_time_grid(self, monkeypatch):
+        # t0 + h k from each block's own first index, the last point T
+        monkeypatch.setattr(sim, "CSV_BLOCK", 7)
+        for T, h in ((1.0, 1e-2), (0.999, 1e-2), (5.0, 0.3), (1e-9, 1.0)):
+            last = len(time_grid(0.0, T, h)) - 1
+            parts = [time_grid(0.0, T, h, first, min(first + 7, last + 1))
+                     for first in range(0, last + 1, 7)]
+            assert np.concatenate(parts).tobytes() == time_grid(0.0, T, h).tobytes()
+
+    def test_decay_fit_by_blocks_matches_whole_trace(self, scenario_a):
+        trace, _ = scenario_a
+        for window in ((5.0, 15.0), (0.0, 20.0), (0.3, 0.31)):
+            whole = decay_rate(trace, window)
+            fit = sim.DecayFit(window)
+            for first in range(0, len(trace.t), 1000):
+                fit.add(trace.t[first : first + 1000], trace.err[first : first + 1000])
+            assert fit.rate() == pytest.approx(whole, rel=1e-12, abs=0.0)
 
 
 class TestCsv:
