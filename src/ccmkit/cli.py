@@ -145,8 +145,10 @@ def cmd_geodesic(cfg, args, out):
 def cmd_simulate(cfg, args, out):
     if cfg.reference is None:
         raise ConfigError("[reference] missing xd0")
+    if cfg.sim.kind == "geodesic" and cfg.metric is None:
+        raise ConfigError("geodesic controller needs a primal [metric]")
     grid = _grid_for(cfg, args)
-    gain = _resolve_gain(cfg, grid)
+    gain = None if cfg.sim.kind == "custom" else _resolve_gain(cfg, grid)  # u reads no gain
     run_cfg = dataclasses.replace(cfg.sim, exactness_grid=grid)
     summary = _sys.stderr if out is not _sys.stdout else out
     return write_simulation(cfg.system, cfg.metric, gain, cfg.reference, run_cfg, out, summary)

@@ -11,12 +11,12 @@ is held over the step, a sampled-data law. It runs as two passes of one generate
 template over blocks of CSV_BLOCK grid points, each pass carrying its state from
 block to block: the reference pass, over the lines that read only t, h, x_d and
 literals (u_d, the x_d step, beta(x_d) of the static law), stores one row per grid
-point of the block, and the plant pass runs the other lines on those rows. A sweep
-runs the reference pass once per block and the plant pass per block and sample; a
-single run is a sweep of one sample, and `simulate` writes each block as it comes.
-The law and the step keep their own failure checks, the same in both passes. Both
-passes are built once for runs that differ only in x0, z0, T, h or the geodesic
-settings.
+point of the block, (t, x_d, h, the reference values the plant reads), and the plant
+pass unpacks that row and runs the other lines on it. A sweep runs the reference
+pass once per block and the plant pass per block and sample; a single run is a sweep
+of one sample, and `simulate` writes each block as it comes. The law and the step
+keep their own failure checks, the same in both passes. Both passes are built once
+for runs that differ only in x0, z0, T, h or the geodesic settings.
 """
 
 from __future__ import annotations
@@ -133,18 +133,19 @@ def _plant(sys, u, rename):
 
 
 _BUILT = [((), None)]  # (key, passes) of the last closed loop built, read and set at once
-# A closed loop runs as two passes of one template over a block of the time grid:
-# per row of `_rows`, read into the names `row`, from grid index `_first` on, a law
-# block and, but at grid index `_last`, an RK4 step block on the state `y`. Each
-# pass hands `_put` one row per grid point: the law's values, then the step's, if it
-# has any, with NaN for all but the first `kept` law values where the law failed and
-# for the step's where the step did not run. `_times` holds the block's times and
-# the next one. The reference pass, on rows (t, h), runs the lines that read only t,
-# h, xd* and literals and puts (t, x_d, u_d, h, the reference values the plant pass
-# reads). The plant pass runs the other lines on those rows and puts (x, z, u). Each
-# returns (k, stage, error) at its first failure, stage "law" (a law line raised),
-# "control" (a non-finite u) or "step"; (k, None, None) at grid index `_last`; and
-# (None, None, y), its carried state, when its rows end first.
+# A closed loop runs as two passes of one template over a block of the time grid: per
+# row of `_rows`, read into the names `row`, from grid index `_first` on, a law block
+# and, but at grid index `_last`, an RK4 step block on the state `y`. Each pass hands
+# `_put` one row per grid point: the law's values, then the step's, if it has any,
+# with NaN for all but the first `kept` law values where the law failed and for the
+# step's where the step did not run. `_times` holds the block's times and the next
+# one. The reference pass, on rows (t, h), runs the lines that read only t, h, xd* and
+# literals and puts the plant pass's rows: (t, x_d, h, the reference locals it reads,
+# u_d's among them). The plant pass runs the other lines on them and puts (x, z, u_d,
+# u), u_d as row names or literals. Each returns (k, stage, error) at its first
+# failure, stage "law" (a law line raised), "control" (a non-finite u) or "step"; (k,
+# None, None) at grid index `_last`; and (None, None, y), its carried state, when its
+# rows end first.
 _PASS = """def fn(_rows, _first, _last, _times, _put, {y}, _correction):
     for _k, ({row}) in enumerate(_rows, _first):
         try:
@@ -241,19 +242,15 @@ def _closed_loop(sys, metric, gain, ref, cfg):
     if cfg.kind == "geodesic":  # the plant's law reads v from the run's callback
         law.insert(0, f"{', '.join(held)}, = _correction({', '.join(names[1 : 2 * n + 1])})")
     y_next, xd_next = texts[k : k + n] + texts[k + 2 * n :], texts[k + n : k + 2 * n]
-    read.update(texts[:m], y_next)
-    # a row: t, x_d, u_d, h and the other reference locals the plant pass reads; in
-    # the plant pass a u_d that is a literal or a variable unpacks to "_"
-    ud_row = [a if a.startswith("_") else "_" for a in texts[m : 2 * m]]
-    shared = read - plant - set(ud_row)
-    law_row = ["t", *xds, *texts[m : 2 * m], "h"]
-    law_row += [f"_{j}" for j in range(split) if f"_{j}" in shared]
+    read.update(texts[:k], y_next)
+    # a row: t, x_d, h and the reference locals the plant pass reads, u_d's among them
+    shared = read - plant
+    law_row = ["t", *xds, "h"] + [f"_{j}" for j in range(split) if f"_{j}" in shared]
     step_row = [f"_{j}" for j in range(split, len(lines)) if f"_{j}" in shared]
     reference = _pass(xds, ["t", "h"], ref_law, ref_step, xd_next, law_row, 1 + n, step_row,
                       "True")  # the reference pass checks no u
-    row = ["t", *xds, *ud_row, *law_row[1 + n + m :], *step_row]
-    plant_pass = _pass(ys, row, law, step, y_next, ys + texts[:m], len(ys), [],
-                       " and ".join(f"isfinite({a})" for a in texts[:m]))
+    plant_pass = _pass(ys, law_row + step_row, law, step, y_next, ys + texts[m:k] + texts[:m],
+                       len(ys) + m, [], " and ".join(f"isfinite({a})" for a in texts[:m]))
     built = reference, plant_pass
     _BUILT[0] = key, built
     return built
@@ -283,10 +280,10 @@ def closed_loop_blocks(sys, metric, gain, ref, cfg, x0s):
 
 
 def _walk(sys, metric, gain, ref, cfg, passes, states):
-    """`closed_loop_blocks`'s blocks. A plant failure at an earlier grid point or
-    block than the reference's wins; in the same block the reference's error is
-    reported."""
-    (reference, plant), n, m = passes, sys.n, sys.m
+    """`closed_loop_blocks`'s blocks. The plant pass runs on every row the reference
+    pass put; a plant failure before the reference's last row wins, as does a plant
+    law failure where the reference's step failed; else the run ends as the reference."""
+    (reference, plant), n = passes, sys.n
     last = grid_steps(0.0, cfg.T, cfg.h)  # the last grid index
 
     def correction(*y):  # the geodesic v at (x, xd) = y
@@ -301,18 +298,13 @@ def _walk(sys, metric, gain, ref, cfg, passes, states):
         steps = zip(grid[: stop - first], np.diff(times).tolist() + [math.nan])  # rows (t, h)
         # the passes read and write Python floats: 1/0 raises instead of giving inf
         ref_k, ref_stage, ref_found = reference(steps, first, last, grid, rows.append, *xd, None)
-        table = _matrix(rows)
-        # row ref_k of a law failure holds only t and x_d; the plant records x there
-        plant_rows = rows[: ref_k - first] if ref_stage == "law" else rows
+        xds = _matrix([row[1 : n + 1] for row in rows])
         for i, run in list(runs.items()):
-            out = []  # (x, z, u) per grid point
-            k, stage, found = plant(plant_rows, first, last if ref_k is None else ref_k, grid,
-                                    out.append, *run[0], correction)
-            if not stage and ref_k is not None:  # the plant reached the reference's end
-                if k is None:  # the reference's law failed there: x, but no u
-                    out.append(found + (math.nan,) * m)
-                k, stage, found = ref_k, ref_stage, ref_found
-            trace = _block_trace(sys, times, table, out, len(run[0]), stage)
+            out = []  # (x, z, u_d, u) per grid point
+            k, stage, found = plant(rows, first, ref_k, grid, out.append, *run[0], correction)
+            if k == ref_k is not None and (ref_stage == "law" or not stage):
+                k, stage, found = ref_k, ref_stage, ref_found  # the reference's end or failure
+            trace = _block_trace(sys, times, xds, out, len(run[0]), stage)
             exits = trace.t[~sys.in_domain(trace.x)].tolist()
             if exits and run[1] is None:
                 run[1] = exits[0]
@@ -334,17 +326,15 @@ def _walk(sys, metric, gain, ref, cfg, passes, states):
         xd = ref_found
 
 
-def _block_trace(sys, times, table, out, size, stage):
-    """A block's SimTrace from the plant's values `out`, (x, z, u) with `size`
-    state entries per grid point, and the reference's rows `table`, copied since the
-    runs of a sweep share them; no u_d where the law raised."""
-    n, m = sys.n, sys.m
-    values = _matrix(out)
-    count, xs = len(values), values[:, :n]
-    xds, uds = table[:count, 1 : n + 1].copy(), table[:count, n + 1 : n + 1 + m].copy()
+def _block_trace(sys, times, xds, out, size, stage):
+    """A block's SimTrace from the plant's values `out`, (x, z, u_d, u) with `size`
+    state entries per grid point, and the reference's x_d rows `xds`, copied since the
+    runs of a sweep share them; no u_d or u where the law raised."""
+    n, values = sys.n, _matrix(out)
     if stage == "law":
-        uds[-1] = math.nan
-    return SimTrace(t=times[:count], x=xs, xd=xds, u=values[:, size:], ud=uds,
+        values[-1, size:] = math.nan
+    xs, xds, u_at = values[:, :n], xds[: len(values)].copy(), size + sys.m
+    return SimTrace(t=times[: len(xs)], x=xs, xd=xds, u=values[:, u_at:], ud=values[:, size:u_at],
                     err=np.linalg.norm(xs - xds, axis=1), z=values[:, n:size] if size > n else None)
 
 

@@ -25,10 +25,12 @@ def write_config(tmp_path, text, name="run.ini"):
     return str(path)
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 NUMEX_MIN = "[system]\nbuiltin = numex\n"
 METRIC = "[metric]\nM_1_1 = 2/5\nM_1_2 = 1/5\nM_2_2 = 3/5\n"  # the numex metric; bounds follow
 
-CUSTOM_SYSTEM = """
+CUSTOM_METRIC = "[metric]\nM_1_1 = 1\nM_2_2 = 1\np_lo = 1\np_hi = 1\n"
+CUSTOM_SYSTEM = f"""
 [system]
 n = 2
 m = 1
@@ -38,12 +40,7 @@ B_2_1 = 1
 domain_lo = -5 -5
 domain_hi = 5 5
 
-[metric]
-M_1_1 = 1
-M_2_2 = 1
-p_lo = 1
-p_hi = 1
-
+{CUSTOM_METRIC}
 [reference]
 xd0 = 0 0
 """
@@ -652,6 +649,30 @@ class TestCliSimulate:
             "numerical failure: exactness check failed: invalid value encountered in scalar "
             "divide at x=[0. 0.]\n")
 
+    @pytest.mark.parametrize("metric", ["", "[metric]\nrole = dual\nM_1_1 = 1\nM_2_2 = 1\n"
+                                            "p_lo = 1\np_hi = 1\n"], ids=["none", "dual"])
+    def test_geodesic_controller_needs_a_primal_metric(self, tmp_path, capsys, metric):
+        text = CUSTOM_SYSTEM.replace(CUSTOM_METRIC, metric) + (
+            "[gain]\nsource = user\nK_1_1 = -1\nK_1_2 = -1\n\n"
+            "[simulation]\ncontroller = geodesic\nT = 1\nh = 0.01\n")
+        path = write_config(tmp_path, text)
+        assert main(["simulate", "--config", path, "--grid", "5",
+                     "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: geodesic controller needs a primal [metric]\n")
+
+    @pytest.mark.parametrize("text", [
+        CUSTOM_SYSTEM.replace(CUSTOM_METRIC, "") + "[simulation]\n",  # nothing to synthesize from
+        (CONFIGS / "geodesic_demo.ini").read_text(),  # a metric that fails C1
+    ], ids=["no-metric", "curved-metric"])
+    def test_custom_controller_resolves_no_gain(self, tmp_path, capsys, text):
+        text = text.replace("[simulation]\n", "[simulation]\ncontroller = custom\n"
+                            "u1 = -x1 - x2\nT = 1\nh = 0.01\n")
+        path = write_config(tmp_path, text)
+        assert main(["simulate", "--config", path, "--grid", "5",
+                     "--out", str(tmp_path / "t.csv")]) == 0
+        assert "# completed: True\n" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "setting", ["controller = magic", "T = -1", "T = nan", "geodesic_N = 1",
                     "ell = -1", "ell = nan", "ell = 0", "h = inf", "err_threshold = nan",
@@ -662,8 +683,6 @@ class TestCliSimulate:
                      "--out", str(tmp_path / "t.csv")]) == 2
         assert capsys.readouterr().err.startswith("config error: [simulation]")
 
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # Runs in a fresh interpreter with every scipy import blocked: imports
 # ccmkit, runs each argv through cli.main in-process and prints the exit

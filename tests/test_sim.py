@@ -482,6 +482,7 @@ FAILURE_CASES = {
     "non-finite-state": _squaring_run("1e300*(1 + x2)", [0.0, 0.0]),
     "reference-divergence": _squaring_run("-x2", [0.0, 0.0], xd0=(2.0, 0.0)),
     "reference-non-finite": _squaring_run("-x2", [0.0, 0.0], ud="1e300*(1 + xd2)"),
+    "reference-law-finite-u": _squaring_run("-x2", [0.0, 0.0], ud="1/t"),  # u reads no u_d
     "custom-domain-error": _custom_run("1/(t-1)", 3.0),
     "custom-reciprocal-time": _custom_run("1/t", 1.0),
     "custom-sqrt": _custom_run("sqrt(t - 1)", 1.0),
@@ -981,8 +982,10 @@ class TestSweepPasses:
             single = run_closed_loop(sys_, metric, gain, ref, replace(cfg, x0=trace.x[0]))
             assert (trace.flags, trace.completed) == (single.flags, single.completed)
             assert hex_columns(trace) == hex_columns(single)
-            # no rows shared between the samples of a block
-            assert all(block.xd.flags.owndata and block.ud.flags.owndata for block in blocks)
+        # no memory shared between the blocks of different samples
+        arrays = [[a for block in blocks for a in (block.xd, block.ud)] for blocks in runs]
+        assert not any(np.shares_memory(a, b) for i, mine in enumerate(arrays)
+                       for theirs in arrays[i + 1 :] for a in mine for b in theirs)
 
     @pytest.mark.parametrize("kind", sorted(SWEEPS))
     def test_samples_equal_single_runs(self, numex, monkeypatch, kind):
@@ -1004,6 +1007,20 @@ class TestSweepPasses:
         reference, plant = (re.findall(r"^ *(?:for|try|except|if|return)\b[^(\n]*", src, re.M)
                             for src in compiled)
         assert len(reference) == 16 and reference == plant
+
+    @pytest.mark.parametrize("ud", ["0", "xd2", "sin(t)"])
+    @pytest.mark.parametrize("kind", sorted(SWEEPS))
+    def test_reference_puts_the_row_the_plant_reads(self, numex, monkeypatch, kind, ud):
+        # one row layout: the names the reference pass puts per grid point are the
+        # names the plant pass unpacks, whether u_d is a literal, a variable or a local
+        sys_, metric, gain, ref, cfg = self.SWEEPS[kind](numex)
+        ref = ReferenceSpec.from_strings(2, ref.xd0, [ud])
+        monkeypatch.setattr(sim, "_BUILT", [((), None)])  # a fresh build
+        compiled = TestBuildOnce.count_compiles(monkeypatch)
+        run_closed_loop(sys_, metric, gain, ref, cfg)
+        put = re.findall(r"^ *_put\(\((.*),\)\)$", compiled[0], re.M)[-1]  # after the step
+        row = re.search(r"for _k, \((.*)\) in enumerate", compiled[1]).group(1)
+        assert put.split(", ") == row.split(", ")
 
     def test_reference_pass_runs_once_per_sweep(self, numex, monkeypatch):
         sys_, metric, gain, ref, cfg = self.SWEEPS["static"](numex)
@@ -1034,7 +1051,7 @@ class TestSweepPasses:
     @pytest.mark.parametrize("case", ["feedforward-reciprocal-time", "custom-reciprocal-time",
                                       "custom-sqrt", "custom-inf", "custom-nan",
                                       "custom-domain-error", "reference-divergence",
-                                      "reference-non-finite"])
+                                      "reference-non-finite", "reference-law-finite-u"])
     def test_reference_failures_match_single_runs(self, numex, monkeypatch, case):
         # u_d, a custom u over t alone, or the x_d step fails in the reference pass
         args = FAILURE_CASES[case](numex)
