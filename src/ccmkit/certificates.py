@@ -49,7 +49,7 @@ class Grid:
         self.counts = tuple(int(c) for c in self.counts)
         if any(c < 2 for c in self.counts):
             raise ValueError("need at least 2 samples per axis")
-        total = int(np.prod(self.counts))
+        total = math.prod(self.counts)
         if total > MAX_GRID_POINTS:
             raise ValueError(f"grid has {total} points, cap is {MAX_GRID_POINTS}")
 
@@ -69,7 +69,7 @@ class Grid:
         return np.stack([axis.ravel() for axis in mesh], axis=1)
 
     def __len__(self):
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
 
 @dataclass

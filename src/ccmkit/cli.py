@@ -211,7 +211,11 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         out = _out_stream(args)
-        return handlers[args.command](cfg, args, out)
+        try:
+            return handlers[args.command](cfg, args, out)
+        finally:
+            if out is not _sys.stdout:
+                out.close()  # flushes, so a failed write may surface here
     except (ConfigError, ModelError, ExprSyntaxError, UnknownIdentifierError) as err:
         _sys.stderr.write(f"config error: {err}\n")
         return EXIT_USAGE
@@ -222,9 +226,11 @@ def main(argv=None):
             GeodesicError, IntegrationError, ArithmeticError) as err:
         _sys.stderr.write(f"numerical failure: {err}\n")
         return EXIT_NUMERICAL
-    finally:
-        if out is not None and out is not _sys.stdout:
-            out.close()
+    except OSError as err:
+        if out is None or out is _sys.stdout:
+            raise
+        _sys.stderr.write(f"cannot write --out: {err}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

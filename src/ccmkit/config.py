@@ -273,7 +273,10 @@ def _load_cert(section):
 def load_config(path):
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case sensitive (M_1_1 vs m)
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read config file {path!r}: {err}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     known_sections = {"system", "metric", "reference", "gain", "simulation",

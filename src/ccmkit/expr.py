@@ -6,14 +6,13 @@ configuration files.  Grammar (precedence high to low): ^ with an
 integer exponent of magnitude at most 2^53, unary minus, * /, + -, over
 ASCII digits and names.  Functions: sin, cos, exp, abs, sqrt (plus sign,
 which only appears in derivatives of abs but is accepted by the parser
-so printed derivatives round-trip).  The parser
-reads the token list of `_tokens` by recursive descent, one loop per
-level of binary operators.
+so printed derivatives round-trip).  `parse` is one loop over the token
+list of `_tokens` with no depth limit.
 
 `substitute`, `differentiate`, `degree`, `free_variables`, `to_string`
 and the code generator are one post-order walk, `_fold`, which combines
-each shared subtree once and has no depth limit; only the parser and
-`evaluate` (the test reference) walk on their own. Expressions compile to
+each shared subtree once and has no depth limit; only `evaluate` (the
+test reference) walks on its own. Expressions compile to
 straight-line code: on numpy for one point or a stack of points in one
 call (`compile_array_fn`, the program of every `model._Field`), and on
 Python floats (`compile_fn`, bit-for-bit `evaluate`, its compiled oracle).
@@ -227,85 +226,79 @@ def _integer(literal):
     return int(digits) * 10**shift if shift >= 0 else None  # a finite float bounds shift
 
 
-# Binary operators, loosest level first; each level associates to the left.
-_BINARY_LEVELS = ({"+": "add", "-": "sub"}, {"*": "mul", "/": "div"})
+# Binary operators: node kind and binding level; each level associates to the left.
+_BINARY = {"+": ("add", 1), "-": ("sub", 1), "*": ("mul", 2), "/": ("div", 2)}
 
 
-class _Parser:
-    """Recursive descent over the token list, kept as a stack with the next
-    token last. ^ binds tighter than unary minus, so -x^2 means -(x^2), and
-    a unary minus on a literal is folded into it. Taking the end token
-    always ends in an error, so it is never taken twice."""
-
-    def __init__(self, text, variables):
-        self.tokens = _tokens(text)[::-1]
-        self.variables = set(variables)
-
-    def parse(self):
-        e = self._binary(0)
-        kind, _, off = self.tokens[-1]
-        if kind != "end":
-            raise ExprSyntaxError("trailing input", off)
-        return e
-
-    def _binary(self, level):
-        if level == len(_BINARY_LEVELS):
-            return self._factor()
-        ops = _BINARY_LEVELS[level]
-        e = self._binary(level + 1)
-        while self.tokens[-1][0] in ops:
-            e = Expr(ops[self.tokens.pop()[0]], args=(e, self._binary(level + 1)))
-        return e
-
-    def _factor(self):
-        if self.tokens[-1][0] == "-":
-            self.tokens.pop()
-            return neg(self._factor())
-        base = self._atom()
-        if self.tokens[-1][0] != "^":
-            return base
-        self.tokens.pop()
-        sign = 1
-        kind, value, off = self.tokens.pop()
-        if kind == "-":
-            sign = -1
-            kind, value, off = self.tokens.pop()
-        exact = _integer(value) if kind == "num" and math.isfinite(float(value)) else None
-        if exact is None:
-            raise ExprSyntaxError("exponent must be an integer constant", off)
-        if abs(exact) > _MAX_EXPONENT:
-            raise ExprSyntaxError("exponent exceeds 2^53 in magnitude", off)
-        return Expr("pow", value=float(sign * exact), args=(base,))
-
-    def _atom(self):
-        kind, value, off = self.tokens.pop()
-        if kind == "num":
-            return const(float(value))
-        if kind == "ident" and self.tokens[-1][0] != "(":
-            if value not in self.variables:
-                raise UnknownIdentifierError(value, off)
-            return var(value)
-        if kind == "ident":  # a function call
-            if value not in FUNCTIONS:
-                raise UnknownIdentifierError(value, off)
-            self.tokens.pop()
-        elif kind != "(":
-            raise ExprSyntaxError("expected expression", off)
-        inner = self._binary(0)
-        close, _, close_off = self.tokens.pop()
-        if close != ")":
-            raise ExprSyntaxError("expected ')'", close_off)
-        return inner if kind == "(" else Expr(value, args=(inner,))
+def _exponent(tokens):
+    """The integer exponent after a ^, popped from `tokens`, as a float."""
+    sign = 1
+    kind, value, off = tokens.pop()
+    if kind == "-":
+        sign = -1
+        kind, value, off = tokens.pop()
+    exact = _integer(value) if kind == "num" and math.isfinite(float(value)) else None
+    if exact is None:
+        raise ExprSyntaxError("exponent must be an integer constant", off)
+    if abs(exact) > _MAX_EXPONENT:
+        raise ExprSyntaxError("exponent exceeds 2^53 in magnitude", off)
+    return float(sign * exact)
 
 
 def parse(text, variables):
-    """Parse expression text over the given iterable of variable names."""
+    """Parse expression text over the given iterable of variable names.
+
+    Reads the token list as a stack, next token last; an open group (a
+    parenthesis or a call) saves its level's pending unary minuses, operands
+    and operators on `groups`. ^ binds tighter than unary minus, so -x^2 is
+    -(x^2); a unary minus on a literal folds into it. The end token always
+    ends the loop, so it is never taken twice."""
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    try:
-        return _Parser(text, variables).parse()
-    except RecursionError:
-        raise ExprSyntaxError("expression nests too deeply", 0) from None
+    variables, tokens = set(variables), _tokens(text)[::-1]
+    groups, minuses, operands, operators = [], 0, [], []
+    while True:
+        kind, value, off = tokens.pop()  # an operand is due
+        if kind == "-":
+            minuses += 1
+            continue
+        call = kind == "ident" and tokens[-1][0] == "("
+        if kind == "ident" and value not in (FUNCTIONS if call else variables):
+            raise UnknownIdentifierError(value, off)
+        if call:
+            kind = tokens.pop()[0]
+        if kind == "(":  # value is "(" or the function's name
+            groups.append((minuses, operands, operators, value))
+            minuses, operands, operators = 0, [], []
+            continue
+        if kind not in ("num", "ident"):
+            raise ExprSyntaxError("expected expression", off)
+        base = const(float(value)) if kind == "num" else var(value)
+        while True:  # a base is done: its exponent, its minuses, then an operator
+            if tokens[-1][0] == "^":
+                tokens.pop()
+                base = Expr("pow", value=_exponent(tokens), args=(base,))
+            for _ in range(minuses):
+                base = neg(base)
+            operands.append(base)
+            kind, value, off = tokens.pop()
+            level = _BINARY[kind][1] if kind in _BINARY else 0
+            while operators and _BINARY[operators[-1]][1] >= level:
+                b = operands.pop()
+                operands[-1] = Expr(_BINARY[operators.pop()][0], args=(operands[-1], b))
+            if level:
+                operators.append(kind)
+                minuses = 0
+                break
+            if not groups:
+                if kind != "end":
+                    raise ExprSyntaxError("trailing input", off)
+                return operands[0]
+            if kind != ")":
+                raise ExprSyntaxError("expected ')'", off)
+            inner = operands[0]
+            minuses, operands, operators, opener = groups.pop()
+            base = inner if opener == "(" else Expr(opener, args=(inner,))
 
 
 def evaluate(expr, env):

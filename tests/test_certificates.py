@@ -129,6 +129,14 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid([0.0] * 4, [1.0] * 4, (100,) * 4)
 
+    @pytest.mark.parametrize("counts", [(2**21,) * 3, (65536,) * 4, (2**32, 2**32)])
+    def test_point_count_does_not_wrap(self, counts):
+        # 2^63 and 2^64 points wrap to a negative and to 0 in an int64 product
+        with pytest.raises(ValueError) as err:
+            Grid([0.0] * len(counts), [1.0] * len(counts), counts)
+        assert str(err.value) == f"grid has {math.prod(counts)} points, cap is 1000000"
+        assert math.prod(counts) in (2**63, 2**64)
+
 
 class TestKillingPde:
     def test_numex_passes(self, numex):

@@ -201,6 +201,13 @@ class TestCliCertify:
     def test_missing_config_exit(self, tmp_path):
         assert main(["certify", "--config", str(tmp_path / "nope.ini")]) == 2
 
+    def test_grid_point_count_does_not_wrap(self, tmp_path, capsys):
+        # 2^21 points per axis on the 3-state microactuator is 2^63 points
+        path = write_config(tmp_path, "[system]\nbuiltin = microactuator\n")
+        assert main(["certify", "--config", path, "--grid", str(2**21)]) == 2
+        assert capsys.readouterr().err == (
+            "bad grid: grid has 9223372036854775808 points, cap is 1000000\n")
+
     def test_seed_flag_removed(self, tmp_path):
         path = write_config(tmp_path, NUMEX_MIN)
         assert main(["certify", "--config", path, "--seed", "1"]) == 2
@@ -387,10 +394,9 @@ class TestCliExpressionErrors:
         assert GainField.from_exprs(2, 1, [[printed, "0"]])([1.0, 0.0])[0, 0] == 3000.0
 
     def test_deep_gain_writes_nothing(self, tmp_path, capsys):
-        # a gain too deeply parenthesised to parse fails after the output
-        # is opened, and leaves no partial [gain] section behind
-        path = write_config(tmp_path, NUMEX_MIN + "[gain]\nsource = user\nK_1_1 = "
-                            + "(" * 1000 + "x1" + ")" * 1000 + "\n")
+        # a gain that fails to parse fails after the output is opened, and
+        # leaves no partial [gain] section behind
+        path = write_config(tmp_path, NUMEX_MIN + "[gain]\nsource = user\nK_1_1 = -y1\n")
         out_path = tmp_path / "gain.ini"
         assert main(["synthesize", "--config", path, "--grid", "5"]) == 2
         captured = capsys.readouterr()
@@ -611,6 +617,17 @@ class TestCliSimulate:
         assert [str(w.message) for w in seen] == []
         assert "# decay_rate: n/a\n" in capsys.readouterr().err
 
+    def test_degree_300_horner_reference_runs(self, tmp_path, capsys):
+        # u_d = 1 + t*(1 + t*(...)) nests 300 parentheses deep
+        ud1 = "1"
+        for _ in range(300):
+            ud1 = f"1 + t*({ud1})"
+        path = write_config(tmp_path, NUMEX_MIN + f"[reference]\nxd0 = 3 -1\nud1 = {ud1}\n"
+                            "[simulation]\ncontroller = dynext\nT = 0.1\nh = 0.01\nx0 = 3 -1\n")
+        assert main(["simulate", "--config", path, "--grid", "5",
+                     "--out", str(tmp_path / "t.csv")]) == 0
+        assert "# completed: True\n" in capsys.readouterr().err
+
     def test_numerical_failure_exit_three(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
@@ -765,6 +782,44 @@ def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
                                             for run in runs)
     assert (code_8, code_64) == (1, 0)  # err(T) is above the threshold at T = 8.192
     assert abs(peak_64 - peak_8) < 1024  # kB
+
+
+MALFORMED_INI = {
+    "duplicate-option": b"[system]\nbuiltin = numex\nbuiltin = numex\n",
+    "duplicate-section": b"[system]\nbuiltin = numex\n[system]\n",
+    "no-section-header": b"builtin = numex\n[system]\n",
+    "line-without-equals": b"[system]\nbuiltin numex\n",
+    "not-utf-8": b"[system]\nbuiltin = numex\n# \xff\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_INI.values(), ids=MALFORMED_INI.keys())
+def test_malformed_ini_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "run.ini"
+    path.write_bytes(text)
+    assert main(["certify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config file '{path}': ")
+
+
+def test_malformed_ini_ends_without_traceback(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_bytes(MALFORMED_INI["duplicate-option"])
+    env = dict(os.environ, PYTHONPATH=str(Path(ccmkit.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "ccmkit", "certify", "--config", str(path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["certify", "--config", str(CONFIGS / "numex_certify.ini")],
+                                  ["simulate", "--config", str(CONFIGS / "numex_dynext.ini")]],
+                         ids=["certify", "simulate"])
+def test_failed_out_write_is_usage_error(capsys, argv):
+    # the certify report fails on close, the simulate trace on a block's write
+    assert main([*argv, "--out", "/dev/full"]) == 2
+    assert capsys.readouterr().err == "cannot write --out: [Errno 28] No space left on device\n"
 
 
 def test_python_m_ccmkit_certifies(tmp_path):

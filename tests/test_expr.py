@@ -3,6 +3,7 @@
 import math
 import random
 from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -86,10 +87,6 @@ class TestParse:
         ("x1 * ()", ex.ExprSyntaxError, "expected expression", 6),
         ("", ex.ExprSyntaxError, "empty expression", 0),
         ("   ", ex.ExprSyntaxError, "empty expression", 0),
-        pytest.param("(" * 5000 + "x1" + ")" * 5000, ex.ExprSyntaxError,
-                     "expression nests too deeply", 0, id="deep-parentheses"),
-        pytest.param("-" * 5000 + "x1", ex.ExprSyntaxError,
-                     "expression nests too deeply", 0, id="deep-unary-minus"),
         ("x1^1e20", ex.ExprSyntaxError, "exponent exceeds 2^53 in magnitude", 3),
         ("x1^-9007199254740993", ex.ExprSyntaxError, "exponent exceeds 2^53 in magnitude", 4),
         ("x1^9007199254740994 + 1", ex.ExprSyntaxError, "exponent exceeds 2^53 in magnitude", 3),
@@ -110,6 +107,14 @@ class TestParse:
         assert type(err.value) is error
         assert str(err.value) == f"{message} (offset {offset})"
         assert err.value.offset == offset
+
+    @pytest.mark.parametrize("text", ["(" * 5000 + "x1" + ")" * 5000, "-" * 5000 + "x1"],
+                             ids=["deep-parentheses", "deep-unary-minus"])
+    def test_deep_input_parses_and_round_trips(self, text):
+        e = ex.parse(text, XY)
+        want = reduce(lambda a, _: ex.Expr("neg", args=(a,)), range(text.count("-")), ex.var("x1"))
+        assert _same_tree(e, want)
+        assert _same_tree(ex.parse(ex.to_string(e), XY), e)
 
     def test_largest_exponent_keeps_its_parity(self):
         # 2^53 - 1, the derivative's exponent, is odd and exact as a float
@@ -140,6 +145,147 @@ class TestParse:
         with pytest.raises(ex.ExprSyntaxError) as err:
             ex.parse(text, XY)
         assert str(err.value) == f"exponent must be an integer constant (offset {text.index('1e')})"
+
+
+# Oracle: the recursive-descent parser that the one-loop `parse` replaced.
+_BINARY_LEVELS = ({"+": "add", "-": "sub"}, {"*": "mul", "/": "div"})
+
+
+class _RecursiveParser:
+    """Recursive descent over the token list, kept as a stack with the next
+    token last; one method per level of binary operators. Raises
+    RecursionError on input nested beyond the interpreter's limit."""
+
+    def __init__(self, text, variables):
+        self.tokens = ex._tokens(text)[::-1]
+        self.variables = set(variables)
+
+    def parse(self):
+        e = self._binary(0)
+        kind, _, off = self.tokens[-1]
+        if kind != "end":
+            raise ex.ExprSyntaxError("trailing input", off)
+        return e
+
+    def _binary(self, level):
+        if level == len(_BINARY_LEVELS):
+            return self._factor()
+        ops = _BINARY_LEVELS[level]
+        e = self._binary(level + 1)
+        while self.tokens[-1][0] in ops:
+            e = ex.Expr(ops[self.tokens.pop()[0]], args=(e, self._binary(level + 1)))
+        return e
+
+    def _factor(self):
+        if self.tokens[-1][0] == "-":
+            self.tokens.pop()
+            return ex.neg(self._factor())
+        base = self._atom()
+        if self.tokens[-1][0] != "^":
+            return base
+        self.tokens.pop()
+        sign = 1
+        kind, value, off = self.tokens.pop()
+        if kind == "-":
+            sign = -1
+            kind, value, off = self.tokens.pop()
+        exact = ex._integer(value) if kind == "num" and math.isfinite(float(value)) else None
+        if exact is None:
+            raise ex.ExprSyntaxError("exponent must be an integer constant", off)
+        if abs(exact) > ex._MAX_EXPONENT:
+            raise ex.ExprSyntaxError("exponent exceeds 2^53 in magnitude", off)
+        return ex.Expr("pow", value=float(sign * exact), args=(base,))
+
+    def _atom(self):
+        kind, value, off = self.tokens.pop()
+        if kind == "num":
+            return ex.const(float(value))
+        if kind == "ident" and self.tokens[-1][0] != "(":
+            if value not in self.variables:
+                raise ex.UnknownIdentifierError(value, off)
+            return ex.var(value)
+        if kind == "ident":  # a function call
+            if value not in ex.FUNCTIONS:
+                raise ex.UnknownIdentifierError(value, off)
+            self.tokens.pop()
+        elif kind != "(":
+            raise ex.ExprSyntaxError("expected expression", off)
+        inner = self._binary(0)
+        close, _, close_off = self.tokens.pop()
+        if close != ")":
+            raise ex.ExprSyntaxError("expected ')'", close_off)
+        return inner if kind == "(" else ex.Expr(value, args=(inner,))
+
+
+def _recursive_parse(text, variables):
+    if not text or not text.strip():
+        raise ex.ExprSyntaxError("empty expression", 0)
+    return _RecursiveParser(text, variables).parse()
+
+
+def _parse_outcome(parse, text):
+    """The tree `parse` gives for `text`, or its error's type, message and offset."""
+    try:
+        return parse(text, XY)
+    except (ex.ExprSyntaxError, ex.UnknownIdentifierError) as err:
+        return type(err), str(err), err.offset
+
+
+_LEAVES = ["x1", "x2", "2", "0", "0.5", "3e-1", "1e400"] * 3 + ["t", "1.2.3", "$"]
+_BINARY_OPS = [" + ", "-", "*", "/", " - "]
+_CALLS = [*ex.FUNCTIONS, "tan", "x1"]
+_EXPONENTS = ["2", "-3", "0", "-0", "1", "2.0", "2.5", "1e20", "- 2", "x1", "-x1", "",
+              "9007199254740992", "-9007199254740993"]
+_EDITS = ["", "(", ")", "-", "^", " ", "x1"]
+_SOUP = ["(", ")", "+", "-", "*", "/", "^", "x1", "x2", "sin", "tan", "bogus", "2", "0.5",
+         "1e400", "9007199254740993"]
+
+
+def _text_from(data):
+    """Parser input read off the bytes `data`, one choice per byte: token
+    soup, or expression-shaped text as it is or with one character replaced.
+    Fewer bytes give shorter text, so hypothesis shrinks toward short input."""
+    mode, pos, edit, *rest = data.ljust(3, b"\0")
+    if mode % 3 == 0:
+        return "".join(_SOUP[b % len(_SOUP)] + " " * (b >= 128) for b in rest)
+    choices = iter(rest)
+
+    def expr(depth):
+        kind, pick = divmod(next(choices, 0), 32)  # kind 0..7, pick 0..31
+        if kind < 3 or depth > 6:
+            return _LEAVES[pick % len(_LEAVES)]
+        if kind == 3:
+            return expr(depth + 1) + _BINARY_OPS[pick % len(_BINARY_OPS)] + expr(depth + 1)
+        if kind == 4:
+            return "-" + expr(depth + 1)
+        if kind == 5:
+            return f"({expr(depth + 1)})"
+        if kind == 6:
+            return f"{_CALLS[pick % len(_CALLS)]}({expr(depth + 1)})"
+        return expr(depth + 1) + "^" + _EXPONENTS[pick % len(_EXPONENTS)]
+
+    text = expr(0)
+    if mode % 3 == 2:
+        i = pos % len(text)
+        text = text[:i] + _EDITS[edit % len(_EDITS)] + text[i + 1:]
+    return text
+
+
+@settings(max_examples=2000, derandomize=True, deadline=None)
+@given(data=st.binary(max_size=40))
+def test_parse_matches_recursive_parser(data):
+    """The same tree, or the same error type, message and offset, as the
+    recursive-descent oracle wherever the oracle does not recurse too deeply."""
+    text = _text_from(data)
+    try:
+        want = _parse_outcome(_recursive_parse, text)
+    except RecursionError:
+        return
+    got = _parse_outcome(ex.parse, text)
+    if isinstance(want, ex.Expr):
+        assert isinstance(got, ex.Expr) and _same_tree(got, want)
+    else:
+        assert got == want
 
 
 class TestEvaluate:
@@ -546,9 +692,8 @@ def test_compile_fn_propagates_domain_errors():
 
 
 class TestDeepNesting:
-    """Only the parser recurses (nested parentheses, unary minus and
-    function calls) and reports too-deep input as a syntax error;
-    differentiate, to_string and compile_fn have no depth limit."""
+    """parse, differentiate, to_string and compile_fn have no depth limit:
+    nested parentheses, unary minus and function calls included."""
 
     def test_compile_250_term_sum(self):
         e = ex.parse(" + ".join(["x1"] * 250), XY)
@@ -589,8 +734,15 @@ class TestDeepNesting:
         assert ex.free_variables([]) == set()
 
     def test_parse_deep_parentheses(self):
-        with pytest.raises(ex.ExprSyntaxError):
-            ex.parse("(" * 1000 + "x1" + ")" * 1000, XY)
+        assert ex.parse("(" * 1000 + "x1" + ")" * 1000, XY) == ex.var("x1")
+
+    def test_derivative_of_250_factor_product_round_trips(self):
+        # d/dx1 of (x1 + 1)*...*(x1 + 250) prints with 249 nested parentheses
+        e = ex.parse("*".join(f"(x1 + {k})" for k in range(1, 251)), XY)
+        d = ex.differentiate(e, "x1")
+        text = ex.to_string(d)
+        assert max(accumulate({"(": 1, ")": -1}.get(c, 0) for c in text)) == 249
+        assert _same_tree(ex.parse(text, XY), d)
 
 
 class TestSubstitute:

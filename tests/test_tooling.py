@@ -1,12 +1,14 @@
-"""The traced benchmark run can find every ccmkit name it wraps.
+"""Checks on the tooling around ccmkit: the traced benchmark run can find
+every ccmkit name it wraps, and the sources parse as the oldest Python that
+pyproject.toml admits.
 
 `perfbench/tracer.py` lists in `TRACED` each function and method that a
 traced run (`perfbench/run.py --trace 1`, `perfbench/check_repeat.py`)
 wraps, and `Tracer.install` looks each one up without a default: a
 module attribute with `getattr`, a method in its class's own `__dict__`.
 A rename in ccmkit that misses that list would only break the traced
-run; this test makes it break Tier-1 instead. It reads perfbench and
-changes nothing there.
+run; the first test below makes it break Tier-1 instead. It reads
+perfbench and changes nothing there.
 """
 
 import ast
@@ -42,3 +44,11 @@ def test_every_traced_name_resolves_as_install_does():
             missing.append(f"{span}: ccmkit.{module}.{path}")
     assert not missing, missing
 
+
+def test_sources_parse_as_python_3_10():
+    """pyproject.toml declares requires-python >= 3.10; this checks the grammar
+    of every ccmkit module against it (not the standard library it calls)."""
+    sources = sorted((TRACER.parents[1] / "src" / "ccmkit").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
