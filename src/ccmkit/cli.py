@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys as _sys
 
 import numpy as np
@@ -57,11 +58,10 @@ def _grid_for(cfg, args):
 
 def _resolve_gain(cfg, grid):
     spec = cfg.gain
-    if spec.source == "builtin" and cfg.bundle is None:
-        raise ConfigError("gain source=builtin needs a builtin system")
     if spec.source != "synthesized":
-        entries = spec.entries if spec.source == "user" else cfg.bundle.builtin_gain
-        return GainField.from_exprs(cfg.system.n, cfg.system.m, entries)
+        if spec.entries is None:  # source=builtin on a custom system
+            raise ConfigError("gain source=builtin needs a builtin system")
+        return GainField.from_exprs(cfg.system.n, cfg.system.m, spec.entries)
     if cfg.metric is None:
         raise ConfigError("gain synthesis needs a primal [metric]")
     report = certs.check_c1(cfg.system, cfg.metric, grid, rate=cfg.metric.lam)
@@ -213,9 +213,11 @@ def main(argv=None):
         out = _out_stream(args)
         try:
             return handlers[args.command](cfg, args, out)
-        finally:
-            if out is not _sys.stdout:
-                out.close()  # flushes, so a failed write may surface here
+        finally:  # a failed write may surface in this flush or close
+            if out is _sys.stdout:
+                out.flush()
+            else:
+                out.close()
     except (ConfigError, ModelError, ExprSyntaxError, UnknownIdentifierError) as err:
         _sys.stderr.write(f"config error: {err}\n")
         return EXIT_USAGE
@@ -227,9 +229,11 @@ def main(argv=None):
         _sys.stderr.write(f"numerical failure: {err}\n")
         return EXIT_NUMERICAL
     except OSError as err:
-        if out is None or out is _sys.stdout:
+        if out is None:
             raise
-        _sys.stderr.write(f"cannot write --out: {err}\n")
+        if out is _sys.stdout:  # the interpreter's last flush of stdout must not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        _sys.stderr.write(f"cannot write {'stdout' if out is _sys.stdout else '--out'}: {err}\n")
         return EXIT_USAGE
 
 

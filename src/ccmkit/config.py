@@ -1,8 +1,10 @@
 """Experiment configuration files (INI sections, human-diffable).
 
 Sections: [system], [metric], [reference], [gain], [simulation],
-[certificate]. A builtin shortcut (system = numex | microactuator)
-pre-populates system, metric and reference; later sections may override.
+[certificate]; an absent section reads as an empty one. A builtin shortcut
+(builtin = numex | microactuator, or system = numex | microactuator)
+pre-populates system, metric, reference and gain; later sections may
+override. A custom system is read the same way, with no defaults.
 Unknown keys, indexed ones beyond what n and m allow included, are
 rejected so typos fail loudly.
 """
@@ -35,7 +37,7 @@ class ConfigError(ValueError):
 @dataclass
 class GainSpec:
     source: str = "synthesized"   # synthesized | user | builtin
-    entries: list = None          # m x n strings for user gains
+    entries: list = None          # m x n strings of a user or builtin gain
     r: float = None
     gamma0: float = 1.0
     gamma_const: float = None
@@ -139,11 +141,9 @@ def _load_system(section):
     return None, sys
 
 
-def _load_metric(section, n, bundle):
+def _load_metric(section, n, defaults):
     if len(section) == 0:
-        if bundle is not None:
-            return bundle.metric, bundle.dual_metric
-        return None, None
+        return defaults.metric, defaults.dual_metric
     upper = {(i, j): f"M_{i + 1}_{j + 1}" for i in range(n) for j in range(i, n)}
     _check_keys(section, "metric", {"p_lo", "p_hi", "lambda", "role", *upper.values()})
     role = section.get("role", "primal")
@@ -163,16 +163,12 @@ def _load_metric(section, n, bundle):
         )
     except Exception as err:
         raise ConfigError(f"[metric]: {err}")
-    if bundle is not None:
-        if role == "primal":
-            return metric, bundle.dual_metric
-        return bundle.metric, metric
-    return (metric, None) if role == "primal" else (None, metric)
+    return (metric, defaults.dual_metric) if role == "primal" else (defaults.metric, metric)
 
 
-def _load_reference(section, sys, bundle):
+def _load_reference(section, sys, defaults):
     if len(section) == 0:
-        return bundle.reference if bundle is not None else None
+        return defaults.reference
     _check_keys(section, "reference", {"xd0", *(f"ud{j}" for j in range(1, sys.m + 1))})
     if "xd0" not in section:
         raise ConfigError("[reference] missing xd0")
@@ -186,9 +182,9 @@ def _load_reference(section, sys, bundle):
         raise ConfigError(f"[reference]: {err}")
 
 
-def _load_gain(section, sys, bundle):
-    if len(section) == 0 and bundle is not None:
-        return GainSpec(source="builtin")
+def _load_gain(section, sys, defaults):
+    if len(section) == 0 and defaults.builtin_gain is not None:
+        return GainSpec(source="builtin", entries=defaults.builtin_gain)
     k_keys = [[f"K_{i}_{j}" for j in range(1, sys.n + 1)] for i in range(1, sys.m + 1)]
     _check_keys(section, "gain", {"source", "r", "gamma0", "gamma",
                                 *(key for row in k_keys for key in row)})
@@ -200,6 +196,8 @@ def _load_gain(section, sys, bundle):
         spec.entries = [[section.get(key, "0") for key in row] for row in k_keys]
         if not any(key in section for row in k_keys for key in row):
             raise ConfigError("[gain] source=user needs K_i_j entries")
+    if source == "builtin":
+        spec.entries = defaults.builtin_gain  # None on a custom system
     if "r" in section:
         spec.r = _float(section, "r")
     spec.gamma0 = _float(section, "gamma0", spec.gamma0)
@@ -276,7 +274,8 @@ def load_config(path):
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as err:
-        raise ConfigError(f"cannot read config file {path!r}: {err}") from None
+        reason = " ".join(part.strip() for part in str(err).splitlines())  # configparser's span lines
+        raise ConfigError(f"cannot read config file {path!r}: {reason}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     known_sections = {"system", "metric", "reference", "gain", "simulation",
@@ -286,19 +285,17 @@ def load_config(path):
         raise ConfigError(f"unknown sections: {sorted(extra)}")
     if "system" not in parser:
         raise ConfigError("config needs a [system] section")
+    for name in known_sections - set(parser.sections()):
+        parser.add_section(name)  # an absent section reads as an empty one
 
-    bundle, sys = _load_system(parser["system"])
-    if bundle is not None:
-        sys = bundle.system
-    empty = {}
-    metric, dual = _load_metric(parser["metric"] if "metric" in parser else empty,
-                                sys.n, bundle)
-    reference = _load_reference(
-        parser["reference"] if "reference" in parser else empty, sys, bundle
-    )
-    gain = _load_gain(parser["gain"] if "gain" in parser else empty, sys, bundle)
-    sim = _load_sim(parser["simulation"] if "simulation" in parser else empty, sys)
-    cert = _load_cert(parser["certificate"] if "certificate" in parser else empty)
+    bundle, custom = _load_system(parser["system"])
+    defaults = bundle or BuiltinBundle(custom, None, None, None, None)  # a custom system has none
+    sys = defaults.system
+    metric, dual = _load_metric(parser["metric"], sys.n, defaults)
+    reference = _load_reference(parser["reference"], sys, defaults)
+    gain = _load_gain(parser["gain"], sys, defaults)
+    sim = _load_sim(parser["simulation"], sys)
+    cert = _load_cert(parser["certificate"])
     return LoadedConfig(
         system=sys, metric=metric, dual_metric=dual, reference=reference,
         gain=gain, sim=sim, cert=cert, bundle=bundle,

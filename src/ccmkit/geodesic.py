@@ -45,6 +45,8 @@ class GeodesicPath:
     converged: bool
 
     def __post_init__(self):  # only an M that is not positive definite gives energy < 0
+        if not np.isfinite(self.energy):
+            raise GeodesicError(f"path energy is not finite ({self.energy:g})")
         if self.energy < 0.0:
             raise GeodesicError(f"metric not positive definite along the path "
                                 f"(energy {self.energy:g})")
@@ -180,7 +182,8 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, on_iteration=None
     and its Hessian is positive definite: a strict local minimum.
     A saddle (a straight chord can be exactly stationary) has a negative
     Hessian eigenvalue, and the step along its eigenvector, 0.05 |x_b - x_a|
-    long, leaves it.
+    long, leaves it. A chord whose length, or a path whose energy, is not
+    finite raises GeodesicError.
     """
     if not 2 <= n_segments <= MAX_SEGMENTS:
         raise ValueError(f"need 2 to {MAX_SEGMENTS} segments")
@@ -200,19 +203,22 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, on_iteration=None
     except np.linalg.LinAlgError:
         raise GeodesicError(f"metric not positive definite at the chord midpoint "
                             f"{mid.tolist()}") from None
-    if metric.constant:
-        # uniform chord is the exact minimizer under a constant metric;
-        # its energy telescopes to the endpoint quadratic form
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows fails below
         delta = x_b - x_a
-        return GeodesicPath(
-            nodes=straight,
-            energy=float(delta @ m_mid @ delta),
-            iterations=0,
-            converged=True,
-        )
-    amplitude = 0.05 * float(np.linalg.norm(x_b - x_a))
+        if metric.constant:
+            # uniform chord is the exact minimizer under a constant metric;
+            # its energy telescopes to the endpoint quadratic form
+            return GeodesicPath(
+                nodes=straight,
+                energy=float(delta @ m_mid @ delta),
+                iterations=0,
+                converged=True,
+            )
+        length = float(np.linalg.norm(delta))
+    if not np.isfinite(length):
+        raise GeodesicError(f"chord length is not finite ({length:g})")
     nodes, energy, iterations, converged = _newton(
-        metric, straight, amplitude, GRAD_TOL * np.abs(m_mid).max(), on_iteration)
+        metric, straight, 0.05 * length, GRAD_TOL * np.abs(m_mid).max(), on_iteration)
     return GeodesicPath(nodes=nodes, energy=energy, iterations=iterations,
                         converged=converged)
 

@@ -16,6 +16,7 @@ from ccmkit.certificates import Grid
 from ccmkit.cli import main
 from ccmkit.config import ConfigError, load_config
 from ccmkit.controller import DampingParams, GainField, synthesize_gain
+from ccmkit.expr import to_string
 from ccmkit.geodesic import solve_geodesic
 
 
@@ -44,6 +45,17 @@ domain_hi = 5 5
 [reference]
 xd0 = 0 0
 """
+
+
+def loaded_values(cfg):
+    """What a loaded config holds, with every expression as `to_string` prints it."""
+    def metric(field):
+        return (field.role, field.p_lo, field.p_hi, field.lam,
+                [[to_string(entry) for entry in row] for row in field.m_exprs])
+
+    ref = cfg.reference
+    return (cfg.system.name, metric(cfg.metric), metric(cfg.dual_metric), ref.xd0.tolist(),
+            [to_string(entry) for entry in ref.ud_exprs], cfg.gain, cfg.sim, cfg.cert)
 
 
 class TestLoadConfig:
@@ -149,6 +161,25 @@ class TestLoadConfig:
             assert main([argv[0], "--config", path, "--grid", "5", "--out", out, *argv[1:]]) == 0
         assert main(["simulate", "--config", path, "--grid", "5", "--out", out]) == 2
         assert capsys.readouterr().err == "config error: [reference] missing xd0\n"
+
+    def test_builtin_gain_source_needs_a_builtin_system(self, tmp_path, capsys):
+        # only a command that resolves a gain reads it
+        text = CUSTOM_SYSTEM + "[gain]\nsource = builtin\n\n[certificate]\nchecks = killing\n"
+        path, out = write_config(tmp_path, text), str(tmp_path / "out.txt")
+        assert main(["certify", "--config", path, "--grid", "5", "--out", out]) == 0
+        for command in ("synthesize", "simulate"):
+            assert main([command, "--config", path, "--grid", "5", "--out", out]) == 2
+            assert capsys.readouterr().err == (
+                "config error: gain source=builtin needs a builtin system\n")
+
+    @pytest.mark.parametrize("section", ["metric", "reference", "gain", "simulation",
+                                         "certificate"])
+    @pytest.mark.parametrize("name", ["numex", "microactuator"])
+    def test_empty_section_reads_as_absent(self, tmp_path, name, section):
+        text = f"[system]\nbuiltin = {name}\n"
+        absent = load_config(write_config(tmp_path, text, "absent.ini"))
+        empty = load_config(write_config(tmp_path, text + f"[{section}]\n", "empty.ini"))
+        assert loaded_values(empty) == loaded_values(absent)
 
     def test_metric_override_keeps_builtin_dual(self, tmp_path):
         text = NUMEX_MIN + (
@@ -567,6 +598,20 @@ class TestCliGeodesic:
         assert main(["geodesic", "--config", path, "--from", start, "--to", end]) == 3
         assert capsys.readouterr().err.startswith("numerical failure: metric not positive definite")
 
+    @pytest.mark.parametrize("start, end", [("1e200 0", "-1e200 0"), ("1e308 0", "-1e308 0")])
+    @pytest.mark.parametrize("config", ["numex", "geodesic_demo"])
+    def test_non_finite_energy_exits_three(self, tmp_path, capsys, config, start, end):
+        # numex has a constant metric, geodesic_demo a curved one
+        path = (write_config(tmp_path, NUMEX_MIN) if config == "numex"
+                else str(CONFIGS / "geodesic_demo.ini"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["geodesic", "--config", path, "--from", start, "--to", end]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("segments, code", [(1024, 0), (1025, 2)])
     def test_segment_cap(self, tmp_path, capsys, segments, code):
         # a dense Newton Hessian at N = 4096 would take seconds and gigabytes
@@ -798,7 +843,9 @@ def test_malformed_ini_is_config_error(tmp_path, capsys, text):
     path = tmp_path / "run.ini"
     path.write_bytes(text)
     assert main(["certify", "--config", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: cannot read config file '{path}': ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file '{path}': ")
+    assert err.count("\n") == 1
 
 
 def test_malformed_ini_ends_without_traceback(tmp_path):
@@ -820,6 +867,20 @@ def test_failed_out_write_is_usage_error(capsys, argv):
     # the certify report fails on close, the simulate trace on a block's write
     assert main([*argv, "--out", "/dev/full"]) == 2
     assert capsys.readouterr().err == "cannot write --out: [Errno 28] No space left on device\n"
+
+
+def test_closed_stdout_is_usage_error():
+    """`ccmkit simulate ... | head -c 10`: the reader goes away mid-trace."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ccmkit.__file__).resolve().parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ccmkit", "simulate", "--config", str(CONFIGS / "numex_dynext.ini")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 2
+    assert err.startswith("cannot write stdout: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_python_m_ccmkit_certifies(tmp_path):

@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,16 @@ class TestSolve:
         a, b = np.array([-1.0, 0.5]), np.array([1.0, 0.5])
         path = solve_geodesic(metric, a, b, 32)
         assert np.allclose(path.tangents().sum(axis=0), b - a, atol=1e-12)
+
+    @pytest.mark.parametrize("far", [1e200, 1e308])
+    @pytest.mark.parametrize("curved", [False, True], ids=["numex", "demo"])
+    def test_non_finite_energy_raises(self, numex, curved, far):
+        # the chord 2e200 squares past the float range; 2e308 is out of it itself
+        metric = demo_metric() if curved else numex.metric
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(geodesic.GeodesicError, match="not finite"):
+                solve_geodesic(metric, np.array([far, 0.0]), np.array([-far, 0.0]), 32)
 
 
 class TestSaddleEscape:
