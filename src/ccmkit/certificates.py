@@ -3,9 +3,11 @@
 Four conditions are checked over a sampled domain box: the primal
 contraction condition (with certified rate), the metric-invariance PDE
 along input columns, the dual-metric form projected by the input
-annihilator, and the robust block condition. A dual-flow diagnostic
-integrates the adjoint variable along a trajectory as a sanity
-instrument (no pass/fail).
+annihilator, and the robust block condition. They share one set-up
+(`_checked_points`, `_annihilated`) and one solver protocol: each hands
+`_per_rank` the pencil to solve per group of points. A dual-flow
+diagnostic integrates the adjoint variable along a trajectory as a
+sanity instrument (no pass/fail).
 """
 
 from __future__ import annotations
@@ -148,22 +150,24 @@ def _project(basis, a):
     return np.swapaxes(basis, 1, 2) @ a @ basis
 
 
-def _per_rank(points, groups, solve, width):
+def _per_rank(points, groups, pencil, width):
     """Largest eigenvalue and its eigenvector per grid point, solved once
     per group of points whose null-space bases share a dimension.
 
-    `groups` is `null_space_basis` of a stack; `solve(index, basis)`
-    returns (eigenvalues, eigenvectors, lift) for the points `index`,
-    and the witness direction is lift @ (top eigenvector), of length
-    `width`. A linear-algebra error names the first failing grid point
-    in row-major order.
+    `groups` is `null_space_basis` of a stack; `pencil(index, basis)`
+    returns (a, b, lift) for the points `index`: the eigenproblem of a
+    (`sym_eig`) when b is None, else of the pencil (a, b)
+    (`generalized_sym_eig`). The witness direction is lift @ (top
+    eigenvector), of length `width`. A linear-algebra error names the
+    first failing grid point in row-major order.
     """
     margins = np.empty(len(points))
     directions = np.empty((len(points), width))
     failures = []
     for index, basis in groups:
         try:
-            w, vecs, lift = solve(index, basis)
+            a, b, lift = pencil(index, basis)
+            w, vecs = sym_eig(a) if b is None else generalized_sym_eig(a, b)
         except (NonSymmetricError, SingularMatrixError) as err:
             failures.append((index[err.index], err))
             continue
@@ -175,10 +179,17 @@ def _per_rank(points, groups, solve, width):
     return margins, directions
 
 
-def _check_metric_bounds(metric, points):
-    """Raise at the first grid point where M is not finite or an eigenvalue is
-    NaN or outside [p_lo, p_hi], before a form of M can warn on an overflow. A
-    constant M is checked at the first point alone."""
+def _checked_points(metric, grid, role, check, tol):
+    """The grid's points, after the role test, the tol test and a test that
+    raises at the first point where M is not finite or an eigenvalue is NaN
+    or outside [p_lo, p_hi], before a form of M can warn on an overflow. A
+    constant M is tested at the first point alone."""
+    if metric.role != role:
+        wanted = "a primal metric" if role == "primal" else "a metric with role=dual"
+        raise CertificateError(f"{check} check needs {wanted}")
+    if not 0 <= tol < math.inf:  # also rejects nan
+        raise CertificateError("need a finite tol >= 0")
+    points = grid.array()
     m_x = metric.eval(points[:1] if metric.constant else points)
     finite = np.isfinite(m_x).all(axis=(1, 2))
     if not finite.all():
@@ -193,6 +204,17 @@ def _check_metric_bounds(metric, points):
             f"eigs in [{w[at, 0]:.6g}, {w[at, -1]:.6g}], "
             f"declared [{metric.p_lo:g}, {metric.p_hi:g}]"
         )
+    return points
+
+
+def _annihilated(sys, metric, grid, role, check, tol):
+    """The checked points, the form along the drift, M, B and the input
+    annihilator's `null_space_basis` groups: of (M B)^T, or B^T if dual."""
+    points = _checked_points(metric, grid, role, check, tol)
+    form, m_x = contraction_quadratic(sys, metric, points)
+    b = sys.eval_b(points)
+    groups = null_space_basis(np.swapaxes(m_x @ b if role == "primal" else b, 1, 2))
+    return points, form, m_x, b, groups
 
 
 def contraction_quadratic(sys, metric, x):
@@ -203,10 +225,7 @@ def contraction_quadratic(sys, metric, x):
 
 def check_killing_pde(sys, metric, grid, tol=DEFAULT_TOL):
     """Residual of d_{B_i} M + (dB_i/dx)^T M + M (dB_i/dx) = 0 per column."""
-    if metric.role != "primal":
-        raise CertificateError("Killing check needs a primal metric")
-    points = grid.array()
-    _check_metric_bounds(metric, points)
+    points = _checked_points(metric, grid, "primal", "Killing", tol)
     margins = _killing_margins(sys, metric, points, sys.eval_b(points))
     passed = margins.max() <= tol
     return _finish("killing_pde", points, margins, None, passed, tol)
@@ -221,21 +240,12 @@ def check_c1(sys, metric, grid, tol=DEFAULT_TOL, rate=0.0):
     Pass criterion: worst_margin <= -rate + tol for a rate > 0, else
     worst_margin < -tol (asymptotic).
     """
-    if metric.role != "primal":
-        raise CertificateError("C1 check needs a primal metric")
     if not 0 <= rate < math.inf:  # also rejects nan
         raise CertificateError("need a finite rate >= 0")
-    points = grid.array()
-    _check_metric_bounds(metric, points)
-    q, m_x = contraction_quadratic(sys, metric, points)
-
-    def solve(index, basis):
-        w, vecs = generalized_sym_eig(_project(basis, q[index]), _project(basis, m_x[index]))
-        return w, vecs, basis
-
-    groups = null_space_basis(np.swapaxes(m_x @ sys.eval_b(points), 1, 2))
+    points, q, m_x, _, groups = _annihilated(sys, metric, grid, "primal", "C1", tol)
     try:
-        margins, directions = _per_rank(points, groups, solve, sys.n)
+        margins, directions = _per_rank(points, groups, lambda index, basis: (
+            _project(basis, q[index]), _project(basis, m_x[index]), basis), sys.n)
     except SingularMatrixError as err:
         raise CertificateError(f"metric bound violation: {err}") from None
     worst = margins.max()
@@ -252,19 +262,9 @@ def check_dual_w(sys, w_metric, grid, tol=DEFAULT_TOL):
     (a) largest eigenvalue of B_perp^T (-d_f W + J W + W J^T) B_perp must
     be strictly negative; (b) Killing residual in W-form must vanish.
     """
-    if w_metric.role != "dual":
-        raise CertificateError("dual-W check needs a metric with role=dual")
-    points = grid.array()
-    _check_metric_bounds(w_metric, points)
-    flow, _ = contraction_quadratic(sys, w_metric, points)
-
-    def solve(index, basis):
-        w, vecs = sym_eig(_project(basis, flow[index]))
-        return w, vecs, basis
-
-    b = sys.eval_b(points)
-    groups = null_space_basis(np.swapaxes(b, 1, 2))
-    margins, directions = _per_rank(points, groups, solve, sys.n)
+    points, flow, _, b, groups = _annihilated(sys, w_metric, grid, "dual", "dual-W", tol)
+    margins, directions = _per_rank(
+        points, groups, lambda index, basis: (_project(basis, flow[index]), None, basis), sys.n)
     killing_worst = float(_killing_margins(sys, w_metric, points, b).max())
     passed = margins.max() < -tol and killing_worst <= tol
     report = _finish("dual_w", points, margins, directions, passed, tol)
@@ -290,25 +290,19 @@ def check_robust(sys, metric, grid, lam, gamma0, tol=DEFAULT_TOL, lambda_form="i
     or gamma0_min exceeds GAMMA0_CAP, it checks at GAMMA0_CAP and fails.
     The model is evaluated once.
     """
-    if metric.role != "primal":
-        raise CertificateError("robust check needs a primal metric")
     if not 0 <= lam < math.inf or gamma0 != "auto" and (
             isinstance(gamma0, str) or not 0 < gamma0 < math.inf):  # also rejects nan
         raise CertificateError('need finite lam >= 0 and gamma0 "auto" or finite > 0')
     if lambda_form not in ("identity", "metric"):
         raise CertificateError(f"unknown lambda_form {lambda_form!r}")
-    points = grid.array()
-    _check_metric_bounds(metric, points)
-    q, m_x = contraction_quadratic(sys, metric, points)
+    points, q, m_x, _, groups = _annihilated(sys, metric, grid, "primal", "robust", tol)
     n = sys.n
     s = q + lam * (np.eye(n) if lambda_form == "identity" else m_x)
-    groups = null_space_basis(np.swapaxes(m_x @ sys.eval_b(points), 1, 2))
 
     def bound(index, basis):
         m_n = m_x[index] @ basis
         c = -(_project(basis, s[index]) + tol * np.eye(basis.shape[2]))
-        w, vecs = generalized_sym_eig(np.swapaxes(m_n, 1, 2) @ m_n, c)
-        return w, vecs, basis
+        return np.swapaxes(m_n, 1, 2) @ m_n, c, basis
 
     minimal = gamma0 == "auto"  # checked at gamma0_min, where it is at most GAMMA0_CAP
     if minimal:
@@ -322,15 +316,14 @@ def check_robust(sys, metric, grid, lam, gamma0, tol=DEFAULT_TOL, lambda_form="i
     corner = np.broadcast_to(-gamma0 * np.eye(n), (len(points), n, n))
     big = np.block([[s, m_x], [m_x, corner]])
 
-    def solve(index, basis):
+    def pencil(index, basis):
         k = basis.shape[2]
         lift = np.zeros((index.size, 2 * n, k + n))
         lift[:, :n, :k] = basis
         lift[:, n:, k:] = np.eye(n)
-        w, vecs = sym_eig(_project(lift, big[index]))
-        return w, vecs, lift
+        return _project(lift, big[index]), None, lift
 
-    margins, directions = _per_rank(points, groups, solve, 2 * n)
+    margins, directions = _per_rank(points, groups, pencil, 2 * n)
     report = _finish("robust", points, margins, directions, margins.max() < -tol, tol)
     report.details.update({"lambda": lam, "gamma0": gamma0, "lambda_form": lambda_form})
     if minimal:

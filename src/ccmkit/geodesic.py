@@ -56,7 +56,7 @@ class GeodesicPath:
         return np.diff(self.nodes, axis=0)
 
     def midpoints(self):
-        return 0.5 * (self.nodes[1:] + self.nodes[:-1])
+        return 0.5 * self.nodes[1:] + 0.5 * self.nodes[:-1]
 
     def length(self):
         return float(np.sqrt(self.energy))
@@ -72,7 +72,7 @@ def riemann_energy(metric, nodes):
 
 def _kernel(metric, nodes):
     """The segment kernel's rows on the path `nodes`, and its energy."""
-    kernel = metric.segment(0.5 * (nodes[1:] + nodes[:-1]), nodes[1:] - nodes[:-1])
+    kernel = metric.segment(0.5 * nodes[1:] + 0.5 * nodes[:-1], nodes[1:] - nodes[:-1])
     return kernel, len(kernel) * float(kernel[:, 0].sum())
 
 
@@ -116,7 +116,8 @@ def _newton(metric, nodes, amplitude, grad_tol, on_iteration):
     orthogonal to it, with its largest entry positive). The eigenvector
     comes from three steps of inverse iteration on H - (lambda_min - delta) I,
     delta = 1e-6 max |H_ij|, from a fixed pseudo-random start (g is zero on
-    a stationary chord); a singular shifted system raises GeodesicError.
+    a stationary chord); a singular shifted system, or an iterate whose norm
+    is 0 or not finite, raises GeodesicError.
     """
     dim = nodes.shape[1]
 
@@ -125,7 +126,7 @@ def _newton(metric, nodes, amplitude, grad_tol, on_iteration):
         k = int(np.argmin(kernel[:, 0]))
         if kernel[k, 0] < 0.0:  # d^T M d < 0 at one midpoint
             raise GeodesicError(f"metric not positive definite at "
-                                f"{(0.5 * (trial[k] + trial[k + 1])).tolist()}")
+                                f"{(0.5 * trial[k] + 0.5 * trial[k + 1]).tolist()}")
         return kernel, energy
 
     kernel, energy = price(nodes)
@@ -151,7 +152,10 @@ def _newton(metric, nodes, amplitude, grad_tol, on_iteration):
                 lowest = np.random.default_rng(0).standard_normal(grad.size)
                 for _ in range(3):
                     lowest = np.linalg.solve(shifted, lowest)
-                    lowest /= np.linalg.norm(lowest)
+                    norm = np.linalg.norm(lowest)
+                    if not 0.0 < norm < np.inf:
+                        raise GeodesicError(f"inverse iteration vector has norm {norm:g}")
+                    lowest /= norm
             except np.linalg.LinAlgError:
                 raise GeodesicError("shifted Hessian is singular") from None
             lowest *= np.sign(lowest[np.argmax(np.abs(lowest))])
@@ -191,7 +195,7 @@ def solve_geodesic(metric, x_a, x_b, n_segments=DEFAULT_NODES, on_iteration=None
     x_b = np.asarray(x_b, dtype=float)
     fractions = np.linspace(0.0, 1.0, n_segments + 1)[:, None]
     straight = (1.0 - fractions) * x_a + fractions * x_b
-    mid = 0.5 * (x_a + x_b)
+    mid = 0.5 * x_a + 0.5 * x_b  # exact halves: no overflow for finite ends
     m_mid = metric.eval(mid)
     try:
         chol = np.linalg.cholesky(m_mid)

@@ -580,3 +580,42 @@ class TestDualFlow:
         with pytest.raises(ValueError):
             dual_flow_diagnostic(numex.system, numex.metric,
                                  np.linspace(0, 1, 5), np.zeros((4, 2)), [1, 0])
+
+
+class UnbuiltGrid(Grid):
+    """A grid whose points must not be built."""
+
+    def array(self):
+        raise AssertionError("grid points built")
+
+
+CHECKS = {
+    "c1": check_c1,
+    "killing": check_killing_pde,
+    "dual-w": check_dual_w,
+    "robust": lambda sys, metric, grid, **kw: check_robust(sys, metric, grid, 0.1, "auto", **kw),
+}
+
+
+class TestSharedSetUp:
+    @pytest.mark.parametrize("check, message", [
+        ("c1", "C1 check needs a primal metric"),
+        ("killing", "Killing check needs a primal metric"),
+        ("dual-w", "dual-W check needs a metric with role=dual"),
+        ("robust", "robust check needs a primal metric"),
+    ])
+    def test_role_is_tested_before_any_point(self, numex, check, message):
+        wrong = numex.metric if check == "dual-w" else numex.dual_metric
+        grid = UnbuiltGrid(numex.system.domain_lo, numex.system.domain_hi, (5, 5))
+        with pytest.raises(CertificateError, match=f"^{message}$"):
+            CHECKS[check](numex.system, wrong, grid)
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("check", list(CHECKS))
+    def test_tol_must_be_finite_and_non_negative(self, numex, check, tol):
+        # with tol = -1 the identity metric passed C1 at worst_margin 0, with
+        # tol = inf any Killing residual passed, with tol = nan worst_points was 0
+        metric = (numex.dual_metric if check == "dual-w"
+                  else MetricField(2, [["1", "0"], ["0", "1"]], 0.5, 2, 0.0))
+        with pytest.raises(CertificateError, match=r"^need a finite tol >= 0$"):
+            CHECKS[check](numex.system, metric, Grid.for_system(numex.system, 11), tol=tol)

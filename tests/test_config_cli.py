@@ -907,3 +907,25 @@ def test_documented_run_line_exits_zero(config, tmp_path, monkeypatch, capsys):
             for flag, arg in zip([None, *argv], argv)]
     monkeypatch.chdir(CONFIGS.parent)
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("config, start, end, code, energy", [
+    ("numex", "1.7e308 0", "1.7e308 1", 0, "0.59999999999999998"),  # 0.5 (a + b) overflowed
+    ("geodesic_demo", "1.7e308 0", "1.7e308 1", 0, "1"),
+    ("geodesic_demo", "1e150 0", "-1e150 0", 3, None),  # inverse iteration's norm was 0
+])
+def test_geodesic_near_the_float_range_does_not_warn(tmp_path, capsys, config, start, end,
+                                                      code, energy):
+    # Tier-1 turns every RuntimeWarning into an error
+    path = (write_config(tmp_path, NUMEX_MIN) if config == "numex"
+            else str(CONFIGS / "geodesic_demo.ini"))
+    assert main(["geodesic", "--config", path, "--from", start, "--to", end]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: ")
+        assert captured.err.count("\n") == 1
+    else:
+        assert captured.err == ""
+        assert f"# energy: {energy}\n" in captured.out
+        assert captured.out.endswith("# converged: True\n")
