@@ -4,8 +4,10 @@ Four conditions are checked over a sampled domain box: the primal
 contraction condition (with certified rate), the metric-invariance PDE
 along input columns, the dual-metric form projected by the input
 annihilator, and the robust block condition. They share one set-up
-(`_checked_points`, `_annihilated`) and one solver protocol: each hands
-`_per_rank` the pencil to solve per group of points. A dual-flow
+(`_checked_points`, `_annihilated`), one solver protocol (each hands
+`_per_rank` the pencil to solve per group of points) and the metric's
+forms along the drift and the input columns, `MetricField.form` compiled
+once per system and metric (`_form_fields`). A dual-flow
 diagnostic integrates the adjoint variable along a trajectory as a
 sanity instrument (no pass/fail).
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from .linalg import (
     null_space_basis,
     sym_eig,
 )
+from .model import _Field
 
 DEFAULT_TOL = 1e-8
 DEFAULT_POINTS_PER_AXIS = 21
@@ -138,11 +142,26 @@ def _finish(condition, points, margins, directions, passed, tol, **kwargs):
     return report
 
 
-def _killing_margins(sys, metric, points, b):
-    """Largest |entry| of the metric's form along the input columns per
-    grid point, from the stack b of B."""
-    residual, _ = metric.form(points[:, None], np.swapaxes(b, 1, 2), sys.jac_b(points))
-    return np.abs(residual).max(axis=(1, 2, 3))
+@lru_cache(maxsize=8)  # test oracles ask for the form once per grid point
+def _form_fields(sys, metric):
+    """Fields of the metric's form along the drift, (n, n), and the input columns, (m, n, n)."""
+    columns = [metric.form(b, db) for b, db in zip(zip(*sys.b_exprs), zip(*sys.db_exprs))]
+    return _Field(metric.form(sys.f_exprs, sys.df_exprs), sys.vars), _Field(columns, sys.vars)
+
+
+def _finite(what, field, x):
+    """field(x) at one point or a stack x, after a test that raises at the first point
+    where an entry is not finite, such as an inf literal that the expression builders fold."""
+    values, points = field(x), np.reshape(x, (-1, np.shape(x)[-1]))
+    finite = np.isfinite(values).reshape(len(points), -1).all(axis=1)
+    if not finite.all():
+        raise CertificateError(f"{what} not finite at x={points[np.argmin(finite)]}")
+    return values
+
+
+def _killing_margins(sys, metric, points):
+    """Largest |entry| of the metric's form along the input columns per grid point."""
+    return np.abs(_finite("metric form", _form_fields(sys, metric)[1], points)).max(axis=(1, 2, 3))
 
 
 def _project(basis, a):
@@ -182,19 +201,14 @@ def _per_rank(points, groups, pencil, width):
 def _checked_points(metric, grid, role, check, tol):
     """The grid's points, after the role test, the tol test and a test that
     raises at the first point where M is not finite or an eigenvalue is NaN
-    or outside [p_lo, p_hi], before a form of M can warn on an overflow. A
-    constant M is tested at the first point alone."""
+    or outside [p_lo, p_hi]. A constant M is tested at the first point alone."""
     if metric.role != role:
         wanted = "a primal metric" if role == "primal" else "a metric with role=dual"
         raise CertificateError(f"{check} check needs {wanted}")
     if not 0 <= tol < math.inf:  # also rejects nan
         raise CertificateError("need a finite tol >= 0")
     points = grid.array()
-    m_x = metric.eval(points[:1] if metric.constant else points)
-    finite = np.isfinite(m_x).all(axis=(1, 2))
-    if not finite.all():
-        raise CertificateError(f"metric not finite at x={points[np.argmin(finite)]}")
-    w, _ = sym_eig(m_x)
+    w, _ = sym_eig(_finite("metric", metric.eval, points[:1] if metric.constant else points))
     bad = np.flatnonzero(~((w[:, 0] >= metric.p_lo - BOUND_TOL)
                            & (w[:, -1] <= metric.p_hi + BOUND_TOL)))
     if bad.size:
@@ -202,33 +216,31 @@ def _checked_points(metric, grid, role, check, tol):
         raise CertificateError(
             f"metric eigenvalue bounds violated at x={points[at]}: "
             f"eigs in [{w[at, 0]:.6g}, {w[at, -1]:.6g}], "
-            f"declared [{metric.p_lo:g}, {metric.p_hi:g}]"
-        )
+            f"declared [{metric.p_lo:g}, {metric.p_hi:g}]")
     return points
 
 
 def _annihilated(sys, metric, grid, role, check, tol):
-    """The checked points, the form along the drift, M, B and the input
+    """The checked points, the form along the drift, M and the input
     annihilator's `null_space_basis` groups: of (M B)^T, or B^T if dual."""
     points = _checked_points(metric, grid, role, check, tol)
     form, m_x = contraction_quadratic(sys, metric, points)
     b = sys.eval_b(points)
     groups = null_space_basis(np.swapaxes(m_x @ b if role == "primal" else b, 1, 2))
-    return points, form, m_x, b, groups
+    return points, form, m_x, groups
 
 
 def contraction_quadratic(sys, metric, x):
-    """The metric's form along the drift at x, and M(x): for a primal
-    metric the contraction matrix d_f M + M df/dx + (df/dx)^T M."""
-    return metric.form(x, sys.eval_f(x), sys.jac_f(x))
+    """The metric's form along the drift at x (`MetricField.form`), and M(x):
+    for a primal metric the contraction matrix d_f M + M df/dx + (df/dx)^T M."""
+    return _finite("metric form", _form_fields(sys, metric)[0], x), metric.eval(x)
 
 
 def check_killing_pde(sys, metric, grid, tol=DEFAULT_TOL):
     """Residual of d_{B_i} M + (dB_i/dx)^T M + M (dB_i/dx) = 0 per column."""
     points = _checked_points(metric, grid, "primal", "Killing", tol)
-    margins = _killing_margins(sys, metric, points, sys.eval_b(points))
-    passed = margins.max() <= tol
-    return _finish("killing_pde", points, margins, None, passed, tol)
+    margins = _killing_margins(sys, metric, points)
+    return _finish("killing_pde", points, margins, None, margins.max() <= tol, tol)
 
 
 def check_c1(sys, metric, grid, tol=DEFAULT_TOL, rate=0.0):
@@ -242,7 +254,7 @@ def check_c1(sys, metric, grid, tol=DEFAULT_TOL, rate=0.0):
     """
     if not 0 <= rate < math.inf:  # also rejects nan
         raise CertificateError("need a finite rate >= 0")
-    points, q, m_x, _, groups = _annihilated(sys, metric, grid, "primal", "C1", tol)
+    points, q, m_x, groups = _annihilated(sys, metric, grid, "primal", "C1", tol)
     try:
         margins, directions = _per_rank(points, groups, lambda index, basis: (
             _project(basis, q[index]), _project(basis, m_x[index]), basis), sys.n)
@@ -262,10 +274,10 @@ def check_dual_w(sys, w_metric, grid, tol=DEFAULT_TOL):
     (a) largest eigenvalue of B_perp^T (-d_f W + J W + W J^T) B_perp must
     be strictly negative; (b) Killing residual in W-form must vanish.
     """
-    points, flow, _, b, groups = _annihilated(sys, w_metric, grid, "dual", "dual-W", tol)
+    points, flow, _, groups = _annihilated(sys, w_metric, grid, "dual", "dual-W", tol)
     margins, directions = _per_rank(
         points, groups, lambda index, basis: (_project(basis, flow[index]), None, basis), sys.n)
-    killing_worst = float(_killing_margins(sys, w_metric, points, b).max())
+    killing_worst = float(_killing_margins(sys, w_metric, points).max())
     passed = margins.max() < -tol and killing_worst <= tol
     report = _finish("dual_w", points, margins, directions, passed, tol)
     report.details["killing_residual"] = killing_worst
@@ -295,7 +307,7 @@ def check_robust(sys, metric, grid, lam, gamma0, tol=DEFAULT_TOL, lambda_form="i
         raise CertificateError('need finite lam >= 0 and gamma0 "auto" or finite > 0')
     if lambda_form not in ("identity", "metric"):
         raise CertificateError(f"unknown lambda_form {lambda_form!r}")
-    points, q, m_x, _, groups = _annihilated(sys, metric, grid, "primal", "robust", tol)
+    points, q, m_x, groups = _annihilated(sys, metric, grid, "primal", "robust", tol)
     n = sys.n
     s = q + lam * (np.eye(n) if lambda_form == "identity" else m_x)
 

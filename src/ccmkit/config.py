@@ -2,8 +2,8 @@
 
 Sections: [system], [metric], [reference], [gain], [simulation],
 [certificate]; an absent section reads as an empty one. A builtin shortcut
-(builtin = numex | microactuator, or system = numex | microactuator)
-pre-populates system, metric, reference and gain; later sections may
+(builtin = numex | microactuator, or system = numex | microactuator,
+not both) pre-populates system, metric, reference and gain; later sections may
 override. A custom system is read the same way, with no defaults.
 Unknown keys, indexed ones beyond what n and m allow included, are
 rejected so typos fail loudly.
@@ -107,6 +107,8 @@ def _check_keys(section, name, allowed):
 
 
 def _load_system(section):
+    if "builtin" in section and "system" in section:
+        raise ConfigError("[system] sets both builtin and system; set one of them")
     if "builtin" in section or section.get("system", "") in builtin_names():
         name = section.get("builtin", section.get("system"))
         _check_keys(section, "system", {"builtin", "system"})

@@ -2,7 +2,8 @@
 
 The differential gain is damping injection along the detectable output
 (MB)^T dx: K(x) = -[gamma(x) + gamma0] R(x) (M(x)B(x))^T with damping
-matrix R = [(MB)^T MB]^-1, built as expressions like every GainField.
+matrix R = [(MB)^T MB]^-1 and gamma from the metric's form along the
+drift (`MetricField.form`), built as expressions like every GainField.
 Three realizations turn it into an actual feedback: an exact potential
 when the gain field is curl-free, a geodesic path integral (see the
 geodesic module), and a dynamic extension with an observer-like state z;
@@ -21,7 +22,7 @@ from functools import cache, cached_property, reduce
 import numpy as np
 
 from . import expr as ex
-from .certificates import Grid
+from .certificates import Grid, contraction_quadratic
 from .integrate import rk4_step
 from .linalg import SingularMatrixError, inverse, spectral_norm
 from .model import _Field, _parse_entry, state_vars
@@ -72,10 +73,10 @@ class DampingParams:
 
 def upsilon(metric, sys, x):
     """Upsilon(x) = ||F(x)||_2, the spectral norm of the metric's form
-    F = d_f M + M (df/dx) + (df/dx)^T M, at one point or at each point of a
-    (P, n) stack: the lower bound that the Frobenius norm of
-    `synthesize_gain`'s gamma dominates."""
-    return spectral_norm(metric.form(x, sys.eval_f(x), sys.jac_f(x))[0])
+    F = d_f M + M (df/dx) + (df/dx)^T M (`contraction_quadratic`), at one
+    point or at each point of a (P, n) stack: the lower bound that the
+    Frobenius norm of `synthesize_gain`'s gamma dominates."""
+    return spectral_norm(contraction_quadratic(sys, metric, x)[0])
 
 
 class GainField:
@@ -135,23 +136,12 @@ def _solve_spd(g, rhs):
     return [row[len(g):] for row in rows]
 
 
-def _upsilon_sq(sys, metric):
-    """An upper bound of Upsilon(x)^2 as one expression: the squared Frobenius
-    norm of the metric's form F = d_f M + M A + A^T M (A = df/dx), a sum of
-    squares of its entries, at least `upsilon`^2 and at most n times it."""
-    d_f = [ex.matvec(rows, sys.f_exprs) for rows in metric.dm_exprs]
-    m_a = [ex.matvec(metric.m_exprs, col) for col in zip(*sys.df_exprs)]  # (M A)^T
-    form = [[ex.add(ex.add(d_f[i][j], m_a[j][i]), m_a[i][j]) for j in range(sys.n)]
-            for i in range(sys.n)]
-    return reduce(ex.add, [ex.pow_int(e, 2) for row in form for e in row])
-
-
 def synthesize_gain(sys, metric, params: DampingParams, gamma_const=None, grid=None):
     """Damping-injection gain K(x) = -[gamma(x)+gamma0] R(x) (MB)^T, as
     expressions built from those of the system and the metric.
 
-    gamma(x) defaults to (r/p_lo) ||F(x)||_F^2 (`_upsilon_sq`), an
-    admissible bound of (r/p_lo) Upsilon(x)^2 for every n; gamma_const
+    gamma(x) defaults to (r/p_lo) ||F(x)||_F^2 with F the metric's form along the drift
+    (`MetricField.form`), an admissible bound of (r/p_lo) Upsilon(x)^2 for every n; gamma_const
     replaces it with a fixed positive constant (bounded-domain mode, gamma0
     is then folded to zero). (MB)^T MB must be invertible at each point of
     `grid` (default: `Grid.for_system(sys)`).
@@ -175,7 +165,8 @@ def synthesize_gain(sys, metric, params: DampingParams, gamma_const=None, grid=N
         meta = {"gamma": f"const {gamma_const:g}", "gamma0": 0.0,
                 "proviso": "constant gamma relies on a bounded operating domain"}
     else:
-        magnitude = ex.add(ex.mul(ex.const(params.r / metric.p_lo), _upsilon_sq(sys, metric)),
+        squares = [ex.pow_int(e, 2) for row in metric.form(sys.f_exprs, sys.df_exprs) for e in row]
+        magnitude = ex.add(ex.mul(ex.const(params.r / metric.p_lo), reduce(ex.add, squares)),
                            ex.const(params.gamma0))
         meta = {"gamma": f"(r/p_lo)*||d_f M + M A + A^T M||_F^2 with r={params.r:g}",
                 "gamma0": params.gamma0}

@@ -5,7 +5,9 @@ Jacobians and metric derivatives consumed by the certificate checks and
 the controller synthesis come from exact symbolic differentiation. Each
 expression-defined array (f, B, M, their derivatives, u_d, symbolic gains)
 is one `_Field` (a column of dB/dx or an axis of dM/dx is a slice), one
-numpy program for one point or a stack of them.
+numpy program for one point or a stack of them. The metric's form along a
+vector field, d_v M + M A + A^T M, is built as expressions too
+(`MetricField.form`), for the certificates and the synthesized gain.
 """
 
 from __future__ import annotations
@@ -219,16 +221,16 @@ class MetricField:
             return np.zeros(v.shape[:-1] + (self.n, self.n))
         return (self.partials(x) * v[..., None, None, :]).sum(axis=-1)
 
-    def form(self, x, v, a):
-        """The metric's form along a vector field v with Jacobian a, and M(x):
-        d_v M + M a + a^T M for role primal, -d_v W + a W + W a^T for role
-        dual (the primal expression at -v and a^T). Per point of a stack x;
-        a `(P, 1, n)` x with v `(P, m, n)` and a `(P, m, n, n)` gives one
-        form per column."""
+    def form(self, v, a):
+        """The metric's form along a vector field, n expressions v with n x n Jacobian
+        expressions a, as n x n expressions: d_v M + M a + a^T M, or -d_v W + a W + W a^T
+        for role dual (the primal form at -v and a^T)."""
         if self.role == "dual":
-            v, a = -np.asarray(v, dtype=float), np.swapaxes(a, -1, -2)
-        m_x = self.eval(x)
-        return self.dir_deriv(x, v) + m_x @ a + np.swapaxes(a, -1, -2) @ m_x, m_x
+            v, a = [ex.neg(e) for e in v], list(zip(*a))
+        d_v = [ex.matvec(rows, v) for rows in self.dm_exprs]
+        m_a = [ex.matvec(self.m_exprs, col) for col in zip(*a)]  # m_a[j][i] = (M a)_ij = (a^T M)_ji
+        return [[ex.add(ex.add(d_v[i][j], m_a[j][i]), m_a[i][j]) for j in range(self.n)]
+                for i in range(self.n)]
 
 
 def _reference_vars(n):

@@ -191,6 +191,14 @@ class TestLoadConfig:
                            [[3.0, -1.0], [-1.0, 2.0]])
         assert cfg.metric.role == "primal"  # builtin primal retained
 
+    @pytest.mark.parametrize("keys", ["builtin = numex\nsystem = microactuator",
+                                      "system = microactuator\nbuiltin = numex"])
+    def test_builtin_and_system_together_exit_two(self, tmp_path, capsys, keys):
+        path = write_config(tmp_path, f"[system]\n{keys}\n")
+        assert main(["certify", "--config", path, "--grid", "3"]) == 2
+        assert capsys.readouterr() == (
+            "", "config error: [system] sets both builtin and system; set one of them\n")
+
 
 class TestCliCertify:
     def test_numex_passes(self, tmp_path, capsys):
@@ -276,7 +284,7 @@ class TestCliCertify:
     @pytest.mark.parametrize("m_11, checks", [
         ("1e300", "robust"),  # N^T M^2 N overflows inside the gamma0 solve
         ("1e300", "killing"),  # the Killing residual never reads the bounds
-        ("1e307", "c1"),  # M df/dx overflows, with a warning, in the metric's form
+        ("1e307", "c1"),  # M df/dx would overflow in the metric's form
     ], ids=["robust", "killing", "c1"])
     def test_metric_outside_its_bounds_exits_three(self, tmp_path, capsys, m_11, checks):
         text = (NUMEX_MIN + f"[metric]\nM_1_1 = {m_11}\nM_2_2 = 2\np_lo = 0.1\np_hi = 2\n"
@@ -301,6 +309,20 @@ class TestCliCertify:
             assert main(["certify", "--config", write_config(tmp_path, text)]) == 3
         assert capsys.readouterr().err == f"numerical failure: {message}\n"
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("m_11, message", [
+        # 1e150*(2 + x1) * 1e200 overflows in the generated form at the first point
+        ("1e150*(2 + x1)", "overflow encountered in scalar multiply at x=[-1. -1.]"),
+        ("1e150", "metric form not finite at x=[-1. -1.]"),  # 1e150 * 1e200 folds to inf
+    ], ids=["overflow", "inf-literal"])
+    def test_overflowing_metric_form_exits_three(self, tmp_path, capsys, m_11, message):
+        # Tier-1 turns every RuntimeWarning into an error
+        text = ("[system]\nn = 2\nm = 1\nf1 = 1e200*x2\nf2 = -x2\nB_2_1 = 1\n"
+                "domain_lo = -1 -1\ndomain_hi = 1 1\n"
+                f"[metric]\nM_1_1 = {m_11}\nM_2_2 = 1\np_lo = 0.5\np_hi = 1e151\n"
+                "[certificate]\nchecks = c1 killing robust\ngrid = 5\n")
+        assert main(["certify", "--config", write_config(tmp_path, text)]) == 3
+        assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
 
     def test_dual_metric_outside_its_bounds_exits_three(self, tmp_path, capsys):
         # W's eigenvalues 1.99 and 100.01 against p_hi = 2; the dual-W

@@ -38,6 +38,7 @@ def at_repo_root(monkeypatch):
 
 @pytest.mark.parametrize("command, digest", [
     ("synthesize --config configs/numex_certify.ini", "98c756c36b7689e5"),
+    ("synthesize --config configs/numex_synthesize.ini", "afe96d92a94d10e5"),
     ("simulate --config configs/numex_dynext.ini", "d32b48364ba416a2"),
     ("simulate --config configs/microactuator_static.ini", "e7964cdbe4db074e"),
 ])

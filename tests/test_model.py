@@ -1,7 +1,6 @@
 """System models, metric fields, references, and the builtin registry."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from ccmkit.model import (
     builtin_names,
     generate_reference,
 )
+from ccmkit.sim import RunConfig, run_closed_loop
 
 
 @pytest.fixture(scope="module")
@@ -157,21 +157,24 @@ class TestMetricField:
 
     def test_form_primal_dual_and_columns(self):
         entries = [["x1^2 + 2", "x1*x2"], ["0", "x2^4 + 1"]]
-        rng = np.random.default_rng(13)
-        x = rng.uniform(-1, 1, size=(5, 2))
-        v = rng.normal(size=(5, 3, 2))
-        a = rng.normal(size=(5, 3, 2, 2))
+        fields = [  # (v, a) per vector field; a need not be the Jacobian of v
+            (["x2", "-x1^3"], [["0", "1"], ["-3*x1^2", "0"]]),
+            (["sin(x1)", "x1*x2"], [["cos(x1)", "0"], ["x2", "x1"]]),
+            (["1.5", "-0.5*x2"], [["0.3", "-x1"], ["2", "x2^2"]]),
+        ]
+        x = np.random.default_rng(13).uniform(-1, 1, size=(5, 2))
         for role in ("primal", "dual"):
             m = MetricField(2, entries, 0.1, 1e3, 0.0, role=role)
-            got, m_x = m.form(x[:, None], v, a)
-            assert got.shape == (5, 3, 2, 2)
-            for p in range(5):
-                assert np.array_equal(m_x[p, 0], m.eval(x[p]))
-                for j in range(3):
-                    d, aj, mp = m.dir_deriv(x[p], v[p, j]), a[p, j], m_x[p, 0]
-                    want = (d + mp @ aj + aj.T @ mp if role == "primal"
-                            else -d + aj @ mp + mp @ aj.T)
-                    np.testing.assert_allclose(got[p, j], want, rtol=1e-12, atol=1e-12)
+            for v_text, a_text in fields:
+                v = _Field([ex.parse(e, m.vars) for e in v_text], m.vars)
+                a = _Field([[ex.parse(e, m.vars) for e in row] for row in a_text], m.vars)
+                got = _Field(m.form(v.exprs, a.exprs), m.vars)(x)
+                assert got.shape == (5, 2, 2)
+                for p in range(5):
+                    d, ap, mp = m.dir_deriv(x[p], v(x[p])), a(x[p]), m.eval(x[p])
+                    want = (d + mp @ ap + ap.T @ mp if role == "primal"
+                            else -d + ap @ mp + mp @ ap.T)
+                    np.testing.assert_allclose(got[p], want, rtol=1e-12, atol=1e-12)
 
     def test_validation(self):
         with pytest.raises(ModelError):
@@ -221,24 +224,25 @@ class TestReference:
         assert np.max(np.abs(trace["xd"])) == 0.0
         assert np.max(np.abs(trace["ud"])) == 0.0
 
-    def test_microactuator_reference_stays_in_domain(self, micro):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # any domain-violation warning fails
-            trace = generate_reference(micro.system, micro.reference, 30.0, 1e-3)
-        assert trace["domain_violations"] == []
-        assert np.all(trace["xd"][:, 0] >= 0.0)
-        assert np.all(trace["xd"][:, 0] <= 2.0)
-        assert np.all(trace["xd"][:, 2] >= -1e-9)
-        # independent adaptive oracle agrees on the final state
+    def test_microactuator_reference_stays_in_domain(self, micro, micro_gain):
+        # x_d from the closed loop's reference pass, the RK4 of generate_reference
         sys = micro.system
         ref = micro.reference
+        xd = run_closed_loop(sys, micro.metric, micro_gain, ref,
+                             RunConfig(kind="static", T=30.0, h=1e-3)).xd
+        assert xd.shape == (30001, 3)
+        assert sys.in_domain(xd).all()
+        assert np.all(xd[:, 0] >= 0.0)
+        assert np.all(xd[:, 0] <= 2.0)
+        assert np.all(xd[:, 2] >= -1e-9)
+        # independent adaptive oracle agrees on the final state
 
         def field(t, xd):
             return sys.eval_f(xd) + sys.eval_b(xd) @ ref.eval_ud(t, xd)
 
         _, oracle = rk45_integrate(field, ref.xd0, (0.0, 30.0),
                                    t_eval=np.array([0.0, 30.0]))
-        assert np.max(np.abs(trace["xd"][-1] - oracle[-1])) <= 1e-6
+        assert np.max(np.abs(xd[-1] - oracle[-1])) <= 1e-6
 
     def test_divergence_reported(self):
         sys = SystemModel(2, 1, ["x1^2", "0"], [["0"], ["1"]], [-5, -5], [5, 5])
