@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import os
 import sys as _sys
+from collections import deque
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .expr import ExprSyntaxError, UnknownIdentifierError, to_string
 from .geodesic import GeodesicError, solve_geodesic
 from .integrate import IntegrationError
 from .model import ModelError
-from .sim import DecayFit, SimulationError, closed_loop_blocks, write_table
+from .sim import DecayFit, SimulationError, closed_loop_blocks, format_rows, write_table
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -155,14 +156,13 @@ def cmd_simulate(cfg, args, out):
 
 
 def write_simulation(system, metric, gain, ref, run_cfg, out, summary):
-    """Stream one run's CSV to `out` a block at a time, then its summary lines to
-    `summary`; the exit code."""
+    """Stream one run's CSV to `out` a block at a time (`_CsvBlocks`), then its
+    summary lines to `summary`; the exit code."""
     fit = DecayFit((run_cfg.T / 4, 3 * run_cfg.T / 4))
-    header = True  # one block of the run at a time: its rows, then its share of the fit
-    for _, trace in closed_loop_blocks(system, metric, gain, ref, run_cfg, [run_cfg.x0]):
-        trace.write_csv(out, header)
-        fit.add(trace.t, trace.err)
-        header = False
+    with _CsvBlocks(out) as csv:  # one block of the run at a time: its rows, its share of the fit
+        for _, trace in closed_loop_blocks(system, metric, gain, ref, run_cfg, [run_cfg.x0]):
+            csv.add(*trace.columns())
+            fit.add(trace.t, trace.err)
     summary.write(f"# final_err: {trace.final_err():.17g}\n")
     try:
         summary.write(f"# decay_rate: {fit.rate():.6g}\n")
@@ -176,6 +176,79 @@ def write_simulation(system, metric, gain, ref, run_cfg, out, summary):
     passed = trace.final_err() < run_cfg.err_threshold
     summary.write(f"# threshold_pass: {passed}\n")
     return EXIT_OK if passed else EXIT_FAIL
+
+
+class _CsvBlocks:
+    """A CSV written block by block to `out`, in order, by this process. From the
+    second block on, one forked worker turns each block's rows into text
+    (`format_rows`) while the caller computes the next block; at most two blocks
+    wait to be written. Without a second block, the fork start method or a second
+    CPU, the same formatter runs here, as it does for the blocks still held when the
+    worker dies. On leaving, the rest is written unless an exception is leaving too,
+    and the worker is joined either way."""
+
+    def __init__(self, out):
+        self.out, self.pending, self.blocks, self.pool = out, deque(), 0, None
+
+    def __enter__(self):
+        return self
+
+    def add(self, names, data):
+        if not self.blocks:
+            self.out.write(",".join(names) + "\n")
+        elif self.blocks == 1 and _may_fork():
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
+
+            self.out.flush()  # else the child inherits the buffered header
+            self.pool = ProcessPoolExecutor(1, mp_context=get_context("fork"))
+            self.pending = deque((held, self._submit(held)) for held, _ in self.pending)
+        while len(self.pending) > 1:
+            self._write_oldest()
+        self.pending.append((data, self._submit(data)))
+        self.blocks += 1
+
+    def _submit(self, data):
+        if self.pool is None:
+            return None
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            return self.pool.submit(format_rows, data)
+        except BrokenProcessPool:
+            return None
+
+    def _write_oldest(self):
+        data, job = self.pending.popleft()
+        text = None
+        if job is not None:
+            from concurrent.futures.process import BrokenProcessPool
+
+            try:
+                text = job.result()
+            except BrokenProcessPool:  # the worker died: its blocks cost time, not output
+                pass
+        self.out.write(format_rows(data) if text is None else text)
+
+    def __exit__(self, kind, *_):
+        try:
+            while kind is None and self.pending:
+                self._write_oldest()
+        finally:
+            if self.pool is not None:
+                self.pool.shutdown(cancel_futures=True)
+
+
+def _may_fork():
+    """Whether a forked worker can run beside this process: the fork start method
+    exists and this process may use two CPUs or more."""
+    import multiprocessing
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return "fork" in multiprocessing.get_all_start_methods() and cpus >= 2
 
 
 def build_parser():

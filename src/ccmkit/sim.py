@@ -98,18 +98,24 @@ class SimTrace:
 
 def write_table(stream, names, data, header=True):
     """CSV: the header `names` (unless `header` is false), then the rows of `data`
-    at %.17g, one write per block of CSV_BLOCK rows. A block's text is joined from
-    one % per 16 rows, so it is sized once: one % over the whole block grows its
-    text by reallocation, which fragments the heap of a long streamed run (about
-    3 kB more resident memory per block), and one % per row costs a tuple per row."""
+    at %.17g, one write per block of CSV_BLOCK rows (`format_rows`)."""
     if header:
         stream.write(",".join(names) + "\n")
-    row_format, step = ",".join(["%.17g"] * len(names)) + "\n", 16 * len(names)
     for start in range(0, len(data), CSV_BLOCK):
-        values = data[start : start + CSV_BLOCK].ravel().tolist()
-        chunks = [values[at : at + step] for at in range(0, len(values), step)]
-        stream.write("".join([(row_format * (len(chunk) // len(names))) % tuple(chunk)
-                              for chunk in chunks]))
+        stream.write(format_rows(data[start : start + CSV_BLOCK]))
+
+
+def format_rows(data):
+    """The CSV lines of the rows of the 2-D array `data`, each value at %.17g. The
+    text is joined from one % per 16 rows, so it is sized once: one % over a block
+    of rows grows its text by reallocation, which fragments the heap of a long
+    streamed run (about 3 kB more resident memory per block), and one % per row
+    costs a tuple per row."""
+    width = data.shape[1]
+    row_format, step = ",".join(["%.17g"] * width) + "\n", 16 * width
+    values = data.ravel().tolist()
+    chunks = [values[at : at + step] for at in range(0, len(values), step)]
+    return "".join([(row_format * (len(chunk) // width)) % tuple(chunk) for chunk in chunks])
 
 
 def _require_exact(gain, grid):

@@ -1,6 +1,8 @@
 """Config loading and the command-line front end (exit codes, outputs)."""
 
+import hashlib
 import json
+import multiprocessing
 import os
 import shlex
 import subprocess
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import ccmkit
+from ccmkit import cli
 from ccmkit.certificates import Grid
 from ccmkit.cli import main
 from ccmkit.config import ConfigError, load_config
@@ -833,9 +836,10 @@ def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
     apart). The peak is VmHWM, which starts afresh at exec, where ru_maxrss keeps
     the forking process's peak; under tracemalloc the 65,536-step run takes 40 s."""
     env = dict(os.environ, PYTHONPATH=str(Path(ccmkit.__file__).resolve().parent.parent))
-    child = ("import sys; from ccmkit.cli import main; code = main(sys.argv[1:]); "
+    child = ("import resource, sys; from ccmkit.cli import main; code = main(sys.argv[1:]); "
              "peak = [line for line in open('/proc/self/status') if line.startswith('VmHWM:')]; "
-             "print(code, peak[0].split()[1], file=sys.stderr)")
+             "worker = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss; "
+             "print(code, peak[0].split()[1], worker, file=sys.stderr)")
     text = (CONFIGS / "numex_dynext.ini").read_text()
     assert "\nT = 20\n" in text
     runs = []
@@ -845,10 +849,48 @@ def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
         runs.append(subprocess.Popen([sys.executable, "-c", child, "simulate", "--config", path],
                                      env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                                      text=True))
-    (code_8, peak_8), (code_64, peak_64) = (map(int, run.communicate(timeout=60)[1].split())
-                                            for run in runs)
+    (code_8, peak_8, worker_8), (code_64, peak_64, worker_64) = (
+        map(int, run.communicate(timeout=60)[1].split()) for run in runs)
     assert (code_8, code_64) == (1, 0)  # err(T) is above the threshold at T = 8.192
     assert abs(peak_64 - peak_8) < 1024  # kB
+    assert abs(worker_64 - worker_8) < 1024  # the formatting worker's peak, 0 if none ran
+    assert (worker_8 > 0) == cli._may_fork()
+
+
+SIMULATE_DYNEXT = ["simulate", "--config", "configs/numex_dynext.ini"]
+
+
+def _pin_to_one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+@pytest.mark.parametrize("how", ["pipe", "out", "one-cpu"])
+def test_simulate_bytes_with_and_without_the_worker(tmp_path, how):
+    """`python -m ccmkit simulate` to a pipe and to --out, where a forked worker
+    formats the CSV, and pinned to one CPU, where this process does: the CSV and
+    summary hash to the golden digest of `tests/test_golden.py` every way."""
+    if how == "one-cpu" and not hasattr(os, "sched_setaffinity"):
+        pytest.skip("needs sched_setaffinity")
+    env = dict(os.environ, PYTHONPATH=str(Path(ccmkit.__file__).resolve().parent.parent))
+    out = tmp_path / "trace.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccmkit", *SIMULATE_DYNEXT, *(["--out", str(out)] * (how == "out"))],
+        cwd=CONFIGS.parent, env=env, capture_output=True, timeout=300,
+        preexec_fn=_pin_to_one_cpu if how == "one-cpu" else None)
+    assert proc.returncode == 0
+    text = out.read_bytes() + proc.stderr if how == "out" else proc.stdout  # CSV, then summary
+    assert hashlib.sha256(text).hexdigest()[:16] == "d32b48364ba416a2"
+
+
+def test_simulate_leaves_no_process(tmp_path, monkeypatch, capsys):
+    """No formatting worker outlives `cli.main`, after a run of 20 blocks or a
+    failed write."""
+    monkeypatch.chdir(CONFIGS.parent)
+    assert main([*SIMULATE_DYNEXT, "--out", str(tmp_path / "trace.csv")]) == 0
+    assert multiprocessing.active_children() == []
+    if os.path.exists("/dev/full"):
+        assert main([*SIMULATE_DYNEXT, "--out", "/dev/full"]) == 2
+        assert multiprocessing.active_children() == []
 
 
 MALFORMED_INI = {
@@ -886,7 +928,7 @@ def test_malformed_ini_ends_without_traceback(tmp_path):
                                   ["simulate", "--config", str(CONFIGS / "numex_dynext.ini")]],
                          ids=["certify", "simulate"])
 def test_failed_out_write_is_usage_error(capsys, argv):
-    # the certify report fails on close, the simulate trace on a block's write
+    # the certify report fails on close, the simulate trace mid-run
     assert main([*argv, "--out", "/dev/full"]) == 2
     assert capsys.readouterr().err == "cannot write --out: [Errno 28] No space left on device\n"
 

@@ -840,6 +840,31 @@ def test_compile_fn_overflowing_literals():
     assert math.isnan(ex.compile_fn(d, XY)(1.0, 0.0))
 
 
+def test_literal_only_arithmetic_is_folded():
+    """+ - * / and unary minus over literals alone become a literal of Python's
+    float value, with `evaluate`'s bits; pow and functions stay lines."""
+    e = ex.parse("(2/3)*x1 - -(1/3) + 2^3*x2 + sqrt(4)", XY)
+    lines, _, _ = ex._straight_line(e)
+    assert lines == ["_0 = 0.6666666666666666 * x1", "_1 = _0 - (-0.3333333333333333)",
+                     "_2 = 2.0 ** 3", "_3 = _2 * x2", "_4 = _1 + _3", "_5 = sqrt(4.0)",
+                     "_6 = _4 + _5"]
+    for x1, x2 in ((1.0, 2.0), (-3.7, 0.1), (1e-300, -1e300)):
+        assert (ex.compile_fn(e, XY)(x1, x2).hex()
+                == ex.evaluate(e, {"x1": x1, "x2": x2}).hex())
+    assert ex.compile_array_fn(e, XY)(np.array([1.0, 2.0])) == ex.compile_fn(e, XY)(1.0, 2.0)
+
+
+def test_raising_or_overflowing_literals_are_not_folded():
+    # 1/0 still raises at its point, 1e200*1e200 still gives inf at run time
+    e = ex.parse("1/0 + x1", XY)
+    assert ex._straight_line(e)[0][0] == "_0 = 1.0 / 0.0"
+    with pytest.raises(ex.EvalDomainError):
+        ex.compile_fn(e, XY)(1.0, 0.0)
+    e = ex.parse("1e200*1e200 + x1", XY)
+    assert ex._straight_line(e)[0][0] == "_0 = 1e+200 * 1e+200"
+    assert ex.compile_fn(e, XY)(1.0, 0.0) == ex.evaluate(e, {"x1": 1.0}) == math.inf
+
+
 def test_free_variables():
     assert ex.free_variables(ex.parse("x1*x2 + 1", XY)) == {"x1", "x2"}
     assert ex.free_variables(ex.parse("2/5", XY)) == set()

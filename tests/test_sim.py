@@ -2,6 +2,8 @@
 
 import io
 import math
+import multiprocessing
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -1207,6 +1209,87 @@ class TestBlocks:
             for first in range(0, len(trace.t), 1000):
                 fit.add(trace.t[first : first + 1000], trace.err[first : first + 1000])
             assert fit.rate() == pytest.approx(whole, rel=1e-12, abs=0.0)
+
+
+_PARENT = os.getpid()
+
+
+def _dies_in_worker(data):
+    """`format_rows` here, but a worker process that calls it exits at once."""
+    if os.getpid() != _PARENT:
+        os._exit(1)
+    return sim.format_rows(data)
+
+
+class _FailingStream(io.StringIO):
+    """A stream whose write number `fails` (from 1) raises ENOSPC."""
+
+    def __init__(self, fails):
+        super().__init__()
+        self.writes, self.fails = 0, fails
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self.fails:
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+
+class TestFormatWorker:
+    """From a run's second block on, `simulate` formats each block's CSV in one
+    forked worker while it computes the next: the output is the same bytes as a
+    whole trace's, whether the worker runs, cannot start or dies, and no worker
+    outlives the run."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker pools started, in order."""
+        import concurrent.futures
+
+        started = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        return started
+
+    @staticmethod
+    def run_of(numex, steps):
+        args = _scenario_a_start(numex)
+        return args[:4] + (replace(args[4], T=steps * 1e-3),)
+
+    def test_one_block_run_starts_no_worker(self, numex, pools):
+        args = self.run_of(numex, sim.CSV_BLOCK - 1)
+        assert streamed_output(args) == whole_run_output(args)
+        assert pools == []
+
+    @pytest.mark.skipif(not cli._may_fork(), reason="needs fork and two CPUs")
+    @pytest.mark.parametrize("formatter", [sim.format_rows, _dies_in_worker],
+                             ids=["worker-runs", "worker-dies"])
+    def test_worker_formats_from_the_second_block(self, numex, pools, monkeypatch, formatter):
+        monkeypatch.setattr(cli, "format_rows", formatter)  # a dead worker costs time, not output
+        args = self.run_of(numex, 3 * sim.CSV_BLOCK + 5)
+        assert streamed_output(args) == whole_run_output(args)
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_formats_in_process(self, numex, pools, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        args = self.run_of(numex, 3 * sim.CSV_BLOCK + 5)
+        assert streamed_output(args) == whole_run_output(args)
+        assert pools == []
+
+    @pytest.mark.skipif(not cli._may_fork(), reason="needs fork and two CPUs")
+    def test_failed_write_mid_run_joins_the_worker(self, numex, pools):
+        # the third write, block 1's, fails while block 2 is with the worker
+        out = _FailingStream(fails=3)
+        with pytest.raises(OSError):
+            cli.write_simulation(*self.run_of(numex, 4 * sim.CSV_BLOCK), out, io.StringIO())
+        assert len(pools) == 1 and out.writes == 3
+        assert multiprocessing.active_children() == []
 
 
 class TestCsv:
