@@ -24,9 +24,9 @@ from .controller import (
 )
 from .expr import ExprSyntaxError, UnknownIdentifierError, to_string
 from .geodesic import GeodesicError, solve_geodesic
-from .integrate import IntegrationError
+from .integrate import IntegrationError, grid_steps
 from .model import ModelError
-from .sim import DecayFit, SimulationError, closed_loop_blocks, format_rows, write_table
+from .sim import CSV_BLOCK, DecayFit, SimulationError, closed_loop_blocks, format_rows, write_table
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -159,7 +159,9 @@ def write_simulation(system, metric, gain, ref, run_cfg, out, summary):
     """Stream one run's CSV to `out` a block at a time (`_CsvBlocks`), then its
     summary lines to `summary`; the exit code."""
     fit = DecayFit((run_cfg.T / 4, 3 * run_cfg.T / 4))
-    with _CsvBlocks(out) as csv:  # one block of the run at a time: its rows, its share of the fit
+    blocks = grid_steps(0.0, run_cfg.T, run_cfg.h) // CSV_BLOCK + 1
+    fork = blocks >= FORK_BLOCKS and _may_fork()
+    with _CsvBlocks(out, fork) as csv:  # one block at a time: its rows, its share of the fit
         for _, trace in closed_loop_blocks(system, metric, gain, ref, run_cfg, [run_cfg.x0]):
             csv.add(*trace.columns())
             fit.add(trace.t, trace.err)
@@ -178,35 +180,40 @@ def write_simulation(system, metric, gain, ref, run_cfg, out, summary):
     return EXIT_OK if passed else EXIT_FAIL
 
 
-class _CsvBlocks:
-    """A CSV written block by block to `out`, in order, by this process. From the
-    second block on, one forked worker turns each block's rows into text
-    (`format_rows`) while the caller computes the next block; at most two blocks
-    wait to be written. Without a second block, the fork start method or a second
-    CPU, the same formatter runs here, as it does for the blocks still held when the
-    worker dies. On leaving, the rest is written unless an exception is leaving too,
-    and the worker is joined either way."""
+# the fewest blocks of a run that the formatting worker makes faster. Its start-up
+# (importing multiprocessing, the fork, the join) costs about 20 ms in a fresh
+# process, and it saves about 2.5 ms a block: a numex dynext run of 2, 4, 8, 10
+# and 12 blocks took 19, 17, 6 and 3 ms longer and 7 ms shorter with the worker
+FORK_BLOCKS = 12
 
-    def __init__(self, out):
-        self.out, self.pending, self.blocks, self.pool = out, deque(), 0, None
+
+class _CsvBlocks:
+    """A CSV written block by block to `out`, in order, by this process. With
+    `fork`, one forked worker turns each block's rows into text (`format_rows`)
+    while the caller computes the next block; at most two blocks wait to be
+    written. Without it, the same formatter runs here, as it does for the blocks
+    still held when the worker dies. On leaving, the rest is written unless an
+    exception is leaving too, and the worker is joined either way."""
+
+    def __init__(self, out, fork):
+        self.out, self.fork, self.started, self.pending, self.pool = out, fork, False, deque(), None
 
     def __enter__(self):
         return self
 
     def add(self, names, data):
-        if not self.blocks:
-            self.out.write(",".join(names) + "\n")
-        elif self.blocks == 1 and _may_fork():
-            from concurrent.futures import ProcessPoolExecutor
-            from multiprocessing import get_context
+        if not self.started:
+            self.started = True
+            write_table(self.out, names, data[:0])  # the header
+            if self.fork:
+                from concurrent.futures import ProcessPoolExecutor
+                from multiprocessing import get_context
 
-            self.out.flush()  # else the child inherits the buffered header
-            self.pool = ProcessPoolExecutor(1, mp_context=get_context("fork"))
-            self.pending = deque((held, self._submit(held)) for held, _ in self.pending)
+                self.out.flush()  # else the child inherits the buffered header
+                self.pool = ProcessPoolExecutor(1, mp_context=get_context("fork"))
         while len(self.pending) > 1:
             self._write_oldest()
         self.pending.append((data, self._submit(data)))
-        self.blocks += 1
 
     def _submit(self, data):
         if self.pool is None:

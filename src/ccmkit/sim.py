@@ -92,15 +92,14 @@ class SimTrace:
         blocks = [self.t[:, None]] + [block for _, block in groups]
         return names + ["err"], np.hstack(blocks + [self.err[:, None]])
 
-    def write_csv(self, stream, header=True):
-        write_table(stream, *self.columns(), header)
+    def write_csv(self, stream):
+        write_table(stream, *self.columns())
 
 
-def write_table(stream, names, data, header=True):
-    """CSV: the header `names` (unless `header` is false), then the rows of `data`
-    at %.17g, one write per block of CSV_BLOCK rows (`format_rows`)."""
-    if header:
-        stream.write(",".join(names) + "\n")
+def write_table(stream, names, data):
+    """CSV: the header `names`, then the rows of `data` at %.17g, one write per
+    block of CSV_BLOCK rows (`format_rows`)."""
+    stream.write(",".join(names) + "\n")
     for start in range(0, len(data), CSV_BLOCK):
         stream.write(format_rows(data[start : start + CSV_BLOCK]))
 

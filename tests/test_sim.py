@@ -1235,8 +1235,13 @@ class _FailingStream(io.StringIO):
         return super().write(text)
 
 
+def _marks_in_worker(data):
+    """`format_rows`, with a mark line first where a worker process calls it."""
+    return ("# worker\n" if os.getpid() != _PARENT else "") + sim.format_rows(data)
+
+
 class TestFormatWorker:
-    """From a run's second block on, `simulate` formats each block's CSV in one
+    """A run of `cli.FORK_BLOCKS` blocks or more formats each block's CSV in one
     forked worker while it computes the next: the output is the same bytes as a
     whole trace's, whether the worker runs, cannot start or dies, and no worker
     outlives the run."""
@@ -1257,37 +1262,50 @@ class TestFormatWorker:
         return started
 
     @staticmethod
-    def run_of(numex, steps):
+    def run_of(numex, blocks):
+        """Scenario A for `blocks` blocks, the last one of 6 rows."""
         args = _scenario_a_start(numex)
-        return args[:4] + (replace(args[4], T=steps * 1e-3),)
-
-    def test_one_block_run_starts_no_worker(self, numex, pools):
-        args = self.run_of(numex, sim.CSV_BLOCK - 1)
-        assert streamed_output(args) == whole_run_output(args)
-        assert pools == []
+        return args[:4] + (replace(args[4], T=((blocks - 1) * sim.CSV_BLOCK + 5) * 1e-3),)
 
     @pytest.mark.skipif(not cli._may_fork(), reason="needs fork and two CPUs")
-    @pytest.mark.parametrize("formatter", [sim.format_rows, _dies_in_worker],
-                             ids=["worker-runs", "worker-dies"])
-    def test_worker_formats_from_the_second_block(self, numex, pools, monkeypatch, formatter):
-        monkeypatch.setattr(cli, "format_rows", formatter)  # a dead worker costs time, not output
-        args = self.run_of(numex, 3 * sim.CSV_BLOCK + 5)
+    def test_worker_starts_at_fork_blocks(self, numex, pools):
+        for blocks in (cli.FORK_BLOCKS - 1, cli.FORK_BLOCKS):
+            args = self.run_of(numex, blocks)
+            assert streamed_output(args) == whole_run_output(args)
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not cli._may_fork(), reason="needs fork and two CPUs")
+    def test_worker_formats_every_block(self, numex, pools, monkeypatch):
+        monkeypatch.setattr(cli, "FORK_BLOCKS", 2)
+        monkeypatch.setattr(cli, "format_rows", _marks_in_worker)
+        csv, _, _ = streamed_output(self.run_of(numex, 4))
+        assert csv.startswith("t,x1,x2,xd1,xd2,z1,z2,u1,ud1,err\n# worker\n")
+        assert csv.count("# worker\n") == 4
+
+    @pytest.mark.skipif(not cli._may_fork(), reason="needs fork and two CPUs")
+    def test_dead_worker_costs_no_output(self, numex, pools, monkeypatch):
+        monkeypatch.setattr(cli, "FORK_BLOCKS", 2)
+        monkeypatch.setattr(cli, "format_rows", _dies_in_worker)
+        args = self.run_of(numex, 4)
         assert streamed_output(args) == whole_run_output(args)
         assert len(pools) == 1
         assert multiprocessing.active_children() == []
 
     def test_one_cpu_formats_in_process(self, numex, pools, monkeypatch):
+        monkeypatch.setattr(cli, "FORK_BLOCKS", 2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        args = self.run_of(numex, 3 * sim.CSV_BLOCK + 5)
+        args = self.run_of(numex, 4)
         assert streamed_output(args) == whole_run_output(args)
         assert pools == []
 
     @pytest.mark.skipif(not cli._may_fork(), reason="needs fork and two CPUs")
-    def test_failed_write_mid_run_joins_the_worker(self, numex, pools):
+    def test_failed_write_mid_run_joins_the_worker(self, numex, pools, monkeypatch):
         # the third write, block 1's, fails while block 2 is with the worker
+        monkeypatch.setattr(cli, "FORK_BLOCKS", 2)
         out = _FailingStream(fails=3)
         with pytest.raises(OSError):
-            cli.write_simulation(*self.run_of(numex, 4 * sim.CSV_BLOCK), out, io.StringIO())
+            cli.write_simulation(*self.run_of(numex, 5), out, io.StringIO())
         assert len(pools) == 1 and out.writes == 3
         assert multiprocessing.active_children() == []
 
