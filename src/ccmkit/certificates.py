@@ -153,8 +153,8 @@ def _finite(what, field, x):
     """field(x) at one point or a stack x, after a test that raises at the first point
     where an entry is not finite, such as an inf literal that the expression builders fold."""
     values, points = field(x), np.reshape(x, (-1, np.shape(x)[-1]))
-    finite = np.isfinite(values).reshape(len(points), -1).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(values).all():  # cheaper than the test point by point
+        finite = np.isfinite(values).reshape(len(points), -1).all(axis=1)
         raise CertificateError(f"{what} not finite at x={points[np.argmin(finite)]}")
     return values
 
@@ -177,24 +177,30 @@ def _per_rank(points, groups, pencil, width):
     returns (a, b, lift) for the points `index`: the eigenproblem of a
     (`sym_eig`) when b is None, else of the pencil (a, b)
     (`generalized_sym_eig`). The witness direction is lift @ (top
-    eigenvector), of length `width`. A linear-algebra error names the
-    first failing grid point in row-major order.
+    eigenvector), of length `width`. A linear-algebra error, or a pencil
+    that is not finite (CertificateError), names the first failing grid
+    point in row-major order.
     """
     margins = np.empty(len(points))
     directions = np.empty((len(points), width))
-    failures = []
+    failures = []  # (grid point, error type, reason)
     for index, basis in groups:
-        try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test below
             a, b, lift = pencil(index, basis)
+        if not (np.isfinite(a).all() and (b is None or np.isfinite(b).all())):
+            finite = np.isfinite(a).all((1, 2)) & np.isfinite(a if b is None else b).all((1, 2))
+            failures.append((index[np.argmin(finite)], CertificateError, "pencil not finite"))
+            continue
+        try:
             w, vecs = sym_eig(a) if b is None else generalized_sym_eig(a, b)
         except (NonSymmetricError, SingularMatrixError) as err:
-            failures.append((index[err.index], err))
+            failures.append((index[err.index], type(err), err.reason))
             continue
         margins[index] = w[:, -1]
         directions[index] = (lift @ vecs[:, :, -1:])[:, :, 0]
     if failures:
-        at, err = min(failures, key=lambda item: item[0])
-        raise type(err)(f"{err.reason} at x={points[at]}") from err
+        at, kind, reason = min(failures, key=lambda item: item[0])
+        raise kind(f"{reason} at x={points[at]}")
     return margins, directions
 
 
@@ -226,7 +232,10 @@ def _annihilated(sys, metric, grid, role, check, tol):
     points = _checked_points(metric, grid, role, check, tol)
     form, m_x = contraction_quadratic(sys, metric, points)
     b = sys.eval_b(points)
-    groups = null_space_basis(np.swapaxes(m_x @ b if role == "primal" else b, 1, 2))
+    if role == "primal":
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails `_finite`
+            b = _finite("M B", lambda _: m_x @ b, points)
+    groups = null_space_basis(np.swapaxes(b, 1, 2))
     return points, form, m_x, groups
 
 
@@ -309,7 +318,8 @@ def check_robust(sys, metric, grid, lam, gamma0, tol=DEFAULT_TOL, lambda_form="i
         raise CertificateError(f"unknown lambda_form {lambda_form!r}")
     points, q, m_x, groups = _annihilated(sys, metric, grid, "primal", "robust", tol)
     n = sys.n
-    s = q + lam * (np.eye(n) if lambda_form == "identity" else m_x)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails `_per_rank`'s test
+        s = q + lam * (np.eye(n) if lambda_form == "identity" else m_x)
 
     def bound(index, basis):
         m_n = m_x[index] @ basis

@@ -156,15 +156,15 @@ def cmd_simulate(cfg, args, out):
 
 
 def write_simulation(system, metric, gain, ref, run_cfg, out, summary):
-    """Stream one run's CSV to `out` a block at a time (`_CsvBlocks`), then its
+    """Stream one run's CSV to `out` a block at a time (`_written`), then its
     summary lines to `summary`; the exit code."""
     fit = DecayFit((run_cfg.T / 4, 3 * run_cfg.T / 4))
     blocks = grid_steps(0.0, run_cfg.T, run_cfg.h) // CSV_BLOCK + 1
     fork = blocks >= FORK_BLOCKS and _may_fork()
-    with _CsvBlocks(out, fork) as csv:  # one block at a time: its rows, its share of the fit
-        for _, trace in closed_loop_blocks(system, metric, gain, ref, run_cfg, [run_cfg.x0]):
-            csv.add(*trace.columns())
-            fit.add(trace.t, trace.err)
+    traces = (trace for _, trace in
+              closed_loop_blocks(system, metric, gain, ref, run_cfg, [run_cfg.x0]))
+    for trace in _written(out, traces, fork):  # a block at a time: its rows, its share of the fit
+        fit.add(trace.t, trace.err)
     summary.write(f"# final_err: {trace.final_err():.17g}\n")
     try:
         summary.write(f"# decay_rate: {fit.rate():.6g}\n")
@@ -187,75 +187,55 @@ def write_simulation(system, metric, gain, ref, run_cfg, out, summary):
 FORK_BLOCKS = 12
 
 
-class _CsvBlocks:
-    """A CSV written block by block to `out`, in order, by this process. With
-    `fork`, one forked worker turns each block's rows into text (`format_rows`)
-    while the caller computes the next block; at most two blocks wait to be
-    written. Without it, the same formatter runs here, as it does for the blocks
-    still held when the worker dies. On leaving, the rest is written unless an
-    exception is leaving too, and the worker is joined either way."""
+def _written(out, traces, fork):
+    """Each of `traces` in turn, its rows written to `out` as one CSV, in order,
+    by this process. With `fork`, one forked worker turns each block's rows into
+    text (`format_rows`) while the caller computes the next block; at most two
+    blocks wait to be written. Without it, the same formatter runs here, as it
+    does for the blocks still held when the worker dies. When the traces end the
+    rest is written, after an exception nothing more is, and the worker is joined
+    either way."""
+    held, pool = deque(), None
 
-    def __init__(self, out, fork):
-        self.out, self.fork, self.started, self.pending, self.pool = out, fork, False, deque(), None
+    def write_oldest():
+        data, job = held.popleft()
+        out.write((job and _unbroken(job.result)) or format_rows(data))
+    try:
+        for k, trace in enumerate(traces):
+            names, data = trace.columns()
+            if k == 0:
+                write_table(out, names, data[:0])  # the header
+                if fork:
+                    from concurrent.futures import ProcessPoolExecutor
+                    from multiprocessing import get_context
 
-    def __enter__(self):
-        return self
+                    out.flush()  # else the child inherits the buffered header
+                    pool = ProcessPoolExecutor(1, mp_context=get_context("fork"))
+            if len(held) > 1:
+                write_oldest()
+            held.append((data, pool and _unbroken(pool.submit, format_rows, data)))
+            yield trace
+        while held:
+            write_oldest()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
-    def add(self, names, data):
-        if not self.started:
-            self.started = True
-            write_table(self.out, names, data[:0])  # the header
-            if self.fork:
-                from concurrent.futures import ProcessPoolExecutor
-                from multiprocessing import get_context
 
-                self.out.flush()  # else the child inherits the buffered header
-                self.pool = ProcessPoolExecutor(1, mp_context=get_context("fork"))
-        while len(self.pending) > 1:
-            self._write_oldest()
-        self.pending.append((data, self._submit(data)))
+def _unbroken(call, *args):
+    """call(*args), or None where the worker has died: its blocks cost time, not output."""
+    from concurrent.futures.process import BrokenProcessPool
 
-    def _submit(self, data):
-        if self.pool is None:
-            return None
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            return self.pool.submit(format_rows, data)
-        except BrokenProcessPool:
-            return None
-
-    def _write_oldest(self):
-        data, job = self.pending.popleft()
-        text = None
-        if job is not None:
-            from concurrent.futures.process import BrokenProcessPool
-
-            try:
-                text = job.result()
-            except BrokenProcessPool:  # the worker died: its blocks cost time, not output
-                pass
-        self.out.write(format_rows(data) if text is None else text)
-
-    def __exit__(self, kind, *_):
-        try:
-            while kind is None and self.pending:
-                self._write_oldest()
-        finally:
-            if self.pool is not None:
-                self.pool.shutdown(cancel_futures=True)
+    try:
+        return call(*args)
+    except BrokenProcessPool:
+        return None
 
 
 def _may_fork():
-    """Whether a forked worker can run beside this process: the fork start method
-    exists and this process may use two CPUs or more."""
-    import multiprocessing
-
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return "fork" in multiprocessing.get_all_start_methods() and cpus >= 2
+    """Whether this process may use two CPUs or more for a forked worker. Only
+    platforms with the fork start method report affinity."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
 def build_parser():

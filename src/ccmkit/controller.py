@@ -153,8 +153,12 @@ def synthesize_gain(sys, metric, params: DampingParams, gamma_const=None, grid=N
     mb_t = [ex.matvec(metric.m_exprs, col) for col in zip(*sys.b_exprs)]
     gram = [ex.matvec(mb_t, row) for row in mb_t]
     points = (grid if grid is not None else Grid.for_system(sys)).array()
+    gram_x = _Field(gram, sys.vars)(points)
+    if not np.isfinite(gram_x).all():  # such as an inf literal that `ex.mul` folds
+        finite = np.isfinite(gram_x).all(axis=(1, 2))
+        raise SynthesisError(f"(MB)^T MB not finite at x={points[np.argmin(finite)]}")
     try:
-        inverse(_Field(gram, sys.vars)(points))
+        inverse(gram_x)
     except SingularMatrixError as err:
         raise SynthesisError(
             f"(MB)^T MB singular at x={points[err.index]}: input matrix loses rank"

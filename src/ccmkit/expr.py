@@ -23,7 +23,6 @@ closed-loop run of `sim`).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import count
@@ -489,11 +488,6 @@ _RAISE_ON_FP_ERRORS = np.errstate(divide="raise", over="raise", invalid="raise")
 
 _TEMPLATES = {"add": "{0} + {1}", "sub": "{0} - {1}", "mul": "{0} * {1}",
               "div": "{0} / {1}", "pow": "{0} ** {n}", "neg": "-{0}"}
-# the operations `_straight_line` folds over literals: IEEE arithmetic, the same bits in
-# `evaluate` and both back ends; pow and the functions are not folded, since the array
-# back end's table may differ from math's
-_FOLDED = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-           "div": operator.truediv, "neg": operator.neg}
 
 
 def _entries(item, index=()):
@@ -522,32 +516,17 @@ def _straight_line(expr):
     precede those first needed by a later entry); the variable, literal or
     local that holds each entry of `_entries(expr)`, in that order; and the
     operand texts that line k's right-hand side reads, as a tuple. Subtrees
-    are shared by node identity and by right-hand-side text. A + - * / or
-    unary minus over literals alone is a literal, its Python float value,
-    where that value is finite and its operation raises nothing.
+    are shared by node identity and by right-hand-side text.
     """
     locals_ = {}  # right-hand side -> local; insertion order is children first
     operands = []
-    literals = {}  # literal text -> its value
-
-    def literal(value):
-        text = repr(value)  # keeps -0.0 apart from 0.0
-        text = f"({text})" if text.startswith("-") else text
-        literals[text] = value
-        return text
 
     def operand(node, args):
         if node.kind == "var":
             return node.name
         if node.kind == "const":
-            return literal(node.value)
-        if node.kind in _FOLDED and all(a in literals for a in args):
-            try:
-                value = _FOLDED[node.kind](*(literals[a] for a in args))
-            except ArithmeticError:  # 1/0 is left to raise at its point
-                value = math.nan
-            if math.isfinite(value):  # 1e200*1e200 is left to give inf at run time
-                return literal(value)
+            text = repr(node.value)  # keeps -0.0 apart from 0.0
+            return f"({text})" if text.startswith("-") else text
         rhs = _TEMPLATES.get(node.kind, node.kind + "({0})").format(*args, n=int(node.value))
         if rhs not in locals_:
             locals_[rhs] = f"_{len(locals_)}"

@@ -771,6 +771,46 @@ class TestCliSimulate:
         assert capsys.readouterr().err.startswith("config error: [simulation]")
 
 
+# (system, metric, certificate) whose products overflow: M B in every certificate, N^T M^2 N in
+# the robust check's gamma0 bound, lambda M in its block, and the synthesized gain's
+# (MB)^T MB, an inf literal
+_OVERFLOWING = {
+    "m-b": ("f1 = x2\nf2 = -x2\nB_2_1 = 1e200\n",
+            "M_1_1 = 1\nM_2_2 = 1e200\np_lo = 0.5\np_hi = 1e201\n", "checks = c1\n"),
+    "robust": ("f1 = -x1\nf2 = -x2\nB_2_1 = 1\n", "M_1_1 = 1e200\nM_2_2 = 1e200\n"
+               "M_1_2 = 1e199\np_lo = 1e199\np_hi = 2e200\n", "checks = c1 robust\n"),
+    "lambda-m": ("f1 = -x1\nf2 = -x2\nB_2_1 = 1\n",
+                 "M_1_1 = 1e307\nM_2_2 = 1e307\np_lo = 1e306\np_hi = 1e308\n",
+                 "checks = robust\nrobust_lambda_form = metric\nlambda = 100\ngamma0 = 1\n"),
+    "gram": ("f1 = -x1\nf2 = -x2\nB_2_1 = 1e100\n",
+             "M_1_1 = 1\nM_2_2 = 1e100\np_lo = 0.5\np_hi = 1e101\n", "checks = c1\n"),
+}
+
+
+@pytest.mark.parametrize("case, command, message", [
+    ("m-b", "certify", "M B not finite at x=[-1. -1.]"),
+    ("m-b", "synthesize", "M B not finite at x=[-1. -1.]"),
+    ("m-b", "simulate", "M B not finite at x=[-1. -1.]"),
+    ("robust", "certify", "pencil not finite at x=[-1. -1.]"),
+    ("robust", "synthesize", "(MB)^T MB not finite at x=[-1. -1.]"),
+    ("lambda-m", "certify", "pencil not finite at x=[-1. -1.]"),
+    ("gram", "synthesize", "(MB)^T MB not finite at x=[-1. -1.]"),
+    ("gram", "simulate", "(MB)^T MB not finite at x=[-1. -1.]"),
+], ids=["m-b-certify", "m-b-synthesize", "m-b-simulate", "robust-certify", "robust-synthesize",
+        "lambda-m-certify", "gram-synthesize", "gram-simulate"])
+def test_overflowing_product_exits_three(tmp_path, capsys, case, command, message):
+    system, metric, certificate = _OVERFLOWING[case]
+    text = (f"[system]\nn = 2\nm = 1\n{system}domain_lo = -1 -1\ndomain_hi = 1 1\n"
+            f"[metric]\n{metric}[certificate]\n{certificate}grid = 3\n"
+            "[reference]\nxd0 = 0 0\n[simulation]\nT = 0.1\nh = 0.01\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, "--config", write_config(tmp_path, text),
+                     "--out", str(tmp_path / "out.txt")])
+    assert code == 3
+    assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
+
+
 # Runs in a fresh interpreter with every scipy import blocked: imports
 # ccmkit, runs each argv through cli.main in-process and prints the exit
 # codes and the scipy modules loaded so far.

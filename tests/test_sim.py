@@ -1299,6 +1299,22 @@ class TestFormatWorker:
         assert streamed_output(args) == whole_run_output(args)
         assert pools == []
 
+    def test_at_most_two_blocks_wait(self, numex):
+        args = self.run_of(numex, 4)
+        traces = [trace for _, trace in sim.closed_loop_blocks(*args, [args[4].x0])]
+        out = io.StringIO()
+        lines = [out.getvalue().count("\n") for _ in cli._written(out, traces, False)]
+        rows = [len(trace.t) for trace in traces]
+        assert lines == [1, 1, 1 + rows[0], 1 + rows[0] + rows[1]]
+        assert out.getvalue().count("\n") == 1 + sum(rows)
+
+    def test_no_affinity_call_formats_in_process(self, numex, pools, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert not cli._may_fork()
+        args = self.run_of(numex, cli.FORK_BLOCKS)
+        assert streamed_output(args) == whole_run_output(args)
+        assert pools == []
+
     @pytest.mark.skipif(not cli._may_fork(), reason="needs fork and two CPUs")
     def test_failed_write_mid_run_joins_the_worker(self, numex, pools, monkeypatch):
         # the third write, block 1's, fails while block 2 is with the worker
