@@ -117,8 +117,10 @@ def cmd_synthesize(cfg, args, out):
     gain = _resolve_gain(cfg, grid)
     lines = ["[gain]", "source = user"]  # floats or formulas; both reload as a user gain
     if gain.is_constant():
-        lines += [f"K_{i + 1}_{j + 1} = {float(gain.constant_matrix[i, j])!r}"
-                  for i in range(gain.m) for j in range(gain.n)]
+        for (i, j), value in np.ndenumerate(gain.constant_matrix):
+            if np.isnan(value):
+                raise SynthesisError(f"K_{i + 1}_{j + 1} is not a number")
+            lines.append(f"K_{i + 1}_{j + 1} = {float(value)!r}".replace("inf", "1e999"))
     else:
         lines += [f"K_{i + 1}_{j + 1} = {to_string(entry)}"
                   for i, row in enumerate(gain.exprs) for j, entry in enumerate(row)]

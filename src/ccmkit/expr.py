@@ -23,7 +23,9 @@ closed-loop run of `sim`).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from functools import reduce
 from itertools import count
 
@@ -160,7 +162,10 @@ def pow_int(a, n):
     if n == 1:
         return a
     if _is_const(a):
-        return const(a.value**n)
+        try:
+            return const(a.value**n)
+        except (OverflowError, ZeroDivisionError):  # raises where it is evaluated
+            pass
     return Expr("pow", value=float(n), args=(a,))
 
 
@@ -173,57 +178,39 @@ def matvec(rows, point):
     return [reduce(add, [mul(entry, p) for entry, p in zip(row, point)]) for row in rows]
 
 
-_DIGITS, _NAME_START = "0123456789", "_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-_NUMBER_CHARS, _NAME_CHARS = _DIGITS + ".", _NAME_START + _DIGITS
 _MAX_EXPONENT = 2**53  # beyond it a float exponent loses its parity
+# Whitespace has an alternative of its own (a leading \s* backtracks quadratically
+# over trailing blanks); digits and names are ASCII, so text means what it shows.
+_TOKEN = re.compile(r"(?P<space>\s+)|(?P<num>[0-9.]+(?:[eE][+-]?[0-9]+)?)"
+                    r"|(?P<ident>[_A-Za-z][_A-Za-z0-9]*)|(?P<op>[-+*/^()])|(?P<other>.)")
 
 
 def _tokens(text):
     """The (kind, value, offset) tokens of `text`, then ("end", None, len(text));
-    a number's value is its text. Digits and names are ASCII, so text means
-    what it shows."""
+    a number's value is its text, an operator's kind is itself."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c, j = text[i], i + 1
-        if c in "+-*/^()":
-            tokens.append((c, c, i))
-        elif c in _NUMBER_CHARS:
-            while j < n and text[j] in _NUMBER_CHARS:
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k] in _DIGITS:
-                    j = k
-                    while j < n and text[j] in _DIGITS:
-                        j += 1
+    for match in _TOKEN.finditer(text):
+        kind, value, i = match.lastgroup, match.group(), match.start()
+        if kind == "num":
             try:
-                float(text[i:j])
+                float(value)
             except ValueError:
-                raise ExprSyntaxError(f"bad number '{text[i:j]}'", i) from None
-            tokens.append(("num", text[i:j], i))
-        elif c in _NAME_START:
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-        elif not c.isspace():
-            raise ExprSyntaxError(f"unexpected character '{c}'", i)
-        i = j
-    return tokens + [("end", None, n)]
+                raise ExprSyntaxError(f"bad number '{value}'", i) from None
+        elif kind == "other":
+            raise ExprSyntaxError(f"unexpected character '{value}'", i)
+        if kind != "space":
+            tokens.append((value if kind == "op" else kind, value, i))
+    return tokens + [("end", None, len(text))]
 
 
 def _integer(literal):
     """The integer that a number literal with a finite float denotes exactly
     (not its float), or None if it denotes none."""
-    mantissa, _, exponent = literal.lower().partition("e")
-    whole, _, fraction = mantissa.partition(".")
-    digits = (whole + fraction).rstrip("0")
-    if not digits:
-        return 0
-    shift = int(exponent or 0) - len(fraction) + len(whole + fraction) - len(digits)
-    return int(digits) * 10**shift if shift >= 0 else None  # a finite float bounds shift
+    try:
+        exact = Decimal(literal)
+    except InvalidOperation:  # an exponent beyond decimal's range: a zero or a fraction
+        return None if literal.lower().partition("e")[0].strip("0.") else 0
+    return int(exact) if exact == exact.to_integral_value() else None
 
 
 # Binary operators: node kind and binding level; each level associates to the left.
@@ -409,6 +396,8 @@ def _derivative(expr, d_args, name):
         return add(mul(da, b), mul(a, db))
     if kind == "div":
         (a, b), (da, db) = expr.args, d_args
+        if _is_const(db, 0.0):  # no b^2, which can overflow where b does not
+            return div(da, b)
         return div(sub(mul(da, b), mul(a, db)), pow_int(b, 2))
     (a,), (da,) = expr.args, d_args
     if kind == "pow":
@@ -631,8 +620,9 @@ def _text(node, args):
     """(precedence, text pieces) of `node`, given those of its operands;
     constants, variables and calls bind tightest (inf)."""
     kind = node.kind
-    if kind == "const":
-        return math.inf, repr(node.value) if node.value >= 0 else f"({node.value!r})"
+    if kind == "const":  # 1e999 reads back as inf
+        text = repr(node.value).replace("inf", "1e999")
+        return math.inf, text if node.value >= 0 else f"({text})"
     if kind == "var":
         return math.inf, node.name
     if kind not in _PREC:  # function call

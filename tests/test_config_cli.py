@@ -4,6 +4,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -506,6 +507,31 @@ class TestCliSynthesize:
         gain = GainField.from_exprs(3, 1, cfg.gain.entries)
         assert np.allclose(gain(np.zeros(3)), [[0.0, 0.0, -2.0]], atol=1e-12)
 
+    @pytest.mark.parametrize("entry, printed", [
+        ("1e400", "1e999"), ("-1e400", "-1e999"), ("1e400*x1", "1e999*x1")])
+    def test_infinite_gain_reads_back(self, tmp_path, capsys, entry, printed):
+        path = write_config(tmp_path, NUMEX_MIN + f"[gain]\nsource = user\nK_1_1 = {entry}\n"
+                            "K_1_2 = 0\n")
+        runs = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["synthesize", "--config", path]) == 0
+            emitted, err = capsys.readouterr()
+            assert err == "" and f"K_1_1 = {printed}\n" in emitted
+            reloaded = write_config(tmp_path, NUMEX_MIN + emitted, "rt.ini")
+            assert main(["synthesize", "--config", reloaded]) == 0
+            assert capsys.readouterr() == (emitted, "")
+            for config in (path, reloaded):
+                code = main(["simulate", "--config", config, "--out", str(tmp_path / "t.csv")])
+                runs.append((code, (tmp_path / "t.csv").read_bytes(), capsys.readouterr()))
+        assert runs[0] == runs[1]
+
+    def test_not_a_number_gain_is_a_numerical_failure(self, tmp_path, capsys):
+        path = write_config(tmp_path, NUMEX_MIN + "[gain]\nsource = user\n"
+                            "K_1_1 = 0\nK_1_2 = 1e400 - 1e400\n")
+        assert main(["synthesize", "--config", path]) == 3
+        assert capsys.readouterr() == ("", "numerical failure: K_1_2 is not a number\n")
+
     SYNTHESIZED = NUMEX_MIN + "[gain]\nsource = synthesized\nr = 2\ngamma0 = 0.5\n"
 
     def emitted_gain(self, tmp_path, capsys):
@@ -809,6 +835,36 @@ def test_overflowing_product_exits_three(tmp_path, capsys, case, command, messag
                      "--out", str(tmp_path / "out.txt")])
     assert code == 3
     assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
+
+
+# Literal arithmetic that overflowed while the config was built: the quotient rule
+# squared f1's denominator 1e200 (e), and the synthesized gain squares the metric
+# form's literal entries, -2e160 (d)
+_LITERAL_OVERFLOW = {
+    "e": ("f1 = x1/1e200\nf2 = -x2\n", "M_1_1 = 1\nM_2_2 = 1\np_lo = 0.5\np_hi = 2\n"),
+    "d": ("f1 = -x1\nf2 = -x2\n", "M_1_1 = 1e160\nM_2_2 = 1\np_lo = 0.5\np_hi = 2e160\n"),
+}
+
+
+@pytest.mark.parametrize("case, command, code, err", [
+    ("e", "certify", 1, ""),
+    ("e", "synthesize", 1,
+     r"metric failed C1 certification; cannot synthesize \(worst margin 2e-200\)\n"),
+    # the overflow's text is the C library's (errno ERANGE)
+    ("d", "synthesize", 3, r"numerical failure: .* at x=\[0\. 0\.\]\n"),
+], ids=["e-certify", "e-synthesize", "d-synthesize"])
+def test_literal_arithmetic_is_not_a_config_error(tmp_path, capsys, case, command, code, err):
+    system, metric = _LITERAL_OVERFLOW[case]
+    text = (f"[system]\nn = 2\nm = 1\n{system}B_2_1 = 1\ndomain_lo = -1 -1\ndomain_hi = 1 1\n"
+            f"[metric]\n{metric}[certificate]\nchecks = c1\ngrid = 3\n")
+    out = tmp_path / "out.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == code
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and re.fullmatch(err, stderr)
+    if command == "certify":  # the system does not contract, by a finite margin
+        assert "worst_margin: 2e-200\n" in out.read_text()
 
 
 # Runs in a fresh interpreter with every scipy import blocked: imports

@@ -2,12 +2,14 @@
 
 import math
 import random
+import sys
+import time
 from functools import reduce
 from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccmkit import expr as ex
@@ -147,6 +149,120 @@ class TestParse:
         assert str(err.value) == f"exponent must be an integer constant (offset {text.index('1e')})"
 
 
+# Oracles: the hand-written scanner and digit arithmetic that `_tokens` (one
+# `re` pattern) and `_integer` (`decimal`) replaced.
+_DIGITS, _NAME_START = "0123456789", "_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+_NUMBER_CHARS, _NAME_CHARS = _DIGITS + ".", _NAME_START + _DIGITS
+
+
+def _scanned_tokens(text):
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c, j = text[i], i + 1
+        if c in "+-*/^()":
+            tokens.append((c, c, i))
+        elif c in _NUMBER_CHARS:
+            while j < n and text[j] in _NUMBER_CHARS:
+                j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k] in _DIGITS:
+                    j = k
+                    while j < n and text[j] in _DIGITS:
+                        j += 1
+            try:
+                float(text[i:j])
+            except ValueError:
+                raise ex.ExprSyntaxError(f"bad number '{text[i:j]}'", i) from None
+            tokens.append(("num", text[i:j], i))
+        elif c in _NAME_START:
+            while j < n and text[j] in _NAME_CHARS:
+                j += 1
+            tokens.append(("ident", text[i:j], i))
+        elif not c.isspace():
+            raise ex.ExprSyntaxError(f"unexpected character '{c}'", i)
+        i = j
+    return tokens + [("end", None, n)]
+
+
+def _digit_integer(literal):
+    mantissa, _, exponent = literal.lower().partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = (whole + fraction).rstrip("0")
+    if not digits:
+        return 0
+    shift = int(exponent or 0) - len(fraction) + len(whole + fraction) - len(digits)
+    return int(digits) * 10**shift if shift >= 0 else None
+
+
+def _token_outcome(tokens, text):
+    try:
+        return tokens(text)
+    except ex.ExprSyntaxError as err:
+        return type(err), str(err), err.offset
+
+
+# ASCII and Unicode digits (Arabic-Indic, superscript, fullwidth), Greek,
+# ASCII and Unicode whitespace (\x1c is a separator `isspace` accepts),
+# exponent letters, signs and operators
+_SCAN_ALPHABET = list("0123456789.eE+-*/^()x_Zs \t\n\x1c$") + [
+    "\u0663", "\u00b2", "\uff11", "\u03be", "\u00a0", "\u2028", "\u3000", "\x85", "\u200b"]
+
+
+@settings(max_examples=2000, derandomize=True, deadline=None)
+@given(text=st.text(st.sampled_from(_SCAN_ALPHABET), max_size=24))
+@example(text="2 * 1e\u0663 + x1\u00b2")
+@example(text="1.e+5E-3e.2 x1_e2 \t\n\x1c 3")
+def test_tokens_match_scanner(text):
+    """The same tokens, or the same error type, message and offset, as the
+    hand-written scanner."""
+    assert _token_outcome(ex._tokens, text) == _token_outcome(_scanned_tokens, text)
+
+
+_LITERAL_EXPONENTS = st.integers(-400, 400) | st.sampled_from(
+    [-999999999, 99999999999, -(10**20), 10**20, 10**30])
+
+
+@settings(max_examples=2000, derandomize=True, deadline=None)
+@given(whole=st.text("0123456789", max_size=60), fraction=st.none() | st.text("0123456789",
+       max_size=60), mark=st.sampled_from("eE"), exponent=st.none() | _LITERAL_EXPONENTS)
+@example(whole="1", fraction=None, mark="e", exponent=-999999999)
+@example(whole="1" * 60, fraction="0" * 60, mark="e", exponent=-60)
+@example(whole="0", fraction="000", mark="E", exponent=10**20)
+def test_integer_matches_digit_arithmetic(whole, fraction, mark, exponent):
+    """`_integer` gives the digit arithmetic's integer, or None, for every
+    literal with a finite float: long mantissas, exponents beyond the float
+    range and beyond decimal's."""
+    literal = whole + ("" if fraction is None else "." + fraction)
+    literal += "" if exponent is None else f"{mark}{exponent}"
+    try:
+        finite = math.isfinite(float(literal))
+    except ValueError:  # no digit at all
+        finite = False
+    if finite:
+        assert ex._integer(literal) == _digit_integer(literal)
+
+
+def test_whitespace_is_what_isspace_says():
+    # over every code point, the pattern's whitespace runs hold exactly the
+    # characters that `str.isspace`, the hand-written scanner's test, accepts
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    runs = "".join(m.group() for m in ex._TOKEN.finditer(text) if m.lastgroup == "space")
+    assert runs == "".join(c for c in text if c.isspace())
+
+
+@pytest.mark.parametrize("text, names", [("x1" + " " * 200_000, [("ident", "x1", 0)]),
+                                         (" " * 200_000, [])], ids=["trailing-blanks", "blanks"])
+def test_tokens_take_linear_time(text, names):
+    start = time.perf_counter()
+    tokens = ex._tokens(text)
+    assert time.perf_counter() - start < 1.0
+    assert tokens == names + [("end", None, len(text))]
+
+
 # Oracle: the recursive-descent parser that the one-loop `parse` replaced.
 _BINARY_LEVELS = ({"+": "add", "-": "sub"}, {"*": "mul", "/": "div"})
 
@@ -157,7 +273,7 @@ class _RecursiveParser:
     RecursionError on input nested beyond the interpreter's limit."""
 
     def __init__(self, text, variables):
-        self.tokens = ex._tokens(text)[::-1]
+        self.tokens = _scanned_tokens(text)[::-1]
         self.variables = set(variables)
 
     def parse(self):
@@ -189,7 +305,7 @@ class _RecursiveParser:
         if kind == "-":
             sign = -1
             kind, value, off = self.tokens.pop()
-        exact = ex._integer(value) if kind == "num" and math.isfinite(float(value)) else None
+        exact = _digit_integer(value) if kind == "num" and math.isfinite(float(value)) else None
         if exact is None:
             raise ex.ExprSyntaxError("exponent must be an integer constant", off)
         if abs(exact) > ex._MAX_EXPONENT:
@@ -431,9 +547,10 @@ def _recursive_differentiate(expr, name):
                       ex.mul(a, _recursive_differentiate(b, name)))
     if kind == "div":
         a, b = expr.args
-        num = ex.sub(ex.mul(_recursive_differentiate(a, name), b),
-                     ex.mul(a, _recursive_differentiate(b, name)))
-        return ex.div(num, ex.pow_int(b, 2))
+        da, db = _recursive_differentiate(a, name), _recursive_differentiate(b, name)
+        if db.kind == "const" and db.value == 0.0:
+            return ex.div(da, b)
+        return ex.div(ex.sub(ex.mul(da, b), ex.mul(a, db)), ex.pow_int(b, 2))
     if kind == "pow":
         a = expr.args[0]
         n = int(expr.value)
@@ -538,6 +655,35 @@ class TestRecursiveOracle:
                 got = ex.compile_fn(ex.differentiate(e, name), XY)(*point)
                 want = ex.compile_fn(_recursive_differentiate(e, name), XY)(*point)
                 assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_quotient_by_free_denominator_matches_quotient_rule():
+    """d(u/b) is du/b when b is free of the variable: within 1e-15 of the full
+    quotient rule (du*b - u*db)/b^2 wherever that one is finite, and finite
+    where b^2 overflows or underflows."""
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(200):
+        u = _random_ast(rng, 3)
+        b = ex.const(rng.choice([-1, 1]) * 10 ** rng.uniform(-150, 150))
+        if rng.random() < 0.5:
+            b = ex.Expr("add", args=(b, ex.var("x2")))
+        e = ex.Expr("div", args=(u, b))
+        du = ex.differentiate(u, "x1")
+        quotient_rule = ex.div(ex.mul(du, b), ex.pow_int(b, 2))  # db = 0
+        env = {"x1": rng.uniform(-1.5, 1.5), "x2": rng.uniform(-1.5, 1.5)}
+        got = ex.evaluate(ex.differentiate(e, "x1"), env)
+        try:
+            want = ex.evaluate(quotient_rule, env)
+        except ex.EvalDomainError:
+            continue
+        if math.isfinite(want):
+            assert math.isclose(got, want, rel_tol=1e-15, abs_tol=0.0)
+            checked += 1
+    assert checked >= 150
+    for literal in (1e200, 1e-200):
+        d = ex.differentiate(ex.parse(f"x1/{literal!r}", XY), "x1")
+        assert ex.evaluate(d, {"x1": 0.0}) == 1.0 / literal
 
 
 def test_random_derivatives_match_finite_difference():
@@ -838,6 +984,25 @@ def test_compile_fn_overflowing_literals():
     d = ex.differentiate(ex.parse("1e400*x1 - 1e400*x1", XY), "x1")
     assert d.kind == "const" and math.isnan(d.value)
     assert math.isnan(ex.compile_fn(d, XY)(1.0, 0.0))
+
+
+def test_overflowing_literal_power_is_not_folded():
+    # 1e200^2 overflows and 0^-1 divides by zero where they are evaluated, not where built
+    for base, n in ((1e200, 2), (-1e200, 3), (0.0, -1)):
+        e = ex.pow_int(ex.const(base), n)
+        assert e.kind == "pow" and e.args[0].value == base and e.value == n
+        with pytest.raises(ex.EvalDomainError):
+            ex.evaluate(e, {})
+        with pytest.raises(ex.EvalDomainError):
+            ex.compile_fn(e, XY)(0.0, 0.0)
+    assert ex.pow_int(ex.const(1e-200), 2) == ex.const(0.0)
+
+
+@pytest.mark.parametrize("value, text", [(math.inf, "1e999"), (-math.inf, "(-1e999)")])
+def test_infinite_literal_prints_as_one_that_reads_back(value, text):
+    e = ex.mul(ex.const(value), ex.var("x1"))
+    assert ex.to_string(e) == text + "*x1"
+    assert ex.parse(ex.to_string(e), XY) == e
 
 
 def test_literal_only_arithmetic_is_folded():
